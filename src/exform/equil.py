@@ -18,7 +18,6 @@ from ._util import budget
 from .errors import (
     BudgetExceeded,
     EnumerationBudgetExceeded,
-    FeasibilitySolverBudget,
     InputError,
     UnknownExample,
     ZeroProbabilityBlockRequested,
@@ -200,106 +199,64 @@ def check_dynamic_rationality(sef, eu, profile, cap=None):
 
 # --- common-prior feasibility ------------------------------------------------
 
-def _fm_feasible(ineqs, nvars, cap):
+def _feasible_point(universe, rows):
     """
-    Decide feasibility of a system of rational linear inequalities
-    (coeffs, const) meaning coeffs . y + const >= 0, by eliminating the
-    variables from the last to the first; on success a witness point is
-    recovered by back substitution.
-    """
-    stack = []
-    current = list(ineqs)
-    for k in range(nvars - 1, -1, -1):
-        lowers, uppers, rest = [], [], []
-        for coeffs, const in current:
-            c = coeffs[k]
-            head = coeffs[:k]
-            if c > 0:
-                lowers.append((head, const, c))
-            elif c < 0:
-                uppers.append((head, const, c))
-            else:
-                rest.append((head, const))
-        stack.append((lowers, uppers))
-        for hl, cl, al in lowers:
-            for hu, cu, au in uppers:
-                combo = tuple(al * hu[t] - au * hl[t] for t in range(k))
-                rest.append((combo, al * cu - au * cl))
-        if len(rest) > cap:
-            raise FeasibilitySolverBudget(
-                f"{len(rest)} inequalities after an elimination step")
-        current = rest
-    if any(const < 0 for _, const in current):
-        return False, None
-    values = []
-    for lowers, uppers in reversed(stack):
-        lb = [-(sum(h[t] * values[t] for t in range(len(h))) + c) / a
-              for h, c, a in lowers]
-        ub = [-(sum(h[t] * values[t] for t in range(len(h))) + c) / a
-              for h, c, a in uppers]
-        if lb and ub:
-            values.append((max(lb) + min(ub)) / 2)
-        elif lb:
-            values.append(max(lb))
-        elif ub:
-            values.append(min(ub))
-        else:
-            values.append(Fraction(0))
-    return True, values
-
-
-def _solve_linear_system(universe, equations, cap):
-    """
-    Exact feasibility of equations sum(coeffs . q) = const together with
-    q >= 0, over variables indexed by the universe.  Returns a witness
+    Exact feasibility of A q = b together with q >= 0, over variables
+    indexed by the universe; each row is a sparse pair ({w: coeff}, const).
+    A phase-1 simplex over the rationals with one artificial variable per
+    row, pivoting by Bland's rule (the entering column is the smallest
+    index with a negative reduced cost, and a tie in the ratio test goes
+    to the smallest basic index), which cannot cycle.  Returns a witness
     assignment or None.
     """
-    n = len(universe)
-    pivots = {}
-    for coeffs, const in equations:
-        coeffs = list(coeffs)
-        const = Fraction(const)
-        for col in list(pivots):
-            f = coeffs[col]
-            if f:
-                pc, pconst = pivots[col]
-                coeffs = [a - f * b for a, b in zip(coeffs, pc)]
-                const -= f * pconst
-        lead = next((k for k, a in enumerate(coeffs) if a), None)
-        if lead is None:
-            if const != 0:
-                return None
-            continue
-        inv = coeffs[lead]
-        coeffs = [a / inv for a in coeffs]
-        const /= inv
-        for col in list(pivots):
-            pc, pconst = pivots[col]
-            f = pc[lead]
-            if f:
-                pivots[col] = ([a - f * b for a, b in zip(pc, coeffs)],
-                               pconst - f * const)
-        pivots[lead] = (coeffs, const)
-    free = [k for k in range(n) if k not in pivots]
-    index = {k: t for t, k in enumerate(free)}
-    ineqs = []
-    for k in range(n):
-        if k in pivots:
-            pc, pconst = pivots[k]
-            ineqs.append((tuple(-pc[f] for f in free), pconst))
-        else:
-            unit = tuple(Fraction(int(f == k)) for f in free)
-            ineqs.append((unit, Fraction(0)))
-    feasible, values = _fm_feasible(ineqs, len(free), cap)
-    if not feasible:
+    n, m = len(universe), len(rows)
+    index = {w: k for k, w in enumerate(universe)}
+    tableau, rhs = [], []
+    for coeffs, const in rows:
+        sign = -1 if const < 0 else 1
+        tableau.append({index[w]: sign * Fraction(c)
+                        for w, c in coeffs.items() if c})
+        rhs.append(sign * Fraction(const))
+    # the last row holds the reduced costs of the phase-1 objective, the
+    # total artificial mass, whose value is minus its right-hand side
+    cost = {}
+    for row in tableau:
+        for k, v in row.items():
+            cost[k] = cost.get(k, 0) - v
+    tableau.append(cost)
+    rhs.append(-sum(rhs, Fraction(0)))
+    # artificial n + i starts basic in row i; its unit column is implicit
+    # and is dropped once it leaves, so it is never stored
+    basis = list(range(n, n + m))
+    while True:
+        entering = min((k for k, v in cost.items() if v < 0), default=None)
+        if entering is None:
+            break
+        # a negative reduced cost needs a positive entry in a row whose
+        # artificial is still basic, so the ratio test has a candidate
+        _, _, r = min((rhs[i] / tableau[i][entering], basis[i], i)
+                      for i in range(m) if tableau[i].get(entering, 0) > 0)
+        scale = tableau[r][entering]
+        pivot = tableau[r] = {k: v / scale for k, v in tableau[r].items()}
+        rhs[r] /= scale
+        basis[r] = entering
+        for i, row in enumerate(tableau):
+            f = row.get(entering)
+            if i == r or not f:
+                continue
+            for k, v in pivot.items():
+                new = row.get(k, 0) - f * v
+                if new:
+                    row[k] = new
+                else:
+                    del row[k]
+            rhs[i] -= f * rhs[r]
+    if rhs[m]:
         return None
-    q = {}
-    for k, w in enumerate(universe):
-        if k in pivots:
-            pc, pconst = pivots[k]
-            q[w] = pconst - sum(pc[f] * values[index[f]] for f in free)
-        else:
-            q[w] = values[index[k]]
+    q = dict.fromkeys(universe, Fraction(0))
+    for i, k in enumerate(basis):
+        if k < n:
+            q[universe[k]] = rhs[i]
     return q
 
 
@@ -324,7 +281,7 @@ def _ordered_directions(group):
     return [(a, b), (b, a)]
 
 
-def check_dynamic_consistency(sef, eu, profile, priors=None, cap=None):
+def check_dynamic_consistency(sef, eu, profile, priors=None):
     """
     Consistency of the belief systems under the profile, checked on every
     group of at most two (agent, info set) units: assessments must follow
@@ -333,7 +290,6 @@ def check_dynamic_consistency(sef, eu, profile, priors=None, cap=None):
     conditioning on the scenarios that reach the respective info set.  The
     prior is found by exact linear feasibility unless one is supplied.
     """
-    cap = budget(cap if cap is not None else 10 ** 4)
     if isinstance(profile, dict):
         profile = StrategyProfile(profile)
     validate_eu(sef, eu)
@@ -386,7 +342,6 @@ def check_dynamic_consistency(sef, eu, profile, priors=None, cap=None):
         report.events.update(events)
         if status != "inconsistent":
             universe = sorted(frozenset().union(*domains.values()))
-            pos = {w: k for k, w in enumerate(universe)}
             # a supplied prior is a candidate for genuine pairs only: a
             # one-unit group admits exactly the local belief as its prior
             if priors is not None and len(members) == 2:
@@ -399,23 +354,36 @@ def check_dynamic_consistency(sef, eu, profile, priors=None, cap=None):
                 else:
                     q = {w: v / mass for w, v in q.items()}
             else:
-                equations = [(tuple(Fraction(1) for _ in universe),
-                              Fraction(1))]
+                rows = [(dict.fromkeys(universe, Fraction(1)), Fraction(1))]
                 for ua, ub in _ordered_directions(members):
                     a_set = reached[(ua, ub)]
                     prob_b = eu.beliefs[ub].prob
                     for w0 in sorted(domains[ub]):
-                        coeffs = [Fraction(0)] * len(universe)
-                        pb = Fraction(prob_b.get(w0, 0))
-                        for w in a_set:
-                            coeffs[pos[w]] += pb
+                        coeffs = dict.fromkeys(
+                            a_set, Fraction(prob_b.get(w0, 0)))
                         if w0 in a_set:
-                            coeffs[pos[w0]] -= 1
-                        equations.append((tuple(coeffs), Fraction(0)))
-                q = _solve_linear_system(universe, equations, cap)
+                            coeffs[w0] -= 1
+                        rows.append((coeffs, Fraction(0)))
+                q = _feasible_point(universe, rows)
                 if q is None:
                     status = "inconsistent"
                     witness = ("prior", "no common prior exists")
+                # the witness is a vertex and may miss an event that some
+                # common prior charges; the rows but the first are
+                # homogeneous, so averaging in a prior normalised on that
+                # event stays feasible, and "vacuous" below means that
+                # every common prior misses it
+                for ua, ub in _ordered_directions(members):
+                    a_set = reached[(ua, ub)]
+                    if q is None or any(q[w] for w in a_set):
+                        continue
+                    on_a = _feasible_point(
+                        universe,
+                        [(dict.fromkeys(a_set, Fraction(1)), Fraction(1))]
+                        + rows[1:])
+                    if on_a is not None:
+                        mass = sum(on_a.values(), Fraction(0))
+                        q = {w: (q[w] + on_a[w] / mass) / 2 for w in universe}
             if q is not None:
                 vacuous = False
                 for ua, ub in _ordered_directions(members):
@@ -461,8 +429,7 @@ class EquilibriumReport:
 
 def verify_equilibrium(sef, eu, profile, priors=None, cap=None):
     """Consistency and rationality, conjoined."""
-    consistency = check_dynamic_consistency(sef, eu, profile, priors=priors,
-                                            cap=cap)
+    consistency = check_dynamic_consistency(sef, eu, profile, priors=priors)
     rationality = check_dynamic_rationality(sef, eu, profile, cap=cap)
     return EquilibriumReport(consistency, rationality,
                              bool(consistency) and rationality.rational)

@@ -21,10 +21,6 @@ class EnumerationBudgetExceeded(BudgetExceeded):
     """An exhaustive (profile, history) sweep would be too large."""
 
 
-class FeasibilitySolverBudget(BudgetExceeded):
-    """Eliminating a variable would blow up the inequality system."""
-
-
 class ChoiceError(ExformError):
     """A candidate choice is not a nonempty union of nodes."""
 

@@ -33,6 +33,7 @@ class RandomMove:
         self._graph = tuple(sorted(((w, frozenset(x)) for w, x in items.items()),
                                    key=repr))
         self._domain = frozenset(items)
+        self._map = dict(self._graph)
 
     @property
     def domain(self):
@@ -43,10 +44,11 @@ class RandomMove:
         return self._graph
 
     def __call__(self, scenario):
-        for w, x in self._graph:
-            if w == scenario:
-                return x
-        raise InputError(f"scenario {scenario!r} outside the domain")
+        try:
+            return self._map[scenario]
+        except KeyError:
+            raise InputError(
+                f"scenario {scenario!r} outside the domain") from None
 
     @property
     def image(self):
@@ -627,26 +629,6 @@ def timing_map(sdf, timing):
                 raise StructureError(f"ambiguous time at {x!r}")
             result[x] = t
     return result
-
-
-def action_path_choice(data, prefixes, agent, g):
-    """
-    The choice "take the contingent action g at time t after one of the
-    given strict prefixes": all outcomes whose path extends a listed
-    prefix with the agent's component of the next profile equal to g of
-    the scenario, for scenarios in the domain of g.
-
-    prefixes is a set of path prefixes of equal length; g maps scenarios
-    to actions of the agent.
-    """
-    lengths = {len(p) for p in prefixes}
-    if len(lengths) != 1:
-        raise InputError("prefixes of unequal length")
-    (k,) = lengths
-    idx = data.agents.index(agent)
-    return frozenset(
-        (w, f) for (w, f) in data.paths
-        if f[:k] in prefixes and w in g and f[k][idx] == g[w])
 
 
 def eis_from_filtration(sdf, timing, observations, filtration):

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from exform.equil import (
     Belief,
     EUStructure,
-    _fm_feasible,
+    _assign,
+    _feasible_point,
     amd_instance,
     bayes_beliefs,
     check_dynamic_consistency,
@@ -23,20 +24,22 @@ from exform.equil import (
     verify_equilibrium,
 )
 from exform.errors import (
+    BudgetExceeded,
     EnumerationBudgetExceeded,
-    FeasibilitySolverBudget,
     InputError,
     UnknownExample,
     ZeroProbabilityBlockRequested,
 )
 from exform.instances import (
     MP_SCENARIOS,
+    SIMPLE_SCENARIOS,
     amd_signal,
     mp_choice_first,
     mp_choice_second,
+    simple_split_sdf,
 )
 from exform.play import StrategyProfile, outcome_from, profile_tables
-from exform.sef import strategies
+from exform.sef import StochasticExtensiveForm, strategies
 
 EXAMPLES = ["simple", "simple-variant", "amd",
             "mp-case1", "mp-case2", "mp-case3", "mp-case4", "ultimatum"]
@@ -57,6 +60,36 @@ def reached_units(sef, prior, profile):
                for m in p.random_moves for w in m.domain):
             result.append(unit)
     return result
+
+
+def split_instance(prior):
+    """
+    The two-period form with every random move split per scenario and
+    each choice confined to one scenario: every info set lives on one
+    scenario, so units on o1 and on o2 have disjoint domains.  The single
+    agent plays 1 then 1 with beliefs derived from the prior.
+    """
+    sdf = simple_split_sdf()
+    refchoices, info = {}, {}
+    for m in sdf.random_moves:
+        (w,) = m.domain
+        stage = "first" if len(m(w)) == 4 else "second"
+        refchoices[m] = [
+            frozenset(f"{w}:{k}{b}" for b in "12") if stage == "first"
+            else frozenset(f"{w}:{a}{k}" for a in "12") for k in "12"]
+        info[m] = frozenset({frozenset({w})})
+    choices = frozenset(c for cs in refchoices.values() for c in cs)
+    sef = StochasticExtensiveForm(sdf, ("i",), {"i": sdf.random_moves},
+                                  {"i": info}, {"i": refchoices},
+                                  {"i": choices})
+    picks = [c for c in choices if all(o[-2] == "1" for o in c)
+             or all(o[-1] == "1" for o in c)]
+    s = StrategyProfile({"i": _assign(sef, "i", picks)})
+    taste = {f"{w}:{a}{b}": Fraction(a == b == "1")
+             for w in SIMPLE_SCENARIOS for a in "12" for b in "12"}
+    eu = EUStructure(bayes_beliefs(sef, prior, s),
+                     uniform_tastes(sef, {"i": taste}))
+    return sef, eu, s
 
 
 def swap(sef, profile, agent, strategy):
@@ -189,6 +222,28 @@ class TestPosteriorOracle:
             in solved.witnesses.values()
 
 
+class TestVacuity:
+    """A pair is vacuously consistent only when every common prior puts
+    no mass on a conditioning event, not merely the one the solver finds."""
+
+    @pytest.mark.parametrize("prior", [
+        {"o1": HALF, "o2": HALF},
+        {"o1": THIRD, "o2": 2 * THIRD},
+    ])
+    def test_disjoint_domains_consistent(self, prior):
+        sef, eu, s = split_instance(prior)
+        report = check_dynamic_consistency(sef, eu, s)
+        assert report.consistent
+        assert set(report.pair_status.values()) == {"consistent"}
+        disjoint = [g for g in report.pair_status if len(g) == 2
+                    and not frozenset.intersection(*map(unit_domain, g))]
+        assert len(disjoint) == 4
+        for group in disjoint:
+            q = report.priors[group]
+            assert q["o1"] > 0 and q["o2"] > 0
+            assert sum(q.values()) == 1
+
+
 class TestCoinMatching:
     def test_case1_wrong_continuation_irrational(self):
         sef, eu, s, prior = mp_instance(1)
@@ -307,15 +362,199 @@ class TestBayesBeliefs:
             bayes_beliefs(sef, {"o1": Fraction(0), "o2": Fraction(0)}, s)
 
 
+# --- oracle: the Gauss-Jordan plus Fourier-Motzkin solver --------------------
+
+def _fm_feasible(ineqs, nvars, cap):
+    """
+    Decide feasibility of a system of rational linear inequalities
+    (coeffs, const) meaning coeffs . y + const >= 0, by eliminating the
+    variables from the last to the first; on success a witness point is
+    recovered by back substitution.
+    """
+    stack = []
+    current = list(ineqs)
+    for k in range(nvars - 1, -1, -1):
+        lowers, uppers, rest = [], [], []
+        for coeffs, const in current:
+            c = coeffs[k]
+            head = coeffs[:k]
+            if c > 0:
+                lowers.append((head, const, c))
+            elif c < 0:
+                uppers.append((head, const, c))
+            else:
+                rest.append((head, const))
+        stack.append((lowers, uppers))
+        for hl, cl, al in lowers:
+            for hu, cu, au in uppers:
+                combo = tuple(al * hu[t] - au * hl[t] for t in range(k))
+                rest.append((combo, al * cu - au * cl))
+        if len(rest) > cap:
+            raise BudgetExceeded(
+                f"{len(rest)} inequalities after an elimination step")
+        current = rest
+    if any(const < 0 for _, const in current):
+        return False, None
+    values = []
+    for lowers, uppers in reversed(stack):
+        lb = [-(sum(h[t] * values[t] for t in range(len(h))) + c) / a
+              for h, c, a in lowers]
+        ub = [-(sum(h[t] * values[t] for t in range(len(h))) + c) / a
+              for h, c, a in uppers]
+        if lb and ub:
+            values.append((max(lb) + min(ub)) / 2)
+        elif lb:
+            values.append(max(lb))
+        elif ub:
+            values.append(min(ub))
+        else:
+            values.append(Fraction(0))
+    return True, values
+
+
+def _solve_linear_system(universe, equations, cap):
+    """
+    Exact feasibility of equations sum(coeffs . q) = const together with
+    q >= 0, over variables indexed by the universe.  Returns a witness
+    assignment or None.
+    """
+    n = len(universe)
+    pivots = {}
+    for coeffs, const in equations:
+        coeffs = list(coeffs)
+        const = Fraction(const)
+        for col in list(pivots):
+            f = coeffs[col]
+            if f:
+                pc, pconst = pivots[col]
+                coeffs = [a - f * b for a, b in zip(coeffs, pc)]
+                const -= f * pconst
+        lead = next((k for k, a in enumerate(coeffs) if a), None)
+        if lead is None:
+            if const != 0:
+                return None
+            continue
+        inv = coeffs[lead]
+        coeffs = [a / inv for a in coeffs]
+        const /= inv
+        for col in list(pivots):
+            pc, pconst = pivots[col]
+            f = pc[lead]
+            if f:
+                pivots[col] = ([a - f * b for a, b in zip(pc, coeffs)],
+                               pconst - f * const)
+        pivots[lead] = (coeffs, const)
+    free = [k for k in range(n) if k not in pivots]
+    index = {k: t for t, k in enumerate(free)}
+    ineqs = []
+    for k in range(n):
+        if k in pivots:
+            pc, pconst = pivots[k]
+            ineqs.append((tuple(-pc[f] for f in free), pconst))
+        else:
+            unit = tuple(Fraction(int(f == k)) for f in free)
+            ineqs.append((unit, Fraction(0)))
+    feasible, values = _fm_feasible(ineqs, len(free), cap)
+    if not feasible:
+        return None
+    q = {}
+    for k, w in enumerate(universe):
+        if k in pivots:
+            pc, pconst = pivots[k]
+            q[w] = pconst - sum(pc[f] * values[index[f]] for f in free)
+        else:
+            q[w] = values[index[k]]
+    return q
+
+
+def oracle_feasible(universe, rows):
+    dense = [(tuple(Fraction(coeffs.get(w, 0)) for w in universe), const)
+             for coeffs, const in rows]
+    return _solve_linear_system(universe, dense, cap=10 ** 4) is not None
+
+
+def solves(universe, rows, q):
+    """q is a nonnegative point satisfying every row exactly."""
+    return set(q) == set(universe) and all(v >= 0 for v in q.values()) \
+        and all(sum(c * q[w] for w, c in coeffs.items()) == const
+                for coeffs, const in rows)
+
+
+@st.composite
+def small_systems(draw):
+    """At most 4 variables and 6 rows with entries in [-3, 3]; half of
+    the systems are built to hold at a known nonnegative rational point."""
+    n = draw(st.integers(1, 4))
+    universe = [f"w{k}" for k in range(n)]
+    matrix = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n,
+                                    max_size=n), min_size=1, max_size=6))
+    planted = draw(st.booleans())
+    if planted:
+        point = draw(st.lists(st.fractions(0, 3, max_denominator=4),
+                              min_size=n, max_size=n))
+        consts = [sum(c * x for c, x in zip(row, point)) for row in matrix]
+    else:
+        consts = draw(st.lists(st.integers(-3, 3), min_size=len(matrix),
+                               max_size=len(matrix)))
+    rows = [({w: Fraction(c) for w, c in zip(universe, row)}, Fraction(b))
+            for row, b in zip(matrix, consts)]
+    return universe, rows, planted
+
+
+def eq(const, **coeffs):
+    """One sparse row: sum of coeff * q[name] equals const."""
+    return ({w: Fraction(c) for w, c in coeffs.items()}, Fraction(const))
+
+
+NORM = eq(1, a=1, b=1, c=1)
+# the row shapes the consistency check builds: a normalisation row, and
+# conditioning rows p(w0) * q(A) - [w0 in A] * q(w0) = 0 with zero entries
+DEGENERATE = {
+    "zero row, zero constant": ([NORM, eq(0, a=0, b=0, c=0)], True),
+    "zero row, nonzero constant": ([NORM, eq(1, a=0, b=0, c=0)], False),
+    "empty row, negative constant": ([NORM, eq(-2)], False),
+    "duplicate rows": ([NORM, NORM, eq(0, a=1, b=-1), eq(0, a=1, b=-1)],
+                       True),
+    "proportional rows": ([NORM, eq(0, a=1, b=-2), eq(0, a=-3, b=6)], True),
+    "proportional rows, clashing constants": (
+        [eq(1, a=1, b=1), eq(3, a=2, b=2)], False),
+    # the belief (1/2, 1/2, 0) on A = {a, b, c} holds at q = (1/2, 1/2, 0)
+    "conditioning rows": (
+        [NORM, eq(0, a=-HALF, b=HALF, c=HALF),
+         eq(0, a=HALF, b=-HALF, c=HALF),
+         eq(0, a=0, b=0, c=-1)], True),
+    # adding the belief (1, 0, 0) on A forces q(A) = 0
+    "clashing conditioning rows": (
+        [NORM, eq(0, a=-HALF, b=HALF, c=HALF),
+         eq(0, a=HALF, b=-HALF, c=HALF),
+         eq(0, a=0, b=1, c=1)], False),
+    "zero right-hand sides only": ([eq(0, a=1, b=-1), eq(0, b=1, c=-1)],
+                                   True),
+}
+
+
 class TestFeasibility:
+    @given(small_systems())
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_elimination_oracle(self, system):
+        # the simplex and the Gauss plus Fourier-Motzkin oracle agree on
+        # feasibility, and every simplex witness solves the system exactly
+        universe, rows, planted = system
+        q = _feasible_point(universe, rows)
+        assert (q is not None) == oracle_feasible(universe, rows)
+        if planted:
+            assert q is not None
+        if q is not None:
+            assert solves(universe, rows, q)
+
     @given(st.lists(st.tuples(
         st.lists(st.integers(-3, 3), min_size=2, max_size=2),
         st.integers(-3, 3)), min_size=1, max_size=6),
         st.integers(-2, 2), st.integers(-2, 2))
     @settings(max_examples=60, deadline=None)
     def test_witness_satisfies_satisfiable_systems(self, rows, y0, y1):
-        # systems built to hold at a known point must be found feasible,
-        # and the returned witness must satisfy every inequality
+        # the oracle itself: systems built to hold at a known point must
+        # be found feasible, and the witness must satisfy every inequality
         point = (Fraction(y0), Fraction(y1))
         ineqs = []
         for coeffs, shift in rows:
@@ -327,18 +566,19 @@ class TestFeasibility:
         for coeffs, const in ineqs:
             assert sum(c * v for c, v in zip(coeffs, witness)) + const >= 0
 
-    def test_plain_contradiction(self):
-        ineqs = [((Fraction(1),), Fraction(-1)),    # y >= 1
-                 ((Fraction(-1),), Fraction(0))]    # y <= 0
-        feasible, witness = _fm_feasible(ineqs, 1, cap=100)
-        assert not feasible and witness is None
+    @pytest.mark.parametrize("name", sorted(DEGENERATE))
+    def test_degenerate_rows(self, name):
+        rows, feasible = DEGENERATE[name]
+        universe = ["a", "b", "c"]
+        q = _feasible_point(universe, rows)
+        assert (q is not None) == feasible == oracle_feasible(universe, rows)
+        if q is not None:
+            assert solves(universe, rows, q)
 
-    def test_elimination_budget(self):
-        one = Fraction(1)
-        ineqs = [((a, b), Fraction(0))
-                 for a in (one, -one) for b in (one, -one)]
-        with pytest.raises(FeasibilitySolverBudget):
-            _fm_feasible(ineqs, 2, cap=3)
+    def test_plain_contradiction(self):
+        # with slacks s, t >= 0: y - s = 1 asks y >= 1, y + t = 0 asks y <= 0
+        rows = [eq(1, y=1, s=-1), eq(0, y=1, t=1)]
+        assert _feasible_point(["s", "t", "y"], rows) is None
 
 
 class TestUniformTastes:
