@@ -3,9 +3,10 @@ Outcome induction and well-posedness.
 
 A strategy profile together with a history determines which outcomes
 survive every on-path choice.  Induced outcomes are computed by forward
-play from the minimum of the closed history; well-posedness is verified
-both by exhaustive enumeration and via the order-theoretic classification
-of the underlying forest.
+play from the minimum of the closed history, or, from a move under fixed
+tables, by one bottom-up pass memoised on the tables; well-posedness is
+verified both by exhaustive enumeration and via the order-theoretic
+classification of the underlying forest.
 """
 
 import itertools
@@ -135,14 +136,65 @@ def induced_outcome(sef, profile, h):
     return report.induced
 
 
+class ProfileTables(dict):
+    """
+    One move-level lookup per agent (agent -> {move: choice}), read-only
+    once built, with the memo ``outcome_from`` fills: move -> the outcomes
+    below it that survive every active agent's choice on the way down.
+    """
+
+    def __init__(self, tables):
+        super().__init__(tables)
+        self.compatible = {}
+
+
 def profile_tables(sef, profile):
-    """Precompute the move-level lookup once for repeated outcome queries."""
-    return _tables(sef, profile)
+    """
+    Precompute the move-level lookup once for repeated outcome queries.
+    The tables are read-only once built: ``outcome_from`` memoises on
+    them, so every query on the same tables shares one pass over the
+    forest.
+    """
+    return ProfileTables(_tables(sef, profile))
+
+
+def _compatible_below(sef, tables, x):
+    """The outcomes compatible with the tables from the move x on, filled
+    into the tables' memo bottom-up: each move keeps the union over its
+    children, cut down to every active agent's choice there; a terminal
+    child contributes its one outcome."""
+    children = sef.sdf.forest.children
+    memo = tables.compatible
+    stack = [x]
+    while stack:
+        y = stack[-1]
+        if y in memo:
+            stack.pop()
+            continue
+        pending = [z for z in children(y) if len(z) > 1 and z not in memo]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        found = frozenset().union(
+            *[z if len(z) == 1 else memo[z] for z in children(y)])
+        for i in sef.active_agents(y):
+            found &= tables[i][y]
+        memo[y] = found
+    return memo[x]
 
 
 def outcome_from(sef, tables, node):
-    """The unique outcome the precomputed tables induce from a node on."""
-    found = _compatible_outcomes(sef, tables, sef.sdf.forest.up(node))
+    """
+    The unique outcome the precomputed tables induce from a node on.  A
+    move is answered from the tables' memo, shared by every query on the
+    same tables; any other node goes through the history path, so a
+    terminal node raises ``NotAHistory``.
+    """
+    if node in sef.sdf.forest.moves():
+        found = tuple(_compatible_below(sef, tables, node))
+    else:
+        found = _compatible_outcomes(sef, tables, sef.sdf.forest.up(node))
     if not found:
         raise NoOutcome(f"no outcome from {sorted(node)}")
     if len(found) > 1:

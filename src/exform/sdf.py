@@ -91,7 +91,15 @@ class SDFReport:
 
 
 class StochasticDecisionForest:
-    """A decision forest with scenario projection and random moves."""
+    """
+    A decision forest with scenario projection and random moves.
+
+    Construction validates the axioms and then indexes the forest once:
+    each scenario's component nodes, each scenario's root, and each
+    outcome's scenario.  ``tree_of``, ``root_of`` and
+    ``scenario_of_outcome`` answer from these maps; the forest, the
+    projection and the scenarios are not to be changed afterwards.
+    """
 
     def __init__(self, forest, scenarios, projection, random_moves):
         report = validate_sdf(forest, scenarios, projection, random_moves)
@@ -101,28 +109,32 @@ class StochasticDecisionForest:
         self.scenarios = tuple(scenarios)
         self.projection = dict(projection)
         self.random_moves = frozenset(random_moves)
+        trees = {w: [] for w in self.scenarios}
+        for x in forest.nodes:
+            trees[self.projection[x]].append(x)
+        self._tree = {w: frozenset(nodes) for w, nodes in trees.items()}
+        self._root = {w: max(nodes, key=len) for w, nodes in trees.items()}
+        self._scenario_of = {o: w for w, root in self._root.items()
+                             for o in root}
 
     def tree_of(self, scenario):
         """All nodes of the component indexed by the scenario."""
-        return frozenset(x for x in self.forest.nodes
-                         if self.projection[x] == scenario)
+        try:
+            return self._tree[scenario]
+        except KeyError:
+            raise InputError(f"unknown scenario: {scenario!r}") from None
 
     def root_of(self, scenario):
-        return max(self.tree_of(scenario), key=len)
-
-    def outcomes_of(self, event):
-        return frozenset().union(*[self.root_of(w) for w in event]) \
-            if event else frozenset()
-
-    def nodes_of(self, event):
-        return frozenset(x for x in self.forest.nodes
-                         if self.projection[x] in event)
+        try:
+            return self._root[scenario]
+        except KeyError:
+            raise InputError(f"unknown scenario: {scenario!r}") from None
 
     def scenario_of_outcome(self, w):
-        for scenario in self.scenarios:
-            if w in self.root_of(scenario):
-                return scenario
-        raise InputError(f"unknown outcome: {w!r}")
+        try:
+            return self._scenario_of[w]
+        except KeyError:
+            raise InputError(f"unknown outcome: {w!r}") from None
 
     def __repr__(self):
         return (f"StochasticDecisionForest({len(self.scenarios)} scenarios, "

@@ -11,6 +11,7 @@ structures.
 
 import itertools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from ._util import budget, powerset
 from .errors import (
@@ -82,12 +83,6 @@ def validate_sef(sdf, agents, agent_moves, info, refchoices, choices,
     axiom2_cap = budget(axiom2_cap if axiom2_cap is not None else 10 ** 6)
     violations = []
     checked = {}
-    pred = {}
-
-    def P(c):
-        if c not in pred:
-            pred[c] = predecessors(sdf, c)
-        return pred[c]
 
     for i in agents:
         if not frozenset(agent_moves[i]) <= sdf.random_moves:
@@ -117,32 +112,13 @@ def validate_sef(sdf, agents, agent_moves, info, refchoices, choices,
         return [i for i in agents if x in moves_of[i]]
 
     def available_at_move(i, x):
-        return [c for c in choices[i] if x in P(c)]
+        return [c for c in choices[i] if x in predecessors(sdf, c)]
 
     # Axiom 1: predecessor sets of an agent's choices must not properly
     # overlap, and overlapping choices agree or are disjoint per scenario
-    checked["axiom1"] = True
-    slice_cache = {}
-
-    def slices(c):
-        if c not in slice_cache:
-            slice_cache[c] = {w: c & sdf.root_of(w) for w in sdf.scenarios}
-        return slice_cache[c]
-
-    for i in agents:
-        for c, c2 in itertools.combinations(sorted(choices[i], key=sorted), 2):
-            if not P(c) & P(c2):
-                continue
-            if P(c) != P(c2):
-                violations.append(("axiom1", (i, c, c2, "predecessors differ")))
-                checked["axiom1"] = False
-                continue
-            for w in sdf.scenarios:
-                cw = slices(c)[w]
-                c2w = slices(c2)[w]
-                if cw != c2w and cw & c2w:
-                    violations.append(("axiom1", (i, c, c2, w)))
-                    checked["axiom1"] = False
+    found = [v for i in agents for v in _axiom1_violations(sdf, i, choices[i])]
+    violations.extend(found)
+    checked["axiom1"] = not found
 
     # Axiom 2: profiles of available choices of active agents are jointly
     # compatible with the move
@@ -186,7 +162,8 @@ def validate_sef(sdf, agents, agent_moves, info, refchoices, choices,
                         if c & c2 & sdf.root_of(w):
                             continue
                         weak = True
-                        for x in P(c) & P(c2) & sdf.tree_of(w):
+                        for x in (predecessors(sdf, c) & predecessors(sdf, c2)
+                                  & sdf.tree_of(w)):
                             if y <= (x & c) and y2 <= (x & c2):
                                 strong = True
                                 break
@@ -236,7 +213,7 @@ def validate_sef(sdf, agents, agent_moves, info, refchoices, choices,
     # adapted choices class by class
     checked["axiom6"] = True
     for i in agents:
-        classes = _availability_classes(sdf, agent_moves[i], choices[i], P)
+        classes = _availability_classes(sdf, agent_moves[i], choices[i])
         for members, menu in classes:
             if not menu:
                 continue
@@ -263,11 +240,62 @@ def validate_sef(sdf, agents, agent_moves, info, refchoices, choices,
     return SEFReport(valid, strict and valid, tuple(violations), checked)
 
 
-def _availability_classes(sdf, moves, menu, P):
+def _axiom1_violations(sdf, i, choices):
+    """
+    Axiom 1 for one agent in one pass over predecessor-set groups: every
+    pair of choices from two distinct groups whose predecessor sets
+    overlap, and every pair from one group whose slices on a scenario
+    differ and overlap.  The violations come in the order of the pairs in
+    the sorted choice list, scenario by scenario within a pair.
+    """
+    order = sorted(choices, key=sorted)
+    rank = {c: k for k, c in enumerate(order)}
+    groups = {}
+    for c in order:
+        p = predecessors(sdf, c)
+        if p:
+            groups.setdefault(p, []).append(c)
+    found = []
+
+    def pair(c, c2):
+        return (c, c2) if rank[c] < rank[c2] else (c2, c)
+
+    for (p, members), (p2, members2) in itertools.combinations(
+            groups.items(), 2):
+        if p & p2:
+            for c in members:
+                for c2 in members2:
+                    first, second = pair(c, c2)
+                    found.append(((rank[first], rank[second], -1),
+                                  (i, first, second, "predecessors differ")))
+    for members in groups.values():
+        if len(members) < 2:
+            continue
+        for k, w in enumerate(sdf.scenarios):
+            root = sdf.root_of(w)
+            by_slice = {}
+            for c in members:
+                cw = c & root
+                if cw:
+                    by_slice.setdefault(cw, []).append(c)
+            for (cw, cs), (c2w, cs2) in itertools.combinations(
+                    by_slice.items(), 2):
+                if cw & c2w:
+                    for c in cs:
+                        for c2 in cs2:
+                            first, second = pair(c, c2)
+                            found.append(((rank[first], rank[second], k),
+                                          (i, first, second, w)))
+    found.sort(key=lambda item: item[0])
+    return [("axiom1", v) for _, v in found]
+
+
+def _availability_classes(sdf, moves, menu):
     """Group an agent's random moves by their sets of available choices."""
     by_menu = {}
     for m in moves:
-        key = frozenset(c for c in menu if preimage(m, P(c)) == m.domain)
+        key = frozenset(c for c in menu
+                        if preimage(m, predecessors(sdf, c)) == m.domain)
         by_menu.setdefault(key, []).append(m)
     return [(members, sorted(key, key=sorted))
             for key, members in by_menu.items()]
@@ -300,13 +328,9 @@ class StochasticExtensiveForm:
                         for i in self.agents}
         self.strict = report.strict
         self.report = report
-        self._pred = {}
 
     def predecessors_of(self, c):
-        c = frozenset(c)
-        if c not in self._pred:
-            self._pred[c] = predecessors(self.sdf, c)
-        return self._pred[c]
+        return predecessors(self.sdf, c)
 
     def moves_of(self, i):
         cache = self.__dict__.setdefault("_moves_of_cache", {})
@@ -322,8 +346,11 @@ class StochasticExtensiveForm:
         return cache[x]
 
     def available_at(self, i, m):
-        return frozenset(c for c in self.choices[i]
-                         if is_available_at(self.sdf, c, m))
+        cache = self.__dict__.setdefault("_available_cache", {})
+        if (i, m) not in cache:
+            cache[(i, m)] = frozenset(c for c in self.choices[i]
+                                      if is_available_at(self.sdf, c, m))
+        return cache[(i, m)]
 
     def available_at_move(self, i, x):
         return frozenset(c for c in self.choices[i]
@@ -337,8 +364,12 @@ class StochasticExtensiveForm:
 def info_sets(sef, i):
     """
     The partition of the agent's random moves by equality of available
-    choices, together with the bijection onto predecessor sets.
+    choices, together with the bijection onto predecessor sets.  Both are
+    computed once per form and agent and returned read-only.
     """
+    cache = sef.__dict__.setdefault("_info_sets_cache", {})
+    if i in cache:
+        return cache[i]
     by_menu = {}
     for m in sorted(sef.agent_moves[i], key=lambda m: repr(m.graph)):
         by_menu.setdefault(sef.available_at(i, m), []).append(m)
@@ -348,7 +379,8 @@ def info_sets(sef, i):
         p = InfoSet(i, frozenset(members))
         sets.append(p)
         preds[p] = frozenset(m(w) for m in members for w in m.domain)
-    return sets, preds
+    cache[i] = (tuple(sets), MappingProxyType(preds))
+    return cache[i]
 
 
 def check_recall_and_info(sef, i):
@@ -410,7 +442,7 @@ def complete_choices(sef, cap=None):
     for i in sef.agents:
         closure = set(sef.choices[i])
         classes = _availability_classes(
-            sef.sdf, sef.agent_moves[i], sef.choices[i], sef.predecessors_of)
+            sef.sdf, sef.agent_moves[i], sef.choices[i])
         for members, menu in classes:
             if not menu:
                 continue
