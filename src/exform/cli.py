@@ -15,7 +15,7 @@ from fractions import Fraction
 import click
 
 from . import equil, instances, order, play, sef as sefmod, tilt, timing
-from ._util import format_rational, parse_rational
+from ._util import budget, format_rational, parse_rational
 from .errors import ExformError, InputError, StructureError, UnknownExample
 from .forest import DecisionForest
 from .sdf import RandomMove, StochasticDecisionForest
@@ -154,8 +154,10 @@ def guarded(command):
 
 
 @click.group()
+@guarded
 def cli():
     """Workbench for stochastic forms, tilting limits, and timing races."""
+    budget(None)  # a malformed EXFORM_BUDGET fails every subcommand up front
 
 
 def main():
@@ -187,6 +189,8 @@ def validate(ref, as_json):
         "perfect_information": perfect,
         "agents": [str(i) for i in form.agents],
         "flags": {str(i): f for i, f in zip(form.agents, flags)},
+        "checked": {axiom: "undecided" if ok is None else ok
+                    for axiom, ok in form.report.checked.items()},
     })
 
 

@@ -13,6 +13,7 @@ arithmetic is exact over the rationals.
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 from ._util import budget
 from .errors import (
@@ -202,29 +203,46 @@ def check_dynamic_rationality(sef, eu, profile, cap=None):
 def _feasible_point(universe, rows):
     """
     Exact feasibility of A q = b together with q >= 0, over variables
-    indexed by the universe; each row is a sparse pair ({w: coeff}, const).
-    A phase-1 simplex over the rationals with one artificial variable per
-    row, pivoting by Bland's rule (the entering column is the smallest
+    indexed by the universe; each row is a sparse pair ({w: coeff}, const)
+    of ints or Fractions.  A phase-1 simplex with one artificial variable
+    per row, pivoting by Bland's rule (the entering column is the smallest
     index with a negative reduced cost, and a tie in the ratio test goes
     to the smallest basic index), which cannot cycle.  Returns a witness
     assignment or None.
+
+    The arithmetic is on integers, as in integer-preserving elimination.
+    Row i, the cost row included, stores a sparse dict of numerators, a
+    numerator rhs[i] for its right-hand side and one positive denominator
+    den[i] shared by all of them.  The pivot row takes its pivot entry as
+    its denominator; every other row it touches becomes row * p - f *
+    pivot over den * p and is brought to lowest terms.  Since den[i] > 0,
+    every stored integer has the sign of the rational it stands for, and
+    the ratio test's rhs_i / a_i is the same rational (den[i] cancels), so
+    Bland's rule takes the pivots of the same simplex over Fraction and
+    the witness is the same vertex.  Fractions are made only for it.
     """
     n, m = len(universe), len(rows)
     index = {w: k for k, w in enumerate(universe)}
-    tableau, rhs = [], []
+    tableau, rhs, den = [], [], []
     for coeffs, const in rows:
         sign = -1 if const < 0 else 1
-        tableau.append({index[w]: sign * Fraction(c)
-                        for w, c in coeffs.items() if c})
-        rhs.append(sign * Fraction(const))
+        parts = [(index[w], c.numerator, c.denominator)
+                 for w, c in coeffs.items()]
+        d = lcm(const.denominator, *(b for _, _, b in parts))
+        tableau.append({k: sign * a * (d // b) for k, a, b in parts if a})
+        rhs.append(sign * const.numerator * (d // const.denominator))
+        den.append(d)
     # the last row holds the reduced costs of the phase-1 objective, the
     # total artificial mass, whose value is minus its right-hand side
+    d = lcm(*den)
     cost = {}
-    for row in tableau:
+    for row, dr in zip(tableau, den):
+        scale = d // dr
         for k, v in row.items():
-            cost[k] = cost.get(k, 0) - v
+            cost[k] = cost.get(k, 0) - v * scale
     tableau.append(cost)
-    rhs.append(-sum(rhs, Fraction(0)))
+    rhs.append(-sum(b * (d // dr) for b, dr in zip(rhs, den)))
+    den.append(d)
     # artificial n + i starts basic in row i; its unit column is implicit
     # and is dropped once it leaves, so it is never stored
     basis = list(range(n, n + m))
@@ -233,17 +251,29 @@ def _feasible_point(universe, rows):
         if entering is None:
             break
         # a negative reduced cost needs a positive entry in a row whose
-        # artificial is still basic, so the ratio test has a candidate
-        _, _, r = min((rhs[i] / tableau[i][entering], basis[i], i)
-                      for i in range(m) if tableau[i].get(entering, 0) > 0)
-        scale = tableau[r][entering]
-        pivot = tableau[r] = {k: v / scale for k, v in tableau[r].items()}
-        rhs[r] /= scale
+        # artificial is still basic, so the ratio test has a candidate;
+        # it compares rhs[i] / a with rhs[r] / best by cross-multiplying
+        r = best = None
+        for i in range(m):
+            a = tableau[i].get(entering, 0)
+            if a > 0 and (r is None or rhs[i] * best < rhs[r] * a or (
+                    rhs[i] * best == rhs[r] * a and basis[i] < basis[r])):
+                r, best = i, a
+        # the pivot row keeps its integers over the denominator a_re
+        pivot = tableau[r]
+        den[r] = p = best
         basis[r] = entering
         for i, row in enumerate(tableau):
             f = row.get(entering)
             if i == r or not f:
                 continue
+            # row / den_i - (f / den_i) * (pivot / p)
+            #     = (row * p - f * pivot) / (den_i * p)
+            if p > 1:
+                for k, v in row.items():
+                    row[k] = v * p
+                rhs[i] *= p
+                den[i] *= p
             for k, v in pivot.items():
                 new = row.get(k, 0) - f * v
                 if new:
@@ -251,12 +281,18 @@ def _feasible_point(universe, rows):
                 else:
                     del row[k]
             rhs[i] -= f * rhs[r]
+            g = gcd(den[i], rhs[i], *row.values())
+            if g > 1:
+                for k, v in row.items():
+                    row[k] = v // g
+                rhs[i] //= g
+                den[i] //= g
     if rhs[m]:
         return None
     q = dict.fromkeys(universe, Fraction(0))
     for i, k in enumerate(basis):
         if k < n:
-            q[universe[k]] = rhs[i]
+            q[universe[k]] = Fraction(rhs[i], den[i])
     return q
 
 

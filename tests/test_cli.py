@@ -28,6 +28,16 @@ class TestValidate:
         assert data["valid"] and data["perfect_recall"]
         assert not data["perfect_information"]
 
+    def test_json_reports_each_axiom(self):
+        # Axiom 6 is left undecided on the exit form, yet the form is valid
+        checked = json.loads(run("validate", "--sef", "examples:amd",
+                                 "--json").output)["checked"]
+        assert checked["axiom6"] == "undecided"
+        assert all(checked[f"axiom{k}"] is True for k in range(1, 6))
+        checked = json.loads(run("validate", "--sef", "examples:simple",
+                                 "--json").output)["checked"]
+        assert checked == {f"axiom{k}": True for k in range(1, 7)}
+
     def test_unknown_example_is_input_error(self):
         assert run("validate", "--sef", "examples:nope").exit_code == 2
 
@@ -164,6 +174,16 @@ class TestTimingCommand:
     def test_input_errors(self):
         assert run("timing-sim", "--eta", "0").exit_code == 2
         assert run("timing-sim", "--deviation", "sideways").exit_code == 2
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_malformed_budget_is_input_error(self, value):
+        # timing-sim runs no budgeted search, but the variable is checked
+        # before any subcommand runs
+        result = CliRunner().invoke(
+            cli, ["timing-sim", "--trials", "10", "--grid-n", "2"],
+            env={"EXFORM_BUDGET": value})
+        assert result.exit_code == 2
+        assert "input error: EXFORM_BUDGET" in result.output
 
     def test_json_is_byte_deterministic(self):
         args = ["timing-sim", "--eta", "1", "--trials", "1000",

@@ -467,6 +467,69 @@ def _solve_linear_system(universe, equations, cap):
     return q
 
 
+# --- oracle: the same simplex over Fraction ---------------------------------
+
+def fraction_simplex(universe, rows):
+    """
+    Exact feasibility of A q = b together with q >= 0, over variables
+    indexed by the universe; each row is a sparse pair ({w: coeff}, const).
+    A phase-1 simplex over the rationals with one artificial variable per
+    row, pivoting by Bland's rule (the entering column is the smallest
+    index with a negative reduced cost, and a tie in the ratio test goes
+    to the smallest basic index), which cannot cycle.  Returns a witness
+    assignment or None.
+    """
+    n, m = len(universe), len(rows)
+    index = {w: k for k, w in enumerate(universe)}
+    tableau, rhs = [], []
+    for coeffs, const in rows:
+        sign = -1 if const < 0 else 1
+        tableau.append({index[w]: sign * Fraction(c)
+                        for w, c in coeffs.items() if c})
+        rhs.append(sign * Fraction(const))
+    # the last row holds the reduced costs of the phase-1 objective, the
+    # total artificial mass, whose value is minus its right-hand side
+    cost = {}
+    for row in tableau:
+        for k, v in row.items():
+            cost[k] = cost.get(k, 0) - v
+    tableau.append(cost)
+    rhs.append(-sum(rhs, Fraction(0)))
+    # artificial n + i starts basic in row i; its unit column is implicit
+    # and is dropped once it leaves, so it is never stored
+    basis = list(range(n, n + m))
+    while True:
+        entering = min((k for k, v in cost.items() if v < 0), default=None)
+        if entering is None:
+            break
+        # a negative reduced cost needs a positive entry in a row whose
+        # artificial is still basic, so the ratio test has a candidate
+        _, _, r = min((rhs[i] / tableau[i][entering], basis[i], i)
+                      for i in range(m) if tableau[i].get(entering, 0) > 0)
+        scale = tableau[r][entering]
+        pivot = tableau[r] = {k: v / scale for k, v in tableau[r].items()}
+        rhs[r] /= scale
+        basis[r] = entering
+        for i, row in enumerate(tableau):
+            f = row.get(entering)
+            if i == r or not f:
+                continue
+            for k, v in pivot.items():
+                new = row.get(k, 0) - f * v
+                if new:
+                    row[k] = new
+                else:
+                    del row[k]
+            rhs[i] -= f * rhs[r]
+    if rhs[m]:
+        return None
+    q = dict.fromkeys(universe, Fraction(0))
+    for i, k in enumerate(basis):
+        if k < n:
+            q[universe[k]] = rhs[i]
+    return q
+
+
 def oracle_feasible(universe, rows):
     dense = [(tuple(Fraction(coeffs.get(w, 0)) for w in universe), const)
              for coeffs, const in rows]
@@ -499,6 +562,38 @@ def small_systems(draw):
     rows = [({w: Fraction(c) for w, c in zip(universe, row)}, Fraction(b))
             for row, b in zip(matrix, consts)]
     return universe, rows, planted
+
+
+@st.composite
+def mixed_systems(draw):
+    """At most 5 variables and 7 rows with rational entries in [-3, 3],
+    so that a row mixes denominators; unplanted constants may be negative,
+    and half of the systems hold at a known nonnegative rational point."""
+    n = draw(st.integers(1, 5))
+    universe = [f"w{k}" for k in range(n)]
+    entries = st.fractions(-3, 3, max_denominator=12)
+    matrix = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                           min_size=1, max_size=7))
+    planted = draw(st.booleans())
+    if planted:
+        point = draw(st.lists(st.fractions(0, 3, max_denominator=6),
+                              min_size=n, max_size=n))
+        consts = [sum(c * x for c, x in zip(row, point)) for row in matrix]
+    else:
+        consts = draw(st.lists(entries, min_size=len(matrix),
+                               max_size=len(matrix)))
+    rows = [(dict(zip(universe, row)), Fraction(b))
+            for row, b in zip(matrix, consts)]
+    return universe, rows, planted
+
+
+def same_witness(universe, rows):
+    """The integer-row simplex returns exactly the Fraction simplex's
+    answer: both None, or the same vertex with Fraction values."""
+    q = _feasible_point(universe, rows)
+    assert q == fraction_simplex(universe, rows)
+    assert q is None or all(type(v) is Fraction for v in q.values())
+    return q
 
 
 def eq(const, **coeffs):
@@ -547,6 +642,16 @@ class TestFeasibility:
         if q is not None:
             assert solves(universe, rows, q)
 
+    @given(mixed_systems())
+    @settings(max_examples=300, deadline=None)
+    def test_same_witness_as_fraction_simplex(self, system):
+        # integer rows take the Fraction simplex's pivots, so they end at
+        # the same vertex; planted systems must be found feasible
+        universe, rows, planted = system
+        q = same_witness(universe, rows)
+        if planted:
+            assert q is not None and solves(universe, rows, q)
+
     @given(st.lists(st.tuples(
         st.lists(st.integers(-3, 3), min_size=2, max_size=2),
         st.integers(-3, 3)), min_size=1, max_size=6),
@@ -570,10 +675,19 @@ class TestFeasibility:
     def test_degenerate_rows(self, name):
         rows, feasible = DEGENERATE[name]
         universe = ["a", "b", "c"]
-        q = _feasible_point(universe, rows)
+        q = same_witness(universe, rows)
         assert (q is not None) == feasible == oracle_feasible(universe, rows)
         if q is not None:
             assert solves(universe, rows, q)
+
+    def test_ratio_tie_goes_to_smallest_basic_index(self):
+        # the first pivot ties the first two rows at ratio 0; taking the
+        # one with the larger basic index instead ends at (1/4, 1/4, 0, 1/2)
+        rows = [eq(0, a=1, b=-1, c=-2), eq(0, a=2, b=2, c=-1, d=-2),
+                eq(-1, a=-1, b=1, d=-2)]
+        q = same_witness(["a", "b", "c", "d"], rows)
+        assert q == {"a": Fraction(2, 5), "b": 0, "c": Fraction(1, 5),
+                     "d": Fraction(3, 10)}
 
     def test_plain_contradiction(self):
         # with slacks s, t >= 0: y - s = 1 asks y >= 1, y + t = 0 asks y <= 0
