@@ -5,34 +5,28 @@ tilting limits, the timing race, lattice completions, and the registry
 of bundled instances.
 
 Exit codes: 0 on success, 1 on a failed check (with witnesses), 2 on
-malformed input.  All rationals print as "num/den"; floats appear only
+malformed input, 3 when a search ran over its budget and left the check
+undecided.  All rationals print as "num/den"; floats appear only
 in human-readable simulation summaries.
 """
 
 import json as jsonlib
-from fractions import Fraction
 
 import click
 
-from . import equil, instances, order, play, sef as sefmod, tilt, timing
+from . import equil, order, play, sef as sefmod, tilt, timing
 from ._util import budget, format_rational, parse_rational
-from .errors import ExformError, InputError, StructureError, UnknownExample
+from .errors import (
+    BudgetExceeded,
+    ExformError,
+    InputError,
+    StructureError,
+    UnknownExample,
+)
 from .forest import DecisionForest
 from .sdf import RandomMove, StochasticDecisionForest
 from .sef import StochasticExtensiveForm
 from .vtime import format_vtime, parse_ordinal, parse_vtime
-
-EXAMPLES = {
-    "simple": "two-period single-agent form with forgetful information",
-    "simple-variant": "the same outcomes under a coarser node family",
-    "amd": "two-agent exit/continue race over signal atoms",
-    "mp-case1": "coin matching, split second-mover information",
-    "mp-case2": "coin matching, merged information, coin hidden",
-    "mp-case3": "coin matching, merged information, coin shown",
-    "mp-case4": "coin matching, split information, coin shown to one side",
-    "ultimatum": "take-it-or-leave-it split with acceptance response",
-}
-
 
 # --- instance serialization ---------------------------------------------------
 
@@ -136,7 +130,8 @@ def json_flag(command):
 
 
 def guarded(command):
-    """Map malformed input to exit code 2 instead of a traceback."""
+    """Map malformed input to exit code 2 instead of a traceback, and a
+    search over budget to exit code 3."""
 
     def wrapper(*args, **kwargs):
         try:
@@ -144,6 +139,9 @@ def guarded(command):
         except (InputError, UnknownExample) as err:
             click.echo(f"input error: {err}", err=True)
             raise SystemExit(2)
+        except BudgetExceeded as err:
+            click.echo(f"undecided: {err}", err=True)
+            raise SystemExit(3)
         except ExformError as err:
             click.echo(f"check failed: {err}", err=True)
             raise SystemExit(1)
@@ -467,16 +465,13 @@ def dm(path, as_json):
 # --- registry -----------------------------------------------------------------
 
 def examples_list():
-    registry = {}
-    for name, description in EXAMPLES.items():
-        _, _, _, expected = equil.load_example(name)
-        registry[name] = {
-            "description": description,
-            "equilibrium": expected["equilibrium"],
-            "payoffs": {str(k): format_rational(v)
-                        for k, v in expected["payoffs"].items()},
-        }
-    return registry
+    """The bundled instances with their expected verdicts, none built."""
+    return {name: {"description": description,
+                   "equilibrium": equilibrium,
+                   "payoffs": {str(k): format_rational(v)
+                               for k, v in payoffs.items()}}
+            for name, (description, _, equilibrium, payoffs)
+            in equil.EXAMPLES.items()}
 
 
 @cli.command()

@@ -660,6 +660,32 @@ def _ultimatum_instance():
     return sef, eu, s, prior
 
 
+# name -> (description, builder, expected verdict, expected payoffs)
+EXAMPLES = {
+    "simple": ("two-period single-agent form with forgetful information",
+               _simple_instance, True, {"i": Fraction(2)}),
+    "simple-variant": ("the same outcomes under a coarser node family",
+                       _variant_instance, True, {"i": Fraction(2)}),
+    "amd": ("two-agent exit/continue race over signal atoms",
+            amd_instance, True, {1: Fraction(8, 5), 2: Fraction(8, 5)}),
+    "mp-case1": ("coin matching, split second-mover information",
+                 lambda: mp_instance(1), True,
+                 {"i": Fraction(-1, 3), "j": Fraction(1, 3)}),
+    "mp-case2": ("coin matching, merged information, coin hidden",
+                 lambda: mp_instance(2), True,
+                 {"i": Fraction(0), "j": Fraction(0)}),
+    "mp-case3": ("coin matching, merged information, coin shown",
+                 lambda: mp_instance(3), True,
+                 {"i": Fraction(0), "j": Fraction(0)}),
+    "mp-case4": ("coin matching, split information, coin shown to one side",
+                 lambda: mp_instance(4), True,
+                 {"i": Fraction(-1, 3), "j": Fraction(1, 3)}),
+    "ultimatum": ("take-it-or-leave-it split with acceptance response",
+                  _ultimatum_instance, True,
+                  {"p": Fraction(3), "r": Fraction(1)}),
+}
+
+
 def load_example(name):
     """
     A bundled verification instance: the form, its expected-utility
@@ -667,29 +693,9 @@ def load_example(name):
     payoffs state, per agent, the conditional value on every positive
     block of every info set reached with positive probability.
     """
-    if name == "simple":
-        sef, eu, s, prior = _simple_instance()
-        expected = {"equilibrium": True, "payoffs": {"i": Fraction(2)}}
-    elif name == "simple-variant":
-        sef, eu, s, prior = _variant_instance()
-        expected = {"equilibrium": True, "payoffs": {"i": Fraction(2)}}
-    elif name == "amd":
-        sef, eu, s, prior = amd_instance()
-        expected = {"equilibrium": True,
-                    "payoffs": {1: Fraction(8, 5), 2: Fraction(8, 5)}}
-    elif name.startswith("mp-case") and name[7:] in "1234" and len(name) == 8:
-        case = int(name[7])
-        sef, eu, s, prior = mp_instance(case)
-        if case in (2, 3):
-            payoffs = {"i": Fraction(0), "j": Fraction(0)}
-        else:
-            payoffs = {"i": Fraction(-1, 3), "j": Fraction(1, 3)}
-        expected = {"equilibrium": True, "payoffs": payoffs}
-    elif name == "ultimatum":
-        sef, eu, s, prior = _ultimatum_instance()
-        expected = {"equilibrium": True,
-                    "payoffs": {"p": Fraction(3), "r": Fraction(1)}}
-    else:
+    if name not in EXAMPLES:
         raise UnknownExample(f"unknown example: {name!r}")
-    expected["prior"] = prior
-    return sef, eu, s, expected
+    _, build, equilibrium, payoffs = EXAMPLES[name]
+    sef, eu, s, prior = build()
+    return sef, eu, s, {"equilibrium": equilibrium, "payoffs": dict(payoffs),
+                        "prior": prior}

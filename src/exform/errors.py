@@ -29,10 +29,6 @@ class NotAHistory(ExformError):
     pass
 
 
-class NotAChoice(ChoiceError):
-    pass
-
-
 class NotOrderConsistent(StructureError):
     pass
 

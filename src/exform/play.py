@@ -2,11 +2,12 @@
 Outcome induction and well-posedness.
 
 A strategy profile together with a history determines which outcomes
-survive every on-path choice.  Induced outcomes are computed by forward
-play from the minimum of the closed history, or, from a move under fixed
-tables, by one bottom-up pass memoised on the tables; well-posedness is
-verified both by exhaustive enumeration and via the order-theoretic
-classification of the underlying forest.
+survive every on-path choice.  In a finite forest every history is the
+up-set of a move, its core, so the outcomes a profile induces from any
+history are read from one bottom-up pass over the forest, memoised on the
+profile's tables; well-posedness is verified both by exhaustive
+enumeration over those tables and via the order-theoretic classification
+of the underlying forest.
 """
 
 import itertools
@@ -47,16 +48,6 @@ class OutcomeReport:
     failure: object      # None, "no-outcome", or "multiple"
 
 
-def _tables(sef, profile):
-    """Move-level lookup of the profile, one table per agent."""
-    if isinstance(profile, dict):
-        profile = StrategyProfile(profile)
-    if set(profile.strategies) != set(sef.agents):
-        raise InputError("the profile must name every agent exactly once")
-    return {i: convert_strategy(sef, profile.strategies[i], "move")
-            for i in sef.agents}
-
-
 def _core(sef, h):
     h = frozenset(frozenset(x) for x in h)
     if not is_history(sef.sdf.forest, h):
@@ -64,16 +55,8 @@ def _core(sef, h):
     return closure(sef.sdf.forest, h), frozenset.intersection(*h)
 
 
-def reduction_set(sef, w, profile, h):
-    """
-    The outcomes of the history's core surviving every choice the profile
-    selects at moves within the core that contain the candidate outcome.
-    An empty collection of such moves leaves the core unrestricted.
-    """
-    hbar, core = _core(sef, h)
-    if w not in core:
-        raise WNotInHistoryCore(f"{w!r} not in the core of the history")
-    tables = _tables(sef, profile)
+def _reduction(sef, tables, w, core):
+    """``reduction_set`` on built tables, for an outcome w of the core."""
     result = core
     for x in sef.sdf.forest.chain_of(w):
         if x <= core and x in sef.sdf.forest.moves():
@@ -82,40 +65,23 @@ def reduction_set(sef, w, profile, h):
     return result
 
 
-def _compatible_outcomes(sef, tables, h):
-    """Forward play: descend from the minimum of the closed history,
-    keeping only outcomes that survive each active agent's choice."""
-    forest = sef.sdf.forest
-    hbar = closure(forest, h)
-    core = frozenset.intersection(*hbar)
-    start = min(hbar, key=len)
-    found = []
-    stack = [(start, core)]
-    while stack:
-        x, allowed = stack.pop()
-        if len(x) == 1:
-            (w,) = x
-            if w in allowed:
-                found.append(w)
-            continue
-        active = sef.active_agents(x)
-        if active:
-            meet = frozenset(x)
-            for i in active:
-                meet &= tables[i][x]
-            assert meet, "a joint choice emptied a move"
-            allowed = allowed & meet
-        for y in forest.children(x):
-            if y & allowed:
-                stack.append((y, allowed))
-    return found
+def reduction_set(sef, w, profile, h):
+    """
+    The outcomes of the history's core surviving every choice the profile
+    selects at moves within the core that contain the candidate outcome.
+    An empty collection of such moves leaves the core unrestricted.
+    """
+    _, core = _core(sef, h)
+    if w not in core:
+        raise WNotInHistoryCore(f"{w!r} not in the core of the history")
+    return _reduction(sef, profile_tables(sef, profile), w, core)
 
 
 def outcome_report(sef, profile, h):
     hbar, core = _core(sef, h)
-    tables = _tables(sef, profile)
-    compatible = _compatible_outcomes(sef, tables, h)
-    reduction = {w: reduction_set(sef, w, profile, h) for w in sorted(core)}
+    tables = profile_tables(sef, profile)
+    compatible = sorted(_compatible_below(sef, tables, core))
+    reduction = {w: _reduction(sef, tables, w, core) for w in sorted(core)}
     if not compatible:
         induced, failure = None, "no-outcome"
     elif len(compatible) > 1:
@@ -139,8 +105,9 @@ def induced_outcome(sef, profile, h):
 class ProfileTables(dict):
     """
     One move-level lookup per agent (agent -> {move: choice}), read-only
-    once built, with the memo ``outcome_from`` fills: move -> the outcomes
-    below it that survive every active agent's choice on the way down.
+    once built, with the memo ``_compatible_below`` fills: move -> the
+    outcomes below it that survive every active agent's choice on the way
+    down.
     """
 
     def __init__(self, tables):
@@ -150,12 +117,17 @@ class ProfileTables(dict):
 
 def profile_tables(sef, profile):
     """
-    Precompute the move-level lookup once for repeated outcome queries.
-    The tables are read-only once built: ``outcome_from`` memoises on
-    them, so every query on the same tables shares one pass over the
-    forest.
+    The move-level lookup of the profile, one table per agent, built once
+    for repeated outcome queries.  The tables are read-only once built:
+    every compatible-outcome query on them goes through one memoised
+    bottom-up pass over the forest, shared by all queries.
     """
-    return ProfileTables(_tables(sef, profile))
+    if isinstance(profile, dict):
+        profile = StrategyProfile(profile)
+    if set(profile.strategies) != set(sef.agents):
+        raise InputError("the profile must name every agent exactly once")
+    return ProfileTables({i: convert_strategy(sef, profile.strategies[i], "move")
+                          for i in sef.agents})
 
 
 def _compatible_below(sef, tables, x):
@@ -186,15 +158,15 @@ def _compatible_below(sef, tables, x):
 
 def outcome_from(sef, tables, node):
     """
-    The unique outcome the precomputed tables induce from a node on.  A
-    move is answered from the tables' memo, shared by every query on the
-    same tables; any other node goes through the history path, so a
-    terminal node raises ``NotAHistory``.
+    The unique outcome the precomputed tables induce from a node on,
+    answered from the tables' memo at the core of the history ``up(node)``
+    (the node itself when it is a move); a terminal node is no history
+    and raises ``NotAHistory``.
     """
-    if node in sef.sdf.forest.moves():
-        found = tuple(_compatible_below(sef, tables, node))
-    else:
-        found = _compatible_outcomes(sef, tables, sef.sdf.forest.up(node))
+    core = node
+    if node not in sef.sdf.forest.moves():
+        _, core = _core(sef, sef.sdf.forest.up(node))
+    found = tuple(_compatible_below(sef, tables, core))
     if not found:
         raise NoOutcome(f"no outcome from {sorted(node)}")
     if len(found) > 1:
@@ -221,7 +193,8 @@ def _all_profiles(sef, cap):
 
 def check_wellposed_direct(sef, cap=None):
     """Exhaustive verification of the three well-posedness properties over
-    all (profile, history) pairs."""
+    all (profile, history) pairs, profile by profile: each profile's
+    tables are built once and answer every history from their memo."""
     cap = budget(cap if cap is not None else 10 ** 6)
     hs = sorted(histories(sef.sdf.forest), key=sorted)
     try:
@@ -231,27 +204,26 @@ def check_wellposed_direct(sef, cap=None):
     if len(hs) * len(profiles) > cap:
         raise EnumerationBudgetExceeded(
             f"{len(hs)} histories x {len(profiles)} profiles")
+    cores = {h: frozenset.intersection(*h) for h in hs}
+    attained = {h: set() for h in hs}
     report = WellPosedReport(True, True, True)
-    for h in hs:
-        core = frozenset.intersection(*h)
-        attained = set()
-        for profile in profiles:
-            tables = _tables(sef, profile)
-            compatible = _compatible_outcomes(sef, tables, h)
-            attained.update(compatible)
+    for profile in profiles:
+        tables = profile_tables(sef, profile)
+        for h in hs:
+            compatible = sorted(_compatible_below(sef, tables, cores[h]))
+            attained[h].update(compatible)
             if not compatible:
                 report.existence = False
                 report.witnesses.setdefault("existence", (profile, h))
-            if len(compatible) > 1 or (
-                    compatible and
-                    reduction_set(sef, compatible[0], profile, h)
-                    != {compatible[0]}):
+            elif len(compatible) > 1 or _reduction(
+                    sef, tables, compatible[0], cores[h]) != {compatible[0]}:
                 report.uniqueness = False
                 report.witnesses.setdefault("uniqueness",
                                             (profile, h, compatible))
-        if attained != core:
+    for h in hs:
+        if attained[h] != cores[h]:
             report.attainable = False
-            report.witnesses.setdefault("attainable", (h, core - attained))
+            report.witnesses.setdefault("attainable", (h, cores[h] - attained[h]))
     return report
 
 

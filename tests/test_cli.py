@@ -191,6 +191,19 @@ class TestTimingCommand:
         assert run(*args).output == run(*args).output
 
 
+class TestUndecided:
+    @pytest.mark.parametrize("args", [
+        ["equilibrium", "verify", "--sef", "examples:amd", "--p", "2/3"],
+        ["wellposed", "--sef", "examples:simple"],
+    ])
+    def test_search_over_budget_exits_3(self, args):
+        # a search cut off by its budget has decided nothing: not exit 1
+        result = CliRunner().invoke(cli, args, env={"EXFORM_BUDGET": "1"})
+        assert result.exit_code == 3
+        assert "undecided:" in result.output
+        assert "check failed" not in result.output
+
+
 class TestDM:
     def test_antichain_completion(self, tmp_path):
         path = tmp_path / "poset.json"

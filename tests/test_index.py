@@ -18,7 +18,7 @@ from exform.errors import (
     NoOutcome,
     NotAHistory,
 )
-from exform.forest import DecisionForest
+from exform.forest import DecisionForest, closure
 from exform.instances import (
     MP_SCENARIOS,
     amd_sdf,
@@ -31,12 +31,7 @@ from exform.instances import (
     simple_variant_sdf,
     ultimatum_sef,
 )
-from exform.play import (
-    StrategyProfile,
-    _compatible_outcomes,
-    outcome_from,
-    profile_tables,
-)
+from exform.play import StrategyProfile, outcome_from, profile_tables
 from exform.sdf import RandomMove, StochasticDecisionForest, predecessors
 from exform.sef import (
     StochasticExtensiveForm,
@@ -110,6 +105,35 @@ def all_profiles(sef):
     per_agent = [strategies(sef, i) for i in sef.agents]
     for combo in itertools.product(*per_agent):
         yield StrategyProfile(dict(zip(sef.agents, combo)))
+
+
+def _compatible_outcomes(sef, tables, h):
+    """Forward play: descend from the minimum of the closed history,
+    keeping only outcomes that survive each active agent's choice."""
+    forest = sef.sdf.forest
+    hbar = closure(forest, h)
+    core = frozenset.intersection(*hbar)
+    start = min(hbar, key=len)
+    found = []
+    stack = [(start, core)]
+    while stack:
+        x, allowed = stack.pop()
+        if len(x) == 1:
+            (w,) = x
+            if w in allowed:
+                found.append(w)
+            continue
+        active = sef.active_agents(x)
+        if active:
+            meet = frozenset(x)
+            for i in active:
+                meet &= tables[i][x]
+            assert meet, "a joint choice emptied a move"
+            allowed = allowed & meet
+        for y in forest.children(x):
+            if y & allowed:
+                stack.append((y, allowed))
+    return found
 
 
 def history_outcome(sef, tables, x):

@@ -1,12 +1,20 @@
-import pytest
+import itertools
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import make_rng, random_strict_sef
+from exform._util import budget
 from exform.errors import (
+    BudgetExceeded,
     EnumerationBudgetExceeded,
     MultipleOutcomes,
+    NoOutcome,
     NotClosed,
     WNotInHistoryCore,
 )
-from exform.forest import DecisionForest, histories
+from exform.forest import histories
 from exform.instances import (
     SIMPLE_SEF_ROWS,
     VARIANT_SEF_ROWS,
@@ -19,17 +27,21 @@ from exform.instances import (
 )
 from exform.play import (
     StrategyProfile,
+    WellPosedReport,
+    _all_profiles,
     check_wellposed_direct,
     check_wellposed_order,
     closed_history_minimum,
     induced_outcome,
+    outcome_from,
     outcome_report,
+    profile_tables,
     random_history_minimum,
     reduction_set,
     scenario_truncation,
 )
-from exform.sdf import RandomMove, StochasticDecisionForest
 from exform.sef import StochasticExtensiveForm, convert_strategy, strategies
+from test_index import _compatible_outcomes, one_shot
 
 ALL_INSTANCES = [simple_sef(n) for n in SIMPLE_SEF_ROWS] + \
     [variant_sef(n) for n in VARIANT_SEF_ROWS] + [amd_sef(1)[0]]
@@ -139,22 +151,8 @@ class TestWellPosedness:
             check_wellposed_direct(simple_sef(7), cap=3)
 
     def test_underseparated_pseudo_structure_fails_uniqueness(self):
-        # a single choice that never separates two terminals; assembled
-        # without validation on purpose
-        forest = DecisionForest(["w:1", "w:2", "w:3"],
-                                [{"w:1", "w:2", "w:3"}] +
-                                [{v} for v in ("w:1", "w:2", "w:3")])
-        projection = {x: "w" for x in forest.nodes}
-        x0 = RandomMove({"w": frozenset(forest.outcomes)})
-        sdf = StochasticDecisionForest(forest, ("w",), projection, [x0])
-        pseudo = object.__new__(StochasticExtensiveForm)
-        pseudo.sdf = sdf
-        pseudo.agents = ("i",)
-        pseudo.agent_moves = {"i": frozenset({x0})}
-        pseudo.info = {"i": {x0: frozenset({frozenset({"w"})})}}
-        pseudo.refchoices = {"i": {x0: ()}}
-        pseudo.choices = {"i": frozenset({frozenset({"w:1", "w:2"})})}
-        pseudo._pred = {}
+        pseudo = underseparated_pseudo()
+        sdf = pseudo.sdf
         report = check_wellposed_direct(pseudo)
         assert not report.uniqueness
         assert not report.attainable
@@ -164,6 +162,125 @@ class TestWellPosedness:
         with pytest.raises(MultipleOutcomes):
             induced_outcome(pseudo, StrategyProfile({"i": s}),
                             {sdf.root_of("w")})
+
+    def test_disjoint_joint_choice_fails_existence(self):
+        # two agents active at one move whose choices share no outcome
+        pseudo = one_move_pseudo(["w:1", "w:2"], {"a": [{"w:1"}],
+                                                  "b": [{"w:2"}]})
+        report = check_wellposed_direct(pseudo)
+        assert (report.attainable, report.existence, report.uniqueness) \
+            == (False, False, True)
+        profile, h = report.witnesses["existence"]
+        with pytest.raises(NoOutcome):
+            outcome_from(pseudo, profile_tables(pseudo, profile),
+                         frozenset.intersection(*h))
+
+
+def one_move_pseudo(outcomes, menus):
+    """One move over the outcomes, every agent active there with the given
+    choices; assembled without validation on purpose."""
+    sdf = one_shot(outcomes)
+    (x0,) = sdf.random_moves
+    pseudo = object.__new__(StochasticExtensiveForm)
+    pseudo.sdf = sdf
+    pseudo.agents = tuple(menus)
+    pseudo.agent_moves = {i: frozenset({x0}) for i in menus}
+    pseudo.choices = {i: frozenset(map(frozenset, cs))
+                      for i, cs in menus.items()}
+    return pseudo
+
+
+def underseparated_pseudo():
+    # a single choice that never separates two terminals
+    return one_move_pseudo(["w:1", "w:2", "w:3"], {"i": [{"w:1", "w:2"}]})
+
+
+def coarsened(sef, rng):
+    """The form with two sibling choices of one move merged into one, so
+    that the merged choice never separates them; assembled without
+    validation on purpose."""
+    pairs = [(c, d) for c, d in itertools.combinations(
+        sorted(sef.choices["i"], key=sorted), 2)
+        if sef.predecessors_of(c) == sef.predecessors_of(d)]
+    c, d = rng.choice(pairs)
+    pseudo = object.__new__(StochasticExtensiveForm)
+    pseudo.sdf = sef.sdf
+    pseudo.agents = sef.agents
+    pseudo.agent_moves = sef.agent_moves
+    pseudo.choices = {"i": sef.choices["i"] - {c, d} | {c | d}}
+    return pseudo
+
+
+def wellposed_by_forward_play(sef, cap=None):
+    """The well-posedness sweep by forward play, history by history with
+    fresh tables for every profile, kept verbatim as the oracle (the
+    move-table builder is ``profile_tables``)."""
+    cap = budget(cap if cap is not None else 10 ** 6)
+    hs = sorted(histories(sef.sdf.forest), key=sorted)
+    try:
+        profiles = list(_all_profiles(sef, cap))
+    except BudgetExceeded as err:
+        raise EnumerationBudgetExceeded(str(err)) from err
+    if len(hs) * len(profiles) > cap:
+        raise EnumerationBudgetExceeded(
+            f"{len(hs)} histories x {len(profiles)} profiles")
+    report = WellPosedReport(True, True, True)
+    for h in hs:
+        core = frozenset.intersection(*h)
+        attained = set()
+        for profile in profiles:
+            tables = profile_tables(sef, profile)
+            compatible = _compatible_outcomes(sef, tables, h)
+            attained.update(compatible)
+            if not compatible:
+                report.existence = False
+                report.witnesses.setdefault("existence", (profile, h))
+            if len(compatible) > 1 or (
+                    compatible and
+                    reduction_set(sef, compatible[0], profile, h)
+                    != {compatible[0]}):
+                report.uniqueness = False
+                report.witnesses.setdefault("uniqueness",
+                                            (profile, h, compatible))
+        if attained != core:
+            report.attainable = False
+            report.witnesses.setdefault("attainable", (h, core - attained))
+    return report
+
+
+def assert_sweep_matches_oracle(sef):
+    report = check_wellposed_direct(sef)
+    oracle = wellposed_by_forward_play(sef)
+    assert (report.attainable, report.existence, report.uniqueness) \
+        == (oracle.attainable, oracle.existence, oracle.uniqueness)
+    assert report.witnesses.get("attainable") \
+        == oracle.witnesses.get("attainable")
+    if "existence" in report.witnesses:
+        profile, h = report.witnesses["existence"]
+        assert _compatible_outcomes(sef, profile_tables(sef, profile), h) == []
+    if "uniqueness" in report.witnesses:
+        profile, h, compatible = report.witnesses["uniqueness"]
+        found = _compatible_outcomes(sef, profile_tables(sef, profile), h)
+        assert sorted(found) == compatible
+        assert len(found) > 1 or \
+            reduction_set(sef, found[0], profile, h) != {found[0]}
+
+
+class TestWellPosednessOracle:
+    @pytest.mark.parametrize("sef", ALL_INSTANCES)
+    def test_bundled_instances(self, sef):
+        assert_sweep_matches_oracle(sef)
+
+    def test_underseparated_pseudo_structure(self):
+        assert_sweep_matches_oracle(underseparated_pseudo())
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10 ** 9))
+    def test_random_strict_forms(self, seed):
+        rng = make_rng(seed)
+        sef = random_strict_sef(rng)
+        assert_sweep_matches_oracle(sef)
+        assert_sweep_matches_oracle(coarsened(sef, rng))
 
 
 class TestClosureInvariance:
