@@ -14,7 +14,7 @@ import json as jsonlib
 
 import click
 
-from . import equil, order, play, sef as sefmod, tilt, timing
+from . import equil, instances, order, play, sef as sefmod, tilt, timing
 from ._util import budget, format_rational, parse_rational
 from .errors import (
     BudgetExceeded,
@@ -29,6 +29,11 @@ from .sef import StochasticExtensiveForm
 from .vtime import format_vtime, parse_ordinal, parse_vtime
 
 # --- instance serialization ---------------------------------------------------
+
+def _sorted_lists(sets):
+    """Each set as a sorted list, the lists in sorted order."""
+    return sorted(sorted(c) for c in sets)
+
 
 def serialize_sef(form):
     """A canonical JSON-ready document for a validated extensive form."""
@@ -45,9 +50,6 @@ def serialize_sef(form):
     moves = sorted(form.sdf.random_moves, key=move_doc)
     move_key = {m: k for k, m in enumerate(moves)}
 
-    def choice_list(cs):
-        return sorted((sorted(c) for c in cs))
-
     doc = {
         "outcomes": outcomes,
         "nodes": [sorted(x) for x in nodes],
@@ -60,10 +62,10 @@ def serialize_sef(form):
         "info": {str(i): {str(move_key[m]): sorted(sorted(e) for e in part)
                           for m, part in form.info[i].items()}
                  for i in form.agents},
-        "refchoices": {str(i): {str(move_key[m]): choice_list(cs)
+        "refchoices": {str(i): {str(move_key[m]): _sorted_lists(cs)
                                 for m, cs in form.refchoices[i].items()}
                        for i in form.agents},
-        "choices": {str(i): choice_list(form.choices[i]) for i in form.agents},
+        "choices": {str(i): _sorted_lists(form.choices[i]) for i in form.agents},
     }
     return doc
 
@@ -103,7 +105,8 @@ def load_instance(ref):
     serialized form alone.
     """
     if ref.startswith("examples:"):
-        form, eu, profile, expected = equil.load_example(ref[len("examples:"):])
+        form, eu, profile, expected = instances.load_example(
+            ref[len("examples:"):])
         return form, eu, profile, expected
     try:
         with open(ref, encoding="utf-8") as handle:
@@ -273,7 +276,7 @@ def verify(ref, as_json, lean):
     if lean is not None:
         if ref != "examples:amd":
             raise InputError("--p only applies to examples:amd")
-        form, eu, profile, _ = equil.amd_instance(parse_rational(lean))
+        form, eu, profile, _ = instances.amd_instance(parse_rational(lean))
     else:
         form, eu, profile, _ = load_instance(ref)
         if profile is None:
@@ -287,7 +290,8 @@ def verify(ref, as_json, lean):
         "consistent": report.consistency.consistent,
         "rational": report.rationality.rational,
         "payoffs": [format_rational(v) for v in values],
-        "witnesses": [repr(w) for w in report.rationality.witnesses],
+        "witnesses": sorted(map(_witness_doc, report.rationality.witnesses),
+                            key=jsonlib.dumps),
     }
     if report.in_equilibrium:
         emit(as_json, f"equilibrium verified, payoff {payoff_text}", data)
@@ -298,6 +302,18 @@ def verify(ref, as_json, lean):
              f"not an equilibrium; payoff {payoff_text}; "
              f"deviations reach {', '.join(better)}", data)
         raise SystemExit(1)
+
+
+def _witness_doc(witness):
+    """A rationality witness with every set sorted, so that the JSON does
+    not depend on the hash seed."""
+    agent, infoset, strategy, block, payoff, deviation_payoff = witness
+    return {"agent": str(agent),
+            "info_set": _sorted_lists(infoset.moves()),
+            "deviation": _sorted_lists(strategy.assignment.values()),
+            "block": sorted(block),
+            "payoff": format_rational(payoff),
+            "deviation_payoff": format_rational(deviation_payoff)}
 
 
 # --- tilting ------------------------------------------------------------------
@@ -451,7 +467,7 @@ def dm(path, as_json):
     dense = order.check_dense_completion(poset, lattice, phi)
     data = {"elements": len(poset.elements),
             "completion": len(lattice.elements),
-            "complete_lattice": order.is_complete_lattice(lattice),
+            "complete_lattice": dense.is_lattice_complete,
             "dense_embedding": bool(dense)}
     emit(as_json,
          f"completion of {data['elements']} element(s) has "
@@ -471,7 +487,7 @@ def examples_list():
                    "payoffs": {str(k): format_rational(v)
                                for k, v in payoffs.items()}}
             for name, (description, _, equilibrium, payoffs)
-            in equil.EXAMPLES.items()}
+            in instances.EXAMPLES.items()}
 
 
 @cli.command()

@@ -62,8 +62,10 @@ class DecisionForest:
         return frozenset(x for x in self._nodes if w in x)
 
     def maximal_chains(self):
+        """The decision paths: in a rooted forest every maximal chain is the
+        up-set of a minimal node."""
         if "_chains_cache" not in self.__dict__:
-            self._chains_cache = _maximal_chains(self._outcomes, self._nodes)
+            self._chains_cache = {self.up(t) for t in self.terminals()}
         return self._chains_cache
 
     def moves(self):
@@ -109,25 +111,6 @@ class DecisionForest:
         return f"DecisionForest({len(self._outcomes)} outcomes, {len(self._nodes)} nodes)"
 
 
-def _maximal_chains(outcomes, nodes):
-    """All maximal chains, as root-to-leaf paths of the cover relation."""
-    result = set()
-    roots = [x for x in nodes if not any(y > x for y in nodes)]
-
-    def descend(path, current):
-        children = [y for y in nodes
-                    if y < current and not any(y < z < current for z in nodes)]
-        if not children:
-            result.add(frozenset(path))
-            return
-        for child in children:
-            descend(path + [child], child)
-
-    for root in roots:
-        descend([root], root)
-    return result
-
-
 def validate_decision_forest(outcomes, nodes):
     """
     Check the two structural invariants: the nodes form a rooted forest
@@ -143,6 +126,7 @@ def validate_decision_forest(outcomes, nodes):
             return ValidationReport(False, "rooted_forest", "empty node")
         if not x <= outcomes:
             return ValidationReport(False, "rooted_forest", ("alien outcomes", x))
+    up = {}
     for x in nodes:
         above = [y for y in nodes if y >= x]
         for i, a in enumerate(above):
@@ -151,13 +135,15 @@ def validate_decision_forest(outcomes, nodes):
                     return ValidationReport(False, "rooted_forest",
                                             ("incomparable ancestors", x, a, b))
         # finite chains always carry a maximum, so rootedness follows
+        up[x] = frozenset(above)
     chains = {}
     for w in outcomes:
         chain = frozenset(x for x in nodes if w in x)
         if not chain:
             return ValidationReport(False, "duality", ("outcome in no node", w))
         chains[w] = chain
-    maximal = _maximal_chains(outcomes, nodes)
+    # in a rooted forest the maximal chains are the up-sets of minimal nodes
+    maximal = {up[x] for x in nodes if not any(y < x for y in nodes)}
     if set(chains.values()) != maximal:
         missing = maximal - set(chains.values())
         extra = [w for w, c in chains.items() if c not in maximal]
@@ -171,32 +157,37 @@ def validate_decision_forest(outcomes, nodes):
 
 
 def is_union_of_nodes(forest, c):
-    """True iff c is a (nonempty) union of members of the forest."""
+    """
+    True iff c is a (nonempty) union of members of the forest.  Duality
+    gives every outcome its own decision path, so every singleton of a
+    valid forest is a node and any nonempty set of outcomes qualifies.
+    """
     c = frozenset(c)
-    if not c or not c <= forest.outcomes:
-        return False
-    covered = frozenset().union(*[x for x in forest.nodes if x <= c]) \
-        if any(x <= c for x in forest.nodes) else frozenset()
-    return covered == c
+    return bool(c) and c <= forest.outcomes
 
 
 def immediate_predecessors(forest, c):
     """
-    The moves at which c is on offer: all x whose strict up-set equals the
-    strict up-set of some node inside c with the nodes below c removed.
+    The moves at which c is on offer: all x whose up-set equals the strict
+    up-set of some node inside c with the nodes below c removed.  That
+    remainder is an upper part of a chain, so it is the up-set of its
+    shortest member.  Memoised on the forest; c must be a nonempty union
+    of nodes.
     """
     c = frozenset(c)
+    cache = forest.__dict__.setdefault("_pred_cache", {})
+    if c in cache:
+        return cache[c]
     if not is_union_of_nodes(forest, c):
         raise ChoiceError(f"not a nonempty union of nodes: {sorted(map(repr, c))}")
     down_c = frozenset(y for y in forest.nodes if y <= c)
     result = set()
-    for x in forest.nodes:
-        up_x = forest.up(x)
-        for y in down_c:
-            if forest.up(y) - down_c == up_x:
-                result.add(x)
-                break
-    return frozenset(result)
+    for y in down_c:
+        above = forest.up(y) - down_c
+        if above:
+            result.add(min(above, key=len))
+    cache[c] = frozenset(result)
+    return cache[c]
 
 
 def histories(forest, cap=None):

@@ -1,5 +1,6 @@
 """
-Bundled worked instances.
+Bundled worked instances, and the registry of bundled verification
+examples built on them.
 
 Outcome labels are strings "scenario:actions", e.g. "o1:12" for the play
 taking action 1 then action 2 in scenario o1.  Builders return plain
@@ -7,9 +8,15 @@ structures; nothing here is cached or mutated.
 """
 
 import itertools
+from fractions import Fraction
 
+from ._util import powerset
+from .equil import EUStructure, bayes_beliefs, uniform_tastes
+from .errors import InputError, UnknownExample
 from .forest import DecisionForest
+from .play import StrategyProfile
 from .sdf import RandomMove, StochasticDecisionForest
+from .sef import Strategy, StochasticExtensiveForm, info_sets
 
 SIMPLE_SCENARIOS = ("o1", "o2")
 
@@ -220,7 +227,6 @@ def _simple_second_choices(kind):
 def simple_sef(row=1, agent="i"):
     """One of the eight single-agent extensive forms on the two-period
     instance, indexed per SIMPLE_SEF_ROWS."""
-    from .sef import StochasticExtensiveForm
     eis_name, first, second = SIMPLE_SEF_ROWS[row]
     sdf, moves = simple_sdf()
     x0, x1, x2 = moves
@@ -254,7 +260,6 @@ _VARIANT_EIS = {
 
 def variant_sef(row=1, agent="i"):
     """One of the three extensive forms on the shortened-path variant."""
-    from .sef import StochasticExtensiveForm
     eis_name, first, second = VARIANT_SEF_ROWS[row]
     sdf, moves = simple_variant_sdf()
     x0, x1, x2 = moves
@@ -329,8 +334,6 @@ def amd_sef(atoms=1):
     move, sees only a private signal, and chooses the exit region on any
     signal-measurable event.
     """
-    from ._util import powerset
-    from .sef import StochasticExtensiveForm
     scenarios = amd_scenarios(atoms)
     assignments = {w: int(w[1]) for w in scenarios}
     sdf, (x1, x2) = amd_sdf(assignments)
@@ -444,7 +447,6 @@ def mp_sef(case=1):
     The two-agent coin-matching form: agent i moves first seeing its own
     signal atom, agent j moves second with case-dependent information.
     """
-    from .sef import StochasticExtensiveForm
     keys1, keys2, shape = MP_CASES[case]
     sdf, (x0, x1, x2) = mp_sdf()
     agents = ("i", "j")
@@ -476,7 +478,6 @@ def ultimatum_sef():
     One scenario, a proposer picking a greedy or a fair split, and a
     responder accepting or rejecting after seeing the offer.
     """
-    from .sef import StochasticExtensiveForm
     outcomes = [f"u:{o}{d}" for o in "gf" for d in "ar"]
     nodes = [frozenset(outcomes)]
     for o in "gf":
@@ -501,3 +502,187 @@ def ultimatum_sef():
     sef = StochasticExtensiveForm(sdf, ("p", "r"), agent_moves, info,
                                   refchoices, choices)
     return sef, (x0, xg, xf)
+
+
+# --- verification examples ---------------------------------------------------
+
+def _assign(sef, agent, picks):
+    """The strategy selecting, at each info set, the unique pick that is
+    available there."""
+    sets, _ = info_sets(sef, agent)
+    assignment = {}
+    for p in sets:
+        menu = sef.available_at(agent, next(iter(p.random_moves)))
+        match = [c for c in picks if c in menu]
+        if len(match) != 1:
+            raise InputError(f"{len(match)} picks available at {p!r}")
+        assignment[p] = match[0]
+    return Strategy(agent, assignment)
+
+
+def amd_instance(p=Fraction(2, 3), atoms=3):
+    """
+    The exit/continue form with a symmetric threshold profile: each agent
+    exits exactly on the signal atoms of total probability 1 - p.  The
+    exit probability must be a multiple of 1/atoms.
+    """
+    p = Fraction(p)
+    exit_count = (1 - p) * atoms
+    if not 0 <= p <= 1 or exit_count.denominator != 1:
+        raise InputError(f"exit probability {1 - p} is not a multiple "
+                         f"of 1/{atoms}")
+    sef, _ = amd_sef(atoms)
+    scenarios = sorted(sef.sdf.scenarios)
+    prior = {w: Fraction(1, 2 * atoms * atoms) for w in scenarios}
+    exit_sigs = {str(k) for k in range(int(exit_count))}
+    profile = {}
+    for agent in (1, 2):
+        event = frozenset(w for w in scenarios
+                          if amd_signal(w, agent) in exit_sigs)
+        choice = amd_event_choice(atoms, agent, event)
+        profile[agent] = _assign(sef, agent, [choice])
+    s = StrategyProfile(profile)
+    taste = {}
+    for w in scenarios:
+        taste[f"{w}:D"] = Fraction(0)
+        taste[f"{w}:H"] = Fraction(4)
+        taste[f"{w}:M"] = Fraction(1)
+    eu = EUStructure(bayes_beliefs(sef, prior, s),
+                     uniform_tastes(sef, {1: taste, 2: taste}))
+    return sef, eu, s, prior
+
+
+def mp_instance(case=1, p=Fraction(2, 3)):
+    """
+    A coin-matching form with its case-specific candidate profile: the
+    first mover leans on the side variable having probability p.
+    """
+    p = Fraction(p)
+    if not 0 <= p <= 1:
+        raise InputError(f"not a probability: {p}")
+    sef, (x0, x1, x2) = mp_sef(case)
+    prior = {w: (p if w[1] == "1" else 1 - p) / 8
+             for w in MP_SCENARIOS}
+    everywhere = MP_SCENARIOS
+    if case in (2, 3):
+        first = {w: "1" if w[3] == "0" else "2" for w in everywhere}
+        picks_j = [mp_choice_second(
+            ".", {w: "1" if w[4] == "0" else "2" for w in everywhere})]
+    elif case == 1:
+        first = {w: "1" for w in everywhere}
+        picks_j = [mp_choice_second("1", {w: "2" for w in everywhere}),
+                   mp_choice_second("2", {w: "1" for w in everywhere})]
+    elif case == 4:
+        first = {w: "2" for w in everywhere}
+        picks_j = [mp_choice_second(
+            "1", {w: "2" if w[1] == "1" else "1" for w in everywhere}),
+            mp_choice_second("2", {w: "1" for w in everywhere})]
+    else:
+        raise InputError(f"unknown case: {case!r}")
+    s = StrategyProfile({
+        "i": _assign(sef, "i", [mp_choice_first(first)]),
+        "j": _assign(sef, "j", picks_j),
+    })
+    taste_j = {}
+    for w in everywhere:
+        for a in "12":
+            for b in "12":
+                taste_j[f"{w}:{a}{b}"] = Fraction(
+                    (-1) ** (int(w[1]) + int(a) + int(b)))
+    taste_i = {k: -v for k, v in taste_j.items()}
+    eu = EUStructure(bayes_beliefs(sef, prior, s),
+                     uniform_tastes(sef, {"i": taste_i, "j": taste_j}))
+    return sef, eu, s, prior
+
+
+def _simple_instance():
+    sef = simple_sef(1)
+    prior = {w: Fraction(1, 2) for w in SIMPLE_SCENARIOS}
+    taste = {}
+    for w in SIMPLE_SCENARIOS:
+        taste[f"{w}:11"] = Fraction(2)
+        taste[f"{w}:12"] = Fraction(1)
+        taste[f"{w}:21"] = Fraction(0)
+        taste[f"{w}:22"] = Fraction(0)
+    const = {w: "1" for w in SIMPLE_SCENARIOS}
+    picks = [simple_choice_first(const),
+             simple_choice_second("1", const),
+             simple_choice_second("2", const)]
+    s = StrategyProfile({"i": _assign(sef, "i", picks)})
+    eu = EUStructure(bayes_beliefs(sef, prior, s),
+                     uniform_tastes(sef, {"i": taste}))
+    return sef, eu, s, prior
+
+
+def _variant_instance():
+    sef = variant_sef(1)
+    prior = {w: Fraction(1, 2) for w in SIMPLE_SCENARIOS}
+    taste = {"o1:11": Fraction(2), "o1:12": Fraction(1), "o1:2": Fraction(3),
+             "o2:11": Fraction(2), "o2:12": Fraction(1),
+             "o2:21": Fraction(0), "o2:22": Fraction(0)}
+    const = {w: "1" for w in SIMPLE_SCENARIOS}
+    picks = [variant_choice_first(const),
+             variant_choice_second("1", const),
+             variant_choice_second("2", const)]
+    s = StrategyProfile({"i": _assign(sef, "i", picks)})
+    eu = EUStructure(bayes_beliefs(sef, prior, s),
+                     uniform_tastes(sef, {"i": taste}))
+    return sef, eu, s, prior
+
+
+def _ultimatum_instance():
+    sef, _ = ultimatum_sef()
+    prior = {"u": Fraction(1)}
+    taste_p = {"u:ga": Fraction(3), "u:gr": Fraction(0),
+               "u:fa": Fraction(2), "u:fr": Fraction(0)}
+    taste_r = {"u:ga": Fraction(1), "u:gr": Fraction(0),
+               "u:fa": Fraction(2), "u:fr": Fraction(0)}
+    greedy = frozenset({"u:ga", "u:gr"})
+    s = StrategyProfile({
+        "p": _assign(sef, "p", [greedy]),
+        "r": _assign(sef, "r", [frozenset({"u:ga"}), frozenset({"u:fa"})]),
+    })
+    eu = EUStructure(bayes_beliefs(sef, prior, s),
+                     uniform_tastes(sef, {"p": taste_p, "r": taste_r}))
+    return sef, eu, s, prior
+
+
+# name -> (description, builder, expected verdict, expected payoffs)
+EXAMPLES = {
+    "simple": ("two-period single-agent form with forgetful information",
+               _simple_instance, True, {"i": Fraction(2)}),
+    "simple-variant": ("the same outcomes under a coarser node family",
+                       _variant_instance, True, {"i": Fraction(2)}),
+    "amd": ("two-agent exit/continue race over signal atoms",
+            amd_instance, True, {1: Fraction(8, 5), 2: Fraction(8, 5)}),
+    "mp-case1": ("coin matching, split second-mover information",
+                 lambda: mp_instance(1), True,
+                 {"i": Fraction(-1, 3), "j": Fraction(1, 3)}),
+    "mp-case2": ("coin matching, merged information, coin hidden",
+                 lambda: mp_instance(2), True,
+                 {"i": Fraction(0), "j": Fraction(0)}),
+    "mp-case3": ("coin matching, merged information, coin shown",
+                 lambda: mp_instance(3), True,
+                 {"i": Fraction(0), "j": Fraction(0)}),
+    "mp-case4": ("coin matching, split information, coin shown to one side",
+                 lambda: mp_instance(4), True,
+                 {"i": Fraction(-1, 3), "j": Fraction(1, 3)}),
+    "ultimatum": ("take-it-or-leave-it split with acceptance response",
+                  _ultimatum_instance, True,
+                  {"p": Fraction(3), "r": Fraction(1)}),
+}
+
+
+def load_example(name):
+    """
+    A bundled verification instance: the form, its expected-utility
+    layer, the candidate profile, and the expected verdict.  The expected
+    payoffs state, per agent, the conditional value on every positive
+    block of every info set reached with positive probability.
+    """
+    if name not in EXAMPLES:
+        raise UnknownExample(f"unknown example: {name!r}")
+    _, build, equilibrium, payoffs = EXAMPLES[name]
+    sef, eu, s, prior = build()
+    return sef, eu, s, {"equilibrium": equilibrium, "payoffs": dict(payoffs),
+                        "prior": prior}

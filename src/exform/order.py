@@ -10,6 +10,7 @@ play runs downward from a root to a minimal (terminal) element.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from ._util import budget, powerset
 from .errors import BudgetExceeded, InputError, StructureError
@@ -269,22 +270,16 @@ def is_complete_lattice(poset):
     """
     True iff the finite poset is a complete lattice.
 
-    For finite posets it suffices that all pairwise joins and meets exist
-    along with a top and a bottom.
+    A finite poset with a top in which every pair has a meet is one: the
+    meet of any nonempty subset follows pair by pair, the empty meet is
+    the top, and the join of a subset is the meet of its upper bounds.
     """
     if not poset.elements:
         return False
     if poset.maximum_of(poset.elements) is None:
         return False
-    if poset.minimum_of(poset.elements) is None:
-        return False
-    for a in poset.elements:
-        for b in poset.elements:
-            if poset.supremum_of({a, b}) is None:
-                return False
-            if poset.infimum_of({a, b}) is None:
-                return False
-    return True
+    return all(poset.infimum_of({a, b}) is not None
+               for a, b in combinations(poset.elements, 2))
 
 
 @dataclass(frozen=True)

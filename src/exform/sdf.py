@@ -19,7 +19,7 @@ from .errors import (
     InputError,
     StructureError,
 )
-from .forest import DecisionForest, is_union_of_nodes
+from .forest import DecisionForest, immediate_predecessors, is_union_of_nodes
 from .order import Poset, roots_and_components
 
 
@@ -394,27 +394,6 @@ def enumerate_recall_structures(sdf, agent_moves, cap=None):
     return result
 
 
-def predecessors(sdf, c):
-    """Immediate predecessors of an arbitrary outcome subset."""
-    c = frozenset(c)
-    cache = sdf.__dict__.setdefault("_pred_cache", {})
-    if c in cache:
-        return cache[c]
-    down_c = frozenset(y for y in sdf.forest.nodes if y <= c)
-    result = set()
-    # a predecessor is the minimum of some covered node's strict upper
-    # chain outside the choice, provided that chain is exactly its up-set
-    for y in down_c:
-        above = sdf.forest.up(y) - down_c
-        if not above:
-            continue
-        x = min(above, key=len)
-        if sdf.forest.up(x) == above:
-            result.add(x)
-    cache[c] = frozenset(result)
-    return cache[c]
-
-
 def preimage(m, node_set):
     """The event on which the section takes a value in the node set."""
     return frozenset(w for w in m.domain if m(w) in node_set)
@@ -422,7 +401,7 @@ def preimage(m, node_set):
 
 def is_non_redundant(sdf, c):
     """The choice must be void in every scenario where it is never on offer."""
-    p = predecessors(sdf, c)
+    p = immediate_predecessors(sdf.forest, c)
     for w in sdf.scenarios:
         if not p & sdf.tree_of(w) and frozenset(c) & sdf.root_of(w):
             return False
@@ -432,7 +411,7 @@ def is_non_redundant(sdf, c):
 def is_complete(sdf, c, agent_moves=None):
     """Availability of the choice is all-or-nothing on each random move."""
     agent_moves = sdf.random_moves if agent_moves is None else agent_moves
-    p = predecessors(sdf, c)
+    p = immediate_predecessors(sdf.forest, c)
     for m in agent_moves:
         hit = preimage(m, p)
         if hit and hit != m.domain:
@@ -441,7 +420,7 @@ def is_complete(sdf, c, agent_moves=None):
 
 
 def is_available_at(sdf, c, m):
-    return preimage(m, predecessors(sdf, c)) == m.domain
+    return preimage(m, immediate_predecessors(sdf.forest, c)) == m.domain
 
 
 def validate_reference_choices(sdf, refchoices, agent_moves):
@@ -475,8 +454,11 @@ def check_adapted(sdf, c, info, refchoices, agent_moves):
         if not is_available_at(sdf, c, m):
             continue
         for ref in refchoices.get(m, ()):
-            joint = preimage(m, predecessors(sdf, c & frozenset(ref)))
-            if joint and not _is_block_union(joint, info[m]):
+            both = c & frozenset(ref)
+            if not both:
+                continue
+            joint = preimage(m, immediate_predecessors(sdf.forest, both))
+            if not _is_block_union(joint, info[m]):
                 return False
     return True
 
@@ -520,6 +502,16 @@ class ActionPathData:
         k = self.times.index(t)
         return f[:k]
 
+    def prefixes(self, t):
+        """The strict prefixes before t of all outcome paths."""
+        return {self.prefix(f, t) for (_, f) in self.paths}
+
+    def node(self, w, prefix):
+        """The outcomes of scenario w whose paths start with the prefix."""
+        k = len(prefix)
+        return frozenset((v, g) for (v, g) in self.paths
+                         if v == w and g[:k] == prefix)
+
     def all_paths(self):
         """The full ambient path space, one tuple per element of A^T."""
         profiles = list(itertools.product(
@@ -527,17 +519,13 @@ class ActionPathData:
         return itertools.product(*[profiles for _ in self.times])
 
 
-def _ap_node(data, w, f, t):
-    return frozenset((v, g) for (v, g) in data.paths
-                     if v == w and data.prefix(g, t) == data.prefix(f, t))
-
-
 def _check_ap_axioms(data, require_maximal, cap):
     for (w, f) in data.paths:
         for t in data.times:
+            node = data.node(w, data.prefix(f, t))
             for u in data.times:
-                if t < u and _ap_node(data, w, f, t) == _ap_node(data, w, f, u):
-                    if len(_ap_node(data, w, f, t)) != 1:
+                if t < u and node == data.node(w, data.prefix(f, u)):
+                    if len(node) != 1:
                         raise APAxiomViolation(1, (w, f, t, u))
 
     # boundedness: vacuous on a finite grid with explicit outcomes, but
@@ -548,22 +536,20 @@ def _check_ap_axioms(data, require_maximal, cap):
             count += 1
             if count > cap:
                 raise BudgetExceeded("ambient path space exceeds the budget")
-            live = [t for t in data.times if _ap_node(data, w, f_tilde, t)]
+            live = [t for t in data.times
+                    if data.node(w, data.prefix(f_tilde, t))]
             for times_subset in powerset(live):
                 if not times_subset:
                     continue
                 top = max(times_subset)
-                node = _ap_node(data, w, f_tilde, top)
-                if not node:
+                if not data.node(w, data.prefix(f_tilde, top)):
                     raise APAxiomViolation(2, (w, f_tilde, times_subset))
 
     if require_maximal:
-        prefixes = {}
         for t in data.times:
-            prefixes[t] = {data.prefix(f, t) for (_, f) in data.paths}
-        for t in data.times:
-            for pf in prefixes[t]:
-                for pg in prefixes[t]:
+            prefixes = data.prefixes(t)
+            for pf in prefixes:
+                for pg in prefixes:
                     if pf == pg:
                         continue
                     df = _ap_domain_of_prefix(data, pf, t)
@@ -587,10 +573,8 @@ def _check_ap_axioms(data, require_maximal, cap):
 def _ap_domain_of_prefix(data, prefix, t):
     domain = set()
     for (w, f) in data.paths:
-        if data.prefix(f, t) == prefix:
-            node = _ap_node(data, w, f, t)
-            if len(node) >= 2:
-                domain.add(w)
+        if data.prefix(f, t) == prefix and len(data.node(w, prefix)) >= 2:
+            domain.add(w)
     return domain
 
 
@@ -607,7 +591,7 @@ def build_action_path_sdf(data, require_maximal=True, cap=None):
     for (w, f) in data.paths:
         nodes.add(frozenset({(w, f)}))
         for t in data.times:
-            nodes.add(_ap_node(data, w, f, t))
+            nodes.add(data.node(w, data.prefix(f, t)))
     outcomes = frozenset(data.paths)
     forest = DecisionForest(outcomes, nodes)
     projection = {x: next(iter(x))[0] for x in nodes}
@@ -618,10 +602,11 @@ def build_action_path_sdf(data, require_maximal=True, cap=None):
     for t in data.times:
         seen = {}
         for (w, f) in data.paths:
-            node = _ap_node(data, w, f, t)
+            prefix = data.prefix(f, t)
+            node = data.node(w, prefix)
             if node not in moves:
                 continue
-            seen.setdefault(data.prefix(f, t), {})[w] = node
+            seen.setdefault(prefix, {})[w] = node
         for assignment in seen.values():
             m = RandomMove(assignment)
             random_moves[m] = t

@@ -21,19 +21,19 @@ from .errors import (
     InputError,
     StructureError,
 )
+from .forest import immediate_predecessors
 from .sdf import (
-    ActionPathData,
-    RandomMove,
-    StochasticDecisionForest,
     build_action_path_sdf,
     check_adapted,
     check_recall,
     is_available_at,
-    predecessors,
-    preimage,
     validate_reference_choices,
     xgeq,
 )
+
+# default caps of validate_sef's two searches; EXFORM_BUDGET overrides both
+AXIOM6_CAP = 10 ** 4
+AXIOM2_CAP = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -71,21 +71,24 @@ class Strategy:
         return self.assignment[info_set]
 
 
-def validate_sef(sdf, agents, agent_moves, info, refchoices, choices,
-                 axiom6_cap=None, axiom2_cap=None):
+def validate_sef(sdf, agents, agent_moves, info, refchoices, choices):
     """
     Check the extensive-form axioms exhaustively.  The report records one
     entry per axiom: True, False, or None when the completeness search
     would exceed its budget.  The strong separation axiom is checked as
     well and reported via the ``strict`` flag without affecting validity.
+    The checks read the data through the form's own memoised menus.
     """
-    axiom6_cap = budget(axiom6_cap if axiom6_cap is not None else 10 ** 4)
-    axiom2_cap = budget(axiom2_cap if axiom2_cap is not None else 10 ** 6)
+    axiom6_cap, axiom2_cap = budget(AXIOM6_CAP), budget(AXIOM2_CAP)
+    form = StochasticExtensiveForm.__new__(StochasticExtensiveForm)
+    form._store(sdf, agents, agent_moves, info, refchoices, choices)
+    agents, agent_moves = form.agents, form.agent_moves
+    info, refchoices, choices = form.info, form.refchoices, form.choices
     violations = []
     checked = {}
 
     for i in agents:
-        if not frozenset(agent_moves[i]) <= sdf.random_moves:
+        if not agent_moves[i] <= sdf.random_moves:
             violations.append(("agent_moves", (i, "not random moves")))
             return SEFReport(False, False, tuple(violations), checked)
         values = [m(w) for m in agent_moves[i] for w in m.domain]
@@ -105,15 +108,6 @@ def validate_sef(sdf, agents, agent_moves, info, refchoices, choices,
     if violations:
         return SEFReport(False, False, tuple(violations), checked)
 
-    moves_of = {i: frozenset(m(w) for m in agent_moves[i] for w in m.domain)
-                for i in agents}
-
-    def J(x):
-        return [i for i in agents if x in moves_of[i]]
-
-    def available_at_move(i, x):
-        return [c for c in choices[i] if x in predecessors(sdf, c)]
-
     # Axiom 1: predecessor sets of an agent's choices must not properly
     # overlap, and overlapping choices agree or are disjoint per scenario
     found = [v for i in agents for v in _axiom1_violations(sdf, i, choices[i])]
@@ -125,8 +119,7 @@ def validate_sef(sdf, agents, agent_moves, info, refchoices, choices,
     checked["axiom2"] = True
     count = 0
     for x in sdf.forest.moves():
-        active = J(x)
-        menus = [available_at_move(i, x) for i in active]
+        menus = [form.available_at_move(i, x) for i in form.active_agents(x)]
         for profile in itertools.product(*menus):
             count += 1
             if count > axiom2_cap:
@@ -162,7 +155,8 @@ def validate_sef(sdf, agents, agent_moves, info, refchoices, choices,
                         if c & c2 & sdf.root_of(w):
                             continue
                         weak = True
-                        for x in (predecessors(sdf, c) & predecessors(sdf, c2)
+                        for x in (immediate_predecessors(sdf.forest, c)
+                                  & immediate_predecessors(sdf.forest, c2)
                                   & sdf.tree_of(w)):
                             if y <= (x & c) and y2 <= (x & c2):
                                 strong = True
@@ -182,8 +176,8 @@ def validate_sef(sdf, agents, agent_moves, info, refchoices, choices,
     # Axiom 4: active agents can preserve any strictly future node
     checked["axiom4"] = True
     for x in sdf.forest.moves():
-        for i in J(x):
-            menu = available_at_move(i, x)
+        for i in form.active_agents(x):
+            menu = form.available_at_move(i, x)
             for y in sdf.forest.down(x) - {x}:
                 if not any(y <= c for c in menu):
                     violations.append(("axiom4", (i, x, y)))
@@ -195,12 +189,8 @@ def validate_sef(sdf, agents, agent_moves, info, refchoices, choices,
     for i in agents:
         for m in agent_moves[i]:
             for m2 in agent_moves[i]:
-                if m == m2:
-                    continue
-                shared = any(is_available_at(sdf, c, m)
-                             and is_available_at(sdf, c, m2)
-                             for c in choices[i])
-                if not shared:
+                if m == m2 or not (form.available_at(i, m)
+                                   & form.available_at(i, m2)):
                     continue
                 same_info = info[i][m] == info[i][m2]
                 same_refs = frozenset(map(frozenset, refchoices[i][m])) \
@@ -210,11 +200,10 @@ def validate_sef(sdf, agents, agent_moves, info, refchoices, choices,
                     checked["axiom5"] = False
 
     # Axiom 6: completeness, via the slice representation of candidate
-    # adapted choices class by class
+    # adapted choices info set by info set
     checked["axiom6"] = True
     for i in agents:
-        classes = _availability_classes(sdf, agent_moves[i], choices[i])
-        for members, menu in classes:
+        for members, menu in _menus(form, i):
             if not menu:
                 continue
             active = sorted({w for m in members for w in m.domain}, key=repr)
@@ -252,7 +241,7 @@ def _axiom1_violations(sdf, i, choices):
     rank = {c: k for k, c in enumerate(order)}
     groups = {}
     for c in order:
-        p = predecessors(sdf, c)
+        p = immediate_predecessors(sdf.forest, c)
         if p:
             groups.setdefault(p, []).append(c)
     found = []
@@ -290,24 +279,21 @@ def _axiom1_violations(sdf, i, choices):
     return [("axiom1", v) for _, v in found]
 
 
-def _availability_classes(sdf, moves, menu):
-    """Group an agent's random moves by their sets of available choices."""
-    by_menu = {}
-    for m in moves:
-        key = frozenset(c for c in menu
-                        if preimage(m, predecessors(sdf, c)) == m.domain)
-        by_menu.setdefault(key, []).append(m)
-    return [(members, sorted(key, key=sorted))
-            for key, members in by_menu.items()]
+def _menus(form, i):
+    """Each information set of the agent with its sorted menu of choices."""
+    sets, _ = info_sets(form, i)
+    return [(p.random_moves,
+             sorted(form.available_at(i, next(iter(p.random_moves))), key=sorted))
+            for p in sets]
 
 
 class StochasticExtensiveForm:
     """A validated extensive form; ``strict`` records strong separation."""
 
     def __init__(self, sdf, agents, agent_moves, info, refchoices, choices,
-                 require_strict=False, axiom6_cap=None, allow_incomplete=False):
+                 require_strict=False, allow_incomplete=False):
         report = validate_sef(sdf, agents, agent_moves, info, refchoices,
-                              choices, axiom6_cap=axiom6_cap)
+                              choices)
         if not report.valid:
             blocking = [v for v in report.violations
                         if not (allow_incomplete and v[0] == "axiom6")]
@@ -318,6 +304,12 @@ class StochasticExtensiveForm:
                     f"invalid extensive form: {report.violations[:1]}")
         if require_strict and not report.strict:
             raise StructureError("strong separation fails")
+        self._store(sdf, agents, agent_moves, info, refchoices, choices)
+        self.strict = report.strict
+        self.report = report
+
+    def _store(self, sdf, agents, agent_moves, info, refchoices, choices):
+        """The normalised fields, before or without validation."""
         self.sdf = sdf
         self.agents = tuple(agents)
         self.agent_moves = {i: frozenset(agent_moves[i]) for i in self.agents}
@@ -326,11 +318,6 @@ class StochasticExtensiveForm:
                            for i in self.agents}
         self.choices = {i: frozenset(frozenset(c) for c in choices[i])
                         for i in self.agents}
-        self.strict = report.strict
-        self.report = report
-
-    def predecessors_of(self, c):
-        return predecessors(self.sdf, c)
 
     def moves_of(self, i):
         cache = self.__dict__.setdefault("_moves_of_cache", {})
@@ -353,8 +340,13 @@ class StochasticExtensiveForm:
         return cache[(i, m)]
 
     def available_at_move(self, i, x):
-        return frozenset(c for c in self.choices[i]
-                         if x in self.predecessors_of(c))
+        cache = self.__dict__.setdefault("_available_move_cache", {})
+        if (i, x) not in cache:
+            forest = self.sdf.forest
+            cache[(i, x)] = frozenset(
+                c for c in self.choices[i]
+                if x in immediate_predecessors(forest, c))
+        return cache[(i, x)]
 
     def __repr__(self):
         return (f"StochasticExtensiveForm({len(self.agents)} agents, "
@@ -441,9 +433,7 @@ def complete_choices(sef, cap=None):
     new_choices = {}
     for i in sef.agents:
         closure = set(sef.choices[i])
-        classes = _availability_classes(
-            sef.sdf, sef.agent_moves[i], sef.choices[i])
-        for members, menu in classes:
+        for members, menu in _menus(sef, i):
             if not menu:
                 continue
             active = sorted({w for m in members for w in m.domain}, key=repr)
@@ -473,8 +463,9 @@ def complete_choices(sef, cap=None):
             old = {c & sef.sdf.root_of(w) for c in sef.choices[i]} - {frozenset()}
             new = {c & sef.sdf.root_of(w) for c in new_choices[i]} - {frozenset()}
             assert old == new
-        old_p = {completed.predecessors_of(c) for c in sef.choices[i]}
-        new_p = {completed.predecessors_of(c) for c in new_choices[i]}
+        forest = sef.sdf.forest
+        old_p = {immediate_predecessors(forest, c) for c in sef.choices[i]}
+        new_p = {immediate_predecessors(forest, c) for c in new_choices[i]}
         assert old_p == new_p
     return completed
 
@@ -578,17 +569,6 @@ def agent_choice_domain(data, agent, prefix, t):
     return frozenset(domain)
 
 
-def _prefixes_at(data, t):
-    k = data.times.index(t)
-    return {f[:k] for (_, f) in data.paths}
-
-
-def _node_of(data, w, prefix):
-    k = len(prefix)
-    return frozenset((v, f) for (v, f) in data.paths
-                     if v == w and f[:k] == prefix)
-
-
 def _in_ct(data, c, t):
     """Membership in the time-t choice family: nonempty, a real
     alternative everywhere, and all-or-nothing on undecided scenarios."""
@@ -596,8 +576,7 @@ def _in_ct(data, c, t):
         return False
     k = data.times.index(t)
     for (w, f) in c:
-        node = _node_of(data, w, f[:k])
-        if node <= c:
+        if data.node(w, f[:k]) <= c:
             return False
     prefixes = {f[:k] for (_, f) in c}
     for prefix in prefixes:
@@ -606,7 +585,7 @@ def _in_ct(data, c, t):
         for (w, f) in data.paths:
             if f[:k] != prefix:
                 continue
-            node = _node_of(data, w, prefix)
+            node = data.node(w, prefix)
             if len(node) < 2:
                 continue
             (hit if node & c else miss).add(w)
@@ -639,7 +618,7 @@ def check_history_structures(data, info, hist):
     time, and blockmates must reveal identical exogenous information."""
     for i in data.agents:
         for t in data.times:
-            decidable = {p for p in _prefixes_at(data, t)
+            decidable = {p for p in data.prefixes(t)
                          if agent_choice_domain(data, i, p, t)}
             blocks = [frozenset(b) for b in hist[i].get(t, ())]
             union = frozenset().union(*blocks) if blocks else frozenset()
@@ -660,8 +639,8 @@ def _check_ap_sef_axioms(data, info, hist, strict, cap):
     for t in data.times:
         k = data.times.index(t)
         for w in data.scenarios:
-            for prefix in _prefixes_at(data, t):
-                node = _node_of(data, w, prefix)
+            for prefix in data.prefixes(t):
+                node = data.node(w, prefix)
                 if not node:
                     continue
                 per_agent = [sorted({f[k][j] for (_, f) in node})

@@ -49,8 +49,6 @@ class Grid:
 
     bound: Ordinal
     eval: object                       # Ordinal -> VTime (horizontal)
-    classical: bool = True
-    deterministic: bool = True
     name: str | None = None
     locate: object = None              # t -> least index with value >= t
     gap: Fraction | None = None        # exact mesh, registered families only

@@ -18,8 +18,6 @@ from conftest import random_poset, random_strict_sef
 
 from exform.equil import (
     EUStructure,
-    _assign,
-    amd_instance,
     bayes_beliefs,
     expected_payoff,
     uniform_tastes,
@@ -28,6 +26,8 @@ from exform.equil import (
 )
 from exform.instances import (
     MP_SCENARIOS,
+    _assign,
+    amd_instance,
     mp_choice_first,
     mp_choice_second,
     mp_sef,

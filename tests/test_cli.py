@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from exform.cli import cli, examples_list, parse_sef, serialize_sef
-from exform.equil import load_example
+from exform.instances import load_example
 from exform.errors import InputError
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 EXAMPLE_NAMES = ["simple", "simple-variant", "amd", "mp-case1", "mp-case2",
                  "mp-case3", "mp-case4", "ultimatum"]
 
@@ -79,6 +84,22 @@ class TestEquilibrium:
         assert result.exit_code == 1
         data = json.loads(result.output)
         assert data["equilibrium"] is False and data["witnesses"]
+
+    def test_witnesses_do_not_depend_on_the_hash_seed(self):
+        outputs = set()
+        for seed in ("1", "2"):
+            result = subprocess.run(
+                [sys.executable, "-c", "from exform.cli import main; main()",
+                 "equilibrium", "verify",
+                 "--sef", "examples:amd", "--p", "1/3", "--json"],
+                capture_output=True, text=True,
+                env={**os.environ, "PYTHONHASHSEED": seed,
+                     "PYTHONPATH": SRC + os.pathsep
+                     + os.environ.get("PYTHONPATH", "")})
+            assert result.returncode == 1, result.stderr
+            outputs.add(result.stdout)
+        (output,) = outputs
+        assert json.loads(output)["witnesses"]
 
     def test_p_outside_grid_is_input_error(self):
         assert run("equilibrium", "verify", "--sef", "examples:amd",

@@ -7,16 +7,12 @@ from hypothesis import strategies as st
 from exform.equil import (
     Belief,
     EUStructure,
-    _assign,
     _feasible_point,
-    amd_instance,
     bayes_beliefs,
     check_dynamic_consistency,
     check_dynamic_rationality,
     expected_payoff,
     information_blocks,
-    load_example,
-    mp_instance,
     unit_domain,
     units,
     uniform_tastes,
@@ -33,9 +29,13 @@ from exform.errors import (
 from exform.instances import (
     MP_SCENARIOS,
     SIMPLE_SCENARIOS,
+    _assign,
+    amd_instance,
     amd_signal,
+    load_example,
     mp_choice_first,
     mp_choice_second,
+    mp_instance,
     simple_split_sdf,
 )
 from exform.play import StrategyProfile, outcome_from, profile_tables

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -209,3 +211,99 @@ def test_union_of_nodes_detection():
     assert is_union_of_nodes(SIMPLE, {w for w in SIMPLE.outcomes})
     assert not is_union_of_nodes(SIMPLE, set())
     assert is_union_of_nodes(SIMPLE, {"o1:11", "o2:21"})
+
+
+# --- oracles: the scans the memoised forest primitives replaced -------------
+
+def union_of_nodes_by_scan(forest, c):
+    """True iff c is a (nonempty) union of members of the forest."""
+    c = frozenset(c)
+    if not c or not c <= forest.outcomes:
+        return False
+    covered = frozenset().union(*[x for x in forest.nodes if x <= c]) \
+        if any(x <= c for x in forest.nodes) else frozenset()
+    return covered == c
+
+
+def predecessors_by_scan(forest, c):
+    """
+    The moves at which c is on offer: all x whose strict up-set equals the
+    strict up-set of some node inside c with the nodes below c removed.
+    """
+    c = frozenset(c)
+    if not union_of_nodes_by_scan(forest, c):
+        raise ChoiceError(f"not a nonempty union of nodes: {sorted(map(repr, c))}")
+    down_c = frozenset(y for y in forest.nodes if y <= c)
+    result = set()
+    for x in forest.nodes:
+        up_x = forest.up(x)
+        for y in down_c:
+            if forest.up(y) - down_c == up_x:
+                result.add(x)
+                break
+    return frozenset(result)
+
+
+def chains_by_cover_walk(outcomes, nodes):
+    """All maximal chains, as root-to-leaf paths of the cover relation."""
+    result = set()
+    roots = [x for x in nodes if not any(y > x for y in nodes)]
+
+    def descend(path, current):
+        children = [y for y in nodes
+                    if y < current and not any(y < z < current for z in nodes)]
+        if not children:
+            result.add(frozenset(path))
+            return
+        for child in children:
+            descend(path + [child], child)
+
+    for root in roots:
+        descend([root], root)
+    return result
+
+
+def assert_primitives_match_oracles(forest, tried):
+    assert all(frozenset({w}) in forest.nodes for w in forest.outcomes)
+    assert forest.maximal_chains() \
+        == chains_by_cover_walk(forest.outcomes, forest.nodes)
+    for c in tried:
+        union = union_of_nodes_by_scan(forest, c)
+        assert is_union_of_nodes(forest, c) == union
+        if union:
+            assert immediate_predecessors(forest, c) \
+                == predecessors_by_scan(forest, c)
+        else:
+            with pytest.raises(ChoiceError):
+                immediate_predecessors(forest, c)
+
+
+def bundled_forms():
+    from exform.instances import amd_sef, mp_sef, simple_sef, ultimatum_sef, \
+        variant_sef
+    return [simple_sef(1), simple_sef(2), variant_sef(1), amd_sef(1)[0],
+            amd_sef(2)[0], mp_sef(1)[0], mp_sef(2)[0], ultimatum_sef()[0]]
+
+
+class TestPrimitivesAgainstScans:
+    @given(forests(), st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_hypothesis_forests(self, f, data):
+        outcomes = sorted(f.outcomes)
+        subsets = data.draw(st.lists(st.sets(st.sampled_from(outcomes)),
+                                     max_size=8))
+        tried = list(f.nodes) + subsets + [set(), {outcomes[0], "alien"}]
+        assert_primitives_match_oracles(f, tried)
+
+    def test_bundled_forms(self):
+        rng = random.Random(7)
+        for form in bundled_forms():
+            f = form.sdf.forest
+            outcomes = sorted(f.outcomes)
+            tried = list(f.nodes) + [set(), {outcomes[0], "alien"}]
+            tried += [c for i in form.agents for c in form.choices[i]]
+            tried += [c for i in form.agents
+                      for cs in form.refchoices[i].values() for c in cs]
+            tried += [rng.sample(outcomes, rng.randint(1, len(outcomes)))
+                      for _ in range(40)]
+            assert_primitives_match_oracles(f, tried)

@@ -11,18 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_rng, random_strict_sef
-from exform.equil import load_example
 from exform.errors import (
     InputError,
     MultipleOutcomes,
     NoOutcome,
     NotAHistory,
 )
-from exform.forest import DecisionForest, closure
+from exform.forest import DecisionForest, closure, immediate_predecessors
 from exform.instances import (
     MP_SCENARIOS,
     amd_sdf,
     amd_sef,
+    load_example,
     mp_choice_second,
     mp_sdf,
     mp_sef,
@@ -32,7 +32,7 @@ from exform.instances import (
     ultimatum_sef,
 )
 from exform.play import StrategyProfile, outcome_from, profile_tables
-from exform.sdf import RandomMove, StochasticDecisionForest, predecessors
+from exform.sdf import RandomMove, StochasticDecisionForest
 from exform.sef import (
     StochasticExtensiveForm,
     _axiom1_violations,
@@ -225,7 +225,7 @@ def pairwise_axiom1(sdf, agents, choices):
     checked = {}
 
     def P(c):
-        return predecessors(sdf, c)
+        return immediate_predecessors(sdf.forest, c)
 
     checked["axiom1"] = True
     slice_cache = {}
@@ -283,7 +283,8 @@ class TestGroupedAxiom1:
         moves = [RandomMove({"w": frozenset(x)}) for x in forest.moves()]
         sdf = StochasticDecisionForest(forest, ("w",), projection, moves)
         wide, narrow = frozenset("acd"), frozenset("a")
-        assert predecessors(sdf, narrow) < predecessors(sdf, wide)
+        assert immediate_predecessors(sdf.forest, narrow) \
+            < immediate_predecessors(sdf.forest, wide)
         choices = {"i": frozenset({wide, narrow, frozenset("b"),
                                    frozenset("c"), frozenset("d")})}
         self.assert_agrees(sdf, ("i",), choices)

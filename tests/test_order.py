@@ -139,6 +139,28 @@ class TestOrderPredicates:
         assert flags["coherent"]
 
 
+def complete_by_ordered_pairs(poset):
+    """
+    True iff the finite poset is a complete lattice.
+
+    For finite posets it suffices that all pairwise joins and meets exist
+    along with a top and a bottom.
+    """
+    if not poset.elements:
+        return False
+    if poset.maximum_of(poset.elements) is None:
+        return False
+    if poset.minimum_of(poset.elements) is None:
+        return False
+    for a in poset.elements:
+        for b in poset.elements:
+            if poset.supremum_of({a, b}) is None:
+                return False
+            if poset.infimum_of({a, b}) is None:
+                return False
+    return True
+
+
 def brute_force_complete(lattice):
     """Direct definition: every subset has a supremum and an infimum."""
     from exform._util import powerset
@@ -171,6 +193,17 @@ class TestDMCompletion:
     def test_complete_lattice_shortcut_matches_brute_force(self, p):
         lattice, _ = dm_completion(p)
         assert is_complete_lattice(lattice) == brute_force_complete(lattice)
+
+    def test_empty_poset_is_not_a_lattice(self):
+        assert not is_complete_lattice(Poset([], []))
+
+    @given(posets(max_size=6))
+    @settings(deadline=None, max_examples=150)
+    def test_pairwise_meets_match_every_ordered_pair(self, p):
+        # random posets are seldom lattices, their completions always are
+        lattice, _ = dm_completion(p)
+        for q in (p, lattice):
+            assert is_complete_lattice(q) == complete_by_ordered_pairs(q)
 
     @given(posets())
     @settings(deadline=None)

@@ -14,7 +14,7 @@ from exform.errors import (
     NotClosed,
     WNotInHistoryCore,
 )
-from exform.forest import histories
+from exform.forest import histories, immediate_predecessors
 from exform.instances import (
     SIMPLE_SEF_ROWS,
     VARIANT_SEF_ROWS,
@@ -201,7 +201,8 @@ def coarsened(sef, rng):
     validation on purpose."""
     pairs = [(c, d) for c, d in itertools.combinations(
         sorted(sef.choices["i"], key=sorted), 2)
-        if sef.predecessors_of(c) == sef.predecessors_of(d)]
+        if immediate_predecessors(sef.sdf.forest, c)
+        == immediate_predecessors(sef.sdf.forest, d)]
     c, d = rng.choice(pairs)
     pseudo = object.__new__(StochasticExtensiveForm)
     pseudo.sdf = sef.sdf

@@ -7,7 +7,7 @@ from exform.errors import (
     NotOrderConsistent,
     StructureError,
 )
-from exform.forest import DecisionForest
+from exform.forest import DecisionForest, immediate_predecessors
 from exform.instances import (
     SIMPLE_SCENARIOS,
     amd_sdf,
@@ -35,7 +35,6 @@ from exform.sdf import (
     is_available_at,
     is_complete,
     is_non_redundant,
-    predecessors,
     timing_map,
     validate_reference_choices,
     validate_sdf,
@@ -244,11 +243,14 @@ class TestChoices:
     def test_predecessor_images(self, simple):
         sdf, (x0, x1, x2) = simple
         for f in scenario_maps():
-            assert predecessors(sdf, simple_choice_first(f)) == x0.image
+            assert immediate_predecessors(sdf.forest, simple_choice_first(f)) \
+                == x0.image
             for k in "12":
                 m = x1 if k == "1" else x2
-                assert predecessors(sdf, simple_choice_second(k, f)) == m.image
-            assert predecessors(sdf, simple_choice_second_any(f)) \
+                assert immediate_predecessors(
+                    sdf.forest, simple_choice_second(k, f)) == m.image
+            assert immediate_predecessors(
+                sdf.forest, simple_choice_second_any(f)) \
                 == x1.image | x2.image
 
     def test_root_choice_is_redundant(self, simple):

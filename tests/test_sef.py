@@ -1,7 +1,7 @@
 import pytest
 
 from exform.errors import APSEFAxiomViolation, StructureError
-from exform.forest import DecisionForest
+from exform.forest import DecisionForest, immediate_predecessors
 from exform.instances import (
     DISCRETE,
     SIMPLE_SCENARIOS,
@@ -162,7 +162,8 @@ class TestInformationSets:
         # predecessor sets of choices tile the agent's moves; available
         # menus tile the choices; info sets biject onto predecessor sets
         for i in sef.agents:
-            psets = {sef.predecessors_of(c) for c in sef.choices[i]}
+            psets = {immediate_predecessors(sef.sdf.forest, c)
+                     for c in sef.choices[i]}
             seen = set()
             for p in psets:
                 assert not p & seen
@@ -170,7 +171,8 @@ class TestInformationSets:
             assert seen == sef.moves_of(i)
             menus = {}
             for c in sef.choices[i]:
-                menus.setdefault(sef.predecessors_of(c), set()).add(c)
+                menus.setdefault(immediate_predecessors(sef.sdf.forest, c),
+                                 set()).add(c)
             assert frozenset().union(*menus.values()) == sef.choices[i]
             sets, preds = info_sets(sef, i)
             assert {preds[p] for p in sets} == psets
