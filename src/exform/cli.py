@@ -409,8 +409,10 @@ def timing_sim(eta, whistle, trials, seed, deviation, grid_n, as_json):
     lines = ["exact distribution: "
              + ", ".join(f"{cls.value}={format_rational(p)}"
                          for cls, p in exact.items())]
+    # the approximant's batch is the seeded batch of the race itself
+    approx = None if grid_n is None else timing.grid_approximant(config, grid_n)
     if trials:
-        stats = timing.monte_carlo(config)
+        stats = timing.monte_carlo(config) if approx is None else approx.stats
         data["counts"] = {cls.value: k for cls, k in stats.counts.items()}
         data["frequencies"] = {cls.value: format_rational(p)
                                for cls, p in stats.probabilities.items()}
@@ -428,8 +430,7 @@ def timing_sim(eta, whistle, trials, seed, deviation, grid_n, as_json):
         value = timing.deviation_payoff(config, _parse_deviation(deviation))
         data["deviation_payoff"] = format_rational(value)
         lines.append(f"deviation payoff: {format_rational(value)}")
-    if grid_n is not None:
-        approx = timing.grid_approximant(config, grid_n)
+    if approx is not None:
         data["grid"] = {"mesh": format_rational(approx.mesh)}
         lines.append(f"grid approximant: mesh {format_rational(approx.mesh)}")
     emit(as_json, "\n".join(lines), data)

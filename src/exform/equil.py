@@ -15,13 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from ._util import budget
-from .errors import (
-    BudgetExceeded,
-    EnumerationBudgetExceeded,
-    InputError,
-    ZeroProbabilityBlockRequested,
-)
+from .errors import InputError, ZeroProbabilityBlockRequested
 from .play import StrategyProfile, outcome_from, profile_tables
 from .sef import info_sets, strategies
 
@@ -152,13 +146,12 @@ class RationalityReport:
         return self.rational
 
 
-def check_dynamic_rationality(sef, eu, profile, cap=None):
+def check_dynamic_rationality(sef, eu, profile):
     """
     Exhaustive one-agent deviation check: at every info set of every
     agent, the profile's conditional payoff must weakly dominate every
     unilateral deviation on every positive-probability block.
     """
-    cap = budget(cap if cap is not None else 10 ** 6)
     if isinstance(profile, dict):
         profile = StrategyProfile(profile)
     validate_eu(sef, eu)
@@ -173,10 +166,7 @@ def check_dynamic_rationality(sef, eu, profile, cap=None):
         report.payoffs[unit] = values
         report.zero_blocks[unit] = zero
     for i in sef.agents:
-        try:
-            deviations = strategies(sef, i, cap=cap)
-        except BudgetExceeded as err:
-            raise EnumerationBudgetExceeded(str(err)) from err
+        deviations = strategies(sef, i)
         own_units = [u for u in my_units if u[0] == i]
         for t in deviations:
             swapped = dict(profile.strategies)

@@ -9,8 +9,17 @@ set representation, never stored.
 from dataclasses import dataclass
 
 from ._util import budget
-from .errors import ChoiceError, InputError, NotAHistory, StructureError
+from .errors import (
+    BudgetExceeded,
+    ChoiceError,
+    InputError,
+    NotAHistory,
+    StructureError,
+)
 from .order import Poset
+
+# default cap of the history enumeration; EXFORM_BUDGET overrides it
+HISTORIES_CAP = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -190,17 +199,17 @@ def immediate_predecessors(forest, c):
     return cache[c]
 
 
-def histories(forest, cap=None):
+def histories(forest):
     """
     All histories: nonempty, non-maximal, upward closed chains.  In a
     finite forest these are exactly the principal up-sets of the moves.
     """
-    cap = budget(cap if cap is not None else 2 ** 16)
+    cap = budget(HISTORIES_CAP)
     result = set()
     for x in forest.moves():
         result.add(forest.up(x))
         if len(result) > cap:
-            raise StructureError(f"more than {cap} histories")
+            raise BudgetExceeded(f"more than {cap} histories")
     return result
 
 

@@ -15,6 +15,11 @@ from itertools import combinations
 from ._util import budget, powerset
 from .errors import BudgetExceeded, InputError, StructureError
 
+# default caps of the chain and DM-completion subset enumerations;
+# EXFORM_BUDGET overrides both
+CHAINS_CAP = 2 ** 16
+DM_CAP = 2 ** 22
+
 
 class Poset:
     """An explicit finite poset: a label set plus its full order relation."""
@@ -158,9 +163,9 @@ def _maximal_chains(poset):
     return frozenset(poset.up(m) for m in poset.minimal())
 
 
-def all_chains(poset, cap=None):
+def all_chains(poset):
     """Every nonempty chain of a rooted forest, enumerated exhaustively."""
-    cap = budget(cap if cap is not None else 2 ** 16)
+    cap = budget(CHAINS_CAP)
     seen = set()
     for mc in _maximal_chains(poset):
         for subset in powerset(sorted(mc, key=repr)):
@@ -246,12 +251,12 @@ def _lower_closure(poset, subset):
     return bounds(poset, subset)[1]
 
 
-def dm_completion(poset, cap=None):
+def dm_completion(poset):
     """
     The Dedekind-MacNeille completion: all subsets A with A^{ul} = A,
     ordered by inclusion, together with the embedding x -> down-set of x.
     """
-    cap = budget(cap if cap is not None else 2 ** 22)
+    cap = budget(DM_CAP)
     if 2 ** len(poset.elements) > cap:
         raise BudgetExceeded(
             f"2^{len(poset.elements)} subsets exceed the budget {cap}")

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 from ._util import budget
 from .errors import (
-    BudgetExceeded,
     EnumerationBudgetExceeded,
     InputError,
     MultipleOutcomes,
@@ -28,6 +27,10 @@ from .forest import DecisionForest, closure, histories, is_history
 from .order import order_predicates
 from .sdf import StochasticDecisionForest
 from .sef import StochasticExtensiveForm, convert_strategy, strategies
+
+# default cap of the (history, profile) pairs of the direct well-posedness
+# check; EXFORM_BUDGET overrides it
+WELLPOSED_CAP = 10 ** 6
 
 
 @dataclass
@@ -185,22 +188,19 @@ class WellPosedReport:
         return self.attainable and self.existence and self.uniqueness
 
 
-def _all_profiles(sef, cap):
-    per_agent = [strategies(sef, i, cap=cap) for i in sef.agents]
+def _all_profiles(sef):
+    per_agent = [strategies(sef, i) for i in sef.agents]
     for combo in itertools.product(*per_agent):
         yield StrategyProfile(dict(zip(sef.agents, combo)))
 
 
-def check_wellposed_direct(sef, cap=None):
+def check_wellposed_direct(sef):
     """Exhaustive verification of the three well-posedness properties over
     all (profile, history) pairs, profile by profile: each profile's
     tables are built once and answer every history from their memo."""
-    cap = budget(cap if cap is not None else 10 ** 6)
+    cap = budget(WELLPOSED_CAP)
     hs = sorted(histories(sef.sdf.forest), key=sorted)
-    try:
-        profiles = list(_all_profiles(sef, cap))
-    except BudgetExceeded as err:
-        raise EnumerationBudgetExceeded(str(err)) from err
+    profiles = list(_all_profiles(sef))
     if len(hs) * len(profiles) > cap:
         raise EnumerationBudgetExceeded(
             f"{len(hs)} histories x {len(profiles)} profiles")

@@ -11,7 +11,7 @@ space are represented as partitions throughout; "measurable" means
 import itertools
 from dataclasses import dataclass, field
 
-from ._util import budget, partitions_of, powerset
+from ._util import budget, partitions_of
 from .errors import (
     APAxiomViolation,
     BudgetExceeded,
@@ -21,6 +21,11 @@ from .errors import (
 )
 from .forest import DecisionForest, immediate_predecessors, is_union_of_nodes
 from .order import Poset, roots_and_components
+
+# default caps of the random-move merge and recall-structure searches;
+# EXFORM_BUDGET overrides both
+MERGE_CAP = 10 ** 5
+RECALL_CAP = 10 ** 5
 
 
 class RandomMove:
@@ -219,14 +224,14 @@ class SDFFlags:
     witnesses: dict = field(default_factory=dict)
 
 
-def check_flags(sdf, merge_cap=None):
+def check_flags(sdf):
     """
     Order consistency, sure non-triviality, and maximality of the random
     move cover.  Maximality is decided by exhaustive search over mergings
     of compatible random moves into coarser order-consistent covers, and
     over proper sub-covers; beyond the budget it is reported as None.
     """
-    merge_cap = budget(merge_cap if merge_cap is not None else 10 ** 5)
+    merge_cap = budget(MERGE_CAP)
     consistent, witness = is_order_consistent(sdf.random_moves)
     witnesses = {}
     if not consistent:
@@ -372,9 +377,9 @@ def _is_block_union(event, partition):
     return not rest
 
 
-def enumerate_recall_structures(sdf, agent_moves, cap=None):
+def enumerate_recall_structures(sdf, agent_moves):
     """All families of per-move partitions admitting recall, exhaustively."""
-    cap = budget(cap if cap is not None else 10 ** 5)
+    cap = budget(RECALL_CAP)
     agent_moves = sorted(agent_moves, key=lambda m: repr(m.graph))
     per_move = [
         [tuple(p) for p in partitions_of(sorted(m.domain, key=repr))]
@@ -512,14 +517,8 @@ class ActionPathData:
         return frozenset((v, g) for (v, g) in self.paths
                          if v == w and g[:k] == prefix)
 
-    def all_paths(self):
-        """The full ambient path space, one tuple per element of A^T."""
-        profiles = list(itertools.product(
-            *[self.actions[i] for i in self.agents]))
-        return itertools.product(*[profiles for _ in self.times])
 
-
-def _check_ap_axioms(data, require_maximal, cap):
+def _check_ap_axioms(data, require_maximal):
     for (w, f) in data.paths:
         for t in data.times:
             node = data.node(w, data.prefix(f, t))
@@ -528,22 +527,8 @@ def _check_ap_axioms(data, require_maximal, cap):
                     if len(node) != 1:
                         raise APAxiomViolation(1, (w, f, t, u))
 
-    # boundedness: vacuous on a finite grid with explicit outcomes, but
-    # checked literally over every subset of times
-    count = 0
-    for w in data.scenarios:
-        for f_tilde in data.all_paths():
-            count += 1
-            if count > cap:
-                raise BudgetExceeded("ambient path space exceeds the budget")
-            live = [t for t in data.times
-                    if data.node(w, data.prefix(f_tilde, t))]
-            for times_subset in powerset(live):
-                if not times_subset:
-                    continue
-                top = max(times_subset)
-                if not data.node(w, data.prefix(f_tilde, top)):
-                    raise APAxiomViolation(2, (w, f_tilde, times_subset))
+    # axiom 2 (boundedness) needs no check: on a finite grid the last
+    # time with a nonempty node bounds every set of such times
 
     if require_maximal:
         for t in data.times:
@@ -578,14 +563,13 @@ def _ap_domain_of_prefix(data, prefix, t):
     return domain
 
 
-def build_action_path_sdf(data, require_maximal=True, cap=None):
+def build_action_path_sdf(data, require_maximal=True):
     """
     Build the induced stochastic decision forest from action-path data,
     verifying its axioms first.  Returns the SDF and the timing map from
     random moves to grid times.
     """
-    cap = budget(cap if cap is not None else 10 ** 6)
-    _check_ap_axioms(data, require_maximal, cap)
+    _check_ap_axioms(data, require_maximal)
 
     nodes = set()
     for (w, f) in data.paths:

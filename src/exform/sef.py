@@ -18,6 +18,7 @@ from .errors import (
     APSEFAxiomViolation,
     BudgetExceeded,
     ChoiceError,
+    EnumerationBudgetExceeded,
     InputError,
     StructureError,
 )
@@ -31,9 +32,14 @@ from .sdf import (
     xgeq,
 )
 
-# default caps of validate_sef's two searches; EXFORM_BUDGET overrides both
+# default caps of the module's searches; EXFORM_BUDGET overrides each:
+# validate_sef's Axiom 6 and Axiom 2 searches, the choice completion, the
+# strategy enumeration and the joint action profiles of action-path forms
 AXIOM6_CAP = 10 ** 4
 AXIOM2_CAP = 10 ** 6
+COMPLETION_CAP = 10 ** 5
+STRATEGIES_CAP = 10 ** 6
+AP_PROFILES_CAP = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -422,14 +428,14 @@ def check_heraclitus(sef):
     return not witnesses, witnesses
 
 
-def complete_choices(sef, cap=None):
+def complete_choices(sef):
     """
     The closure adding every adapted choice that agrees scenario-wise with
     existing choices and is offered at a subset of an existing predecessor
     set.  Scenario-wise slices and predecessor sets are asserted to stay
     unchanged, and the result is a valid extensive form.
     """
-    cap = budget(cap if cap is not None else 10 ** 5)
+    cap = budget(COMPLETION_CAP)
     new_choices = {}
     for i in sef.agents:
         closure = set(sef.choices[i])
@@ -470,9 +476,9 @@ def complete_choices(sef, cap=None):
     return completed
 
 
-def strategies(sef, i, cap=None):
+def strategies(sef, i):
     """All strategies of the agent, as assignments of available choices."""
-    cap = budget(cap if cap is not None else 10 ** 6)
+    cap = budget(STRATEGIES_CAP)
     sets, _ = info_sets(sef, i)
     sets = sorted(sets, key=lambda p: sorted(map(repr, p.random_moves)))
     menus = [sorted(sef.available_at(i, next(iter(p.random_moves))),
@@ -481,7 +487,7 @@ def strategies(sef, i, cap=None):
     for menu in menus:
         total *= max(len(menu), 1)
     if total > cap:
-        raise BudgetExceeded(f"{total} strategies exceed the budget")
+        raise EnumerationBudgetExceeded(f"{total} strategies exceed the budget")
     result = []
     for combo in itertools.product(*menus):
         result.append(Strategy(i, dict(zip(sets, combo))))
@@ -631,7 +637,8 @@ def check_history_structures(data, info, hist):
                     raise APSEFAxiomViolation("history-info", (i, t, block))
 
 
-def _check_ap_sef_axioms(data, info, hist, strict, cap):
+def _check_ap_sef_axioms(data, info, hist):
+    cap = budget(AP_PROFILES_CAP)
     check_history_structures(data, info, hist)
 
     # joint realizability of simultaneous action profiles
@@ -710,23 +717,17 @@ def _check_ap_sef_axioms(data, info, hist, strict, cap):
                             ok = True
                 if not ok:
                     raise APSEFAxiomViolation(3, (w, f, f2, t0))
-            if strict:
-                # a first time of disagreement exists; automatic on a
-                # finite grid, checked literally
-                if not min(k for k in range(len(data.times))
-                           if f[k] != f2[k]) >= 0:
-                    raise APSEFAxiomViolation("3-strong", (w, f, f2))
 
 
-def build_action_path_sef(data, info, hist, strict=True, cap=None):
+def build_action_path_sef(data, info, hist):
     """
     The extensive form induced by action-path data, exogenous information
-    keyed by (time, prefix), and history structures.  Returns the form,
-    the timing map, and the index (time, prefix) -> random move.
+    keyed by (time, prefix), and history structures; it must satisfy
+    strong separation.  Returns the form, the timing map, and the index
+    (time, prefix) -> random move.
     """
-    cap = budget(cap if cap is not None else 10 ** 6)
-    _check_ap_sef_axioms(data, info, hist, strict, cap)
-    sdf, timing = build_action_path_sdf(data, require_maximal=False, cap=cap)
+    _check_ap_sef_axioms(data, info, hist)
+    sdf, timing = build_action_path_sdf(data, require_maximal=False)
 
     index = {}
     for m, t in timing.items():
@@ -794,8 +795,7 @@ def build_action_path_sef(data, info, hist, strict=True, cap=None):
         choices[i] = frozenset(mine_choices)
 
     sef = StochasticExtensiveForm(sdf, agents, agent_moves, move_info,
-                                  refchoices, choices,
-                                  require_strict=strict)
+                                  refchoices, choices, require_strict=True)
     return sef, timing, index
 
 

@@ -9,7 +9,7 @@ argument and processes are plain value tables.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -251,7 +251,11 @@ def _sample_indices(bound, extra=()):
                   key=lambda s: (len(s.cnf), s.cnf))
 
 
-def validate_grid(grid, stages=8):
+# stages of the fundamental sequence validate_grid reads below each limit
+LIMIT_STAGES = 8
+
+
+def validate_grid(grid):
     """
     Check the grid axioms: starts at zero, ends at infinity, strictly
     increasing where finite, continuous at limit indices.  Sampled for
@@ -271,7 +275,8 @@ def validate_grid(grid, stages=8):
     for sample, value in zip(samples, values):
         if not is_limit(sample):
             continue
-        below = list(itertools.islice(fundamental_sequence(sample), stages))
+        below = list(itertools.islice(fundamental_sequence(sample),
+                                      LIMIT_STAGES))
         climb = [grid(s) for s in below]
         if any(not u < value for u in climb if not value.is_infinity):
             raise GridAxiomViolation(
@@ -305,7 +310,11 @@ def check_refines(coarse, fine, probes=()):
     return True
 
 
-def grid_size(grid, samples=64):
+# finite indices grid_size samples on an unregistered infinite grid
+GAP_SAMPLES = 64
+
+
+def grid_size(grid):
     """
     The supremum of consecutive horizontal gaps; infinite when the grid
     never reaches past a finite horizon.  Exact for registered families,
@@ -320,7 +329,7 @@ def grid_size(grid, samples=64):
     # infinite bound: continuity at the bound forces an unbounded image,
     # so the size is the supremum of the sampled consecutive gaps
     indices = _sample_indices(grid.bound,
-                              [ordinal(k) for k in range(samples)])
+                              [ordinal(k) for k in range(GAP_SAMPLES)])
     best = Fraction(0)
     for s in indices:
         here, after = grid(s), grid(ord_succ(s))

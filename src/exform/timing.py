@@ -11,15 +11,13 @@ post-whistle stopping level worth exactly zero and supports the mixing.
 import hashlib
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from . import tilt
 from .errors import InconsistentOutcome, InputError
-from .vtime import OMEGA, Ordinal, VTime, ord_succ, ordinal, vt
-
-OMEGA_PLUS_ONE = ord_succ(OMEGA)
+from .vtime import OMEGA, VTime, ordinal, vt
 
 # vertical levels sampled before the forced boundary stop; the chance of
 # ever getting here is below (3/4)**200 for any positive eta
@@ -61,7 +59,6 @@ class PreWhistleStop:
 class TimingConfig:
     eta: Fraction = Fraction(1)
     whistle: object = Fraction(0)      # rational time or {time: probability}
-    vertical_cap: Ordinal = OMEGA_PLUS_ONE
     trials: int = 0
     seed: int = 0
 
@@ -81,8 +78,6 @@ class TimingConfig:
             if whistle < 0:
                 raise InputError(f"whistle time must be nonnegative: {whistle}")
         object.__setattr__(self, "whistle", whistle)
-        if self.vertical_cap != OMEGA_PLUS_ONE:
-            raise InputError("only the vertical cap w + 1 is supported")
         if not 0 <= self.trials:
             raise InputError(f"negative trial count: {self.trials}")
         if not 0 <= self.seed < 2 ** 64:

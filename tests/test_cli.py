@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from exform import timing
 from exform.cli import cli, examples_list, parse_sef, serialize_sef
 from exform.instances import load_example
 from exform.errors import InputError
@@ -210,6 +211,18 @@ class TestTimingCommand:
         args = ["timing-sim", "--eta", "1", "--trials", "1000",
                 "--seed", "9", "--json"]
         assert run(*args).output == run(*args).output
+
+    def test_grid_reuses_the_seeded_batch(self, monkeypatch):
+        # the approximant's batch is the race's own: one draw serves both
+        args = ["timing-sim", "--eta", "1", "--trials", "300", "--seed", "4"]
+        alone = run(*args).output
+        calls = []
+        draw = timing.monte_carlo
+        monkeypatch.setattr(timing, "monte_carlo",
+                            lambda config: calls.append(config) or draw(config))
+        both = run(*args, "--grid-n", "3").output
+        assert len(calls) == 1
+        assert both == alone + "grid approximant: mesh 1/8\n"
 
 
 class TestUndecided:

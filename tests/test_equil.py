@@ -316,10 +316,11 @@ class TestPayoffInterface:
         with pytest.raises(InputError):
             expected_payoff(sef, eu, s, *unit, block=frozenset({"o1"}))
 
-    def test_rationality_budget(self):
+    def test_rationality_budget(self, monkeypatch):
         sef, eu, s, _ = load_example("simple")
+        monkeypatch.setenv("EXFORM_BUDGET", "1")
         with pytest.raises(EnumerationBudgetExceeded):
-            check_dynamic_rationality(sef, eu, s, cap=1)
+            check_dynamic_rationality(sef, eu, s)
 
     def test_missing_belief_rejected(self):
         sef, eu, s, _ = load_example("simple")

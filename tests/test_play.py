@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from conftest import make_rng, random_strict_sef
 from exform._util import budget
 from exform.errors import (
-    BudgetExceeded,
     EnumerationBudgetExceeded,
     MultipleOutcomes,
     NoOutcome,
@@ -120,7 +119,7 @@ class TestInducedOutcome:
         from exform.play import _all_profiles
         for h in histories(sef.sdf.forest):
             core = frozenset.intersection(*h)
-            for profile in _all_profiles(sef, 10 ** 6):
+            for profile in _all_profiles(sef):
                 w = induced_outcome(sef, profile, h)
                 fixed = [v for v in core
                          if v in reduction_set(sef, v, profile, h)]
@@ -146,9 +145,12 @@ class TestWellPosedness:
                     for w in sef.sdf.scenarios]
         assert all(verdicts) == bool(check_wellposed_direct(sef))
 
-    def test_budget_enforced(self):
+    def test_budget_enforced(self, monkeypatch):
+        sef = simple_sef(7)
+        # 6 histories and 8 profiles each fit, their 48 pairs do not
+        monkeypatch.setenv("EXFORM_BUDGET", "20")
         with pytest.raises(EnumerationBudgetExceeded):
-            check_wellposed_direct(simple_sef(7), cap=3)
+            check_wellposed_direct(sef)
 
     def test_underseparated_pseudo_structure_fails_uniqueness(self):
         pseudo = underseparated_pseudo()
@@ -212,16 +214,13 @@ def coarsened(sef, rng):
     return pseudo
 
 
-def wellposed_by_forward_play(sef, cap=None):
+def wellposed_by_forward_play(sef):
     """The well-posedness sweep by forward play, history by history with
     fresh tables for every profile, kept verbatim as the oracle (the
     move-table builder is ``profile_tables``)."""
-    cap = budget(cap if cap is not None else 10 ** 6)
+    cap = budget(10 ** 6)
     hs = sorted(histories(sef.sdf.forest), key=sorted)
-    try:
-        profiles = list(_all_profiles(sef, cap))
-    except BudgetExceeded as err:
-        raise EnumerationBudgetExceeded(str(err)) from err
+    profiles = list(_all_profiles(sef))
     if len(hs) * len(profiles) > cap:
         raise EnumerationBudgetExceeded(
             f"{len(hs)} histories x {len(profiles)} profiles")
@@ -292,7 +291,7 @@ class TestClosureInvariance:
         for h in histories(sef.sdf.forest):
             hbar = closure(sef.sdf.forest, h)
             core = frozenset.intersection(*h)
-            for profile in _all_profiles(sef, 10 ** 6):
+            for profile in _all_profiles(sef):
                 for w in core:
                     assert reduction_set(sef, w, profile, h) == \
                         reduction_set(sef, w, profile, hbar)

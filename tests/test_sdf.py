@@ -159,9 +159,10 @@ class TestFlags:
         assert flags.order_consistent
         assert not flags.surely_nontrivial
 
-    def test_merge_budget_reports_unknown(self):
+    def test_merge_budget_reports_unknown(self, monkeypatch):
         sdf = simple_split_sdf()
-        flags = check_flags(sdf, merge_cap=3)
+        monkeypatch.setenv("EXFORM_BUDGET", "3")
+        flags = check_flags(sdf)
         assert flags.maximal is None
         assert flags.witnesses["maximal"] == "budget exceeded"
 
@@ -233,10 +234,11 @@ class TestRecall:
         assert not check_recall(sdf, {x0: DISC, x1: TRIV, x2: DISC},
                                 sdf.random_moves)
 
-    def test_budget_enforced(self, simple):
+    def test_budget_enforced(self, simple, monkeypatch):
         sdf, _ = simple
+        monkeypatch.setenv("EXFORM_BUDGET", "2")
         with pytest.raises(BudgetExceeded):
-            enumerate_recall_structures(sdf, sdf.random_moves, cap=2)
+            enumerate_recall_structures(sdf, sdf.random_moves)
 
 
 class TestChoices:
@@ -386,6 +388,18 @@ class TestActionPaths:
         assert exc.value.axiom == 3
         sdf, _ = build_action_path_sdf(data, require_maximal=False)
         assert check_flags(sdf).maximal is False
+
+    def test_boundedness_needs_no_path_space_search(self, monkeypatch):
+        # 2^4 ambient paths exceed the budget, but boundedness holds on
+        # every finite grid and is not searched for
+        paths = frozenset(("w", ((a,),) * 4) for a in "12")
+        data = ActionPathData(agents=("p",), actions={"p": ("1", "2")},
+                              times=(0, 1, 2, 3), scenarios=("w",),
+                              paths=paths)
+        monkeypatch.setenv("EXFORM_BUDGET", "10")
+        sdf, timing = build_action_path_sdf(data)
+        assert len(sdf.random_moves) == 1
+        assert list(timing.values()) == [0]
 
     def test_malformed_data_rejected(self):
         from exform.errors import InputError

@@ -102,6 +102,23 @@ class TestAxiomViolations:
         x0 = RandomMove({"w": frozenset(outcomes)})
         return StochasticDecisionForest(forest, ("w",), projection, [x0]), x0
 
+    def test_unseparated_second_stage(self):
+        # owning only the root, the agent cannot separate the two outcomes
+        # below either stage-two node of a scenario
+        sdf, moves = simple_sdf()
+        x0 = moves[0]
+        firsts = tuple(simple_choice_first(const(k)) for k in "12")
+        report = validate_sef(sdf, ("i",), {"i": frozenset({x0})},
+                              {"i": {x0: TRIVIAL}}, {"i": {x0: firsts}},
+                              {"i": frozenset(firsts)})
+        assert not report.valid
+        assert report.checked["axiom3"] is False
+        separation = [v for v in report.violations if v[0] == "axiom3"]
+        assert len(separation) == 4
+        assert {frozenset({y, y2}) for _, (_, y, y2) in separation} == {
+            frozenset({frozenset({f"{w}:{a}1"}), frozenset({f"{w}:{a}2"})})
+            for w in SIMPLE_SCENARIOS for a in "12"}
+
     def test_overlapping_slices(self):
         sdf, x0 = self._one_shot(["w:1", "w:2", "w:3"])
         info = {"i": {x0: frozenset({frozenset({"w"})})}}

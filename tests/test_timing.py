@@ -27,7 +27,7 @@ from exform.timing import (
     stop_prob,
 )
 from exform.tilt import validate_grid
-from exform.vtime import OMEGA, VTime, ordinal, ord_succ, vt
+from exform.vtime import VTime, ordinal, ord_succ, vt
 
 ETAS = [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5)]
 
@@ -138,8 +138,6 @@ class TestConfig:
             TimingConfig(eta=0)
         with pytest.raises(InputError):
             TimingConfig(whistle=Fraction(-1))
-        with pytest.raises(InputError):
-            TimingConfig(vertical_cap=OMEGA)
         with pytest.raises(InputError):
             TimingConfig(seed=2 ** 64)
         with pytest.raises(InputError):
