@@ -214,30 +214,24 @@ def histories(forest):
 
 
 def is_history(forest, h):
+    """
+    True iff h is a nonempty, non-maximal, upward closed chain.  In a
+    finite forest such a chain is the up-set of its smallest member, and
+    that member is a move.
+    """
     h = frozenset(frozenset(x) for x in h)
     if not h or not h <= forest.nodes:
         return False
-    for a in h:
-        for b in h:
-            if not (a <= b or b <= a):
-                return False
-        if not forest.up(a) <= h:  # upward closed
-            return False
-    maximal = h in forest.maximal_chains()
-    return not maximal
+    x = min(h, key=len)
+    return x in forest.moves() and forest.up(x) == h
 
 
 def closure(forest, h):
-    """The history together with its infimum, when that infimum exists."""
+    """
+    The history together with its infimum.  A history is the up-set of
+    its minimum, which is that infimum, so every history is closed.
+    """
     h = frozenset(frozenset(x) for x in h)
     if not is_history(forest, h):
         raise NotAHistory(f"not a history: {sorted(map(sorted, h))}")
-    core = frozenset.intersection(*h)
-    below = [x for x in forest.nodes if x <= core
-             and all(x <= y for y in h)]
-    if not below:
-        return h
-    inf = max(below, key=len)
-    if all(x <= inf for x in below):
-        return h | {inf}
     return h

@@ -19,7 +19,6 @@ from .errors import (
     InputError,
     MultipleOutcomes,
     NoOutcome,
-    NotAHistory,
     NotClosed,
     WNotInHistoryCore,
 )
@@ -52,10 +51,8 @@ class OutcomeReport:
 
 
 def _core(sef, h):
-    h = frozenset(frozenset(x) for x in h)
-    if not is_history(sef.sdf.forest, h):
-        raise NotAHistory(f"not a history: {sorted(map(sorted, h))}")
-    return closure(sef.sdf.forest, h), frozenset.intersection(*h)
+    h = closure(sef.sdf.forest, h)
+    return h, min(h, key=len)
 
 
 def _reduction(sef, tables, w, core):
@@ -273,8 +270,7 @@ def scenario_truncation(sef, w):
 def closed_history_minimum(sef, h):
     """The minimum of a closed history, the move it is the up-set of."""
     h = frozenset(frozenset(x) for x in h)
-    forest = sef.sdf.forest
-    if not is_history(forest, h) or closure(forest, h) != h:
+    if not is_history(sef.sdf.forest, h):
         raise NotClosed(f"not a closed history: {sorted(map(sorted, h))}")
     return min(h, key=len)
 

@@ -485,7 +485,7 @@ def strategies(sef, i):
                     key=sorted) for p in sets]
     total = 1
     for menu in menus:
-        total *= max(len(menu), 1)
+        total *= len(menu)
     if total > cap:
         raise EnumerationBudgetExceeded(f"{total} strategies exceed the budget")
     result = []

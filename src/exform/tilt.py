@@ -141,7 +141,7 @@ class GridReport:
 
 def dyadic_grid(n):
     """Uniform mesh 2^-n with one opportunity block of order type omega."""
-    g = Fraction(1, 2 ** n) if n >= 0 else Fraction(2 ** -n)
+    g = Fraction(2) ** -n
 
     def evaluate(beta):
         if beta == OMEGA:
@@ -162,7 +162,7 @@ def nested_grid(n):
     Mesh-2^-n blocks, each block containing a copy of the dyadic
     subdivision of its own cell: index k*w + m reads as (k+1-2^-m)*2^-n.
     """
-    g = Fraction(1, 2 ** n) if n >= 0 else Fraction(2 ** -n)
+    g = Fraction(2) ** -n
 
     def split(beta):
         k = m = 0

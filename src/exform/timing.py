@@ -274,7 +274,7 @@ def race_grid(config, n):
     """The dyadic grid of mesh 2^-n anchored at the whistle."""
     if isinstance(config.whistle, dict):
         raise InputError("grid approximants need a deterministic whistle")
-    mesh = Fraction(1, 2 ** n)
+    mesh = Fraction(2) ** -n
     whistle = config.whistle
 
     def evaluate(beta):
@@ -310,7 +310,7 @@ def grid_approximant(config, n):
     grid = race_grid(config, n)
     tilt.validate_grid(grid)
     stats = monte_carlo(config)
-    return GridApproximant(grid, Fraction(1, 2 ** n), stats)
+    return GridApproximant(grid, Fraction(2) ** -n, stats)
 
 
 def path_tilt(config, level):

@@ -203,15 +203,6 @@ def vt_cmp(x, y):
     return _v_cmp(x.v, y.v)
 
 
-def horizontal(x):
-    """The real-time coordinate; the top element projects to itself."""
-    return x.t
-
-
-def vertical(x):
-    return x.v
-
-
 # --- symbolic set descriptors ------------------------------------------------
 
 @dataclass(frozen=True)

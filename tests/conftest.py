@@ -123,3 +123,36 @@ def random_strict_sef(rng, max_outcomes=12, max_scenarios=3):
     return StochasticExtensiveForm(
         sdf, (agent,), {agent: frozenset(moves)}, {agent: info},
         {agent: refchoices}, {agent: frozenset(choices)})
+
+
+def comb_parts(n):
+    """
+    The pieces of a valid single-agent perfect-information form whose one
+    scenario tree is a comb on n >= 2 outcomes: each move splits off its
+    first outcome, so the deepest decision path passes every move.
+    Returns (sdf, agents, agent_moves, info, refchoices, choices).
+    """
+    from exform.forest import DecisionForest
+    from exform.sdf import RandomMove, StochasticDecisionForest
+
+    outcomes = [f"w:{j}" for j in range(n)]
+    nodes = [frozenset({w}) for w in outcomes]
+    moves, info, refchoices = [], {}, {}
+    for j in range(n - 1):
+        node = frozenset(outcomes[j:])
+        nodes.append(node)
+        move = RandomMove({"w": node})
+        moves.append(move)
+        info[move] = frozenset({frozenset({"w"})})
+        refchoices[move] = [frozenset({outcomes[j]}), frozenset(outcomes[j + 1:])]
+    forest = DecisionForest(outcomes, nodes)
+    sdf = StochasticDecisionForest(forest, ("w",), {x: "w" for x in nodes},
+                                   moves)
+    choices = frozenset(c for cs in refchoices.values() for c in cs)
+    return (sdf, ("i",), {"i": frozenset(moves)}, {"i": info},
+            {"i": refchoices}, {"i": choices})
+
+
+def comb_sef(n):
+    from exform.sef import StochasticExtensiveForm
+    return StochasticExtensiveForm(*comb_parts(n))

@@ -4,25 +4,32 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import exform
 from exform.timing import TimingConfig
 
 KNOBS = {"cap", "merge_cap", "stages", "samples"}
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def modules():
+    for info in pkgutil.iter_modules(exform.__path__):
+        yield info.name, importlib.import_module(f"exform.{info.name}")
 
 
 def public_callables():
-    for info in pkgutil.iter_modules(exform.__path__):
-        module = importlib.import_module(f"exform.{info.name}")
+    for short, module in modules():
         for name, obj in vars(module).items():
             if name.startswith("_") or not callable(obj) \
                     or getattr(obj, "__module__", None) != module.__name__:
                 continue
-            yield f"{info.name}.{name}", obj
+            yield f"{short}.{name}", obj
             if inspect.isclass(obj):
                 for attr, member in vars(obj).items():
                     if not attr.startswith("_") and inspect.isfunction(member):
-                        yield f"{info.name}.{name}.{attr}", member
+                        yield f"{short}.{name}.{attr}", member
 
 
 def test_no_search_takes_a_cap():
@@ -42,3 +49,13 @@ def test_no_search_takes_a_cap():
 
 def test_timing_config_has_no_vertical_cap():
     assert "vertical_cap" not in {f.name for f in dataclasses.fields(TimingConfig)}
+
+
+def test_readme_cap_table_names_every_cap():
+    # each row's last cell names one constant; both directions must hold
+    rows = re.findall(r"^\|.*\| `(\w+\.\w+)` \|$", README.read_text(),
+                      re.MULTILINE)
+    caps = {f"{short}.{name}" for short, module in modules()
+            for name in vars(module) if re.fullmatch(r"[A-Z0-9_]+_CAP", name)}
+    assert len(rows) == len(set(rows))
+    assert set(rows) == caps

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from conftest import comb_sef
 from exform import timing
 from exform.cli import cli, examples_list, parse_sef, serialize_sef
 from exform.instances import load_example
@@ -127,6 +128,15 @@ class TestStructureCommands:
         assert run("wellposed", "--sef", "examples:simple",
                    "--method", "order").exit_code == 0
 
+    def test_order_method_is_settled_on_a_deep_comb(self, tmp_path):
+        # a finite forest decides its order classification; no chain
+        # search runs out of budget on the 16-outcome comb
+        path = tmp_path / "comb16.json"
+        path.write_text(json.dumps(serialize_sef(comb_sef(16))))
+        result = run("wellposed", "--sef", str(path), "--method", "order")
+        assert result.exit_code == 0
+        assert result.output == "well-posed\n"
+
     def test_outcome_requires_bundled_profile(self, tmp_path):
         form, _, _, _ = load_example("simple")
         path = tmp_path / "simple.json"
@@ -192,6 +202,13 @@ class TestTimingCommand:
         data = json.loads(result.output)
         assert data["deviation_payoff"] == "-1"
         assert data["grid"]["mesh"] == "1/8"
+
+    def test_negative_grid_n_is_a_coarse_mesh(self):
+        # mesh 2^-n for every integer n, as for the dyadic grid family
+        result = run("timing-sim", "--eta", "1", "--trials", "10",
+                     "--grid-n", "-1")
+        assert result.exit_code == 0
+        assert result.output.endswith("grid approximant: mesh 2\n")
 
     def test_input_errors(self):
         assert run("timing-sim", "--eta", "0").exit_code == 2

@@ -213,6 +213,72 @@ class TestHistories:
                 assert (x <= core) == (x <= closed_core)
 
 
+def is_history_by_scan(forest, h):
+    h = frozenset(frozenset(x) for x in h)
+    if not h or not h <= forest.nodes:
+        return False
+    for a in h:
+        for b in h:
+            if not (a <= b or b <= a):
+                return False
+        if not forest.up(a) <= h:  # upward closed
+            return False
+    maximal = h in forest.maximal_chains()
+    return not maximal
+
+
+def closure_by_search(forest, h):
+    """The history together with its infimum, when that infimum exists."""
+    h = frozenset(frozenset(x) for x in h)
+    if not is_history_by_scan(forest, h):
+        raise NotAHistory(f"not a history: {sorted(map(sorted, h))}")
+    core = frozenset.intersection(*h)
+    below = [x for x in forest.nodes if x <= core
+             and all(x <= y for y in h)]
+    if not below:
+        return h
+    inf = max(below, key=len)
+    if all(x <= inf for x in below):
+        return h | {inf}
+    return h
+
+
+def assert_histories_match_scans(forest, tried):
+    for h in tried:
+        expected = is_history_by_scan(forest, h)
+        assert is_history(forest, h) == expected
+        if expected:
+            assert closure(forest, h) == closure_by_search(forest, h)
+        else:
+            with pytest.raises(NotAHistory):
+                closure(forest, h)
+
+
+def history_candidates(forest, rng, samples):
+    """Every up-set, every up-set without its smallest member, every
+    maximal chain, and random node subsets."""
+    nodes = sorted(forest.nodes, key=sorted)
+    tried = [forest.up(x) for x in nodes]
+    tried += [forest.up(x) - {x} for x in nodes]
+    tried += list(forest.maximal_chains())
+    tried += [rng.sample(nodes, rng.randint(0, len(nodes)))
+              for _ in range(samples)]
+    return tried
+
+
+class TestHistoriesAgainstScans:
+    @given(forests(max_outcomes=8), st.randoms(use_true_random=False))
+    @settings(deadline=None)
+    def test_hypothesis_forests(self, f, rng):
+        assert_histories_match_scans(f, history_candidates(f, rng, 20))
+
+    def test_bundled_forms(self):
+        rng = random.Random(11)
+        for form in bundled_forms():
+            f = form.sdf.forest
+            assert_histories_match_scans(f, history_candidates(f, rng, 200))
+
+
 def test_union_of_nodes_detection():
     assert is_union_of_nodes(SIMPLE, {"o1:11"})
     assert is_union_of_nodes(SIMPLE, {w for w in SIMPLE.outcomes})

@@ -2,11 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import forest_posets, posets
-from exform.errors import InputError, StructureError
+from conftest import comb_sef, forest_posets, posets
+from exform._util import budget, powerset
+from exform.errors import BudgetExceeded, InputError, StructureError
 from exform.order import (
     CompletionReport,
     Poset,
+    _require_rooted_forest,
     bounds,
     check_dense_completion,
     completion_extension,
@@ -137,6 +139,109 @@ class TestOrderPredicates:
         assert flags["regular"]
         assert flags["weakly_up_discrete"]
         assert flags["coherent"]
+
+    @given(forest_posets())
+    @settings(deadline=None)
+    def test_exhaustive_search_agrees(self, p):
+        assert order_predicates(p) == order_predicates_by_search(p)
+
+    def test_comb_is_decided_where_the_search_runs_out(self):
+        # the deepest decision path of a 16-outcome comb has 2^16 - 1
+        # nonempty subchains, and the comb more than 2^16 in all
+        poset = comb_sef(16).sdf.forest.as_poset()
+        assert all(order_predicates(poset).values())
+        with pytest.raises(BudgetExceeded):
+            order_predicates_by_search(poset)
+
+
+# --- oracle: the chain searches that finiteness settles ---------------------
+
+CHAINS_CAP = 2 ** 16
+
+
+def _maximal_chains(poset):
+    # In a rooted forest every maximal chain is the up-set of a minimal element.
+    return frozenset(poset.up(m) for m in poset.minimal())
+
+
+def all_chains(poset):
+    """Every nonempty chain of a rooted forest, enumerated exhaustively."""
+    cap = budget(CHAINS_CAP)
+    seen = set()
+    for mc in _maximal_chains(poset):
+        for subset in powerset(sorted(mc, key=repr)):
+            if subset:
+                seen.add(frozenset(subset))
+                if len(seen) > cap:
+                    raise BudgetExceeded(f"more than {cap} chains")
+    return seen
+
+
+def histories(poset):
+    """
+    Nonempty, non-maximal, upward closed chains of a rooted forest.
+
+    In a finite forest these are exactly the principal up-sets of the
+    non-minimal elements.
+    """
+    _require_rooted_forest(poset)
+    maximal_chains = _maximal_chains(poset)
+    result = set()
+    for x in poset.elements:
+        h = poset.up(x)
+        if h not in maximal_chains:
+            result.add(h)
+    return result
+
+
+def order_predicates_by_search(poset):
+    """
+    The four order-theoretic forest predicates, evaluated exhaustively.
+
+    weakly_up_discrete: for every non-terminal x, every maximal chain of the
+        strict down-set of x has a maximum.
+    up_discrete: every nonempty chain has a maximum.
+    coherent: every history without a minimum admits a continuation chain
+        with a maximum (vacuous when all histories have minima).
+    regular: for every non-maximal x, the strict up-set of x has an infimum.
+    """
+    _require_rooted_forest(poset)
+
+    up_discrete = all(poset.maximum_of(c) is not None for c in all_chains(poset))
+
+    weakly = True
+    for x in poset.elements:
+        strict_down = poset.down(x) - {x}
+        if not strict_down:
+            continue  # terminal: nothing to check
+        for m in strict_down:
+            if poset.down(m) & strict_down == {m}:  # minimal within the strict down-set
+                chain = poset.up(m) & strict_down
+                if poset.maximum_of(chain) is None:
+                    weakly = False
+
+    coherent = True
+    for h in histories(poset):
+        if poset.minimum_of(h) is not None:
+            continue
+        continuations = [c for c in all_chains(poset)
+                         if not (c & h) and poset.is_chain(c | h)
+                         and all(poset.leq(y, x) for y in c for x in h)]
+        if not any(poset.maximum_of(c) is not None for c in continuations):
+            coherent = False
+
+    regular = True
+    for x in poset.elements:
+        strict_up = poset.up(x) - {x}
+        if strict_up and poset.infimum_of(strict_up) is None:
+            regular = False
+
+    return {
+        "weakly_up_discrete": weakly,
+        "up_discrete": up_discrete,
+        "coherent": coherent,
+        "regular": regular,
+    }
 
 
 def complete_by_ordered_pairs(poset):

@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import comb_parts
 from exform.errors import APSEFAxiomViolation, StructureError
 from exform.forest import DecisionForest, immediate_predecessors
 from exform.instances import (
@@ -290,6 +291,21 @@ class TestStrategies:
         assert len(strategies(simple_sef(1), "i")) == 8
         assert len(strategies(simple_sef(2), "i")) == 4
         assert all(len(strategies(AMD, i)) == 2 for i in AMD.agents)
+
+    def test_empty_menu_yields_no_strategy_within_budget(self, monkeypatch):
+        # a 4-outcome comb whose bottom move lost both children's choices,
+        # assembled without validation on purpose: menus (0, 2, 2) give
+        # no strategy, and counting nothing fits any budget
+        sdf, agents, agent_moves, info, refchoices, choices = comb_parts(4)
+        bottom = frozenset({"w:2", "w:3"})
+        kept = {c for c in choices["i"] if not c < bottom}
+        pseudo = object.__new__(StochasticExtensiveForm)
+        pseudo._store(sdf, agents, agent_moves, info, refchoices, {"i": kept})
+        sets, _ = info_sets(pseudo, "i")
+        assert sorted(len(pseudo.available_at("i", next(iter(p.random_moves))))
+                      for p in sets) == [0, 2, 2]
+        monkeypatch.setenv("EXFORM_BUDGET", "3")
+        assert strategies(pseudo, "i") == []
 
     def test_each_assignment_is_available(self):
         sef = simple_sef(7)
