@@ -463,6 +463,13 @@ def dm(path, as_json):
         elements, pairs = doc["elements"], doc["leq"]
     except (OSError, jsonlib.JSONDecodeError, KeyError, TypeError) as err:
         raise InputError(f"cannot read poset: {err}") from err
+    if not (isinstance(elements, list) and isinstance(pairs, list)
+            and all(isinstance(p, list) and len(p) == 2 for p in pairs)):
+        raise InputError("a poset is a list of elements and a list of "
+                         "[a, b] pairs")
+    if any(isinstance(x, (list, dict))
+           for x in elements + [x for p in pairs for x in p]):
+        raise InputError("a poset label is a JSON array or object")
     poset = order.Poset(elements, _closure(elements, pairs))
     lattice, phi = order.dm_completion(poset)
     dense = order.check_dense_completion(poset, lattice, phi)

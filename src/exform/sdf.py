@@ -405,17 +405,17 @@ def preimage(m, node_set):
 
 
 def is_non_redundant(sdf, c):
-    """The choice must be void in every scenario where it is never on offer."""
-    p = immediate_predecessors(sdf.forest, c)
-    for w in sdf.scenarios:
-        if not p & sdf.tree_of(w) and frozenset(c) & sdf.root_of(w):
-            return False
-    return True
+    """
+    The choice must be void in every scenario where it is never on offer.
+    Inside a tree, a nonempty set of outcomes has an immediate predecessor
+    unless it is the whole tree, so this says that c contains no root.
+    """
+    c = frozenset(c)
+    return not any(sdf.root_of(w) <= c for w in sdf.scenarios)
 
 
-def is_complete(sdf, c, agent_moves=None):
+def is_complete(sdf, c, agent_moves):
     """Availability of the choice is all-or-nothing on each random move."""
-    agent_moves = sdf.random_moves if agent_moves is None else agent_moves
     p = immediate_predecessors(sdf.forest, c)
     for m in agent_moves:
         hit = preimage(m, p)

@@ -138,45 +138,26 @@ def validate_sef(sdf, agents, agent_moves, info, refchoices, choices):
                 checked["axiom2"] = False
 
     # Axioms 3 and 3': disjoint nodes of a shared scenario are separated
-    # by disjoint choices of one agent; 3' requires a common predecessor
+    # by disjoint choices of one agent; 3' requires a common predecessor.
+    # Inside one tree a choice acts through its slice there, and its
+    # predecessors in the tree are those of the slice
     checked["axiom3"] = True
     strict = True
-    containing = {}
-
-    def choices_over(i, y):
-        if (i, y) not in containing:
-            containing[(i, y)] = [c for c in choices[i] if y <= c]
-        return containing[(i, y)]
-
     for w in sdf.scenarios:
-        tree = sorted(sdf.tree_of(w), key=sorted)
-        for y, y2 in itertools.combinations(tree, 2):
+        tree = sdf.tree_of(w)
+        sliced = [[(s, immediate_predecessors(sdf.forest, c) & tree)
+                   for s, c in _slices(sdf, choices[i], w).items()]
+                  for i in agents]
+        for y, y2 in itertools.combinations(sorted(tree, key=sorted), 2):
             if y & y2:
                 continue
-            weak = False
-            strong = False
-            for i in agents:
-                for c in choices_over(i, y):
-                    for c2 in choices_over(i, y2):
-                        if c & c2 & sdf.root_of(w):
-                            continue
-                        weak = True
-                        for x in (immediate_predecessors(sdf.forest, c)
-                                  & immediate_predecessors(sdf.forest, c2)
-                                  & sdf.tree_of(w)):
-                            if y <= (x & c) and y2 <= (x & c2):
-                                strong = True
-                                break
-                        if strong:
-                            break
-                    if strong:
-                        break
-                if strong:
-                    break
-            if not weak:
+            separating = [p & p2 for slices in sliced
+                          for s, p in slices if y <= s
+                          for s2, p2 in slices if y2 <= s2 and not s & s2]
+            if not separating:
                 violations.append(("axiom3", (w, y, y2)))
                 checked["axiom3"] = False
-            if not strong:
+            if not any(y | y2 <= x for common in separating for x in common):
                 strict = False
 
     # Axiom 4: active agents can preserve any strictly future node
@@ -213,9 +194,7 @@ def validate_sef(sdf, agents, agent_moves, info, refchoices, choices):
             if not menu:
                 continue
             active = sorted({w for m in members for w in m.domain}, key=repr)
-            slices = [sorted({frozenset(c & sdf.root_of(w)) for c in menu},
-                             key=sorted)
-                      for w in active]
+            slices = [list(_slices(sdf, menu, w)) for w in active]
             total = 1
             for s in slices:
                 total *= len(s)
@@ -285,6 +264,17 @@ def _axiom1_violations(sdf, i, choices):
     return [("axiom1", v) for _, v in found]
 
 
+def _slices(sdf, cs, w):
+    """
+    The distinct nonempty slices of the choices on the scenario, in sorted
+    order, each mapped to one choice that has it as its slice there.
+    """
+    root = sdf.root_of(w)
+    found = {c & root: c for c in cs}
+    found.pop(frozenset(), None)
+    return {s: found[s] for s in sorted(found, key=sorted)}
+
+
 def _menus(form, i):
     """Each information set of the agent with its sorted menu of choices."""
     sets, _ = info_sets(form, i)
@@ -297,7 +287,7 @@ class StochasticExtensiveForm:
     """A validated extensive form; ``strict`` records strong separation."""
 
     def __init__(self, sdf, agents, agent_moves, info, refchoices, choices,
-                 require_strict=False, allow_incomplete=False):
+                 allow_incomplete=False):
         report = validate_sef(sdf, agents, agent_moves, info, refchoices,
                               choices)
         if not report.valid:
@@ -308,8 +298,6 @@ class StochasticExtensiveForm:
             if blocking or hard_fail:
                 raise StructureError(
                     f"invalid extensive form: {report.violations[:1]}")
-        if require_strict and not report.strict:
-            raise StructureError("strong separation fails")
         self._store(sdf, agents, agent_moves, info, refchoices, choices)
         self.strict = report.strict
         self.report = report
@@ -383,14 +371,10 @@ def info_sets(sef, i):
 
 def check_recall_and_info(sef, i):
     """The four perfection flags of an agent, each checked exhaustively."""
-    endo_recall = True
-    for c in sef.choices[i]:
-        for c2 in sef.choices[i]:
-            for w in sef.sdf.scenarios:
-                cw = c & sef.sdf.root_of(w)
-                c2w = c2 & sef.sdf.root_of(w)
-                if cw & c2w and not (cw <= c2w or c2w <= cw):
-                    endo_recall = False
+    endo_recall = all(
+        not s & s2 or s <= s2 or s2 <= s for w in sef.sdf.scenarios
+        for s, s2 in itertools.combinations(
+            _slices(sef.sdf, sef.choices[i], w), 2))
     exo_recall = check_recall(sef.sdf, sef.info[i], sef.agent_moves[i])
     sets, _ = info_sets(sef, i)
     endo_info = all(len(p.random_moves) == 1 for p in sets)
@@ -443,11 +427,8 @@ def complete_choices(sef):
             if not menu:
                 continue
             active = sorted({w for m in members for w in m.domain}, key=repr)
-            options = [
-                sorted({frozenset(c & sef.sdf.root_of(w)) for c in menu}
-                       | {frozenset()}, key=sorted)
-                for w in active
-            ]
+            options = [[frozenset(), *_slices(sef.sdf, menu, w)]
+                       for w in active]
             total = 1
             for s in options:
                 total *= len(s)
@@ -466,9 +447,8 @@ def complete_choices(sef):
         new_choices)
     for i in sef.agents:
         for w in sef.sdf.scenarios:
-            old = {c & sef.sdf.root_of(w) for c in sef.choices[i]} - {frozenset()}
-            new = {c & sef.sdf.root_of(w) for c in new_choices[i]} - {frozenset()}
-            assert old == new
+            assert _slices(sef.sdf, sef.choices[i], w).keys() \
+                == _slices(sef.sdf, new_choices[i], w).keys()
         forest = sef.sdf.forest
         old_p = {immediate_predecessors(forest, c) for c in sef.choices[i]}
         new_p = {immediate_predecessors(forest, c) for c in new_choices[i]}
@@ -795,7 +775,9 @@ def build_action_path_sef(data, info, hist):
         choices[i] = frozenset(mine_choices)
 
     sef = StochasticExtensiveForm(sdf, agents, agent_moves, move_info,
-                                  refchoices, choices, require_strict=True)
+                                  refchoices, choices)
+    if not sef.strict:
+        raise StructureError("strong separation fails")
     return sef, timing, index
 
 

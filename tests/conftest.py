@@ -4,6 +4,7 @@ import random
 
 from hypothesis import strategies as st
 
+from exform.forest import DecisionForest
 from exform.order import Poset
 
 LABELS = "abcdefghijkl"
@@ -50,6 +51,36 @@ def forest_posets(draw, max_size=8):
             chain.append(y)
         leq.extend((x, z) for z in chain)
     return Poset(elements, leq)
+
+
+@st.composite
+def forests(draw, max_outcomes=8):
+    n = draw(st.integers(min_value=1, max_value=max_outcomes))
+    outcomes = [f"w{i}" for i in range(n)]
+    nodes = []
+
+    def grow(block):
+        nodes.append(frozenset(block))
+        if len(block) == 1:
+            return
+        k = draw(st.integers(min_value=2, max_value=len(block)))
+        labels = draw(st.lists(st.integers(min_value=0, max_value=k - 1),
+                               min_size=len(block), max_size=len(block)))
+        blocks = {}
+        for w, g in zip(block, labels):
+            blocks.setdefault(g % k, []).append(w)
+        if len(blocks) == 1:  # forced split so children are proper subsets
+            blocks = {i: [w] for i, w in enumerate(block)}
+        for sub in blocks.values():
+            grow(sub)
+
+    parts = draw(st.integers(min_value=1, max_value=n))
+    top = {}
+    for i, w in enumerate(outcomes):
+        top.setdefault(i % parts, []).append(w)
+    for block in top.values():
+        grow(block)
+    return DecisionForest(outcomes, nodes)
 
 
 def random_poset(rng, n):

@@ -277,6 +277,20 @@ class TestDM:
         path.write_text("not json")
         assert run("dm", "--poset", str(path)).exit_code == 2
 
+    @pytest.mark.parametrize("doc", [
+        {"elements": ["a", "b"], "leq": [["a"]]},
+        {"elements": ["a", "b"], "leq": [["a", "b", "c"]]},
+        {"elements": ["a", "b"], "leq": "ab"},
+        {"elements": [[1], 2], "leq": []},
+        {"elements": ["a"], "leq": [["a", {"b": 1}]]},
+    ])
+    def test_malformed_document_exits_2(self, tmp_path, doc):
+        path = tmp_path / "poset.json"
+        path.write_text(json.dumps(doc))
+        result = run("dm", "--poset", str(path))
+        assert result.exit_code == 2
+        assert "input error" in result.output
+
 
 class TestRegistry:
     def test_contains_all_examples(self):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import forests
 from exform.errors import BudgetExceeded, ChoiceError, NotAHistory
 from exform.forest import (
     DecisionForest,
@@ -34,36 +35,6 @@ def two_period_nodes():
 
 
 SIMPLE = DecisionForest(two_period_outcomes(), two_period_nodes())
-
-
-@st.composite
-def forests(draw, max_outcomes=8):
-    n = draw(st.integers(min_value=1, max_value=max_outcomes))
-    outcomes = [f"w{i}" for i in range(n)]
-    nodes = []
-
-    def grow(block):
-        nodes.append(frozenset(block))
-        if len(block) == 1:
-            return
-        k = draw(st.integers(min_value=2, max_value=len(block)))
-        labels = draw(st.lists(st.integers(min_value=0, max_value=k - 1),
-                               min_size=len(block), max_size=len(block)))
-        blocks = {}
-        for w, g in zip(block, labels):
-            blocks.setdefault(g % k, []).append(w)
-        if len(blocks) == 1:  # forced split so children are proper subsets
-            blocks = {i: [w] for i, w in enumerate(block)}
-        for sub in blocks.values():
-            grow(sub)
-
-    parts = draw(st.integers(min_value=1, max_value=n))
-    top = {}
-    for i, w in enumerate(outcomes):
-        top.setdefault(i % parts, []).append(w)
-    for block in top.values():
-        grow(block)
-    return DecisionForest(outcomes, nodes)
 
 
 class TestValidation:

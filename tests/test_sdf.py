@@ -269,7 +269,7 @@ class TestChoices:
         c = simple_choice_second("1", {"o1": "1", "o2": "2"})
         assert is_available_at(sdf, c, x1)
         assert not is_available_at(sdf, c, x2)
-        assert is_complete(sdf, c)
+        assert is_complete(sdf, c, sdf.random_moves)
         assert is_non_redundant(sdf, c)
 
     def test_unavailable_reference_choice_rejected(self, simple):

@@ -6,7 +6,6 @@ import pytest
 from exform.errors import InconsistentOutcome, InputError
 from exform.timing import (
     NEVER,
-    GridApproximant,
     NeverBelowOmega,
     PreWhistleStop,
     PureLevel,
@@ -27,7 +26,7 @@ from exform.timing import (
     stop_prob,
 )
 from exform.tilt import validate_grid
-from exform.vtime import VTime, ordinal, ord_succ, vt
+from exform.vtime import VTime, ordinal, vt
 
 ETAS = [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5)]
 
