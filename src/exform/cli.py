@@ -467,9 +467,16 @@ def dm(path, as_json):
             and all(isinstance(p, list) and len(p) == 2 for p in pairs)):
         raise InputError("a poset is a list of elements and a list of "
                          "[a, b] pairs")
-    if any(isinstance(x, (list, dict))
-           for x in elements + [x for p in pairs for x in p]):
+    labels = elements + [x for p in pairs for x in p]
+    if any(isinstance(x, (list, dict)) for x in labels):
         raise InputError("a poset label is a JSON array or object")
+    # Python takes true for 1 and false for 0, which JSON keeps apart
+    first = {}
+    for x in labels:
+        y = first.setdefault(x, x)
+        if isinstance(x, bool) != isinstance(y, bool):
+            raise InputError(f"poset labels {jsonlib.dumps(y)} and "
+                             f"{jsonlib.dumps(x)} would be one element")
     poset = order.Poset(elements, _closure(elements, pairs))
     lattice, phi = order.dm_completion(poset)
     dense = order.check_dense_completion(poset, lattice, phi)

@@ -25,7 +25,12 @@ from .errors import (
 from .forest import DecisionForest, closure, histories, is_history
 from .order import order_predicates
 from .sdf import StochasticDecisionForest
-from .sef import StochasticExtensiveForm, convert_strategy, strategies
+from .sef import (
+    StochasticExtensiveForm,
+    convert_strategy,
+    info_sets,
+    strategies,
+)
 
 # default cap of the (history, profile) pairs of the direct well-posedness
 # check; EXFORM_BUDGET overrides it
@@ -204,6 +209,12 @@ def check_wellposed_direct(sef):
     cores = {h: frozenset.intersection(*h) for h in hs}
     attained = {h: set() for h in hs}
     report = WellPosedReport(True, True, True)
+    if not profiles:
+        # an information set offers no choice: no profile, so no outcome
+        report.existence = report.uniqueness = False
+        report.witnesses["existence"] = report.witnesses["uniqueness"] = next(
+            p for i in sef.agents for p in info_sets(sef, i)[0]
+            if not sef.available_at(i, next(iter(p.random_moves))))
     for profile in profiles:
         tables = profile_tables(sef, profile)
         for h in hs:

@@ -450,22 +450,84 @@ def check_adapted(sdf, c, info, refchoices, agent_moves):
     """
     if not is_union_of_nodes(sdf.forest, c):
         raise ChoiceError(f"not a nonempty union of nodes: {c!r}")
-    c = frozenset(c)
-    if not is_non_redundant(sdf, c):
-        return False
-    if not is_complete(sdf, c, agent_moves):
-        return False
-    for m in agent_moves:
-        if not is_available_at(sdf, c, m):
-            continue
-        for ref in refchoices.get(m, ()):
-            both = c & frozenset(ref)
-            if not both:
-                continue
-            joint = preimage(m, immediate_predecessors(sdf.forest, both))
-            if not _is_block_union(joint, info[m]):
-                return False
-    return True
+    return _AdaptedTable(sdf, agent_moves, info, refchoices).adapted(
+        frozenset(c))
+
+
+class _AdaptedTable:
+    """
+    An agent's adaptedness, read one scenario slice at a time.  Inside
+    scenario w a choice acts through its slice s = c & root_of(w): a move
+    m defined at w offers it iff m(w) is an immediate predecessor of s,
+    and jointly with a reference choice r iff m(w) precedes s & r.
+    ``bits(w, s)`` memoises these as (variable, bit) pairs: one
+    availability variable per move, and where the move offers s, one
+    measurability variable per (move, reference choice, block of the
+    move's partition).  A choice is adapted iff no slice is a whole root
+    and the pairs of all its slices agree: availability is then constant
+    on each move's domain, and joint availability on each block.
+    """
+
+    def __init__(self, sdf, agent_moves, info, refchoices):
+        self.forest = sdf.forest
+        self.roots = {w: sdf.root_of(w) for w in sdf.scenarios}
+        # per scenario, each agent move defined there as (its availability
+        # variable, its node, [(measurability variable, reference choice)])
+        self.at = {w: [] for w in sdf.scenarios}
+        self.memo = {}
+        count = itertools.count()
+        for m in agent_moves:
+            _require_partition(info.get(m), m)
+            available = next(count)
+            refs = [frozenset(r) for r in refchoices.get(m, ())]
+            for block in info[m]:
+                joint = [(next(count), r) for r in refs]
+                for w in block:
+                    self.at[w].append((available, m(w), joint))
+
+    def bits(self, w, s):
+        """The (variable, bit) pairs of slice s on scenario w, or None when
+        s is the whole root."""
+        if (w, s) not in self.memo:
+            self.memo[w, s] = None if s == self.roots[w] else self._read(w, s)
+        return self.memo[w, s]
+
+    def _read(self, w, s):
+        forest = self.forest
+        offered = immediate_predecessors(forest, s) \
+            if s and self.at[w] else frozenset()
+        found = []
+        for available, x, joint in self.at[w]:
+            found.append((available, x in offered))
+            if x in offered:
+                found.extend((var, bool(s & r) and x in immediate_predecessors(
+                    forest, s & r)) for var, r in joint)
+        return found
+
+    def fix(self, fixed, w, s):
+        """
+        Add the bits of slice s on scenario w to ``fixed`` and return the
+        variables newly fixed; None, leaving ``fixed`` as it was, when s is
+        a whole root or one of its bits disagrees.
+        """
+        bits = self.bits(w, s)
+        if bits is None:
+            return None
+        new = []
+        for var, bit in bits:
+            if var not in fixed:
+                fixed[var] = bit
+                new.append(var)
+            elif fixed[var] != bit:
+                for undo in new:
+                    del fixed[undo]
+                return None
+        return new
+
+    def adapted(self, c):
+        fixed = {}
+        return all(self.fix(fixed, w, c & root) is not None
+                   for w, root in self.roots.items())
 
 
 # --- action paths -----------------------------------------------------------

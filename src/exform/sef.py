@@ -3,10 +3,9 @@ Stochastic extensive forms.
 
 An extensive form places agents on top of a stochastic decision forest:
 each agent owns a set of random moves, an information structure, reference
-choices, and a set of adapted choices subject to six consistency axioms
-plus an optional strong separation axiom.  The second half of the module
-builds extensive forms from explicit action-path data and history
-structures.
+choices, and a set of adapted choices subject to six consistency axioms.
+The second half of the module builds extensive forms from explicit
+action-path data and history structures.
 """
 
 import itertools
@@ -22,8 +21,9 @@ from .errors import (
     InputError,
     StructureError,
 )
-from .forest import immediate_predecessors
+from .forest import immediate_predecessors, is_union_of_nodes
 from .sdf import (
+    _AdaptedTable,
     build_action_path_sdf,
     check_adapted,
     check_recall,
@@ -33,11 +33,11 @@ from .sdf import (
 )
 
 # default caps of the module's searches; EXFORM_BUDGET overrides each:
-# validate_sef's Axiom 6 and Axiom 2 searches, the choice completion, the
+# validate_sef's Axiom 2 search, the adapted-choice search of Axiom 6 and
+# of the choice completion (search nodes per information set), the
 # strategy enumeration and the joint action profiles of action-path forms
-AXIOM6_CAP = 10 ** 4
 AXIOM2_CAP = 10 ** 6
-COMPLETION_CAP = 10 ** 5
+ADAPTED_CAP = 10 ** 5
 STRATEGIES_CAP = 10 ** 6
 AP_PROFILES_CAP = 10 ** 6
 
@@ -59,7 +59,6 @@ class InfoSet:
 @dataclass
 class SEFReport:
     valid: bool
-    strict: bool
     violations: tuple = ()
     checked: dict = field(default_factory=dict)
 
@@ -80,15 +79,19 @@ class Strategy:
 def validate_sef(sdf, agents, agent_moves, info, refchoices, choices):
     """
     Check the extensive-form axioms exhaustively.  The report records one
-    entry per axiom: True, False, or None when the completeness search
-    would exceed its budget.  The strong separation axiom is checked as
-    well and reported via the ``strict`` flag without affecting validity.
-    The checks read the data through the form's own memoised menus.
+    entry per axiom: True, False, or None when the adapted-choice search
+    of Axiom 6 would exceed its budget.
     """
-    axiom6_cap, axiom2_cap = budget(AXIOM6_CAP), budget(AXIOM2_CAP)
     form = StochasticExtensiveForm.__new__(StochasticExtensiveForm)
     form._store(sdf, agents, agent_moves, info, refchoices, choices)
-    agents, agent_moves = form.agents, form.agent_moves
+    return _validate(form)
+
+
+def _validate(form):
+    """``validate_sef`` on stored data, through the form's own memoised
+    menus and adapted-choice tables."""
+    axiom2_cap = budget(AXIOM2_CAP)
+    sdf, agents, agent_moves = form.sdf, form.agents, form.agent_moves
     info, refchoices, choices = form.info, form.refchoices, form.choices
     violations = []
     checked = {}
@@ -96,7 +99,7 @@ def validate_sef(sdf, agents, agent_moves, info, refchoices, choices):
     for i in agents:
         if not agent_moves[i] <= sdf.random_moves:
             violations.append(("agent_moves", (i, "not random moves")))
-            return SEFReport(False, False, tuple(violations), checked)
+            return SEFReport(False, tuple(violations), checked)
         values = [m(w) for m in agent_moves[i] for w in m.domain]
         if len(set(values)) != len(values):
             violations.append(("evaluation", (i, "not injective")))
@@ -105,14 +108,13 @@ def validate_sef(sdf, agents, agent_moves, info, refchoices, choices):
         except ChoiceError as err:
             violations.append(("reference", (i, str(err))))
         for c in choices[i]:
-            try:
-                if not check_adapted(sdf, c, info[i], refchoices[i],
-                                     agent_moves[i]):
-                    violations.append(("adapted", (i, c)))
-            except ChoiceError as err:
-                violations.append(("choice", (i, str(err))))
+            if not is_union_of_nodes(sdf.forest, c):
+                violations.append(("choice", (
+                    i, f"not a nonempty union of nodes: {c!r}")))
+            elif not form._table(i).adapted(c):
+                violations.append(("adapted", (i, c)))
     if violations:
-        return SEFReport(False, False, tuple(violations), checked)
+        return SEFReport(False, tuple(violations), checked)
 
     # Axiom 1: predecessor sets of an agent's choices must not properly
     # overlap, and overlapping choices agree or are disjoint per scenario
@@ -137,28 +139,21 @@ def validate_sef(sdf, agents, agent_moves, info, refchoices, choices):
                 violations.append(("axiom2", (x, profile)))
                 checked["axiom2"] = False
 
-    # Axioms 3 and 3': disjoint nodes of a shared scenario are separated
-    # by disjoint choices of one agent; 3' requires a common predecessor.
-    # Inside one tree a choice acts through its slice there, and its
-    # predecessors in the tree are those of the slice
+    # Axiom 3: disjoint nodes of a shared scenario are separated by
+    # disjoint choices of one agent; inside one tree a choice acts through
+    # its slice there.  In a finite forest this implies strong separation
+    # (Axiom 3'): the choices that separate the children of the meet of
+    # two disjoint nodes are both on offer at that meet
     checked["axiom3"] = True
-    strict = True
     for w in sdf.scenarios:
         tree = sdf.tree_of(w)
-        sliced = [[(s, immediate_predecessors(sdf.forest, c) & tree)
-                   for s, c in _slices(sdf, choices[i], w).items()]
-                  for i in agents]
+        sliced = [_slices(sdf, choices[i], w) for i in agents]
         for y, y2 in itertools.combinations(sorted(tree, key=sorted), 2):
-            if y & y2:
-                continue
-            separating = [p & p2 for slices in sliced
-                          for s, p in slices if y <= s
-                          for s2, p2 in slices if y2 <= s2 and not s & s2]
-            if not separating:
+            if not y & y2 and not any(
+                    y <= s and y2 <= s2 and not s & s2
+                    for slices in sliced for s in slices for s2 in slices):
                 violations.append(("axiom3", (w, y, y2)))
                 checked["axiom3"] = False
-            if not any(y | y2 <= x for common in separating for x in common):
-                strict = False
 
     # Axiom 4: active agents can preserve any strictly future node
     checked["axiom4"] = True
@@ -186,32 +181,27 @@ def validate_sef(sdf, agents, agent_moves, info, refchoices, choices):
                     violations.append(("axiom5", (i, m, m2)))
                     checked["axiom5"] = False
 
-    # Axiom 6: completeness, via the slice representation of candidate
-    # adapted choices info set by info set
-    checked["axiom6"] = True
+    # Axiom 6: completeness, every adapted union of slices of an
+    # information set's menu is a choice; witnesses in the order of the
+    # slice product over the scenarios sorted by repr
+    order = sorted(sdf.scenarios, key=repr)
+    undecided = False
+    missing = []
     for i in agents:
         for members, menu in _menus(form, i):
-            if not menu:
-                continue
-            active = sorted({w for m in members for w in m.domain}, key=repr)
-            slices = [list(_slices(sdf, menu, w)) for w in active]
-            total = 1
-            for s in slices:
-                total *= len(s)
-            if total > axiom6_cap:
-                checked["axiom6"] = None
-                continue
-            for combo in itertools.product(*slices):
-                candidate = frozenset().union(*combo)
-                if candidate in choices[i]:
-                    continue
-                if check_adapted(sdf, candidate, info[i], refchoices[i],
-                                 agent_moves[i]):
-                    violations.append(("axiom6", (i, candidate)))
-                    checked["axiom6"] = False
+            found = []
+            try:
+                found.extend(c for c in _adapted_unions(form, i, members, menu)
+                             if c not in choices[i])
+            except BudgetExceeded:
+                undecided = True
+            found.sort(key=lambda c: [sorted(c & sdf.root_of(w))
+                                      for w in order])
+            missing.extend(("axiom6", (i, c)) for c in found)
+    violations.extend(missing)
+    checked["axiom6"] = not missing and (None if undecided else True)
 
-    valid = not violations and all(v is not False for v in checked.values())
-    return SEFReport(valid, strict and valid, tuple(violations), checked)
+    return SEFReport(not violations, tuple(violations), checked)
 
 
 def _axiom1_violations(sdf, i, choices):
@@ -265,14 +255,62 @@ def _axiom1_violations(sdf, i, choices):
 
 
 def _slices(sdf, cs, w):
-    """
-    The distinct nonempty slices of the choices on the scenario, in sorted
-    order, each mapped to one choice that has it as its slice there.
-    """
+    """The distinct nonempty slices of the choices on the scenario, sorted."""
     root = sdf.root_of(w)
-    found = {c & root: c for c in cs}
-    found.pop(frozenset(), None)
-    return {s: found[s] for s in sorted(found, key=sorted)}
+    return sorted({c & root for c in cs} - {frozenset()}, key=sorted)
+
+
+def _adapted_unions(form, i, members, menu, void=False):
+    """
+    Every adapted union of one slice of the menu per active scenario of
+    the information set, the empty slice included when ``void``.  The
+    search backtracks over the scenarios and takes a slice only if its
+    bits in the agent's table agree with those already fixed, so every
+    leaf is adapted.  It visits the scenarios block by block of the set's
+    first move, which tests each measurability bit soon after it is
+    fixed.  Each slice tried is a search node; past the cap it raises
+    BudgetExceeded.
+    """
+    cap = budget(ADAPTED_CAP)
+    table = form._table(i)
+    first = min(members, key=lambda m: repr(m.graph))
+    blocks = sorted((sorted(b, key=repr) for b in form.info[i][first]),
+                    key=repr)
+    visit = [w for block in blocks for w in block] + sorted(
+        {w for m in members for w in m.domain} - first.domain, key=repr)
+    options = [[frozenset()] * void + _slices(form.sdf, menu, w)
+               for w in visit]
+    # the inactive scenarios hold the empty slice
+    fixed = {}
+    for w in set(form.sdf.scenarios) - set(visit):
+        table.fix(fixed, w, frozenset())
+    # one iterator per scenario taken so far; no recursive closure, whose
+    # reference cycle would keep the table alive until the cycle collector
+    levels, chosen, undo = [iter(options[0])], [], []
+    nodes = 0
+    while levels:
+        s = next(levels[-1], None)
+        if s is None:
+            levels.pop()
+            if chosen:
+                chosen.pop()
+                for var in undo.pop():
+                    del fixed[var]
+            continue
+        nodes += 1
+        if nodes > cap:
+            raise BudgetExceeded(f"more than {cap} adapted-choice search nodes")
+        new = table.fix(fixed, visit[len(levels) - 1], s)
+        if new is None:
+            continue
+        if len(levels) < len(visit):
+            chosen.append(s)
+            undo.append(new)
+            levels.append(iter(options[len(levels)]))
+            continue
+        yield frozenset().union(s, *chosen)
+        for var in new:
+            del fixed[var]
 
 
 def _menus(form, i):
@@ -284,23 +322,21 @@ def _menus(form, i):
 
 
 class StochasticExtensiveForm:
-    """A validated extensive form; ``strict`` records strong separation."""
+    """
+    A validated extensive form.  Construction stores the data once and
+    validates the stored form, so the menus and adapted-choice tables the
+    checks fill stay on it.
+    """
 
     def __init__(self, sdf, agents, agent_moves, info, refchoices, choices,
                  allow_incomplete=False):
-        report = validate_sef(sdf, agents, agent_moves, info, refchoices,
-                              choices)
-        if not report.valid:
-            blocking = [v for v in report.violations
-                        if not (allow_incomplete and v[0] == "axiom6")]
-            hard_fail = any(v is False for k, v in report.checked.items()
-                            if not (allow_incomplete and k == "axiom6"))
-            if blocking or hard_fail:
-                raise StructureError(
-                    f"invalid extensive form: {report.violations[:1]}")
         self._store(sdf, agents, agent_moves, info, refchoices, choices)
-        self.strict = report.strict
-        self.report = report
+        self.report = _validate(self)
+        # an axiom reads False exactly when it has violations
+        if any(not (allow_incomplete and v[0] == "axiom6")
+               for v in self.report.violations):
+            raise StructureError(
+                f"invalid extensive form: {self.report.violations[:1]}")
 
     def _store(self, sdf, agents, agent_moves, info, refchoices, choices):
         """The normalised fields, before or without validation."""
@@ -332,6 +368,14 @@ class StochasticExtensiveForm:
             cache[(i, m)] = frozenset(c for c in self.choices[i]
                                       if is_available_at(self.sdf, c, m))
         return cache[(i, m)]
+
+    def _table(self, i):
+        """The agent's adapted-choice table, as ``check_adapted`` reads it."""
+        cache = self.__dict__.setdefault("_table_cache", {})
+        if i not in cache:
+            cache[i] = _AdaptedTable(self.sdf, self.agent_moves[i],
+                                    self.info[i], self.refchoices[i])
+        return cache[i]
 
     def available_at_move(self, i, x):
         cache = self.__dict__.setdefault("_available_move_cache", {})
@@ -416,39 +460,24 @@ def complete_choices(sef):
     """
     The closure adding every adapted choice that agrees scenario-wise with
     existing choices and is offered at a subset of an existing predecessor
-    set.  Scenario-wise slices and predecessor sets are asserted to stay
-    unchanged, and the result is a valid extensive form.
+    set: the adapted unions of slices, the empty one included, of each
+    information set's menu.  Scenario-wise slices and predecessor sets are
+    asserted to stay unchanged, and the result is a valid extensive form.
     """
-    cap = budget(COMPLETION_CAP)
     new_choices = {}
     for i in sef.agents:
         closure = set(sef.choices[i])
         for members, menu in _menus(sef, i):
-            if not menu:
-                continue
-            active = sorted({w for m in members for w in m.domain}, key=repr)
-            options = [[frozenset(), *_slices(sef.sdf, menu, w)]
-                       for w in active]
-            total = 1
-            for s in options:
-                total *= len(s)
-            if total > cap:
-                raise BudgetExceeded(f"{total} closure candidates at one class")
-            for combo in itertools.product(*options):
-                candidate = frozenset().union(*combo)
-                if not candidate or candidate in closure:
-                    continue
-                if check_adapted(sef.sdf, candidate, sef.info[i],
-                                 sef.refchoices[i], sef.agent_moves[i]):
-                    closure.add(candidate)
+            closure.update(c for c in _adapted_unions(sef, i, members, menu,
+                                                      void=True) if c)
         new_choices[i] = frozenset(closure)
     completed = StochasticExtensiveForm(
         sef.sdf, sef.agents, sef.agent_moves, sef.info, sef.refchoices,
         new_choices)
     for i in sef.agents:
         for w in sef.sdf.scenarios:
-            assert _slices(sef.sdf, sef.choices[i], w).keys() \
-                == _slices(sef.sdf, new_choices[i], w).keys()
+            assert _slices(sef.sdf, sef.choices[i], w) \
+                == _slices(sef.sdf, new_choices[i], w)
         forest = sef.sdf.forest
         old_p = {immediate_predecessors(forest, c) for c in sef.choices[i]}
         new_p = {immediate_predecessors(forest, c) for c in new_choices[i]}
@@ -702,9 +731,8 @@ def _check_ap_sef_axioms(data, info, hist):
 def build_action_path_sef(data, info, hist):
     """
     The extensive form induced by action-path data, exogenous information
-    keyed by (time, prefix), and history structures; it must satisfy
-    strong separation.  Returns the form, the timing map, and the index
-    (time, prefix) -> random move.
+    keyed by (time, prefix), and history structures.  Returns the form,
+    the timing map, and the index (time, prefix) -> random move.
     """
     _check_ap_sef_axioms(data, info, hist)
     sdf, timing = build_action_path_sdf(data, require_maximal=False)
@@ -755,8 +783,6 @@ def build_action_path_sef(data, info, hist):
         for t in data.times:
             for block in hist[i].get(t, ()):
                 block = frozenset(block)
-                sample = next(iter(block))
-                domain = agent_choice_domain(data, i, sample, t)
                 options = sorted(data.actions[i]) + [None]
                 for combo in itertools.product(options,
                                                repeat=len(sdf.scenarios)):
@@ -776,8 +802,6 @@ def build_action_path_sef(data, info, hist):
 
     sef = StochasticExtensiveForm(sdf, agents, agent_moves, move_info,
                                   refchoices, choices)
-    if not sef.strict:
-        raise StructureError("strong separation fails")
     return sef, timing, index
 
 

@@ -187,3 +187,29 @@ def comb_parts(n):
 def comb_sef(n):
     from exform.sef import StochasticExtensiveForm
     return StochasticExtensiveForm(*comb_parts(n))
+
+
+def constant_choice_parts(n):
+    """
+    The pieces of a valid single-agent form on n >= 2 scenarios, each a
+    tree with outcomes a and b under one root, and one random move over
+    all roots under trivial information: only the two constant choices are
+    adapted.  Axiom 2 counts 2n profiles and the Axiom 6 search 4n - 2
+    nodes, so a budget between them leaves Axiom 6 undecided.
+    Returns (sdf, agents, agent_moves, info, refchoices, choices).
+    """
+    from exform.forest import DecisionForest
+    from exform.sdf import RandomMove, StochasticDecisionForest
+
+    scenarios = tuple(f"s{k}" for k in range(n))
+    roots = {w: frozenset({f"{w}:a", f"{w}:b"}) for w in scenarios}
+    nodes = [x for w in scenarios
+             for x in (roots[w], frozenset({f"{w}:a"}), frozenset({f"{w}:b"}))]
+    forest = DecisionForest({o for x in roots.values() for o in x}, nodes)
+    projection = {x: next(iter(x)).split(":")[0] for x in nodes}
+    move = RandomMove(roots)
+    sdf = StochasticDecisionForest(forest, scenarios, projection, [move])
+    constant = [frozenset(f"{w}:{a}" for w in scenarios) for a in "ab"]
+    return (sdf, ("i",), {"i": frozenset({move})},
+            {"i": {move: frozenset({frozenset(scenarios)})}},
+            {"i": {move: constant}}, {"i": frozenset(constant)})

@@ -240,7 +240,7 @@ class TestWellPosednessOracles:
         rng = random.Random(20230823)
         for _ in range(100):
             sef = random_strict_sef(rng)
-            assert sef.strict
+            assert sef.report.valid
             direct = check_wellposed_direct(sef)
             assert bool(direct) == check_wellposed_order(sef)
             # an outcome exists for every history and scenario, spot-checked

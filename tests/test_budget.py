@@ -1,5 +1,6 @@
 """Every exhaustive search takes its cap from EXFORM_BUDGET alone."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -59,3 +60,19 @@ def test_readme_cap_table_names_every_cap():
             for name in vars(module) if re.fullmatch(r"[A-Z0-9_]+_CAP", name)}
     assert len(rows) == len(set(rows))
     assert set(rows) == caps
+
+
+def test_every_cap_is_read_through_budget():
+    # a cap constant that no budget(...) call of its own module reads is
+    # dead: merged away or replaced, it would linger in the README table
+    unread = []
+    for short, module in modules():
+        read = {node.args[0].id for node in ast.walk(ast.parse(
+                    inspect.getsource(module)))
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "budget"
+                and node.args and isinstance(node.args[0], ast.Name)}
+        unread.extend(f"{short}.{name}" for name in vars(module)
+                      if re.fullmatch(r"[A-Z0-9_]+_CAP", name)
+                      and name not in read)
+    assert unread == []

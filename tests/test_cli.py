@@ -7,11 +7,12 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from conftest import comb_sef
+from conftest import comb_sef, constant_choice_parts
 from exform import timing
 from exform.cli import cli, examples_list, parse_sef, serialize_sef
 from exform.instances import load_example
 from exform.errors import InputError
+from exform.sef import StochasticExtensiveForm
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 EXAMPLE_NAMES = ["simple", "simple-variant", "amd", "mp-case1", "mp-case2",
@@ -35,15 +36,20 @@ class TestValidate:
         assert data["valid"] and data["perfect_recall"]
         assert not data["perfect_information"]
 
-    def test_json_reports_each_axiom(self):
-        # Axiom 6 is left undecided on the exit form, yet the form is valid
-        checked = json.loads(run("validate", "--sef", "examples:amd",
-                                 "--json").output)["checked"]
-        assert checked["axiom6"] == "undecided"
-        assert all(checked[f"axiom{k}"] is True for k in range(1, 6))
-        checked = json.loads(run("validate", "--sef", "examples:simple",
-                                 "--json").output)["checked"]
-        assert checked == {f"axiom{k}": True for k in range(1, 7)}
+    def test_json_reports_each_axiom(self, tmp_path, monkeypatch):
+        for name in ("amd", "simple"):
+            checked = json.loads(run("validate", "--sef", f"examples:{name}",
+                                     "--json").output)["checked"]
+            assert checked == {f"axiom{k}": True for k in range(1, 7)}
+        # a budget past Axiom 2's 8 profiles but short of the Axiom 6
+        # search's 14 nodes leaves Axiom 6 undecided, yet the form is valid
+        path = tmp_path / "constant.json"
+        path.write_text(json.dumps(serialize_sef(
+            StochasticExtensiveForm(*constant_choice_parts(4)))))
+        monkeypatch.setenv("EXFORM_BUDGET", "10")
+        data = json.loads(run("validate", "--sef", str(path), "--json").output)
+        assert data["valid"] and data["checked"]["axiom6"] == "undecided"
+        assert all(data["checked"][f"axiom{k}"] is True for k in range(1, 6))
 
     def test_unknown_example_is_input_error(self):
         assert run("validate", "--sef", "examples:nope").exit_code == 2
@@ -290,6 +296,19 @@ class TestDM:
         result = run("dm", "--poset", str(path))
         assert result.exit_code == 2
         assert "input error" in result.output
+
+
+    @pytest.mark.parametrize("doc,pair", [
+        ({"elements": [1, True], "leq": []}, "1 and true"),
+        ({"elements": [1, "a", None, True, 1.5], "leq": []}, "1 and true"),
+        ({"elements": [False, "a"], "leq": [[0, "a"]]}, "false and 0"),
+    ])
+    def test_labels_equal_only_in_python_exit_2(self, tmp_path, doc, pair):
+        path = tmp_path / "poset.json"
+        path.write_text(json.dumps(doc))
+        result = run("dm", "--poset", str(path))
+        assert result.exit_code == 2
+        assert pair in result.output
 
 
 class TestRegistry:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_rng, random_strict_sef
+from conftest import comb_parts, make_rng, random_strict_sef
 from exform._util import budget
 from exform.errors import (
     EnumerationBudgetExceeded,
@@ -39,6 +39,7 @@ from exform.play import (
     reduction_set,
     scenario_truncation,
 )
+from exform.sdf import RandomMove
 from exform.sef import StochasticExtensiveForm, convert_strategy, strategies
 from test_index import _compatible_outcomes, one_shot
 
@@ -165,6 +166,21 @@ class TestWellPosedness:
             induced_outcome(pseudo, StrategyProfile({"i": s}),
                             {sdf.root_of("w")})
 
+    def test_empty_menu_fails_existence_and_uniqueness(self):
+        # the 4-comb whose bottom move lost both children's choices: its
+        # agent has no strategy, so no profile gives any history an outcome
+        sdf, agents, agent_moves, info, refchoices, choices = comb_parts(4)
+        bottom = frozenset({"w:2", "w:3"})
+        kept = {c for c in choices["i"] if not c < bottom}
+        pseudo = object.__new__(StochasticExtensiveForm)
+        pseudo._store(sdf, agents, agent_moves, info, refchoices, {"i": kept})
+        report = check_wellposed_direct(pseudo)
+        assert (report.attainable, report.existence, report.uniqueness) \
+            == (False, False, False)
+        empty = report.witnesses["existence"]
+        assert report.witnesses["uniqueness"] == empty
+        assert empty.random_moves == {RandomMove({"w": bottom})}
+
     def test_disjoint_joint_choice_fails_existence(self):
         # two agents active at one move whose choices share no outcome
         pseudo = one_move_pseudo(["w:1", "w:2"], {"a": [{"w:1"}],
@@ -251,6 +267,14 @@ def wellposed_by_forward_play(sef):
 def assert_sweep_matches_oracle(sef):
     report = check_wellposed_direct(sef)
     oracle = wellposed_by_forward_play(sef)
+    if not list(_all_profiles(sef)):
+        # with no profile at all the oracle passes existence and
+        # uniqueness vacuously; the sweep fails both, on an information
+        # set that offers no choice
+        empty = report.witnesses.pop("existence")
+        assert report.witnesses.pop("uniqueness") == empty
+        assert not sef.available_at(empty.agent, next(iter(empty.random_moves)))
+        oracle.existence = oracle.uniqueness = False
     assert (report.attainable, report.existence, report.uniqueness) \
         == (oracle.attainable, oracle.existence, oracle.uniqueness)
     assert report.witnesses.get("attainable") \

@@ -10,6 +10,7 @@ from exform.instances import (
     TRIVIAL,
     VARIANT_SEF_ROWS,
     amd_sef,
+    load_example,
     simple_choice_first,
     simple_choice_second,
     simple_choice_second_any,
@@ -55,13 +56,13 @@ class TestValidity:
         assert [len(s.choices["i"]) for s in ALL_VARIANTS] == [6, 8, 10]
 
     def test_strong_separation(self):
-        assert simple_sef(1).strict
-        assert simple_sef(2).strict
-        assert AMD.strict
+        assert simple_sef(1).report.valid
+        assert simple_sef(2).report.valid
+        assert AMD.report.valid
 
     def test_amd_bigger_signal_space(self):
         sef, _ = amd_sef(2)
-        assert sef.report.valid and sef.strict
+        assert sef.report.valid
         assert len(sef.sdf.scenarios) == 8
         assert all(len(sef.choices[i]) == 4 for i in sef.agents)
 
@@ -264,7 +265,9 @@ class TestHeraclitus:
 
 
 class TestCompleteness:
-    @pytest.mark.parametrize("sef", ALL_ROWS + ALL_VARIANTS + [AMD])
+    @pytest.mark.parametrize("sef", ALL_ROWS + ALL_VARIANTS + [AMD] + [
+        load_example(name)[0] for name in
+        ("amd", "mp-case1", "mp-case2", "mp-case3", "mp-case4")])
     def test_valid_forms_are_fixed_points(self, sef):
         completed = complete_choices(sef)
         for i in sef.agents:
@@ -390,7 +393,7 @@ class TestActionPathForms:
     def test_matches_direct_construction(self, merge, row):
         data, info, hist = simple_ap_inputs(merge)
         sef, timing, index = build_action_path_sef(data, info, hist)
-        assert sef.report.valid and sef.strict
+        assert sef.report.valid
         relabelled = {frozenset(label(w, f) for (w, f) in c)
                       for c in sef.choices["i"]}
         assert relabelled == set(simple_sef(row).choices["i"])
@@ -419,7 +422,7 @@ class TestActionPathForms:
         point = frozenset({frozenset({"w"})})
         info = {"i": {(t, p): point for t in (0, 1, 2) for p in prefixes[t]}}
         sef, timing, index = build_action_path_sef(data, info, hist)
-        assert sef.report.valid and sef.strict
+        assert sef.report.valid
         assert len(sef.sdf.random_moves) == 7
         assert len(sef.choices["i"]) == 14
         sets, _ = info_sets(sef, "i")
@@ -437,7 +440,7 @@ class TestActionPathForms:
         hist = {i: {0: [{()}]} for i in "ab"}
         info = {i: {(0, ()): point} for i in "ab"}
         sef, _, _ = build_action_path_sef(data, info, hist)
-        assert sef.report.valid and sef.strict
+        assert sef.report.valid
         assert len(sef.choices["a"]) == len(sef.choices["b"]) == 2
         for i in "ab":
             flags = check_recall_and_info(sef, i)
