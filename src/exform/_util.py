@@ -1,6 +1,7 @@
 """Small shared helpers: enumeration budgets and rational formatting."""
 
 import os
+import sys
 from fractions import Fraction
 from itertools import chain, combinations
 
@@ -44,9 +45,13 @@ def parse_rational(text):
 
 def format_rational(q):
     q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError as err:   # over the interpreter's int-to-str limit
+        raise InputError(f"a rational of over {sys.get_int_max_str_digits()} "
+                         "digits cannot be printed") from err
 
 
 def partitions_of(items):

@@ -11,6 +11,7 @@ in human-readable simulation summaries.
 """
 
 import json as jsonlib
+from fractions import Fraction
 
 import click
 
@@ -125,6 +126,16 @@ def emit(as_json, human, data):
         click.echo(jsonlib.dumps(data, sort_keys=True, separators=(", ", ": ")))
     else:
         click.echo(human)
+
+
+def _printable(option, value):
+    """Reject an option whose rational value, or a rational it sets, has
+    too many digits to print."""
+    try:
+        format_rational(value)
+    except InputError as err:
+        raise InputError(f"{option}: {err}") from err
+    return value
 
 
 def json_flag(command):
@@ -276,7 +287,8 @@ def verify(ref, as_json, lean):
     if lean is not None:
         if ref != "examples:amd":
             raise InputError("--p only applies to examples:amd")
-        form, eu, profile, _ = instances.amd_instance(parse_rational(lean))
+        lean = _printable("--p", parse_rational(lean))
+        form, eu, profile, _ = instances.amd_instance(lean)
     else:
         form, eu, profile, _ = load_instance(ref)
         if profile is None:
@@ -398,8 +410,11 @@ def _parse_deviation(text):
 @guarded
 def timing_sim(eta, whistle, trials, seed, deviation, grid_n, as_json):
     """Run the preemption race: exact distribution plus Monte Carlo."""
-    config = timing.TimingConfig(eta=parse_rational(eta),
-                                 whistle=parse_rational(whistle),
+    if grid_n is not None:
+        _printable("--grid-n", Fraction(2) ** -grid_n)
+    config = timing.TimingConfig(eta=_printable("--eta", parse_rational(eta)),
+                                 whistle=_printable("--whistle",
+                                                    parse_rational(whistle)),
                                  trials=trials, seed=seed)
     exact = timing.outcome_distribution(config.eta)
     data = {"eta": format_rational(config.eta),

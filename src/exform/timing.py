@@ -11,13 +11,14 @@ post-whistle stopping level worth exactly zero and supports the mixing.
 import hashlib
 import math
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from . import tilt
 from .errors import InconsistentOutcome, InputError
-from .vtime import OMEGA, VTime, ordinal, vt
+from .vtime import INFINITY, OMEGA, VTime, ordinal, vt
 
 # vertical levels sampled before the forced boundary stop; the chance of
 # ever getting here is below (3/4)**200 for any positive eta
@@ -135,9 +136,12 @@ def outcome_distribution(eta):
 
 def payoff(outcome, eta, whistle_relation="post"):
     """The four-case payoff table, in each player's local currency."""
+    return _payoff(outcome.stopper_class, outcome.stop_level_1,
+                   outcome.stop_level_2, eta, whistle_relation)
+
+
+def _payoff(cls, a, b, eta, whistle_relation="post"):
     eta = Fraction(eta)
-    cls = outcome.stopper_class
-    a, b = outcome.stop_level_1, outcome.stop_level_2
     if whistle_relation not in ("pre", "post"):
         raise InputError(f"unknown whistle relation: {whistle_relation}")
     if (whistle_relation == "pre") != (cls is StopperClass.PRE_WHISTLE):
@@ -164,22 +168,59 @@ def payoff(outcome, eta, whistle_relation="post"):
     return (Fraction(-1), Fraction(-1))
 
 
-def _uniform(seed, trial, level, player):
+def _draw(seed, trial, level, player):
+    """The coin's 64-bit draw n, read as the uniform u = n / 2**64."""
     key = struct.pack(">QQQQ", seed, trial, level, player)
-    digest = hashlib.blake2b(key, digest_size=8).digest()
-    return Fraction(int.from_bytes(digest, "big"), 2 ** 64)
+    return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
+
+
+def _cut(q):
+    """
+    The integer cut of a coin with probability q: a draw n comes up iff
+    n < ceil(q * 2**64), which is n * q.denominator < q.numerator << 64,
+    i.e. exactly u < q, with no Fraction per draw.
+    """
+    return -(-(q.numerator << 64) // q.denominator)
 
 
 def sample_whistle(config, trial):
     if not isinstance(config.whistle, dict):
         return config.whistle
-    u = _uniform(config.seed, trial, 0, 0)
+    n = _draw(config.seed, trial, 0, 0)
     running = Fraction(0)
     for t in sorted(config.whistle):
         running += config.whistle[t]
-        if u < running:
+        if n < _cut(running):
             return t
     return max(config.whistle)
+
+
+def _cuts(eta):
+    return _cut(stop_prob(1, eta)), _cut(stop_prob(2, eta))
+
+
+def _race(seed, trial, cut1, cut2):
+    """
+    One post-whistle race on integer cuts: the first level at which
+    either coin comes up, with the two stop bits.  A race that reaches
+    the boundary ends there with neither bit, the forced joint stop.
+    """
+    for level in range(BOUNDARY):
+        one = _draw(seed, trial, level + 1, 1) < cut1
+        two = _draw(seed, trial, level + 1, 2) < cut2
+        if one or two:
+            return level, one, two
+    return BOUNDARY, False, False
+
+
+def _outcome(race, eta):
+    """The RaceOutcome of a kernel result, with its payoffs."""
+    level, one, two = race
+    a, b = (level if one else NEVER), (level if two else NEVER)
+    cls = (StopperClass.SOLE_1 if one and not two
+           else StopperClass.SOLE_2 if two and not one
+           else StopperClass.SIMULTANEOUS)
+    return RaceOutcome(a, b, cls, _payoff(cls, a, b, eta))
 
 
 def sample_race(config, trial):
@@ -188,32 +229,25 @@ def sample_race(config, trial):
     (seed, trial, level, player) so that the draw is reproducible and
     independent of evaluation order.
     """
-    q1, q2 = stop_prob(1, config.eta), stop_prob(2, config.eta)
-    for level in range(BOUNDARY):
-        one = _uniform(config.seed, trial, level + 1, 1) < q1
-        two = _uniform(config.seed, trial, level + 1, 2) < q2
-        if one or two:
-            cls = (StopperClass.SIMULTANEOUS if one and two
-                   else StopperClass.SOLE_1 if one else StopperClass.SOLE_2)
-            outcome = RaceOutcome(level if one else NEVER,
-                                  level if two else NEVER, cls, ())
-            return RaceOutcome(outcome.stop_level_1, outcome.stop_level_2,
-                               cls, payoff(outcome, config.eta))
-    outcome = RaceOutcome(NEVER, NEVER, StopperClass.SIMULTANEOUS, ())
-    return RaceOutcome(NEVER, NEVER, StopperClass.SIMULTANEOUS,
-                       payoff(outcome, config.eta))
+    return _outcome(_race(config.seed, trial, *_cuts(config.eta)),
+                    config.eta)
 
 
 def monte_carlo(config):
     """Exact-count statistics over independent trials; identical output
-    for identical (seed, trials) however the trials are scheduled."""
+    for identical (seed, trials) however the trials are scheduled.  The
+    trials are tallied per distinct race, and each distinct race is
+    classified and paid once."""
+    cut1, cut2 = _cuts(config.eta)
+    tally = Counter(_race(config.seed, trial, cut1, cut2)
+                    for trial in range(config.trials))
     counts = {cls: 0 for cls in StopperClass}
     sums = [Fraction(0), Fraction(0)]
-    for trial in range(config.trials):
-        outcome = sample_race(config, trial)
-        counts[outcome.stopper_class] += 1
-        sums[0] += outcome.payoffs[0]
-        sums[1] += outcome.payoffs[1]
+    for race, k in tally.items():
+        outcome = _outcome(race, config.eta)
+        counts[outcome.stopper_class] += k
+        sums[0] += k * outcome.payoffs[0]
+        sums[1] += k * outcome.payoffs[1]
     if config.trials == 0:
         return SimStats(0, counts, {}, None, {})
     probabilities = {cls: Fraction(k, config.trials)
@@ -279,7 +313,6 @@ def race_grid(config, n):
 
     def evaluate(beta):
         if beta == OMEGA:
-            from .vtime import INFINITY
             return INFINITY
         k = beta.cnf[0][1] if beta.cnf else 0
         if whistle == 0:

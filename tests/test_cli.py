@@ -247,6 +247,40 @@ class TestTimingCommand:
         assert len(calls) == 1
         assert both == alone + "grid approximant: mesh 1/8\n"
 
+    def test_readme_command_is_pinned(self):
+        # the counter-based coin promises these values bit for bit
+        result = run("timing-sim", "--eta", "1", "--trials", "100000",
+                     "--seed", "42", "--grid-n", "10", "--json")
+        data = json.loads(result.output)
+        assert data["counts"] == {"simultaneous": 33206, "sole-1": 33576,
+                                  "sole-2": 33218, "never": 0,
+                                  "pre-whistle": 0}
+        assert data["mean_payoffs"] == ["37/10000", "3/25000"]
+        assert data["grid"] == {"mesh": "1/1024"}
+
+
+class TestOversizedRationals:
+    # the interpreter prints no integer of over 4300 digits
+    @pytest.mark.parametrize("args, option", [
+        (["timing-sim", "--grid-n", "15000"], "--grid-n"),
+        (["timing-sim", "--eta", "1e5000"], "--eta"),
+        (["timing-sim", "--whistle", "1e5000"], "--whistle"),
+        (["equilibrium", "verify", "--sef", "examples:amd",
+          "--p", "1e-5000"], "--p"),
+    ])
+    def test_oversized_option_exits_2(self, args, option):
+        result = run(*args)
+        assert result.exit_code == 2
+        assert f"input error: {option}: a rational of over" in result.output
+
+    def test_oversized_result_exits_2(self):
+        # eta = 99..9/10^4299 prints, but the mean payoffs over 1000
+        # trials have over 4300 digits
+        eta = "9." + "9" * 4299
+        result = run("timing-sim", "--eta", eta, "--trials", "1000", "--json")
+        assert result.exit_code == 2
+        assert "input error: a rational of over" in result.output
+
 
 class TestUndecided:
     @pytest.mark.parametrize("args", [

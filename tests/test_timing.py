@@ -1,8 +1,14 @@
+import hashlib
 import math
+import struct
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from exform import timing
 from exform.errors import InconsistentOutcome, InputError
 from exform.timing import (
     NEVER,
@@ -250,3 +256,150 @@ class TestGridApproximant:
             == VTime(Fraction(5, 8), ordinal(1))
         assert path_tilt(TimingConfig(whistle=Fraction(3, 7)), 0) \
             == VTime(Fraction(3, 7), ordinal(0))
+
+
+# --- the Fraction sampler as oracle -------------------------------------------
+# The sampler that decided every coin as a Fraction, verbatim apart from
+# its names and reading timing.BOUNDARY at call time.
+
+def oracle_uniform(seed, trial, level, player):
+    key = struct.pack(">QQQQ", seed, trial, level, player)
+    digest = hashlib.blake2b(key, digest_size=8).digest()
+    return Fraction(int.from_bytes(digest, "big"), 2 ** 64)
+
+
+def oracle_sample_whistle(config, trial):
+    if not isinstance(config.whistle, dict):
+        return config.whistle
+    u = oracle_uniform(config.seed, trial, 0, 0)
+    running = Fraction(0)
+    for t in sorted(config.whistle):
+        running += config.whistle[t]
+        if u < running:
+            return t
+    return max(config.whistle)
+
+
+def oracle_sample_race(config, trial):
+    q1, q2 = stop_prob(1, config.eta), stop_prob(2, config.eta)
+    for level in range(timing.BOUNDARY):
+        one = oracle_uniform(config.seed, trial, level + 1, 1) < q1
+        two = oracle_uniform(config.seed, trial, level + 1, 2) < q2
+        if one or two:
+            cls = (StopperClass.SIMULTANEOUS if one and two
+                   else StopperClass.SOLE_1 if one else StopperClass.SOLE_2)
+            outcome = RaceOutcome(level if one else NEVER,
+                                  level if two else NEVER, cls, ())
+            return RaceOutcome(outcome.stop_level_1, outcome.stop_level_2,
+                               cls, payoff(outcome, config.eta))
+    outcome = RaceOutcome(NEVER, NEVER, StopperClass.SIMULTANEOUS, ())
+    return RaceOutcome(NEVER, NEVER, StopperClass.SIMULTANEOUS,
+                       payoff(outcome, config.eta))
+
+
+def oracle_monte_carlo(config):
+    counts = {cls: 0 for cls in StopperClass}
+    sums = [Fraction(0), Fraction(0)]
+    for trial in range(config.trials):
+        outcome = oracle_sample_race(config, trial)
+        counts[outcome.stopper_class] += 1
+        sums[0] += outcome.payoffs[0]
+        sums[1] += outcome.payoffs[1]
+    if config.trials == 0:
+        return SimStats(0, counts, {}, None, {})
+    probabilities = {cls: Fraction(k, config.trials)
+                     for cls, k in counts.items()}
+    radii = {cls: 3 * math.sqrt(float(p * (1 - p)) / config.trials)
+             for cls, p in probabilities.items()}
+    means = (sums[0] / config.trials, sums[1] / config.trials)
+    return SimStats(config.trials, counts, probabilities, means, radii)
+
+
+positive_etas = st.one_of(
+    st.fractions(min_value=0, max_value=100),
+    st.fractions(min_value=0, max_value=Fraction(1, 10 ** 12)),
+    st.fractions(min_value=10 ** 12),
+).filter(lambda q: q > 0)
+seeds = st.integers(min_value=0, max_value=2 ** 64 - 1)
+
+
+@st.composite
+def whistle_distributions(draw):
+    weights = draw(st.dictionaries(st.fractions(min_value=0, max_value=10),
+                                   st.integers(min_value=0, max_value=9),
+                                   min_size=1, max_size=5))
+    if not any(weights.values()):
+        weights[next(iter(weights))] = 1
+    total = sum(weights.values())
+    return {t: Fraction(w, total) for t, w in weights.items()}
+
+
+whistles = st.one_of(st.fractions(min_value=0, max_value=10),
+                     whistle_distributions())
+
+
+def assert_matches_oracle(config, races=20):
+    assert monte_carlo(config) == oracle_monte_carlo(config)
+    for trial in range(races):
+        assert sample_race(config, trial) == oracle_sample_race(config, trial)
+
+
+class TestAgainstFractionSampler:
+    @given(positive_etas, whistles, st.integers(min_value=0, max_value=200),
+           seeds)
+    @settings(deadline=None, max_examples=80)
+    def test_stats_and_races(self, eta, whistle, trials, seed):
+        assert_matches_oracle(TimingConfig(eta, whistle, trials, seed))
+
+    @given(whistle_distributions(), seeds)
+    @settings(deadline=None, max_examples=80)
+    def test_whistle_draws(self, whistle, seed):
+        config = TimingConfig(whistle=whistle, seed=seed)
+        for trial in range(20):
+            assert sample_whistle(config, trial) \
+                == oracle_sample_whistle(config, trial)
+
+    @given(st.one_of(
+        st.fractions(min_value=0, max_value=1),
+        st.integers(min_value=0, max_value=2 ** 64).map(
+            lambda k: Fraction(k, 2 ** 64))))
+    def test_cut_decides_each_draw_like_the_fraction(self, q):
+        cut = timing._cut(q)
+        for n in (0, cut - 1, cut, cut + 1, 2 ** 64 - 1):
+            if 0 <= n < 2 ** 64:
+                assert (n < cut) == (Fraction(n, 2 ** 64) < q)
+
+    @pytest.mark.parametrize("boundary", [0, 1])
+    @pytest.mark.parametrize("eta", [Fraction(1, 10 ** 9), Fraction(1),
+                                     Fraction(10 ** 9)])
+    def test_forced_boundary_stop(self, monkeypatch, boundary, eta):
+        monkeypatch.setattr(timing, "BOUNDARY", boundary)
+        config = TimingConfig(eta=eta, trials=200, seed=8)
+        assert_matches_oracle(config)
+        races = [sample_race(config, trial) for trial in range(200)]
+        boundary_stops = [o for o in races if o.stop_level_1 is NEVER
+                          and o.stop_level_2 is NEVER]
+        assert all(
+            o.stopper_class is StopperClass.SIMULTANEOUS
+            and o.payoffs == (0, 0) for o in boundary_stops)
+        if boundary == 0:
+            assert len(boundary_stops) == 200
+
+    def test_no_fraction_per_trial(self):
+        # Fraction work is per distinct race outcome, of which there are
+        # a few dozen, not per trial or per draw
+        config = TimingConfig(eta=Fraction(2, 3), trials=5000, seed=1)
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            if event == "call" and frame.f_code.co_filename \
+                    == sys.modules["fractions"].__file__:
+                calls += 1
+
+        sys.setprofile(count)
+        try:
+            monte_carlo(config)
+        finally:
+            sys.setprofile(None)
+        assert calls < config.trials
