@@ -34,11 +34,24 @@ def powerset(iterable):
 
 
 def parse_rational(text):
-    """Parse "num/den" or "num" into an exact Fraction."""
+    """
+    Parse "num/den", "num" or a decimal such as "1.5e-3" into an exact
+    Fraction.  A decimal exponent over the interpreter's int-to-str limit
+    in magnitude is rejected before Fraction expands it, which would take
+    seconds to minutes.
+    """
     if isinstance(text, (int, Fraction)):
         return Fraction(text)
+    text = str(text)
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    _, mark, exponent = text.lower().rpartition("e")
+    digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if mark and digits.isdecimal() and (len(digits) > len(str(limit))
+                                        or int(digits) > limit):
+        raise InputError(f"a rational of over {limit} digits, or with a "
+                         f"decimal exponent over {limit}, cannot be parsed")
     try:
-        return Fraction(str(text))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise InputError(f"not a rational: {text!r}")
 

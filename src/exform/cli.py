@@ -128,10 +128,12 @@ def emit(as_json, human, data):
         click.echo(human)
 
 
-def _printable(option, value):
-    """Reject an option whose rational value, or a rational it sets, has
-    too many digits to print."""
+def _rational_option(option, value):
+    """An option's rational, parsed from its text (or a rational it sets),
+    rejected with the option named when it is malformed or has too many
+    digits to print."""
     try:
+        value = parse_rational(value)
         format_rational(value)
     except InputError as err:
         raise InputError(f"{option}: {err}") from err
@@ -287,7 +289,7 @@ def verify(ref, as_json, lean):
     if lean is not None:
         if ref != "examples:amd":
             raise InputError("--p only applies to examples:amd")
-        lean = _printable("--p", parse_rational(lean))
+        lean = _rational_option("--p", lean)
         form, eu, profile, _ = instances.amd_instance(lean)
     else:
         form, eu, profile, _ = load_instance(ref)
@@ -411,10 +413,9 @@ def _parse_deviation(text):
 def timing_sim(eta, whistle, trials, seed, deviation, grid_n, as_json):
     """Run the preemption race: exact distribution plus Monte Carlo."""
     if grid_n is not None:
-        _printable("--grid-n", Fraction(2) ** -grid_n)
-    config = timing.TimingConfig(eta=_printable("--eta", parse_rational(eta)),
-                                 whistle=_printable("--whistle",
-                                                    parse_rational(whistle)),
+        _rational_option("--grid-n", Fraction(2) ** -grid_n)
+    config = timing.TimingConfig(eta=_rational_option("--eta", eta),
+                                 whistle=_rational_option("--whistle", whistle),
                                  trials=trials, seed=seed)
     exact = timing.outcome_distribution(config.eta)
     data = {"eta": format_rational(config.eta),

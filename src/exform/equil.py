@@ -92,24 +92,55 @@ def _psi(infoset, sdf, w):
     return None
 
 
-def _block_values(sef, belief, taste, tables, blocks):
-    """Conditional expected payoff per positive-probability block."""
-    values = {}
-    zero = set()
+@dataclass
+class _UnitPlan:
+    """
+    A unit's conditional payoffs in integers, fixed once per unit: each
+    positive-mass block keeps its (start move, weight) pairs, the weights
+    over the belief's common denominator, and its mass; the tastes on the
+    outcomes play can reach are integers over ``scale``.  A block's value
+    under any tables is its ``total`` over mass * scale, so two profiles
+    compare on their totals.
+    """
+    blocks: list   # (block, [(start move, weight)], mass), sorted by block
+    zero: set      # the zero-mass blocks
+    taste: dict    # outcome -> int, over scale
+    scale: int
+
+    def total(self, sef, tables, pairs):
+        taste = self.taste
+        return sum(weight * taste[outcome_from(sef, tables, start)]
+                   for start, weight in pairs)
+
+    def value(self, total, mass):
+        return Fraction(total, mass * self.scale)
+
+    def values(self, sef, tables):
+        return {b: self.value(self.total(sef, tables, pairs), mass)
+                for b, pairs, mass in self.blocks}
+
+
+def _unit_plan(sef, belief, taste, blocks):
+    """The unit's plan over the given information blocks."""
+    prob = {w: Fraction(v) for w, v in belief.prob.items()}
+    denominator = lcm(*(q.denominator for q in prob.values()))
+    weight = {w: q.numerator * (denominator // q.denominator)
+              for w, q in prob.items() if q}
+    plan, zero, support = [], set(), set()
     for b in sorted(blocks, key=sorted):
-        mass = sum((Fraction(belief.prob.get(w, 0)) for w in b), Fraction(0))
+        reached = [w for w in sorted(b) if w in weight]
+        mass = sum(weight[w] for w in reached)
         if mass == 0:
             zero.add(b)
             continue
-        total = Fraction(0)
-        for w in sorted(b):
-            pw = Fraction(belief.prob.get(w, 0))
-            if pw == 0:
-                continue
-            out = outcome_from(sef, tables, belief.assessment[w](w))
-            total += pw * Fraction(taste[out])
-        values[b] = total / mass
-    return values, zero
+        plan.append((b, [(belief.assessment[w](w), weight[w]) for w in reached],
+                     mass))
+        support.update(reached)
+    outcomes = frozenset().union(*map(sef.sdf.root_of, support))
+    tastes = {o: Fraction(taste[o]) for o in outcomes if o in taste}
+    scale = lcm(*(q.denominator for q in tastes.values()))
+    return _UnitPlan(plan, zero, {o: q.numerator * (scale // q.denominator)
+                                  for o, q in tastes.items()}, scale)
 
 
 def expected_payoff(sef, eu, profile, agent, infoset, block=None):
@@ -119,8 +150,6 @@ def expected_payoff(sef, eu, profile, agent, infoset, block=None):
     Requesting a specific zero-probability block is an error.
     """
     unit = (agent, infoset)
-    belief = eu.beliefs[unit]
-    taste = eu.tastes[unit]
     tables = profile_tables(sef, profile)
     blocks = information_blocks(sef, agent, infoset)
     if block is not None:
@@ -128,11 +157,11 @@ def expected_payoff(sef, eu, profile, agent, infoset, block=None):
         if block not in blocks:
             raise InputError(f"not an information block: {sorted(block)}")
         blocks = {block}
-    values, zero = _block_values(sef, belief, taste, tables, blocks)
-    if block is not None and block in zero:
+    plan = _unit_plan(sef, eu.beliefs[unit], eu.tastes[unit], blocks)
+    if block is not None and block in plan.zero:
         raise ZeroProbabilityBlockRequested(
             f"block {sorted(block)} has probability zero at {unit!r}")
-    return values
+    return plan.values(sef, tables)
 
 
 @dataclass
@@ -150,38 +179,40 @@ def check_dynamic_rationality(sef, eu, profile):
     """
     Exhaustive one-agent deviation check: at every info set of every
     agent, the profile's conditional payoff must weakly dominate every
-    unilateral deviation on every positive-probability block.
+    unilateral deviation on every positive-probability block.  Each unit's
+    plan is built once, and a deviation is compared with the profile on
+    the integer totals of the plan's blocks.
     """
     if isinstance(profile, dict):
         profile = StrategyProfile(profile)
     validate_eu(sef, eu)
     report = RationalityReport(True, {})
     base_tables = profile_tables(sef, profile)
-    my_units = units(sef)
-    for unit in my_units:
-        agent, p = unit
-        blocks = information_blocks(sef, agent, p)
-        values, zero = _block_values(
-            sef, eu.beliefs[unit], eu.tastes[unit], base_tables, blocks)
-        report.payoffs[unit] = values
-        report.zero_blocks[unit] = zero
+    swept = []   # (unit, plan, the profile's total per block)
+    for unit in units(sef):
+        plan = _unit_plan(sef, eu.beliefs[unit], eu.tastes[unit],
+                          information_blocks(sef, *unit))
+        totals = [plan.total(sef, base_tables, pairs)
+                  for _, pairs, _ in plan.blocks]
+        report.payoffs[unit] = {b: plan.value(total, mass) for (b, _, mass), total
+                                in zip(plan.blocks, totals)}
+        report.zero_blocks[unit] = plan.zero
+        swept.append((unit, plan, totals))
     for i in sef.agents:
         deviations = strategies(sef, i)
-        own_units = [u for u in my_units if u[0] == i]
+        own = [entry for entry in swept if entry[0][0] == i]
         for t in deviations:
             swapped = dict(profile.strategies)
             swapped[i] = t
             tables = profile_tables(sef, StrategyProfile(swapped))
-            for unit in own_units:
-                _, p = unit
-                blocks = information_blocks(sef, i, p)
-                values, _ = _block_values(
-                    sef, eu.beliefs[unit], eu.tastes[unit], tables, blocks)
-                for b, v in values.items():
-                    if v > report.payoffs[unit][b]:
+            for unit, plan, totals in own:
+                for (b, pairs, mass), base in zip(plan.blocks, totals):
+                    total = plan.total(sef, tables, pairs)
+                    if total > base:
                         report.rational = False
                         report.witnesses.append(
-                            (i, p, t, b, report.payoffs[unit][b], v))
+                            (i, unit[1], t, b, report.payoffs[unit][b],
+                             plan.value(total, mass)))
                         break
     return report
 

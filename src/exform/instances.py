@@ -524,11 +524,14 @@ def amd_instance(p=Fraction(2, 3), atoms=3):
     """
     The exit/continue form with a symmetric threshold profile: each agent
     exits exactly on the signal atoms of total probability 1 - p.  The
-    exit probability must be a multiple of 1/atoms.
+    bias p must lie in [0, 1] and the exit probability be a multiple of
+    1/atoms.
     """
     p = Fraction(p)
+    if not 0 <= p <= 1:
+        raise InputError(f"bias p = {p} is out of range [0, 1]")
     exit_count = (1 - p) * atoms
-    if not 0 <= p <= 1 or exit_count.denominator != 1:
+    if exit_count.denominator != 1:
         raise InputError(f"exit probability {1 - p} is not a multiple "
                          f"of 1/{atoms}")
     sef, _ = amd_sef(atoms)

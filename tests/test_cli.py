@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -112,6 +113,20 @@ class TestEquilibrium:
     def test_p_outside_grid_is_input_error(self):
         assert run("equilibrium", "verify", "--sef", "examples:amd",
                    "--p", "1/2").exit_code == 2
+
+    @pytest.mark.parametrize("p", ["2", "10", "1_0", "-1"])
+    def test_p_outside_the_unit_interval_is_out_of_range(self, p):
+        result = run("equilibrium", "verify", "--sef", "examples:amd",
+                     "--p", p)
+        assert result.exit_code == 2
+        assert "is out of range [0, 1]" in result.output
+        assert "multiple" not in result.output
+
+    def test_p_off_the_grid_names_the_multiple(self):
+        result = run("equilibrium", "verify", "--sef", "examples:amd",
+                     "--p", "1/2")
+        assert result.exit_code == 2
+        assert "exit probability 1/2 is not a multiple of 1/3" in result.output
 
     def test_p_restricted_to_the_exit_form(self):
         assert run("equilibrium", "verify", "--sef", "examples:simple",
@@ -273,6 +288,21 @@ class TestOversizedRationals:
         assert result.exit_code == 2
         assert f"input error: {option}: a rational of over" in result.output
 
+    @pytest.mark.parametrize("args, option", [
+        (["timing-sim", "--eta", "1e99999999"], "--eta"),
+        (["timing-sim", "--whistle", "1E-99_999_999"], "--whistle"),
+        (["equilibrium", "verify", "--sef", "examples:amd",
+          "--p", "1e-99999999"], "--p"),
+    ])
+    def test_huge_exponent_is_rejected_at_once(self, args, option):
+        # Fraction would expand 10 ** 99999999 before any digit check
+        start = time.perf_counter()
+        result = run(*args)
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 2
+        assert f"input error: {option}: " in result.output
+        assert "decimal exponent over" in result.output
+
     def test_oversized_result_exits_2(self):
         # eta = 99..9/10^4299 prints, but the mean payoffs over 1000
         # trials have over 4300 digits
@@ -343,6 +373,17 @@ class TestDM:
         result = run("dm", "--poset", str(path))
         assert result.exit_code == 2
         assert pair in result.output
+
+
+class TestModuleEntry:
+    def test_python_dash_m_runs_the_cli(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "exform", "--help"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": SRC + os.pathsep
+                 + os.environ.get("PYTHONPATH", "")})
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("Usage: exform ")
 
 
 class TestRegistry:

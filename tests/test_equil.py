@@ -705,3 +705,159 @@ class TestUniformTastes:
         assert set(tastes) == set(units(sef))
         for (i, _), taste in tastes.items():
             assert taste == per_agent[i]
+
+
+# --- rationality oracle --------------------------------------------------------
+# The block values as Fractions, one block at a time, recomputed for every
+# deviation: the rationality sweep before each unit's plan held its block
+# values as integers.
+
+def _block_values(sef, belief, taste, tables, blocks):
+    """Conditional expected payoff per positive-probability block."""
+    values = {}
+    zero = set()
+    for b in sorted(blocks, key=sorted):
+        mass = sum((Fraction(belief.prob.get(w, 0)) for w in b), Fraction(0))
+        if mass == 0:
+            zero.add(b)
+            continue
+        total = Fraction(0)
+        for w in sorted(b):
+            pw = Fraction(belief.prob.get(w, 0))
+            if pw == 0:
+                continue
+            out = outcome_from(sef, tables, belief.assessment[w](w))
+            total += pw * Fraction(taste[out])
+        values[b] = total / mass
+    return values, zero
+
+
+def oracle_payoff(sef, eu, profile, agent, infoset, block=None):
+    unit = (agent, infoset)
+    tables = profile_tables(sef, profile)
+    blocks = information_blocks(sef, agent, infoset)
+    if block is not None:
+        block = frozenset(block)
+        blocks = {block}
+    values, zero = _block_values(sef, eu.beliefs[unit], eu.tastes[unit],
+                                 tables, blocks)
+    if block is not None and block in zero:
+        raise ZeroProbabilityBlockRequested(f"block {sorted(block)}")
+    return values
+
+
+def oracle_rationality(sef, eu, profile):
+    """(rational, payoffs, witnesses, zero blocks) by full recomputation."""
+    payoffs, zeros, witnesses = {}, {}, []
+    base_tables = profile_tables(sef, profile)
+    for unit in units(sef):
+        payoffs[unit], zeros[unit] = _block_values(
+            sef, eu.beliefs[unit], eu.tastes[unit], base_tables,
+            information_blocks(sef, *unit))
+    for i in sef.agents:
+        for t in strategies(sef, i):
+            tables = profile_tables(sef, swap(sef, profile, i, t))
+            for unit in [u for u in units(sef) if u[0] == i]:
+                values, _ = _block_values(
+                    sef, eu.beliefs[unit], eu.tastes[unit], tables,
+                    information_blocks(sef, *unit))
+                for b, v in values.items():
+                    if v > payoffs[unit][b]:
+                        witnesses.append((i, unit[1], t, b, payoffs[unit][b], v))
+                        break
+    return not witnesses, payoffs, witnesses, zeros
+
+
+_FORMS = {}
+
+
+def bundled(name):
+    if name not in _FORMS:
+        _FORMS[name] = load_example(name)
+    return _FORMS[name]
+
+
+@st.composite
+def drawn_layers(draw):
+    """A bundled form with a drawn profile, beliefs that leave some blocks
+    at mass zero, and tastes of mixed denominators and signs."""
+    name = draw(st.sampled_from(EXAMPLES))
+    sef, _, s, _ = bundled(name)
+    profile = s
+    for i in sef.agents:
+        if draw(st.booleans()):
+            menu = strategies(sef, i)
+            profile = swap(sef, profile, i,
+                           menu[draw(st.integers(0, len(menu) - 1))])
+    fraction = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+    outcomes = sorted(sef.sdf.forest.outcomes)
+    beliefs, tastes = {}, {}
+    for unit in units(sef):
+        blocks = sorted(information_blocks(sef, *unit), key=sorted)
+        kept = draw(st.lists(st.booleans(), min_size=len(blocks),
+                             max_size=len(blocks)))
+        kept[draw(st.integers(0, len(blocks) - 1))] = True
+        weights = {}
+        for b, keep in zip(blocks, kept):
+            for w in sorted(b):
+                weights[w] = draw(st.integers(0, 4)) if keep else 0
+            if keep and not any(weights[w] for w in b):
+                weights[min(b)] = 1
+        total = sum(weights.values())
+        assessment = {w: draw(st.sampled_from(sorted(
+            (m for m in unit[1].random_moves if w in m.domain), key=repr)))
+            for w in unit_domain(unit)}
+        beliefs[unit] = Belief({w: Fraction(k, total)
+                                for w, k in weights.items() if k},
+                               assessment)
+        tastes[unit] = {o: draw(fraction) for o in outcomes}
+    return sef, EUStructure(beliefs, tastes), profile
+
+
+class TestRationalityOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(drawn_layers())
+    def test_sweep_matches_the_oracle(self, layer):
+        sef, eu, profile = layer
+        report = check_dynamic_rationality(sef, eu, profile)
+        rational, payoffs, witnesses, zeros = oracle_rationality(
+            sef, eu, profile)
+        assert report.rational == rational
+        assert [(u, list(v.items())) for u, v in report.payoffs.items()] \
+            == [(u, list(v.items())) for u, v in payoffs.items()]
+        assert report.witnesses == witnesses
+        assert report.zero_blocks == zeros
+
+    @settings(max_examples=60, deadline=None)
+    @given(drawn_layers())
+    def test_payoffs_match_the_oracle(self, layer):
+        sef, eu, profile = layer
+        for unit in units(sef):
+            assert list(expected_payoff(sef, eu, profile, *unit).items()) \
+                == list(oracle_payoff(sef, eu, profile, *unit).items())
+            for b in information_blocks(sef, *unit):
+                try:
+                    want = oracle_payoff(sef, eu, profile, *unit, block=b)
+                except ZeroProbabilityBlockRequested:
+                    with pytest.raises(ZeroProbabilityBlockRequested):
+                        expected_payoff(sef, eu, profile, *unit, block=b)
+                else:
+                    assert expected_payoff(sef, eu, profile, *unit,
+                                           block=b) == want
+
+    def test_draws_reach_zero_blocks_and_witnesses(self):
+        # the cross-checks above see both a zero-mass block and a witness
+        seen = set()
+
+        @settings(max_examples=60, deadline=None)
+        @given(drawn_layers())
+        def probe(layer):
+            sef, eu, profile = layer
+            report = check_dynamic_rationality(sef, eu, profile)
+            if any(report.zero_blocks.values()):
+                seen.add("zero")
+            if report.witnesses:
+                seen.add("witness")
+
+        probe()
+        assert seen == {"zero", "witness"}
