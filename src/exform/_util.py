@@ -1,6 +1,7 @@
 """Small shared helpers: enumeration budgets and rational formatting."""
 
 import os
+import re
 import sys
 from fractions import Fraction
 from itertools import chain, combinations
@@ -38,21 +39,26 @@ def parse_rational(text):
     Parse "num/den", "num" or a decimal such as "1.5e-3" into an exact
     Fraction.  A decimal exponent over the interpreter's int-to-str limit
     in magnitude is rejected before Fraction expands it, which would take
-    seconds to minutes.
+    seconds to minutes; a run of more digits than that limit is rejected
+    with the same message rather than echoed back.
     """
     if isinstance(text, (int, Fraction)):
         return Fraction(text)
     text = str(text)
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    oversized = InputError(f"a rational of over {limit} digits, or with a "
+                           f"decimal exponent over {limit}, cannot be parsed")
     _, mark, exponent = text.lower().rpartition("e")
     digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
     if mark and digits.isdecimal() and (len(digits) > len(str(limit))
                                         or int(digits) > limit):
-        raise InputError(f"a rational of over {limit} digits, or with a "
-                         f"decimal exponent over {limit}, cannot be parsed")
+        raise oversized
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
+        if any(len(run.replace("_", "")) > limit
+               for run in re.findall(r"[\d_]+", text)):
+            raise oversized
         raise InputError(f"not a rational: {text!r}")
 
 

@@ -11,7 +11,7 @@ in human-readable simulation summaries.
 """
 
 import json as jsonlib
-from fractions import Fraction
+import sys
 
 import click
 
@@ -412,8 +412,13 @@ def _parse_deviation(text):
 @guarded
 def timing_sim(eta, whistle, trials, seed, deviation, grid_n, as_json):
     """Run the preemption race: exact distribution plus Monte Carlo."""
-    if grid_n is not None:
-        _rational_option("--grid-n", Fraction(2) ** -grid_n)
+    # the mesh 2^-n prints iff 2^|n| < 10^limit, that is iff |n| is below
+    # the bit length of 10^limit: no power of two need be built to know
+    limit = sys.get_int_max_str_digits()
+    if grid_n is not None and limit \
+            and abs(grid_n) >= (10 ** limit).bit_length():
+        raise InputError(f"--grid-n: a rational of over {limit} digits "
+                         "cannot be printed")
     config = timing.TimingConfig(eta=_rational_option("--eta", eta),
                                  whistle=_rational_option("--whistle", whistle),
                                  trials=trials, seed=seed)
@@ -455,16 +460,16 @@ def timing_sim(eta, whistle, trials, seed, deviation, grid_n, as_json):
 # --- completions --------------------------------------------------------------
 
 def _closure(elements, pairs):
-    leq = {(x, x) for x in elements} | {tuple(p) for p in pairs}
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(leq):
-            for (c, d) in list(leq):
-                if b == c and (a, d) not in leq:
-                    leq.add((a, d))
-                    changed = True
-    return leq
+    """The elements' identity plus the pairs, closed transitively by
+    Warshall's method on each label's up-set."""
+    up = {x: {x} for x in elements}
+    for (a, b) in pairs:
+        up.setdefault(a, set()).add(b)
+    for k, up_k in up.items():
+        for up_x in up.values():
+            if k in up_x:
+                up_x |= up_k
+    return {(a, b) for a, up_a in up.items() for b in up_a}
 
 
 @cli.command()

@@ -336,14 +336,14 @@ def _ordered_directions(group):
     return [(a, b), (b, a)]
 
 
-def check_dynamic_consistency(sef, eu, profile, priors=None):
+def check_dynamic_consistency(sef, eu, profile):
     """
     Consistency of the belief systems under the profile, checked on every
     group of at most two (agent, info set) units: assessments must follow
     realized play into later info sets, the agreement events are recorded,
     and each group needs a common prior reproducing both local beliefs by
     conditioning on the scenarios that reach the respective info set.  The
-    prior is found by exact linear feasibility unless one is supplied.
+    prior is found by exact linear feasibility.
     """
     if isinstance(profile, dict):
         profile = StrategyProfile(profile)
@@ -397,48 +397,35 @@ def check_dynamic_consistency(sef, eu, profile, priors=None):
         report.events.update(events)
         if status != "inconsistent":
             universe = sorted(frozenset().union(*domains.values()))
-            # a supplied prior is a candidate for genuine pairs only: a
-            # one-unit group admits exactly the local belief as its prior
-            if priors is not None and len(members) == 2:
-                q = {w: Fraction(priors.get(w, 0)) for w in universe}
-                mass = sum(q.values(), Fraction(0))
-                if mass == 0:
-                    status = "inconsistent"
-                    witness = ("prior", "no mass on the group domain")
-                    q = None
-                else:
-                    q = {w: v / mass for w, v in q.items()}
-            else:
-                rows = [(dict.fromkeys(universe, Fraction(1)), Fraction(1))]
-                for ua, ub in _ordered_directions(members):
-                    a_set = reached[(ua, ub)]
-                    prob_b = eu.beliefs[ub].prob
-                    for w0 in sorted(domains[ub]):
-                        coeffs = dict.fromkeys(
-                            a_set, Fraction(prob_b.get(w0, 0)))
-                        if w0 in a_set:
-                            coeffs[w0] -= 1
-                        rows.append((coeffs, Fraction(0)))
-                q = _feasible_point(universe, rows)
-                if q is None:
-                    status = "inconsistent"
-                    witness = ("prior", "no common prior exists")
-                # the witness is a vertex and may miss an event that some
-                # common prior charges; the rows but the first are
-                # homogeneous, so averaging in a prior normalised on that
-                # event stays feasible, and "vacuous" below means that
-                # every common prior misses it
-                for ua, ub in _ordered_directions(members):
-                    a_set = reached[(ua, ub)]
-                    if q is None or any(q[w] for w in a_set):
-                        continue
-                    on_a = _feasible_point(
-                        universe,
-                        [(dict.fromkeys(a_set, Fraction(1)), Fraction(1))]
-                        + rows[1:])
-                    if on_a is not None:
-                        mass = sum(on_a.values(), Fraction(0))
-                        q = {w: (q[w] + on_a[w] / mass) / 2 for w in universe}
+            rows = [(dict.fromkeys(universe, Fraction(1)), Fraction(1))]
+            for ua, ub in _ordered_directions(members):
+                a_set = reached[(ua, ub)]
+                prob_b = eu.beliefs[ub].prob
+                for w0 in sorted(domains[ub]):
+                    coeffs = dict.fromkeys(a_set, Fraction(prob_b.get(w0, 0)))
+                    if w0 in a_set:
+                        coeffs[w0] -= 1
+                    rows.append((coeffs, Fraction(0)))
+            q = _feasible_point(universe, rows)
+            if q is None:
+                status = "inconsistent"
+                witness = ("prior", "no common prior exists")
+            # the witness is a vertex and may miss an event that some
+            # common prior charges; the rows but the first are
+            # homogeneous, so averaging in a prior normalised on that
+            # event stays feasible, and "vacuous" below means that
+            # every common prior misses it
+            for ua, ub in _ordered_directions(members):
+                a_set = reached[(ua, ub)]
+                if q is None or any(q[w] for w in a_set):
+                    continue
+                on_a = _feasible_point(
+                    universe,
+                    [(dict.fromkeys(a_set, Fraction(1)), Fraction(1))]
+                    + rows[1:])
+                if on_a is not None:
+                    mass = sum(on_a.values(), Fraction(0))
+                    q = {w: (q[w] + on_a[w] / mass) / 2 for w in universe}
             if q is not None:
                 vacuous = False
                 for ua, ub in _ordered_directions(members):
@@ -461,8 +448,6 @@ def check_dynamic_consistency(sef, eu, profile, priors=None):
                     report.priors[group] = q
                     if vacuous:
                         status = "vacuously consistent"
-                elif status == "vacuously consistent":
-                    report.priors[group] = q
         report.pair_status[group] = status
         if witness is not None:
             report.witnesses[group] = witness

@@ -8,18 +8,8 @@ set representation, never stored.
 
 from dataclasses import dataclass
 
-from ._util import budget
-from .errors import (
-    BudgetExceeded,
-    ChoiceError,
-    InputError,
-    NotAHistory,
-    StructureError,
-)
+from .errors import ChoiceError, InputError, NotAHistory, StructureError
 from .order import Poset
-
-# default cap of the history enumeration; EXFORM_BUDGET overrides it
-HISTORIES_CAP = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -204,13 +194,7 @@ def histories(forest):
     All histories: nonempty, non-maximal, upward closed chains.  In a
     finite forest these are exactly the principal up-sets of the moves.
     """
-    cap = budget(HISTORIES_CAP)
-    result = set()
-    for x in forest.moves():
-        result.add(forest.up(x))
-        if len(result) > cap:
-            raise BudgetExceeded(f"more than {cap} histories")
-    return result
+    return {forest.up(x) for x in forest.moves()}
 
 
 def is_history(forest, h):

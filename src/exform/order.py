@@ -12,10 +12,10 @@ play runs downward from a root to a minimal (terminal) element.
 from dataclasses import dataclass
 from itertools import combinations
 
-from ._util import budget, powerset
+from ._util import budget
 from .errors import BudgetExceeded, InputError, StructureError
 
-# default cap of the DM-completion subset enumeration; EXFORM_BUDGET
+# default cap of the number of DM-completion cuts; EXFORM_BUDGET
 # overrides it
 DM_CAP = 2 ** 22
 
@@ -26,25 +26,28 @@ class Poset:
     def __init__(self, elements, leq):
         self._elements = frozenset(elements)
         pairs = frozenset((a, b) for (a, b) in leq)
+        up = {x: set() for x in self._elements}
+        down = {x: set() for x in self._elements}
         for (a, b) in pairs:
             if a not in self._elements or b not in self._elements:
                 raise InputError(f"relation mentions unknown label: {(a, b)!r}")
+            up[a].add(b)
+            down[b].add(a)
         # No silent reflexive-transitive closure: a malformed relation is an error.
         for x in self._elements:
-            if (x, x) not in pairs:
+            if x not in up[x]:
                 raise InputError(f"relation not reflexive at {x!r}")
         for (a, b) in pairs:
-            if a != b and (b, a) in pairs:
+            if a != b and a in up[b]:
                 raise InputError(f"relation not antisymmetric on {(a, b)!r}")
         for (a, b) in pairs:
-            for c in self._elements:
-                if (b, c) in pairs and (a, c) not in pairs:
-                    raise InputError(f"relation not transitive via {(a, b, c)!r}")
+            if not up[b] <= up[a]:
+                c = next(c for c in self._elements
+                         if c in up[b] and c not in up[a])
+                raise InputError(f"relation not transitive via {(a, b, c)!r}")
         self._leq = pairs
-        self._up = {x: frozenset(y for y in self._elements if (x, y) in pairs)
-                    for x in self._elements}
-        self._down = {x: frozenset(y for y in self._elements if (y, x) in pairs)
-                      for x in self._elements}
+        self._up = {x: frozenset(s) for x, s in up.items()}
+        self._down = {x: frozenset(s) for x, s in down.items()}
 
     @property
     def elements(self):
@@ -84,16 +87,14 @@ class Poset:
 
     def maximum_of(self, subset):
         """The maximum of a subset, or None if it has no greatest member."""
-        for x in subset:
-            if all((y, x) in self._leq for y in subset):
-                return x
-        return None
+        subset = frozenset(subset)
+        return next((x for x in subset
+                     if subset <= self._down.get(x, frozenset())), None)
 
     def minimum_of(self, subset):
-        for x in subset:
-            if all((x, y) in self._leq for y in subset):
-                return x
-        return None
+        subset = frozenset(subset)
+        return next((x for x in subset
+                     if subset <= self._up.get(x, frozenset())), None)
 
     def supremum_of(self, subset):
         """The least upper bound within the poset, or None."""
@@ -122,10 +123,8 @@ def bounds(poset, subset):
     unknown = subset - poset.elements
     if unknown:
         raise InputError(f"unknown labels: {sorted(map(repr, unknown))}")
-    upper = frozenset(x for x in poset.elements
-                      if all(poset.leq(a, x) for a in subset))
-    lower = frozenset(x for x in poset.elements
-                      if all(poset.leq(x, a) for a in subset))
+    upper = poset.elements.intersection(*map(poset.up, subset))
+    lower = poset.elements.intersection(*map(poset.down, subset))
     return upper, lower
 
 
@@ -182,28 +181,23 @@ def order_predicates(poset):
     }
 
 
-def _upper_closure(poset, subset):
-    return bounds(poset, subset)[0]
-
-
-def _lower_closure(poset, subset):
-    return bounds(poset, subset)[1]
-
-
 def dm_completion(poset):
     """
     The Dedekind-MacNeille completion: all subsets A with A^{ul} = A,
     ordered by inclusion, together with the embedding x -> down-set of x.
+
+    These cuts are exactly the intersections of principal down-sets, the
+    whole poset being the empty one, so they are closed from {P} by
+    meeting every cut found so far with each down-set in turn.
     """
     cap = budget(DM_CAP)
-    if 2 ** len(poset.elements) > cap:
-        raise BudgetExceeded(
-            f"2^{len(poset.elements)} subsets exceed the budget {cap}")
-    closed = set()
-    for subset in powerset(sorted(poset.elements, key=repr)):
-        a = frozenset(subset)
-        if _lower_closure(poset, _upper_closure(poset, a)) == a:
-            closed.add(a)
+    closed = {poset.elements}
+    for x in poset.elements:
+        down = poset.down(x)
+        for cut in list(closed):
+            closed.add(cut & down)
+            if len(closed) > cap:
+                raise BudgetExceeded(f"more than {cap} cuts")
     leq = [(a, b) for a in closed for b in closed if a <= b]
     lattice = Poset(closed, leq)
     embedding = {x: poset.down(x) for x in poset.elements}

@@ -7,10 +7,12 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import comb_sef, constant_choice_parts
 from exform import timing
-from exform.cli import cli, examples_list, parse_sef, serialize_sef
+from exform.cli import _closure, cli, examples_list, parse_sef, serialize_sef
 from exform.instances import load_example
 from exform.errors import InputError
 from exform.sef import StochasticExtensiveForm
@@ -303,6 +305,40 @@ class TestOversizedRationals:
         assert f"input error: {option}: " in result.output
         assert "decimal exponent over" in result.output
 
+    @pytest.mark.parametrize("n", ["1000000000", "-1000000000"])
+    def test_huge_grid_n_is_rejected_from_n_alone(self, n):
+        # 2^(10^9) would be a 125 MB integer, built before any check
+        start = time.perf_counter()
+        result = run("timing-sim", "--grid-n", n)
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 2
+        assert result.output == (
+            f"input error: --grid-n: a rational of over "
+            f"{sys.get_int_max_str_digits()} digits cannot be printed\n")
+
+    def test_grid_n_bound_is_where_the_mesh_stops_printing(self):
+        # 2^n has over `limit` digits from n = bit length of 10^limit on
+        first = (10 ** sys.get_int_max_str_digits()).bit_length()
+        for n in (first, -first):
+            assert run("timing-sim", "--grid-n", str(n)).exit_code == 2
+        result = run("timing-sim", "--grid-n", str(first - 1), "--json")
+        assert result.exit_code == 0
+        assert json.loads(result.output)["grid"]["mesh"] \
+            == f"1/{2 ** (first - 1)}"
+
+    def test_long_decimal_is_named_not_echoed(self):
+        digits = "1" * 5000
+        result = run("equilibrium", "verify", "--sef", "examples:amd",
+                     "--p", "0." + digits)
+        limit = sys.get_int_max_str_digits()
+        assert result.exit_code == 2
+        assert result.output == (
+            f"input error: --p: a rational of over {limit} digits, or with a "
+            f"decimal exponent over {limit}, cannot be parsed\n")
+        result = run("equilibrium", "verify", "--sef", "examples:amd",
+                     "--p", "0.1x")
+        assert result.output == "input error: --p: not a rational: '0.1x'\n"
+
     def test_oversized_result_exits_2(self):
         # eta = 99..9/10^4299 prints, but the mean payoffs over 1000
         # trials have over 4300 digits
@@ -373,6 +409,79 @@ class TestDM:
         result = run("dm", "--poset", str(path))
         assert result.exit_code == 2
         assert pair in result.output
+
+
+    @pytest.mark.parametrize("doc, completion", [
+        ({"elements": [f"c{i}" for i in range(40)],
+          "leq": [[f"c{i}", f"c{i + 1}"] for i in range(39)]}, 40),
+        ({"elements": [f"x{i}" for i in range(30)], "leq": []}, 32),
+    ])
+    def test_large_posets_with_small_completions(self, tmp_path, doc,
+                                                 completion):
+        # 2^40 and 2^30 subsets, but 40 and 32 cuts
+        path = tmp_path / "poset.json"
+        path.write_text(json.dumps(doc))
+        result = run("dm", "--poset", str(path), "--json")
+        assert result.exit_code == 0
+        assert json.loads(result.output) == {
+            "elements": len(doc["elements"]), "completion": completion,
+            "complete_lattice": True, "dense_embedding": True}
+
+    def test_crown_completes_in_seconds(self, tmp_path):
+        # a_i < b_j for i != j: 16 elements, 2^8 cuts
+        low, high = [f"a{i}" for i in range(8)], [f"b{i}" for i in range(8)]
+        path = tmp_path / "crown.json"
+        path.write_text(json.dumps({
+            "elements": low + high,
+            "leq": [[a, b] for i, a in enumerate(low)
+                    for j, b in enumerate(high) if i != j]}))
+        start = time.perf_counter()
+        result = run("dm", "--poset", str(path), "--json")
+        assert time.perf_counter() - start < 5.0
+        assert result.exit_code == 0
+        assert json.loads(result.output)["completion"] == 256
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"elements": ["a"], "leq": [["a", "b"]]},
+         "relation mentions unknown label: ('a', 'b')"),
+        ({"elements": ["a"], "leq": [["b", "c"]]},
+         "relation mentions unknown label: ('b', 'c')"),
+        ({"elements": ["a", "b"], "leq": [["a", "b"], ["b", "a"]]},
+         "relation not antisymmetric on"),
+    ])
+    def test_relation_errors_exit_2(self, tmp_path, doc, message):
+        # labels met only in leq reach Poset and are rejected there
+        path = tmp_path / "poset.json"
+        path.write_text(json.dumps(doc))
+        result = run("dm", "--poset", str(path))
+        assert result.exit_code == 2
+        assert f"input error: {message}" in result.output
+
+
+def closure_by_scan(elements, pairs):
+    """The fixpoint closure over pairs of pairs that Warshall's method
+    replaced."""
+    leq = {(x, x) for x in elements} | {tuple(p) for p in pairs}
+    changed = True
+    while changed:
+        changed = False
+        for (a, b) in list(leq):
+            for (c, d) in list(leq):
+                if b == c and (a, d) not in leq:
+                    leq.add((a, d))
+                    changed = True
+    return leq
+
+
+LABEL_POOL = ["a", "b", "c", "d", "e", 1, 2]
+
+
+@given(st.lists(st.sampled_from(LABEL_POOL), max_size=5),
+       st.lists(st.lists(st.sampled_from(LABEL_POOL), min_size=2,
+                         max_size=2), max_size=10))
+def test_closure_matches_the_fixpoint(elements, pairs):
+    # cycles and labels outside the elements included
+    assert _closure(elements, pairs) == closure_by_scan(elements, pairs)
 
 
 class TestModuleEntry:

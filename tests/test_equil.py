@@ -182,10 +182,8 @@ class TestExitGameSweep:
 
     def test_consistency_across_sweep(self):
         for p in (Fraction(0), THIRD, 2 * THIRD, Fraction(1)):
-            sef, eu, s, prior = amd_instance(p)
+            sef, eu, s, _ = amd_instance(p)
             assert check_dynamic_consistency(sef, eu, s).consistent
-            assert check_dynamic_consistency(sef, eu, s,
-                                             priors=prior).consistent
 
     def test_unrepresentable_exit_probability(self):
         with pytest.raises(InputError):
@@ -211,11 +209,6 @@ class TestPosteriorOracle:
         sef, eu, s, prior = amd_instance(Fraction(2, 3))
         unit = next(u for u in units(sef) if u[0] == 2)
         eu.beliefs[unit] = Belief(dict(prior), eu.beliefs[unit].assessment)
-        with_prior = check_dynamic_consistency(sef, eu, s, priors=prior)
-        assert not with_prior.consistent
-        group = next(g for g, st_ in with_prior.pair_status.items()
-                     if st_ == "inconsistent")
-        assert with_prior.witnesses[group][0] == "prior"
         solved = check_dynamic_consistency(sef, eu, s)
         assert not solved.consistent
         assert ("prior", "no common prior exists") \

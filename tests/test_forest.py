@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import forests
-from exform.errors import BudgetExceeded, ChoiceError, NotAHistory
+from exform.errors import ChoiceError, NotAHistory
 from exform.forest import (
     DecisionForest,
     closure,
@@ -147,13 +147,6 @@ class TestHistories:
         assert len(hs) == 6
         for h in hs:
             assert is_history(SIMPLE, h)
-
-    def test_over_budget_is_undecided_not_a_failed_check(self, monkeypatch):
-        # the CLI reads StructureError as "check failed"; an exhausted
-        # budget has decided nothing
-        monkeypatch.setenv("EXFORM_BUDGET", "3")
-        with pytest.raises(BudgetExceeded):
-            histories(SIMPLE)
 
     def test_root_singleton_chain_is_closed_history(self):
         root = next(iter(SIMPLE.roots()))

@@ -6,6 +6,7 @@ from conftest import comb_sef, forest_posets, posets
 from exform._util import budget, powerset
 from exform.errors import BudgetExceeded, InputError, StructureError
 from exform.order import (
+    DM_CAP,
     CompletionReport,
     Poset,
     _require_rooted_forest,
@@ -389,3 +390,181 @@ class TestSmallness:
         psi = {x: relabel[phi[x]] for x in p.elements}
         ext = completion_extension(p, lattice, phi, other, psi)
         assert ext == relabel
+
+
+# --- oracles: the order layer as scans over pairs and subsets ---------------
+
+def check_relation_by_scan(elements, leq):
+    """The relation checks of the pair-scanning Poset constructor."""
+    elements = frozenset(elements)
+    pairs = frozenset((a, b) for (a, b) in leq)
+    for (a, b) in pairs:
+        if a not in elements or b not in elements:
+            raise InputError(f"relation mentions unknown label: {(a, b)!r}")
+    # No silent reflexive-transitive closure: a malformed relation is an error.
+    for x in elements:
+        if (x, x) not in pairs:
+            raise InputError(f"relation not reflexive at {x!r}")
+    for (a, b) in pairs:
+        if a != b and (b, a) in pairs:
+            raise InputError(f"relation not antisymmetric on {(a, b)!r}")
+    for (a, b) in pairs:
+        for c in elements:
+            if (b, c) in pairs and (a, c) not in pairs:
+                raise InputError(f"relation not transitive via {(a, b, c)!r}")
+    return pairs
+
+
+def bounds_by_scan(poset, subset):
+    """Upper and lower bound sets of a subset; everything for the empty set."""
+    subset = frozenset(subset)
+    unknown = subset - poset.elements
+    if unknown:
+        raise InputError(f"unknown labels: {sorted(map(repr, unknown))}")
+    upper = frozenset(x for x in poset.elements
+                      if all(poset.leq(a, x) for a in subset))
+    lower = frozenset(x for x in poset.elements
+                      if all(poset.leq(x, a) for a in subset))
+    return upper, lower
+
+
+def maximum_by_scan(poset, subset):
+    for x in subset:
+        if all((y, x) in poset.relation for y in subset):
+            return x
+    return None
+
+
+def minimum_by_scan(poset, subset):
+    for x in subset:
+        if all((x, y) in poset.relation for y in subset):
+            return x
+    return None
+
+
+def _upper_closure(poset, subset):
+    return bounds_by_scan(poset, subset)[0]
+
+
+def _lower_closure(poset, subset):
+    return bounds_by_scan(poset, subset)[1]
+
+
+def dm_completion_by_scan(poset):
+    """
+    The Dedekind-MacNeille completion: all subsets A with A^{ul} = A,
+    ordered by inclusion, together with the embedding x -> down-set of x.
+    """
+    cap = budget(DM_CAP)
+    if 2 ** len(poset.elements) > cap:
+        raise BudgetExceeded(
+            f"2^{len(poset.elements)} subsets exceed the budget {cap}")
+    closed = set()
+    for subset in powerset(sorted(poset.elements, key=repr)):
+        a = frozenset(subset)
+        if _lower_closure(poset, _upper_closure(poset, a)) == a:
+            closed.add(a)
+    leq = [(a, b) for a in closed for b in closed if a <= b]
+    lattice = Poset(closed, leq)
+    embedding = {x: poset.down(x) for x in poset.elements}
+    return lattice, embedding
+
+
+@st.composite
+def relations(draw):
+    """A poset's relation with up to three changes, each of which breaks
+    one of its checks: a reflexive pair dropped, the reverse of a strict
+    pair added, a pair that two others imply dropped, or a pair with the
+    unknown label "z" added."""
+    p = draw(posets(max_size=5))
+    labels = sorted(p.elements)
+    pairs = set(p.relation)
+    for change in draw(st.lists(st.sampled_from(
+            ["reflexive", "antisymmetric", "transitive", "unknown"]),
+            max_size=3)):
+        strict = sorted((a, b) for (a, b) in pairs if a != b)
+        implied = [(a, c) for (a, c) in strict
+                   if any((a, b) in pairs and (b, c) in pairs
+                          for b in labels if b not in (a, c))]
+        if change == "reflexive":
+            x = draw(st.sampled_from(labels))
+            pairs.discard((x, x))
+        elif change == "antisymmetric" and strict:
+            a, b = draw(st.sampled_from(strict))
+            pairs.add((b, a))
+        elif change == "transitive" and implied:
+            pairs.discard(draw(st.sampled_from(implied)))
+        elif change == "unknown":
+            pairs.add((draw(st.sampled_from(labels)), "z"))
+    return labels, sorted(pairs)
+
+
+class TestAgainstScans:
+    @given(relations())
+    @settings(max_examples=300)
+    def test_relation_checks(self, rel):
+        elements, leq = rel
+        try:
+            pairs = check_relation_by_scan(elements, leq)
+        except InputError as err:
+            with pytest.raises(InputError) as got:
+                Poset(elements, leq)
+            assert str(got.value) == str(err)
+            return
+        p = Poset(elements, leq)
+        assert p.relation == pairs
+        for x in elements:
+            assert p.up(x) == frozenset(y for y in elements if (x, y) in pairs)
+            assert p.down(x) == frozenset(y for y in elements
+                                          if (y, x) in pairs)
+
+    @pytest.mark.parametrize("leq, kind", [
+        ([("a", "a"), ("b", "b"), ("a", "?")], "unknown label"),
+        ([("a", "a"), ("a", "b")], "not reflexive"),
+        ([("a", "a"), ("b", "b"), ("a", "b"), ("b", "a")], "not antisymmetric"),
+        ([("a", "a"), ("b", "b"), ("c", "c"), ("a", "b"), ("b", "c")],
+         "not transitive"),
+        # several witnesses c among many elements: the first of them in
+        # the elements' order is named
+        ([(x, x) for x in "abcdefghijklmnopqrstuvwxyz"] + [("a", "b")]
+         + [("b", c) for c in "wxyz"], "not transitive"),
+    ])
+    def test_each_failure_names_the_same_witness(self, leq, kind):
+        elements = sorted({x for pair in leq for x in pair} - {"?"})
+        with pytest.raises(InputError) as want:
+            check_relation_by_scan(elements, leq)
+        with pytest.raises(InputError) as got:
+            Poset(elements, leq)
+        assert kind in str(want.value)
+        assert str(got.value) == str(want.value)
+
+    @given(posets(), st.data())
+    def test_bounds_and_extrema(self, p, data):
+        labels = sorted(p.elements)
+        subset = data.draw(st.sets(st.sampled_from(labels)))
+        assert bounds(p, subset) == bounds_by_scan(p, subset)
+        with_unknown = data.draw(st.lists(st.sampled_from(labels + ["z"])))
+        for members in (subset, with_unknown):
+            assert p.maximum_of(members) == maximum_by_scan(p, members)
+            assert p.minimum_of(members) == minimum_by_scan(p, members)
+
+    @given(posets(max_size=8))
+    @settings(deadline=None, max_examples=150)
+    def test_same_cuts(self, p):
+        lattice, embedding = dm_completion(p)
+        want, want_embedding = dm_completion_by_scan(p)
+        assert lattice == want
+        assert embedding == want_embedding
+
+
+class TestCutBudget:
+    # the 3-antichain has 5 cuts: the empty set, three points, everything
+    def test_a_cap_of_the_cut_count_decides(self, monkeypatch):
+        monkeypatch.setenv("EXFORM_BUDGET", "5")
+        lattice, _ = dm_completion(antichain("abc"))
+        assert len(lattice.elements) == 5
+
+    def test_one_cut_over_the_cap_is_undecided(self, monkeypatch):
+        monkeypatch.setenv("EXFORM_BUDGET", "4")
+        with pytest.raises(BudgetExceeded, match="more than 4 cuts"):
+            dm_completion(antichain("abc"))
