@@ -2,8 +2,8 @@
 Decision forests in the refined-partitions representation.
 
 A forest is a family of nonempty outcome subsets ordered by reverse
-inclusion; the graph view (parents, children, paths) is derived from the
-set representation, never stored.
+inclusion.  Construction validates the family and indexes its graph view
+once: the moves and each node's up-set, parent and children.
 """
 
 from dataclasses import dataclass
@@ -31,6 +31,18 @@ class DecisionForest:
             raise StructureError(f"{report.failure}: {report.witness!r}")
         self._outcomes = frozenset(outcomes)
         self._nodes = frozenset(frozenset(x) for x in nodes)
+        # duality makes every singleton a node, so the moves are the rest
+        self._moves = frozenset(x for x in self._nodes if len(x) > 1)
+        # nodes holding an outcome form a chain, so taken largest first,
+        # a node's parent is the last node seen that holds its outcomes
+        self._parent, self._up, lowest = {}, {}, {}
+        self._children = dict.fromkeys(self._nodes, frozenset())
+        for x in sorted(self._nodes, key=len, reverse=True):
+            parent = self._parent[x] = lowest.get(next(iter(x)))
+            self._up[x] = self._up.get(parent, frozenset()) | {x}
+            if parent is not None:
+                self._children[parent] |= {x}
+            lowest.update(dict.fromkeys(x, x))
 
     @property
     def outcomes(self):
@@ -40,63 +52,50 @@ class DecisionForest:
     def nodes(self):
         return self._nodes
 
+    def _lookup(self, index, x):
+        if x not in index:
+            raise InputError(f"not a node: {sorted(map(repr, x))}")
+        return index[x]
+
     def up(self, x):
-        """All nodes weakly preceding x in play, i.e. supersets of x."""
-        cache = self.__dict__.setdefault("_up_cache", {})
-        if x not in cache:
-            cache[x] = frozenset(y for y in self._nodes if y >= x)
-        return cache[x]
+        """All nodes weakly preceding the node x in play: its supersets."""
+        return self._lookup(self._up, x)
 
     def down(self, x):
         """All nodes weakly following x in play, i.e. subsets of x."""
-        cache = self.__dict__.setdefault("_down_cache", {})
-        if x not in cache:
-            cache[x] = frozenset(y for y in self._nodes if y <= x)
-        return cache[x]
+        return frozenset(y for y in self._nodes if y <= x)
 
     def chain_of(self, w):
         """The decision path of an outcome: all nodes containing it."""
         if w not in self._outcomes:
             raise InputError(f"unknown outcome: {w!r}")
-        return frozenset(x for x in self._nodes if w in x)
+        return self._up[frozenset({w})]
 
     def maximal_chains(self):
         """The decision paths: in a rooted forest every maximal chain is the
-        up-set of a minimal node."""
-        if "_chains_cache" not in self.__dict__:
-            self._chains_cache = {self.up(t) for t in self.terminals()}
-        return self._chains_cache
+        decision path of an outcome."""
+        return {self.chain_of(w) for w in self._outcomes}
 
     def moves(self):
-        if "_moves_cache" not in self.__dict__:
-            self._moves_cache = frozenset(
-                x for x in self._nodes if self.down(x) != {x})
-        return self._moves_cache
+        return self._moves
 
     def terminals(self):
-        return self._nodes - self.moves()
+        return self._nodes - self._moves
 
     def roots(self):
-        return frozenset(x for x in self._nodes if self.up(x) == {x})
+        return frozenset(x for x in self._nodes if self._parent[x] is None)
 
     def parent(self, x):
         """The immediate predecessor of a non-root node."""
-        strictly_above = self.up(x) - {x}
-        if not strictly_above:
-            return None
-        return min(strictly_above, key=len)
+        return self._lookup(self._parent, x)
 
     def children(self, x):
-        cache = self.__dict__.setdefault("_children_cache", {})
-        if x not in cache:
-            cache[x] = frozenset(y for y in self._nodes
-                                 if y < x and self.parent(y) == x)
-        return cache[x]
+        return self._lookup(self._children, x)
 
     def as_poset(self):
         """The node family as a Poset; roots are the maximal elements."""
         return Poset(self._nodes,
-                     [(a, b) for a in self._nodes for b in self._nodes if a <= b])
+                     [(a, b) for a in self._nodes for b in self._up[a]])
 
     def __eq__(self, other):
         return (isinstance(other, DecisionForest)
@@ -167,26 +166,23 @@ def is_union_of_nodes(forest, c):
 
 def immediate_predecessors(forest, c):
     """
-    The moves at which c is on offer: all x whose up-set equals the strict
-    up-set of some node inside c with the nodes below c removed.  That
-    remainder is an upper part of a chain, so it is the up-set of its
-    shortest member.  Memoised on the forest; c must be a nonempty union
-    of nodes.
+    The moves at which c is on offer: for each outcome of c, its first
+    ancestor not inside c.  A node inside c lies on the walk up from each
+    of its outcomes, so this is also the first ancestor outside c of every
+    node inside c.  c must be a nonempty union of nodes; nothing is
+    memoised.
     """
     c = frozenset(c)
-    cache = forest.__dict__.setdefault("_pred_cache", {})
-    if c in cache:
-        return cache[c]
     if not is_union_of_nodes(forest, c):
         raise ChoiceError(f"not a nonempty union of nodes: {sorted(map(repr, c))}")
-    down_c = frozenset(y for y in forest.nodes if y <= c)
-    result = set()
-    for y in down_c:
-        above = forest.up(y) - down_c
-        if above:
-            result.add(min(above, key=len))
-    cache[c] = frozenset(result)
-    return cache[c]
+    parent, result = forest._parent, set()
+    for w in c:
+        x = parent[frozenset({w})]
+        while x is not None and x <= c:
+            x = parent[x]
+        if x is not None:
+            result.add(x)
+    return frozenset(result)
 
 
 def histories(forest):

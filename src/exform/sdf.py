@@ -17,6 +17,7 @@ from .errors import (
     BudgetExceeded,
     ChoiceError,
     InputError,
+    NotOrderConsistent,
     StructureError,
 )
 from .forest import DecisionForest, immediate_predecessors, is_union_of_nodes
@@ -301,7 +302,6 @@ def induced_tree(sdf):
     """
     consistent, witness = is_order_consistent(sdf.random_moves)
     if not consistent:
-        from .errors import NotOrderConsistent
         raise NotOrderConsistent(f"witness pair: {witness!r}")
     root_section = RandomMove({w: sdf.root_of(w) for w in sdf.scenarios})
     if root_section not in sdf.random_moves:

@@ -8,7 +8,9 @@ The second half of the module builds extensive forms from explicit
 action-path data and history structures.
 """
 
+import functools
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -27,7 +29,6 @@ from .sdf import (
     build_action_path_sdf,
     check_adapted,
     check_recall,
-    is_available_at,
     validate_reference_choices,
     xgeq,
 )
@@ -47,10 +48,6 @@ class InfoSet:
     """A maximal set of an agent's random moves sharing available choices."""
     agent: object
     random_moves: frozenset
-
-    @property
-    def domain(self):
-        return next(iter(self.random_moves)).domain
 
     def moves(self):
         return frozenset(m(w) for m in self.random_moves for w in m.domain)
@@ -88,8 +85,8 @@ def validate_sef(sdf, agents, agent_moves, info, refchoices, choices):
 
 
 def _validate(form):
-    """``validate_sef`` on stored data, through the form's own memoised
-    menus and adapted-choice tables."""
+    """``validate_sef`` on stored data, through the form's own menu index
+    and adapted-choice tables."""
     axiom2_cap = budget(AXIOM2_CAP)
     sdf, agents, agent_moves = form.sdf, form.agents, form.agent_moves
     info, refchoices, choices = form.info, form.refchoices, form.choices
@@ -158,9 +155,10 @@ def _validate(form):
     # Axiom 4: active agents can preserve any strictly future node
     checked["axiom4"] = True
     for x in sdf.forest.moves():
+        below = sdf.forest.down(x) - {x}
         for i in form.active_agents(x):
             menu = form.available_at_move(i, x)
-            for y in sdf.forest.down(x) - {x}:
+            for y in below:
                 if not any(y <= c for c in menu):
                     violations.append(("axiom4", (i, x, y)))
                     checked["axiom4"] = False
@@ -321,11 +319,21 @@ def _menus(form, i):
             for p in sets]
 
 
+_MenuIndex = namedtuple("_MenuIndex", "moves info_sets offered active")
+
+
+def _meet(offered, i, m):
+    """The agent's choices offered at every value of the random move."""
+    return frozenset.intersection(*[
+        offered.get((i, m(w)), frozenset()) for w in m.domain])
+
+
 class StochasticExtensiveForm:
     """
     A validated extensive form.  Construction stores the data once and
-    validates the stored form, so the menus and adapted-choice tables the
-    checks fill stay on it.
+    validates the stored form.  The menus are one index, built on first
+    use; an agent's adapted-choice table is built when a check first reads
+    it, so a malformed information partition is reported by that check.
     """
 
     def __init__(self, sdf, agents, agent_moves, info, refchoices, choices,
@@ -348,43 +356,53 @@ class StochasticExtensiveForm:
                            for i in self.agents}
         self.choices = {i: frozenset(frozenset(c) for c in choices[i])
                         for i in self.agents}
+        self._tables = {}
+
+    @functools.cached_property
+    def _index(self):
+        """The menus: per agent its moves and information sets, per (agent,
+        move) the choices offered there, from one pass over each choice's
+        predecessor set, and per move its active agents in agent order."""
+        index = _MenuIndex({}, {}, {}, {})
+        for i in self.agents:
+            index.moves[i] = frozenset(m(w) for m in self.agent_moves[i]
+                                       for w in m.domain)
+            for x in index.moves[i]:
+                index.active[x] = index.active.get(x, ()) + (i,)
+            # menus frozen from lists in choices[i] order iterate as a scan
+            # over choices[i] does, which keeps Axiom 2's witness order
+            offered = {}
+            for c in self.choices[i]:
+                for x in immediate_predecessors(self.sdf.forest, c):
+                    offered.setdefault(x, []).append(c)
+            index.offered.update(((i, x), frozenset(cs))
+                                 for x, cs in offered.items())
+            by_menu = {}
+            for m in sorted(self.agent_moves[i], key=lambda m: repr(m.graph)):
+                by_menu.setdefault(_meet(index.offered, i, m), []).append(m)
+            sets = tuple(InfoSet(i, frozenset(ms)) for ms in by_menu.values())
+            index.info_sets[i] = (sets, MappingProxyType(
+                {p: p.moves() for p in sets}))
+        return index
 
     def moves_of(self, i):
-        cache = self.__dict__.setdefault("_moves_of_cache", {})
-        if i not in cache:
-            cache[i] = frozenset(m(w) for m in self.agent_moves[i]
-                                 for w in m.domain)
-        return cache[i]
+        return self._index.moves[i]
 
     def active_agents(self, x):
-        cache = self.__dict__.setdefault("_active_cache", {})
-        if x not in cache:
-            cache[x] = tuple(i for i in self.agents if x in self.moves_of(i))
-        return cache[x]
+        return self._index.active.get(x, ())
 
     def available_at(self, i, m):
-        cache = self.__dict__.setdefault("_available_cache", {})
-        if (i, m) not in cache:
-            cache[(i, m)] = frozenset(c for c in self.choices[i]
-                                      if is_available_at(self.sdf, c, m))
-        return cache[(i, m)]
+        return _meet(self._index.offered, i, m)
+
+    def available_at_move(self, i, x):
+        return self._index.offered.get((i, x), frozenset())
 
     def _table(self, i):
         """The agent's adapted-choice table, as ``check_adapted`` reads it."""
-        cache = self.__dict__.setdefault("_table_cache", {})
-        if i not in cache:
-            cache[i] = _AdaptedTable(self.sdf, self.agent_moves[i],
-                                    self.info[i], self.refchoices[i])
-        return cache[i]
-
-    def available_at_move(self, i, x):
-        cache = self.__dict__.setdefault("_available_move_cache", {})
-        if (i, x) not in cache:
-            forest = self.sdf.forest
-            cache[(i, x)] = frozenset(
-                c for c in self.choices[i]
-                if x in immediate_predecessors(forest, c))
-        return cache[(i, x)]
+        if i not in self._tables:
+            self._tables[i] = _AdaptedTable(self.sdf, self.agent_moves[i],
+                                            self.info[i], self.refchoices[i])
+        return self._tables[i]
 
     def __repr__(self):
         return (f"StochasticExtensiveForm({len(self.agents)} agents, "
@@ -394,23 +412,10 @@ class StochasticExtensiveForm:
 def info_sets(sef, i):
     """
     The partition of the agent's random moves by equality of available
-    choices, together with the bijection onto predecessor sets.  Both are
-    computed once per form and agent and returned read-only.
+    choices, together with the bijection onto predecessor sets.  Both come
+    from the form's menu index and are returned read-only.
     """
-    cache = sef.__dict__.setdefault("_info_sets_cache", {})
-    if i in cache:
-        return cache[i]
-    by_menu = {}
-    for m in sorted(sef.agent_moves[i], key=lambda m: repr(m.graph)):
-        by_menu.setdefault(sef.available_at(i, m), []).append(m)
-    sets = []
-    preds = {}
-    for menu, members in by_menu.items():
-        p = InfoSet(i, frozenset(members))
-        sets.append(p)
-        preds[p] = frozenset(m(w) for m in members for w in m.domain)
-    cache[i] = (tuple(sets), MappingProxyType(preds))
-    return cache[i]
+    return sef._index.info_sets[i]
 
 
 def check_recall_and_info(sef, i):
@@ -421,12 +426,8 @@ def check_recall_and_info(sef, i):
             _slices(sef.sdf, sef.choices[i], w), 2))
     exo_recall = check_recall(sef.sdf, sef.info[i], sef.agent_moves[i])
     sets, _ = info_sets(sef, i)
-    endo_info = all(len(p.random_moves) == 1 for p in sets)
-    if endo_info:
-        mine = sef.moves_of(i)
-        for j in sef.agents:
-            if j != i and mine & sef.moves_of(j):
-                endo_info = False
+    endo_info = all(len(p.random_moves) == 1 for p in sets) and all(
+        len(sef.active_agents(x)) == 1 for x in sef.moves_of(i))
     exo_info = all(
         sef.info[i][m] == frozenset(frozenset({w}) for w in m.domain)
         for m in sef.agent_moves[i])

@@ -1,23 +1,33 @@
 """
 Oracles for the indexed fast paths: the SDF's per-scenario index against
 a node scan, the memoised outcome map against forward play from the
-history, and the grouped Axiom 1 pass against the pairwise loop.
+history, the grouped Axiom 1 pass against the pairwise loop, and the
+forest's order index and the form's menu index against the scan-and-cache
+accessors they replaced.
 """
 
 import itertools
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_rng, random_strict_sef
+from conftest import comb_parts, forests, make_rng, random_strict_sef
 from exform.errors import (
+    ChoiceError,
+    ExformError,
     InputError,
     MultipleOutcomes,
     NoOutcome,
     NotAHistory,
 )
-from exform.forest import DecisionForest, closure, immediate_predecessors
+from exform.forest import (
+    DecisionForest,
+    closure,
+    immediate_predecessors,
+    is_union_of_nodes,
+)
 from exform.instances import (
     MP_SCENARIOS,
     amd_sdf,
@@ -31,11 +41,14 @@ from exform.instances import (
     simple_variant_sdf,
     ultimatum_sef,
 )
+from exform.order import Poset
 from exform.play import StrategyProfile, outcome_from, profile_tables
-from exform.sdf import RandomMove, StochasticDecisionForest
+from exform.sdf import RandomMove, StochasticDecisionForest, preimage
 from exform.sef import (
+    InfoSet,
     StochasticExtensiveForm,
     _axiom1_violations,
+    info_sets,
     strategies,
 )
 
@@ -220,12 +233,16 @@ class TestOutcomeMap:
 
 def pairwise_axiom1(sdf, agents, choices):
     """The pairwise Axiom 1 loop the grouped pass replaced, kept verbatim
-    as its oracle (the predecessor memo is the SDF's own)."""
+    as its oracle, with a predecessor memo of its own (the forest keeps
+    none)."""
     violations = []
     checked = {}
+    preds = {}
 
     def P(c):
-        return immediate_predecessors(sdf.forest, c)
+        if c not in preds:
+            preds[c] = immediate_predecessors(sdf.forest, c)
+        return preds[c]
 
     checked["axiom1"] = True
     slice_cache = {}
@@ -310,3 +327,337 @@ class TestGroupedAxiom1:
         kinds = {v[1][3] for v in expected}
         assert kinds == {"predecessors differ", w}
         self.assert_agrees(sef.sdf, sef.agents, choices)
+
+
+# --- (d) the order and menu indexes against the scans they replaced ---------
+
+class CachedForest:
+    """The scan-and-cache accessors ``DecisionForest`` had before its order
+    index, kept verbatim as that index's oracle."""
+
+    def __init__(self, forest):
+        self._outcomes = forest.outcomes
+        self._nodes = forest.nodes
+
+    @property
+    def outcomes(self):
+        return self._outcomes
+
+    @property
+    def nodes(self):
+        return self._nodes
+
+    def up(self, x):
+        """All nodes weakly preceding x in play, i.e. supersets of x."""
+        cache = self.__dict__.setdefault("_up_cache", {})
+        if x not in cache:
+            cache[x] = frozenset(y for y in self._nodes if y >= x)
+        return cache[x]
+
+    def down(self, x):
+        """All nodes weakly following x in play, i.e. subsets of x."""
+        cache = self.__dict__.setdefault("_down_cache", {})
+        if x not in cache:
+            cache[x] = frozenset(y for y in self._nodes if y <= x)
+        return cache[x]
+
+    def chain_of(self, w):
+        """The decision path of an outcome: all nodes containing it."""
+        if w not in self._outcomes:
+            raise InputError(f"unknown outcome: {w!r}")
+        return frozenset(x for x in self._nodes if w in x)
+
+    def maximal_chains(self):
+        """The decision paths: in a rooted forest every maximal chain is the
+        up-set of a minimal node."""
+        if "_chains_cache" not in self.__dict__:
+            self._chains_cache = {self.up(t) for t in self.terminals()}
+        return self._chains_cache
+
+    def moves(self):
+        if "_moves_cache" not in self.__dict__:
+            self._moves_cache = frozenset(
+                x for x in self._nodes if self.down(x) != {x})
+        return self._moves_cache
+
+    def terminals(self):
+        return self._nodes - self.moves()
+
+    def roots(self):
+        return frozenset(x for x in self._nodes if self.up(x) == {x})
+
+    def parent(self, x):
+        """The immediate predecessor of a non-root node."""
+        strictly_above = self.up(x) - {x}
+        if not strictly_above:
+            return None
+        return min(strictly_above, key=len)
+
+    def children(self, x):
+        cache = self.__dict__.setdefault("_children_cache", {})
+        if x not in cache:
+            cache[x] = frozenset(y for y in self._nodes
+                                 if y < x and self.parent(y) == x)
+        return cache[x]
+
+    def as_poset(self):
+        """The node family as a Poset; roots are the maximal elements."""
+        return Poset(self._nodes,
+                     [(a, b) for a in self._nodes for b in self._nodes if a <= b])
+
+
+def cached_predecessors(forest, c):
+    """
+    The moves at which c is on offer: all x whose up-set equals the strict
+    up-set of some node inside c with the nodes below c removed.  That
+    remainder is an upper part of a chain, so it is the up-set of its
+    shortest member.  Memoised on the forest; c must be a nonempty union
+    of nodes.
+    """
+    c = frozenset(c)
+    cache = forest.__dict__.setdefault("_pred_cache", {})
+    if c in cache:
+        return cache[c]
+    if not is_union_of_nodes(forest, c):
+        raise ChoiceError(f"not a nonempty union of nodes: {sorted(map(repr, c))}")
+    down_c = frozenset(y for y in forest.nodes if y <= c)
+    result = set()
+    for y in down_c:
+        above = forest.up(y) - down_c
+        if above:
+            result.add(min(above, key=len))
+    cache[c] = frozenset(result)
+    return cache[c]
+
+
+class CachedMenus:
+    """The scan-and-cache menus ``StochasticExtensiveForm`` had before its
+    menu index, kept verbatim as that index's oracle; predecessors come
+    from the forest oracle, through ``is_available_at``'s body inlined."""
+
+    def __init__(self, form):
+        self.sdf = form.sdf
+        self.agents = form.agents
+        self.agent_moves = form.agent_moves
+        self.choices = form.choices
+        self.forest = CachedForest(form.sdf.forest)
+
+    def moves_of(self, i):
+        cache = self.__dict__.setdefault("_moves_of_cache", {})
+        if i not in cache:
+            cache[i] = frozenset(m(w) for m in self.agent_moves[i]
+                                 for w in m.domain)
+        return cache[i]
+
+    def active_agents(self, x):
+        cache = self.__dict__.setdefault("_active_cache", {})
+        if x not in cache:
+            cache[x] = tuple(i for i in self.agents if x in self.moves_of(i))
+        return cache[x]
+
+    def available_at(self, i, m):
+        cache = self.__dict__.setdefault("_available_cache", {})
+        if (i, m) not in cache:
+            cache[(i, m)] = frozenset(
+                c for c in self.choices[i] if preimage(
+                    m, cached_predecessors(self.forest, c)) == m.domain)
+        return cache[(i, m)]
+
+    def available_at_move(self, i, x):
+        cache = self.__dict__.setdefault("_available_move_cache", {})
+        if (i, x) not in cache:
+            forest = self.forest
+            cache[(i, x)] = frozenset(
+                c for c in self.choices[i]
+                if x in cached_predecessors(forest, c))
+        return cache[(i, x)]
+
+
+def cached_info_sets(sef, i):
+    """
+    The partition of the agent's random moves by equality of available
+    choices, together with the bijection onto predecessor sets.  Both are
+    computed once per form and agent and returned read-only.
+    """
+    cache = sef.__dict__.setdefault("_info_sets_cache", {})
+    if i in cache:
+        return cache[i]
+    by_menu = {}
+    for m in sorted(sef.agent_moves[i], key=lambda m: repr(m.graph)):
+        by_menu.setdefault(sef.available_at(i, m), []).append(m)
+    sets = []
+    preds = {}
+    for menu, members in by_menu.items():
+        p = InfoSet(i, frozenset(members))
+        sets.append(p)
+        preds[p] = frozenset(m(w) for m in members for w in m.domain)
+    cache[i] = (tuple(sets), MappingProxyType(preds))
+    return cache[i]
+
+
+def assert_order_index_matches(forest, tried):
+    oracle = CachedForest(forest)
+    for name in ("moves", "terminals", "roots", "maximal_chains", "as_poset"):
+        assert getattr(forest, name)() == getattr(oracle, name)()
+    for x in forest.nodes:
+        for name in ("up", "down", "parent", "children"):
+            assert getattr(forest, name)(x) == getattr(oracle, name)(x)
+    for w in forest.outcomes:
+        assert forest.chain_of(w) == oracle.chain_of(w)
+    for c in tried:
+        try:
+            expected = cached_predecessors(oracle, c)
+        except ChoiceError:
+            with pytest.raises(ChoiceError):
+                immediate_predecessors(forest, c)
+        else:
+            assert immediate_predecessors(forest, c) == expected
+
+
+def assert_menu_index_matches(form):
+    oracle = CachedMenus(form)
+    nodes = sorted(form.sdf.forest.nodes, key=sorted)
+    # every random move, the agent's or not, each one-scenario part, and
+    # each mix of half of one with the rest of another
+    randoms = sorted(form.sdf.random_moves, key=lambda m: repr(m.graph))
+    mixed = set()
+    for m, m2 in itertools.permutations(randoms, 2):
+        half = sorted(m.domain, key=repr)[:(len(m.domain) + 1) // 2]
+        mixed.add(RandomMove(dict(m2.graph) | dict(m.restricted(half).graph)))
+    moves = sorted(set(randoms) | mixed | {
+        m.restricted({w}) for m in randoms for w in m.domain},
+        key=lambda m: repr(m.graph))
+    for x in nodes:
+        assert form.active_agents(x) == oracle.active_agents(x)
+    for i in form.agents:
+        assert form.moves_of(i) == oracle.moves_of(i)
+        for x in nodes:
+            assert form.available_at_move(i, x) \
+                == oracle.available_at_move(i, x)
+        for m in moves:
+            assert form.available_at(i, m) == oracle.available_at(i, m)
+        sets, preds = info_sets(form, i)
+        expected_sets, expected_preds = cached_info_sets(oracle, i)
+        assert sets == expected_sets
+        assert dict(preds) == dict(expected_preds)
+
+
+def pseudo_forms():
+    """The forms the tests assemble without validation: the 4-comb whose
+    bottom move lost its choices, a choice offered at two levels, and one
+    move shared by two agents whose choices are disjoint."""
+    sdf, agents, agent_moves, info, refchoices, choices = comb_parts(4)
+    comb = object.__new__(StochasticExtensiveForm)
+    comb._store(sdf, agents, agent_moves, info, refchoices, {"i": {
+        c for c in choices["i"] if not c < frozenset({"w:2", "w:3"})}})
+    forest = DecisionForest("abc", [{"a", "b", "c"}, {"a", "b"},
+                                    {"a"}, {"b"}, {"c"}])
+    top = RandomMove({"w": frozenset("abc")})
+    mid = RandomMove({"w": frozenset("ab")})
+    two_levels = object.__new__(StochasticExtensiveForm)
+    two_levels.sdf = StochasticDecisionForest(
+        forest, ("w",), {x: "w" for x in forest.nodes}, [top, mid])
+    two_levels.agents = ("i",)
+    two_levels.agent_moves = {"i": frozenset({top, mid})}
+    two_levels.choices = {"i": frozenset({frozenset({"a", "c"})})}
+    shared = object.__new__(StochasticExtensiveForm)
+    shared.sdf = one_shot(["w:1", "w:2"])
+    shared.agents = ("a", "b")
+    shared.agent_moves = {i: shared.sdf.random_moves for i in shared.agents}
+    shared.choices = {"a": frozenset({frozenset({"w:1"})}),
+                      "b": frozenset({frozenset({"w:2"})})}
+    return [comb, two_levels, shared]
+
+
+class TestIndexesAgainstCaches:
+    @given(forests(), st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_hypothesis_forests(self, f, data):
+        outcomes = sorted(f.outcomes)
+        subsets = data.draw(st.lists(st.sets(st.sampled_from(outcomes)),
+                                     max_size=8))
+        tried = list(f.nodes) + subsets + [set(), {outcomes[0], "alien"}]
+        assert_order_index_matches(f, tried)
+
+    @pytest.mark.parametrize("name", EXAMPLES + ["amd3"])
+    def test_bundled_examples(self, name):
+        form = amd_sef(3)[0] if name == "amd3" else load_example(name)[0]
+        forest = form.sdf.forest
+        rng = make_rng(len(name))
+        outcomes = sorted(forest.outcomes)
+        tried = list(forest.nodes) + [c for cs in form.choices.values()
+                                      for c in cs]
+        tried += [rng.sample(outcomes, rng.randint(1, len(outcomes)))
+                  for _ in range(40)]
+        assert_order_index_matches(forest, tried)
+        assert_menu_index_matches(form)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10 ** 9))
+    def test_random_strict_forms(self, seed):
+        form = random_strict_sef(make_rng(seed))
+        assert_order_index_matches(form.sdf.forest, form.sdf.forest.nodes)
+        assert_menu_index_matches(form)
+
+    @pytest.mark.parametrize("form", pseudo_forms(), ids=repr)
+    def test_pseudo_forms(self, form):
+        assert_menu_index_matches(form)
+
+
+def held(obj, seen=None):
+    """The entries an object's attributes hold, counted through nested
+    dicts, lists, tuples and objects; a set counts its members."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, (dict, MappingProxyType)):
+        return len(obj) + sum(held(v, seen) for v in obj.values())
+    if isinstance(obj, (list, tuple)):
+        return len(obj) + sum(held(v, seen) for v in obj)
+    if isinstance(obj, (set, frozenset)):
+        return len(obj)
+    if hasattr(obj, "__dict__"):
+        return held(vars(obj), seen)
+    return 0
+
+
+class TestQueriesKeepNothing:
+    def test_predecessor_and_menu_queries_leave_the_form_as_it_was(self):
+        form = load_example("amd")[0]
+        forest = form.sdf.forest
+        rng = make_rng(5)
+        outcomes = sorted(forest.outcomes)
+        unions = {frozenset(rng.sample(outcomes, rng.randint(1, 20)))
+                  for _ in range(600)}
+        i = form.agents[0]
+        (m,) = form.agent_moves[i]
+        domain = sorted(m.domain)
+        parts = {m.restricted(rng.sample(domain, rng.randint(1, len(domain))))
+                 for _ in range(600)}
+        # the index is built by the first menu query
+        form.available_at(i, m)
+        before = held(forest), held(form)
+        for c in sorted(unions, key=sorted)[:500]:
+            immediate_predecessors(forest, c)
+        for part in sorted(parts, key=lambda m: repr(m.graph))[:500]:
+            form.available_at(i, part)
+        assert (held(forest), held(form)) == before
+
+
+class TestNonNodes:
+    NOT_A_NODE = frozenset({"o1:11", "o1:22"})
+
+    def test_order_lookups_name_the_set(self):
+        forest = load_example("simple")[0].sdf.forest
+        assert self.NOT_A_NODE <= forest.outcomes
+        assert self.NOT_A_NODE not in forest.nodes
+        for lookup in (forest.up, forest.parent, forest.children):
+            with pytest.raises(InputError, match="not a node.*o1:11.*o1:22"):
+                lookup(self.NOT_A_NODE)
+
+    def test_outcome_from_a_non_node_is_an_error(self):
+        form = load_example("simple")[0]
+        tables = profile_tables(form, next(all_profiles(form)))
+        with pytest.raises(ExformError):
+            outcome_from(form, tables, self.NOT_A_NODE)

@@ -257,7 +257,6 @@ class TestHeraclitus:
         pseudo.agents = ("i",)
         pseudo.agent_moves = {"i": frozenset({top, mid})}
         pseudo.choices = {"i": frozenset({frozenset({"a", "c"})})}
-        pseudo._pred = {}
         ok, witnesses = check_heraclitus(pseudo)
         assert not ok
         assert any(w[1] == frozenset("abc") and w[2] == frozenset("ab")

@@ -47,11 +47,18 @@ def axiom3_oracle(sdf, agents, choices):
     checked["axiom3"] = True
     strict = True
     containing = {}
+    preds = {}
 
     def choices_over(i, y):
         if (i, y) not in containing:
             containing[(i, y)] = [c for c in choices[i] if y <= c]
         return containing[(i, y)]
+
+    def P(c):
+        # the forest keeps no predecessor memo, so the oracle keeps its own
+        if c not in preds:
+            preds[c] = immediate_predecessors(sdf.forest, c)
+        return preds[c]
 
     for w in sdf.scenarios:
         tree = sorted(sdf.tree_of(w), key=sorted)
@@ -66,9 +73,7 @@ def axiom3_oracle(sdf, agents, choices):
                         if c & c2 & sdf.root_of(w):
                             continue
                         weak = True
-                        for x in (immediate_predecessors(sdf.forest, c)
-                                  & immediate_predecessors(sdf.forest, c2)
-                                  & sdf.tree_of(w)):
+                        for x in P(c) & P(c2) & sdf.tree_of(w):
                             if y <= (x & c) and y2 <= (x & c2):
                                 strong = True
                                 break
