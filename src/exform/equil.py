@@ -4,16 +4,16 @@ Equilibrium verification.
 An expected-utility layer places local beliefs and tastes on every
 information set of an extensive form.  A profile is verified in two
 halves: dynamic consistency (assessments agree along realized play and
-every pair of belief systems admits a common prior, decided by exact
-linear feasibility) and dynamic rationality (no agent can improve the
-conditional payoff at any of its information sets by deviating).  All
-arithmetic is exact over the rationals.
+every pair of belief systems admits a common prior, decided in closed
+form on the beliefs' supports and ratios) and dynamic rationality (no
+agent can improve the conditional payoff at any of its information sets
+by deviating).  All arithmetic is exact over the rationals.
 """
 
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .errors import InputError, ZeroProbabilityBlockRequested
 from .play import StrategyProfile, outcome_from, profile_tables
@@ -217,102 +217,67 @@ def check_dynamic_rationality(sef, eu, profile):
     return report
 
 
-# --- common-prior feasibility ------------------------------------------------
+# --- common prior in closed form ---------------------------------------------
 
-def _feasible_point(universe, rows):
+def _common_prior(universe, conditions):
     """
-    Exact feasibility of A q = b together with q >= 0, over variables
-    indexed by the universe; each row is a sparse pair ({w: coeff}, const)
-    of ints or Fractions.  A phase-1 simplex with one artificial variable
-    per row, pivoting by Bland's rule (the entering column is the smallest
-    index with a negative reduced cost, and a tie in the ratio test goes
-    to the smallest basic index), which cannot cycle.  Returns a witness
-    assignment or None.
+    A common prior of a group, decided on supports and ratios.  Each
+    direction's condition (u, A, p) asks, for every w0 in u's domain,
+    p(w0) q(A) = q(w0) if w0 is in A and 0 otherwise, so a prior q either
+    misses A or has p's support inside A and q = q(A) p on A.  Hence a
+    direction can be charged alone when p's support lies in its A and
+    misses the other direction's A, and together with the other when each
+    support lies in its own A and the two beliefs are proportional, with
+    the same zeros, where the A's meet.  A single unit is its own other
+    direction.
 
-    The arithmetic is on integers, as in integer-preserving elimination.
-    Row i, the cost row included, stores a sparse dict of numerators, a
-    numerator rhs[i] for its right-hand side and one positive denominator
-    den[i] shared by all of them.  The pivot row takes its pivot entry as
-    its denominator; every other row it touches becomes row * p - f *
-    pivot over den * p and is brought to lowest terms.  Since den[i] > 0,
-    every stored integer has the sign of the rational it stands for, and
-    the ratio test's rhs_i / a_i is the same rational (den[i] cancels), so
-    Bland's rule takes the pivots of the same simplex over Fraction and
-    the witness is the same vertex.  Fractions are made only for it.
+    Returns (prior, None) or (None, obstructions).  The prior averages
+    one charging prior per direction that can be charged; the rows are
+    homogeneous apart from the normalisation, so an average of priors is
+    a prior.  When no direction can be charged, it is uniform on the
+    scenarios outside every A, if there are any.  Otherwise there is one
+    obstruction per direction: (u, w0) when every q that charges the
+    direction and meets its rows breaks u's row at w0, and (u, w, w2)
+    when w and w2 lie in both A's and the beliefs give them different
+    ratios, so that such a q breaks one of u's rows there.
     """
-    n, m = len(universe), len(rows)
-    index = {w: k for k, w in enumerate(universe)}
-    tableau, rhs, den = [], [], []
-    for coeffs, const in rows:
-        sign = -1 if const < 0 else 1
-        parts = [(index[w], c.numerator, c.denominator)
-                 for w, c in coeffs.items()]
-        d = lcm(const.denominator, *(b for _, _, b in parts))
-        tableau.append({k: sign * a * (d // b) for k, a, b in parts if a})
-        rhs.append(sign * const.numerator * (d // const.denominator))
-        den.append(d)
-    # the last row holds the reduced costs of the phase-1 objective, the
-    # total artificial mass, whose value is minus its right-hand side
-    d = lcm(*den)
-    cost = {}
-    for row, dr in zip(tableau, den):
-        scale = d // dr
-        for k, v in row.items():
-            cost[k] = cost.get(k, 0) - v * scale
-    tableau.append(cost)
-    rhs.append(-sum(b * (d // dr) for b, dr in zip(rhs, den)))
-    den.append(d)
-    # artificial n + i starts basic in row i; its unit column is implicit
-    # and is dropped once it leaves, so it is never stored
-    basis = list(range(n, n + m))
-    while True:
-        entering = min((k for k, v in cost.items() if v < 0), default=None)
-        if entering is None:
-            break
-        # a negative reduced cost needs a positive entry in a row whose
-        # artificial is still basic, so the ratio test has a candidate;
-        # it compares rhs[i] / a with rhs[r] / best by cross-multiplying
-        r = best = None
-        for i in range(m):
-            a = tableau[i].get(entering, 0)
-            if a > 0 and (r is None or rhs[i] * best < rhs[r] * a or (
-                    rhs[i] * best == rhs[r] * a and basis[i] < basis[r])):
-                r, best = i, a
-        # the pivot row keeps its integers over the denominator a_re
-        pivot = tableau[r]
-        den[r] = p = best
-        basis[r] = entering
-        for i, row in enumerate(tableau):
-            f = row.get(entering)
-            if i == r or not f:
-                continue
-            # row / den_i - (f / den_i) * (pivot / p)
-            #     = (row * p - f * pivot) / (den_i * p)
-            if p > 1:
-                for k, v in row.items():
-                    row[k] = v * p
-                rhs[i] *= p
-                den[i] *= p
-            for k, v in pivot.items():
-                new = row.get(k, 0) - f * v
-                if new:
-                    row[k] = new
-                else:
-                    del row[k]
-            rhs[i] -= f * rhs[r]
-            g = gcd(den[i], rhs[i], *row.values())
-            if g > 1:
-                for k, v in row.items():
-                    row[k] = v // g
-                rhs[i] //= g
-                den[i] //= g
-    if rhs[m]:
-        return None
+    charging, obstructions = [], []
+    for (u, a_d, p_d), (v, a_e, p_e) in zip(conditions, reversed(conditions)):
+        support = sorted(p_d)
+        outside = [w for w in support if w not in a_d]
+        shared = [w for w in support if w in a_e]
+        if outside:
+            obstructions.append((u, outside[0]))
+            continue
+        if not shared:
+            charging.append(p_d)
+            continue
+        # a prior charging this direction is positive at ref, inside the
+        # other A, so it charges the other direction too
+        ref = shared[0]
+        ratio = p_e.get(ref, 0) / p_d[ref]
+        clash = next((w for w in sorted(p_e) if w not in a_e), None)
+        if clash is not None or not ratio:
+            obstructions.append((v, ref if clash is None else clash))
+            continue
+        clash = next((w for w in sorted(a_d & a_e)
+                      if p_e.get(w, 0) != ratio * p_d.get(w, 0)), None)
+        if clash is not None:
+            zero = not (p_d.get(clash) and p_e.get(clash))
+            obstructions.append((v, clash) if zero else (v, ref, clash))
+            continue
+        charging.append({w: x / ratio for w, x in p_e.items()} | p_d)
+    if not charging:
+        charging = [{w: Fraction(1) for w in universe
+                     if not any(w in a for _, a, _ in conditions)}]
+        if not charging[0]:
+            return None, obstructions
     q = dict.fromkeys(universe, Fraction(0))
-    for i, k in enumerate(basis):
-        if k < n:
-            q[universe[k]] = Fraction(rhs[i], den[i])
-    return q
+    for prior in charging:
+        mass = sum(prior.values())
+        for w, x in prior.items():
+            q[w] += x / (mass * len(charging))
+    return q, None
 
 
 @dataclass
@@ -343,7 +308,8 @@ def check_dynamic_consistency(sef, eu, profile):
     realized play into later info sets, the agreement events are recorded,
     and each group needs a common prior reproducing both local beliefs by
     conditioning on the scenarios that reach the respective info set.  The
-    prior is found by exact linear feasibility.
+    prior is decided in closed form by ``_common_prior`` and re-checked
+    exactly against every conditioning row.
     """
     if isinstance(profile, dict):
         profile = StrategyProfile(profile)
@@ -376,9 +342,9 @@ def check_dynamic_consistency(sef, eu, profile):
         for ua, ub in _ordered_directions(members):
             belief_a = eu.beliefs[ua]
             belief_b = eu.beliefs[ub]
+            psi = {}
             for w in sorted(domains[ua]):
-                out = outs[ua][w]
-                m = _psi(ub[1], sdf, out)
+                m = psi[w] = _psi(ub[1], sdf, outs[ua][w])
                 if m is None:
                     continue
                 if belief_a.assessment[w](w) >= m(w) and \
@@ -393,40 +359,18 @@ def check_dynamic_consistency(sef, eu, profile):
                 if belief_a.assessment[w](w) >= belief_b.assessment[w](w))
             events[(ua, ub)] = event
             reached[(ua, ub)] = (domains[ub] - event) | frozenset(
-                w for w in event if _psi(ub[1], sdf, outs[ua][w]) is not None)
+                w for w in event if psi[w] is not None)
         report.events.update(events)
         if status != "inconsistent":
             universe = sorted(frozenset().union(*domains.values()))
-            rows = [(dict.fromkeys(universe, Fraction(1)), Fraction(1))]
-            for ua, ub in _ordered_directions(members):
-                a_set = reached[(ua, ub)]
-                prob_b = eu.beliefs[ub].prob
-                for w0 in sorted(domains[ub]):
-                    coeffs = dict.fromkeys(a_set, Fraction(prob_b.get(w0, 0)))
-                    if w0 in a_set:
-                        coeffs[w0] -= 1
-                    rows.append((coeffs, Fraction(0)))
-            q = _feasible_point(universe, rows)
+            q, obstructions = _common_prior(universe, [
+                (ub, reached[(ua, ub)],
+                 {w: Fraction(x) for w, x in eu.beliefs[ub].prob.items() if x})
+                for ua, ub in _ordered_directions(members)])
             if q is None:
                 status = "inconsistent"
-                witness = ("prior", "no common prior exists")
-            # the witness is a vertex and may miss an event that some
-            # common prior charges; the rows but the first are
-            # homogeneous, so averaging in a prior normalised on that
-            # event stays feasible, and "vacuous" below means that
-            # every common prior misses it
-            for ua, ub in _ordered_directions(members):
-                a_set = reached[(ua, ub)]
-                if q is None or any(q[w] for w in a_set):
-                    continue
-                on_a = _feasible_point(
-                    universe,
-                    [(dict.fromkeys(a_set, Fraction(1)), Fraction(1))]
-                    + rows[1:])
-                if on_a is not None:
-                    mass = sum(on_a.values(), Fraction(0))
-                    q = {w: (q[w] + on_a[w] / mass) / 2 for w in universe}
-            if q is not None:
+                witness = ("prior", *obstructions)
+            else:
                 vacuous = False
                 for ua, ub in _ordered_directions(members):
                     a_set = reached[(ua, ub)]

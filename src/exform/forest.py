@@ -140,8 +140,10 @@ def validate_decision_forest(outcomes, nodes):
         if not chain:
             return ValidationReport(False, "duality", ("outcome in no node", w))
         chains[w] = chain
-    # in a rooted forest the maximal chains are the up-sets of minimal nodes
-    maximal = {up[x] for x in nodes if not any(y < x for y in nodes)}
+    # in a rooted forest the maximal chains are the up-sets of minimal
+    # nodes, the nodes in no other node's up-set
+    above_others = {a for x in nodes for a in up[x] if a != x}
+    maximal = {up[x] for x in nodes if x not in above_others}
     if set(chains.values()) != maximal:
         missing = maximal - set(chains.values())
         extra = [w for w, c in chains.items() if c not in maximal]

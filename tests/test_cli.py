@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -138,6 +139,62 @@ class TestEquilibrium:
     def test_all_bundled_instances_verify(self, name):
         assert run("equilibrium", "verify",
                    "--sef", f"examples:{name}").exit_code == 0
+
+
+# `equilibrium verify` as captured before the common prior was decided in
+# closed form: arguments, exit code, the human stdout and the SHA-256 of the
+# --json stdout; stderr was empty everywhere.
+VERIFY_PINNED = [
+    ('--sef examples:simple', 0,
+     'equilibrium verified, payoff 0, 2\n',
+     "ba286a3b3239dbc46af9d4490edd91a8d1f6183535a2fa51c12467b75152e22f"),
+    ('--sef examples:simple-variant', 0,
+     'equilibrium verified, payoff 0, 2\n',
+     "ba286a3b3239dbc46af9d4490edd91a8d1f6183535a2fa51c12467b75152e22f"),
+    ('--sef examples:amd', 0,
+     'equilibrium verified, payoff 8/5\n',
+     "d0980bf2ecd5b1d9107366ddfa36b39843b9a4dc5c4bfe15c14bfe5c5eb276ef"),
+    ('--sef examples:mp-case1', 0,
+     'equilibrium verified, payoff -1/3, 1/3\n',
+     "aea32d8e377195482607bd21fb4d2fa6b8dc80f6853fc9d78775efd3eddfc43f"),
+    ('--sef examples:mp-case2', 0,
+     'equilibrium verified, payoff 0\n',
+     "44db6c0380739f3348ad6e09a707cb96cc1f8b85a053eb4cdbeae967d3ee1dd1"),
+    ('--sef examples:mp-case3', 0,
+     'equilibrium verified, payoff 0\n',
+     "44db6c0380739f3348ad6e09a707cb96cc1f8b85a053eb4cdbeae967d3ee1dd1"),
+    ('--sef examples:mp-case4', 0,
+     'equilibrium verified, payoff -1/3, 1/3, 1\n',
+     "c7192cc15452ff42339d621def2c196b75eaa8b604965cf5e64d6fb4f847c76e"),
+    ('--sef examples:ultimatum', 0,
+     'equilibrium verified, payoff 1, 2, 3\n',
+     "f2b67548547cf0503d14da5830c2eb77ec0a6bdd8859ac0d9b5e5b56e789946f"),
+    ('--sef examples:amd --p 0', 1,
+     'not an equilibrium; payoff 0; deviations reach 4\n',
+     "a912c0875852c8c3ca20f01ab81cce4b7dd6b74b16cbdf224865d9a56e9b530c"),
+    ('--sef examples:amd --p 1/3', 1,
+     'not an equilibrium; payoff 1, 5/2; deviations reach 5/2\n',
+     "58806d2f33d33e26b81b6480c9c7678bbb8fa55a1980d7e630136fd521a94bb4"),
+    ('--sef examples:amd --p 2/3', 0,
+     'equilibrium verified, payoff 8/5\n',
+     "d0980bf2ecd5b1d9107366ddfa36b39843b9a4dc5c4bfe15c14bfe5c5eb276ef"),
+    ('--sef examples:amd --p 1', 1,
+     'not an equilibrium; payoff 1; deviations reach 2\n',
+     "54418d20f059a5aefceb8d42abf77a98edcb16a80bf1c0f55814ffdc50da2eb1"),
+]
+
+
+class TestVerifyPinned:
+    @pytest.mark.parametrize("args, code, human, json_digest", VERIFY_PINNED)
+    def test_output_is_byte_identical(self, args, code, human, json_digest):
+        argv = ["equilibrium", "verify", *args.split()]
+        result = run(*argv)
+        assert (result.exit_code, result.stdout, result.stderr) \
+            == (code, human, "")
+        result = run(*argv, "--json")
+        assert (result.exit_code, result.stderr) == (code, "")
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() \
+            == json_digest
 
 
 class TestStructureCommands:

@@ -1,4 +1,6 @@
+import itertools
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,10 @@ from hypothesis import strategies as st
 from exform.equil import (
     Belief,
     EUStructure,
-    _feasible_point,
+    ConsistencyReport,
+    _common_prior,
+    _ordered_directions,
+    _psi,
     bayes_beliefs,
     check_dynamic_consistency,
     check_dynamic_rationality,
@@ -211,8 +216,11 @@ class TestPosteriorOracle:
         eu.beliefs[unit] = Belief(dict(prior), eu.beliefs[unit].assessment)
         solved = check_dynamic_consistency(sef, eu, s)
         assert not solved.consistent
-        assert ("prior", "no common prior exists") \
-            in solved.witnesses.values()
+        # the prior charges r1a0b0, where agent 1 exits first: a prior
+        # charging either direction breaks agent 2's row there
+        first = next(u for u in units(sef) if u[0] == 1)
+        assert solved.witnesses[frozenset({first, unit})] \
+            == ("prior", (unit, "r1a0b0"), (unit, "r1a0b0"))
 
 
 class TestVacuity:
@@ -461,6 +469,232 @@ def _solve_linear_system(universe, equations, cap):
     return q
 
 
+# --- oracle: the integer-row simplex and the consistency check on it ---------
+# The common prior was decided by this phase-1 simplex before the closed
+# form; it stays as the oracle of the closed form, and TestFeasibility keeps
+# it checked against the Fraction simplex and the elimination oracle.
+
+def _feasible_point(universe, rows):
+    """
+    Exact feasibility of A q = b together with q >= 0, over variables
+    indexed by the universe; each row is a sparse pair ({w: coeff}, const)
+    of ints or Fractions.  A phase-1 simplex with one artificial variable
+    per row, pivoting by Bland's rule (the entering column is the smallest
+    index with a negative reduced cost, and a tie in the ratio test goes
+    to the smallest basic index), which cannot cycle.  Returns a witness
+    assignment or None.
+
+    The arithmetic is on integers, as in integer-preserving elimination.
+    Row i, the cost row included, stores a sparse dict of numerators, a
+    numerator rhs[i] for its right-hand side and one positive denominator
+    den[i] shared by all of them.  The pivot row takes its pivot entry as
+    its denominator; every other row it touches becomes row * p - f *
+    pivot over den * p and is brought to lowest terms.  Since den[i] > 0,
+    every stored integer has the sign of the rational it stands for, and
+    the ratio test's rhs_i / a_i is the same rational (den[i] cancels), so
+    Bland's rule takes the pivots of the same simplex over Fraction and
+    the witness is the same vertex.  Fractions are made only for it.
+    """
+    n, m = len(universe), len(rows)
+    index = {w: k for k, w in enumerate(universe)}
+    tableau, rhs, den = [], [], []
+    for coeffs, const in rows:
+        sign = -1 if const < 0 else 1
+        parts = [(index[w], c.numerator, c.denominator)
+                 for w, c in coeffs.items()]
+        d = lcm(const.denominator, *(b for _, _, b in parts))
+        tableau.append({k: sign * a * (d // b) for k, a, b in parts if a})
+        rhs.append(sign * const.numerator * (d // const.denominator))
+        den.append(d)
+    # the last row holds the reduced costs of the phase-1 objective, the
+    # total artificial mass, whose value is minus its right-hand side
+    d = lcm(*den)
+    cost = {}
+    for row, dr in zip(tableau, den):
+        scale = d // dr
+        for k, v in row.items():
+            cost[k] = cost.get(k, 0) - v * scale
+    tableau.append(cost)
+    rhs.append(-sum(b * (d // dr) for b, dr in zip(rhs, den)))
+    den.append(d)
+    # artificial n + i starts basic in row i; its unit column is implicit
+    # and is dropped once it leaves, so it is never stored
+    basis = list(range(n, n + m))
+    while True:
+        entering = min((k for k, v in cost.items() if v < 0), default=None)
+        if entering is None:
+            break
+        # a negative reduced cost needs a positive entry in a row whose
+        # artificial is still basic, so the ratio test has a candidate;
+        # it compares rhs[i] / a with rhs[r] / best by cross-multiplying
+        r = best = None
+        for i in range(m):
+            a = tableau[i].get(entering, 0)
+            if a > 0 and (r is None or rhs[i] * best < rhs[r] * a or (
+                    rhs[i] * best == rhs[r] * a and basis[i] < basis[r])):
+                r, best = i, a
+        # the pivot row keeps its integers over the denominator a_re
+        pivot = tableau[r]
+        den[r] = p = best
+        basis[r] = entering
+        for i, row in enumerate(tableau):
+            f = row.get(entering)
+            if i == r or not f:
+                continue
+            # row / den_i - (f / den_i) * (pivot / p)
+            #     = (row * p - f * pivot) / (den_i * p)
+            if p > 1:
+                for k, v in row.items():
+                    row[k] = v * p
+                rhs[i] *= p
+                den[i] *= p
+            for k, v in pivot.items():
+                new = row.get(k, 0) - f * v
+                if new:
+                    row[k] = new
+                else:
+                    del row[k]
+            rhs[i] -= f * rhs[r]
+            g = gcd(den[i], rhs[i], *row.values())
+            if g > 1:
+                for k, v in row.items():
+                    row[k] = v // g
+                rhs[i] //= g
+                den[i] //= g
+    if rhs[m]:
+        return None
+    q = dict.fromkeys(universe, Fraction(0))
+    for i, k in enumerate(basis):
+        if k < n:
+            q[universe[k]] = Fraction(rhs[i], den[i])
+    return q
+
+
+def simplex_consistency(sef, eu, profile):
+    """
+    check_dynamic_consistency as it was when an integer-row simplex
+    decided each group's prior: one feasibility solve, then one more per
+    direction the witness vertex misses, averaged in.  Also returns, per
+    group that reached the prior step, its universe, its rows and one
+    (u_b, A_d, p_d) per direction.
+    """
+    if isinstance(profile, dict):
+        profile = StrategyProfile(profile)
+    validate_eu(sef, eu)
+    sdf = sef.sdf
+    tastes_ok = True
+    by_agent = {}
+    for (i, p), taste in eu.tastes.items():
+        seen = by_agent.setdefault(i, taste)
+        if any(Fraction(seen[w]) != Fraction(taste[w])
+               for w in sdf.forest.outcomes):
+            tastes_ok = False
+    report = ConsistencyReport(True, tastes_ok)
+    systems = {}
+    tables = profile_tables(sef, profile)
+    my_units = units(sef)
+    outs = {}
+    for unit in my_units:
+        belief = eu.beliefs[unit]
+        outs[unit] = {w: outcome_from(sef, tables, belief.assessment[w](w))
+                      for w in unit_domain(unit)}
+    groups = [frozenset({u}) for u in my_units]
+    groups += [frozenset(pair) for pair in itertools.combinations(my_units, 2)]
+    for group in groups:
+        members = sorted(group, key=repr)
+        status = "consistent"
+        witness = None
+        domains = {u: unit_domain(u) for u in members}
+        events = {}
+        reached = {}
+        for ua, ub in _ordered_directions(members):
+            belief_a = eu.beliefs[ua]
+            belief_b = eu.beliefs[ub]
+            for w in sorted(domains[ua]):
+                out = outs[ua][w]
+                m = _psi(ub[1], sdf, out)
+                if m is None:
+                    continue
+                if belief_a.assessment[w](w) >= m(w) and \
+                        belief_b.assessment[w] != m:
+                    status = "inconsistent"
+                    witness = ("assessment", ub, w, m)
+                    break
+            if witness:
+                break
+            event = frozenset(
+                w for w in domains[ua] & domains[ub]
+                if belief_a.assessment[w](w) >= belief_b.assessment[w](w))
+            events[(ua, ub)] = event
+            reached[(ua, ub)] = (domains[ub] - event) | frozenset(
+                w for w in event if _psi(ub[1], sdf, outs[ua][w]) is not None)
+        report.events.update(events)
+        if status != "inconsistent":
+            universe = sorted(frozenset().union(*domains.values()))
+            rows = [(dict.fromkeys(universe, Fraction(1)), Fraction(1))]
+            for ua, ub in _ordered_directions(members):
+                a_set = reached[(ua, ub)]
+                prob_b = eu.beliefs[ub].prob
+                for w0 in sorted(domains[ub]):
+                    coeffs = dict.fromkeys(a_set, Fraction(prob_b.get(w0, 0)))
+                    if w0 in a_set:
+                        coeffs[w0] -= 1
+                    rows.append((coeffs, Fraction(0)))
+            systems[group] = (universe, rows, [
+                (ub, reached[(ua, ub)],
+                 {w: Fraction(x) for w, x in eu.beliefs[ub].prob.items() if x})
+                for ua, ub in _ordered_directions(members)])
+            q = _feasible_point(universe, rows)
+            if q is None:
+                status = "inconsistent"
+                witness = ("prior", "no common prior exists")
+            # the witness is a vertex and may miss an event that some
+            # common prior charges; the rows but the first are
+            # homogeneous, so averaging in a prior normalised on that
+            # event stays feasible, and "vacuous" below means that
+            # every common prior misses it
+            for ua, ub in _ordered_directions(members):
+                a_set = reached[(ua, ub)]
+                if q is None or any(q[w] for w in a_set):
+                    continue
+                on_a = _feasible_point(
+                    universe,
+                    [(dict.fromkeys(a_set, Fraction(1)), Fraction(1))]
+                    + rows[1:])
+                if on_a is not None:
+                    mass = sum(on_a.values(), Fraction(0))
+                    q = {w: (q[w] + on_a[w] / mass) / 2 for w in universe}
+            if q is not None:
+                vacuous = False
+                for ua, ub in _ordered_directions(members):
+                    a_set = reached[(ua, ub)]
+                    a_mass = sum((q[w] for w in a_set), Fraction(0))
+                    if a_mass == 0:
+                        vacuous = True
+                        continue
+                    prob_b = eu.beliefs[ub].prob
+                    for w0 in sorted(domains[ub]):
+                        lhs = Fraction(prob_b.get(w0, 0)) * a_mass
+                        rhs = q[w0] if w0 in a_set else Fraction(0)
+                        if lhs != rhs:
+                            status = "inconsistent"
+                            witness = ("prior", ub, w0)
+                            break
+                    if status == "inconsistent":
+                        break
+                if status == "consistent":
+                    report.priors[group] = q
+                    if vacuous:
+                        status = "vacuously consistent"
+        report.pair_status[group] = status
+        if witness is not None:
+            report.witnesses[group] = witness
+        if status == "inconsistent":
+            report.consistent = False
+    report.consistent = report.consistent and tastes_ok
+    return report, systems
+
+
 # --- oracle: the same simplex over Fraction ---------------------------------
 
 def fraction_simplex(universe, rows):
@@ -687,6 +921,246 @@ class TestFeasibility:
         # with slacks s, t >= 0: y - s = 1 asks y >= 1, y + t = 0 asks y <= 0
         rows = [eq(1, y=1, s=-1), eq(0, y=1, t=1)]
         assert _feasible_point(["s", "t", "y"], rows) is None
+
+
+# --- the closed-form common prior against the simplex --------------------------
+
+def replay(universe, conditions, witness):
+    """
+    Replay each obstruction of a ("prior", ...) witness on the rows of its
+    direction d, in _ordered_directions order: priors that charge d, equal
+    to p_d on A_d (1 on each scenario of A_d when p_d misses it) and of
+    three shapes off A_d, all break the named row, or one of the two rows
+    of a ratio pair, whose beliefs also give different ratios.
+    """
+    kind, *obstructions = witness
+    assert kind == "prior" and len(obstructions) == len(conditions)
+    rows = {u: (a, p) for u, a, p in conditions}
+
+    def holds(u, w0, q):
+        a, p = rows[u]
+        return p.get(w0, 0) * sum(q[w] for w in a) \
+            == (q[w0] if w0 in a else 0)
+
+    for (_, a_d, p_d), (u, *named) in zip(conditions, obstructions):
+        on_a = {w: p_d[w] for w in a_d if w in p_d} or dict.fromkeys(a_d, 1)
+        for fill in (0, 1, None):
+            q = {w: on_a.get(w, 0) if w in a_d
+                 else (k % 3 if fill is None else fill)
+                 for k, w in enumerate(universe)}
+            assert not all(holds(u, w0, q) for w0 in named)
+        if len(named) == 2:
+            w, w2 = named
+            a_e, p_e = rows[u]
+            assert {w, w2} <= a_d & a_e
+            assert p_d.get(w, 0) * p_e.get(w2, 0) \
+                != p_d.get(w2, 0) * p_e.get(w, 0)
+
+
+def obstruction_kinds(conditions, witness):
+    """'own row', 'other row' or 'ratio pair', per obstruction."""
+    _, *obstructions = witness
+    return {"ratio pair" if len(named) == 2
+            else "own row" if u == owner else "other row"
+            for (owner, _, _), (u, *named) in zip(conditions, obstructions)}
+
+
+def assert_agrees_with_simplex(sef, eu, profile, seen=None):
+    """The closed form and the simplex oracle agree on every compared field;
+    every built prior solves its group's rows exactly, the normalisation
+    included, and every prior witness replays."""
+    report = check_dynamic_consistency(sef, eu, profile)
+    oracle, systems = simplex_consistency(sef, eu, profile)
+    assert report.pair_status == oracle.pair_status
+    assert report.consistent == oracle.consistent
+    assert report.events == oracle.events
+    assert report.tastes_consistent == oracle.tastes_consistent
+    assert set(report.priors) == set(oracle.priors)
+    for group, q in report.priors.items():
+        universe, rows, _ = systems[group]
+        assert solves(universe, rows, q)
+    assert set(report.witnesses) == set(oracle.witnesses)
+    for group, witness in report.witnesses.items():
+        if oracle.witnesses[group] == ("prior", "no common prior exists"):
+            universe, _, conditions = systems[group]
+            replay(universe, conditions, witness)
+            if seen is not None:
+                seen.update(obstruction_kinds(conditions, witness))
+        else:
+            assert witness == oracle.witnesses[group]
+    if seen is not None:
+        seen.update(report.pair_status.values())
+    return report
+
+
+BIASES = (Fraction(0), THIRD, 2 * THIRD, Fraction(1))
+_RACES = {}
+
+
+def exit_race(p):
+    """The exit race with 3 atoms at bias p, built once."""
+    if p not in _RACES:
+        _RACES[p] = amd_instance(p)
+    return _RACES[p]
+
+
+@st.composite
+def drawn_beliefs(draw):
+    """A bundled form, or the 3-atom exit race at a drawn bias, with each
+    unit's belief kept, conditioned from a drawn prior, that prior
+    restricted to the unit's domain without conditioning on play, drawn
+    outright on a drawn support, or one of those with one weight
+    rescaled; weights have mixed denominators."""
+    name = draw(st.sampled_from(EXAMPLES + ["exit-race"]))
+    if name == "exit-race":
+        sef, eu, s, _ = exit_race(draw(st.sampled_from(BIASES)))
+    else:
+        sef, eu, s, _ = bundled(name)
+    weight = st.builds(Fraction, st.integers(1, 6), st.integers(1, 6))
+
+    def drawn(support):
+        weights = {w: draw(weight) for w in support}
+        mass = sum(weights.values())
+        return {w: x / mass for w, x in weights.items()}
+
+    scenarios = sorted(sef.sdf.scenarios)
+    prior = drawn(draw(st.lists(st.sampled_from(scenarios), min_size=1,
+                                unique=True)))
+    try:
+        conditioned = bayes_beliefs(sef, prior, s)
+    except InputError:
+        conditioned = eu.beliefs
+    beliefs = {}
+    for unit in units(sef):
+        assessment = eu.beliefs[unit].assessment
+        domain = unit_domain(unit)
+        restricted = {w: x for w, x in prior.items() if w in domain}
+        how = draw(st.sampled_from(["kept", "conditioned", "restricted",
+                                    "drawn"]))
+        if how == "restricted" and restricted:
+            mass = sum(restricted.values())
+            prob = {w: x / mass for w, x in restricted.items()}
+        elif how in ("restricted", "drawn"):
+            prob = drawn(draw(st.lists(st.sampled_from(sorted(domain)),
+                                       min_size=1, unique=True)))
+        else:
+            source = eu.beliefs if how == "kept" else conditioned
+            prob = dict(source[unit].prob)
+        if len(prob) > 1 and draw(st.booleans()):
+            w = draw(st.sampled_from(sorted(prob)))
+            prob[w] *= draw(weight)
+            mass = sum(prob.values())
+            prob = {v: x / mass for v, x in prob.items()}
+        beliefs[unit] = Belief(prob, assessment)
+    return sef, EUStructure(beliefs, eu.tastes), s
+
+
+def hand_rows(universe, conditions):
+    """The simplex rows of a hand-built group, each unit's domain taken to
+    be the universe."""
+    rows = [(dict.fromkeys(universe, Fraction(1)), Fraction(1))]
+    for _, a_set, p in conditions:
+        for w0 in universe:
+            coeffs = dict.fromkeys(a_set, p.get(w0, Fraction(0)))
+            if w0 in a_set:
+                coeffs[w0] -= 1
+            rows.append((coeffs, Fraction(0)))
+    return rows
+
+
+def belief(**weights):
+    return {w: Fraction(x) for w, x in weights.items()}
+
+
+Q = Fraction(1, 4)
+FIFTH = Fraction(1, 5)
+# (universe, one (unit, A, p) per direction, the prior or the obstructions)
+CLAUSES = {
+    "d alone": ("xyz", [("a", {"x", "y"}, belief(x=HALF, y=HALF)),
+                        ("b", {"z"}, belief(x=1))],
+                belief(x=HALF, y=HALF, z=0)),
+    "both": ("xyz", [("a", {"x", "y"}, belief(x=THIRD, y=2 * THIRD)),
+                     ("b", {"y", "z"}, belief(y=HALF, z=HALF))],
+             belief(x=FIFTH, y=2 * FIFTH, z=2 * FIFTH)),
+    "both, disjoint": ("xy", [("a", {"x"}, belief(x=1)),
+                              ("b", {"y"}, belief(y=1))],
+                       belief(x=HALF, y=HALF)),
+    "ratio clash": ("xy", [("a", {"x", "y"}, belief(x=HALF, y=HALF)),
+                           ("b", {"x", "y"}, belief(x=THIRD, y=2 * THIRD))],
+                    [("b", "x", "y"), ("a", "x", "y")]),
+    "zero clash": ("xy", [("a", {"x", "y"}, belief(x=1)),
+                          ("b", {"x", "y"}, belief(x=HALF, y=HALF))],
+                   [("b", "y"), ("a", "y")]),
+    "zero clash at the reference": (
+        "xy", [("a", {"x", "y"}, belief(x=1)), ("b", {"x", "y"}, belief(y=1))],
+        [("b", "x"), ("a", "y")]),
+    "other support outside its A": (
+        "xy", [("a", {"x", "y"}, belief(x=1)),
+               ("b", {"x"}, belief(x=HALF, y=HALF))],
+        [("b", "y"), ("b", "y")]),
+    "outside only": ("xyo", [("a", {"x", "y"}, belief(x=HALF, y=HALF)),
+                             ("b", {"x", "y"}, belief(x=THIRD, y=2 * THIRD))],
+                     belief(x=0, y=0, o=1)),
+    "single unit": ("xyz", [("u", {"x", "y"}, belief(x=Q, y=3 * Q))],
+                    belief(x=Q, y=3 * Q, z=0)),
+    # a single unit's support leaving its A leaves the domain's scenarios
+    # outside A, so a single unit always has a prior
+    "single unit, outside only": (
+        "xyz", [("u", {"x"}, belief(x=HALF, y=HALF))],
+        belief(x=0, y=HALF, z=HALF)),
+}
+
+
+class TestClosedFormAgainstSimplex:
+    @pytest.mark.parametrize("name", sorted(CLAUSES))
+    def test_hand_built_clause(self, name):
+        letters, conditions, want = CLAUSES[name]
+        universe = sorted(letters)
+        rows = hand_rows(universe, conditions)
+        q, obstructions = _common_prior(universe, conditions)
+        assert (q is None) == (_feasible_point(universe, rows) is None)
+        if q is None:
+            assert obstructions == want
+            replay(universe, conditions, ("prior", *obstructions))
+        else:
+            assert q == want and solves(universe, rows, q)
+            assert obstructions is None
+
+    @pytest.mark.parametrize("name", EXAMPLES)
+    def test_bundled_examples(self, name):
+        assert_agrees_with_simplex(*bundled(name)[:3])
+
+    @pytest.mark.parametrize("p", BIASES)
+    def test_exit_race(self, p):
+        sef, eu, s, _ = exit_race(p)
+        assert assert_agrees_with_simplex(sef, eu, s).consistent
+
+    @pytest.mark.parametrize("p", BIASES)
+    def test_exit_race_with_the_prior_as_a_belief(self, p):
+        # below p = 1 some agent exits first, so the prior charges
+        # scenarios that do not reach the other agent's move
+        sef, eu, s, prior = exit_race(p)
+        beliefs = dict(eu.beliefs)
+        for unit in units(sef):
+            beliefs[unit] = Belief(dict(prior), eu.beliefs[unit].assessment)
+        seen = set()
+        assert_agrees_with_simplex(sef, EUStructure(beliefs, eu.tastes), s,
+                                   seen)
+        assert ("own row" in seen) == (p < 1)
+
+    def test_drawn_beliefs(self):
+        # the draws also reach every status, and obstructions both on the
+        # other unit's row and on a ratio pair
+        seen = set()
+
+        @settings(max_examples=150, deadline=None)
+        @given(drawn_beliefs())
+        def probe(layer):
+            assert_agrees_with_simplex(*layer, seen=seen)
+
+        probe()
+        assert seen >= {"consistent", "vacuously consistent", "inconsistent",
+                        "other row", "ratio pair"}
 
 
 class TestUniformTastes:

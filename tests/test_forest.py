@@ -344,3 +344,109 @@ class TestPrimitivesAgainstScans:
             tried += [rng.sample(outcomes, rng.randint(1, len(outcomes)))
                       for _ in range(40)]
             assert_primitives_match_oracles(f, tried)
+
+
+# --- oracle: validation with a second subset scan for the minimal nodes -------
+
+def validate_by_scans(outcomes, nodes):
+    """validate_decision_forest as it was when the minimal nodes came from
+    a second scan over all node pairs instead of from the up-sets."""
+    from exform.forest import ValidationReport
+    outcomes = frozenset(outcomes)
+    nodes = frozenset(frozenset(x) for x in nodes)
+    if not outcomes:
+        return ValidationReport(False, "duality", "empty outcome set")
+    for x in nodes:
+        if not x:
+            return ValidationReport(False, "rooted_forest", "empty node")
+        if not x <= outcomes:
+            return ValidationReport(False, "rooted_forest", ("alien outcomes", x))
+    up = {}
+    for x in nodes:
+        above = [y for y in nodes if y >= x]
+        for i, a in enumerate(above):
+            for b in above[i + 1:]:
+                if not (a <= b or b <= a):
+                    return ValidationReport(False, "rooted_forest",
+                                            ("incomparable ancestors", x, a, b))
+        up[x] = frozenset(above)
+    chains = {}
+    for w in outcomes:
+        chain = frozenset(x for x in nodes if w in x)
+        if not chain:
+            return ValidationReport(False, "duality", ("outcome in no node", w))
+        chains[w] = chain
+    maximal = {up[x] for x in nodes if not any(y < x for y in nodes)}
+    if set(chains.values()) != maximal:
+        missing = maximal - set(chains.values())
+        extra = [w for w, c in chains.items() if c not in maximal]
+        return ValidationReport(False, "duality",
+                                ("chain mismatch", sorted(map(sorted, missing)), extra))
+    if len(set(chains.values())) != len(outcomes):
+        collide = [w for w in outcomes
+                   if sum(1 for v in outcomes if chains[v] == chains[w]) > 1]
+        return ValidationReport(False, "duality", ("chains collide", collide))
+    return ValidationReport(True)
+
+
+@st.composite
+def broken_families(draw):
+    """A drawn forest's outcomes and nodes after one to three edits: drop a
+    node or every node below one, add a drawn pair or subset (possibly
+    empty or with an alien outcome), or drop or add an outcome."""
+    f = draw(forests())
+    outcomes = set(f.outcomes)
+    nodes = [set(x) for x in f.nodes]
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["drop node", "drop below", "add subset",
+                                     "add pair", "add alien", "drop outcome",
+                                     "add outcome"]))
+        pool = sorted(outcomes) or ["w0"]
+        if edit == "drop node" and nodes:
+            nodes.pop(draw(st.integers(0, len(nodes) - 1)))
+        elif edit == "drop below" and nodes:
+            top = nodes[draw(st.integers(0, len(nodes) - 1))]
+            nodes = [x for x in nodes if not x < top]
+        elif edit == "add pair":
+            nodes.append(set(draw(st.lists(st.sampled_from(pool), min_size=2,
+                                           max_size=2))))
+        elif edit in ("add subset", "add alien"):
+            subset = draw(st.sets(st.sampled_from(pool)))
+            nodes.append(subset | {"alien"} if edit == "add alien" else subset)
+        elif edit == "drop outcome" and len(outcomes) > 1:
+            outcomes.discard(draw(st.sampled_from(pool)))
+        elif edit == "add outcome":
+            outcomes.add(f"w{len(pool) + 10}")
+    return outcomes, nodes
+
+
+class TestValidationAgainstScans:
+    @given(forests())
+    @settings(deadline=None, max_examples=80)
+    def test_valid_forests(self, f):
+        report = validate_decision_forest(f.outcomes, f.nodes)
+        assert report == validate_by_scans(f.outcomes, f.nodes) and report
+
+    @given(broken_families())
+    @settings(deadline=None, max_examples=300)
+    def test_edited_families(self, family):
+        outcomes, nodes = family
+        assert validate_decision_forest(outcomes, nodes) \
+            == validate_by_scans(outcomes, nodes)
+
+    def test_edits_reach_every_failure(self):
+        # the edited families above reach a chain mismatch, which reads
+        # the minimal nodes, and each other kind of report
+        seen = set()
+
+        @given(broken_families())
+        @settings(deadline=None, max_examples=300)
+        def probe(family):
+            report = validate_by_scans(*family)
+            witness = report.witness
+            seen.add(witness[0] if isinstance(witness, tuple) else witness)
+
+        probe()
+        assert {"chain mismatch", "chains collide", "incomparable ancestors",
+                "alien outcomes", "outcome in no node", "empty node",
+                None} <= seen
