@@ -10,14 +10,15 @@ agent can improve the conditional payoff at any of its information sets
 by deviating).  All arithmetic is exact over the rationals.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
 from .errors import InputError, ZeroProbabilityBlockRequested
-from .play import StrategyProfile, outcome_from, profile_tables
-from .sef import info_sets, strategies
+from .play import StrategyProfile, TreeFills, outcome_from, profile_tables
+from .sef import convert_strategy, info_sets, strategies
 
 
 @dataclass
@@ -99,24 +100,23 @@ class _UnitPlan:
     positive-mass block keeps its (start move, weight) pairs, the weights
     over the belief's common denominator, and its mass; the tastes on the
     outcomes play can reach are integers over ``scale``.  A block's value
-    under any tables is its ``total`` over mass * scale, so two profiles
-    compare on their totals.
+    under a profile is its ``total``, read through the profile's outcome
+    lookup, over mass * scale, so two profiles compare on their totals.
     """
     blocks: list   # (block, [(start move, weight)], mass), sorted by block
     zero: set      # the zero-mass blocks
     taste: dict    # outcome -> int, over scale
     scale: int
 
-    def total(self, sef, tables, pairs):
+    def total(self, outcome, pairs):
         taste = self.taste
-        return sum(weight * taste[outcome_from(sef, tables, start)]
-                   for start, weight in pairs)
+        return sum(weight * taste[outcome(start)] for start, weight in pairs)
 
     def value(self, total, mass):
         return Fraction(total, mass * self.scale)
 
-    def values(self, sef, tables):
-        return {b: self.value(self.total(sef, tables, pairs), mass)
+    def values(self, outcome):
+        return {b: self.value(self.total(outcome, pairs), mass)
                 for b, pairs, mass in self.blocks}
 
 
@@ -161,7 +161,7 @@ def expected_payoff(sef, eu, profile, agent, infoset, block=None):
     if block is not None and block in plan.zero:
         raise ZeroProbabilityBlockRequested(
             f"block {sorted(block)} has probability zero at {unit!r}")
-    return plan.values(sef, tables)
+    return plan.values(functools.partial(outcome_from, sef, tables))
 
 
 @dataclass
@@ -181,19 +181,23 @@ def check_dynamic_rationality(sef, eu, profile):
     agent, the profile's conditional payoff must weakly dominate every
     unilateral deviation on every positive-probability block.  Each unit's
     plan is built once, and a deviation is compared with the profile on
-    the integer totals of the plan's blocks.
+    the integer totals of the plan's blocks.  Every (start move, weight)
+    term reads its outcome from one ``TreeFills`` memo: a deviation swaps
+    in only its own move table, and it fills a tree only where its slices
+    there differ from every profile's read before.
     """
     if isinstance(profile, dict):
         profile = StrategyProfile(profile)
     validate_eu(sef, eu)
     report = RationalityReport(True, {})
     base_tables = profile_tables(sef, profile)
+    fills = TreeFills(sef)
+    played = functools.partial(fills.outcome, base_tables)
     swept = []   # (unit, plan, the profile's total per block)
     for unit in units(sef):
         plan = _unit_plan(sef, eu.beliefs[unit], eu.tastes[unit],
                           information_blocks(sef, *unit))
-        totals = [plan.total(sef, base_tables, pairs)
-                  for _, pairs, _ in plan.blocks]
+        totals = [plan.total(played, pairs) for _, pairs, _ in plan.blocks]
         report.payoffs[unit] = {b: plan.value(total, mass) for (b, _, mass), total
                                 in zip(plan.blocks, totals)}
         report.zero_blocks[unit] = plan.zero
@@ -202,12 +206,12 @@ def check_dynamic_rationality(sef, eu, profile):
         deviations = strategies(sef, i)
         own = [entry for entry in swept if entry[0][0] == i]
         for t in deviations:
-            swapped = dict(profile.strategies)
-            swapped[i] = t
-            tables = profile_tables(sef, StrategyProfile(swapped))
+            tables = dict(base_tables)
+            tables[i] = convert_strategy(sef, t, "move")
+            outcome = functools.partial(fills.outcome, tables)
             for unit, plan, totals in own:
                 for (b, pairs, mass), base in zip(plan.blocks, totals):
-                    total = plan.total(sef, tables, pairs)
+                    total = plan.total(outcome, pairs)
                     if total > base:
                         report.rational = False
                         report.witnesses.append(

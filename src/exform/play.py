@@ -5,12 +5,21 @@ A strategy profile together with a history determines which outcomes
 survive every on-path choice.  In a finite forest every history is the
 up-set of a move, its core, so the outcomes a profile induces from any
 history are read from one bottom-up pass over the forest, memoised on the
-profile's tables; well-posedness is verified both by exhaustive
-enumeration over those tables and via the order-theoretic classification
-of the underlying forest.
+profile's tables.
+
+A move lies in one scenario's tree, and everything below it lies inside
+that tree's root r, so a query from the move reads each choice c the
+profile plays at the tree's moves only through its slice c & r.  The
+strategy-sized loops, the deviation sweep of the rationality check and
+the direct well-posedness check, read through one per-call memo,
+``TreeFills``: it fills a tree once per distinct signature, the slices
+the profile's tables hold at that tree's moves, and every profile that
+agrees with it on the tree reads that fill.  Well-posedness is also
+decided by the order-theoretic classification of the underlying forest.
 """
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from ._util import budget
@@ -85,7 +94,8 @@ def reduction_set(sef, w, profile, h):
 def outcome_report(sef, profile, h):
     hbar, core = _core(sef, h)
     tables = profile_tables(sef, profile)
-    compatible = sorted(_compatible_below(sef, tables, core))
+    compatible = sorted(_compatible_below(sef, tables, core,
+                                          tables.compatible))
     reduction = {w: _reduction(sef, tables, w, core) for w in sorted(core)}
     if not compatible:
         induced, failure = None, "no-outcome"
@@ -135,13 +145,12 @@ def profile_tables(sef, profile):
                           for i in sef.agents})
 
 
-def _compatible_below(sef, tables, x):
+def _compatible_below(sef, tables, x, memo):
     """The outcomes compatible with the tables from the move x on, filled
-    into the tables' memo bottom-up: each move keeps the union over its
-    children, cut down to every active agent's choice there; a terminal
-    child contributes its one outcome."""
+    into the memo bottom-up: each move keeps the union over its children,
+    cut down to every active agent's choice there; a terminal child
+    contributes its one outcome."""
     children = sef.sdf.forest.children
-    memo = tables.compatible
     stack = [x]
     while stack:
         y = stack[-1]
@@ -161,6 +170,16 @@ def _compatible_below(sef, tables, x):
     return memo[x]
 
 
+def _one_outcome(found, node):
+    """The one outcome found from the node, else the error naming it."""
+    if len(found) == 1:
+        (w,) = found
+        return w
+    if not found:
+        raise NoOutcome(f"no outcome from {sorted(node)}")
+    raise MultipleOutcomes(f"several outcomes from {sorted(node)}")
+
+
 def outcome_from(sef, tables, node):
     """
     The unique outcome the precomputed tables induce from a node on,
@@ -171,12 +190,53 @@ def outcome_from(sef, tables, node):
     core = node
     if node not in sef.sdf.forest.moves():
         _, core = _core(sef, sef.sdf.forest.up(node))
-    found = tuple(_compatible_below(sef, tables, core))
-    if not found:
-        raise NoOutcome(f"no outcome from {sorted(node)}")
-    if len(found) > 1:
-        raise MultipleOutcomes(f"several outcomes from {sorted(node)}")
-    return found[0]
+    return _one_outcome(
+        _compatible_below(sef, tables, core, tables.compatible), node)
+
+
+class TreeFills:
+    """
+    One call's memo of compatible-outcome fills, keyed by (root, slice
+    signature).  Every node below a tree's root r lies inside r, so a fill
+    of that tree reads each choice c the tables hold at the tree's moves
+    only through its slice c & r.  The signature lists those slices over
+    the tree's (agent, move) pairs in an order fixed for the call; inside
+    one tree an information set's moves share their choice, so profiles
+    agree on it exactly when their slices per (agent, information set)
+    agree.  The fill under a key is ``_compatible_below`` from r, made once
+    from the first tables that carry the key.
+    """
+
+    def __init__(self, sef):
+        self.sef = sef
+        self.fills = {}   # (root, signature) -> {move of the tree: outcomes}
+        sdf = sef.sdf
+        self.root = {x: sdf.root_of(sdf.projection[x])
+                     for x in sdf.forest.moves()}
+        # per root, the (agent, move) pairs of that tree, agents in order
+        self.pairs = {}
+        for i in sef.agents:
+            for x in sef.moves_of(i):
+                self.pairs.setdefault(self.root[x], []).append((i, x))
+
+    def key(self, tables, root):
+        """The tables' key on the tree of the root: the slices of the
+        choices every agent's table holds at its moves in that tree."""
+        return root, tuple([tables[i][x] & root
+                            for i, x in self.pairs.get(root, ())])
+
+    def fill(self, tables, key):
+        """The fill under the key, made from the tables on a miss."""
+        fill = self.fills.get(key)
+        if fill is None:
+            fill = self.fills[key] = {}
+            _compatible_below(self.sef, tables, key[0], fill)
+        return fill
+
+    def outcome(self, tables, x):
+        """``outcome_from`` the move x, read from the fill of its tree."""
+        return _one_outcome(
+            self.fill(tables, self.key(tables, self.root[x]))[x], x)
 
 
 @dataclass
@@ -190,24 +250,30 @@ class WellPosedReport:
         return self.attainable and self.existence and self.uniqueness
 
 
-def _all_profiles(sef):
-    per_agent = [strategies(sef, i) for i in sef.agents]
-    for combo in itertools.product(*per_agent):
-        yield StrategyProfile(dict(zip(sef.agents, combo)))
-
-
 def check_wellposed_direct(sef):
-    """Exhaustive verification of the three well-posedness properties over
-    all (profile, history) pairs, profile by profile: each profile's
-    tables are built once and answer every history from their memo."""
+    """
+    Exhaustive verification of the three well-posedness properties over
+    all (profile, history) pairs, profile by profile and history by
+    history, so the first failing pair is the witness.  A history's
+    verdict reads only the tree of its core, so it is decided once per
+    (root, slice signature), from that signature's ``TreeFills`` fill,
+    and the outcomes attained there are collected then; the cap still
+    counts (history, profile) pairs.
+    """
     cap = budget(WELLPOSED_CAP)
     hs = sorted(histories(sef.sdf.forest), key=sorted)
-    profiles = list(_all_profiles(sef))
-    if len(hs) * len(profiles) > cap:
+    menus = [strategies(sef, i) for i in sef.agents]
+    profiles = math.prod(map(len, menus))
+    if len(hs) * profiles > cap:
         raise EnumerationBudgetExceeded(
-            f"{len(hs)} histories x {len(profiles)} profiles")
+            f"{len(hs)} histories x {profiles} profiles")
     cores = {h: frozenset.intersection(*h) for h in hs}
+    fills = TreeFills(sef)
+    trees = {}
+    for h in hs:
+        trees.setdefault(fills.root[cores[h]], []).append(h)
     attained = {h: set() for h in hs}
+    verdicts = {}   # (root, signature) -> {history: (compatible, unique)}
     report = WellPosedReport(True, True, True)
     if not profiles:
         # an information set offers no choice: no profile, so no outcome
@@ -215,16 +281,30 @@ def check_wellposed_direct(sef):
         report.witnesses["existence"] = report.witnesses["uniqueness"] = next(
             p for i in sef.agents for p in info_sets(sef, i)[0]
             if not sef.available_at(i, next(iter(p.random_moves))))
-    for profile in profiles:
-        tables = profile_tables(sef, profile)
+    players = [[(t, convert_strategy(sef, t, "move")) for t in menu]
+               for menu in menus]
+    for combo in itertools.product(*players):
+        profile = StrategyProfile({i: t for i, (t, _) in zip(sef.agents, combo)})
+        tables = {i: table for i, (_, table) in zip(sef.agents, combo)}
+        verdict = {}
+        for root, group in trees.items():
+            key = fills.key(tables, root)
+            if key not in verdicts:
+                fill = fills.fill(tables, key)
+                verdicts[key] = {}
+                for h in group:
+                    compatible = sorted(fill[cores[h]])
+                    attained[h].update(compatible)
+                    unique = len(compatible) == 1 and _reduction(
+                        sef, tables, compatible[0], cores[h]) == {compatible[0]}
+                    verdicts[key][h] = compatible, unique
+            verdict.update(verdicts[key])
         for h in hs:
-            compatible = sorted(_compatible_below(sef, tables, cores[h]))
-            attained[h].update(compatible)
+            compatible, unique = verdict[h]
             if not compatible:
                 report.existence = False
                 report.witnesses.setdefault("existence", (profile, h))
-            elif len(compatible) > 1 or _reduction(
-                    sef, tables, compatible[0], cores[h]) != {compatible[0]}:
+            elif not unique:
                 report.uniqueness = False
                 report.witnesses.setdefault("uniqueness",
                                             (profile, h, compatible))

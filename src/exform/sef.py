@@ -507,7 +507,8 @@ def strategies(sef, i):
 def convert_strategy(sef, strategy, form):
     """
     A strategy as a map on info sets, random moves, or moves.  The three
-    representations are in bijection via the natural surjections.
+    representations are in bijection via the natural surjections; the
+    moves of each of the form's info sets are read off its menu index.
     """
     if form == "infoset":
         return dict(strategy.assignment)
@@ -515,8 +516,8 @@ def convert_strategy(sef, strategy, form):
         return {m: c for p, c in strategy.assignment.items()
                 for m in p.random_moves}
     if form == "move":
-        return {m(w): c for p, c in strategy.assignment.items()
-                for m in p.random_moves for w in m.domain}
+        _, moves = info_sets(sef, strategy.agent)
+        return {x: c for p, c in strategy.assignment.items() for x in moves[p]}
     raise InputError(f"unknown form: {form!r}")
 
 

@@ -197,6 +197,28 @@ class TestVerifyPinned:
             == json_digest
 
 
+# `wellposed --method both` as captured before the direct check read
+# through per-tree slice signatures: the SHA-256 of the --json stdout on each
+# bundled example; every one exited 0 with "well-posed" and an empty stderr.
+WELLPOSED_PINNED_JSON = \
+    "ef453e856a46ae498ad9649652101a8c8a8fd29ca168ac2548df410848e8d3af"
+
+
+class TestWellposedPinned:
+    @pytest.mark.parametrize("name", ["simple", "simple-variant", "amd",
+                                      "mp-case1", "mp-case2", "mp-case3",
+                                      "mp-case4", "ultimatum"])
+    def test_output_is_byte_identical(self, name):
+        argv = ["wellposed", "--sef", f"examples:{name}", "--method", "both"]
+        result = run(*argv)
+        assert (result.exit_code, result.stdout, result.stderr) \
+            == (0, "well-posed\n", "")
+        result = run(*argv, "--json")
+        assert (result.exit_code, result.stderr) == (0, "")
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() \
+            == WELLPOSED_PINNED_JSON
+
+
 class TestStructureCommands:
     def test_infosets(self):
         result = run("infosets", "--sef", "examples:simple", "--json")

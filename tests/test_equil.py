@@ -28,6 +28,8 @@ from exform.errors import (
     BudgetExceeded,
     EnumerationBudgetExceeded,
     InputError,
+    MultipleOutcomes,
+    NoOutcome,
     UnknownExample,
     ZeroProbabilityBlockRequested,
 )
@@ -45,6 +47,17 @@ from exform.instances import (
 )
 from exform.play import StrategyProfile, outcome_from, profile_tables
 from exform.sef import StochasticExtensiveForm, strategies
+from test_acceptance import (
+    CONST1,
+    CONST2,
+    REACT,
+    Z0_SPLIT,
+    Z0_SPLIT_FLIP,
+    _block_counts,
+    _mp_profile,
+    _reaction_map,
+)
+from test_play import one_move_pseudo
 
 EXAMPLES = ["simple", "simple-variant", "amd",
             "mp-case1", "mp-case2", "mp-case3", "mp-case4", "ultimatum"]
@@ -1281,19 +1294,73 @@ def drawn_layers(draw):
     return sef, EUStructure(beliefs, tastes), profile
 
 
+def assert_rationality_matches_oracle(sef, eu, profile):
+    report = check_dynamic_rationality(sef, eu, profile)
+    rational, payoffs, witnesses, zeros = oracle_rationality(sef, eu, profile)
+    assert report.rational == rational
+    assert [(u, list(v.items())) for u, v in report.payoffs.items()] \
+        == [(u, list(v.items())) for u, v in payoffs.items()]
+    assert report.witnesses == witnesses
+    assert report.zero_blocks == zeros
+    return report
+
+
+def coin_matching_checks():
+    """The 19 coin-matching profiles of the acceptance test, as (case,
+    first move, second-mover picks, bias)."""
+    same = [mp_choice_second("1", CONST1), mp_choice_second("2", CONST1)]
+
+    def merged(g):
+        return [mp_choice_second(".", g)]
+
+    balanced = merged(_reaction_map({("0", "0"), ("1", "1")}))
+    best = [mp_choice_second("1", {w: "2" if w[1] == "1" else "1"
+                                   for w in MP_SCENARIOS}),
+            mp_choice_second("2", CONST1)]
+    two_thirds, four_fifths = 2 * THIRD, Fraction(4, 5)
+    return [
+        (1, CONST2, REACT, two_thirds), (1, Z0_SPLIT, REACT, two_thirds),
+        (1, CONST1, same, two_thirds), (1, CONST1, REACT, two_thirds),
+        (1, CONST1, REACT, four_fifths),
+        (2, Z0_SPLIT_FLIP, balanced, two_thirds),
+        (2, CONST1, balanced, two_thirds),
+        (2, Z0_SPLIT, merged(_reaction_map({("0", "0")})), two_thirds),
+        (2, Z0_SPLIT, balanced, two_thirds),
+        (3, Z0_SPLIT, merged(_block_counts(2, 2)), two_thirds),
+        (3, Z0_SPLIT, merged(_block_counts(1, 0)), two_thirds),
+        (3, Z0_SPLIT, merged(_block_counts(3, 4)), two_thirds),
+        (3, Z0_SPLIT, merged(_block_counts(2, 1)), two_thirds),
+        (3, CONST1, merged(_block_counts(2, 2)), two_thirds),
+        (4, CONST1, best, two_thirds), (4, Z0_SPLIT, best, two_thirds),
+        (4, CONST2, REACT, two_thirds), (4, CONST2, best, two_thirds),
+        (4, CONST2, best, four_fifths),
+    ]
+
+
+def failing_deviation(menus, picks):
+    """A one-move form over three outcomes, each agent active at the move
+    with the given menu and playing its pick there; assembled without
+    validation on purpose, so that a deviation can leave no outcome or
+    several."""
+    sef = one_move_pseudo(["w:1", "w:2", "w:3"], menus)
+    (x0,) = sef.sdf.random_moves
+    sef.info = {i: {x0: frozenset({frozenset({"w"})})} for i in menus}
+    profile = StrategyProfile({
+        i: next(t for t in strategies(sef, i)
+                if set(t.assignment.values()) == {frozenset(picks[i])})
+        for i in menus})
+    taste = {f"w:{k}": Fraction(k) for k in (1, 2, 3)}
+    eu = EUStructure({u: Belief({"w": Fraction(1)}, {"w": x0})
+                      for u in units(sef)},
+                     {u: taste for u in units(sef)})
+    return sef, eu, profile
+
+
 class TestRationalityOracle:
     @settings(max_examples=60, deadline=None)
     @given(drawn_layers())
     def test_sweep_matches_the_oracle(self, layer):
-        sef, eu, profile = layer
-        report = check_dynamic_rationality(sef, eu, profile)
-        rational, payoffs, witnesses, zeros = oracle_rationality(
-            sef, eu, profile)
-        assert report.rational == rational
-        assert [(u, list(v.items())) for u, v in report.payoffs.items()] \
-            == [(u, list(v.items())) for u, v in payoffs.items()]
-        assert report.witnesses == witnesses
-        assert report.zero_blocks == zeros
+        assert_rationality_matches_oracle(*layer)
 
     @settings(max_examples=60, deadline=None)
     @given(drawn_layers())
@@ -1311,6 +1378,38 @@ class TestRationalityOracle:
                 else:
                     assert expected_payoff(sef, eu, profile, *unit,
                                            block=b) == want
+
+    @pytest.mark.parametrize("atoms, p", [
+        (3, Fraction(0)), (3, THIRD), (3, 2 * THIRD), (3, Fraction(1)),
+        (6, Fraction(0)), (6, THIRD), (6, HALF), (6, 2 * THIRD),
+        (6, Fraction(5, 6)), (6, Fraction(1))])
+    def test_exit_race(self, atoms, p):
+        # with 3 atoms the bias must be a multiple of 1/3
+        sef, eu, s, _ = amd_instance(p, atoms)
+        report = assert_rationality_matches_oracle(sef, eu, s)
+        assert report.rational == (p == 2 * THIRD)
+
+    @pytest.mark.parametrize("check", range(19))
+    def test_coin_matching_checks(self, check):
+        case, first, picks, p = coin_matching_checks()[check]
+        assert_rationality_matches_oracle(*_mp_profile(case, first, picks, p))
+
+    @pytest.mark.parametrize("menus, picks, played, error", [
+        ({"i": [{"w:1", "w:2"}, {"w:3"}]}, {"i": {"w:3"}}, "w:3",
+         MultipleOutcomes),
+        ({"a": [{"w:1"}, {"w:2"}], "b": [{"w:1"}]},
+         {"a": {"w:1"}, "b": {"w:1"}}, "w:1", NoOutcome)])
+    def test_failing_deviation_raises_as_the_oracle(self, menus, picks, played,
+                                                    error):
+        sef, eu, profile = failing_deviation(menus, picks)
+        # the profile itself plays through; a deviation does not
+        (root,) = sef.sdf.forest.roots()
+        assert outcome_from(sef, profile_tables(sef, profile), root) == played
+        with pytest.raises(error) as want:
+            oracle_rationality(sef, eu, profile)
+        with pytest.raises(error) as got:
+            check_dynamic_rationality(sef, eu, profile)
+        assert str(got.value) == str(want.value)
 
     def test_draws_reach_zero_blocks_and_witnesses(self):
         # the cross-checks above see both a zero-mass block and a witness

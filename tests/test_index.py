@@ -42,7 +42,13 @@ from exform.instances import (
     ultimatum_sef,
 )
 from exform.order import Poset
-from exform.play import StrategyProfile, outcome_from, profile_tables
+from exform.equil import check_dynamic_rationality
+from exform.play import (
+    StrategyProfile,
+    check_wellposed_direct,
+    outcome_from,
+    profile_tables,
+)
 from exform.sdf import RandomMove, StochasticDecisionForest, preimage
 from exform.sef import (
     InfoSet,
@@ -643,6 +649,17 @@ class TestQueriesKeepNothing:
         for part in sorted(parts, key=lambda m: repr(m.graph))[:500]:
             form.available_at(i, part)
         assert (held(forest), held(form)) == before
+
+    @pytest.mark.parametrize("name", ["amd", "mp-case1"])
+    def test_sweeps_leave_the_form_as_it_was(self, name):
+        form, eu, profile, _ = load_example(name)
+        # the menu index is built by the first menu query
+        info_sets(form, form.agents[0])
+        parts = form, form.sdf, form.sdf.forest
+        before = [held(part) for part in parts]
+        assert check_dynamic_rationality(form, eu, profile)
+        assert check_wellposed_direct(form)
+        assert [held(part) for part in parts] == before
 
 
 class TestNonNodes:

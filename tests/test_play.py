@@ -1,11 +1,14 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import comb_parts, make_rng, random_strict_sef
+from exform import play
 from exform._util import budget
+from exform.equil import check_dynamic_rationality, units
 from exform.errors import (
     EnumerationBudgetExceeded,
     MultipleOutcomes,
@@ -15,9 +18,12 @@ from exform.errors import (
 )
 from exform.forest import histories, immediate_predecessors
 from exform.instances import (
+    EXAMPLES,
     SIMPLE_SEF_ROWS,
     VARIANT_SEF_ROWS,
+    amd_instance,
     amd_sef,
+    load_example,
     simple_choice_first,
     simple_choice_second,
     simple_sdf,
@@ -27,7 +33,8 @@ from exform.instances import (
 from exform.play import (
     StrategyProfile,
     WellPosedReport,
-    _all_profiles,
+    _compatible_below,
+    _reduction,
     check_wellposed_direct,
     check_wellposed_order,
     closed_history_minimum,
@@ -40,11 +47,22 @@ from exform.play import (
     scenario_truncation,
 )
 from exform.sdf import RandomMove
-from exform.sef import StochasticExtensiveForm, convert_strategy, strategies
+from exform.sef import (
+    StochasticExtensiveForm,
+    convert_strategy,
+    info_sets,
+    strategies,
+)
 from test_index import _compatible_outcomes, one_shot
 
 ALL_INSTANCES = [simple_sef(n) for n in SIMPLE_SEF_ROWS] + \
     [variant_sef(n) for n in VARIANT_SEF_ROWS] + [amd_sef(1)[0]]
+
+
+def _all_profiles(sef):
+    per_agent = [strategies(sef, i) for i in sef.agents]
+    for combo in itertools.product(*per_agent):
+        yield StrategyProfile(dict(zip(sef.agents, combo)))
 
 
 def pick(sef, agent, wanted):
@@ -117,7 +135,6 @@ class TestInducedOutcome:
     @pytest.mark.parametrize("sef", ALL_INSTANCES)
     def test_forward_play_matches_fixed_point(self, sef):
         # oracle: the unique core outcome contained in its own reduction set
-        from exform.play import _all_profiles
         for h in histories(sef.sdf.forest):
             core = frozenset.intersection(*h)
             for profile in _all_profiles(sef):
@@ -169,22 +186,16 @@ class TestWellPosedness:
     def test_empty_menu_fails_existence_and_uniqueness(self):
         # the 4-comb whose bottom move lost both children's choices: its
         # agent has no strategy, so no profile gives any history an outcome
-        sdf, agents, agent_moves, info, refchoices, choices = comb_parts(4)
-        bottom = frozenset({"w:2", "w:3"})
-        kept = {c for c in choices["i"] if not c < bottom}
-        pseudo = object.__new__(StochasticExtensiveForm)
-        pseudo._store(sdf, agents, agent_moves, info, refchoices, {"i": kept})
-        report = check_wellposed_direct(pseudo)
+        report = check_wellposed_direct(empty_menu_pseudo())
         assert (report.attainable, report.existence, report.uniqueness) \
             == (False, False, False)
         empty = report.witnesses["existence"]
         assert report.witnesses["uniqueness"] == empty
+        bottom = frozenset({"w:2", "w:3"})
         assert empty.random_moves == {RandomMove({"w": bottom})}
 
     def test_disjoint_joint_choice_fails_existence(self):
-        # two agents active at one move whose choices share no outcome
-        pseudo = one_move_pseudo(["w:1", "w:2"], {"a": [{"w:1"}],
-                                                  "b": [{"w:2"}]})
+        pseudo = disjoint_joint_pseudo()
         report = check_wellposed_direct(pseudo)
         assert (report.attainable, report.existence, report.uniqueness) \
             == (False, False, True)
@@ -211,6 +222,37 @@ def one_move_pseudo(outcomes, menus):
 def underseparated_pseudo():
     # a single choice that never separates two terminals
     return one_move_pseudo(["w:1", "w:2", "w:3"], {"i": [{"w:1", "w:2"}]})
+
+
+def empty_menu_pseudo():
+    """The 4-comb without the choices of its bottom move; assembled
+    without validation on purpose."""
+    sdf, agents, agent_moves, info, refchoices, choices = comb_parts(4)
+    bottom = frozenset({"w:2", "w:3"})
+    kept = {c for c in choices["i"] if not c < bottom}
+    pseudo = object.__new__(StochasticExtensiveForm)
+    pseudo._store(sdf, agents, agent_moves, info, refchoices, {"i": kept})
+    return pseudo
+
+
+def disjoint_joint_pseudo():
+    # two agents active at one move whose choices share no outcome
+    return one_move_pseudo(["w:1", "w:2"], {"a": [{"w:1"}], "b": [{"w:2"}]})
+
+
+def dealt_to_two(sef, rng):
+    """The single-agent strict form with its moves dealt at random to two
+    agents, each owning the choices offered at its moves."""
+    agents = ("i", "j")
+    deal = {m: rng.choice(agents)
+            for m in sorted(sef.agent_moves["i"], key=lambda m: repr(m.graph))}
+    moves = {a: frozenset(m for m, b in deal.items() if b == a) for a in agents}
+    return StochasticExtensiveForm(
+        sef.sdf, agents, moves,
+        {a: {m: sef.info["i"][m] for m in moves[a]} for a in agents},
+        {a: {m: sef.refchoices["i"][m] for m in moves[a]} for a in agents},
+        {a: frozenset(c for m in moves[a] for c in sef.refchoices["i"][m])
+         for a in agents})
 
 
 def coarsened(sef, rng):
@@ -301,17 +343,149 @@ class TestWellPosednessOracle:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10 ** 9))
     def test_random_strict_forms(self, seed):
+        # also against the sweep as it was before the slice memo, on a
+        # single-agent and a two-agent family
         rng = make_rng(seed)
         sef = random_strict_sef(rng)
-        assert_sweep_matches_oracle(sef)
-        assert_sweep_matches_oracle(coarsened(sef, rng))
+        for form in (sef, coarsened(sef, rng), dealt_to_two(sef, rng)):
+            assert_sweep_matches_oracle(form)
+            assert_same_report(form)
+
+
+def wellposed_by_profile_tables(sef):
+    """The direct sweep as it was before the slice memo, kept as the
+    oracle: every profile builds its own tables, and each history is
+    answered from their memo."""
+    cap = budget(10 ** 6)
+    hs = sorted(histories(sef.sdf.forest), key=sorted)
+    profiles = list(_all_profiles(sef))
+    if len(hs) * len(profiles) > cap:
+        raise EnumerationBudgetExceeded(
+            f"{len(hs)} histories x {len(profiles)} profiles")
+    cores = {h: frozenset.intersection(*h) for h in hs}
+    attained = {h: set() for h in hs}
+    report = WellPosedReport(True, True, True)
+    if not profiles:
+        report.existence = report.uniqueness = False
+        report.witnesses["existence"] = report.witnesses["uniqueness"] = next(
+            p for i in sef.agents for p in info_sets(sef, i)[0]
+            if not sef.available_at(i, next(iter(p.random_moves))))
+    for profile in profiles:
+        tables = profile_tables(sef, profile)
+        for h in hs:
+            compatible = sorted(_compatible_below(sef, tables, cores[h],
+                                                  tables.compatible))
+            attained[h].update(compatible)
+            if not compatible:
+                report.existence = False
+                report.witnesses.setdefault("existence", (profile, h))
+            elif len(compatible) > 1 or _reduction(
+                    sef, tables, compatible[0], cores[h]) != {compatible[0]}:
+                report.uniqueness = False
+                report.witnesses.setdefault("uniqueness",
+                                            (profile, h, compatible))
+    for h in hs:
+        if attained[h] != cores[h]:
+            report.attainable = False
+            report.witnesses.setdefault("attainable", (h, cores[h] - attained[h]))
+    return report
+
+
+def assert_same_report(sef):
+    report = check_wellposed_direct(sef)
+    oracle = wellposed_by_profile_tables(sef)
+    assert (report.attainable, report.existence, report.uniqueness) \
+        == (oracle.attainable, oracle.existence, oracle.uniqueness)
+    assert list(report.witnesses.items()) == list(oracle.witnesses.items())
+    return report
+
+
+class TestWellPosednessTableOracle:
+    @pytest.mark.parametrize("name", EXAMPLES)
+    def test_bundled_forms(self, name):
+        assert_same_report(load_example(name)[0])
+
+    @pytest.mark.parametrize("build", [underseparated_pseudo, empty_menu_pseudo,
+                                       disjoint_joint_pseudo])
+    def test_pseudo_forms(self, build):
+        assert not assert_same_report(build())
+
+    def test_draws_reach_two_agents_and_witnesses(self):
+        # the coarsened forms give the witness comparison something to
+        # compare, and the two-agent deal gives both agents moves
+        seen = set()
+        for seed in range(40):
+            rng = make_rng(seed)
+            sef = random_strict_sef(rng)
+            two = dealt_to_two(sef, rng)
+            if all(two.agent_moves[a] for a in two.agents):
+                seen.add("two agents")
+            if check_wellposed_direct(coarsened(sef, rng)).witnesses:
+                seen.add("witness")
+        assert seen == {"two agents", "witness"}
+
+
+def tree_signature(sef, tables, root):
+    """A profile's slices on the tree of the root, as an unordered set."""
+    return frozenset((i, x, tables[i][x] & root) for i in sef.agents
+                     for x in sef.moves_of(i) if x <= root)
+
+
+@pytest.fixture
+def fill_count(monkeypatch):
+    """The roots of the fills made so far; clear it to start counting."""
+    calls = []
+
+    def counted(sef, tables, x, memo):
+        calls.append(x)
+        return _compatible_below(sef, tables, x, memo)
+
+    monkeypatch.setattr(play, "_compatible_below", counted)
+    return calls
+
+
+class TestTreeFills:
+    @pytest.mark.parametrize("name", ["amd", "mp-case1", "mp-case4"])
+    def test_wellposed_fills_each_signature_once(self, name, fill_count):
+        sef = load_example(name)[0]
+        roots = {sef.sdf.root_of(w) for w in sef.sdf.scenarios
+                 if sef.sdf.tree_of(w) & sef.sdf.forest.moves()}
+        signatures = {(r, tree_signature(sef, profile_tables(sef, p), r))
+                      for p in _all_profiles(sef) for r in roots}
+        fill_count.clear()
+        check_wellposed_direct(sef)
+        assert len(fill_count) == len(signatures)
+        assert len(signatures) < len(roots) * len(list(_all_profiles(sef)))
+
+    @pytest.mark.parametrize("atoms", [3, 6])
+    def test_rationality_fills_each_signature_once(self, atoms, fill_count):
+        # at p = 2/3 the profile is an equilibrium, so every deviation
+        # sweeps every block of its agent's units
+        sef, eu, s, _ = amd_instance(Fraction(2, 3), atoms)
+        reached = {i: {sef.sdf.root_of(w) for unit in units(sef)
+                       if unit[0] == i
+                       for w, q in eu.beliefs[unit].prob.items() if q}
+                   for i in sef.agents}
+        signatures = {(r, tree_signature(sef, profile_tables(sef, s), r))
+                      for i in sef.agents for r in reached[i]}
+        queries = 0
+        for i in sef.agents:
+            for t in strategies(sef, i):
+                tables = profile_tables(
+                    sef, StrategyProfile({**s.strategies, i: t}))
+                signatures.update((r, tree_signature(sef, tables, r))
+                                  for r in reached[i])
+                queries += len(reached[i])
+        fill_count.clear()
+        assert check_dynamic_rationality(sef, eu, s)
+        assert len(fill_count) == len(signatures)
+        assert 4 * len(signatures) < queries
 
 
 class TestClosureInvariance:
     @pytest.mark.parametrize("sef", ALL_INSTANCES[:3])
     def test_reduction_ignores_closure(self, sef):
         from exform.forest import closure
-        from exform.play import _all_profiles
         for h in histories(sef.sdf.forest):
             hbar = closure(sef.sdf.forest, h)
             core = frozenset.intersection(*h)
