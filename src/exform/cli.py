@@ -244,7 +244,7 @@ def wellposed(ref, as_json, method):
         data["direct"] = {"attainable": report.attainable,
                           "existence": report.existence,
                           "uniqueness": report.uniqueness,
-                          "witnesses": {k: repr(v) for k, v
+                          "witnesses": {k: _wellposed_doc(v) for k, v
                                         in report.witnesses.items()}}
         ok = ok and bool(report)
     if method in ("order", "both"):
@@ -254,6 +254,23 @@ def wellposed(ref, as_json, method):
     emit(as_json, human, {"well_posed": ok, **data})
     if not ok:
         raise SystemExit(1)
+
+
+def _wellposed_doc(witness):
+    """A well-posedness witness with every set sorted, so that the JSON does
+    not depend on the hash seed: an information set that offers no choice,
+    a (profile, history[, outcomes]) pair, or a history with the outcomes
+    no profile attains."""
+    if isinstance(witness, sefmod.InfoSet):
+        return {"info_set": _sorted_lists(witness.moves())}
+    if isinstance(witness[0], play.StrategyProfile):
+        profile, h, *found = witness
+        doc = {"profile": {str(i): _sorted_lists(t.assignment.values())
+                           for i, t in profile.strategies.items()},
+               "history": _sorted_lists(h)}
+        return doc | {"outcomes": found[0]} if found else doc
+    h, missing = witness
+    return {"history": _sorted_lists(h), "unattained": sorted(missing)}
 
 
 @cli.command()

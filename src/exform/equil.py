@@ -7,7 +7,11 @@ halves: dynamic consistency (assessments agree along realized play and
 every pair of belief systems admits a common prior, decided in closed
 form on the beliefs' supports and ratios) and dynamic rationality (no
 agent can improve the conditional payoff at any of its information sets
-by deviating).  All arithmetic is exact over the rationals.
+by deviating).  A deviation's conditional payoff is linear in what it
+plays at each information set, as in the sequence form, so the
+rationality sweep sums each block from per-information-set partials
+instead of replaying every deviation.  All arithmetic is exact over the
+rationals.
 """
 
 import functools
@@ -16,9 +20,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .errors import InputError, ZeroProbabilityBlockRequested
+from .errors import (
+    InputError,
+    MultipleOutcomes,
+    NoOutcome,
+    ZeroProbabilityBlockRequested,
+)
 from .play import StrategyProfile, TreeFills, outcome_from, profile_tables
-from .sef import convert_strategy, info_sets, strategies
+from .sef import info_sets, strategies
 
 
 @dataclass
@@ -175,16 +184,107 @@ class RationalityReport:
         return self.rational
 
 
+class _Deviations:
+    """
+    One agent's deviations, read through per-information-set partial sums.
+    A term (start move, weight) of a block lies in the tree of its start,
+    and a deviation changes its outcome only through the slices, in that
+    tree, of its choices at S, the agent's information sets with moves
+    there.  So the term is read once per distinct slice tuple of S, from
+    the form's menus grouped by slice, and added into one partial sum per
+    choice tuple of S; a block's total under a deviation is the sum of its
+    partials at the deviation's choices.  A read that fails is kept with
+    its term's position and raised only when a deviation reaches the
+    block, the first failing term first.
+    """
+
+    def __init__(self, sef, fills, tables, i):
+        index = sef._index
+        self.fills, self.tables, self.agent = fills, tables, i
+        self.sets, _ = info_sets(sef, i)
+        self.position = [{c: m for m, c in enumerate(index.menus[p])}
+                         for p in self.sets]
+        self.grouped = [index.grouped[p] for p in self.sets]
+        self.trees = index.trees
+        self.active = {}   # tree -> the positions of the sets with moves there
+        for j, grouped in enumerate(self.grouped):
+            for k in grouped:
+                self.active[k] = self.active.get(k, ()) + (j,)
+        self.groups = {}   # S -> its slot in a deviation's choice tuples
+
+    def parts(self, taste, pairs):
+        """The block's partial sums: (slot of S, the sum per choice tuple
+        of S, {choice tuple: (term, the error of its failed read)})."""
+        by_set = {}
+        for n, (start, weight) in enumerate(pairs):
+            k = self.trees[self.fills.root[start]]
+            by_set.setdefault(self.active[k], []).append((n, start, weight, k))
+        parts = []
+        for sets, terms in by_set.items():
+            partial, failed = None, {}
+            for n, start, weight, k in terms:
+                grouped = [self.grouped[j][k] for j in sets]
+                values, bad = [], {}
+                for reps in itertools.product(*[g[0] for g in grouped]):
+                    table = {x: c for c, g in zip(reps, grouped) for x in g[2]}
+                    try:
+                        values.append(weight * taste[self.fills.outcome(
+                            {**self.tables, self.agent: table}, start)])
+                    except (NoOutcome, MultipleOutcomes) as err:
+                        bad[len(values)] = err
+                        values.append(0)
+                # the slice tuple of each choice tuple, in product order
+                flat = [0]
+                for reps, pos, _ in grouped:
+                    size = len(reps)
+                    flat = [f * size + g for f in flat for g in pos]
+                partial = [values[f] for f in flat] if partial is None else [
+                    a + values[f] for a, f in zip(partial, flat)]
+                if bad:
+                    for m, f in enumerate(flat):
+                        if f in bad:
+                            failed.setdefault(m, (n, bad[f]))
+            parts.append((self.groups.setdefault(sets, len(self.groups)),
+                          partial, failed))
+        return parts
+
+    def choices(self, t):
+        """The deviation's position in each slot's choice tuples."""
+        picks = [at[t(p)] for p, at in zip(self.sets, self.position)]
+        at = []
+        for sets in self.groups:
+            m = 0
+            for j in sets:
+                m = m * len(self.position[j]) + picks[j]
+            at.append(m)
+        return at
+
+
+def _deviation_total(parts, at):
+    """A block's total under the deviation at these choice tuples."""
+    total, failures = 0, []
+    for slot, partial, failed in parts:
+        total += partial[at[slot]]
+        if at[slot] in failed:
+            failures.append(failed[at[slot]])
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return total
+
+
 def check_dynamic_rationality(sef, eu, profile):
     """
     Exhaustive one-agent deviation check: at every info set of every
     agent, the profile's conditional payoff must weakly dominate every
     unilateral deviation on every positive-probability block.  Each unit's
     plan is built once, and a deviation is compared with the profile on
-    the integer totals of the plan's blocks.  Every (start move, weight)
-    term reads its outcome from one ``TreeFills`` memo: a deviation swaps
-    in only its own move table, and it fills a tree only where its slices
-    there differ from every profile's read before.
+    the integer totals of the plan's blocks.  The profile's terms read
+    their outcomes from one ``TreeFills`` memo; a deviation's block total
+    is the sum of the block's partials at its choices (``_Deviations``),
+    each term read through the same memo once per distinct slice tuple of
+    the deviating agent's information sets in the term's tree.  The cost
+    follows terms times distinct slice tuples plus deviations times the
+    blocks' information-set groups.
     """
     if isinstance(profile, dict):
         profile = StrategyProfile(profile)
@@ -203,15 +303,15 @@ def check_dynamic_rationality(sef, eu, profile):
         report.zero_blocks[unit] = plan.zero
         swept.append((unit, plan, totals))
     for i in sef.agents:
-        deviations = strategies(sef, i)
-        own = [entry for entry in swept if entry[0][0] == i]
-        for t in deviations:
-            tables = dict(base_tables)
-            tables[i] = convert_strategy(sef, t, "move")
-            outcome = functools.partial(fills.outcome, tables)
-            for unit, plan, totals in own:
-                for (b, pairs, mass), base in zip(plan.blocks, totals):
-                    total = plan.total(outcome, pairs)
+        deviations = _Deviations(sef, fills, base_tables, i)
+        own = [(unit, plan, totals, [deviations.parts(plan.taste, pairs)
+                                     for _, pairs, _ in plan.blocks])
+               for unit, plan, totals in swept if unit[0] == i]
+        for t in strategies(sef, i):
+            at = deviations.choices(t)
+            for unit, plan, totals, split in own:
+                for (b, _, mass), base, parts in zip(plan.blocks, totals, split):
+                    total = _deviation_total(parts, at)
                     if total > base:
                         report.rational = False
                         report.witnesses.append(

@@ -219,6 +219,110 @@ class TestWellposedPinned:
             == WELLPOSED_PINNED_JSON
 
 
+# `validate` and `infosets` on each bundled example as captured before
+# validation read the choices' slices off the form's index: the SHA-256 of
+# the human and of the --json stdout; every run exited 0 with an empty
+# stderr.
+STRUCTURE_PINNED = [
+    ("validate", "simple",
+     "b359df2a386a3dead4135d1bbf615a22995d01561c4e6392b5f7e35296c1f142",
+     "472a40b5611c60334d9f2a670cbed0fcd5e95ad9d84ee5f1e8b3321cdaa27095"),
+    ("validate", "simple-variant",
+     "b359df2a386a3dead4135d1bbf615a22995d01561c4e6392b5f7e35296c1f142",
+     "472a40b5611c60334d9f2a670cbed0fcd5e95ad9d84ee5f1e8b3321cdaa27095"),
+    ("validate", "amd",
+     "b359df2a386a3dead4135d1bbf615a22995d01561c4e6392b5f7e35296c1f142",
+     "ccbac68e19f00ecae0c8b706c806c1d239f35015e1ec7b2916dd70bf9e60c487"),
+    ("validate", "mp-case1",
+     "b359df2a386a3dead4135d1bbf615a22995d01561c4e6392b5f7e35296c1f142",
+     "4e221f1ec2587403c9d8d856f0d35ea28223509cded14b05a2e574a1e9b62111"),
+    ("validate", "mp-case2",
+     "b359df2a386a3dead4135d1bbf615a22995d01561c4e6392b5f7e35296c1f142",
+     "045c7d5f41a21e547e2f42f58760313cb0e697c78b38efd989410908cc71d803"),
+    ("validate", "mp-case3",
+     "b359df2a386a3dead4135d1bbf615a22995d01561c4e6392b5f7e35296c1f142",
+     "045c7d5f41a21e547e2f42f58760313cb0e697c78b38efd989410908cc71d803"),
+    ("validate", "mp-case4",
+     "b359df2a386a3dead4135d1bbf615a22995d01561c4e6392b5f7e35296c1f142",
+     "4e221f1ec2587403c9d8d856f0d35ea28223509cded14b05a2e574a1e9b62111"),
+    ("validate", "ultimatum",
+     "79bc57404f5c133a7573cd126b41b65a219f31329e3e336db2d48537586f547a",
+     "6d02f54e2ce3616467e20ed100ed6d86bd87f95a7a4e45051ccf74bbc3422ea3"),
+    ("infosets", "simple",
+     "df79cd3866d83e597c8ba5bb566badd2d9bb21d67b384746c1b76cfa67872c7a",
+     "b21e0dae5f6f9592e59168bd29c011653ffa23f59621d1805d4eecbebf12a986"),
+    ("infosets", "simple-variant",
+     "72a6a02b23aa97bbdd512e329492dca5db2efdda6a3c3b966182f9838117d202",
+     "098df338d7d418fe994a9359b0242a5d72af29a161f0fcc0f240ed83d8f4a9f5"),
+    ("infosets", "amd",
+     "2943e55841764123ca726c5f5b934f416545f9fac0a2cbd99af2ece7a4a70729",
+     "83dc42864c98991017778fddce87d6a483bee1774659b7580393845c1055a858"),
+    ("infosets", "mp-case1",
+     "2043c6cb70ab05d8aebdd7b20871a1732baea409229f5829712170e4eb93f13e",
+     "aca143908d87e5413efb950b3169310bff3391c3f1d69f9cdcde9b1b4aa7d6fa"),
+    ("infosets", "mp-case2",
+     "72fa4a7af83dff1a874bc67210b50926e0f59856070bee7ea705146ae08d5318",
+     "cfe18cc6286ddf66f8f652efecc286c7282b4f654c21a2af5ffe3b7900a9bfed"),
+    ("infosets", "mp-case3",
+     "72fa4a7af83dff1a874bc67210b50926e0f59856070bee7ea705146ae08d5318",
+     "a4efa4569b9a5d5a6756cb6ab8e46605a86cf78dd4dc25cd56e214f64978b18b"),
+    ("infosets", "mp-case4",
+     "2043c6cb70ab05d8aebdd7b20871a1732baea409229f5829712170e4eb93f13e",
+     "74869f75750a6c50740eaa3ea83d61c828dcd98e8664e5f298c092539512d46d"),
+    ("infosets", "ultimatum",
+     "0820be99dd53d1714edf92cb593d2a584ff42cda704c1dbe27e7b4aa113fcf6f",
+     "7448f05068218adb27f84ba9e67c63a721d3e150211250c933f3feb22310d462"),
+]
+
+
+class TestStructurePinned:
+    @pytest.mark.parametrize("command, name, human_digest, json_digest",
+                             STRUCTURE_PINNED)
+    def test_output_is_byte_identical(self, command, name, human_digest,
+                                      json_digest):
+        for flags, digest in (([], human_digest), (["--json"], json_digest)):
+            result = run(command, "--sef", f"examples:{name}", *flags)
+            assert (result.exit_code, result.stderr) == (0, "")
+            assert hashlib.sha256(result.stdout.encode()).hexdigest() \
+                == digest
+
+
+# an unvalidated form whose first uniqueness witness once followed the hash
+# seed: two sibling choices of one move merged, so that the merged choice
+# never separates them (test_play.coarsened)
+COARSENED = """
+from conftest import make_rng, random_strict_sef
+from test_play import coarsened
+from exform import cli
+rng = make_rng(5)
+form = coarsened(random_strict_sef(rng), rng)
+cli.load_instance = lambda ref: (form, None, None, None)
+cli.main()
+"""
+
+
+class TestWellposedWitness:
+    def test_witness_does_not_depend_on_the_hash_seed(self):
+        tests = str(Path(__file__).resolve().parent)
+        outputs = set()
+        for seed in ("1", "2"):
+            result = subprocess.run(
+                [sys.executable, "-c", COARSENED, "wellposed",
+                 "--sef", "coarsened", "--json"],
+                capture_output=True, text=True,
+                env={**os.environ, "PYTHONHASHSEED": seed,
+                     "PYTHONPATH": os.pathsep.join(
+                         [SRC, tests, os.environ.get("PYTHONPATH", "")])})
+            assert result.returncode == 1, result.stderr
+            outputs.add(result.stdout)
+        (output,) = outputs
+        witness = json.loads(output)["direct"]["witnesses"]["uniqueness"]
+        # the first history in the total order: the root of w1 and the
+        # move below it
+        assert [len(x) for x in witness["history"]] == [4, 6]
+        assert witness["outcomes"] == ["w1:0", "w1:2"]
+
+
 class TestStructureCommands:
     def test_infosets(self):
         result = run("infosets", "--sef", "examples:simple", "--json")

@@ -1,3 +1,4 @@
+import functools
 import itertools
 from fractions import Fraction
 from math import gcd, lcm
@@ -10,6 +11,8 @@ from exform.equil import (
     Belief,
     EUStructure,
     ConsistencyReport,
+    RationalityReport,
+    _unit_plan,
     _common_prior,
     _ordered_directions,
     _psi,
@@ -45,8 +48,16 @@ from exform.instances import (
     mp_instance,
     simple_split_sdf,
 )
-from exform.play import StrategyProfile, outcome_from, profile_tables
-from exform.sef import StochasticExtensiveForm, strategies
+from exform.forest import DecisionForest
+from exform.play import StrategyProfile, TreeFills, outcome_from, profile_tables
+from exform.sdf import RandomMove, StochasticDecisionForest
+from exform.sef import (
+    StochasticExtensiveForm,
+    Strategy,
+    convert_strategy,
+    info_sets,
+    strategies,
+)
 from test_acceptance import (
     CONST1,
     CONST2,
@@ -57,7 +68,8 @@ from test_acceptance import (
     _mp_profile,
     _reaction_map,
 )
-from test_play import one_move_pseudo
+from conftest import make_rng, random_strict_sef
+from test_play import dealt_to_two, one_move_pseudo
 
 EXAMPLES = ["simple", "simple-variant", "amd",
             "mp-case1", "mp-case2", "mp-case3", "mp-case4", "ultimatum"]
@@ -1302,6 +1314,7 @@ def assert_rationality_matches_oracle(sef, eu, profile):
         == [(u, list(v.items())) for u, v in payoffs.items()]
     assert report.witnesses == witnesses
     assert report.zero_blocks == zeros
+    assert_same_as_tree_fills(sef, eu, profile, report)
     return report
 
 
@@ -1407,9 +1420,11 @@ class TestRationalityOracle:
         assert outcome_from(sef, profile_tables(sef, profile), root) == played
         with pytest.raises(error) as want:
             oracle_rationality(sef, eu, profile)
+        with pytest.raises(error) as swept:
+            tree_fill_rationality(sef, eu, profile)
         with pytest.raises(error) as got:
             check_dynamic_rationality(sef, eu, profile)
-        assert str(got.value) == str(want.value)
+        assert str(got.value) == str(want.value) == str(swept.value)
 
     def test_draws_reach_zero_blocks_and_witnesses(self):
         # the cross-checks above see both a zero-mass block and a witness
@@ -1427,3 +1442,253 @@ class TestRationalityOracle:
 
         probe()
         assert seen == {"zero", "witness"}
+
+
+# --- the term-by-term sweep ----------------------------------------------------
+# The sweep as it was before the block totals were summed from partials: each
+# deviation builds its move table and reads every (start move, weight) term
+# through the tree-fill memo.  Kept verbatim as the oracle.
+
+def tree_fill_rationality(sef, eu, profile):
+    if isinstance(profile, dict):
+        profile = StrategyProfile(profile)
+    validate_eu(sef, eu)
+    report = RationalityReport(True, {})
+    base_tables = profile_tables(sef, profile)
+    fills = TreeFills(sef)
+    played = functools.partial(fills.outcome, base_tables)
+    swept = []   # (unit, plan, the profile's total per block)
+    for unit in units(sef):
+        plan = _unit_plan(sef, eu.beliefs[unit], eu.tastes[unit],
+                          information_blocks(sef, *unit))
+        totals = [plan.total(played, pairs) for _, pairs, _ in plan.blocks]
+        report.payoffs[unit] = {b: plan.value(total, mass) for (b, _, mass), total
+                                in zip(plan.blocks, totals)}
+        report.zero_blocks[unit] = plan.zero
+        swept.append((unit, plan, totals))
+    for i in sef.agents:
+        deviations = strategies(sef, i)
+        own = [entry for entry in swept if entry[0][0] == i]
+        for t in deviations:
+            tables = dict(base_tables)
+            tables[i] = convert_strategy(sef, t, "move")
+            outcome = functools.partial(fills.outcome, tables)
+            for unit, plan, totals in own:
+                for (b, pairs, mass), base in zip(plan.blocks, totals):
+                    total = plan.total(outcome, pairs)
+                    if total > base:
+                        report.rational = False
+                        report.witnesses.append(
+                            (i, unit[1], t, b, report.payoffs[unit][b],
+                             plan.value(total, mass)))
+                        break
+    return report
+
+
+def assert_same_as_tree_fills(sef, eu, profile, report=None):
+    """Every report field agrees with the term-by-term sweep, in order."""
+    if report is None:
+        report = check_dynamic_rationality(sef, eu, profile)
+    want = tree_fill_rationality(sef, eu, profile)
+    assert report == want
+    assert [(u, list(v.items())) for u, v in report.payoffs.items()] \
+        == [(u, list(v.items())) for u, v in want.payoffs.items()]
+    assert report.witnesses == want.witnesses
+    return report
+
+
+@st.composite
+def dealt_layers(draw):
+    """A random perfect-information form with its moves dealt to two
+    agents, a drawn profile, each unit's belief on its one scenario, and
+    drawn tastes.  Every move is an information set of its own, so an
+    agent holds several sets, some in one tree and some in others."""
+    rng = make_rng(draw(st.integers(0, 10 ** 9)))
+    sef = dealt_to_two(random_strict_sef(rng), rng)
+    profile = StrategyProfile({i: draw(st.sampled_from(strategies(sef, i)))
+                               for i in sef.agents})
+    fraction = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+    outcomes = sorted(sef.sdf.forest.outcomes)
+    beliefs, tastes = {}, {}
+    for unit in units(sef):
+        (m,) = unit[1].random_moves
+        (w,) = m.domain
+        beliefs[unit] = Belief({w: Fraction(1)}, {w: m})
+        tastes[unit] = {o: draw(fraction) for o in outcomes}
+    return sef, EUStructure(beliefs, tastes), profile
+
+
+def term_sets(sef, eu, unit):
+    """Per term of the unit's plan, its start and the positions of the
+    agent's information sets with moves in the start's tree."""
+    index = sef._index
+    sets, moves = info_sets(sef, unit[0])
+    plan = _unit_plan(sef, eu.beliefs[unit], eu.tastes[unit],
+                      information_blocks(sef, *unit))
+    found = []
+    for _, pairs, _ in plan.blocks:
+        for start, _ in pairs:
+            root = sef.sdf.root_of(sef.sdf.projection[start])
+            found.append((start, tuple(j for j, p in enumerate(sets)
+                                       if index.trees[root] in index.grouped[p])))
+    return found
+
+
+def skipped_failure(gain):
+    """
+    Two scenarios u and v, each a root over three outcomes, one random
+    move over both roots, and one agent told the scenario, so that its one
+    unit has the blocks {u} and {v}; assembled without validation on
+    purpose.  The agent plays {u:1, v:1}.  Its last deviation,
+    {u:3, v:2, v:3}, leaves two outcomes on {v}; with ``gain`` it is worth
+    more on {u}, which ends its sweep before {v}.
+    """
+    outcomes = [f"{w}:{k}" for w in "uv" for k in "123"]
+    roots = {w: frozenset(o for o in outcomes if o[0] == w) for w in "uv"}
+    nodes = [*roots.values(), *(frozenset({o}) for o in outcomes)]
+    move = RandomMove(roots)
+    sdf = StochasticDecisionForest(
+        DecisionForest(outcomes, nodes), ("u", "v"),
+        {x: min(x)[0] for x in nodes}, [move])
+    sef = object.__new__(StochasticExtensiveForm)
+    sef._store(sdf, ("i",), {"i": {move}},
+               {"i": {move: frozenset({frozenset("u"), frozenset("v")})}},
+               {"i": {move: ()}},
+               {"i": [{"u:1", "v:1"}, {"u:2", "v:2"}, {"u:3", "v:2", "v:3"}]})
+    (unit,) = units(sef)
+    (t0, _, bad) = strategies(sef, "i")
+    taste = {o: Fraction(int(o[2]) if o[0] == "u" else 0) for o in outcomes}
+    if not gain:
+        taste["u:3"] = Fraction(0)
+    eu = EUStructure({unit: Belief({"u": HALF, "v": HALF}, {"u": move, "v": move})},
+                     {unit: taste})
+    return sef, eu, StrategyProfile({"i": t0}), bad
+
+
+def two_failures():
+    """
+    Three scenarios u, v, x, each a root over leaves, v's with the inner
+    move y = {v:2, v:3}; one agent with the set A, one random move over the
+    three roots, and the set B at y alone, told nothing, so that A's one
+    block holds the terms u, v, x and only v's tree holds B as well;
+    assembled without validation on purpose.  Every deviation that plays
+    {u:1, v:1, v:2, v:3, x:2, x:3} at A leaves two outcomes on v and two
+    on x: the first failing term, v, sits in the second partial sum of the
+    block.
+    """
+    outcomes = ["u:1", "u:2", "u:3", "v:1", "v:2", "v:3", "v:5",
+                "x:1", "x:2", "x:3"]
+    roots = {w: frozenset(o for o in outcomes if o[0] == w) for w in "uvx"}
+    inner = frozenset({"v:2", "v:3"})
+    nodes = [*roots.values(), inner, *(frozenset({o}) for o in outcomes)]
+    at_a, at_b = RandomMove(roots), RandomMove({"v": inner})
+    sdf = StochasticDecisionForest(
+        DecisionForest(outcomes, nodes), ("u", "v", "x"),
+        {x: min(x)[0] for x in nodes}, [at_a, at_b])
+    sef = object.__new__(StochasticExtensiveForm)
+    sef._store(sdf, ("i",), {"i": {at_a, at_b}},
+               {"i": {at_a: frozenset({frozenset("uvx")}),
+                      at_b: frozenset({frozenset("v")})}},
+               {"i": {at_a: (), at_b: ()}},
+               {"i": [{"u:1", "v:1", "x:1"},
+                      {"u:1", "v:1", "v:2", "v:3", "x:2", "x:3"},
+                      {"v:2"}, {"v:3"}]})
+    plays = {"u:1", "v:1", "v:2", "x:1"}
+    profile = StrategyProfile({"i": next(
+        t for t in strategies(sef, "i")
+        if set().union(*t.assignment.values()) == plays)})
+    beliefs = {(i, p): Belief({w: Fraction(1, len(m.domain)) for w in m.domain},
+                              {w: m for w in m.domain})
+               for i, p in units(sef) for m in p.random_moves}
+    taste = dict.fromkeys(outcomes, Fraction(0))
+    return sef, EUStructure(beliefs, dict.fromkeys(beliefs, taste)), profile
+
+
+class TestPartialSums:
+    @pytest.mark.parametrize("name", EXAMPLES)
+    def test_bundled_examples(self, name):
+        assert_rationality_matches_oracle(*bundled(name)[:3])
+
+    @settings(max_examples=60, deadline=None)
+    @given(dealt_layers())
+    def test_two_agent_forms(self, layer):
+        assert_rationality_matches_oracle(*layer)
+
+    def test_two_agent_draws_reach_shared_and_separate_trees(self):
+        # the family above sees an agent with two information sets in one
+        # tree, one with sets in different trees, and a witness
+        seen = set()
+
+        @settings(max_examples=60, deadline=None)
+        @given(dealt_layers())
+        def probe(layer):
+            sef, eu, profile = layer
+            for unit in units(sef):
+                found = term_sets(sef, eu, unit)
+                if any(len(sets) > 1 for _, sets in found):
+                    seen.add("shared tree")
+            for i in sef.agents:
+                sets, _ = info_sets(sef, i)
+                trees = {k for p in sets for k in sef._index.grouped[p]}
+                if len(trees) > 1:
+                    seen.add("separate trees")
+            if check_dynamic_rationality(sef, eu, profile).witnesses:
+                seen.add("witness")
+
+        probe()
+        assert seen == {"shared tree", "separate trees", "witness"}
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(dealt_layers(), drawn_layers()))
+    def test_every_term_lies_in_a_tree_of_its_own_set(self, layer):
+        # a term starts at a move of its unit's information set, so no term
+        # is outside every information set of the deviating agent: there
+        # is no block part that a deviation leaves constant for that reason
+        sef, eu, _ = layer
+        for unit in units(sef):
+            sets, moves = info_sets(sef, unit[0])
+            own = sets.index(unit[1])
+            for start, found in term_sets(sef, eu, unit):
+                assert start in moves[unit[1]]
+                assert own in found
+
+    def test_failure_in_a_skipped_block_never_raises(self):
+        sef, eu, profile, bad = skipped_failure(gain=True)
+        # the last deviation fails on v, but gains on u first
+        tables = profile_tables(sef, StrategyProfile({"i": bad}))
+        with pytest.raises(MultipleOutcomes):
+            outcome_from(sef, tables, sef.sdf.root_of("v"))
+        report = assert_same_as_tree_fills(sef, eu, profile)
+        assert [w[2] for w in report.witnesses] == strategies(sef, "i")[1:]
+
+    def test_profile_playing_a_set_off_the_menu(self):
+        # a profile's table may hold a set that is not a choice of the
+        # form; its slices are cut where the memo reads them
+        sef, eu, profile, _ = skipped_failure(gain=True)
+        ((p, c),) = profile["i"].assignment.items()
+        off = c | {"w:9"}
+        assert off not in sef.choices["i"]
+        report = assert_same_as_tree_fills(
+            sef, eu, StrategyProfile({"i": Strategy("i", {p: off})}))
+        assert len(report.witnesses) == 2
+
+    def test_failure_in_a_reached_block_raises_as_the_term_sweep(self):
+        sef, eu, profile, _ = skipped_failure(gain=False)
+        with pytest.raises(MultipleOutcomes) as want:
+            tree_fill_rationality(sef, eu, profile)
+        with pytest.raises(MultipleOutcomes) as got:
+            check_dynamic_rationality(sef, eu, profile)
+        assert str(got.value) == str(want.value)
+
+    def test_first_failing_term_is_raised_across_set_groups(self):
+        sef, eu, profile = two_failures()
+        (unit,) = [u for u in units(sef) if len(u[1].random_moves) == 1
+                   and len(next(iter(u[1].random_moves)).domain) == 3]
+        assert [len(found) for _, found in term_sets(sef, eu, unit)] \
+            == [1, 2, 1]
+        with pytest.raises(MultipleOutcomes) as want:
+            tree_fill_rationality(sef, eu, profile)
+        with pytest.raises(MultipleOutcomes) as got:
+            check_dynamic_rationality(sef, eu, profile)
+        assert str(got.value) == str(want.value)
+        assert "v:1" in str(got.value)

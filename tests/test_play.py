@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import comb_parts, make_rng, random_strict_sef
-from exform import play
+from exform import equil, play
 from exform._util import budget
 from exform.equil import check_dynamic_rationality, units
 from exform.errors import (
@@ -277,7 +277,8 @@ def wellposed_by_forward_play(sef):
     fresh tables for every profile, kept verbatim as the oracle (the
     move-table builder is ``profile_tables``)."""
     cap = budget(10 ** 6)
-    hs = sorted(histories(sef.sdf.forest), key=sorted)
+    hs = sorted(histories(sef.sdf.forest),
+                key=lambda h: sorted(map(sorted, h)))
     profiles = list(_all_profiles(sef))
     if len(hs) * len(profiles) > cap:
         raise EnumerationBudgetExceeded(
@@ -357,7 +358,8 @@ def wellposed_by_profile_tables(sef):
     oracle: every profile builds its own tables, and each history is
     answered from their memo."""
     cap = budget(10 ** 6)
-    hs = sorted(histories(sef.sdf.forest), key=sorted)
+    hs = sorted(histories(sef.sdf.forest),
+                key=lambda h: sorted(map(sorted, h)))
     profiles = list(_all_profiles(sef))
     if len(hs) * len(profiles) > cap:
         raise EnumerationBudgetExceeded(
@@ -480,6 +482,70 @@ class TestTreeFills:
         assert check_dynamic_rationality(sef, eu, s)
         assert len(fill_count) == len(signatures)
         assert 4 * len(signatures) < queries
+
+
+@pytest.fixture
+def read_count(monkeypatch):
+    """The starts of the tree-fill reads made so far, and per deviating
+    agent the number its partial sums made; clear both to start counting."""
+    reads, by_agent = [], {}
+    outcome = play.TreeFills.outcome
+    parts = equil._Deviations.parts
+
+    def counted(self, tables, x):
+        reads.append(x)
+        return outcome(self, tables, x)
+
+    def counted_parts(self, taste, pairs):
+        before = len(reads)
+        found = parts(self, taste, pairs)
+        by_agent[self.agent] = by_agent.get(self.agent, 0) + len(reads) - before
+        return found
+
+    monkeypatch.setattr(play.TreeFills, "outcome", counted)
+    monkeypatch.setattr(equil._Deviations, "parts", counted_parts)
+    return reads, by_agent
+
+
+class TestWorkCounts:
+    """The sweep reads each term once under the profile and once per
+    distinct slice of the deviating agent's menu in the term's tree; the
+    term-by-term sweep it replaced read every term under every
+    deviation.  The fills are the same."""
+
+    def test_exit_race(self, read_count, fill_count):
+        from test_equil import tree_fill_rationality
+        reads, by_agent = read_count
+        sef, eu, s, _ = amd_instance(Fraction(2, 3), 6)
+        counts = []
+        for sweep in (check_dynamic_rationality, tree_fill_rationality):
+            reads.clear()
+            fill_count.clear()
+            assert sweep(sef, eu, s)
+            counts.append((len(reads), len(fill_count)))
+        # 60 terms per agent: 120 reads for the profile, and 60 terms x 2
+        # slices for each agent's deviations
+        assert counts == [(360, 192), (7800, 192)]
+        assert by_agent == {1: 120, 2: 120}
+
+    def test_coin_matching_case3(self, read_count, fill_count):
+        from test_equil import coin_matching_checks, tree_fill_rationality
+        from test_acceptance import _mp_profile
+        reads, by_agent = read_count
+        case, first, picks, p = coin_matching_checks()[9]
+        assert case == 3
+        sef, eu, s = _mp_profile(case, first, picks, p)
+        assert len(strategies(sef, "j")) == 256
+        fill_count.clear()
+        check_dynamic_rationality(sef, eu, s)
+        # 16 terms per agent, 2 slices each in every tree
+        assert (len(reads), len(fill_count)) == (96, 48)
+        assert by_agent == {"i": 32, "j": 32}
+        reads.clear()
+        fill_count.clear()
+        tree_fill_rationality(sef, eu, s)
+        # 32 for the profile, 4 x 16 for i, 256 x 16 for j
+        assert (len(reads), len(fill_count)) == (4192, 48)
 
 
 class TestClosureInvariance:

@@ -5,8 +5,10 @@ per-scenario option lists of Axiom 6 and of the choice completion.  The
 oracles below are the earlier loops, kept verbatim.
 """
 
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -157,12 +159,12 @@ def check_against_oracles(parts):
         for members, menu in _menus(form, i):
             for w in {w for m in members for w in m.domain}:
                 options = options_oracle(sdf, menu, w)
-                assert list(_slices(sdf, menu, w)) == options
+                assert list(_slices(form, menu, w)) == options
                 # the completion's list adds the empty slice up front
-                assert [frozenset(), *_slices(sdf, menu, w)] \
+                assert [frozenset(), *_slices(form, menu, w)] \
                     == sorted(set(options) | {frozenset()}, key=sorted)
         for w in sdf.scenarios:
-            slices = _slices(sdf, form.choices[i], w)
+            slices = _slices(form, form.choices[i], w)
             assert list(slices) == [s for s in options_oracle(
                 sdf, form.choices[i], w) if s]
         for c in form.choices[i]:
@@ -234,3 +236,68 @@ def test_non_redundancy_on_every_union_of_nodes(f):
     for size in range(1, len(outcomes) + 1):
         for c in itertools.combinations(outcomes, size):
             assert is_non_redundant(sdf, c) == is_non_redundant_oracle(sdf, c)
+
+
+# --- the slice index is the one place that slices the form's choices ------------
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "exform"
+# the one function that cuts the form's choices by the roots
+INDEXER = ("sef.py", "_index")
+# every other cut by a root in the guarded modules, with its reason
+ALLOWED = {
+    ("sef.py", "_validate", "c & sdf.root_of(w)"):
+        "Axiom 6 sorts its candidate unions, which are not choices",
+    ("play.py", "key", "c & root"):
+        "a profile's table may hold a set that is not a choice of the form",
+    ("play.py", "scenario_truncation", "frozenset(ref) & sdf.root_of(w)"):
+        "reference choices need not be choices of the form",
+}
+
+
+def root_cuts(source):
+    """(innermost function, expression) of each ``&`` or ``&=`` with an
+    operand that names a root."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd) \
+                and "root" in ast.unparse(node.left) + ast.unparse(node.right):
+            found.append((function, ast.unparse(node)))
+        if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.BitAnd) \
+                and "root" in ast.unparse(node.target) + ast.unparse(node.value):
+            found.append((function, ast.unparse(node)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+class TestSliceGuard:
+    def test_scan_sees_each_form_of_cut(self):
+        source = ("def f(c, sdf, w, root):\n"
+                  "    a = c & root\n"
+                  "    b = frozenset(c) & sdf.root_of(w)\n"
+                  "    c &= roots[w]\n"
+                  "    return a & b, 'c & root'\n")
+        assert root_cuts(source) == [("f", "c & root"),
+                                     ("f", "frozenset(c) & sdf.root_of(w)"),
+                                     ("f", "c &= roots[w]")]
+
+    def test_only_the_index_slices_the_choices(self):
+        found = {(name, function, cut)
+                 for name in ("sef.py", "play.py", "equil.py")
+                 for function, cut in root_cuts(
+                     (SRC / name).read_text(encoding="utf-8"))}
+        assert {site[:2] for site in found} >= {INDEXER}
+        assert {site for site in found if site[:2] != INDEXER} == set(ALLOWED)
+
+    @pytest.mark.parametrize("k", range(3, 7))
+    def test_exit_race_reports_as_pinned(self, k):
+        # as validated before the slices were read off the index
+        report = amd_sef(k)[0].report
+        assert report.valid
+        assert (report.violations, report.checked) == ((), {
+            f"axiom{n}": True for n in range(1, 7)})
