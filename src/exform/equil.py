@@ -199,74 +199,56 @@ class _Deviations:
     """
 
     def __init__(self, sef, fills, tables, i):
-        index = sef._index
         self.fills, self.tables, self.agent = fills, tables, i
         self.sets, _ = info_sets(sef, i)
-        self.position = [{c: m for m, c in enumerate(index.menus[p])}
-                         for p in self.sets]
-        self.grouped = [index.grouped[p] for p in self.sets]
-        self.trees = index.trees
-        self.active = {}   # tree -> the positions of the sets with moves there
+        self.grouped = [sef._index.grouped[p] for p in self.sets]
+        self.active = {}   # root -> the positions of the sets with moves there
         for j, grouped in enumerate(self.grouped):
-            for k in grouped:
-                self.active[k] = self.active.get(k, ()) + (j,)
-        self.groups = {}   # S -> its slot in a deviation's choice tuples
+            for root in grouped:
+                self.active[root] = self.active.get(root, ()) + (j,)
 
     def parts(self, taste, pairs):
-        """The block's partial sums: (slot of S, the sum per choice tuple
-        of S, {choice tuple: (term, the error of its failed read)})."""
+        """The block's partial sums: (S, the sum per choice tuple of S,
+        {choice tuple: (term, the error of its failed read)})."""
         by_set = {}
         for n, (start, weight) in enumerate(pairs):
-            k = self.trees[self.fills.root[start]]
-            by_set.setdefault(self.active[k], []).append((n, start, weight, k))
+            root = self.fills.root[start]
+            by_set.setdefault(self.active[root], []).append(
+                (n, start, weight, root))
         parts = []
         for sets, terms in by_set.items():
-            partial, failed = None, {}
-            for n, start, weight, k in terms:
-                grouped = [self.grouped[j][k] for j in sets]
-                values, bad = [], {}
-                for reps in itertools.product(*[g[0] for g in grouped]):
-                    table = {x: c for c, g in zip(reps, grouped) for x in g[2]}
+            partial, failed = {}, {}
+            for n, start, weight, root in terms:
+                grouped = [self.grouped[j][root] for j in sets]
+                for groups in itertools.product(*[g for _, g in grouped]):
+                    table = {x: g[0] for (xs, _), g in zip(grouped, groups)
+                             for x in xs}
                     try:
-                        values.append(weight * taste[self.fills.outcome(
-                            {**self.tables, self.agent: table}, start)])
+                        value, error = weight * taste[self.fills.outcome(
+                            {**self.tables, self.agent: table}, start)], None
                     except (NoOutcome, MultipleOutcomes) as err:
-                        bad[len(values)] = err
-                        values.append(0)
-                # the slice tuple of each choice tuple, in product order
-                flat = [0]
-                for reps, pos, _ in grouped:
-                    size = len(reps)
-                    flat = [f * size + g for f in flat for g in pos]
-                partial = [values[f] for f in flat] if partial is None else [
-                    a + values[f] for a, f in zip(partial, flat)]
-                if bad:
-                    for m, f in enumerate(flat):
-                        if f in bad:
-                            failed.setdefault(m, (n, bad[f]))
-            parts.append((self.groups.setdefault(sets, len(self.groups)),
-                          partial, failed))
+                        value, error = 0, (n, err)
+                    for choices in itertools.product(*groups):
+                        partial[choices] = partial.get(choices, 0) + value
+                        if error:
+                            failed.setdefault(choices, error)
+            parts.append((sets, partial, failed))
         return parts
 
     def choices(self, t):
-        """The deviation's position in each slot's choice tuples."""
-        picks = [at[t(p)] for p, at in zip(self.sets, self.position)]
-        at = []
-        for sets in self.groups:
-            m = 0
-            for j in sets:
-                m = m * len(self.position[j]) + picks[j]
-            at.append(m)
-        return at
+        """The deviation's choice tuple at each S."""
+        picks = [t(p) for p in self.sets]
+        return {sets: tuple([picks[j] for j in sets])
+                for sets in set(self.active.values())}
 
 
 def _deviation_total(parts, at):
     """A block's total under the deviation at these choice tuples."""
     total, failures = 0, []
-    for slot, partial, failed in parts:
-        total += partial[at[slot]]
-        if at[slot] in failed:
-            failures.append(failed[at[slot]])
+    for sets, partial, failed in parts:
+        total += partial[at[sets]]
+        if at[sets] in failed:
+            failures.append(failed[at[sets]])
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
     return total

@@ -9,16 +9,17 @@ profile's tables.
 
 A move lies in one scenario's tree, and everything below it lies inside
 that tree's root r, so a query from the move reads each choice c the
-profile plays at the tree's moves only through its slice c & r, which the
-form's index holds.  The strategy-sized loops, the deviation sweep of the
-rationality check and the direct well-posedness check, read through one
-per-call memo, ``TreeFills``: it fills a tree once per distinct
-signature, the slices the profile's tables hold at that tree's moves, and
-every profile that agrees with it on the tree reads that fill.  The sweep
-reads a term once per distinct slice of the deviating agent's choices in
-its tree; the well-posedness check walks the histories in a total order,
-each as its sorted list of sorted nodes.  Well-posedness is also decided
-by the order-theoretic classification of the underlying forest.
+profile plays at the tree's moves only through its slice c & r.  The
+strategy-sized loops, the deviation sweep of the rationality check and
+the direct well-posedness check, read through one per-call memo,
+``TreeFills``: it fills a tree once per distinct signature, the slices
+the profile's tables hold at that tree's moves, and every profile that
+agrees with it on the tree reads that fill.  The sweep reads a term once
+per distinct slice of the deviating agent's choices in its tree, from
+the form's menus grouped by slice; the well-posedness check walks the
+histories in a total order, each as its sorted list of sorted nodes.
+Well-posedness is also decided by the order-theoretic classification of
+the underlying forest.
 """
 
 import itertools
@@ -39,7 +40,6 @@ from .order import order_predicates
 from .sdf import StochasticDecisionForest
 from .sef import (
     StochasticExtensiveForm,
-    _slices,
     convert_strategy,
     info_sets,
     strategies,
@@ -204,18 +204,16 @@ class TreeFills:
     signature).  Every node below a tree's root r lies inside r, so a fill
     of that tree reads each choice c the tables hold at the tree's moves
     only through its slice c & r.  The signature lists those slices over
-    the tree's (agent, move) pairs in an order fixed for the call, read
-    off the form's slice index; inside one tree an information set's moves
-    share their choice, so profiles agree on it exactly when their slices
-    per (agent, information set) agree.  The fill under a key is
-    ``_compatible_below`` from r, made once from the first tables that
-    carry the key.
+    the tree's (agent, move) pairs in an order fixed for the call; inside
+    one tree an information set's moves share their choice, so profiles
+    agree on it exactly when their slices per (agent, information set)
+    agree.  The fill under a key is ``_compatible_below`` from r, made once
+    from the first tables that carry the key.
     """
 
     def __init__(self, sef):
         self.sef = sef
         self.fills = {}   # (root, signature) -> {move of the tree: outcomes}
-        self.index = sef._index
         sdf = sef.sdf
         self.root = {x: sdf.root_of(sdf.projection[x])
                      for x in sdf.forest.moves()}
@@ -227,17 +225,9 @@ class TreeFills:
 
     def key(self, tables, root):
         """The tables' key on the tree of the root: the slices of the
-        choices every agent's table holds at its moves in that tree.  A
-        table may hold a set that is not a choice of the form; its slice
-        is cut here."""
-        index = self.index
-        k = index.trees[root]
-        key = []
-        for i, x in self.pairs.get(root, ()):
-            c = tables[i][x]
-            row = index.sliced.get(c)
-            key.append(c & root if row is None else index.slices[k][row[k]])
-        return root, tuple(key)
+        choices every agent's table holds at its moves in that tree."""
+        return root, tuple([tables[i][x] & root
+                            for i, x in self.pairs.get(root, ())])
 
     def fill(self, tables, key):
         """The fill under the key, made from the tables on a miss."""
@@ -368,7 +358,8 @@ def scenario_truncation(sef, w):
                     if trace and trace not in traces:
                         traces.append(trace)
                 refchoices[i][m.restricted({w})] = tuple(traces)
-        choices[i] = frozenset(_slices(sef, sef.choices[i], w))
+        choices[i] = frozenset(
+            c & sdf.root_of(w) for c in sef.choices[i]) - {frozenset()}
     return StochasticExtensiveForm(tsdf, sef.agents, agent_moves, info,
                                    refchoices, choices)
 

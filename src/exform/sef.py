@@ -115,7 +115,7 @@ def _validate(form):
 
     # Axiom 1: predecessor sets of an agent's choices must not properly
     # overlap, and overlapping choices agree or are disjoint per scenario
-    found = [v for i in agents for v in _axiom1_violations(form, i)]
+    found = [v for i in agents for v in _axiom1_violations(sdf, i, choices[i])]
     violations.extend(found)
     checked["axiom1"] = not found
 
@@ -144,7 +144,7 @@ def _validate(form):
     checked["axiom3"] = True
     for w in sdf.scenarios:
         tree = sdf.tree_of(w)
-        sliced = [_slices(form, choices[i], w) for i in agents]
+        sliced = [_slices(sdf, choices[i], w) for i in agents]
         for y, y2 in itertools.combinations(sorted(tree, key=sorted), 2):
             if not y & y2 and not any(
                     y <= s and y2 <= s2 and not s & s2
@@ -202,17 +202,15 @@ def _validate(form):
     return SEFReport(not violations, tuple(violations), checked)
 
 
-def _axiom1_violations(form, i):
+def _axiom1_violations(sdf, i, choices):
     """
     Axiom 1 for one agent in one pass over predecessor-set groups: every
     pair of choices from two distinct groups whose predecessor sets
     overlap, and every pair from one group whose slices on a scenario
-    differ and overlap, read off the slice index.  The violations come in
-    the order of the pairs in the sorted choice list, scenario by scenario
-    within a pair.
+    differ and overlap.  The violations come in the order of the pairs in
+    the sorted choice list, scenario by scenario within a pair.
     """
-    sdf, index = form.sdf, form._index
-    order = sorted(form.choices[i], key=sorted)
+    order = sorted(choices, key=sorted)
     rank = {c: k for k, c in enumerate(order)}
     groups = {}
     for c in order:
@@ -236,15 +234,15 @@ def _axiom1_violations(form, i):
         if len(members) < 2:
             continue
         for k, w in enumerate(sdf.scenarios):
-            slices = index.slices[k]
+            root = sdf.root_of(w)
             by_slice = {}
             for c in members:
-                cw = index.sliced[c][k]
+                cw = c & root
                 if cw:
                     by_slice.setdefault(cw, []).append(c)
             for (cw, cs), (c2w, cs2) in itertools.combinations(
                     by_slice.items(), 2):
-                if slices[cw] & slices[c2w]:
+                if cw & c2w:
                     for c in cs:
                         for c2 in cs2:
                             first, second = pair(c, c2)
@@ -254,13 +252,10 @@ def _axiom1_violations(form, i):
     return [("axiom1", v) for _, v in found]
 
 
-def _slices(form, cs, w):
-    """The distinct nonempty slices of the form's choices on the scenario,
-    sorted, read off the slice index."""
-    index = form._index
-    k = index.trees[form.sdf.root_of(w)]
-    ids = {index.sliced[c][k] for c in cs} - {0}
-    return sorted((index.slices[k][s] for s in ids), key=sorted)
+def _slices(sdf, cs, w):
+    """The distinct nonempty slices of the choices on the scenario, sorted."""
+    root = sdf.root_of(w)
+    return sorted({c & root for c in cs} - {frozenset()}, key=sorted)
 
 
 def _adapted_unions(form, i, members, menu, void=False):
@@ -281,7 +276,7 @@ def _adapted_unions(form, i, members, menu, void=False):
                     key=repr)
     visit = [w for block in blocks for w in block] + sorted(
         {w for m in members for w in m.domain} - first.domain, key=repr)
-    options = [[frozenset()] * void + _slices(form, menu, w)
+    options = [[frozenset()] * void + _slices(form.sdf, menu, w)
                for w in visit]
     # the inactive scenarios hold the empty slice
     fixed = {}
@@ -322,8 +317,8 @@ def _menus(form, i):
     return [(p.random_moves, form._index.menus[p]) for p in sets]
 
 
-_MenuIndex = namedtuple("_MenuIndex", "moves info_sets offered active "
-                        "trees slices sliced menus grouped")
+_MenuIndex = namedtuple("_MenuIndex",
+                        "moves info_sets offered active menus grouped")
 
 
 def _meet(offered, i, m):
@@ -335,7 +330,7 @@ def _meet(offered, i, m):
 class StochasticExtensiveForm:
     """
     A validated extensive form.  Construction stores the data once and
-    validates the stored form.  The menus and the slices of the choices
+    validates the stored form.  The menus, grouped by slice in each tree,
     are one index, built on first use, during validation; an agent's
     adapted-choice table is built when a check first reads it, so a
     malformed information partition is reported by that check.
@@ -369,30 +364,13 @@ class StochasticExtensiveForm:
         The menus: per agent its moves and information sets, per (agent,
         move) the choices offered there, from one pass over each choice's
         predecessor set, and per move its active agents in agent order.
-
-        With them, the slices.  Tree k is the tree of the k-th scenario,
-        ``trees`` maps its root to k, and ``slices[k]`` lists the distinct
-        slices c & root of the form's choices there, the empty one first;
-        ``sliced[c]`` holds the position of c's slice in each tree.  Per
-        information set, ``menus`` holds its menu sorted, and ``grouped``
-        maps each tree k where the set has moves to the menu grouped by
-        slice: one choice per distinct slice, the group of each menu
-        position, and the set's moves in that tree.
+        Per information set, ``menus`` holds its menu sorted, and
+        ``grouped`` maps the root of each tree where the set has moves to
+        its moves there and its menu grouped by slice, the choices with one
+        slice c & root in one group.
         """
         sdf = self.sdf
-        index = _MenuIndex({}, {}, {}, {}, {}, [], {}, {}, {})
-        ids = []
-        for k, w in enumerate(sdf.scenarios):
-            index.trees[sdf.root_of(w)] = k
-            ids.append({frozenset(): 0})
-        for i in self.agents:
-            for c in self.choices[i]:
-                if c not in index.sliced:
-                    index.sliced[c] = tuple([
-                        tree.setdefault(c & root, len(tree))
-                        for root, tree in zip(index.trees, ids)])
-        index.slices.extend(map(tuple, ids))
-        shapes = {}
+        index = _MenuIndex({}, {}, {}, {}, {}, {})
         for i in self.agents:
             index.moves[i] = frozenset(m(w) for m in self.agent_moves[i]
                                        for w in m.domain)
@@ -416,18 +394,15 @@ class StochasticExtensiveForm:
                 menu = index.menus[p] = tuple(sorted(menu, key=sorted))
                 moves = {}
                 for x in index.info_sets[i][1][p]:
-                    k = index.trees[sdf.root_of(sdf.projection[x])]
-                    moves.setdefault(k, []).append(x)
-                # per tree, the menu's slice positions in menu order; the
-                # groupings repeat from tree to tree, so each is kept once
-                columns = dict(enumerate(zip(*[index.sliced[c] for c in menu])))
+                    root = sdf.root_of(sdf.projection[x])
+                    moves.setdefault(root, []).append(x)
                 index.grouped[p] = grouped = {}
-                for k, xs in moves.items():
-                    column = columns.get(k, ())
-                    group = {s: g for g, s in enumerate(dict.fromkeys(column))}
-                    pos = tuple(map(group.__getitem__, column))
-                    grouped[k] = (tuple(menu[column.index(s)] for s in group),
-                                  shapes.setdefault(pos, pos), tuple(xs))
+                for root, xs in moves.items():
+                    by_slice = {}
+                    for c in menu:
+                        by_slice.setdefault(c & root, []).append(c)
+                    grouped[root] = (tuple(xs),
+                                     tuple(map(tuple, by_slice.values())))
         return index
 
     def moves_of(self, i):
@@ -468,7 +443,7 @@ def check_recall_and_info(sef, i):
     endo_recall = all(
         not s & s2 or s <= s2 or s2 <= s for w in sef.sdf.scenarios
         for s, s2 in itertools.combinations(
-            _slices(sef, sef.choices[i], w), 2))
+            _slices(sef.sdf, sef.choices[i], w), 2))
     exo_recall = check_recall(sef.sdf, sef.info[i], sef.agent_moves[i])
     sets, _ = info_sets(sef, i)
     endo_info = all(len(p.random_moves) == 1 for p in sets) and all(
@@ -522,8 +497,8 @@ def complete_choices(sef):
         new_choices)
     for i in sef.agents:
         for w in sef.sdf.scenarios:
-            assert _slices(sef, sef.choices[i], w) \
-                == _slices(completed, new_choices[i], w)
+            assert _slices(sef.sdf, sef.choices[i], w) \
+                == _slices(sef.sdf, new_choices[i], w)
         forest = sef.sdf.forest
         old_p = {immediate_predecessors(forest, c) for c in sef.choices[i]}
         new_p = {immediate_predecessors(forest, c) for c in new_choices[i]}

@@ -82,7 +82,7 @@ def axiom6_oracle(form):
             if not menu:
                 continue
             active = sorted({w for m in members for w in m.domain}, key=repr)
-            slices = [list(_slices(form, menu, w)) for w in active]
+            slices = [list(_slices(sdf, menu, w)) for w in active]
             total = 1
             for s in slices:
                 total *= len(s)
@@ -111,7 +111,7 @@ def completion_oracle(sef):
             if not menu:
                 continue
             active = sorted({w for m in members for w in m.domain}, key=repr)
-            options = [[frozenset(), *_slices(sef, menu, w)]
+            options = [[frozenset(), *_slices(sef.sdf, menu, w)]
                        for w in active]
             total = 1
             for s in options:
@@ -134,7 +134,7 @@ def completion_oracle(sef):
 def product(form, members, menu, void):
     """One scenario's options per active scenario, and their product size."""
     active = sorted({w for m in members for w in m.domain}, key=repr)
-    options = [[frozenset()] * void + list(_slices(form, menu, w))
+    options = [[frozenset()] * void + list(_slices(form.sdf, menu, w))
                for w in active]
     total = 1
     for s in options:

@@ -1530,7 +1530,7 @@ def term_sets(sef, eu, unit):
         for start, _ in pairs:
             root = sef.sdf.root_of(sef.sdf.projection[start])
             found.append((start, tuple(j for j, p in enumerate(sets)
-                                       if index.trees[root] in index.grouped[p])))
+                                       if root in index.grouped[p])))
     return found
 
 

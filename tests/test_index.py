@@ -276,12 +276,7 @@ def pairwise_axiom1(sdf, agents, choices):
 
 
 def grouped_axiom1(sdf, agents, choices):
-    # the grouped pass reads the slices off a form's index; a form with
-    # no moves for its agents holds just the choices
-    form = object.__new__(StochasticExtensiveForm)
-    form.sdf, form.agents, form.choices = sdf, tuple(agents), choices
-    form.agent_moves = {i: frozenset() for i in agents}
-    return [v for i in agents for v in _axiom1_violations(form, i)]
+    return [v for i in agents for v in _axiom1_violations(sdf, i, choices[i])]
 
 
 def one_shot(outcomes):

@@ -159,12 +159,12 @@ def check_against_oracles(parts):
         for members, menu in _menus(form, i):
             for w in {w for m in members for w in m.domain}:
                 options = options_oracle(sdf, menu, w)
-                assert list(_slices(form, menu, w)) == options
+                assert list(_slices(sdf, menu, w)) == options
                 # the completion's list adds the empty slice up front
-                assert [frozenset(), *_slices(form, menu, w)] \
+                assert [frozenset(), *_slices(sdf, menu, w)] \
                     == sorted(set(options) | {frozenset()}, key=sorted)
         for w in sdf.scenarios:
-            slices = _slices(form, form.choices[i], w)
+            slices = _slices(sdf, form.choices[i], w)
             assert list(slices) == [s for s in options_oracle(
                 sdf, form.choices[i], w) if s]
         for c in form.choices[i]:
@@ -238,17 +238,26 @@ def test_non_redundancy_on_every_union_of_nodes(f):
             assert is_non_redundant(sdf, c) == is_non_redundant_oracle(sdf, c)
 
 
-# --- the slice index is the one place that slices the form's choices ------------
+# --- every cut by a root outside the menu index is listed, with its reason ------
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "exform"
-# the one function that cuts the form's choices by the roots
+# the function that groups the information sets' menus by slice
 INDEXER = ("sef.py", "_index")
 # every other cut by a root in the guarded modules, with its reason
 ALLOWED = {
+    ("sef.py", "_axiom1_violations", "c & root"):
+        "validation cuts once per choice and scenario; an index of every "
+        "choice in every tree did not make set-up faster",
+    ("sef.py", "_slices", "c & root"):
+        "Axioms 3 and 6, recall and the completion cut once per scenario; "
+        "an index of every choice in every tree did not make set-up faster",
     ("sef.py", "_validate", "c & sdf.root_of(w)"):
         "Axiom 6 sorts its candidate unions, which are not choices",
-    ("play.py", "key", "c & root"):
-        "a profile's table may hold a set that is not a choice of the form",
+    ("play.py", "key", "tables[i][x] & root"):
+        "a profile's table may hold a set that is not a choice of the form, "
+        "and the sweep reads few enough keys that a lookup gains nothing",
+    ("play.py", "scenario_truncation", "c & sdf.root_of(w)"):
+        "the truncated form's choices are the slices, cut once per call",
     ("play.py", "scenario_truncation", "frozenset(ref) & sdf.root_of(w)"):
         "reference choices need not be choices of the form",
 }
