@@ -371,6 +371,7 @@ class StochasticExtensiveForm:
         """
         sdf = self.sdf
         index = _MenuIndex({}, {}, {}, {}, {}, {})
+        shared = {}   # groupings repeat from tree to tree; each is kept once
         for i in self.agents:
             index.moves[i] = frozenset(m(w) for m in self.agent_moves[i]
                                        for w in m.domain)
@@ -401,8 +402,8 @@ class StochasticExtensiveForm:
                     by_slice = {}
                     for c in menu:
                         by_slice.setdefault(c & root, []).append(c)
-                    grouped[root] = (tuple(xs),
-                                     tuple(map(tuple, by_slice.values())))
+                    groups = tuple(map(tuple, by_slice.values()))
+                    grouped[root] = (tuple(xs), shared.setdefault(groups, groups))
         return index
 
     def moves_of(self, i):
