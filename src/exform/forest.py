@@ -124,6 +124,9 @@ def validate_decision_forest(outcomes, nodes):
             return ValidationReport(False, "rooted_forest", "empty node")
         if not x <= outcomes:
             return ValidationReport(False, "rooted_forest", ("alien outcomes", x))
+    if _laminar_with_singletons(outcomes, nodes):
+        return ValidationReport(True)
+    # the scans below find the report and its witness
     up = {}
     for x in nodes:
         above = [y for y in nodes if y >= x]
@@ -154,6 +157,24 @@ def validate_decision_forest(outcomes, nodes):
                    if sum(1 for v in outcomes if chains[v] == chains[w]) > 1]
         return ValidationReport(False, "duality", ("chains collide", collide))
     return ValidationReport(True)
+
+
+def _laminar_with_singletons(outcomes, nodes):
+    """
+    One largest-first pass, at a cost of the sum of the node sizes: True
+    when the outcomes of each node share one lowest node seen so far,
+    which then contains the node, and each outcome ends at its own
+    singleton node.  Every earlier node meeting a node then contains it,
+    so the ancestors of each node form a chain, and the maximal chains are
+    the decision paths of the outcomes, one per outcome: the family is a
+    valid forest.
+    """
+    lowest = {}
+    for x in sorted(nodes, key=len, reverse=True):
+        if len({lowest.get(w) for w in x}) != 1:
+            return False
+        lowest.update(dict.fromkeys(x, x))
+    return all(len(lowest.get(w, ())) == 1 for w in outcomes)
 
 
 def is_union_of_nodes(forest, c):

@@ -390,13 +390,13 @@ def mp_partition(keys):
 
 def mp_maps(keys):
     """All action maps on the scenarios measurable in the given signals."""
-    blocks = mp_blocks(keys)
-    sigs = sorted(blocks)
+    sigs = sorted(mp_blocks(keys))
+    # each scenario's signal signature, once per scenario
+    signed = [(w, tuple(w[_MP_COORD[k]] for k in keys)) for w in MP_SCENARIOS]
     result = []
     for combo in itertools.product("12", repeat=len(sigs)):
         by_sig = dict(zip(sigs, combo))
-        result.append({w: by_sig[tuple(w[_MP_COORD[k]] for k in keys)]
-                       for w in MP_SCENARIOS})
+        result.append({w: by_sig[sig] for w, sig in signed})
     return result
 
 

@@ -40,6 +40,8 @@ from .order import order_predicates
 from .sdf import StochasticDecisionForest
 from .sef import (
     StochasticExtensiveForm,
+    _slices,
+    _SliceTable,
     convert_strategy,
     info_sets,
     strategies,
@@ -358,8 +360,8 @@ def scenario_truncation(sef, w):
                     if trace and trace not in traces:
                         traces.append(trace)
                 refchoices[i][m.restricted({w})] = tuple(traces)
-        choices[i] = frozenset(
-            c & sdf.root_of(w) for c in sef.choices[i]) - {frozenset()}
+        choices[i] = frozenset(_slices(
+            _SliceTable(sdf, sef.choices[i]), sef.choices[i], w))
     return StochasticExtensiveForm(tsdf, sef.agents, agent_moves, info,
                                    refchoices, choices)
 

@@ -202,6 +202,15 @@ def validate_sdf(forest, scenarios, projection, random_moves):
     return SDFReport(not violations, tuple(violations))
 
 
+def move_key(m):
+    """
+    A total sort key of random moves: each scenario's repr with its node's
+    outcomes as sorted reprs.  A frozenset's repr follows the hash seed,
+    so ``repr(m.graph)`` is no order to sort by.
+    """
+    return [(repr(w), sorted(map(repr, x))) for w, x in m.graph]
+
+
 def xgeq(m1, m2):
     """The partial order on random moves: wider domain, node-wise above."""
     return m1.domain >= m2.domain and all(m1(w) >= m2(w) for w in m2.domain)
@@ -257,7 +266,7 @@ def check_flags(sdf):
 
 
 def _check_maximal(sdf, cap):
-    members = sorted(sdf.random_moves, key=lambda m: repr(m.graph))
+    members = sorted(sdf.random_moves, key=move_key)
     moves = sdf.forest.moves()
 
     # a proper sub-cover is itself a coarser valid cover
@@ -380,7 +389,7 @@ def _is_block_union(event, partition):
 def enumerate_recall_structures(sdf, agent_moves):
     """All families of per-move partitions admitting recall, exhaustively."""
     cap = budget(RECALL_CAP)
-    agent_moves = sorted(agent_moves, key=lambda m: repr(m.graph))
+    agent_moves = sorted(agent_moves, key=move_key)
     per_move = [
         [tuple(p) for p in partitions_of(sorted(m.domain, key=repr))]
         for m in agent_moves
@@ -460,74 +469,65 @@ class _AdaptedTable:
     scenario w a choice acts through its slice s = c & root_of(w): a move
     m defined at w offers it iff m(w) is an immediate predecessor of s,
     and jointly with a reference choice r iff m(w) precedes s & r.
-    ``bits(w, s)`` memoises these as (variable, bit) pairs: one
-    availability variable per move, and where the move offers s, one
+    ``entry(w, s)`` reads these as two ints over the agent's variables:
+    one availability variable per move, and where the move offers s, one
     measurability variable per (move, reference choice, block of the
-    move's partition).  A choice is adapted iff no slice is a whole root
-    and the pairs of all its slices agree: availability is then constant
-    on each move's domain, and joint availability on each block.
+    move's partition); ``mask`` holds the variables the slice sets and
+    ``value`` their bits.  A choice is adapted iff no slice is a whole
+    root and, joined scenario by scenario, each entry agrees with the bits
+    known so far, ``(value ^ v) & known & mask == 0``: availability is
+    then constant on each move's domain, and joint availability on each
+    block.  The table keeps no memo.
     """
 
     def __init__(self, sdf, agent_moves, info, refchoices):
         self.forest = sdf.forest
         self.roots = {w: sdf.root_of(w) for w in sdf.scenarios}
         # per scenario, each agent move defined there as (its availability
-        # variable, its node, [(measurability variable, reference choice)])
+        # bit, its node, [(measurability bit, reference choice)])
         self.at = {w: [] for w in sdf.scenarios}
-        self.memo = {}
         count = itertools.count()
         for m in agent_moves:
             _require_partition(info.get(m), m)
-            available = next(count)
+            available = 1 << next(count)
             refs = [frozenset(r) for r in refchoices.get(m, ())]
             for block in info[m]:
-                joint = [(next(count), r) for r in refs]
+                joint = [(1 << next(count), r) for r in refs]
                 for w in block:
                     self.at[w].append((available, m(w), joint))
 
-    def bits(self, w, s):
-        """The (variable, bit) pairs of slice s on scenario w, or None when
-        s is the whole root."""
-        if (w, s) not in self.memo:
-            self.memo[w, s] = None if s == self.roots[w] else self._read(w, s)
-        return self.memo[w, s]
-
-    def _read(self, w, s):
-        forest = self.forest
-        offered = immediate_predecessors(forest, s) \
-            if s and self.at[w] else frozenset()
-        found = []
-        for available, x, joint in self.at[w]:
-            found.append((available, x in offered))
-            if x in offered:
-                found.extend((var, bool(s & r) and x in immediate_predecessors(
-                    forest, s & r)) for var, r in joint)
-        return found
-
-    def fix(self, fixed, w, s):
+    def entry(self, w, s, offered=None):
         """
-        Add the bits of slice s on scenario w to ``fixed`` and return the
-        variables newly fixed; None, leaving ``fixed`` as it was, when s is
-        a whole root or one of its bits disagrees.
+        (mask, value) of slice s on scenario w, or None when s is the whole
+        root.  ``offered`` is the predecessor set of s when the caller has
+        walked it already; otherwise it is walked here.
         """
-        bits = self.bits(w, s)
-        if bits is None:
+        if s == self.roots[w]:
             return None
-        new = []
-        for var, bit in bits:
-            if var not in fixed:
-                fixed[var] = bit
-                new.append(var)
-            elif fixed[var] != bit:
-                for undo in new:
-                    del fixed[undo]
-                return None
-        return new
+        if offered is None:
+            offered = immediate_predecessors(self.forest, s) \
+                if s and self.at[w] else frozenset()
+        mask = value = 0
+        for available, x, joint in self.at[w]:
+            mask |= available
+            if x in offered:
+                value |= available
+                for var, r in joint:
+                    mask |= var
+                    both = s & r
+                    if both and x in (offered if both == s else
+                                      immediate_predecessors(self.forest, both)):
+                        value |= var
+        return mask, value
 
     def adapted(self, c):
-        fixed = {}
-        return all(self.fix(fixed, w, c & root) is not None
-                   for w, root in self.roots.items())
+        known = value = 0
+        for w, root in self.roots.items():
+            entry = self.entry(w, c & root)
+            if entry is None or (value ^ entry[1]) & known & entry[0]:
+                return False
+            known, value = known | entry[0], value | entry[1]
+        return True
 
 
 # --- action paths -----------------------------------------------------------

@@ -29,6 +29,7 @@ from .sdf import (
     build_action_path_sdf,
     check_adapted,
     check_recall,
+    move_key,
     validate_reference_choices,
     xgeq,
 )
@@ -85,14 +86,20 @@ def validate_sef(sdf, agents, agent_moves, info, refchoices, choices):
 
 
 def _validate(form):
-    """``validate_sef`` on stored data, through the form's own menu index
-    and adapted-choice tables."""
+    """
+    ``validate_sef`` on stored data.  The first pass cuts each of an
+    agent's choices by every root, right after its union-of-nodes check,
+    into the agent's slice table, and reads the choice's adaptedness off
+    the entries there.  The menu index and every axiom below read those
+    tables, which live for this call only.
+    """
     axiom2_cap = budget(AXIOM2_CAP)
     sdf, agents, agent_moves = form.sdf, form.agents, form.agent_moves
     info, refchoices, choices = form.info, form.refchoices, form.choices
     violations = []
     checked = {}
 
+    tables = {}
     for i in agents:
         if not agent_moves[i] <= sdf.random_moves:
             violations.append(("agent_moves", (i, "not random moves")))
@@ -104,35 +111,46 @@ def _validate(form):
             validate_reference_choices(sdf, refchoices[i], agent_moves[i])
         except ChoiceError as err:
             violations.append(("reference", (i, str(err))))
+        table = tables[i] = _SliceTable(sdf)
         for c in choices[i]:
             if not is_union_of_nodes(sdf.forest, c):
                 violations.append(("choice", (
                     i, f"not a nonempty union of nodes: {c!r}")))
-            elif not form._table(i).adapted(c):
+            elif not table.cut(c, form._table(i)):
                 violations.append(("adapted", (i, c)))
     if violations:
         return SEFReport(False, tuple(violations), checked)
+    form._index = _menu_index(form, tables)
 
     # Axiom 1: predecessor sets of an agent's choices must not properly
     # overlap, and overlapping choices agree or are disjoint per scenario
-    found = [v for i in agents for v in _axiom1_violations(sdf, i, choices[i])]
+    found = [v for i in agents for v in _axiom1_violations(tables[i], i)]
     violations.extend(found)
     checked["axiom1"] = not found
 
     # Axiom 2: profiles of available choices of active agents are jointly
-    # compatible with the move
+    # compatible with the move.  x meets choices as it meets their slices,
+    # so the distinct slices decide; at a move where a profile of them
+    # fails, the whole-choice product lists the witnesses in its order
     checked["axiom2"] = True
     count = 0
     for x in sdf.forest.moves():
+        w = sdf.projection[x]
+        for profile in itertools.product(
+                *[tables[i].slices_at(w, x) for i in form.active_agents(x)]):
+            count += 1
+            if count > axiom2_cap:
+                raise BudgetExceeded("too many available-choice profiles")
+            if not x.intersection(*profile):
+                break
+        else:
+            continue
         menus = [form.available_at_move(i, x) for i in form.active_agents(x)]
         for profile in itertools.product(*menus):
             count += 1
             if count > axiom2_cap:
                 raise BudgetExceeded("too many available-choice profiles")
-            meet = frozenset(x)
-            for c in profile:
-                meet &= c
-            if not meet:
+            if not x.intersection(*profile):
                 violations.append(("axiom2", (x, profile)))
                 checked["axiom2"] = False
 
@@ -144,7 +162,7 @@ def _validate(form):
     checked["axiom3"] = True
     for w in sdf.scenarios:
         tree = sdf.tree_of(w)
-        sliced = [_slices(sdf, choices[i], w) for i in agents]
+        sliced = [_slices(tables[i], choices[i], w) for i in agents]
         for y, y2 in itertools.combinations(sorted(tree, key=sorted), 2):
             if not y & y2 and not any(
                     y <= s and y2 <= s2 and not s & s2
@@ -152,14 +170,15 @@ def _validate(form):
                 violations.append(("axiom3", (w, y, y2)))
                 checked["axiom3"] = False
 
-    # Axiom 4: active agents can preserve any strictly future node
+    # Axiom 4: active agents can preserve any strictly future node; a node
+    # below x lies inside a choice iff it lies inside its slice
     checked["axiom4"] = True
     for x in sdf.forest.moves():
         below = sdf.forest.down(x) - {x}
         for i in form.active_agents(x):
-            menu = form.available_at_move(i, x)
+            slices = tables[i].slices_at(sdf.projection[x], x)
             for y in below:
-                if not any(y <= c for c in menu):
+                if not any(y <= s for s in slices):
                     violations.append(("axiom4", (i, x, y)))
                     checked["axiom4"] = False
 
@@ -189,8 +208,8 @@ def _validate(form):
         for members, menu in _menus(form, i):
             found = []
             try:
-                found.extend(c for c in _adapted_unions(form, i, members, menu)
-                             if c not in choices[i])
+                found.extend(c for c in _adapted_unions(
+                    form, i, members, menu, tables[i]) if c not in choices[i])
             except BudgetExceeded:
                 undecided = True
             found.sort(key=lambda c: [sorted(c & sdf.root_of(w))
@@ -202,19 +221,86 @@ def _validate(form):
     return SEFReport(not violations, tuple(violations), checked)
 
 
-def _axiom1_violations(sdf, i, choices):
+class _SliceTable:
     """
-    Axiom 1 for one agent in one pass over predecessor-set groups: every
-    pair of choices from two distinct groups whose predecessor sets
-    overlap, and every pair from one group whose slices on a scenario
-    differ and overlap.  The violations come in the order of the pairs in
-    the sorted choice list, scenario by scenario within a pair.
+    An agent's choices, each cut once by the root of every scenario's
+    tree.  Every node of a tree lies inside its root, so x <= c iff
+    x <= c & root: a choice's predecessor set is the union of its slices'
+    sets, and each distinct (scenario, slice) is walked up the forest once.
+    ``slices`` maps each choice to its slice on each scenario, in scenario
+    order, interned per tree so that equal slices are one object;
+    ``preds`` maps it to its predecessor set.  Per tree, ``trees`` maps
+    each distinct slice to (the slice, its predecessor set, its entry in
+    the agent's adapted table, None without one).  The table refers to no
+    form, so it is freed when the call that built it returns.
     """
-    order = sorted(choices, key=sorted)
+
+    def __init__(self, sdf, choices=(), adapted=None):
+        self.forest = sdf.forest
+        self.scenarios = sdf.scenarios
+        self.position = {w: k for k, w in enumerate(sdf.scenarios)}
+        self.roots = [sdf.root_of(w) for w in sdf.scenarios]
+        self.trees = [{} for _ in self.roots]
+        self.slices, self.preds = {}, {}
+        self.shared = {}   # equal predecessor sets are kept once
+        for c in choices:
+            self.cut(c, adapted)
+
+    def cut(self, c, adapted=None):
+        """
+        Cut the choice into the table.  With the agent's adapted table,
+        each new slice's entry is read with the walk of its predecessor
+        set, and the result says whether c is adapted: no slice is a whole
+        root and the entries agree on every variable two of them set.
+        Without one the entries are None and the result is False.
+        """
+        slices = []
+        for w, root, tree in zip(self.scenarios, self.roots, self.trees):
+            s = c & root
+            got = tree.get(s)
+            if got is None:
+                p = immediate_predecessors(self.forest, s) \
+                    if s and s != root else frozenset()
+                p = self.shared.setdefault(p, p)
+                got = tree[s] = (s, p, adapted and adapted.entry(w, s, p))
+            slices.append(got)
+        self.slices[c] = tuple(s for s, _, _ in slices)
+        preds = frozenset().union(*[p for _, p, _ in slices])
+        self.preds[c] = self.shared.setdefault(preds, preds)
+        known = value = 0
+        for _, _, entry in slices:
+            if entry is None or (value ^ entry[1]) & known & entry[0]:
+                return False
+            known, value = known | entry[0], value | entry[1]
+        return True
+
+    def slices_at(self, w, x):
+        """The distinct slices on the scenario of the choices offered at x,
+        a move of its tree: x precedes c iff it precedes c's slice there."""
+        return [s for s, p, _ in self.trees[self.position[w]].values()
+                if x in p]
+
+    def entry(self, w, s, adapted):
+        """The entry of a slice on the scenario; one not cut from a choice,
+        such as the empty slice of the completion, is read afresh."""
+        got = self.trees[self.position[w]].get(s)
+        return adapted.entry(w, s) if got is None else got[2]
+
+
+def _axiom1_violations(table, i):
+    """
+    Axiom 1 for the choices of one agent's slice table in one pass over
+    predecessor-set groups: every pair of choices from two distinct groups
+    whose predecessor sets overlap, and every pair from one group whose
+    slices on a scenario differ and overlap.  The violations come in the
+    order of the pairs in the sorted choice list, scenario by scenario
+    within a pair.
+    """
+    order = sorted(table.slices, key=sorted)
     rank = {c: k for k, c in enumerate(order)}
     groups = {}
     for c in order:
-        p = immediate_predecessors(sdf.forest, c)
+        p = table.preds[c]
         if p:
             groups.setdefault(p, []).append(c)
     found = []
@@ -233,11 +319,10 @@ def _axiom1_violations(sdf, i, choices):
     for members in groups.values():
         if len(members) < 2:
             continue
-        for k, w in enumerate(sdf.scenarios):
-            root = sdf.root_of(w)
+        for k, w in enumerate(table.scenarios):
             by_slice = {}
             for c in members:
-                cw = c & root
+                cw = table.slices[c][k]
                 if cw:
                     by_slice.setdefault(cw, []).append(c)
             for (cw, cs), (c2w, cs2) in itertools.combinations(
@@ -252,63 +337,65 @@ def _axiom1_violations(sdf, i, choices):
     return [("axiom1", v) for _, v in found]
 
 
-def _slices(sdf, cs, w):
-    """The distinct nonempty slices of the choices on the scenario, sorted."""
-    root = sdf.root_of(w)
-    return sorted({c & root for c in cs} - {frozenset()}, key=sorted)
+def _slices(table, cs, w):
+    """The distinct nonempty slices of the choices on the scenario, sorted,
+    read off a slice table that holds them."""
+    k = table.position[w]
+    return sorted({table.slices[c][k] for c in cs} - {frozenset()}, key=sorted)
 
 
-def _adapted_unions(form, i, members, menu, void=False):
+def _adapted_unions(form, i, members, menu, table, void=False):
     """
     Every adapted union of one slice of the menu per active scenario of
     the information set, the empty slice included when ``void``.  The
-    search backtracks over the scenarios and takes a slice only if its
-    bits in the agent's table agree with those already fixed, so every
-    leaf is adapted.  It visits the scenarios block by block of the set's
-    first move, which tests each measurability bit soon after it is
-    fixed.  Each slice tried is a search node; past the cap it raises
-    BudgetExceeded.
+    search backtracks over the scenarios with a stack of (known, value)
+    bits and takes a slice only if its entry in the agent's slice table
+    agrees with those already fixed, so every leaf is adapted.  It visits
+    the scenarios block by block of the set's first move, which tests each
+    measurability bit soon after it is fixed.  Each slice tried is a
+    search node; past the cap it raises BudgetExceeded.
     """
     cap = budget(ADAPTED_CAP)
-    table = form._table(i)
-    first = min(members, key=lambda m: repr(m.graph))
+    adapted = form._table(i)
+    first = min(members, key=move_key)
     blocks = sorted((sorted(b, key=repr) for b in form.info[i][first]),
                     key=repr)
     visit = [w for block in blocks for w in block] + sorted(
         {w for m in members for w in m.domain} - first.domain, key=repr)
-    options = [[frozenset()] * void + _slices(form.sdf, menu, w)
+    options = [[(s, table.entry(w, s, adapted))
+                for s in [frozenset()] * void + _slices(table, menu, w)]
                for w in visit]
-    # the inactive scenarios hold the empty slice
-    fixed = {}
+    # the inactive scenarios hold the empty slice, whose bits never clash
+    known = value = 0
     for w in set(form.sdf.scenarios) - set(visit):
-        table.fix(fixed, w, frozenset())
-    # one iterator per scenario taken so far; no recursive closure, whose
-    # reference cycle would keep the table alive until the cycle collector
-    levels, chosen, undo = [iter(options[0])], [], []
+        mask, bits = adapted.entry(w, frozenset())
+        known, value = known | mask, value | bits
+    # one iterator per scenario taken so far, and the bits fixed before it;
+    # no recursive closure, whose reference cycle would keep the tables
+    # alive until the cycle collector
+    levels, fixed, chosen = [iter(options[0])], [(known, value)], []
     nodes = 0
     while levels:
-        s = next(levels[-1], None)
-        if s is None:
+        option = next(levels[-1], None)
+        if option is None:
             levels.pop()
+            fixed.pop()
             if chosen:
                 chosen.pop()
-                for var in undo.pop():
-                    del fixed[var]
             continue
         nodes += 1
         if nodes > cap:
             raise BudgetExceeded(f"more than {cap} adapted-choice search nodes")
-        new = table.fix(fixed, visit[len(levels) - 1], s)
-        if new is None:
+        s, entry = option
+        known, value = fixed[-1]
+        if entry is None or (value ^ entry[1]) & known & entry[0]:
             continue
         if len(levels) < len(visit):
             chosen.append(s)
-            undo.append(new)
+            fixed.append((known | entry[0], value | entry[1]))
             levels.append(iter(options[len(levels)]))
             continue
         yield frozenset().union(s, *chosen)
-        for var in new:
-            del fixed[var]
 
 
 def _menus(form, i):
@@ -327,13 +414,65 @@ def _meet(offered, i, m):
         offered.get((i, m(w)), frozenset()) for w in m.domain])
 
 
+def _menu_index(form, tables):
+    """
+    The menus, read off each agent's slice table: per agent its moves and
+    information sets, per (agent, move) the choices offered there, from
+    each choice's predecessor set, and per move its active agents in agent
+    order.  Per information set, ``menus`` holds its menu sorted, and
+    ``grouped`` maps the root of each tree where the set has moves to its
+    moves there and its menu grouped by slice, the choices with one slice
+    c & root in one group.
+    """
+    sdf = form.sdf
+    index = _MenuIndex({}, {}, {}, {}, {}, {})
+    shared = {}   # groupings repeat from tree to tree; each is kept once
+    for i in form.agents:
+        table = tables[i]
+        index.moves[i] = frozenset(m(w) for m in form.agent_moves[i]
+                                   for w in m.domain)
+        for x in index.moves[i]:
+            index.active[x] = index.active.get(x, ()) + (i,)
+        # menus frozen from lists in choices[i] order iterate as a scan
+        # over choices[i] does, which keeps Axiom 2's witness order
+        offered = {}
+        for c in form.choices[i]:
+            for x in table.preds[c]:
+                offered.setdefault(x, []).append(c)
+        index.offered.update(((i, x), frozenset(cs))
+                             for x, cs in offered.items())
+        by_menu = {}
+        for m in sorted(form.agent_moves[i], key=move_key):
+            by_menu.setdefault(_meet(index.offered, i, m), []).append(m)
+        sets = tuple(InfoSet(i, frozenset(ms)) for ms in by_menu.values())
+        index.info_sets[i] = (sets, MappingProxyType(
+            {p: p.moves() for p in sets}))
+        for p, menu in zip(sets, by_menu):
+            menu = index.menus[p] = tuple(sorted(menu, key=sorted))
+            moves = {}
+            for x in index.info_sets[i][1][p]:
+                moves.setdefault(table.position[sdf.projection[x]],
+                                 []).append(x)
+            index.grouped[p] = grouped = {}
+            for k, xs in moves.items():
+                by_slice = {}
+                for c in menu:
+                    by_slice.setdefault(table.slices[c][k], []).append(c)
+                groups = tuple(map(tuple, by_slice.values()))
+                grouped[table.roots[k]] = (tuple(xs),
+                                           shared.setdefault(groups, groups))
+    return index
+
+
 class StochasticExtensiveForm:
     """
     A validated extensive form.  Construction stores the data once and
-    validates the stored form.  The menus, grouped by slice in each tree,
-    are one index, built on first use, during validation; an agent's
-    adapted-choice table is built when a check first reads it, so a
-    malformed information partition is reported by that check.
+    validates the stored form.  Validation builds the menu index, with the
+    menus grouped by slice in each tree, from the slice tables of its first
+    pass; a form assembled without validation builds it on first use from
+    slice tables of its own.  An agent's adapted-choice table is built when
+    a check first reads it, so a malformed information partition is
+    reported by that check.
     """
 
     def __init__(self, sdf, agents, agent_moves, info, refchoices, choices,
@@ -360,51 +499,9 @@ class StochasticExtensiveForm:
 
     @functools.cached_property
     def _index(self):
-        """
-        The menus: per agent its moves and information sets, per (agent,
-        move) the choices offered there, from one pass over each choice's
-        predecessor set, and per move its active agents in agent order.
-        Per information set, ``menus`` holds its menu sorted, and
-        ``grouped`` maps the root of each tree where the set has moves to
-        its moves there and its menu grouped by slice, the choices with one
-        slice c & root in one group.
-        """
-        sdf = self.sdf
-        index = _MenuIndex({}, {}, {}, {}, {}, {})
-        shared = {}   # groupings repeat from tree to tree; each is kept once
-        for i in self.agents:
-            index.moves[i] = frozenset(m(w) for m in self.agent_moves[i]
-                                       for w in m.domain)
-            for x in index.moves[i]:
-                index.active[x] = index.active.get(x, ()) + (i,)
-            # menus frozen from lists in choices[i] order iterate as a scan
-            # over choices[i] does, which keeps Axiom 2's witness order
-            offered = {}
-            for c in self.choices[i]:
-                for x in immediate_predecessors(self.sdf.forest, c):
-                    offered.setdefault(x, []).append(c)
-            index.offered.update(((i, x), frozenset(cs))
-                                 for x, cs in offered.items())
-            by_menu = {}
-            for m in sorted(self.agent_moves[i], key=lambda m: repr(m.graph)):
-                by_menu.setdefault(_meet(index.offered, i, m), []).append(m)
-            sets = tuple(InfoSet(i, frozenset(ms)) for ms in by_menu.values())
-            index.info_sets[i] = (sets, MappingProxyType(
-                {p: p.moves() for p in sets}))
-            for p, menu in zip(sets, by_menu):
-                menu = index.menus[p] = tuple(sorted(menu, key=sorted))
-                moves = {}
-                for x in index.info_sets[i][1][p]:
-                    root = sdf.root_of(sdf.projection[x])
-                    moves.setdefault(root, []).append(x)
-                index.grouped[p] = grouped = {}
-                for root, xs in moves.items():
-                    by_slice = {}
-                    for c in menu:
-                        by_slice.setdefault(c & root, []).append(c)
-                    groups = tuple(map(tuple, by_slice.values()))
-                    grouped[root] = (tuple(xs), shared.setdefault(groups, groups))
-        return index
+        """The menu index of a form assembled without validation."""
+        return _menu_index(self, {i: _SliceTable(self.sdf, self.choices[i])
+                                  for i in self.agents})
 
     def moves_of(self, i):
         return self._index.moves[i]
@@ -441,10 +538,11 @@ def info_sets(sef, i):
 
 def check_recall_and_info(sef, i):
     """The four perfection flags of an agent, each checked exhaustively."""
+    table = _SliceTable(sef.sdf, sef.choices[i])
     endo_recall = all(
         not s & s2 or s <= s2 or s2 <= s for w in sef.sdf.scenarios
         for s, s2 in itertools.combinations(
-            _slices(sef.sdf, sef.choices[i], w), 2))
+            _slices(table, sef.choices[i], w), 2))
     exo_recall = check_recall(sef.sdf, sef.info[i], sef.agent_moves[i])
     sets, _ = info_sets(sef, i)
     endo_info = all(len(p.random_moves) == 1 for p in sets) and all(
@@ -488,22 +586,22 @@ def complete_choices(sef):
     """
     new_choices = {}
     for i in sef.agents:
+        table = _SliceTable(sef.sdf, sef.choices[i], sef._table(i))
         closure = set(sef.choices[i])
         for members, menu in _menus(sef, i):
-            closure.update(c for c in _adapted_unions(sef, i, members, menu,
-                                                      void=True) if c)
+            closure.update(c for c in _adapted_unions(
+                sef, i, members, menu, table, void=True) if c)
         new_choices[i] = frozenset(closure)
     completed = StochasticExtensiveForm(
         sef.sdf, sef.agents, sef.agent_moves, sef.info, sef.refchoices,
         new_choices)
     for i in sef.agents:
+        old = _SliceTable(sef.sdf, sef.choices[i])
+        new = _SliceTable(sef.sdf, new_choices[i])
         for w in sef.sdf.scenarios:
-            assert _slices(sef.sdf, sef.choices[i], w) \
-                == _slices(sef.sdf, new_choices[i], w)
-        forest = sef.sdf.forest
-        old_p = {immediate_predecessors(forest, c) for c in sef.choices[i]}
-        new_p = {immediate_predecessors(forest, c) for c in new_choices[i]}
-        assert old_p == new_p
+            assert _slices(old, sef.choices[i], w) \
+                == _slices(new, new_choices[i], w)
+        assert set(old.preds.values()) == set(new.preds.values())
     return completed
 
 

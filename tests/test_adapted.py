@@ -28,11 +28,11 @@ from exform.sef import (
     StochasticExtensiveForm,
     _adapted_unions,
     _menus,
-    _slices,
+    _SliceTable,
     complete_choices,
     validate_sef,
 )
-from test_slices import BUNDLED, dropped, parts_of
+from test_slices import BUNDLED, dropped, parts_of, slices_oracle
 
 # the caps of the two product searches
 AXIOM6_CAP = 10 ** 4
@@ -82,7 +82,7 @@ def axiom6_oracle(form):
             if not menu:
                 continue
             active = sorted({w for m in members for w in m.domain}, key=repr)
-            slices = [list(_slices(sdf, menu, w)) for w in active]
+            slices = [slices_oracle(sdf, menu, w) for w in active]
             total = 1
             for s in slices:
                 total *= len(s)
@@ -111,7 +111,7 @@ def completion_oracle(sef):
             if not menu:
                 continue
             active = sorted({w for m in members for w in m.domain}, key=repr)
-            options = [[frozenset(), *_slices(sef.sdf, menu, w)]
+            options = [[frozenset(), *slices_oracle(sef.sdf, menu, w)]
                        for w in active]
             total = 1
             for s in options:
@@ -134,12 +134,18 @@ def completion_oracle(sef):
 def product(form, members, menu, void):
     """One scenario's options per active scenario, and their product size."""
     active = sorted({w for m in members for w in m.domain}, key=repr)
-    options = [[frozenset()] * void + list(_slices(form.sdf, menu, w))
+    options = [[frozenset()] * void + slices_oracle(form.sdf, menu, w)
                for w in active]
     total = 1
     for s in options:
         total *= len(s)
     return options, total
+
+
+def search(form, i, members, menu, void):
+    """The search's leaves, through a slice table of the agent's choices."""
+    table = _SliceTable(form.sdf, form.choices[i], form._table(i))
+    return _adapted_unions(form, i, members, menu, table, void)
 
 
 def agrees(form, i, c):
@@ -160,7 +166,7 @@ def check_table_against_oracle(form, rng, limit=10 ** 3, sample=100):
         for members, menu in _menus(form, i):
             assert all(check_adapted_oracle(
                 form.sdf, c, form.info[i], form.refchoices[i],
-                form.agent_moves[i]) for c in _adapted_unions(
+                form.agent_moves[i]) for c in search(
                     form, i, members, menu, void=True) if c)
             for void in (False, True):
                 options, total = product(form, members, menu, void)
@@ -192,8 +198,8 @@ def check_leaves_against_product(form, limit=2 * 10 ** 5):
                 unions = (frozenset().union(*combo)
                           for combo in itertools.product(*options))
                 expected = {c for c in unions if c and adapted(c)}
-                leaves = [c for c in _adapted_unions(form, i, members, menu,
-                                                     void) if c]
+                leaves = [c for c in search(form, i, members, menu, void)
+                          if c]
                 assert len(leaves) == len(set(leaves))
                 assert set(leaves) == expected
     return compared

@@ -12,9 +12,11 @@ from exform.forest import (
     histories,
     immediate_predecessors,
     is_history,
+    _laminar_with_singletons,
     is_union_of_nodes,
     validate_decision_forest,
 )
+from exform.instances import amd_sef, mp_sdf
 from exform.order import is_forest as poset_is_forest
 
 
@@ -389,6 +391,52 @@ def validate_by_scans(outcomes, nodes):
     return ValidationReport(True)
 
 
+def validate_by_up_sets(outcomes, nodes):
+    """validate_decision_forest as it was before its one largest-first pass:
+    every family went through the scans that now run only when that pass
+    rejects it."""
+    from exform.forest import ValidationReport
+    outcomes = frozenset(outcomes)
+    nodes = frozenset(frozenset(x) for x in nodes)
+    if not outcomes:
+        return ValidationReport(False, "duality", "empty outcome set")
+    for x in nodes:
+        if not x:
+            return ValidationReport(False, "rooted_forest", "empty node")
+        if not x <= outcomes:
+            return ValidationReport(False, "rooted_forest", ("alien outcomes", x))
+    up = {}
+    for x in nodes:
+        above = [y for y in nodes if y >= x]
+        for i, a in enumerate(above):
+            for b in above[i + 1:]:
+                if not (a <= b or b <= a):
+                    return ValidationReport(False, "rooted_forest",
+                                            ("incomparable ancestors", x, a, b))
+        # finite chains always carry a maximum, so rootedness follows
+        up[x] = frozenset(above)
+    chains = {}
+    for w in outcomes:
+        chain = frozenset(x for x in nodes if w in x)
+        if not chain:
+            return ValidationReport(False, "duality", ("outcome in no node", w))
+        chains[w] = chain
+    # in a rooted forest the maximal chains are the up-sets of minimal
+    # nodes, the nodes in no other node's up-set
+    above_others = {a for x in nodes for a in up[x] if a != x}
+    maximal = {up[x] for x in nodes if x not in above_others}
+    if set(chains.values()) != maximal:
+        missing = maximal - set(chains.values())
+        extra = [w for w, c in chains.items() if c not in maximal]
+        return ValidationReport(False, "duality",
+                                ("chain mismatch", sorted(map(sorted, missing)), extra))
+    if len(set(chains.values())) != len(outcomes):
+        collide = [w for w in outcomes
+                   if sum(1 for v in outcomes if chains[v] == chains[w]) > 1]
+        return ValidationReport(False, "duality", ("chains collide", collide))
+    return ValidationReport(True)
+
+
 @st.composite
 def broken_families(draw):
     """A drawn forest's outcomes and nodes after one to three edits: drop a
@@ -426,13 +474,34 @@ class TestValidationAgainstScans:
     def test_valid_forests(self, f):
         report = validate_decision_forest(f.outcomes, f.nodes)
         assert report == validate_by_scans(f.outcomes, f.nodes) and report
+        assert report == validate_by_up_sets(f.outcomes, f.nodes)
 
     @given(broken_families())
     @settings(deadline=None, max_examples=300)
     def test_edited_families(self, family):
         outcomes, nodes = family
-        assert validate_decision_forest(outcomes, nodes) \
-            == validate_by_scans(outcomes, nodes)
+        report = validate_decision_forest(outcomes, nodes)
+        assert report == validate_by_scans(outcomes, nodes)
+        assert report == validate_by_up_sets(outcomes, nodes)
+
+    def test_bundled_and_workload_forests(self):
+        # the largest-first pass accepts each of them on its own
+        for forest in [form.sdf.forest for form in bundled_forms()] + [
+                amd_sef(6)[0].sdf.forest, mp_sdf()[0].forest]:
+            assert _laminar_with_singletons(forest.outcomes, forest.nodes)
+            assert validate_decision_forest(forest.outcomes, forest.nodes) \
+                == validate_by_up_sets(forest.outcomes, forest.nodes)
+
+    @given(broken_families())
+    @settings(deadline=None, max_examples=300)
+    def test_one_pass_accepts_only_valid_families(self, family):
+        # past the checks on the outcomes and each node, the pass accepts
+        # only what the scans accept
+        outcomes = frozenset(family[0])
+        nodes = frozenset(map(frozenset, family[1]))
+        if outcomes and all(x and x <= outcomes for x in nodes) \
+                and _laminar_with_singletons(outcomes, nodes):
+            assert validate_by_up_sets(outcomes, nodes)
 
     def test_edits_reach_every_failure(self):
         # the edited families above reach a chain mismatch, which reads

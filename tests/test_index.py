@@ -49,11 +49,12 @@ from exform.play import (
     outcome_from,
     profile_tables,
 )
-from exform.sdf import RandomMove, StochasticDecisionForest, preimage
+from exform.sdf import RandomMove, StochasticDecisionForest, move_key, preimage
 from exform.sef import (
     InfoSet,
     StochasticExtensiveForm,
     _axiom1_violations,
+    _SliceTable,
     info_sets,
     strategies,
 )
@@ -276,7 +277,8 @@ def pairwise_axiom1(sdf, agents, choices):
 
 
 def grouped_axiom1(sdf, agents, choices):
-    return [v for i in agents for v in _axiom1_violations(sdf, i, choices[i])]
+    return [v for i in agents
+            for v in _axiom1_violations(_SliceTable(sdf, choices[i]), i)]
 
 
 def one_shot(outcomes):
@@ -489,7 +491,7 @@ def cached_info_sets(sef, i):
     if i in cache:
         return cache[i]
     by_menu = {}
-    for m in sorted(sef.agent_moves[i], key=lambda m: repr(m.graph)):
+    for m in sorted(sef.agent_moves[i], key=move_key):
         by_menu.setdefault(sef.available_at(i, m), []).append(m)
     sets = []
     preds = {}

@@ -31,6 +31,7 @@ from exform.sef import (
     StochasticExtensiveForm,
     _menus,
     _slices,
+    _SliceTable,
     check_recall_and_info,
     validate_sef,
 )
@@ -114,6 +115,13 @@ def is_non_redundant_oracle(sdf, c):
     return True
 
 
+def slices_oracle(sdf, cs, w):
+    """The distinct nonempty slices of the choices on the scenario, sorted,
+    each choice cut on its own."""
+    root = sdf.root_of(w)
+    return sorted({c & root for c in cs} - {frozenset()}, key=sorted)
+
+
 def options_oracle(sdf, menu, w):
     """One scenario's option list of the Axiom 6 search."""
     return sorted({frozenset(c & sdf.root_of(w)) for c in menu}, key=sorted)
@@ -156,15 +164,16 @@ def check_against_oracles(parts):
     for i in form.agents:
         assert check_recall_and_info(form, i)["endogenous_recall"] \
             == endogenous_recall_oracle(form, i)
+        table = _SliceTable(sdf, form.choices[i])
         for members, menu in _menus(form, i):
             for w in {w for m in members for w in m.domain}:
                 options = options_oracle(sdf, menu, w)
-                assert list(_slices(sdf, menu, w)) == options
+                assert list(_slices(table, menu, w)) == options
                 # the completion's list adds the empty slice up front
-                assert [frozenset(), *_slices(sdf, menu, w)] \
+                assert [frozenset(), *_slices(table, menu, w)] \
                     == sorted(set(options) | {frozenset()}, key=sorted)
         for w in sdf.scenarios:
-            slices = _slices(sdf, form.choices[i], w)
+            slices = _slices(table, form.choices[i], w)
             assert list(slices) == [s for s in options_oracle(
                 sdf, form.choices[i], w) if s]
         for c in form.choices[i]:
@@ -241,23 +250,15 @@ def test_non_redundancy_on_every_union_of_nodes(f):
 # --- every cut by a root outside the menu index is listed, with its reason ------
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "exform"
-# the function that groups the information sets' menus by slice
-INDEXER = ("sef.py", "_index")
+# the slice table's cut, the one place that cuts the choices of a form
+INDEXER = ("sef.py", "cut")
 # every other cut by a root in the guarded modules, with its reason
 ALLOWED = {
-    ("sef.py", "_axiom1_violations", "c & root"):
-        "validation cuts once per choice and scenario; an index of every "
-        "choice in every tree did not make set-up faster",
-    ("sef.py", "_slices", "c & root"):
-        "Axioms 3 and 6, recall and the completion cut once per scenario; "
-        "an index of every choice in every tree did not make set-up faster",
     ("sef.py", "_validate", "c & sdf.root_of(w)"):
         "Axiom 6 sorts its candidate unions, which are not choices",
     ("play.py", "key", "tables[i][x] & root"):
         "a profile's table may hold a set that is not a choice of the form, "
         "and the sweep reads few enough keys that a lookup gains nothing",
-    ("play.py", "scenario_truncation", "c & sdf.root_of(w)"):
-        "the truncated form's choices are the slices, cut once per call",
     ("play.py", "scenario_truncation", "frozenset(ref) & sdf.root_of(w)"):
         "reference choices need not be choices of the form",
 }
