@@ -475,9 +475,8 @@ class _AdaptedTable:
     move's partition); ``mask`` holds the variables the slice sets and
     ``value`` their bits.  A choice is adapted iff no slice is a whole
     root and, joined scenario by scenario, each entry agrees with the bits
-    known so far, ``(value ^ v) & known & mask == 0``: availability is
-    then constant on each move's domain, and joint availability on each
-    block.  The table keeps no memo.
+    known so far: availability is then constant on each move's domain,
+    and joint availability on each block.  The table keeps no memo.
     """
 
     def __init__(self, sdf, agent_moves, info, refchoices):
@@ -520,13 +519,26 @@ class _AdaptedTable:
                         value |= var
         return mask, value
 
+    @staticmethod
+    def join(fixed, entry):
+        """
+        The (known, value) bits ``fixed`` with a slice's entry added, or
+        None when the slice is a whole root or its bits disagree with
+        known ones: ``(value ^ v) & known & mask`` is not 0.
+        """
+        if entry is None:
+            return None
+        (known, value), (mask, bits) = fixed, entry
+        if (value ^ bits) & known & mask:
+            return None
+        return known | mask, value | bits
+
     def adapted(self, c):
-        known = value = 0
+        fixed = (0, 0)
         for w, root in self.roots.items():
-            entry = self.entry(w, c & root)
-            if entry is None or (value ^ entry[1]) & known & entry[0]:
+            fixed = self.join(fixed, self.entry(w, c & root))
+            if fixed is None:
                 return False
-            known, value = known | entry[0], value | entry[1]
         return True
 
 

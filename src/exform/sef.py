@@ -267,11 +267,11 @@ class _SliceTable:
         self.slices[c] = tuple(s for s, _, _ in slices)
         preds = frozenset().union(*[p for _, p, _ in slices])
         self.preds[c] = self.shared.setdefault(preds, preds)
-        known = value = 0
+        fixed = (0, 0)
         for _, _, entry in slices:
-            if entry is None or (value ^ entry[1]) & known & entry[0]:
+            fixed = _AdaptedTable.join(fixed, entry)
+            if fixed is None:
                 return False
-            known, value = known | entry[0], value | entry[1]
         return True
 
     def slices_at(self, w, x):
@@ -366,14 +366,13 @@ def _adapted_unions(form, i, members, menu, table, void=False):
                 for s in [frozenset()] * void + _slices(table, menu, w)]
                for w in visit]
     # the inactive scenarios hold the empty slice, whose bits never clash
-    known = value = 0
+    start = (0, 0)
     for w in set(form.sdf.scenarios) - set(visit):
-        mask, bits = adapted.entry(w, frozenset())
-        known, value = known | mask, value | bits
+        start = adapted.join(start, adapted.entry(w, frozenset()))
     # one iterator per scenario taken so far, and the bits fixed before it;
     # no recursive closure, whose reference cycle would keep the tables
     # alive until the cycle collector
-    levels, fixed, chosen = [iter(options[0])], [(known, value)], []
+    levels, fixed, chosen = [iter(options[0])], [start], []
     nodes = 0
     while levels:
         option = next(levels[-1], None)
@@ -387,12 +386,12 @@ def _adapted_unions(form, i, members, menu, table, void=False):
         if nodes > cap:
             raise BudgetExceeded(f"more than {cap} adapted-choice search nodes")
         s, entry = option
-        known, value = fixed[-1]
-        if entry is None or (value ^ entry[1]) & known & entry[0]:
+        joined = adapted.join(fixed[-1], entry)
+        if joined is None:
             continue
         if len(levels) < len(visit):
             chosen.append(s)
-            fixed.append((known | entry[0], value | entry[1]))
+            fixed.append(joined)
             levels.append(iter(options[len(levels)]))
             continue
         yield frozenset().union(s, *chosen)
