@@ -37,11 +37,9 @@ from .errors import (
 )
 from .forest import DecisionForest, closure, histories, is_history
 from .order import order_predicates
-from .sdf import StochasticDecisionForest
+from .sdf import StochasticDecisionForest, _slices, _SliceTable
 from .sef import (
     StochasticExtensiveForm,
-    _slices,
-    _SliceTable,
     convert_strategy,
     info_sets,
     strategies,

@@ -23,9 +23,11 @@ from .errors import (
     InputError,
     StructureError,
 )
-from .forest import immediate_predecessors, is_union_of_nodes
+from .forest import is_union_of_nodes
 from .sdf import (
     _AdaptedTable,
+    _SliceTable,
+    _slices,
     build_action_path_sdf,
     check_adapted,
     check_recall,
@@ -221,72 +223,6 @@ def _validate(form):
     return SEFReport(not violations, tuple(violations), checked)
 
 
-class _SliceTable:
-    """
-    An agent's choices, each cut once by the root of every scenario's
-    tree.  Every node of a tree lies inside its root, so x <= c iff
-    x <= c & root: a choice's predecessor set is the union of its slices'
-    sets, and each distinct (scenario, slice) is walked up the forest once.
-    ``slices`` maps each choice to its slice on each scenario, in scenario
-    order, interned per tree so that equal slices are one object;
-    ``preds`` maps it to its predecessor set.  Per tree, ``trees`` maps
-    each distinct slice to (the slice, its predecessor set, its entry in
-    the agent's adapted table, None without one).  The table refers to no
-    form, so it is freed when the call that built it returns.
-    """
-
-    def __init__(self, sdf, choices=(), adapted=None):
-        self.forest = sdf.forest
-        self.scenarios = sdf.scenarios
-        self.position = {w: k for k, w in enumerate(sdf.scenarios)}
-        self.roots = [sdf.root_of(w) for w in sdf.scenarios]
-        self.trees = [{} for _ in self.roots]
-        self.slices, self.preds = {}, {}
-        self.shared = {}   # equal predecessor sets are kept once
-        for c in choices:
-            self.cut(c, adapted)
-
-    def cut(self, c, adapted=None):
-        """
-        Cut the choice into the table.  With the agent's adapted table,
-        each new slice's entry is read with the walk of its predecessor
-        set, and the result says whether c is adapted: no slice is a whole
-        root and the entries agree on every variable two of them set.
-        Without one the entries are None and the result is False.
-        """
-        slices = []
-        for w, root, tree in zip(self.scenarios, self.roots, self.trees):
-            s = c & root
-            got = tree.get(s)
-            if got is None:
-                p = immediate_predecessors(self.forest, s) \
-                    if s and s != root else frozenset()
-                p = self.shared.setdefault(p, p)
-                got = tree[s] = (s, p, adapted and adapted.entry(w, s, p))
-            slices.append(got)
-        self.slices[c] = tuple(s for s, _, _ in slices)
-        preds = frozenset().union(*[p for _, p, _ in slices])
-        self.preds[c] = self.shared.setdefault(preds, preds)
-        fixed = (0, 0)
-        for _, _, entry in slices:
-            fixed = _AdaptedTable.join(fixed, entry)
-            if fixed is None:
-                return False
-        return True
-
-    def slices_at(self, w, x):
-        """The distinct slices on the scenario of the choices offered at x,
-        a move of its tree: x precedes c iff it precedes c's slice there."""
-        return [s for s, p, _ in self.trees[self.position[w]].values()
-                if x in p]
-
-    def entry(self, w, s, adapted):
-        """The entry of a slice on the scenario; one not cut from a choice,
-        such as the empty slice of the completion, is read afresh."""
-        got = self.trees[self.position[w]].get(s)
-        return adapted.entry(w, s) if got is None else got[2]
-
-
 def _axiom1_violations(table, i):
     """
     Axiom 1 for the choices of one agent's slice table in one pass over
@@ -335,13 +271,6 @@ def _axiom1_violations(table, i):
                                           (i, first, second, w)))
     found.sort(key=lambda item: item[0])
     return [("axiom1", v) for _, v in found]
-
-
-def _slices(table, cs, w):
-    """The distinct nonempty slices of the choices on the scenario, sorted,
-    read off a slice table that holds them."""
-    k = table.position[w]
-    return sorted({table.slices[c][k] for c in cs} - {frozenset()}, key=sorted)
 
 
 def _adapted_unions(form, i, members, menu, table, void=False):

@@ -18,6 +18,7 @@ from exform.forest import immediate_predecessors, is_union_of_nodes
 from exform.instances import EXAMPLES, amd_sef, load_example, mp_sef
 from exform.sdf import (
     _is_block_union,
+    _SliceTable,
     check_adapted,
     is_available_at,
     is_complete,
@@ -28,7 +29,6 @@ from exform.sef import (
     StochasticExtensiveForm,
     _adapted_unions,
     _menus,
-    _SliceTable,
     complete_choices,
     validate_sef,
 )

@@ -49,12 +49,17 @@ from exform.play import (
     outcome_from,
     profile_tables,
 )
-from exform.sdf import RandomMove, StochasticDecisionForest, move_key, preimage
+from exform.sdf import (
+    RandomMove,
+    StochasticDecisionForest,
+    _SliceTable,
+    move_key,
+    preimage,
+)
 from exform.sef import (
     InfoSet,
     StochasticExtensiveForm,
     _axiom1_violations,
-    _SliceTable,
     info_sets,
     strategies,
 )

@@ -25,13 +25,17 @@ from exform.instances import (
     simple_sef,
     variant_sef,
 )
-from exform.sdf import RandomMove, StochasticDecisionForest, is_non_redundant
+from exform.sdf import (
+    RandomMove,
+    StochasticDecisionForest,
+    _slices,
+    _SliceTable,
+    is_non_redundant,
+)
 from exform.sef import (
     SEFReport,
     StochasticExtensiveForm,
     _menus,
-    _slices,
-    _SliceTable,
     check_recall_and_info,
     validate_sef,
 )
@@ -247,13 +251,16 @@ def test_non_redundancy_on_every_union_of_nodes(f):
             assert is_non_redundant(sdf, c) == is_non_redundant_oracle(sdf, c)
 
 
-# --- every cut by a root outside the menu index is listed, with its reason ------
+# --- every cut by a root outside the slice table is listed, with its reason -----
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "exform"
 # the slice table's cut, the one place that cuts the choices of a form
-INDEXER = ("sef.py", "cut")
+INDEXER = ("sdf.py", "cut")
 # every other cut by a root in the guarded modules, with its reason
 ALLOWED = {
+    ("sdf.py", "adapted", "c & root"):
+        "check_adapted reads any union of nodes, such as a candidate of an "
+        "action-path form, not only a choice of a form",
     ("sef.py", "_validate", "c & sdf.root_of(w)"):
         "Axiom 6 sorts its candidate unions, which are not choices",
     ("play.py", "key", "tables[i][x] & root"):
@@ -298,7 +305,7 @@ class TestSliceGuard:
 
     def test_only_the_index_slices_the_choices(self):
         found = {(name, function, cut)
-                 for name in ("sef.py", "play.py", "equil.py")
+                 for name in ("sdf.py", "sef.py", "play.py", "equil.py")
                  for function, cut in root_cuts(
                      (SRC / name).read_text(encoding="utf-8"))}
         assert {site[:2] for site in found} >= {INDEXER}

@@ -38,7 +38,12 @@ from exform.instances import (
     mp_maps,
     mp_sef,
 )
-from exform.sdf import _require_partition, move_key, validate_reference_choices
+from exform.sdf import (
+    _require_partition,
+    _SliceTable,
+    move_key,
+    validate_reference_choices,
+)
 from exform.sef import (
     ADAPTED_CAP,
     AXIOM2_CAP,
@@ -46,7 +51,6 @@ from exform.sef import (
     _adapted_unions,
     _axiom1_violations,
     _menus,
-    _SliceTable,
     validate_sef,
 )
 from test_play import coarsened
@@ -542,7 +546,7 @@ def walks(monkeypatch, build):
         calls.append(frozenset(c))
         return real(forest, c)
 
-    for module in (exform.forest, exform.sdf, exform.sef):
+    for module in (exform.forest, exform.sdf):
         monkeypatch.setattr(module, "immediate_predecessors", counted)
     return build(), calls
 
@@ -592,16 +596,13 @@ DIGEST = """
 import hashlib, sys
 sys.path.insert(0, sys.argv[1])
 from conftest import make_rng, random_strict_sef
-from exform.instances import simple_variant_sdf
-from exform.sdf import move_key
+from exform.instances import load_example
 from exform.sef import info_sets
 digest = hashlib.sha256()
-for s in range(30):
-    form = random_strict_sef(make_rng(s))
+forms = [random_strict_sef(make_rng(s)) for s in range(30)]
+for form in forms + [load_example("simple-variant")[0]]:
     sets, _ = info_sets(form, "i")
     digest.update(repr([sorted(map(sorted, p.moves())) for p in sets]).encode())
-moves = sorted(simple_variant_sdf()[0].random_moves, key=move_key)
-digest.update(repr([move_key(m) for m in moves]).encode())
 print(digest.hexdigest())
 """
 
