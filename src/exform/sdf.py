@@ -575,7 +575,7 @@ class _SliceTable:
         root and the entries agree on every variable two of them set.
         Without one the entries are None and the result is False.
         """
-        slices = []
+        records = []
         for w, root, tree in zip(self.scenarios, self.roots, self.trees):
             s = c & root
             got = tree.get(s)
@@ -584,12 +584,12 @@ class _SliceTable:
                     if s and s != root else frozenset()
                 p = self.shared.setdefault(p, p)
                 got = tree[s] = (s, p, adapted and adapted.entry(w, s, p))
-            slices.append(got)
-        self.slices[c] = tuple(s for s, _, _ in slices)
-        preds = frozenset().union(*[p for _, p, _ in slices])
+            records.append(got)
+        self.slices[c] = tuple(s for s, _, _ in records)
+        preds = frozenset().union(*[p for _, p, _ in records])
         self.preds[c] = self.shared.setdefault(preds, preds)
         fixed = (0, 0)
-        for _, _, entry in slices:
+        for _, _, entry in records:
             fixed = _AdaptedTable.join(fixed, entry)
             if fixed is None:
                 return False
