@@ -10,8 +10,9 @@ agent can improve the conditional payoff at any of its information sets
 by deviating).  A deviation's conditional payoff is linear in what it
 plays at each information set, as in the sequence form, so the
 rationality sweep sums each block from per-information-set partials
-instead of replaying every deviation.  All arithmetic is exact over the
-rationals.
+instead of replaying every deviation.  All arithmetic is exact: both
+halves work on integer belief weights over a common denominator, scaled
+once by ``validate_eu``, and build ``Fraction``s only for reported values.
 """
 
 import functools
@@ -69,9 +70,23 @@ def information_blocks(sef, agent, infoset):
     return frozenset(blocks)
 
 
+def _scaled(unit, prob):
+    """The belief's values as integer weights over their common
+    denominator: ({scenario: weight} on the nonzero values, denominator)."""
+    try:
+        values = {w: Fraction(v) for w, v in prob.items()}
+    except (TypeError, ValueError, ArithmeticError) as err:
+        raise InputError(f"belief at {unit!r} is not a probability") from err
+    denominator = lcm(*(q.denominator for q in values.values()))
+    return {w: q.numerator * (denominator // q.denominator)
+            for w, q in values.items() if q}, denominator
+
+
 def validate_eu(sef, eu):
-    """Check coverage and the local probability/assessment invariants."""
+    """Check coverage and the local probability/assessment invariants;
+    returns each unit's belief scaled by ``_scaled``."""
     outcomes = sef.sdf.forest.outcomes
+    scaled = {}
     for unit in units(sef):
         if unit not in eu.beliefs:
             raise InputError(f"no belief at {unit!r}")
@@ -81,8 +96,8 @@ def validate_eu(sef, eu):
         belief = eu.beliefs[unit]
         if not set(belief.prob) <= domain:
             raise InputError(f"belief support leaves the domain at {unit!r}")
-        mass = sum(map(Fraction, belief.prob.values()), Fraction(0))
-        if mass != 1 or any(Fraction(v) < 0 for v in belief.prob.values()):
+        weights, denominator = scaled[unit] = _scaled(unit, belief.prob)
+        if sum(weights.values()) != denominator or min(weights.values()) < 0:
             raise InputError(f"belief at {unit!r} is not a probability")
         _, p = unit
         for w in domain:
@@ -91,6 +106,7 @@ def validate_eu(sef, eu):
                 raise InputError(f"assessment at {unit!r} fails at {w!r}")
         if not outcomes <= set(eu.tastes[unit]):
             raise InputError(f"taste at {unit!r} misses outcomes")
+    return scaled
 
 
 def _psi(infoset, sdf, w):
@@ -129,12 +145,9 @@ class _UnitPlan:
                 for b, pairs, mass in self.blocks}
 
 
-def _unit_plan(sef, belief, taste, blocks):
-    """The unit's plan over the given information blocks."""
-    prob = {w: Fraction(v) for w, v in belief.prob.items()}
-    denominator = lcm(*(q.denominator for q in prob.values()))
-    weight = {w: q.numerator * (denominator // q.denominator)
-              for w, q in prob.items() if q}
+def _unit_plan(sef, assessment, weight, taste, blocks):
+    """The unit's plan over the given information blocks, from its belief's
+    integer weights."""
     plan, zero, support = [], set(), set()
     for b in sorted(blocks, key=sorted):
         reached = [w for w in sorted(b) if w in weight]
@@ -142,7 +155,7 @@ def _unit_plan(sef, belief, taste, blocks):
         if mass == 0:
             zero.add(b)
             continue
-        plan.append((b, [(belief.assessment[w](w), weight[w]) for w in reached],
+        plan.append((b, [(assessment[w](w), weight[w]) for w in reached],
                      mass))
         support.update(reached)
     outcomes = frozenset().union(*map(sef.sdf.root_of, support))
@@ -166,7 +179,9 @@ def expected_payoff(sef, eu, profile, agent, infoset, block=None):
         if block not in blocks:
             raise InputError(f"not an information block: {sorted(block)}")
         blocks = {block}
-    plan = _unit_plan(sef, eu.beliefs[unit], eu.tastes[unit], blocks)
+    belief = eu.beliefs[unit]
+    plan = _unit_plan(sef, belief.assessment, _scaled(unit, belief.prob)[0],
+                      eu.tastes[unit], blocks)
     if block is not None and block in plan.zero:
         raise ZeroProbabilityBlockRequested(
             f"block {sorted(block)} has probability zero at {unit!r}")
@@ -270,15 +285,15 @@ def check_dynamic_rationality(sef, eu, profile):
     """
     if isinstance(profile, dict):
         profile = StrategyProfile(profile)
-    validate_eu(sef, eu)
+    scaled = validate_eu(sef, eu)
     report = RationalityReport(True, {})
     base_tables = profile_tables(sef, profile)
     fills = TreeFills(sef)
     played = functools.partial(fills.outcome, base_tables)
     swept = []   # (unit, plan, the profile's total per block)
     for unit in units(sef):
-        plan = _unit_plan(sef, eu.beliefs[unit], eu.tastes[unit],
-                          information_blocks(sef, *unit))
+        plan = _unit_plan(sef, eu.beliefs[unit].assessment, scaled[unit][0],
+                          eu.tastes[unit], information_blocks(sef, *unit))
         totals = [plan.total(played, pairs) for _, pairs, _ in plan.blocks]
         report.payoffs[unit] = {b: plan.value(total, mass) for (b, _, mass), total
                                 in zip(plan.blocks, totals)}
@@ -315,9 +330,10 @@ def _common_prior(universe, conditions):
     misses the other direction's A, and together with the other when each
     support lies in its own A and the two beliefs are proportional, with
     the same zeros, where the A's meet.  A single unit is its own other
-    direction.
+    direction.  Each p is given by positive integer weights at any scale.
 
-    Returns (prior, None) or (None, obstructions).  The prior averages
+    Returns (prior, total, None), the prior as integer weights on the
+    universe over total, or (None, None, obstructions).  The prior averages
     one charging prior per direction that can be charged; the rows are
     homogeneous apart from the normalisation, so an average of priors is
     a prior.  When no direction can be charged, it is uniform on the
@@ -341,29 +357,31 @@ def _common_prior(universe, conditions):
         # a prior charging this direction is positive at ref, inside the
         # other A, so it charges the other direction too
         ref = shared[0]
-        ratio = p_e.get(ref, 0) / p_d[ref]
+        d_ref, e_ref = p_d[ref], p_e.get(ref, 0)
         clash = next((w for w in sorted(p_e) if w not in a_e), None)
-        if clash is not None or not ratio:
+        if clash is not None or not e_ref:
             obstructions.append((v, ref if clash is None else clash))
             continue
         clash = next((w for w in sorted(a_d & a_e)
-                      if p_e.get(w, 0) != ratio * p_d.get(w, 0)), None)
+                      if p_e.get(w, 0) * d_ref != e_ref * p_d.get(w, 0)), None)
         if clash is not None:
             zero = not (p_d.get(clash) and p_e.get(clash))
             obstructions.append((v, clash) if zero else (v, ref, clash))
             continue
-        charging.append({w: x / ratio for w, x in p_e.items()} | p_d)
+        charging.append({w: x * d_ref for w, x in p_e.items()}
+                        | {w: x * e_ref for w, x in p_d.items()})
     if not charging:
-        charging = [{w: Fraction(1) for w in universe
+        charging = [{w: 1 for w in universe
                      if not any(w in a for _, a, _ in conditions)}]
         if not charging[0]:
-            return None, obstructions
-    q = dict.fromkeys(universe, Fraction(0))
-    for prior in charging:
-        mass = sum(prior.values())
+            return None, None, obstructions
+    masses = [sum(prior.values()) for prior in charging]
+    common = lcm(*masses)
+    q = dict.fromkeys(universe, 0)
+    for prior, mass in zip(charging, masses):
         for w, x in prior.items():
-            q[w] += x / (mass * len(charging))
-    return q, None
+            q[w] += x * (common // mass)
+    return q, common * len(charging), None
 
 
 @dataclass
@@ -394,19 +412,19 @@ def check_dynamic_consistency(sef, eu, profile):
     realized play into later info sets, the agreement events are recorded,
     and each group needs a common prior reproducing both local beliefs by
     conditioning on the scenarios that reach the respective info set.  The
-    prior is decided in closed form by ``_common_prior`` and re-checked
-    exactly against every conditioning row.
+    prior is decided in closed form by ``_common_prior`` on the beliefs'
+    integer weights and re-checked exactly against every conditioning row.
     """
     if isinstance(profile, dict):
         profile = StrategyProfile(profile)
-    validate_eu(sef, eu)
+    scaled = validate_eu(sef, eu)
     sdf = sef.sdf
     tastes_ok = True
     by_agent = {}
     for (i, p), taste in eu.tastes.items():
         seen = by_agent.setdefault(i, taste)
-        if any(Fraction(seen[w]) != Fraction(taste[w])
-               for w in sdf.forest.outcomes):
+        if seen != taste and any(Fraction(seen[w]) != Fraction(taste[w])
+                                 for w in sdf.forest.outcomes):
             tastes_ok = False
     report = ConsistencyReport(True, tastes_ok)
     tables = profile_tables(sef, profile)
@@ -449,9 +467,8 @@ def check_dynamic_consistency(sef, eu, profile):
         report.events.update(events)
         if status != "inconsistent":
             universe = sorted(frozenset().union(*domains.values()))
-            q, obstructions = _common_prior(universe, [
-                (ub, reached[(ua, ub)],
-                 {w: Fraction(x) for w, x in eu.beliefs[ub].prob.items() if x})
+            q, total, obstructions = _common_prior(universe, [
+                (ub, reached[(ua, ub)], scaled[ub][0])
                 for ua, ub in _ordered_directions(members)])
             if q is None:
                 status = "inconsistent"
@@ -460,14 +477,15 @@ def check_dynamic_consistency(sef, eu, profile):
                 vacuous = False
                 for ua, ub in _ordered_directions(members):
                     a_set = reached[(ua, ub)]
-                    a_mass = sum((q[w] for w in a_set), Fraction(0))
+                    a_mass = sum(q[w] for w in a_set)
                     if a_mass == 0:
                         vacuous = True
                         continue
-                    prob_b = eu.beliefs[ub].prob
+                    # p_b(w0) q(A) = q(w0), both sides times D_b * total
+                    weights, denominator = scaled[ub]
                     for w0 in sorted(domains[ub]):
-                        lhs = Fraction(prob_b.get(w0, 0)) * a_mass
-                        rhs = q[w0] if w0 in a_set else Fraction(0)
+                        lhs = weights.get(w0, 0) * a_mass
+                        rhs = q[w0] * denominator if w0 in a_set else 0
                         if lhs != rhs:
                             status = "inconsistent"
                             witness = ("prior", ub, w0)
@@ -475,7 +493,8 @@ def check_dynamic_consistency(sef, eu, profile):
                     if status == "inconsistent":
                         break
                 if status == "consistent":
-                    report.priors[group] = q
+                    report.priors[group] = {w: Fraction(x, total)
+                                            for w, x in q.items()}
                     if vacuous:
                         status = "vacuously consistent"
         report.pair_status[group] = status

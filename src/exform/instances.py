@@ -318,14 +318,21 @@ def amd_continue_region(assignments, agent):
     return frozenset(region)
 
 
+def _exiting_on(ex, ct):
+    """The choice exiting exactly on an event, as a function of the event:
+    the exit region's outcomes on it and the continue region's off it.
+    Each outcome's scenario is read once."""
+    ex, ct = ([(w.split(":")[0], w) for w in region] for region in (ex, ct))
+    return lambda event: frozenset(w for s, w in ex if s in event) | \
+        frozenset(w for s, w in ct if s not in event)
+
+
 def amd_event_choice(atoms, agent, event):
     """The agent's choice exiting exactly on the given set of scenarios."""
     scenarios = amd_scenarios(atoms)
     assignments = {w: int(w[1]) for w in scenarios}
-    ex = amd_exit_region(assignments, agent)
-    ct = amd_continue_region(assignments, agent)
-    return frozenset(w for w in ex if w.split(":")[0] in event) | frozenset(
-        w for w in ct if w.split(":")[0] not in event)
+    return _exiting_on(amd_exit_region(assignments, agent),
+                       amd_continue_region(assignments, agent))(event)
 
 
 def amd_sef(atoms=1):
@@ -351,17 +358,10 @@ def amd_sef(atoms=1):
         ex = amd_exit_region(assignments, agent)
         ct = amd_continue_region(assignments, agent)
         refchoices[agent] = {m: (ex, ct)}
-        events = []
-        for combo in powerset(sorted(blocks)):
-            events.append(frozenset().union(
-                *[blocks[s] for s in combo]) if combo else frozenset())
-        cs = set()
-        for event in events:
-            outcomes = frozenset(
-                w for w in ex if w.split(":")[0] in event) | frozenset(
-                w for w in ct if w.split(":")[0] not in event)
-            cs.add(outcomes)
-        choices[agent] = frozenset(cs)
+        choose = _exiting_on(ex, ct)
+        choices[agent] = frozenset({
+            choose(frozenset().union(*map(blocks.get, combo)))
+            for combo in powerset(sorted(blocks))})
     sef = StochasticExtensiveForm(sdf, agents, agent_moves, info,
                                   refchoices, choices)
     return sef, (x1, x2)

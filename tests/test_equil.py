@@ -1,7 +1,10 @@
+import ast
 import functools
 import itertools
+import re
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from exform.equil import (
     RationalityReport,
     _unit_plan,
     _common_prior,
+    _scaled,
     _ordered_directions,
     _psi,
     bayes_beliefs,
@@ -364,6 +368,20 @@ class TestPayoffInterface:
         with pytest.raises(InputError):
             validate_eu(sef, eu)
 
+    @pytest.mark.parametrize("value", [float("nan"), None, "x"])
+    def test_malformed_belief_value_rejected(self, value):
+        sef, eu, s, _ = load_example("amd")
+        unit = units(sef)[-1]
+        bad = eu.beliefs[unit]
+        eu.beliefs[unit] = Belief({**bad.prob, min(bad.prob): value},
+                                  bad.assessment)
+        for check in (validate_eu, check_dynamic_consistency,
+                      check_dynamic_rationality, verify_equilibrium):
+            with pytest.raises(InputError, match=re.escape(repr(unit))):
+                check(sef, eu) if check is validate_eu else check(sef, eu, s)
+        with pytest.raises(InputError, match=re.escape(repr(unit))):
+            expected_payoff(sef, eu, s, *unit)
+
 
 class TestBayesBeliefs:
     @pytest.mark.parametrize("name", EXAMPLES)
@@ -595,11 +613,83 @@ def _feasible_point(universe, rows):
     return q
 
 
-def simplex_consistency(sef, eu, profile):
+def simplex_prior(universe, rows, conditions):
+    """The prior step when an integer-row simplex decided each group's
+    prior: one feasibility solve, then one more per direction the witness
+    vertex misses, averaged in."""
+    q = _feasible_point(universe, rows)
+    if q is None:
+        return None, ("prior", "no common prior exists")
+    # the witness is a vertex and may miss an event that some common prior
+    # charges; the rows but the first are homogeneous, so averaging in a
+    # prior normalised on that event stays feasible, and "vacuous" in the
+    # re-check means that every common prior misses it
+    for _, a_set, _ in conditions:
+        if any(q[w] for w in a_set):
+            continue
+        on_a = _feasible_point(
+            universe, [(dict.fromkeys(a_set, Fraction(1)), Fraction(1))]
+            + rows[1:])
+        if on_a is not None:
+            mass = sum(on_a.values(), Fraction(0))
+            q = {w: (q[w] + on_a[w] / mass) / 2 for w in universe}
+    return q, None
+
+
+def fraction_prior(universe, rows, conditions):
+    """The prior step as the closed form decided it over ``Fraction``
+    before it moved to integer weights."""
+    q, obstructions = fraction_common_prior(universe, conditions)
+    return q, None if q is not None else ("prior", *obstructions)
+
+
+def fraction_common_prior(universe, conditions):
+    """``_common_prior`` over ``Fraction``, before it moved to integer
+    weights: (prior, None) or (None, obstructions)."""
+    charging, obstructions = [], []
+    for (u, a_d, p_d), (v, a_e, p_e) in zip(conditions, reversed(conditions)):
+        support = sorted(p_d)
+        outside = [w for w in support if w not in a_d]
+        shared = [w for w in support if w in a_e]
+        if outside:
+            obstructions.append((u, outside[0]))
+            continue
+        if not shared:
+            charging.append(p_d)
+            continue
+        ref = shared[0]
+        ratio = p_e.get(ref, 0) / p_d[ref]
+        clash = next((w for w in sorted(p_e) if w not in a_e), None)
+        if clash is not None or not ratio:
+            obstructions.append((v, ref if clash is None else clash))
+            continue
+        clash = next((w for w in sorted(a_d & a_e)
+                      if p_e.get(w, 0) != ratio * p_d.get(w, 0)), None)
+        if clash is not None:
+            zero = not (p_d.get(clash) and p_e.get(clash))
+            obstructions.append((v, clash) if zero else (v, ref, clash))
+            continue
+        charging.append({w: x / ratio for w, x in p_e.items()} | p_d)
+    if not charging:
+        charging = [{w: Fraction(1) for w in universe
+                     if not any(w in a for _, a, _ in conditions)}]
+        if not charging[0]:
+            return None, obstructions
+    q = dict.fromkeys(universe, Fraction(0))
+    for prior in charging:
+        mass = sum(prior.values())
+        for w, x in prior.items():
+            q[w] += x / (mass * len(charging))
+    return q, None
+
+
+def simplex_consistency(sef, eu, profile, decide=simplex_prior):
     """
-    check_dynamic_consistency as it was when an integer-row simplex
-    decided each group's prior: one feasibility solve, then one more per
-    direction the witness vertex misses, averaged in.  Also returns, per
+    check_dynamic_consistency over ``Fraction``, with each group's prior
+    step left to ``decide(universe, rows, conditions)``, which returns
+    (prior, None) or (None, witness); the built prior is re-checked
+    against every row as before.  By default it is the code as it was
+    when an integer-row simplex decided the prior.  Also returns, per
     group that reached the prior step, its universe, its rows and one
     (u_b, A_d, p_d) per direction.
     """
@@ -665,31 +755,15 @@ def simplex_consistency(sef, eu, profile):
                     if w0 in a_set:
                         coeffs[w0] -= 1
                     rows.append((coeffs, Fraction(0)))
-            systems[group] = (universe, rows, [
+            conditions = [
                 (ub, reached[(ua, ub)],
                  {w: Fraction(x) for w, x in eu.beliefs[ub].prob.items() if x})
-                for ua, ub in _ordered_directions(members)])
-            q = _feasible_point(universe, rows)
+                for ua, ub in _ordered_directions(members)]
+            systems[group] = (universe, rows, conditions)
+            q, witness = decide(universe, rows, conditions)
             if q is None:
                 status = "inconsistent"
-                witness = ("prior", "no common prior exists")
-            # the witness is a vertex and may miss an event that some
-            # common prior charges; the rows but the first are
-            # homogeneous, so averaging in a prior normalised on that
-            # event stays feasible, and "vacuous" below means that
-            # every common prior misses it
-            for ua, ub in _ordered_directions(members):
-                a_set = reached[(ua, ub)]
-                if q is None or any(q[w] for w in a_set):
-                    continue
-                on_a = _feasible_point(
-                    universe,
-                    [(dict.fromkeys(a_set, Fraction(1)), Fraction(1))]
-                    + rows[1:])
-                if on_a is not None:
-                    mass = sum(on_a.values(), Fraction(0))
-                    q = {w: (q[w] + on_a[w] / mass) / 2 for w in universe}
-            if q is not None:
+            else:
                 vacuous = False
                 for ua, ub in _ordered_directions(members):
                     a_set = reached[(ua, ub)]
@@ -718,6 +792,12 @@ def simplex_consistency(sef, eu, profile):
             report.consistent = False
     report.consistent = report.consistent and tastes_ok
     return report, systems
+
+
+def fraction_closed_form(sef, eu, profile):
+    """check_dynamic_consistency as it was before the closed form moved to
+    integer weights: the prior decided and re-checked over ``Fraction``."""
+    return simplex_consistency(sef, eu, profile, fraction_prior)[0]
 
 
 # --- oracle: the same simplex over Fraction ---------------------------------
@@ -1022,11 +1102,11 @@ BIASES = (Fraction(0), THIRD, 2 * THIRD, Fraction(1))
 _RACES = {}
 
 
-def exit_race(p):
-    """The exit race with 3 atoms at bias p, built once."""
-    if p not in _RACES:
-        _RACES[p] = amd_instance(p)
-    return _RACES[p]
+def exit_race(p, atoms=3):
+    """The exit race with the given atoms at bias p, built once."""
+    if (p, atoms) not in _RACES:
+        _RACES[p, atoms] = amd_instance(p, atoms)
+    return _RACES[p, atoms]
 
 
 @st.composite
@@ -1142,14 +1222,17 @@ class TestClosedFormAgainstSimplex:
         letters, conditions, want = CLAUSES[name]
         universe = sorted(letters)
         rows = hand_rows(universe, conditions)
-        q, obstructions = _common_prior(universe, conditions)
+        q, total, obstructions = _common_prior(universe, [
+            (u, a, _scaled(u, p)[0]) for u, a, p in conditions])
         assert (q is None) == (_feasible_point(universe, rows) is None)
         if q is None:
             assert obstructions == want
             replay(universe, conditions, ("prior", *obstructions))
         else:
+            q = {w: Fraction(x, total) for w, x in q.items()}
             assert q == want and solves(universe, rows, q)
             assert obstructions is None
+        assert (q, obstructions) == fraction_common_prior(universe, conditions)
 
     @pytest.mark.parametrize("name", EXAMPLES)
     def test_bundled_examples(self, name):
@@ -1186,6 +1269,117 @@ class TestClosedFormAgainstSimplex:
         probe()
         assert seen >= {"consistent", "vacuously consistent", "inconsistent",
                         "other row", "ratio pair"}
+
+
+def assert_same_as_fraction_closed_form(sef, eu, profile):
+    """Every ConsistencyReport field equals the Fraction closed form's,
+    witnesses included, and each prior holds the same Fractions in the
+    same order."""
+    report = check_dynamic_consistency(sef, eu, profile)
+    want = fraction_closed_form(sef, eu, profile)
+    assert report == want
+    for group, q in report.priors.items():
+        assert list(q.items()) == list(want.priors[group].items())
+        assert {type(x) for x in q.values()} == {Fraction}
+    return report
+
+
+def retyped(taste, how):
+    """The taste with its values written another way, or changed."""
+    if how == "int":
+        return {o: int(v) if v.denominator == 1 else v
+                for o, v in taste.items()}
+    if how == "str":
+        return {o: str(v) for o, v in taste.items()}
+    if how == "extra key":
+        return {**taste, "not an outcome": Fraction(7)}
+    low = min(taste)
+    return {**taste, low: taste[low] + Fraction(1, 2)}
+
+
+class TestIntegerClosedForm:
+    @pytest.mark.parametrize("name", EXAMPLES)
+    def test_bundled_examples(self, name):
+        assert_same_as_fraction_closed_form(*bundled(name)[:3])
+
+    @pytest.mark.parametrize("atoms, p", [
+        *((3, p) for p in BIASES),
+        *((6, p) for p in (Fraction(0), THIRD, HALF, 2 * THIRD,
+                           Fraction(5, 6), Fraction(1)))])
+    def test_exit_race(self, atoms, p):
+        sef, eu, s, prior = exit_race(p, atoms)
+        assert assert_same_as_fraction_closed_form(sef, eu, s).consistent
+        beliefs = {unit: Belief(dict(prior), eu.beliefs[unit].assessment)
+                   for unit in units(sef)}
+        assert_same_as_fraction_closed_form(
+            sef, EUStructure(beliefs, eu.tastes), s)
+
+    @pytest.mark.parametrize("check", range(19))
+    def test_coin_matching_checks(self, check):
+        case, first, picks, p = coin_matching_checks()[check]
+        assert_same_as_fraction_closed_form(*_mp_profile(case, first, picks, p))
+
+    def test_drawn_beliefs(self):
+        seen = set()
+
+        @settings(max_examples=150, deadline=None)
+        @given(drawn_beliefs())
+        def probe(layer):
+            seen.update(assert_same_as_fraction_closed_form(
+                *layer).pair_status.values())
+
+        probe()
+        assert seen == {"consistent", "vacuously consistent", "inconsistent"}
+
+    @pytest.mark.parametrize("how, agrees", [
+        ("int", True), ("str", True), ("extra key", True), ("changed", False)])
+    def test_tastes_compared_by_value(self, how, agrees):
+        # the agent's first unit holds halves as Fractions, its others the
+        # same values rewritten
+        sef, eu, s, _ = bundled("simple")
+        taste = {o: Fraction(k, 2)
+                 for k, o in enumerate(sorted(sef.sdf.forest.outcomes))}
+        first, *others = units(sef)
+        tastes = {first: taste} | {u: retyped(taste, how) for u in others}
+        assert others and {u[0] for u in others} == {first[0]}
+        layer = (sef, EUStructure(eu.beliefs, tastes), s)
+        report = check_dynamic_consistency(*layer)
+        assert report.tastes_consistent == agrees
+        assert report == fraction_closed_form(*layer)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "exform"
+
+
+def fraction_uses(source, name):
+    """Each use of ``Fraction`` or of true division ``/`` or ``/=`` in the
+    named function, unparsed; floor division ``//`` is integer and not
+    listed."""
+    (function,) = [node for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.FunctionDef) and node.name == name]
+    found = []
+    for node in ast.walk(function):
+        if isinstance(node, ast.Name) and node.id == "Fraction" or \
+                isinstance(node, ast.Attribute) and node.attr == "Fraction":
+            found.append(ast.unparse(node))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and \
+                isinstance(node.op, ast.Div):
+            found.append(ast.unparse(node))
+    return found
+
+
+class TestIntegerGuard:
+    def test_scan_sees_each_use(self):
+        source = ("def f(x, y):\n"
+                  "    a = Fraction(x) + fractions.Fraction(y)\n"
+                  "    a /= y\n"
+                  "    return x / y, x // y, 'x / y'\n")
+        assert sorted(fraction_uses(source, "f")) == [
+            "Fraction", "a /= y", "fractions.Fraction", "x / y"]
+
+    def test_common_prior_stays_on_integers(self):
+        source = (SRC / "equil.py").read_text(encoding="utf-8")
+        assert fraction_uses(source, "_common_prior") == []
 
 
 class TestUniformTastes:
@@ -1459,8 +1653,9 @@ def tree_fill_rationality(sef, eu, profile):
     played = functools.partial(fills.outcome, base_tables)
     swept = []   # (unit, plan, the profile's total per block)
     for unit in units(sef):
-        plan = _unit_plan(sef, eu.beliefs[unit], eu.tastes[unit],
-                          information_blocks(sef, *unit))
+        plan = _unit_plan(sef, eu.beliefs[unit].assessment,
+                          _scaled(unit, eu.beliefs[unit].prob)[0],
+                          eu.tastes[unit], information_blocks(sef, *unit))
         totals = [plan.total(played, pairs) for _, pairs, _ in plan.blocks]
         report.payoffs[unit] = {b: plan.value(total, mass) for (b, _, mass), total
                                 in zip(plan.blocks, totals)}
@@ -1523,8 +1718,9 @@ def term_sets(sef, eu, unit):
     agent's information sets with moves in the start's tree."""
     index = sef._index
     sets, moves = info_sets(sef, unit[0])
-    plan = _unit_plan(sef, eu.beliefs[unit], eu.tastes[unit],
-                      information_blocks(sef, *unit))
+    plan = _unit_plan(sef, eu.beliefs[unit].assessment,
+                      _scaled(unit, eu.beliefs[unit].prob)[0],
+                      eu.tastes[unit], information_blocks(sef, *unit))
     found = []
     for _, pairs, _ in plan.blocks:
         for start, _ in pairs:

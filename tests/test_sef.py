@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import comb_parts
+from exform._util import powerset
 from exform.errors import APSEFAxiomViolation, StructureError
 from exform.forest import DecisionForest, immediate_predecessors
 from exform.instances import (
@@ -9,7 +10,12 @@ from exform.instances import (
     SIMPLE_SEF_ROWS,
     TRIVIAL,
     VARIANT_SEF_ROWS,
+    amd_continue_region,
+    amd_event_choice,
+    amd_exit_region,
+    amd_scenarios,
     amd_sef,
+    amd_signal,
     load_example,
     simple_choice_first,
     simple_choice_second,
@@ -65,6 +71,41 @@ class TestValidity:
         assert sef.report.valid
         assert len(sef.sdf.scenarios) == 8
         assert all(len(sef.choices[i]) == 4 for i in sef.agents)
+
+
+def amd_choices_oracle(atoms, agent):
+    """The agent's exit-race choices as amd_sef built them before each
+    outcome's scenario was read once: {event: choice}, one per union of
+    signal blocks, each outcome label split once per event."""
+    scenarios = amd_scenarios(atoms)
+    assignments = {w: int(w[1]) for w in scenarios}
+    ex = amd_exit_region(assignments, agent)
+    ct = amd_continue_region(assignments, agent)
+    blocks = {}
+    for w in scenarios:
+        blocks.setdefault(amd_signal(w, agent), set()).add(w)
+    choices = {}
+    for combo in powerset(sorted(blocks)):
+        event = frozenset().union(*[blocks[s] for s in combo])
+        choices[event] = frozenset(
+            w for w in ex if w.split(":")[0] in event) | frozenset(
+            w for w in ct if w.split(":")[0] not in event)
+    return choices
+
+
+class TestAmdChoices:
+    @pytest.mark.parametrize("atoms", range(3, 9))
+    def test_choice_sets_as_before(self, atoms):
+        sef, _ = amd_sef(atoms)
+        for agent in sef.agents:
+            oracle = amd_choices_oracle(atoms, agent)
+            assert sef.choices[agent] == frozenset(oracle.values())
+            assert len(sef.choices[agent]) == 2 ** atoms
+
+    @pytest.mark.parametrize("agent", [1, 2])
+    def test_event_choice_as_before(self, agent):
+        for event, choice in amd_choices_oracle(3, agent).items():
+            assert amd_event_choice(3, agent, event) == choice
 
 
 class TestAxiomViolations:
