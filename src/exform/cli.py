@@ -22,7 +22,6 @@ from .errors import (
     ExformError,
     InputError,
     StructureError,
-    UnknownExample,
 )
 from .forest import DecisionForest
 from .sdf import RandomMove, StochasticDecisionForest
@@ -152,7 +151,7 @@ def guarded(command):
     def wrapper(*args, **kwargs):
         try:
             return command(*args, **kwargs)
-        except (InputError, UnknownExample) as err:
+        except InputError as err:
             click.echo(f"input error: {err}", err=True)
             raise SystemExit(2)
         except BudgetExceeded as err:
@@ -282,9 +281,7 @@ def outcome(ref, as_json):
     form, _, profile, _ = load_instance(ref)
     if profile is None:
         raise InputError("outcome needs a bundled instance with a profile")
-    tables = play.profile_tables(form, profile)
-    played = {w: play.outcome_from(form, tables, form.sdf.root_of(w))
-              for w in sorted(form.sdf.scenarios)}
+    played = play.scenario_outcomes(form, profile)
     human = "\n".join(f"{w} -> {x}" for w, x in played.items())
     emit(as_json, human, {str(w): str(x) for w, x in played.items()})
 

@@ -7,15 +7,15 @@ halves: dynamic consistency (assessments agree along realized play and
 every pair of belief systems admits a common prior, decided in closed
 form on the beliefs' supports and ratios) and dynamic rationality (no
 agent can improve the conditional payoff at any of its information sets
-by deviating).  A deviation's conditional payoff is linear in what it
-plays at each information set, as in the sequence form, so the
-rationality sweep sums each block from per-information-set partials
-instead of replaying every deviation.  All arithmetic is exact: both
-halves work on integer belief weights over a common denominator, scaled
-once by ``validate_eu``, and build ``Fraction``s only for reported values.
+by deviating).  Both halves share one pass: ``validate_eu`` checks the
+layer and scales its beliefs and tastes to integers once, and outcomes
+are read once, through one ``TreeFills`` memo.  A deviation's conditional
+payoff is linear in what it plays at each information set, as in the
+sequence form, so the rationality sweep sums each block from
+per-information-set partials instead of replaying every deviation.  All
+arithmetic is exact; ``Fraction``s are built only for reported values.
 """
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,7 +27,7 @@ from .errors import (
     NoOutcome,
     ZeroProbabilityBlockRequested,
 )
-from .play import StrategyProfile, TreeFills, outcome_from, profile_tables
+from .play import TreeFills, profile_tables, scenario_outcomes
 from .sef import info_sets, strategies
 
 
@@ -70,23 +70,32 @@ def information_blocks(sef, agent, infoset):
     return frozenset(blocks)
 
 
-def _scaled(unit, prob):
-    """The belief's values as integer weights over their common
-    denominator: ({scenario: weight} on the nonzero values, denominator)."""
+def _scaled(unit, values, what="belief"):
+    """The values as integers over their common denominator, as
+    ({key: integer}, denominator): a belief's nonzero values, or all of a
+    taste's.  A value that is not a number is an ``InputError``."""
     try:
-        values = {w: Fraction(v) for w, v in prob.items()}
+        values = {k: Fraction(v) for k, v in values.items()}
     except (TypeError, ValueError, ArithmeticError) as err:
-        raise InputError(f"belief at {unit!r} is not a probability") from err
+        raise InputError(f"{what} at {unit!r} is not a number") from err
     denominator = lcm(*(q.denominator for q in values.values()))
-    return {w: q.numerator * (denominator // q.denominator)
-            for w, q in values.items() if q}, denominator
+    return {k: q.numerator * (denominator // q.denominator)
+            for k, q in values.items() if q or what == "taste"}, denominator
+
+
+def _scaled_taste(sef, unit, taste):
+    """The taste on the form's outcomes, scaled; equal tastes scale alike."""
+    outcomes = sef.sdf.forest.outcomes
+    return _scaled(unit, {o: v for o, v in taste.items() if o in outcomes},
+                   "taste")
 
 
 def validate_eu(sef, eu):
     """Check coverage and the local probability/assessment invariants;
-    returns each unit's belief scaled by ``_scaled``."""
+    returns each unit's belief and taste, scaled.  A taste equal to its
+    agent's last one shares that scaling, so each is scaled once."""
     outcomes = sef.sdf.forest.outcomes
-    scaled = {}
+    beliefs, tastes, last = {}, {}, {}
     for unit in units(sef):
         if unit not in eu.beliefs:
             raise InputError(f"no belief at {unit!r}")
@@ -96,7 +105,7 @@ def validate_eu(sef, eu):
         belief = eu.beliefs[unit]
         if not set(belief.prob) <= domain:
             raise InputError(f"belief support leaves the domain at {unit!r}")
-        weights, denominator = scaled[unit] = _scaled(unit, belief.prob)
+        weights, denominator = beliefs[unit] = _scaled(unit, belief.prob)
         if sum(weights.values()) != denominator or min(weights.values()) < 0:
             raise InputError(f"belief at {unit!r} is not a probability")
         _, p = unit
@@ -104,9 +113,13 @@ def validate_eu(sef, eu):
             m = belief.assessment.get(w)
             if m not in p.random_moves or w not in m.domain:
                 raise InputError(f"assessment at {unit!r} fails at {w!r}")
-        if not outcomes <= set(eu.tastes[unit]):
+        taste = eu.tastes[unit]
+        if not outcomes <= set(taste):
             raise InputError(f"taste at {unit!r} misses outcomes")
-    return scaled
+        if taste != last.get(unit[0], (None,))[0]:
+            last[unit[0]] = taste, _scaled_taste(sef, unit, taste)
+        tastes[unit] = last[unit[0]][1]
+    return beliefs, tastes
 
 
 def _psi(infoset, sdf, w):
@@ -123,10 +136,10 @@ class _UnitPlan:
     """
     A unit's conditional payoffs in integers, fixed once per unit: each
     positive-mass block keeps its (start move, weight) pairs, the weights
-    over the belief's common denominator, and its mass; the tastes on the
-    outcomes play can reach are integers over ``scale``.  A block's value
-    under a profile is its ``total``, read through the profile's outcome
-    lookup, over mass * scale, so two profiles compare on their totals.
+    over the belief's common denominator, and its mass; the tastes are the
+    unit's scaled taste, integers over ``scale``.  A block's value under a
+    profile is its ``total``, read through the profile's outcome lookup,
+    over mass * scale, so two profiles compare on their totals.
     """
     blocks: list   # (block, [(start move, weight)], mass), sorted by block
     zero: set      # the zero-mass blocks
@@ -140,15 +153,11 @@ class _UnitPlan:
     def value(self, total, mass):
         return Fraction(total, mass * self.scale)
 
-    def values(self, outcome):
-        return {b: self.value(self.total(outcome, pairs), mass)
-                for b, pairs, mass in self.blocks}
 
-
-def _unit_plan(sef, assessment, weight, taste, blocks):
+def _unit_plan(assessment, weight, taste, blocks):
     """The unit's plan over the given information blocks, from its belief's
-    integer weights."""
-    plan, zero, support = [], set(), set()
+    integer weights and its scaled taste."""
+    plan, zero = [], set()
     for b in sorted(blocks, key=sorted):
         reached = [w for w in sorted(b) if w in weight]
         mass = sum(weight[w] for w in reached)
@@ -157,12 +166,7 @@ def _unit_plan(sef, assessment, weight, taste, blocks):
             continue
         plan.append((b, [(assessment[w](w), weight[w]) for w in reached],
                      mass))
-        support.update(reached)
-    outcomes = frozenset().union(*map(sef.sdf.root_of, support))
-    tastes = {o: Fraction(taste[o]) for o in outcomes if o in taste}
-    scale = lcm(*(q.denominator for q in tastes.values()))
-    return _UnitPlan(plan, zero, {o: q.numerator * (scale // q.denominator)
-                                  for o, q in tastes.items()}, scale)
+    return _UnitPlan(plan, zero, *taste)
 
 
 def expected_payoff(sef, eu, profile, agent, infoset, block=None):
@@ -180,12 +184,14 @@ def expected_payoff(sef, eu, profile, agent, infoset, block=None):
             raise InputError(f"not an information block: {sorted(block)}")
         blocks = {block}
     belief = eu.beliefs[unit]
-    plan = _unit_plan(sef, belief.assessment, _scaled(unit, belief.prob)[0],
-                      eu.tastes[unit], blocks)
+    plan = _unit_plan(belief.assessment, _scaled(unit, belief.prob)[0],
+                      _scaled_taste(sef, unit, eu.tastes[unit]), blocks)
     if block is not None and block in plan.zero:
         raise ZeroProbabilityBlockRequested(
             f"block {sorted(block)} has probability zero at {unit!r}")
-    return plan.values(functools.partial(outcome_from, sef, tables))
+    outcome = TreeFills(sef).reader(tables)
+    return {b: plan.value(plan.total(outcome, pairs), mass)
+            for b, pairs, mass in plan.blocks}
 
 
 @dataclass
@@ -239,8 +245,8 @@ class _Deviations:
                     table = {x: g[0] for (xs, _), g in zip(grouped, groups)
                              for x in xs}
                     try:
-                        value, error = weight * taste[self.fills.outcome(
-                            {**self.tables, self.agent: table}, start)], None
+                        value, error = weight * taste[self.fills.reader(
+                            {**self.tables, self.agent: table})(start)], None
                     except (NoOutcome, MultipleOutcomes) as err:
                         value, error = 0, (n, err)
                     for choices in itertools.product(*groups):
@@ -269,6 +275,16 @@ def _deviation_total(parts, at):
     return total
 
 
+def _pass(sef, eu, profile):
+    """One pass over the layer under the profile, shared by both halves:
+    the scaled beliefs and tastes, the profile's tables, one ``TreeFills``
+    memo and the profile's outcome reader on it."""
+    beliefs, tastes = validate_eu(sef, eu)
+    tables = profile_tables(sef, profile)
+    fills = TreeFills(sef)
+    return beliefs, tastes, tables, fills, fills.reader(tables)
+
+
 def check_dynamic_rationality(sef, eu, profile):
     """
     Exhaustive one-agent deviation check: at every info set of every
@@ -276,31 +292,29 @@ def check_dynamic_rationality(sef, eu, profile):
     unilateral deviation on every positive-probability block.  Each unit's
     plan is built once, and a deviation is compared with the profile on
     the integer totals of the plan's blocks.  The profile's terms read
-    their outcomes from one ``TreeFills`` memo; a deviation's block total
+    their outcomes through the pass's reader; a deviation's block total
     is the sum of the block's partials at its choices (``_Deviations``),
-    each term read through the same memo once per distinct slice tuple of
-    the deviating agent's information sets in the term's tree.  The cost
-    follows terms times distinct slice tuples plus deviations times the
-    blocks' information-set groups.
+    each term read through the same ``TreeFills`` memo once per distinct
+    slice tuple of the deviating agent's information sets in the term's
+    tree.  The cost follows terms times distinct slice tuples plus
+    deviations times the blocks' information-set groups.
     """
-    if isinstance(profile, dict):
-        profile = StrategyProfile(profile)
-    scaled = validate_eu(sef, eu)
+    return _rationality(sef, eu, *_pass(sef, eu, profile))
+
+
+def _rationality(sef, eu, beliefs, tastes, tables, fills, outcome):
     report = RationalityReport(True, {})
-    base_tables = profile_tables(sef, profile)
-    fills = TreeFills(sef)
-    played = functools.partial(fills.outcome, base_tables)
     swept = []   # (unit, plan, the profile's total per block)
     for unit in units(sef):
-        plan = _unit_plan(sef, eu.beliefs[unit].assessment, scaled[unit][0],
-                          eu.tastes[unit], information_blocks(sef, *unit))
-        totals = [plan.total(played, pairs) for _, pairs, _ in plan.blocks]
+        plan = _unit_plan(eu.beliefs[unit].assessment, beliefs[unit][0],
+                          tastes[unit], information_blocks(sef, *unit))
+        totals = [plan.total(outcome, pairs) for _, pairs, _ in plan.blocks]
         report.payoffs[unit] = {b: plan.value(total, mass) for (b, _, mass), total
                                 in zip(plan.blocks, totals)}
         report.zero_blocks[unit] = plan.zero
         swept.append((unit, plan, totals))
     for i in sef.agents:
-        deviations = _Deviations(sef, fills, base_tables, i)
+        deviations = _Deviations(sef, fills, tables, i)
         own = [(unit, plan, totals, [deviations.parts(plan.taste, pairs)
                                      for _, pairs, _ in plan.blocks])
                for unit, plan, totals in swept if unit[0] == i]
@@ -415,24 +429,20 @@ def check_dynamic_consistency(sef, eu, profile):
     prior is decided in closed form by ``_common_prior`` on the beliefs'
     integer weights and re-checked exactly against every conditioning row.
     """
-    if isinstance(profile, dict):
-        profile = StrategyProfile(profile)
-    scaled = validate_eu(sef, eu)
+    return _consistency(sef, eu, *_pass(sef, eu, profile))
+
+
+def _consistency(sef, eu, beliefs, tastes, tables, fills, outcome):
     sdf = sef.sdf
-    tastes_ok = True
-    by_agent = {}
-    for (i, p), taste in eu.tastes.items():
-        seen = by_agent.setdefault(i, taste)
-        if seen != taste and any(Fraction(seen[w]) != Fraction(taste[w])
-                                 for w in sdf.forest.outcomes):
-            tastes_ok = False
+    first = {}
+    tastes_ok = all(first.setdefault(unit[0], taste) == taste
+                    for unit, taste in tastes.items())
     report = ConsistencyReport(True, tastes_ok)
-    tables = profile_tables(sef, profile)
     my_units = units(sef)
     outs = {}
     for unit in my_units:
         belief = eu.beliefs[unit]
-        outs[unit] = {w: outcome_from(sef, tables, belief.assessment[w](w))
+        outs[unit] = {w: outcome(belief.assessment[w](w))
                       for w in unit_domain(unit)}
     groups = [frozenset({u}) for u in my_units]
     groups += [frozenset(pair) for pair in itertools.combinations(my_units, 2)]
@@ -441,7 +451,6 @@ def check_dynamic_consistency(sef, eu, profile):
         status = "consistent"
         witness = None
         domains = {u: unit_domain(u) for u in members}
-        events = {}
         reached = {}
         for ua, ub in _ordered_directions(members):
             belief_a = eu.beliefs[ua]
@@ -461,14 +470,13 @@ def check_dynamic_consistency(sef, eu, profile):
             event = frozenset(
                 w for w in domains[ua] & domains[ub]
                 if belief_a.assessment[w](w) >= belief_b.assessment[w](w))
-            events[(ua, ub)] = event
+            report.events[(ua, ub)] = event
             reached[(ua, ub)] = (domains[ub] - event) | frozenset(
                 w for w in event if psi[w] is not None)
-        report.events.update(events)
         if status != "inconsistent":
             universe = sorted(frozenset().union(*domains.values()))
             q, total, obstructions = _common_prior(universe, [
-                (ub, reached[(ua, ub)], scaled[ub][0])
+                (ub, reached[(ua, ub)], beliefs[ub][0])
                 for ua, ub in _ordered_directions(members)])
             if q is None:
                 status = "inconsistent"
@@ -482,7 +490,7 @@ def check_dynamic_consistency(sef, eu, profile):
                         vacuous = True
                         continue
                     # p_b(w0) q(A) = q(w0), both sides times D_b * total
-                    weights, denominator = scaled[ub]
+                    weights, denominator = beliefs[ub]
                     for w0 in sorted(domains[ub]):
                         lhs = weights.get(w0, 0) * a_mass
                         rhs = q[w0] * denominator if w0 in a_set else 0
@@ -500,9 +508,8 @@ def check_dynamic_consistency(sef, eu, profile):
         report.pair_status[group] = status
         if witness is not None:
             report.witnesses[group] = witness
-        if status == "inconsistent":
-            report.consistent = False
-    report.consistent = report.consistent and tastes_ok
+    report.consistent = tastes_ok and \
+        "inconsistent" not in report.pair_status.values()
     return report
 
 
@@ -517,9 +524,10 @@ class EquilibriumReport:
 
 
 def verify_equilibrium(sef, eu, profile):
-    """Consistency and rationality, conjoined."""
-    consistency = check_dynamic_consistency(sef, eu, profile)
-    rationality = check_dynamic_rationality(sef, eu, profile)
+    """Consistency and rationality, conjoined, on one shared pass."""
+    shared = _pass(sef, eu, profile)
+    consistency = _consistency(sef, eu, *shared)
+    rationality = _rationality(sef, eu, *shared)
     return EquilibriumReport(consistency, rationality,
                              bool(consistency) and rationality.rational)
 
@@ -534,10 +542,8 @@ def bayes_beliefs(sef, prior, profile):
     restricted to the domain.  Assessments point at the member reached,
     else at the first member defined on the scenario.
     """
-    tables = profile_tables(sef, profile)
+    played = scenario_outcomes(sef, profile)
     prior = {w: Fraction(v) for w, v in prior.items()}
-    played = {w: outcome_from(sef, tables, sef.sdf.root_of(w))
-              for w in sef.sdf.scenarios}
     beliefs = {}
     for unit in units(sef):
         _, p = unit

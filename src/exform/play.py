@@ -3,21 +3,21 @@ Outcome induction and well-posedness.
 
 A strategy profile together with a history determines which outcomes
 survive every on-path choice.  In a finite forest every history is the
-up-set of a move, its core, so the outcomes a profile induces from any
-history are read from one bottom-up pass over the forest, memoised on the
-profile's tables.
+up-set of a move, its core, so the outcomes a profile induces from a
+history are those ``_compatible_below`` fills bottom-up from the core.
+``outcome_from`` answers one query with a fresh walk below the core.
 
 A move lies in one scenario's tree, and everything below it lies inside
 that tree's root r, so a query from the move reads each choice c the
-profile plays at the tree's moves only through its slice c & r.  The
-strategy-sized loops, the deviation sweep of the rationality check and
-the direct well-posedness check, read through one per-call memo,
+profile plays at the tree's moves only through its slice c & r.  Every
+caller that makes several queries reads through one per-call memo,
 ``TreeFills``: it fills a tree once per distinct signature, the slices
 the profile's tables hold at that tree's moves, and every profile that
-agrees with it on the tree reads that fill.  The sweep reads a term once
-per distinct slice of the deviating agent's choices in its tree, from
-the form's menus grouped by slice; the well-posedness check walks the
-histories in a total order, each as its sorted list of sorted nodes.
+agrees with it on the tree reads that fill.  A profile's reader keys
+each tree once; the deviation sweep reads a term once per distinct slice
+of the deviating agent's choices in its tree, and the well-posedness
+check walks the histories in a total order, each as its sorted list of
+sorted nodes.
 Well-posedness is also decided by the order-theoretic classification of
 the underlying forest.
 """
@@ -98,8 +98,7 @@ def reduction_set(sef, w, profile, h):
 def outcome_report(sef, profile, h):
     hbar, core = _core(sef, h)
     tables = profile_tables(sef, profile)
-    compatible = sorted(_compatible_below(sef, tables, core,
-                                          tables.compatible))
+    compatible = sorted(_compatible_below(sef, tables, core, {}))
     reduction = {w: _reduction(sef, tables, w, core) for w in sorted(core)}
     if not compatible:
         induced, failure = None, "no-outcome"
@@ -121,32 +120,18 @@ def induced_outcome(sef, profile, h):
     return report.induced
 
 
-class ProfileTables(dict):
-    """
-    One move-level lookup per agent (agent -> {move: choice}), read-only
-    once built, with the memo ``_compatible_below`` fills: move -> the
-    outcomes below it that survive every active agent's choice on the way
-    down.
-    """
-
-    def __init__(self, tables):
-        super().__init__(tables)
-        self.compatible = {}
-
-
 def profile_tables(sef, profile):
     """
-    The move-level lookup of the profile, one table per agent, built once
-    for repeated outcome queries.  The tables are read-only once built:
-    every compatible-outcome query on them goes through one memoised
-    bottom-up pass over the forest, shared by all queries.
+    The move-level lookup of the profile, one table per agent
+    (agent -> {move: choice}), built once for repeated outcome queries;
+    the tables are read-only once built.
     """
     if isinstance(profile, dict):
         profile = StrategyProfile(profile)
     if set(profile.strategies) != set(sef.agents):
         raise InputError("the profile must name every agent exactly once")
-    return ProfileTables({i: convert_strategy(sef, profile.strategies[i], "move")
-                          for i in sef.agents})
+    return {i: convert_strategy(sef, profile.strategies[i], "move")
+            for i in sef.agents}
 
 
 def _compatible_below(sef, tables, x, memo):
@@ -186,16 +171,15 @@ def _one_outcome(found, node):
 
 def outcome_from(sef, tables, node):
     """
-    The unique outcome the precomputed tables induce from a node on,
-    answered from the tables' memo at the core of the history ``up(node)``
-    (the node itself when it is a move); a terminal node is no history
-    and raises ``NotAHistory``.
+    The unique outcome the precomputed tables induce from a node on, from
+    a fresh walk below the core of the history ``up(node)`` (the node
+    itself when it is a move); a terminal node is no history and raises
+    ``NotAHistory``.
     """
     core = node
     if node not in sef.sdf.forest.moves():
         _, core = _core(sef, sef.sdf.forest.up(node))
-    return _one_outcome(
-        _compatible_below(sef, tables, core, tables.compatible), node)
+    return _one_outcome(_compatible_below(sef, tables, core, {}), node)
 
 
 class TreeFills:
@@ -237,10 +221,30 @@ class TreeFills:
             _compatible_below(self.sef, tables, key[0], fill)
         return fill
 
-    def outcome(self, tables, x):
-        """``outcome_from`` the move x, read from the fill of its tree."""
-        return _one_outcome(
-            self.fill(tables, self.key(tables, self.root[x]))[x], x)
+    def reader(self, tables):
+        """``outcome_from`` under the tables, as a function of the node: each
+        tree's key is computed and its fill found once, and each move's
+        outcome read once; a node that is no move goes to ``outcome_from``."""
+        found, trees = {}, {}   # move -> outcome; root -> fill
+
+        def outcome(x):
+            if x not in found:
+                root = self.root.get(x)
+                if root is None:
+                    return outcome_from(self.sef, tables, x)
+                if root not in trees:
+                    trees[root] = self.fill(tables, self.key(tables, root))
+                found[x] = _one_outcome(trees[root][x], x)
+            return found[x]
+
+        return outcome
+
+
+def scenario_outcomes(sef, profile):
+    """The outcome the profile's play reaches in each scenario, from the
+    root of its tree, scenarios in sorted order."""
+    outcome = TreeFills(sef).reader(profile_tables(sef, profile))
+    return {w: outcome(sef.sdf.root_of(w)) for w in sorted(sef.sdf.scenarios)}
 
 
 @dataclass

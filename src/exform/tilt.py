@@ -12,7 +12,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._util import budget
 from .errors import (
+    BudgetExceeded,
     GridAxiomViolation,
     InputError,
     TailWindowInconclusive,
@@ -37,6 +39,10 @@ from .vtime import (
 )
 
 OMEGA_SQ = Ordinal(((2, 1),))
+
+# default cap of the deepest grid depth a tilting window inspects;
+# EXFORM_BUDGET overrides it
+DEPTH_CAP = 10 ** 4
 
 
 @dataclass(frozen=True)
@@ -437,6 +443,9 @@ def tilting_limit(process, family, probes=None, window=Window()):
     filled-in vertical extent are read off by left extension: constant
     continuation of the values just below it.
     """
+    cap = budget(DEPTH_CAP)
+    if window.stop > cap:
+        raise BudgetExceeded(f"window depth {window.stop} exceeds {cap}")
     if probes is None:
         probes = default_probes(process, family, window)
     table = {}

@@ -374,6 +374,19 @@ class TestTiltCommand:
         assert data["window"] == "2:20:6"
         assert data["table"] == {"(0, 1)": 1, "(0, w)": 0}
 
+    @pytest.mark.parametrize("stop, code", [(30, 0), (31, 3)])
+    def test_window_depth_cap(self, stop, code):
+        # the deepest grid depth of the window counts against the budget
+        result = CliRunner().invoke(
+            cli, ["tilt", "--family", "dyadic", "--kappa", "1",
+                  "--window", f"4:{stop}:8"], env={"EXFORM_BUDGET": "30"})
+        assert result.exit_code == code
+        if code:
+            assert result.output == \
+                f"undecided: window depth {stop} exceeds 30\n"
+        else:
+            assert "Limit 1[0, (0, 1))" in result.output
+
     def test_bad_specs_are_input_errors(self):
         assert run("tilt", "--family", "dyadic",
                    "--kappa", "alt:1").exit_code == 2

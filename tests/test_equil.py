@@ -1,5 +1,4 @@
 import ast
-import functools
 import itertools
 import re
 from fractions import Fraction
@@ -10,12 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exform import equil
 from exform.equil import (
     Belief,
     EUStructure,
     ConsistencyReport,
     RationalityReport,
-    _unit_plan,
+    _Deviations,
+    _UnitPlan,
+    _deviation_total,
     _common_prior,
     _scaled,
     _ordered_directions,
@@ -34,6 +36,7 @@ from exform.equil import (
 from exform.errors import (
     BudgetExceeded,
     EnumerationBudgetExceeded,
+    ExformError,
     InputError,
     MultipleOutcomes,
     NoOutcome,
@@ -1643,6 +1646,27 @@ class TestRationalityOracle:
 # deviation builds its move table and reads every (start move, weight) term
 # through the tree-fill memo.  Kept verbatim as the oracle.
 
+def fraction_taste_plan(sef, assessment, weight, taste, blocks):
+    """``_unit_plan`` as it was before validation scaled the tastes: the
+    tastes on the outcomes play can reach converted to ``Fraction`` per
+    unit and put over their own common denominator."""
+    plan, zero, support = [], set(), set()
+    for b in sorted(blocks, key=sorted):
+        reached = [w for w in sorted(b) if w in weight]
+        mass = sum(weight[w] for w in reached)
+        if mass == 0:
+            zero.add(b)
+            continue
+        plan.append((b, [(assessment[w](w), weight[w]) for w in reached],
+                     mass))
+        support.update(reached)
+    outcomes = frozenset().union(*map(sef.sdf.root_of, support))
+    tastes = {o: Fraction(taste[o]) for o in outcomes if o in taste}
+    scale = lcm(*(q.denominator for q in tastes.values()))
+    return _UnitPlan(plan, zero, {o: q.numerator * (scale // q.denominator)
+                                  for o, q in tastes.items()}, scale)
+
+
 def tree_fill_rationality(sef, eu, profile):
     if isinstance(profile, dict):
         profile = StrategyProfile(profile)
@@ -1650,12 +1674,13 @@ def tree_fill_rationality(sef, eu, profile):
     report = RationalityReport(True, {})
     base_tables = profile_tables(sef, profile)
     fills = TreeFills(sef)
-    played = functools.partial(fills.outcome, base_tables)
+    played = fills.reader(base_tables)
     swept = []   # (unit, plan, the profile's total per block)
     for unit in units(sef):
-        plan = _unit_plan(sef, eu.beliefs[unit].assessment,
-                          _scaled(unit, eu.beliefs[unit].prob)[0],
-                          eu.tastes[unit], information_blocks(sef, *unit))
+        plan = fraction_taste_plan(sef, eu.beliefs[unit].assessment,
+                                   _scaled(unit, eu.beliefs[unit].prob)[0],
+                                   eu.tastes[unit],
+                                   information_blocks(sef, *unit))
         totals = [plan.total(played, pairs) for _, pairs, _ in plan.blocks]
         report.payoffs[unit] = {b: plan.value(total, mass) for (b, _, mass), total
                                 in zip(plan.blocks, totals)}
@@ -1667,7 +1692,7 @@ def tree_fill_rationality(sef, eu, profile):
         for t in deviations:
             tables = dict(base_tables)
             tables[i] = convert_strategy(sef, t, "move")
-            outcome = functools.partial(fills.outcome, tables)
+            outcome = fills.reader(tables)
             for unit, plan, totals in own:
                 for (b, pairs, mass), base in zip(plan.blocks, totals):
                     total = plan.total(outcome, pairs)
@@ -1718,9 +1743,9 @@ def term_sets(sef, eu, unit):
     agent's information sets with moves in the start's tree."""
     index = sef._index
     sets, moves = info_sets(sef, unit[0])
-    plan = _unit_plan(sef, eu.beliefs[unit].assessment,
-                      _scaled(unit, eu.beliefs[unit].prob)[0],
-                      eu.tastes[unit], information_blocks(sef, *unit))
+    plan = fraction_taste_plan(sef, eu.beliefs[unit].assessment,
+                               _scaled(unit, eu.beliefs[unit].prob)[0],
+                               eu.tastes[unit], information_blocks(sef, *unit))
     found = []
     for _, pairs, _ in plan.blocks:
         for start, _ in pairs:
@@ -1888,3 +1913,251 @@ class TestPartialSums:
             check_dynamic_rationality(sef, eu, profile)
         assert str(got.value) == str(want.value)
         assert "v:1" in str(got.value)
+
+
+# --- the two-pass verify -------------------------------------------------------
+# verify_equilibrium as it was before one pass served both halves: each half
+# validates the layer for itself, consistency reads its assessed outcomes
+# through ``outcome_from`` and compares tastes by value with a ``Fraction``
+# fallback, and rationality scales the tastes per unit.  Kept as the oracle.
+
+def two_pass_consistency(sef, eu, profile):
+    if isinstance(profile, dict):
+        profile = StrategyProfile(profile)
+    validate_eu(sef, eu)
+    scaled = {u: _scaled(u, eu.beliefs[u].prob) for u in units(sef)}
+    sdf = sef.sdf
+    tastes_ok = True
+    by_agent = {}
+    for (i, p), taste in eu.tastes.items():
+        seen = by_agent.setdefault(i, taste)
+        if seen != taste and any(Fraction(seen[w]) != Fraction(taste[w])
+                                 for w in sdf.forest.outcomes):
+            tastes_ok = False
+    report = ConsistencyReport(True, tastes_ok)
+    tables = profile_tables(sef, profile)
+    my_units = units(sef)
+    outs = {}
+    for unit in my_units:
+        belief = eu.beliefs[unit]
+        outs[unit] = {w: outcome_from(sef, tables, belief.assessment[w](w))
+                      for w in unit_domain(unit)}
+    groups = [frozenset({u}) for u in my_units]
+    groups += [frozenset(pair) for pair in itertools.combinations(my_units, 2)]
+    for group in groups:
+        members = sorted(group, key=repr)
+        status = "consistent"
+        witness = None
+        domains = {u: unit_domain(u) for u in members}
+        events = {}
+        reached = {}
+        for ua, ub in _ordered_directions(members):
+            belief_a = eu.beliefs[ua]
+            belief_b = eu.beliefs[ub]
+            psi = {}
+            for w in sorted(domains[ua]):
+                m = psi[w] = _psi(ub[1], sdf, outs[ua][w])
+                if m is None:
+                    continue
+                if belief_a.assessment[w](w) >= m(w) and \
+                        belief_b.assessment[w] != m:
+                    status = "inconsistent"
+                    witness = ("assessment", ub, w, m)
+                    break
+            if witness:
+                break
+            event = frozenset(
+                w for w in domains[ua] & domains[ub]
+                if belief_a.assessment[w](w) >= belief_b.assessment[w](w))
+            events[(ua, ub)] = event
+            reached[(ua, ub)] = (domains[ub] - event) | frozenset(
+                w for w in event if psi[w] is not None)
+        report.events.update(events)
+        if status != "inconsistent":
+            universe = sorted(frozenset().union(*domains.values()))
+            q, total, obstructions = _common_prior(universe, [
+                (ub, reached[(ua, ub)], scaled[ub][0])
+                for ua, ub in _ordered_directions(members)])
+            if q is None:
+                status = "inconsistent"
+                witness = ("prior", *obstructions)
+            else:
+                vacuous = False
+                for ua, ub in _ordered_directions(members):
+                    a_set = reached[(ua, ub)]
+                    a_mass = sum(q[w] for w in a_set)
+                    if a_mass == 0:
+                        vacuous = True
+                        continue
+                    weights, denominator = scaled[ub]
+                    for w0 in sorted(domains[ub]):
+                        lhs = weights.get(w0, 0) * a_mass
+                        rhs = q[w0] * denominator if w0 in a_set else 0
+                        if lhs != rhs:
+                            status = "inconsistent"
+                            witness = ("prior", ub, w0)
+                            break
+                    if status == "inconsistent":
+                        break
+                if status == "consistent":
+                    report.priors[group] = {w: Fraction(x, total)
+                                            for w, x in q.items()}
+                    if vacuous:
+                        status = "vacuously consistent"
+        report.pair_status[group] = status
+        if witness is not None:
+            report.witnesses[group] = witness
+        if status == "inconsistent":
+            report.consistent = False
+    report.consistent = report.consistent and tastes_ok
+    return report
+
+
+def two_pass_rationality(sef, eu, profile):
+    if isinstance(profile, dict):
+        profile = StrategyProfile(profile)
+    validate_eu(sef, eu)
+    report = RationalityReport(True, {})
+    base_tables = profile_tables(sef, profile)
+    fills = TreeFills(sef)
+    played = fills.reader(base_tables)
+    swept = []
+    for unit in units(sef):
+        plan = fraction_taste_plan(sef, eu.beliefs[unit].assessment,
+                                   _scaled(unit, eu.beliefs[unit].prob)[0],
+                                   eu.tastes[unit],
+                                   information_blocks(sef, *unit))
+        totals = [plan.total(played, pairs) for _, pairs, _ in plan.blocks]
+        report.payoffs[unit] = {b: plan.value(total, mass) for (b, _, mass), total
+                                in zip(plan.blocks, totals)}
+        report.zero_blocks[unit] = plan.zero
+        swept.append((unit, plan, totals))
+    for i in sef.agents:
+        deviations = _Deviations(sef, fills, base_tables, i)
+        own = [(unit, plan, totals, [deviations.parts(plan.taste, pairs)
+                                     for _, pairs, _ in plan.blocks])
+               for unit, plan, totals in swept if unit[0] == i]
+        for t in strategies(sef, i):
+            at = deviations.choices(t)
+            for unit, plan, totals, split in own:
+                for (b, _, mass), base, parts in zip(plan.blocks, totals, split):
+                    total = _deviation_total(parts, at)
+                    if total > base:
+                        report.rational = False
+                        report.witnesses.append(
+                            (i, unit[1], t, b, report.payoffs[unit][b],
+                             plan.value(total, mass)))
+                        break
+    return report
+
+
+def outcome_or_error(check, *args):
+    """The check's result, or the type and message of what it raised."""
+    try:
+        return check(*args)
+    except ExformError as err:
+        return type(err), str(err)
+
+
+def assert_same_as_two_pass(sef, eu, profile):
+    """Every field of both reports equals the two-pass verify's, in order,
+    priors as the same Fractions; or both raise the same error."""
+    report = outcome_or_error(verify_equilibrium, sef, eu, profile)
+    consistency = outcome_or_error(two_pass_consistency, sef, eu, profile)
+    if isinstance(consistency, tuple):
+        assert report == consistency
+        return None
+    rationality = outcome_or_error(two_pass_rationality, sef, eu, profile)
+    if isinstance(rationality, tuple):
+        assert report == rationality
+        return None
+    got, want = report.consistency, consistency
+    assert got == want
+    for name in ("events", "pair_status", "witnesses", "priors"):
+        assert list(getattr(got, name).items()) \
+            == list(getattr(want, name).items())
+    for group, q in got.priors.items():
+        assert list(q.items()) == list(want.priors[group].items())
+    got, want = report.rationality, rationality
+    assert got == want
+    assert [(u, list(v.items())) for u, v in got.payoffs.items()] \
+        == [(u, list(v.items())) for u, v in want.payoffs.items()]
+    assert got.witnesses == want.witnesses
+    assert list(got.zero_blocks.items()) == list(want.zero_blocks.items())
+    assert report.in_equilibrium == (bool(consistency) and rationality.rational)
+    return report
+
+
+MALFORMED = [None, float("nan"), "x", float("inf"), "1/0"]
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("name", EXAMPLES)
+    def test_bundled_examples(self, name):
+        assert assert_same_as_two_pass(*bundled(name)[:3]) is not None
+
+    @pytest.mark.parametrize("atoms, p", [
+        *((3, Fraction(k, 3)) for k in range(4)),
+        *((6, Fraction(k, 6)) for k in range(7))])
+    def test_exit_race(self, atoms, p):
+        report = assert_same_as_two_pass(*exit_race(p, atoms)[:3])
+        assert report.in_equilibrium == (p == 2 * THIRD)
+
+    @pytest.mark.parametrize("check", range(19))
+    def test_coin_matching_checks(self, check):
+        case, first, picks, p = coin_matching_checks()[check]
+        assert assert_same_as_two_pass(
+            *_mp_profile(case, first, picks, p)) is not None
+
+    @settings(max_examples=60, deadline=None)
+    @given(drawn_beliefs())
+    def test_drawn_beliefs(self, layer):
+        assert_same_as_two_pass(*layer)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(drawn_layers(), dealt_layers()))
+    def test_drawn_layers(self, layer):
+        assert_same_as_two_pass(*layer)
+
+    def test_one_validation_per_verify(self, monkeypatch):
+        calls = []
+
+        def counted(sef, eu):
+            calls.append(eu)
+            return validate_eu(sef, eu)
+
+        monkeypatch.setattr(equil, "validate_eu", counted)
+        sef, eu, s, _ = exit_race(2 * THIRD, 6)
+        assert verify_equilibrium(sef, eu, s)
+        assert calls == [eu]
+        check_dynamic_consistency(sef, eu, s)
+        check_dynamic_rationality(sef, eu, s)
+        assert calls == [eu] * 3
+
+    def test_one_scaling_per_distinct_taste(self, monkeypatch):
+        # uniform_tastes gives each unit its own dict with the agent's
+        # values, so each agent's taste is scaled once
+        calls = []
+        scaled_taste = equil._scaled_taste
+
+        def counted(sef, unit, taste):
+            calls.append(unit[0])
+            return scaled_taste(sef, unit, taste)
+
+        monkeypatch.setattr(equil, "_scaled_taste", counted)
+        sef, eu, s, _ = bundled("mp-case1")
+        assert len({u[0] for u in units(sef)}) < len(units(sef))
+        validate_eu(sef, eu)
+        assert sorted(calls) == sorted(sef.agents)
+
+    @pytest.mark.parametrize("value", MALFORMED, ids=repr)
+    def test_malformed_taste_value_rejected(self, value):
+        sef, eu, s, _ = load_example("amd")
+        unit = units(sef)[-1]
+        eu.tastes[unit] = {**eu.tastes[unit], min(eu.tastes[unit]): value}
+        for check in (validate_eu, check_dynamic_consistency,
+                      check_dynamic_rationality, verify_equilibrium):
+            with pytest.raises(InputError, match=re.escape(repr(unit))):
+                check(sef, eu) if check is validate_eu else check(sef, eu, s)
+        with pytest.raises(InputError, match=re.escape(repr(unit))):
+            expected_payoff(sef, eu, s, *unit)

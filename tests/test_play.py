@@ -1,5 +1,7 @@
+import ast
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import comb_parts, make_rng, random_strict_sef
 from exform import equil, play
 from exform._util import budget
-from exform.equil import check_dynamic_rationality, units
+from exform.equil import check_dynamic_rationality, units, verify_equilibrium
 from exform.errors import (
     EnumerationBudgetExceeded,
     MultipleOutcomes,
@@ -373,10 +375,9 @@ def wellposed_by_profile_tables(sef):
             p for i in sef.agents for p in info_sets(sef, i)[0]
             if not sef.available_at(i, next(iter(p.random_moves))))
     for profile in profiles:
-        tables = profile_tables(sef, profile)
+        tables, memo = profile_tables(sef, profile), {}
         for h in hs:
-            compatible = sorted(_compatible_below(sef, tables, cores[h],
-                                                  tables.compatible))
+            compatible = sorted(_compatible_below(sef, tables, cores[h], memo))
             attained[h].update(compatible)
             if not compatible:
                 report.existence = False
@@ -483,18 +484,35 @@ class TestTreeFills:
         assert len(fill_count) == len(signatures)
         assert 4 * len(signatures) < queries
 
+    @pytest.mark.parametrize("atoms", [3, 6])
+    def test_verify_fills_no_more_than_rationality(self, atoms, fill_count):
+        # consistency reads its assessed outcomes from the fills the
+        # rationality half reads too
+        sef, eu, s, _ = amd_instance(Fraction(2, 3), atoms)
+        fill_count.clear()
+        check_dynamic_rationality(sef, eu, s)
+        alone = len(fill_count)
+        fill_count.clear()
+        assert verify_equilibrium(sef, eu, s)
+        assert len(fill_count) <= alone
+
 
 @pytest.fixture
 def read_count(monkeypatch):
     """The starts of the tree-fill reads made so far, and per deviating
     agent the number its partial sums made; clear both to start counting."""
     reads, by_agent = [], {}
-    outcome = play.TreeFills.outcome
+    reader = play.TreeFills.reader
     parts = equil._Deviations.parts
 
-    def counted(self, tables, x):
-        reads.append(x)
-        return outcome(self, tables, x)
+    def counted_reader(self, tables):
+        read = reader(self, tables)
+
+        def counted(x):
+            reads.append(x)
+            return read(x)
+
+        return counted
 
     def counted_parts(self, taste, pairs):
         before = len(reads)
@@ -502,7 +520,7 @@ def read_count(monkeypatch):
         by_agent[self.agent] = by_agent.get(self.agent, 0) + len(reads) - before
         return found
 
-    monkeypatch.setattr(play.TreeFills, "outcome", counted)
+    monkeypatch.setattr(play.TreeFills, "reader", counted_reader)
     monkeypatch.setattr(equil._Deviations, "parts", counted_parts)
     return reads, by_agent
 
@@ -536,6 +554,7 @@ class TestWorkCounts:
         assert case == 3
         sef, eu, s = _mp_profile(case, first, picks, p)
         assert len(strategies(sef, "j")) == 256
+        reads.clear()
         fill_count.clear()
         check_dynamic_rationality(sef, eu, s)
         # 16 terms per agent, 2 slices each in every tree
@@ -626,3 +645,47 @@ class TestOutcomeReport:
         assert report.reduction["o1:11"] == {"o1:11"}
         assert all(w not in r for w, r in report.reduction.items()
                    if w != "o1:11")
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "exform"
+
+
+def named(source):
+    """Every name, attribute and imported name the source uses; strings
+    and comments do not count."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found
+
+
+class TestOneOutcomeEngine:
+    """Compatible outcomes are filled in ``play`` alone, and the modules
+    that read several outcomes of one profile read them through
+    ``TreeFills``, not through one-off ``outcome_from`` walks."""
+
+    def test_scan_sees_each_use(self):
+        source = ("from .play import outcome_from as read\n"
+                  "def f(sef):\n"
+                  "    return play._compatible_below(sef), g, 'h'  # k\n")
+        assert named(source) == {"outcome_from", "_compatible_below", "play",
+                                 "sef", "g"}
+
+    def test_fills_only_in_play(self):
+        naming = [path.name for path in sorted(SRC.glob("*.py"))
+                  if "_compatible_below" in named(path.read_text())]
+        assert naming == ["play.py"]
+
+    @pytest.mark.parametrize("module", ["equil.py", "cli.py"])
+    def test_no_one_off_reads(self, module):
+        assert "outcome_from" not in named((SRC / module).read_text())
+
+    def test_profile_tables_carry_no_memo(self):
+        sef, _, s, _ = load_example("simple")
+        assert type(profile_tables(sef, s)) is dict
+        assert not hasattr(play, "ProfileTables")
