@@ -433,7 +433,6 @@ def check_dynamic_consistency(sef, eu, profile):
 
 
 def _consistency(sef, eu, beliefs, tastes, tables, fills, outcome):
-    sdf = sef.sdf
     first = {}
     tastes_ok = all(first.setdefault(unit[0], taste) == taste
                     for unit, taste in tastes.items())
@@ -447,70 +446,57 @@ def _consistency(sef, eu, beliefs, tastes, tables, fills, outcome):
     groups = [frozenset({u}) for u in my_units]
     groups += [frozenset(pair) for pair in itertools.combinations(my_units, 2)]
     for group in groups:
-        members = sorted(group, key=repr)
-        status = "consistent"
-        witness = None
-        domains = {u: unit_domain(u) for u in members}
-        reached = {}
-        for ua, ub in _ordered_directions(members):
-            belief_a = eu.beliefs[ua]
-            belief_b = eu.beliefs[ub]
-            psi = {}
-            for w in sorted(domains[ua]):
-                m = psi[w] = _psi(ub[1], sdf, outs[ua][w])
-                if m is None:
-                    continue
-                if belief_a.assessment[w](w) >= m(w) and \
-                        belief_b.assessment[w] != m:
-                    status = "inconsistent"
-                    witness = ("assessment", ub, w, m)
-                    break
-            if witness:
-                break
-            event = frozenset(
-                w for w in domains[ua] & domains[ub]
-                if belief_a.assessment[w](w) >= belief_b.assessment[w](w))
-            report.events[(ua, ub)] = event
-            reached[(ua, ub)] = (domains[ub] - event) | frozenset(
-                w for w in event if psi[w] is not None)
-        if status != "inconsistent":
-            universe = sorted(frozenset().union(*domains.values()))
-            q, total, obstructions = _common_prior(universe, [
-                (ub, reached[(ua, ub)], beliefs[ub][0])
-                for ua, ub in _ordered_directions(members)])
-            if q is None:
-                status = "inconsistent"
-                witness = ("prior", *obstructions)
-            else:
-                vacuous = False
-                for ua, ub in _ordered_directions(members):
-                    a_set = reached[(ua, ub)]
-                    a_mass = sum(q[w] for w in a_set)
-                    if a_mass == 0:
-                        vacuous = True
-                        continue
-                    # p_b(w0) q(A) = q(w0), both sides times D_b * total
-                    weights, denominator = beliefs[ub]
-                    for w0 in sorted(domains[ub]):
-                        lhs = weights.get(w0, 0) * a_mass
-                        rhs = q[w0] * denominator if w0 in a_set else 0
-                        if lhs != rhs:
-                            status = "inconsistent"
-                            witness = ("prior", ub, w0)
-                            break
-                    if status == "inconsistent":
-                        break
-                if status == "consistent":
-                    report.priors[group] = {w: Fraction(x, total)
-                                            for w, x in q.items()}
-                    if vacuous:
-                        status = "vacuously consistent"
+        status, witness, prior = _group_verdict(
+            sef, eu, beliefs, outs, sorted(group, key=repr), report.events)
         report.pair_status[group] = status
         if witness is not None:
             report.witnesses[group] = witness
+        if prior is not None:
+            report.priors[group] = prior
     report.consistent = tastes_ok and \
         "inconsistent" not in report.pair_status.values()
     return report
+
+
+def _group_verdict(sef, eu, beliefs, outs, members, events):
+    """One group's (status, witness, prior); each direction's agreement
+    event goes into ``events`` once its assessments are checked."""
+    domains = {u: unit_domain(u) for u in members}
+    reached = {}
+    for ua, ub in _ordered_directions(members):
+        belief_a, belief_b = eu.beliefs[ua], eu.beliefs[ub]
+        psi = {}
+        for w in sorted(domains[ua]):
+            m = psi[w] = _psi(ub[1], sef.sdf, outs[ua][w])
+            if m is not None and belief_a.assessment[w](w) >= m(w) and \
+                    belief_b.assessment[w] != m:
+                return "inconsistent", ("assessment", ub, w, m), None
+        event = events[(ua, ub)] = frozenset(
+            w for w in domains[ua] & domains[ub]
+            if belief_a.assessment[w](w) >= belief_b.assessment[w](w))
+        reached[(ua, ub)] = (domains[ub] - event) | frozenset(
+            w for w in event if psi[w] is not None)
+    universe = sorted(frozenset().union(*domains.values()))
+    q, total, obstructions = _common_prior(universe, [
+        (ub, reached[(ua, ub)], beliefs[ub][0])
+        for ua, ub in _ordered_directions(members)])
+    if q is None:
+        return "inconsistent", ("prior", *obstructions), None
+    status = "consistent"
+    for ua, ub in _ordered_directions(members):
+        a_set = reached[(ua, ub)]
+        a_mass = sum(q[w] for w in a_set)
+        if a_mass == 0:
+            status = "vacuously consistent"
+            continue
+        # p_b(w0) q(A) = q(w0), both sides times D_b * total
+        weights, denominator = beliefs[ub]
+        for w0 in sorted(domains[ub]):
+            lhs = weights.get(w0, 0) * a_mass
+            rhs = q[w0] * denominator if w0 in a_set else 0
+            if lhs != rhs:
+                return "inconsistent", ("prior", ub, w0), None
+    return status, None, {w: Fraction(x, total) for w, x in q.items()}
 
 
 @dataclass
