@@ -5,9 +5,9 @@ tilting limits, the timing race, lattice completions, and the registry
 of bundled instances.
 
 Exit codes: 0 on success, 1 on a failed check (with witnesses), 2 on
-malformed input, 3 when a search ran over its budget and left the check
-undecided.  All rationals print as "num/den"; floats appear only
-in human-readable simulation summaries.
+malformed input, 3 when a search ran over its budget or a tilt window was
+inconclusive, leaving the check undecided.  All rationals print as
+"num/den"; floats appear only in human-readable simulation summaries.
 """
 
 import json as jsonlib
@@ -22,6 +22,7 @@ from .errors import (
     ExformError,
     InputError,
     StructureError,
+    TailWindowInconclusive,
 )
 from .forest import DecisionForest
 from .sdf import RandomMove, StochasticDecisionForest
@@ -146,7 +147,7 @@ def json_flag(command):
 
 def guarded(command):
     """Map malformed input to exit code 2 instead of a traceback, and a
-    search over budget to exit code 3."""
+    search over budget or an inconclusive tilt window to exit code 3."""
 
     def wrapper(*args, **kwargs):
         try:
@@ -154,7 +155,7 @@ def guarded(command):
         except InputError as err:
             click.echo(f"input error: {err}", err=True)
             raise SystemExit(2)
-        except BudgetExceeded as err:
+        except (BudgetExceeded, TailWindowInconclusive) as err:
             click.echo(f"undecided: {err}", err=True)
             raise SystemExit(3)
         except ExformError as err:

@@ -28,7 +28,7 @@ from .errors import (
     ZeroProbabilityBlockRequested,
 )
 from .play import TreeFills, profile_tables, scenario_outcomes
-from .sef import info_sets, strategies
+from .sef import info_sets, ordered_info_sets, strategies
 
 
 @dataclass
@@ -50,9 +50,7 @@ def units(sef):
     """All (agent, info set) pairs of the form, in a deterministic order."""
     result = []
     for i in sef.agents:
-        sets, _ = info_sets(sef, i)
-        result.extend((i, p) for p in sorted(
-            sets, key=lambda p: sorted(map(repr, p.random_moves))))
+        result.extend((i, p) for p in ordered_info_sets(sef, i))
     return result
 
 
@@ -74,8 +72,9 @@ def _scaled(unit, values, what="belief"):
     """The values as integers over their common denominator, as
     ({key: integer}, denominator): a belief's nonzero values, or all of a
     taste's.  A value that is not a number is an ``InputError``."""
-    try:
-        values = {k: Fraction(v) for k, v in values.items()}
+    try:   # a Fraction is kept: rebuilding it is most of the cost
+        values = {k: v if type(v) is Fraction else Fraction(v)
+                  for k, v in values.items()}
     except (TypeError, ValueError, ArithmeticError) as err:
         raise InputError(f"{what} at {unit!r} is not a number") from err
     denominator = lcm(*(q.denominator for q in values.values()))
@@ -94,32 +93,37 @@ def validate_eu(sef, eu):
     """Check coverage and the local probability/assessment invariants;
     returns each unit's belief and taste, scaled.  A taste equal to its
     agent's last one shares that scaling, so each is scaled once."""
-    outcomes = sef.sdf.forest.outcomes
     beliefs, tastes, last = {}, {}, {}
     for unit in units(sef):
-        if unit not in eu.beliefs:
-            raise InputError(f"no belief at {unit!r}")
-        if unit not in eu.tastes:
-            raise InputError(f"no taste at {unit!r}")
-        domain = unit_domain(unit)
-        belief = eu.beliefs[unit]
-        if not set(belief.prob) <= domain:
-            raise InputError(f"belief support leaves the domain at {unit!r}")
-        weights, denominator = beliefs[unit] = _scaled(unit, belief.prob)
-        if sum(weights.values()) != denominator or min(weights.values()) < 0:
-            raise InputError(f"belief at {unit!r} is not a probability")
-        _, p = unit
-        for w in domain:
-            m = belief.assessment.get(w)
-            if m not in p.random_moves or w not in m.domain:
-                raise InputError(f"assessment at {unit!r} fails at {w!r}")
+        beliefs[unit] = _validate_unit(sef, eu, unit)
         taste = eu.tastes[unit]
-        if not outcomes <= set(taste):
-            raise InputError(f"taste at {unit!r} misses outcomes")
         if taste != last.get(unit[0], (None,))[0]:
             last[unit[0]] = taste, _scaled_taste(sef, unit, taste)
         tastes[unit] = last[unit[0]][1]
     return beliefs, tastes
+
+
+def _validate_unit(sef, eu, unit):
+    """Check the unit's belief and taste keys; returns the belief, scaled."""
+    if unit not in eu.beliefs:
+        raise InputError(f"no belief at {unit!r}")
+    if unit not in eu.tastes:
+        raise InputError(f"no taste at {unit!r}")
+    domain = unit_domain(unit)
+    belief = eu.beliefs[unit]
+    if not set(belief.prob) <= domain:
+        raise InputError(f"belief support leaves the domain at {unit!r}")
+    weights, denominator = scaled = _scaled(unit, belief.prob)
+    if sum(weights.values()) != denominator or min(weights.values()) < 0:
+        raise InputError(f"belief at {unit!r} is not a probability")
+    _, p = unit
+    for w in domain:
+        m = belief.assessment.get(w)
+        if m not in p.random_moves or w not in m.domain:
+            raise InputError(f"assessment at {unit!r} fails at {w!r}")
+    if not sef.sdf.forest.outcomes <= eu.tastes[unit].keys():
+        raise InputError(f"taste at {unit!r} misses outcomes")
+    return scaled
 
 
 def _psi(infoset, sdf, w):
@@ -173,7 +177,8 @@ def expected_payoff(sef, eu, profile, agent, infoset, block=None):
     """
     The agent's conditional expected payoff at the info set under the
     profile, one exact value per positive-probability information block.
-    Requesting a specific zero-probability block is an error.
+    Requesting a specific zero-probability block is an error.  Only this
+    unit of the layer is validated.
     """
     unit = (agent, infoset)
     tables = profile_tables(sef, profile)
@@ -183,8 +188,8 @@ def expected_payoff(sef, eu, profile, agent, infoset, block=None):
         if block not in blocks:
             raise InputError(f"not an information block: {sorted(block)}")
         blocks = {block}
-    belief = eu.beliefs[unit]
-    plan = _unit_plan(belief.assessment, _scaled(unit, belief.prob)[0],
+    weights, _ = _validate_unit(sef, eu, unit)
+    plan = _unit_plan(eu.beliefs[unit].assessment, weights,
                       _scaled_taste(sef, unit, eu.tastes[unit]), blocks)
     if block is not None and block in plan.zero:
         raise ZeroProbabilityBlockRequested(

@@ -37,9 +37,10 @@ from .errors import (
 )
 from .forest import DecisionForest, closure, histories, is_history
 from .order import order_predicates
-from .sdf import StochasticDecisionForest, _slices, _SliceTable
+from .sdf import StochasticDecisionForest, _slices
 from .sef import (
     StochasticExtensiveForm,
+    _slice_table,
     convert_strategy,
     info_sets,
     strategies,
@@ -363,7 +364,7 @@ def scenario_truncation(sef, w):
                         traces.append(trace)
                 refchoices[i][m.restricted({w})] = tuple(traces)
         choices[i] = frozenset(_slices(
-            _SliceTable(sdf, sef.choices[i]), sef.choices[i], w))
+            _slice_table(sef, i, sef.choices[i]), sef.choices[i], w))
     return StochasticExtensiveForm(tsdf, sef.agents, agent_moves, info,
                                    refchoices, choices)
 

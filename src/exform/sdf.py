@@ -8,6 +8,7 @@ space are represented as partitions throughout; "measurable" means
 "a union of blocks".
 """
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -459,87 +460,23 @@ def check_adapted(sdf, c, info, refchoices, agent_moves):
     """
     if not is_union_of_nodes(sdf.forest, c):
         raise ChoiceError(f"not a nonempty union of nodes: {c!r}")
-    return _AdaptedTable(sdf, agent_moves, info, refchoices).adapted(
-        frozenset(c))
+    c = frozenset(c)
+    table = _SliceTable(sdf, agent_moves, info, refchoices, (c,))
+    return table.adapted(c)
 
 
-class _AdaptedTable:
+def _join(fixed, entry):
     """
-    An agent's adaptedness, read one scenario slice at a time.  Inside
-    scenario w a choice acts through its slice s = c & root_of(w): a move
-    m defined at w offers it iff m(w) is an immediate predecessor of s,
-    and jointly with a reference choice r iff m(w) precedes s & r.
-    ``entry(w, s)`` reads these as two ints over the agent's variables:
-    one availability variable per move, and where the move offers s, one
-    measurability variable per (move, reference choice, block of the
-    move's partition); ``mask`` holds the variables the slice sets and
-    ``value`` their bits.  A choice is adapted iff no slice is a whole
-    root and, joined scenario by scenario, each entry agrees with the bits
-    known so far: availability is then constant on each move's domain,
-    and joint availability on each block.  The table keeps no memo.
+    The (known, value) bits ``fixed`` with a slice's entry added, or None
+    when the slice is a whole root or its bits disagree with known ones:
+    ``(value ^ v) & known & mask`` is not 0.
     """
-
-    def __init__(self, sdf, agent_moves, info, refchoices):
-        self.forest = sdf.forest
-        self.roots = {w: sdf.root_of(w) for w in sdf.scenarios}
-        # per scenario, each agent move defined there as (its availability
-        # bit, its node, [(measurability bit, reference choice)])
-        self.at = {w: [] for w in sdf.scenarios}
-        count = itertools.count()
-        for m in agent_moves:
-            _require_partition(info.get(m), m)
-            available = 1 << next(count)
-            refs = [frozenset(r) for r in refchoices.get(m, ())]
-            for block in info[m]:
-                joint = [(1 << next(count), r) for r in refs]
-                for w in block:
-                    self.at[w].append((available, m(w), joint))
-
-    def entry(self, w, s, offered=None):
-        """
-        (mask, value) of slice s on scenario w, or None when s is the whole
-        root.  ``offered`` is the predecessor set of s when the caller has
-        walked it already; otherwise it is walked here.
-        """
-        if s == self.roots[w]:
-            return None
-        if offered is None:
-            offered = immediate_predecessors(self.forest, s) \
-                if s and self.at[w] else frozenset()
-        mask = value = 0
-        for available, x, joint in self.at[w]:
-            mask |= available
-            if x in offered:
-                value |= available
-                for var, r in joint:
-                    mask |= var
-                    both = s & r
-                    if both and x in (offered if both == s else
-                                      immediate_predecessors(self.forest, both)):
-                        value |= var
-        return mask, value
-
-    @staticmethod
-    def join(fixed, entry):
-        """
-        The (known, value) bits ``fixed`` with a slice's entry added, or
-        None when the slice is a whole root or its bits disagree with
-        known ones: ``(value ^ v) & known & mask`` is not 0.
-        """
-        if entry is None:
-            return None
-        (known, value), (mask, bits) = fixed, entry
-        if (value ^ bits) & known & mask:
-            return None
-        return known | mask, value | bits
-
-    def adapted(self, c):
-        fixed = (0, 0)
-        for w, root in self.roots.items():
-            fixed = self.join(fixed, self.entry(w, c & root))
-            if fixed is None:
-                return False
-        return True
+    if entry is None:
+        return None
+    (known, value), (mask, bits) = fixed, entry
+    if (value ^ bits) & known & mask:
+        return None
+    return known | mask, value | bits
 
 
 class _SliceTable:
@@ -550,62 +487,116 @@ class _SliceTable:
     sets, and each distinct (scenario, slice) is walked up the forest once.
     ``slices`` maps each choice to its slice on each scenario, in scenario
     order, interned per tree so that equal slices are one object;
-    ``preds`` maps it to its predecessor set.  Per tree, ``trees`` maps
-    each distinct slice to (the slice, its predecessor set, its entry in
-    the agent's adapted table, None without one).  The table refers to no
-    form, so it is freed when the call that built it returns.
+    ``preds`` maps it to its predecessor set, and per tree, ``trees`` maps
+    each distinct slice cut or read there to (the slice, its predecessor
+    set).
+
+    Adaptedness is read one slice at a time: a move m defined at w offers
+    slice s iff m(w) is an immediate predecessor of s, and jointly with a
+    reference choice r iff m(w) precedes s & r.  ``entry(w, s)`` reads
+    these as two ints over the agent's variables: one availability
+    variable per move, and where the move offers s, one measurability
+    variable per (move, reference choice, block of the move's partition);
+    ``mask`` holds the variables the slice sets and ``value`` their bits.
+    A choice is adapted iff no slice is a whole root and, joined scenario
+    by scenario, each entry agrees with the bits known so far: then
+    availability is constant on each move's domain, and joint availability
+    on each block.  The variables are laid out on the first entry read, so
+    a malformed partition is reported by the check that first reads one.
+    The table refers to no form, so it is freed when the call that built
+    it returns.
     """
 
-    def __init__(self, sdf, choices=(), adapted=None):
+    def __init__(self, sdf, agent_moves, info, refchoices, choices=()):
         self.forest = sdf.forest
         self.scenarios = sdf.scenarios
         self.position = {w: k for k, w in enumerate(sdf.scenarios)}
         self.roots = [sdf.root_of(w) for w in sdf.scenarios]
         self.trees = [{} for _ in self.roots]
+        self.entries = [{} for _ in self.roots]
         self.slices, self.preds = {}, {}
         self.shared = {}   # equal predecessor sets are kept once
+        self.agent = agent_moves, info, refchoices
         for c in choices:
-            self.cut(c, adapted)
+            self.cut(c)
 
-    def cut(self, c, adapted=None):
-        """
-        Cut the choice into the table.  With the agent's adapted table,
-        each new slice's entry is read with the walk of its predecessor
-        set, and the result says whether c is adapted: no slice is a whole
-        root and the entries agree on every variable two of them set.
-        Without one the entries are None and the result is False.
-        """
+    def _record(self, k, s):
+        """(slice, predecessor set) of a slice of tree k, walked once."""
+        got = self.trees[k].get(s)
+        if got is None:
+            p = immediate_predecessors(self.forest, s) \
+                if s and s != self.roots[k] else frozenset()
+            got = self.trees[k][s] = (s, self.shared.setdefault(p, p))
+        return got
+
+    def cut(self, c):
+        """Record the choice's slices and predecessor set."""
         records = []
-        for w, root, tree in zip(self.scenarios, self.roots, self.trees):
-            s = c & root
-            got = tree.get(s)
-            if got is None:
-                p = immediate_predecessors(self.forest, s) \
-                    if s and s != root else frozenset()
-                p = self.shared.setdefault(p, p)
-                got = tree[s] = (s, p, adapted and adapted.entry(w, s, p))
-            records.append(got)
-        self.slices[c] = tuple(s for s, _, _ in records)
-        preds = frozenset().union(*[p for _, p, _ in records])
+        for k, (tree, root) in enumerate(zip(self.trees, self.roots)):
+            s = c & root   # most slices repeat: look them up inline
+            records.append(tree.get(s) or self._record(k, s))
+        self.slices[c] = tuple(s for s, _ in records)
+        preds = frozenset().union(*[p for _, p in records])
         self.preds[c] = self.shared.setdefault(preds, preds)
-        fixed = (0, 0)
-        for _, _, entry in records:
-            fixed = _AdaptedTable.join(fixed, entry)
-            if fixed is None:
-                return False
-        return True
 
     def slices_at(self, w, x):
         """The distinct slices on the scenario of the choices offered at x,
         a move of its tree: x precedes c iff it precedes c's slice there."""
-        return [s for s, p, _ in self.trees[self.position[w]].values()
+        return [s for s, p in self.trees[self.position[w]].values()
                 if x in p]
 
-    def entry(self, w, s, adapted):
-        """The entry of a slice on the scenario; one not cut from a choice,
-        such as the empty slice of the completion, is read afresh."""
-        got = self.trees[self.position[w]].get(s)
-        return adapted.entry(w, s) if got is None else got[2]
+    @functools.cached_property
+    def at(self):
+        """Per scenario, each agent move defined there as (its availability
+        bit, its node, [(measurability bit, reference choice)])."""
+        agent_moves, info, refchoices = self.agent
+        at = {w: [] for w in self.scenarios}
+        count = itertools.count()
+        for m in agent_moves:
+            _require_partition(info.get(m), m)
+            available = 1 << next(count)
+            refs = [frozenset(r) for r in refchoices.get(m, ())]
+            for block in info[m]:
+                joint = [(1 << next(count), r) for r in refs]
+                for w in block:
+                    at[w].append((available, m(w), joint))
+        return at
+
+    def entry(self, w, s):
+        """(mask, value) of slice s on scenario w, or None when s is the
+        whole root; read once, off the walk of the slice's predecessors."""
+        k = self.position[w]
+        memo = self.entries[k]
+        if s in memo:
+            return memo[s]
+        at = self.at[w]   # laid out, and its partitions checked, once
+        s, offered = self._record(k, s)
+        if s == self.roots[k]:
+            memo[s] = None
+            return None
+        mask = value = 0
+        for available, x, joint in at:
+            mask |= available
+            if x in offered:
+                value |= available
+                for var, r in joint:
+                    mask |= var
+                    both = s & r
+                    if both and x in (offered if both == s else
+                                      immediate_predecessors(self.forest, both)):
+                        value |= var
+        memo[s] = mask, value
+        return memo[s]
+
+    def adapted(self, c):
+        """Whether the cut choice is adapted: its slices' entries join."""
+        fixed = (0, 0)
+        for w, s, memo in zip(self.scenarios, self.slices[c], self.entries):
+            # an entry read is a pair; entry() reads the rest
+            fixed = _join(fixed, memo.get(s) or self.entry(w, s))
+            if fixed is None:
+                return False
+        return True
 
 
 def _slices(table, cs, w):

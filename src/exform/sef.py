@@ -25,7 +25,7 @@ from .errors import (
 )
 from .forest import is_union_of_nodes
 from .sdf import (
-    _AdaptedTable,
+    _join,
     _SliceTable,
     _slices,
     build_action_path_sdf,
@@ -90,9 +90,9 @@ def validate_sef(sdf, agents, agent_moves, info, refchoices, choices):
 def _validate(form):
     """
     ``validate_sef`` on stored data.  The first pass cuts each of an
-    agent's choices by every root, right after its union-of-nodes check,
-    into the agent's slice table, and reads the choice's adaptedness off
-    the entries there.  The menu index and every axiom below read those
+    agent's choices by every root into the agent's slice table, and reads
+    the adaptedness of each that is a union of nodes off its slices'
+    entries there.  The menu index and every axiom below read those
     tables, which live for this call only.
     """
     axiom2_cap = budget(AXIOM2_CAP)
@@ -113,12 +113,12 @@ def _validate(form):
             validate_reference_choices(sdf, refchoices[i], agent_moves[i])
         except ChoiceError as err:
             violations.append(("reference", (i, str(err))))
-        table = tables[i] = _SliceTable(sdf)
+        table = tables[i] = _slice_table(form, i, choices[i])
         for c in choices[i]:
             if not is_union_of_nodes(sdf.forest, c):
                 violations.append(("choice", (
                     i, f"not a nonempty union of nodes: {c!r}")))
-            elif not table.cut(c, form._table(i)):
+            elif not table.adapted(c):
                 violations.append(("adapted", (i, c)))
     if violations:
         return SEFReport(False, tuple(violations), checked)
@@ -285,19 +285,18 @@ def _adapted_unions(form, i, members, menu, table, void=False):
     search node; past the cap it raises BudgetExceeded.
     """
     cap = budget(ADAPTED_CAP)
-    adapted = form._table(i)
     first = min(members, key=move_key)
     blocks = sorted((sorted(b, key=repr) for b in form.info[i][first]),
                     key=repr)
     visit = [w for block in blocks for w in block] + sorted(
         {w for m in members for w in m.domain} - first.domain, key=repr)
-    options = [[(s, table.entry(w, s, adapted))
+    options = [[(s, table.entry(w, s))
                 for s in [frozenset()] * void + _slices(table, menu, w)]
                for w in visit]
     # the inactive scenarios hold the empty slice, whose bits never clash
     start = (0, 0)
     for w in set(form.sdf.scenarios) - set(visit):
-        start = adapted.join(start, adapted.entry(w, frozenset()))
+        start = _join(start, table.entry(w, frozenset()))
     # one iterator per scenario taken so far, and the bits fixed before it;
     # no recursive closure, whose reference cycle would keep the tables
     # alive until the cycle collector
@@ -315,7 +314,7 @@ def _adapted_unions(form, i, members, menu, table, void=False):
         if nodes > cap:
             raise BudgetExceeded(f"more than {cap} adapted-choice search nodes")
         s, entry = option
-        joined = adapted.join(fixed[-1], entry)
+        joined = _join(fixed[-1], entry)
         if joined is None:
             continue
         if len(levels) < len(visit):
@@ -398,9 +397,8 @@ class StochasticExtensiveForm:
     validates the stored form.  Validation builds the menu index, with the
     menus grouped by slice in each tree, from the slice tables of its first
     pass; a form assembled without validation builds it on first use from
-    slice tables of its own.  An agent's adapted-choice table is built when
-    a check first reads it, so a malformed information partition is
-    reported by that check.
+    slice tables of its own.  The form keeps no table: each check that
+    needs one builds the agent's slice table and drops it when it returns.
     """
 
     def __init__(self, sdf, agents, agent_moves, info, refchoices, choices,
@@ -423,12 +421,11 @@ class StochasticExtensiveForm:
                            for i in self.agents}
         self.choices = {i: frozenset(frozenset(c) for c in choices[i])
                         for i in self.agents}
-        self._tables = {}
 
     @functools.cached_property
     def _index(self):
         """The menu index of a form assembled without validation."""
-        return _menu_index(self, {i: _SliceTable(self.sdf, self.choices[i])
+        return _menu_index(self, {i: _slice_table(self, i, self.choices[i])
                                   for i in self.agents})
 
     def moves_of(self, i):
@@ -443,16 +440,15 @@ class StochasticExtensiveForm:
     def available_at_move(self, i, x):
         return self._index.offered.get((i, x), frozenset())
 
-    def _table(self, i):
-        """The agent's adapted-choice table, as ``check_adapted`` reads it."""
-        if i not in self._tables:
-            self._tables[i] = _AdaptedTable(self.sdf, self.agent_moves[i],
-                                            self.info[i], self.refchoices[i])
-        return self._tables[i]
-
     def __repr__(self):
         return (f"StochasticExtensiveForm({len(self.agents)} agents, "
                 f"{len(self.sdf.scenarios)} scenarios)")
+
+
+def _slice_table(form, i, choices):
+    """The agent's slice table, holding the given choices."""
+    return _SliceTable(form.sdf, form.agent_moves[i], form.info[i],
+                       form.refchoices[i], choices)
 
 
 def info_sets(sef, i):
@@ -464,9 +460,16 @@ def info_sets(sef, i):
     return sef._index.info_sets[i]
 
 
+def ordered_info_sets(sef, i):
+    """The agent's information sets in one order, by the sorted reprs of
+    their random moves."""
+    sets, _ = info_sets(sef, i)
+    return sorted(sets, key=lambda p: sorted(map(repr, p.random_moves)))
+
+
 def check_recall_and_info(sef, i):
     """The four perfection flags of an agent, each checked exhaustively."""
-    table = _SliceTable(sef.sdf, sef.choices[i])
+    table = _slice_table(sef, i, sef.choices[i])
     endo_recall = all(
         not s & s2 or s <= s2 or s2 <= s for w in sef.sdf.scenarios
         for s, s2 in itertools.combinations(
@@ -514,7 +517,7 @@ def complete_choices(sef):
     """
     new_choices = {}
     for i in sef.agents:
-        table = _SliceTable(sef.sdf, sef.choices[i], sef._table(i))
+        table = _slice_table(sef, i, sef.choices[i])
         closure = set(sef.choices[i])
         for members, menu in _menus(sef, i):
             closure.update(c for c in _adapted_unions(
@@ -524,8 +527,8 @@ def complete_choices(sef):
         sef.sdf, sef.agents, sef.agent_moves, sef.info, sef.refchoices,
         new_choices)
     for i in sef.agents:
-        old = _SliceTable(sef.sdf, sef.choices[i])
-        new = _SliceTable(sef.sdf, new_choices[i])
+        old = _slice_table(sef, i, sef.choices[i])
+        new = _slice_table(sef, i, new_choices[i])
         for w in sef.sdf.scenarios:
             assert _slices(old, sef.choices[i], w) \
                 == _slices(new, new_choices[i], w)
@@ -536,8 +539,7 @@ def complete_choices(sef):
 def strategies(sef, i):
     """All strategies of the agent, as assignments of available choices."""
     cap = budget(STRATEGIES_CAP)
-    sets, _ = info_sets(sef, i)
-    sets = sorted(sets, key=lambda p: sorted(map(repr, p.random_moves)))
+    sets = ordered_info_sets(sef, i)
     menus = [sef._index.menus[p] for p in sets]
     total = 1
     for menu in menus:
@@ -595,9 +597,7 @@ def split_selves(sef, eu=None):
     choices = {}
     eu2 = {}
     for i in sef.agents:
-        sets, _ = info_sets(sef, i)
-        for k, p in enumerate(sorted(
-                sets, key=lambda p: sorted(map(repr, p.random_moves)))):
+        for k, p in enumerate(ordered_info_sets(sef, i)):
             self_id = (i, k)
             agents.append(self_id)
             agent_moves[self_id] = p.random_moves

@@ -8,6 +8,7 @@ Everything here is deterministic: grids are constant in the scenario
 argument and processes are plain value tables.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,8 +41,8 @@ from .vtime import (
 
 OMEGA_SQ = Ordinal(((2, 1),))
 
-# default cap of the deepest grid depth a tilting window inspects;
-# EXFORM_BUDGET overrides it
+# default cap of the deepest grid depth a tilting window inspects, and of
+# the subdivision depth of a nested grid's index; EXFORM_BUDGET overrides it
 DEPTH_CAP = 10 ** 4
 
 
@@ -167,8 +168,10 @@ def nested_grid(n):
     """
     Mesh-2^-n blocks, each block containing a copy of the dyadic
     subdivision of its own cell: index k*w + m reads as (k+1-2^-m)*2^-n.
+    Its subdivision depth m is capped as a window's depth is.
     """
     g = Fraction(2) ** -n
+    cap = budget(DEPTH_CAP)
 
     def split(beta):
         k = m = 0
@@ -177,6 +180,8 @@ def nested_grid(n):
                 k = c
             elif e == 0:
                 m = c
+        if m > cap:
+            raise BudgetExceeded(f"subdivision depth {m} exceeds {cap}")
         return k, m
 
     def evaluate(beta):
@@ -412,7 +417,7 @@ def default_probes(process, family, window):
             tops = [process.anchor.v]
         else:
             tops = sorted({process.kappa(n) for n in window.depths()},
-                          key=ord_cmp_key)
+                          key=functools.cmp_to_key(ord_cmp))
     else:
         tops = [ordinal(2)]
     probes = []
@@ -426,14 +431,6 @@ def default_probes(process, family, window):
                     itertools.islice(fundamental_sequence(top), 1, 3))
         probes.extend(VTime(t.t, v) for v in verticals)
     return sorted(probes)
-
-
-class ord_cmp_key:
-    def __init__(self, value):
-        self.value = value
-
-    def __lt__(self, other):
-        return ord_cmp(self.value, other.value) < 0
 
 
 def tilting_limit(process, family, probes=None, window=Window()):

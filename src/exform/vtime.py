@@ -12,10 +12,12 @@ horizontal projection.
 """
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 
+from ._util import format_rational, parse_rational
 from .errors import ANotLeqB, InputError, NotLimit
 
 
@@ -358,11 +360,18 @@ def parse_ordinal(text):
         m = _TERM.match(part.strip().replace(" ", ""))
         if not m:
             raise InputError(f"cannot parse ordinal term: {part!r}")
-        exp, coeff, const = m.groups()
+        try:
+            exp, coeff, const = (None if g is None else int(g)
+                                 for g in m.groups())
+        except ValueError as err:   # more digits than int() converts
+            limit = sys.get_int_max_str_digits()
+            raise InputError(f"an ordinal term of over {limit} digits") \
+                from err
         if const is not None:
-            terms.append((0, int(const)))
+            terms.append((0, const))
         else:
-            terms.append((int(exp) if exp else 1, int(coeff) if coeff else 1))
+            terms.append((1 if exp is None else exp,
+                          1 if coeff is None else coeff))
     return Ordinal(tuple(terms))
 
 
@@ -388,10 +397,11 @@ def parse_vtime(text):
     if not m:
         raise InputError(f"cannot parse time point: {text!r}")
     t_text, v_text = m.groups()
-    try:
-        t = Fraction(t_text)
-    except (ValueError, ZeroDivisionError) as err:
-        raise InputError(f"cannot parse time coordinate: {t_text!r}") from err
+    try:   # as an option's rational: no long expansion, and printable
+        t = parse_rational(t_text)
+        format_rational(t)
+    except InputError as err:
+        raise InputError(f"cannot parse time coordinate: {err}") from err
     v = OMEGA1 if v_text == "W1" else parse_ordinal(v_text)
     return VTime(t, v)
 

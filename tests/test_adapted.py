@@ -18,7 +18,6 @@ from exform.forest import immediate_predecessors, is_union_of_nodes
 from exform.instances import EXAMPLES, amd_sef, load_example, mp_sef
 from exform.sdf import (
     _is_block_union,
-    _SliceTable,
     check_adapted,
     is_available_at,
     is_complete,
@@ -29,6 +28,7 @@ from exform.sef import (
     StochasticExtensiveForm,
     _adapted_unions,
     _menus,
+    _slice_table,
     complete_choices,
     validate_sef,
 )
@@ -144,7 +144,7 @@ def product(form, members, menu, void):
 
 def search(form, i, members, menu, void):
     """The search's leaves, through a slice table of the agent's choices."""
-    table = _SliceTable(form.sdf, form.choices[i], form._table(i))
+    table = _slice_table(form, i, form.choices[i])
     return _adapted_unions(form, i, members, menu, table, void)
 
 
@@ -183,12 +183,18 @@ def check_leaves_against_product(form, limit=2 * 10 ** 5):
     The leaves of the search are the adapted candidates of the product
     wherever the product is at most ``limit``, with and without the empty
     slice; returns how many information sets were compared.  The product
-    reads the form's table, which check_table_against_oracle ties to the
-    whole-choice check.
+    cuts each candidate into one slice table per agent and reads its
+    adaptedness there, as check_adapted does, which
+    check_table_against_oracle ties to the whole-choice check.
     """
     compared = 0
     for i in form.agents:
-        adapted = form._table(i).adapted
+        table = _slice_table(form, i, ())
+
+        def adapted(c):
+            table.cut(c)
+            return table.adapted(c)
+
         for members, menu in _menus(form, i):
             for void in (False, True):
                 options, total = product(form, members, menu, void)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -8,17 +9,25 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import comb_sef, constant_choice_parts
-from exform import timing
-from exform.cli import _closure, cli, examples_list, parse_sef, serialize_sef
+from exform import tilt, timing
+from exform.cli import (
+    _closure,
+    cli,
+    examples_list,
+    guarded,
+    parse_sef,
+    serialize_sef,
+)
 from exform.instances import load_example
-from exform.errors import InputError
+from exform.errors import ExformError, InputError
 from exform.sef import StochasticExtensiveForm
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+README = Path(__file__).resolve().parents[1] / "README.md"
 EXAMPLE_NAMES = ["simple", "simple-variant", "amd", "mp-case1", "mp-case2",
                  "mp-case3", "mp-case4", "ultimatum"]
 
@@ -387,6 +396,26 @@ class TestTiltCommand:
         else:
             assert "Limit 1[0, (0, 1))" in result.output
 
+    @pytest.mark.parametrize("kappa, code", [(29, 0), (30, 3)])
+    def test_nested_subdivision_depth_cap(self, kappa, code):
+        # index m of a nested grid reads 2^-m: its depth m counts against
+        # the budget too, here the depth kappa + 1 of the default probes
+        result = CliRunner().invoke(
+            cli, ["tilt", "--family", "nested", "--kappa", str(kappa),
+                  "--window", "1:10:1"], env={"EXFORM_BUDGET": "30"})
+        assert result.exit_code == code
+        if code:
+            assert result.output == \
+                "undecided: subdivision depth 31 exceeds 30\n"
+
+    def test_inconclusive_window_is_undecided(self):
+        # two grid depths show one switch: neither constant nor oscillating
+        result = run("tilt", "--family", "dyadic", "--kappa", "alt:1,4",
+                     "--window", "4:5:2")
+        assert result.exit_code == 3
+        assert result.output == ("undecided: tail neither constant nor "
+                                 "oscillating at (0, 1)\n")
+
     def test_bad_specs_are_input_errors(self):
         assert run("tilt", "--family", "dyadic",
                    "--kappa", "alt:1").exit_code == 2
@@ -555,6 +584,96 @@ class TestUndecided:
         assert result.exit_code == 3
         assert "undecided:" in result.output
         assert "check failed" not in result.output
+
+
+def error_classes(cls=ExformError):
+    """The package's error classes: the class and its subclasses in
+    exform's modules."""
+    return {cls}.union(*[error_classes(sub) for sub in cls.__subclasses__()
+                         if sub.__module__.startswith("exform.")])
+
+
+def test_readme_exit_code_table_names_every_error():
+    # each row names one error class and the exit code guarded maps it to
+    rows = re.findall(r"^\| `(\w+)` \| ([0-3]) \|$", README.read_text(),
+                      re.MULTILINE)
+    assert len(rows) == len(dict(rows))
+    codes = {}
+    for cls in error_classes():
+        def command():
+            raise cls.__new__(cls, "message")
+
+        with pytest.raises(SystemExit) as stop:
+            guarded(command)()
+        codes[cls.__name__] = str(stop.value.code)
+    assert dict(rows) == codes
+
+
+# --- fuzzed options: every run ends in an exit code, never a traceback --------
+
+ORDINAL_CHARS = "0123456789w^*+ "
+ordinals = st.one_of(
+    st.text(ORDINAL_CHARS, max_size=12),
+    st.integers(0, 10 ** 30).map(str),
+    st.builds(lambda e, c, k: f"w^{e}*{c} + {k}", st.integers(0, 40),
+              st.integers(-1, 10 ** 30), st.integers(0, 10 ** 30)),
+    st.just("9" * 4301))
+rationals = st.one_of(
+    st.text("0123456789/.-+e_ x", max_size=12),
+    st.fractions().map(str),
+    st.builds(lambda m, e: f"{m}e{e}", st.integers(-9, 9),
+              st.integers(-6000, 6000) | st.integers(-10 ** 9, 10 ** 9)),
+    st.sampled_from(["9" * 4301, "1/0", "nan", "inf", "-0"]))
+kappas = st.one_of(ordinals, st.builds(lambda a, b: f"alt:{a},{b}",
+                                       ordinals, ordinals))
+# a window's stop is small or over tilt.DEPTH_CAP, so every run is cheap;
+# a window of text without digits never parses to a stop
+windows = st.one_of(
+    st.builds(lambda a, b, c: f"{a}:{b}:{c}", st.integers(-2, 12),
+              st.one_of(st.integers(-2, 12),
+                        st.integers(tilt.DEPTH_CAP + 1, 10 ** 40)),
+              st.integers(-2, 12)),
+    st.text(":+- x_", max_size=8))
+probes = st.lists(st.one_of(
+    st.builds(lambda t, v: f"({t}, {v})", rationals, ordinals),
+    st.sampled_from(["inf", "(0, W1)", "(1/2, w)"]),
+    st.text("()0123456789w,/ W1inf", max_size=10)), min_size=1, max_size=3)
+labels = st.one_of(st.text(max_size=2), st.integers(-2, 2), st.booleans(),
+                   st.none(), st.floats(), st.lists(st.integers(), max_size=1))
+posets = st.one_of(
+    st.fixed_dictionaries({
+        "elements": st.lists(labels, max_size=5),
+        "leq": st.lists(st.one_of(st.lists(labels, min_size=2, max_size=2),
+                                  labels), max_size=5)}),
+    st.recursive(st.one_of(st.none(), st.integers(), st.text(max_size=3)),
+                 lambda inner: st.lists(inner, max_size=3)
+                 | st.dictionaries(st.sampled_from(["elements", "leq"]),
+                                   inner, max_size=2), max_leaves=6))
+invocations = st.one_of(
+    st.builds(lambda family, kappa, window, probe: [
+        "tilt", "--family", family, "--kappa", kappa, "--window", window,
+        *(["--probe", ";".join(probe)] if probe else [])],
+        st.sampled_from(sorted(tilt.REGISTERED)), kappas, windows,
+        st.none() | probes),
+    st.builds(lambda eta: ["timing-sim", "--eta", eta, "--trials", "3"],
+              rationals),
+    st.builds(lambda p: ["equilibrium", "verify", "--sef", "examples:amd",
+                         "--p", p], rationals),
+    st.builds(lambda doc: ["dm", doc], posets))
+
+
+@given(invocations)
+@settings(deadline=None, max_examples=300)
+def test_fuzzed_options_end_in_an_exit_code(args):
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        if args[0] == "dm":
+            Path("poset.json").write_text(json.dumps(args[1]))
+            args = ["dm", "--poset", "poset.json"]
+        result = runner.invoke(cli, args)
+    assert result.exception is None \
+        or isinstance(result.exception, SystemExit), result.output
+    assert result.exit_code in (0, 1, 2, 3)
 
 
 class TestDM:

@@ -385,6 +385,34 @@ class TestPayoffInterface:
         with pytest.raises(InputError, match=re.escape(repr(unit))):
             expected_payoff(sef, eu, s, *unit)
 
+    @pytest.mark.parametrize("spoil", [
+        "no belief", "no taste", "missed outcome", "taste not a number"])
+    def test_expected_payoff_validates_its_unit(self, spoil):
+        sef, eu, s, _ = load_example("amd")
+        unit = units(sef)[0]
+        taste = dict(eu.tastes[unit])
+        assert "r1a0b0:D" in taste
+        if spoil == "no belief":
+            del eu.beliefs[unit]
+        elif spoil == "no taste":
+            del eu.tastes[unit]
+        elif spoil == "missed outcome":
+            del taste["r1a0b0:D"]
+            eu.tastes[unit] = taste
+        else:
+            eu.tastes[unit] = {**taste, "r1a0b0:D": "x"}
+        with pytest.raises(InputError, match=re.escape(repr(unit))):
+            expected_payoff(sef, eu, s, *unit)
+
+    def test_expected_payoff_validates_no_other_unit(self):
+        sef, eu, s, _ = load_example("amd")
+        first, last = units(sef)[0], units(sef)[-1]
+        payoff = expected_payoff(sef, eu, s, *first)
+        del eu.beliefs[last]
+        assert expected_payoff(sef, eu, s, *first) == payoff
+        with pytest.raises(InputError):
+            validate_eu(sef, eu)
+
 
 class TestBayesBeliefs:
     @pytest.mark.parametrize("name", EXAMPLES)

@@ -224,10 +224,8 @@ class TestOutcomeMap:
         sdf = one_shot(["w:1", "w:2", "w:3"])
         (x0,) = sdf.random_moves
         pseudo = object.__new__(StochasticExtensiveForm)
-        pseudo.sdf = sdf
-        pseudo.agents = ("i",)
-        pseudo.agent_moves = {"i": frozenset({x0})}
-        pseudo.choices = {"i": frozenset({frozenset({"w:1", "w:2"})})}
+        pseudo._store(sdf, ("i",), {"i": {x0}}, {"i": {}}, {"i": {}},
+                      {"i": [{"w:1", "w:2"}]})
         assert_outcome_map_matches(pseudo, all_profiles(pseudo))
         tables = profile_tables(pseudo, next(all_profiles(pseudo)))
         with pytest.raises(MultipleOutcomes):
@@ -282,8 +280,9 @@ def pairwise_axiom1(sdf, agents, choices):
 
 
 def grouped_axiom1(sdf, agents, choices):
-    return [v for i in agents
-            for v in _axiom1_violations(_SliceTable(sdf, choices[i]), i)]
+    # Axiom 1 reads slices only, so the table needs no agent data
+    return [v for i in agents for v in _axiom1_violations(
+        _SliceTable(sdf, {}, {}, {}, choices[i]), i)]
 
 
 def one_shot(outcomes):
@@ -568,17 +567,14 @@ def pseudo_forms():
     top = RandomMove({"w": frozenset("abc")})
     mid = RandomMove({"w": frozenset("ab")})
     two_levels = object.__new__(StochasticExtensiveForm)
-    two_levels.sdf = StochasticDecisionForest(
-        forest, ("w",), {x: "w" for x in forest.nodes}, [top, mid])
-    two_levels.agents = ("i",)
-    two_levels.agent_moves = {"i": frozenset({top, mid})}
-    two_levels.choices = {"i": frozenset({frozenset({"a", "c"})})}
+    two_levels._store(StochasticDecisionForest(
+        forest, ("w",), {x: "w" for x in forest.nodes}, [top, mid]),
+        ("i",), {"i": {top, mid}}, {"i": {}}, {"i": {}}, {"i": [{"a", "c"}]})
     shared = object.__new__(StochasticExtensiveForm)
-    shared.sdf = one_shot(["w:1", "w:2"])
-    shared.agents = ("a", "b")
-    shared.agent_moves = {i: shared.sdf.random_moves for i in shared.agents}
-    shared.choices = {"a": frozenset({frozenset({"w:1"})}),
-                      "b": frozenset({frozenset({"w:2"})})}
+    one = one_shot(["w:1", "w:2"])
+    none = {"a": {}, "b": {}}
+    shared._store(one, ("a", "b"), {i: one.random_moves for i in "ab"},
+                  none, none, {"a": [{"w:1"}], "b": [{"w:2"}]})
     return [comb, two_levels, shared]
 
 

@@ -209,15 +209,14 @@ class TestWellPosedness:
 
 def one_move_pseudo(outcomes, menus):
     """One move over the outcomes, every agent active there with the given
-    choices; assembled without validation on purpose."""
+    choices and no information partition or reference choice; assembled
+    without validation on purpose."""
     sdf = one_shot(outcomes)
     (x0,) = sdf.random_moves
     pseudo = object.__new__(StochasticExtensiveForm)
-    pseudo.sdf = sdf
-    pseudo.agents = tuple(menus)
-    pseudo.agent_moves = {i: frozenset({x0}) for i in menus}
-    pseudo.choices = {i: frozenset(map(frozenset, cs))
-                      for i, cs in menus.items()}
+    none = {i: {} for i in menus}
+    pseudo._store(sdf, tuple(menus), {i: {x0} for i in menus}, none, none,
+                  menus)
     return pseudo
 
 
@@ -267,10 +266,8 @@ def coarsened(sef, rng):
         == immediate_predecessors(sef.sdf.forest, d)]
     c, d = rng.choice(pairs)
     pseudo = object.__new__(StochasticExtensiveForm)
-    pseudo.sdf = sef.sdf
-    pseudo.agents = sef.agents
-    pseudo.agent_moves = sef.agent_moves
-    pseudo.choices = {"i": sef.choices["i"] - {c, d} | {c | d}}
+    pseudo._store(sef.sdf, sef.agents, sef.agent_moves, sef.info,
+                  sef.refchoices, {"i": sef.choices["i"] - {c, d} | {c | d}})
     return pseudo
 
 

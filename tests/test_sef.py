@@ -294,10 +294,8 @@ class TestHeraclitus:
         mid = RandomMove({"w": frozenset("ab")})
         sdf = StochasticDecisionForest(forest, ("w",), projection, [top, mid])
         pseudo = object.__new__(StochasticExtensiveForm)
-        pseudo.sdf = sdf
-        pseudo.agents = ("i",)
-        pseudo.agent_moves = {"i": frozenset({top, mid})}
-        pseudo.choices = {"i": frozenset({frozenset({"a", "c"})})}
+        pseudo._store(sdf, ("i",), {"i": {top, mid}}, {"i": {}}, {"i": {}},
+                      {"i": [{"a", "c"}]})
         ok, witnesses = check_heraclitus(pseudo)
         assert not ok
         assert any(w[1] == frozenset("abc") and w[2] == frozenset("ab")

@@ -29,13 +29,13 @@ from exform.sdf import (
     RandomMove,
     StochasticDecisionForest,
     _slices,
-    _SliceTable,
     is_non_redundant,
 )
 from exform.sef import (
     SEFReport,
     StochasticExtensiveForm,
     _menus,
+    _slice_table,
     check_recall_and_info,
     validate_sef,
 )
@@ -168,7 +168,7 @@ def check_against_oracles(parts):
     for i in form.agents:
         assert check_recall_and_info(form, i)["endogenous_recall"] \
             == endogenous_recall_oracle(form, i)
-        table = _SliceTable(sdf, form.choices[i])
+        table = _slice_table(form, i, form.choices[i])
         for members, menu in _menus(form, i):
             for w in {w for m in members for w in m.domain}:
                 options = options_oracle(sdf, menu, w)
@@ -258,9 +258,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "exform"
 INDEXER = ("sdf.py", "cut")
 # every other cut by a root in the guarded modules, with its reason
 ALLOWED = {
-    ("sdf.py", "adapted", "c & root"):
-        "check_adapted reads any union of nodes, such as a candidate of an "
-        "action-path form, not only a choice of a form",
     ("sef.py", "_validate", "c & sdf.root_of(w)"):
         "Axiom 6 sorts its candidate unions, which are not choices",
     ("play.py", "key", "tables[i][x] & root"):

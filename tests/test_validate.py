@@ -51,6 +51,7 @@ from exform.sef import (
     _adapted_unions,
     _axiom1_violations,
     _menus,
+    _slice_table,
     validate_sef,
 )
 from test_play import coarsened
@@ -429,7 +430,7 @@ def assert_tables_agree(form):
     sdf = form.sdf
     for i in form.agents:
         bits = bits_table(form, i)
-        table = _SliceTable(sdf, form.choices[i], form._table(i))
+        table = _slice_table(form, i, form.choices[i])
         for c in form.choices[i]:
             assert table.slices[c] == tuple(c & sdf.root_of(w)
                                             for w in sdf.scenarios)
@@ -440,8 +441,9 @@ def assert_tables_agree(form):
                 expected = None if pairs is None else (
                     sum(1 << var for var, _ in pairs),
                     sum(bit << var for var, bit in pairs))
-                assert got[2] == expected
-                assert form._table(i).entry(w, s) == expected
+                assert got == (s, immediate_predecessors(sdf.forest, s)
+                               if s and s != sdf.root_of(w) else frozenset())
+                assert table.entry(w, s) == expected
         assert _axiom1_violations(table, i) \
             == axiom1_oracle(sdf, i, form.choices[i])
         for members, menu in _menus(form, i):
@@ -584,6 +586,10 @@ class TestLifetime:
         try:
             form = mp_sef(3)[0]
             assert len(made) == 2 and all(ref() is None for ref in made)
+            # the form holds its data, report and menu index, no table
+            assert set(vars(form)) == {"sdf", "agents", "agent_moves", "info",
+                                       "refchoices", "choices", "report",
+                                       "_index"}
             dead = weakref.ref(form)
             del form
             assert dead() is None
