@@ -72,27 +72,69 @@ def serialize_sef(form):
 
 
 def parse_sef(doc):
-    """Rebuild (and re-validate) an extensive form from its document."""
+    """
+    Rebuild (and re-validate) an extensive form from its document.  Its
+    shape is checked first, so that nothing is read in a second way, such
+    as a string as its characters, an object as its keys, or true and -1
+    as indexes: labels are strings and sets are arrays of labels, each
+    distinct within its array; the projection holds one scenario label
+    per node; indexes are integers in range; and the objects are keyed by
+    exactly the listed agents, then by move indexes.
+    """
+    def expect(ok, kind, value):
+        if not ok:
+            raise TypeError(f"expected {kind}, got {type(value).__name__}")
+        return value
+
+    def array(value):
+        return expect(isinstance(value, list), "an array", value)
+
+    def labels(value):
+        return expect(all(isinstance(x, str) for x in array(value))
+                      and len(set(value)) == len(value),
+                      "an array of distinct strings", value)
+
+    def sets(value):
+        found = [frozenset(labels(x)) for x in array(value)]
+        return expect(len(set(found)) == len(found), "distinct sets", found)
+
+    def pick(items, k):
+        return items[expect(type(k) is int and 0 <= k < len(items),
+                            f"an index below {len(items)}", k)]
+
+    def entries(value):
+        return expect(isinstance(value, dict), "an object", value).items()
+
     try:
-        nodes = [frozenset(x) for x in doc["nodes"]]
-        moves = [RandomMove({w: nodes[k] for w, k in graph})
-                 for graph in doc["random_moves"]]
-        sdf = StochasticDecisionForest(
-            DecisionForest(doc["outcomes"], nodes),
-            doc["scenarios"],
-            dict(zip(nodes, doc["projection"])),
-            moves)
-        agents = list(doc["agents"])
-        agent_moves = {i: frozenset(moves[k] for k in doc["agent_moves"][i])
-                       for i in agents}
-        info = {i: {moves[int(k)]: frozenset(frozenset(e) for e in part)
-                    for k, part in doc["info"][i].items()}
-                for i in agents}
-        refchoices = {i: {moves[int(k)]: tuple(frozenset(c) for c in cs)
-                          for k, cs in doc["refchoices"][i].items()}
-                      for i in agents}
-        choices = {i: frozenset(frozenset(c) for c in doc["choices"][i])
-                   for i in agents}
+        nodes = sets(doc["nodes"])
+        projection = array(doc["projection"])
+        expect(len(nodes) == len(projection) and all(
+            isinstance(w, str) for w in projection),
+            "one scenario label per node", projection)
+        moves = []
+        for graph in array(doc["random_moves"]):
+            pairs = [expect(len(array(p)) == 2, "a pair", p)
+                     for p in array(graph)]
+            labels([w for w, _ in pairs])
+            moves.append(RandomMove({w: pick(nodes, k) for w, k in pairs}))
+        outcomes, scenarios = labels(doc["outcomes"]), labels(doc["scenarios"])
+        agents = labels(doc["agents"])
+        per_agent = [expect(isinstance(d, dict) and set(d) == set(agents),
+                            "an object keyed by the agents", d)
+                     for d in (doc["agent_moves"], doc["info"],
+                               doc["refchoices"], doc["choices"])]
+        index = {str(k): m for k, m in enumerate(moves)}
+        agent_moves = {i: frozenset(pick(moves, k) for k in array(ks))
+                       for i, ks in per_agent[0].items()}
+        info = {i: {index[k]: frozenset(sets(part))
+                    for k, part in entries(parts)}
+                for i, parts in per_agent[1].items()}
+        refchoices = {i: {index[k]: tuple(sets(cs))
+                          for k, cs in entries(refs)}
+                      for i, refs in per_agent[2].items()}
+        choices = {i: frozenset(sets(cs)) for i, cs in per_agent[3].items()}
+        sdf = StochasticDecisionForest(DecisionForest(outcomes, nodes), scenarios,
+                                      dict(zip(nodes, projection)), moves)
     except (KeyError, TypeError, IndexError, ValueError) as err:
         raise InputError(f"malformed form document: {err}") from err
     return StochasticExtensiveForm(sdf, agents, agent_moves, info,

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .forest import DecisionForest, closure, histories, is_history
 from .order import order_predicates
-from .sdf import StochasticDecisionForest, _slices
+from .sdf import StochasticDecisionForest
 from .sef import (
     StochasticExtensiveForm,
     _slice_table,
@@ -363,8 +363,8 @@ def scenario_truncation(sef, w):
                     if trace and trace not in traces:
                         traces.append(trace)
                 refchoices[i][m.restricted({w})] = tuple(traces)
-        choices[i] = frozenset(_slices(
-            _slice_table(sef, i, sef.choices[i]), sef.choices[i], w))
+        choices[i] = frozenset(
+            _slice_table(sef, i, sef.choices[i]).distinct(w))
     return StochasticExtensiveForm(tsdf, sef.agents, agent_moves, info,
                                    refchoices, choices)
 

@@ -488,8 +488,9 @@ class _SliceTable:
     ``slices`` maps each choice to its slice on each scenario, in scenario
     order, interned per tree so that equal slices are one object;
     ``preds`` maps it to its predecessor set, and per tree, ``trees`` maps
-    each distinct slice cut or read there to (the slice, its predecessor
-    set).
+    each distinct slice cut or read there to its record: (the slice, its
+    predecessor set, the choices cut to it when it is nonempty), read by
+    this class alone.
 
     Adaptedness is read one slice at a time: a move m defined at w offers
     slice s iff m(w) is an immediate predecessor of s, and jointly with a
@@ -521,29 +522,52 @@ class _SliceTable:
             self.cut(c)
 
     def _record(self, k, s):
-        """(slice, predecessor set) of a slice of tree k, walked once."""
+        """The record of a slice of tree k, walked once."""
         got = self.trees[k].get(s)
         if got is None:
             p = immediate_predecessors(self.forest, s) \
                 if s and s != self.roots[k] else frozenset()
-            got = self.trees[k][s] = (s, self.shared.setdefault(p, p))
+            got = self.trees[k][s] = (s, self.shared.setdefault(p, p), [])
         return got
 
     def cut(self, c):
-        """Record the choice's slices and predecessor set."""
+        """Record the choice's slices, predecessor set and memberships."""
         records = []
         for k, (tree, root) in enumerate(zip(self.trees, self.roots)):
             s = c & root   # most slices repeat: look them up inline
-            records.append(tree.get(s) or self._record(k, s))
-        self.slices[c] = tuple(s for s, _ in records)
-        preds = frozenset().union(*[p for _, p in records])
+            record = tree.get(s) or self._record(k, s)
+            if s:
+                record[2].append(c)
+            records.append(record)
+        self.slices[c] = tuple(s for s, _, _ in records)
+        preds = frozenset().union(*[p for _, p, _ in records])
         self.preds[c] = self.shared.setdefault(preds, preds)
+
+    def distinct(self, w):
+        """The cut choices' distinct nonempty slices on w, sorted."""
+        tree = self.trees[self.position[w]]
+        return sorted((s for s, _, cs in tree.values() if cs), key=sorted)
 
     def slices_at(self, w, x):
         """The distinct slices on the scenario of the choices offered at x,
         a move of its tree: x precedes c iff it precedes c's slice there."""
-        return [s for s, p in self.trees[self.position[w]].values()
+        return [s for s, p, _ in self.trees[self.position[w]].values()
                 if x in p]
+
+    def groups_at(self, w, x):
+        """The choices offered at x, grouped by slice as in ``slices_at``."""
+        return tuple(tuple(cs) for _, p, cs
+                     in self.trees[self.position[w]].values() if x in p)
+
+    def overlapping(self):
+        """(k, members, members2) for each pair of distinct slices of tree
+        k that overlap and share a nonempty predecessor set; two choices
+        with one predecessor set have slices with one in every tree."""
+        for k, tree in enumerate(self.trees):
+            for (s, p, cs), (s2, p2, cs2) in itertools.combinations(
+                    tree.values(), 2):
+                if p and p == p2 and s & s2:
+                    yield k, cs, cs2
 
     @functools.cached_property
     def at(self):
@@ -570,7 +594,7 @@ class _SliceTable:
         if s in memo:
             return memo[s]
         at = self.at[w]   # laid out, and its partitions checked, once
-        s, offered = self._record(k, s)
+        s, offered, _ = self._record(k, s)
         if s == self.roots[k]:
             memo[s] = None
             return None
@@ -597,13 +621,6 @@ class _SliceTable:
             if fixed is None:
                 return False
         return True
-
-
-def _slices(table, cs, w):
-    """The distinct nonempty slices of the choices on the scenario, sorted,
-    read off a slice table that holds them."""
-    k = table.position[w]
-    return sorted({table.slices[c][k] for c in cs} - {frozenset()}, key=sorted)
 
 
 # --- action paths -----------------------------------------------------------

@@ -27,7 +27,6 @@ from .forest import is_union_of_nodes
 from .sdf import (
     _join,
     _SliceTable,
-    _slices,
     build_action_path_sdf,
     check_adapted,
     check_recall,
@@ -164,7 +163,7 @@ def _validate(form):
     checked["axiom3"] = True
     for w in sdf.scenarios:
         tree = sdf.tree_of(w)
-        sliced = [_slices(tables[i], choices[i], w) for i in agents]
+        sliced = [tables[i].distinct(w) for i in agents]
         for y, y2 in itertools.combinations(sorted(tree, key=sorted), 2):
             if not y & y2 and not any(
                     y <= s and y2 <= s2 and not s & s2
@@ -207,11 +206,11 @@ def _validate(form):
     undecided = False
     missing = []
     for i in agents:
-        for members, menu in _menus(form, i):
+        for p in info_sets(form, i)[0]:
             found = []
             try:
                 found.extend(c for c in _adapted_unions(
-                    form, i, members, menu, tables[i]) if c not in choices[i])
+                    form, i, p.random_moves, tables[i]) if c not in choices[i])
             except BudgetExceeded:
                 undecided = True
             found.sort(key=lambda c: [sorted(c & sdf.root_of(w))
@@ -225,62 +224,50 @@ def _validate(form):
 
 def _axiom1_violations(table, i):
     """
-    Axiom 1 for the choices of one agent's slice table in one pass over
-    predecessor-set groups: every pair of choices from two distinct groups
-    whose predecessor sets overlap, and every pair from one group whose
-    slices on a scenario differ and overlap.  The violations come in the
-    order of the pairs in the sorted choice list, scenario by scenario
-    within a pair.
+    Axiom 1 for the choices of one agent's slice table: every pair of
+    choices whose predecessor sets differ and overlap, and every pair with
+    one predecessor set whose slices on a scenario differ and overlap,
+    paired across the table's overlapping slices of each tree.  The
+    violations come in the order of the pairs in the sorted choice list,
+    scenario by scenario within a pair.
     """
-    order = sorted(table.slices, key=sorted)
-    rank = {c: k for k, c in enumerate(order)}
     groups = {}
-    for c in order:
-        p = table.preds[c]
+    for c, p in table.preds.items():
         if p:
             groups.setdefault(p, []).append(c)
-    found = []
-
-    def pair(c, c2):
-        return (c, c2) if rank[c] < rank[c2] else (c2, c)
-
+    pairs = []   # (c, c2, k), k = -1 where the predecessor sets differ
     for (p, members), (p2, members2) in itertools.combinations(
             groups.items(), 2):
         if p & p2:
-            for c in members:
-                for c2 in members2:
-                    first, second = pair(c, c2)
-                    found.append(((rank[first], rank[second], -1),
-                                  (i, first, second, "predecessors differ")))
-    for members in groups.values():
-        if len(members) < 2:
-            continue
-        for k, w in enumerate(table.scenarios):
-            by_slice = {}
-            for c in members:
-                cw = table.slices[c][k]
-                if cw:
-                    by_slice.setdefault(cw, []).append(c)
-            for (cw, cs), (c2w, cs2) in itertools.combinations(
-                    by_slice.items(), 2):
-                if cw & c2w:
-                    for c in cs:
-                        for c2 in cs2:
-                            first, second = pair(c, c2)
-                            found.append(((rank[first], rank[second], k),
-                                          (i, first, second, w)))
+            pairs.extend((c, c2, -1) for c in members for c2 in members2)
+    for k, cs, cs2 in table.overlapping():
+        pairs.extend((c, c2, k) for c in cs for c2 in cs2
+                     if table.preds[c] == table.preds[c2])
+    if not pairs:
+        return []
+    rank = {c: n for n, c in enumerate(sorted(table.slices, key=sorted))}
+    found = []
+    for c, c2, k in pairs:
+        first, second = (c, c2) if rank[c] < rank[c2] else (c2, c)
+        found.append(((rank[first], rank[second], k), (
+            i, first, second,
+            "predecessors differ" if k < 0 else table.scenarios[k])))
     found.sort(key=lambda item: item[0])
     return [("axiom1", v) for _, v in found]
 
 
-def _adapted_unions(form, i, members, menu, table, void=False):
+def _adapted_unions(form, i, members, table, void=False):
     """
     Every adapted union of one slice of the menu per active scenario of
-    the information set, the empty slice included when ``void``.  The
+    the information set, the empty slice included when ``void``.  A
+    scenario's options are the slices the agent's slice table holds at
+    the set's move there: when every choice is adapted, hence complete, a
+    choice offered at that move is offered at every move of the set, so
+    it is on the menu, and validation reaches Axiom 6 only then.  The
     search backtracks over the scenarios with a stack of (known, value)
-    bits and takes a slice only if its entry in the agent's slice table
-    agrees with those already fixed, so every leaf is adapted.  It visits
-    the scenarios block by block of the set's first move, which tests each
+    bits and takes a slice only if its entry in the table agrees with
+    those already fixed, so every leaf is adapted.  It visits the
+    scenarios block by block of the set's first move, which tests each
     measurability bit soon after it is fixed.  Each slice tried is a
     search node; past the cap it raises BudgetExceeded.
     """
@@ -288,10 +275,11 @@ def _adapted_unions(form, i, members, menu, table, void=False):
     first = min(members, key=move_key)
     blocks = sorted((sorted(b, key=repr) for b in form.info[i][first]),
                     key=repr)
+    move = {w: m(w) for m in members for w in m.domain}
     visit = [w for block in blocks for w in block] + sorted(
-        {w for m in members for w in m.domain} - first.domain, key=repr)
-    options = [[(s, table.entry(w, s))
-                for s in [frozenset()] * void + _slices(table, menu, w)]
+        set(move) - first.domain, key=repr)
+    options = [[(s, table.entry(w, s)) for s in [frozenset()] * void
+                + sorted(table.slices_at(w, move[w]), key=sorted)]
                for w in visit]
     # the inactive scenarios hold the empty slice, whose bits never clash
     start = (0, 0)
@@ -325,12 +313,6 @@ def _adapted_unions(form, i, members, menu, table, void=False):
         yield frozenset().union(s, *chosen)
 
 
-def _menus(form, i):
-    """Each information set of the agent with its sorted menu of choices."""
-    sets, _ = info_sets(form, i)
-    return [(p.random_moves, form._index.menus[p]) for p in sets]
-
-
 _MenuIndex = namedtuple("_MenuIndex",
                         "moves info_sets offered active menus grouped")
 
@@ -349,7 +331,12 @@ def _menu_index(form, tables):
     order.  Per information set, ``menus`` holds its menu sorted, and
     ``grouped`` maps the root of each tree where the set has moves to its
     moves there and its menu grouped by slice, the choices with one slice
-    c & root in one group.
+    c & root in one group, as the table groups the choices offered at the
+    set's first move there.  On a validated form these are the menu's
+    choices.  A form assembled without validation may add choices offered
+    at that move but off the menu: ``_Deviations`` never looks up their
+    partial sums, and a group's first member reads the outcome every
+    member with its slice reads.
     """
     sdf = form.sdf
     index = _MenuIndex({}, {}, {}, {}, {}, {})
@@ -375,18 +362,14 @@ def _menu_index(form, tables):
         index.info_sets[i] = (sets, MappingProxyType(
             {p: p.moves() for p in sets}))
         for p, menu in zip(sets, by_menu):
-            menu = index.menus[p] = tuple(sorted(menu, key=sorted))
+            index.menus[p] = tuple(sorted(menu, key=sorted))
             moves = {}
             for x in index.info_sets[i][1][p]:
-                moves.setdefault(table.position[sdf.projection[x]],
-                                 []).append(x)
+                moves.setdefault(sdf.projection[x], []).append(x)
             index.grouped[p] = grouped = {}
-            for k, xs in moves.items():
-                by_slice = {}
-                for c in menu:
-                    by_slice.setdefault(table.slices[c][k], []).append(c)
-                groups = tuple(map(tuple, by_slice.values()))
-                grouped[table.roots[k]] = (tuple(xs),
+            for w, xs in moves.items():
+                groups = table.groups_at(w, xs[0])
+                grouped[sdf.root_of(w)] = (tuple(xs),
                                            shared.setdefault(groups, groups))
     return index
 
@@ -472,8 +455,7 @@ def check_recall_and_info(sef, i):
     table = _slice_table(sef, i, sef.choices[i])
     endo_recall = all(
         not s & s2 or s <= s2 or s2 <= s for w in sef.sdf.scenarios
-        for s, s2 in itertools.combinations(
-            _slices(table, sef.choices[i], w), 2))
+        for s, s2 in itertools.combinations(table.distinct(w), 2))
     exo_recall = check_recall(sef.sdf, sef.info[i], sef.agent_moves[i])
     sets, _ = info_sets(sef, i)
     endo_info = all(len(p.random_moves) == 1 for p in sets) and all(
@@ -515,24 +497,22 @@ def complete_choices(sef):
     information set's menu.  Scenario-wise slices and predecessor sets are
     asserted to stay unchanged, and the result is a valid extensive form.
     """
-    new_choices = {}
+    tables, new_choices = {}, {}
     for i in sef.agents:
-        table = _slice_table(sef, i, sef.choices[i])
+        table = tables[i] = _slice_table(sef, i, sef.choices[i])
         closure = set(sef.choices[i])
-        for members, menu in _menus(sef, i):
+        for p in info_sets(sef, i)[0]:
             closure.update(c for c in _adapted_unions(
-                sef, i, members, menu, table, void=True) if c)
+                sef, i, p.random_moves, table, void=True) if c)
         new_choices[i] = frozenset(closure)
     completed = StochasticExtensiveForm(
         sef.sdf, sef.agents, sef.agent_moves, sef.info, sef.refchoices,
         new_choices)
     for i in sef.agents:
-        old = _slice_table(sef, i, sef.choices[i])
         new = _slice_table(sef, i, new_choices[i])
         for w in sef.sdf.scenarios:
-            assert _slices(old, sef.choices[i], w) \
-                == _slices(new, new_choices[i], w)
-        assert set(old.preds.values()) == set(new.preds.values())
+            assert tables[i].distinct(w) == new.distinct(w)
+        assert set(tables[i].preds.values()) == set(new.preds.values())
     return completed
 
 

@@ -197,10 +197,10 @@ def nested_grid(n):
         k = s.numerator // s.denominator
         if k == s:
             return Ordinal(((1, k),)) if k else ZERO
-        # within block k the values climb as k + 1 - 2^-m
-        m, step = 0, Fraction(1)
-        while k + 1 - step < s:
-            m, step = m + 1, step / 2
+        # within block k the values climb as k + 1 - 2^-m; with
+        # k + 1 - s = p/q, the least m with 2^-m <= p/q has 2^m >= ceil(q/p)
+        gap = k + 1 - s
+        m = (-(-gap.denominator // gap.numerator) - 1).bit_length()
         return ord_add(Ordinal(((1, k),)) if k else ZERO, ordinal(m))
 
     return Grid(OMEGA_SQ, evaluate, name="nested", locate=locate,

@@ -15,7 +15,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
+from functools import cmp_to_key, total_ordering
 
 from ._util import format_rational, parse_rational
 from .errors import ANotLeqB, InputError, NotLimit
@@ -153,6 +153,9 @@ def _v_cmp(a, b):
     if isinstance(b, _Omega1):
         return -1
     return ord_cmp(a, b)
+
+
+_V_KEY = cmp_to_key(_v_cmp)
 
 
 @total_ordering
@@ -293,22 +296,6 @@ def _fiber_sup(piece, c):
     return _fiber_min(piece, c)
 
 
-def _v_min(values):
-    best = values[0]
-    for v in values[1:]:
-        if _v_cmp(v, best) < 0:
-            best = v
-    return best
-
-
-def _v_max(values):
-    best = values[0]
-    for v in values[1:]:
-        if _v_cmp(v, best) > 0:
-            best = v
-    return best
-
-
 def vt_inf(pieces):
     """
     The infimum by the horizontal case analysis: at an attained leftmost
@@ -323,7 +310,7 @@ def vt_inf(pieces):
     a = min(_h_inf(p) for p in finite)
     hit = [p for p in finite if _h_contains(p, a)]
     if hit:
-        return VTime(a, _v_min([_fiber_min(p, a) for p in hit]))
+        return VTime(a, min([_fiber_min(p, a) for p in hit], key=_V_KEY))
     return VTime(a, OMEGA1)
 
 
@@ -341,7 +328,7 @@ def vt_sup(pieces):
     b = max(_h_sup(p) for p in pieces)
     hit = [p for p in pieces if _h_contains(p, b)]
     if hit:
-        return VTime(b, _v_max([_fiber_sup(p, b) for p in hit]))
+        return VTime(b, max([_fiber_sup(p, b) for p in hit], key=_V_KEY))
     return VTime(b, ZERO)
 
 

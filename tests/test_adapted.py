@@ -27,12 +27,11 @@ from exform.sdf import (
 from exform.sef import (
     StochasticExtensiveForm,
     _adapted_unions,
-    _menus,
     _slice_table,
     complete_choices,
     validate_sef,
 )
-from test_slices import BUNDLED, dropped, parts_of, slices_oracle
+from test_slices import BUNDLED, _menus, dropped, parts_of, slices_oracle
 
 # the caps of the two product searches
 AXIOM6_CAP = 10 ** 4
@@ -145,7 +144,7 @@ def product(form, members, menu, void):
 def search(form, i, members, menu, void):
     """The search's leaves, through a slice table of the agent's choices."""
     table = _slice_table(form, i, form.choices[i])
-    return _adapted_unions(form, i, members, menu, table, void)
+    return _adapted_unions(form, i, members, table, void)
 
 
 def agrees(form, i, c):

@@ -408,6 +408,18 @@ class TestTiltCommand:
             assert result.output == \
                 "undecided: subdivision depth 31 exceeds 30\n"
 
+    def test_nested_probe_deep_in_a_block_is_undecided_at_once(self):
+        # the subdivision depth of its index is read off the gap to the
+        # block's end; halving a step per level took over a second
+        q = 10 ** 4000
+        start = time.perf_counter()
+        result = run("tilt", "--family", "nested", "--kappa", "3",
+                     "--probe", f"({q - 1}/{q}, 0)")
+        assert time.perf_counter() - start < 0.5
+        assert result.exit_code == 3
+        assert result.output == \
+            "undecided: subdivision depth 13284 exceeds 10000\n"
+
     def test_inconclusive_window_is_undecided(self):
         # two grid depths show one switch: neither constant nor oscillating
         result = run("tilt", "--family", "dyadic", "--kappa", "alt:1,4",
@@ -674,6 +686,137 @@ def test_fuzzed_options_end_in_an_exit_code(args):
     assert result.exception is None \
         or isinstance(result.exception, SystemExit), result.output
     assert result.exit_code in (0, 1, 2, 3)
+
+
+# --- form documents through validate ------------------------------------------
+
+# a one-shot form: one scenario, one move, two choices
+ONE_SHOT = {"outcomes": ["a", "b"], "nodes": [["a"], ["a", "b"], ["b"]],
+            "scenarios": ["w"], "projection": ["w", "w", "w"],
+            "random_moves": [[["w", 1]]], "agents": ["i"],
+            "agent_moves": {"i": [0]}, "info": {"i": {"0": [["w"]]}},
+            "refchoices": {"i": {"0": []}}, "choices": {"i": [["a"], ["b"]]}}
+
+
+def well_shaped(doc):
+    """Whether a form document has the shape ``parse_sef`` reads: labels
+    are strings; nodes, choices, reference choices and partition blocks
+    are arrays of labels; both are distinct within their arrays; a random
+    move is an array of [scenario, node index] pairs; the per-agent
+    objects are keyed by exactly the agents, and their inner objects by
+    move indexes."""
+    def strings(v, distinct=True):
+        return isinstance(v, list) and all(isinstance(x, str) for x in v) \
+            and (len(set(v)) == len(v) or not distinct)
+
+    def sets(v):
+        return isinstance(v, list) and all(strings(x) for x in v) \
+            and len({frozenset(x) for x in v}) == len(v)
+
+    def index(v, n):
+        return type(v) is int and 0 <= v < n
+
+    keys = ("outcomes", "nodes", "scenarios", "projection", "random_moves",
+            "agents", "agent_moves", "info", "refchoices", "choices")
+    if not isinstance(doc, dict) or not all(k in doc for k in keys):
+        return False
+    nodes, moves = doc["nodes"], doc["random_moves"]
+    if not (strings(doc["outcomes"]) and strings(doc["scenarios"])
+            and sets(nodes) and strings(doc["agents"])
+            and strings(doc["projection"], distinct=False)
+            and len(doc["projection"]) == len(nodes)
+            and isinstance(moves, list)):
+        return False
+    for graph in moves:
+        if not (isinstance(graph, list) and all(
+                isinstance(p, list) and len(p) == 2 and index(p[1], len(nodes))
+                for p in graph) and strings([p[0] for p in graph])):
+            return False
+    agents, names = doc["agents"], [str(k) for k in range(len(moves))]
+    per_agent = [doc[k] for k in keys[6:]]
+    if not all(isinstance(d, dict) and set(d) == set(agents)
+               for d in per_agent):
+        return False
+    agent_moves, info, refchoices, choices = per_agent
+    return all(
+        isinstance(agent_moves[i], list)
+        and all(index(k, len(moves)) for k in agent_moves[i])
+        and all(isinstance(d, dict) and set(d) <= set(names)
+                and all(sets(v) for v in d.values())
+                for d in (info[i], refchoices[i]))
+        and sets(choices[i]) for i in agents)
+
+
+def validate_document(doc):
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        Path("form.json").write_text(json.dumps(doc))
+        return runner.invoke(cli, ["validate", "--sef", "form.json"])
+
+
+DOCUMENTS = [ONE_SHOT] + [serialize_sef(load_example(name)[0])
+                          for name in ("simple", "ultimatum", "mp-case1")]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3)
+    | st.sampled_from(["", "a", "b", "ab", "i", "w", "0", "1", " 1"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["i", "0", "1", "a"]), inner,
+                      max_size=2), max_leaves=6)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A serialized form with one value somewhere replaced: by a random
+    JSON value, or by a string, an object or a bool of the same content."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(DOCUMENTS))))
+    parent, key = None, None
+    value = doc
+    while isinstance(value, (list, dict)) and value \
+            and draw(st.integers(0, 3)):
+        keys = sorted(value) if isinstance(value, dict) else range(len(value))
+        parent, key = value, draw(st.sampled_from(list(keys)))
+        value = parent[key]
+    new = draw(st.one_of(
+        json_values,
+        st.just("".join(map(str, value)) if isinstance(value, list)
+                else str(value)),
+        st.just(dict(enumerate(value)) if isinstance(value, list) else value),
+        st.just(bool(value) if isinstance(value, int) else value),
+        st.just(value + value if isinstance(value, list) else value)))
+    if parent is None:
+        return new
+    parent[key] = new
+    return doc
+
+
+class TestFormDocuments:
+    def test_one_shot_is_valid(self):
+        assert validate_document(ONE_SHOT).exit_code == 0
+
+    @pytest.mark.parametrize("key, value", [
+        # a string was read as its characters, and the form was valid
+        ("choices", {"i": "ab"}),
+        # a repeated agent failed Axiom 2 against itself
+        ("agents", ["i", "i"]),
+        # -1 and true were read as node indexes; {} was read as its keys
+        ("random_moves", [[["w", -1]]]),
+        ("random_moves", [[["w", True]]]),
+        ("nodes", {"0": ["a"], "1": ["a", "b"], "2": ["b"]}),
+    ])
+    def test_misread_documents_are_input_errors(self, key, value):
+        result = validate_document({**ONE_SHOT, key: value})
+        assert result.exit_code == 2
+        assert "malformed form document" in result.output
+
+    @given(mutated_documents())
+    @settings(deadline=None, max_examples=300)
+    def test_fuzzed_documents_end_in_an_exit_code(self, doc):
+        result = validate_document(doc)
+        assert result.exception is None \
+            or isinstance(result.exception, SystemExit), result.output
+        assert result.exit_code in (0, 1, 2, 3)
+        # a document of the wrong shape is never read another way
+        assert well_shaped(doc) or result.exit_code == 2, result.output
 
 
 class TestDM:

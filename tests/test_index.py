@@ -554,6 +554,49 @@ def assert_menu_index_matches(form):
         assert dict(preds) == dict(expected_preds)
 
 
+def grouped_oracle(form, table, p, menu):
+    """The information set's menu grouped by slice in each tree where the
+    set has moves, each member looked up on its own: the per-member
+    grouping ``_menu_index`` made before the slice table kept each slice's
+    choices, kept verbatim apart from the set's moves read off the set."""
+    sdf = form.sdf
+    moves = {}
+    for x in p.moves():
+        moves.setdefault(table.position[sdf.projection[x]], []).append(x)
+    grouped = {}
+    for k, xs in moves.items():
+        by_slice = {}
+        for c in menu:
+            by_slice.setdefault(table.slices[c][k], []).append(c)
+        grouped[table.roots[k]] = (tuple(xs),
+                                   tuple(map(tuple, by_slice.values())))
+    return grouped
+
+
+def assert_groups_cover(form, exact):
+    """Each information set's groups in the menu index against the
+    per-member grouping: the same moves per tree, and each old group inside
+    a new group of one slice, or, when ``exact``, the same groups."""
+    sdf = form.sdf
+    for i in form.agents:
+        table = _SliceTable(sdf, {}, {}, {}, form.choices[i])
+        sets, _ = info_sets(form, i)
+        for p in sets:
+            expected = grouped_oracle(form, table, p, form._index.menus[p])
+            got = form._index.grouped[p]
+            assert got.keys() == expected.keys()
+            for root, (xs, groups) in expected.items():
+                assert got[root][0] == xs
+                new = [frozenset(g) for g in got[root][1]]
+                assert all(len({c & root for c in g}) == 1 for g in new)
+                if exact:
+                    assert set(new) == set(map(frozenset, groups))
+                    assert len(new) == len(groups)
+                for g in groups:
+                    assert any(set(g) <= g2 and g[0] & root
+                               == next(iter(g2)) & root for g2 in new)
+
+
 def pseudo_forms():
     """The forms the tests assemble without validation: the 4-comb whose
     bottom move lost its choices, a choice offered at two levels, and one
@@ -611,6 +654,8 @@ class TestIndexesAgainstCaches:
     @pytest.mark.parametrize("form", pseudo_forms(), ids=repr)
     def test_pseudo_forms(self, form):
         assert_menu_index_matches(form)
+        # choices offered at a set's move but off its menu may join a group
+        assert_groups_cover(form, exact=False)
 
 
 def held(obj, seen=None):

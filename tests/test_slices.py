@@ -2,7 +2,9 @@
 Choices read through their scenario slices, against the whole-choice scans
 they replaced: Axioms 3 and 3', endogenous recall, non-redundancy, and the
 per-scenario option lists of Axiom 6 and of the choice completion.  The
-oracles below are the earlier loops, kept verbatim.
+oracles below are the earlier loops, kept verbatim, and ``_slices``, which
+regrouped a slice table's choices by slice before the table kept each
+slice's choices itself.
 """
 
 import ast
@@ -28,15 +30,14 @@ from exform.instances import (
 from exform.sdf import (
     RandomMove,
     StochasticDecisionForest,
-    _slices,
     is_non_redundant,
 )
 from exform.sef import (
     SEFReport,
     StochasticExtensiveForm,
-    _menus,
     _slice_table,
     check_recall_and_info,
+    info_sets,
     validate_sef,
 )
 
@@ -126,12 +127,25 @@ def slices_oracle(sdf, cs, w):
     return sorted({c & root for c in cs} - {frozenset()}, key=sorted)
 
 
+def _slices(table, cs, w):
+    """The distinct nonempty slices of the choices on the scenario, sorted,
+    read off a slice table that holds them."""
+    k = table.position[w]
+    return sorted({table.slices[c][k] for c in cs} - {frozenset()}, key=sorted)
+
+
 def options_oracle(sdf, menu, w):
     """One scenario's option list of the Axiom 6 search."""
     return sorted({frozenset(c & sdf.root_of(w)) for c in menu}, key=sorted)
 
 
 # --- comparison -----------------------------------------------------------------
+
+def _menus(form, i):
+    """Each information set of the agent with its sorted menu of choices."""
+    sets, _ = info_sets(form, i)
+    return [(p.random_moves, form._index.menus[p]) for p in sets]
+
 
 def parts_of(form, choices=None):
     return (form.sdf, form.agents, form.agent_moves, form.info,
@@ -170,15 +184,21 @@ def check_against_oracles(parts):
             == endogenous_recall_oracle(form, i)
         table = _slice_table(form, i, form.choices[i])
         for members, menu in _menus(form, i):
-            for w in {w for m in members for w in m.domain}:
-                options = options_oracle(sdf, menu, w)
-                assert list(_slices(table, menu, w)) == options
-                # the completion's list adds the empty slice up front
-                assert [frozenset(), *_slices(table, menu, w)] \
-                    == sorted(set(options) | {frozenset()}, key=sorted)
+            for m in members:
+                for w in m.domain:
+                    # the choices are adapted, so the slices at the move
+                    # are the menu's
+                    options = options_oracle(sdf, menu, w)
+                    assert _slices(table, menu, w) == options
+                    at = sorted(table.slices_at(w, m(w)), key=sorted)
+                    assert at == options
+                    # the completion's list adds the empty slice up front
+                    assert [frozenset(), *at] \
+                        == sorted(set(options) | {frozenset()}, key=sorted)
         for w in sdf.scenarios:
-            slices = _slices(table, form.choices[i], w)
-            assert list(slices) == [s for s in options_oracle(
+            slices = table.distinct(w)
+            assert slices == _slices(table, form.choices[i], w)
+            assert slices == [s for s in options_oracle(
                 sdf, form.choices[i], w) if s]
         for c in form.choices[i]:
             assert is_non_redundant(sdf, c) == is_non_redundant_oracle(sdf, c)
@@ -307,6 +327,18 @@ class TestSliceGuard:
                      (SRC / name).read_text(encoding="utf-8"))}
         assert {site[:2] for site in found} >= {INDEXER}
         assert {site for site in found if site[:2] != INDEXER} == set(ALLOWED)
+
+    def test_only_sdf_reads_a_slice_record(self):
+        # a record's layout is sdf.py's own: other modules ask the table
+        def reads(name):
+            tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+            return [ast.unparse(node) for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and node.attr == "trees"]
+
+        assert "self.trees" in reads("sdf.py")
+        assert {path.name: reads(path.name) for path in SRC.glob("*.py")
+                if path.name != "sdf.py" and reads(path.name)} == {}
 
     @pytest.mark.parametrize("k", range(3, 7))
     def test_exit_race_reports_as_pinned(self, k):

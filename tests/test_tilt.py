@@ -43,6 +43,21 @@ from exform.vtime import (
     vt,
 )
 
+def nested_locate_oracle(n, t):
+    """The least index of ``nested_grid(n)`` whose time is at least the
+    real t, its subdivision level found by halving a step until the block's
+    values k + 1 - 2^-m pass t: the locator before it read the level off
+    the gap's bit length."""
+    s = t / Fraction(2) ** -n
+    k = s.numerator // s.denominator
+    if k == s:
+        return Ordinal(((1, k),)) if k else ZERO
+    m, step = 0, Fraction(1)
+    while k + 1 - step < s:
+        m, step = m + 1, step / 2
+    return ord_add(Ordinal(((1, k),)) if k else ZERO, ordinal(m))
+
+
 ALICE = StopIndexFamily(kappa=lambda n: ordinal(1), label="alice")
 BOB = StopIndexFamily(kappa=lambda n: ordinal(2), label="bob")
 CAROL = StopIndexFamily(
@@ -152,6 +167,12 @@ class TestReindexing:
             assert grid(base) >= vt(t)
             below = _predecessor_times(grid, base)
             assert all(x < vt(t) for x in below)
+
+    @given(st.builds(Fraction, st.integers(0, 10 ** 6),
+                     st.integers(1, 10 ** 6)), st.integers(-3, 8))
+    @settings(max_examples=200)
+    def test_nested_locator_reads_the_level_off_the_gap(self, t, n):
+        assert nested_grid(n).locate(vt(t)) == nested_locate_oracle(n, t)
 
     @given(st.builds(Fraction, st.integers(0, 64), st.integers(1, 16)),
            st.integers(0, 6))

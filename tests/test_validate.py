@@ -50,12 +50,20 @@ from exform.sef import (
     SEFReport,
     _adapted_unions,
     _axiom1_violations,
-    _menus,
     _slice_table,
     validate_sef,
 )
+from test_index import assert_groups_cover
 from test_play import coarsened
-from test_slices import BUNDLED, dropped, parts_of, slices_oracle, unvalidated
+from test_slices import (
+    BUNDLED,
+    _menus,
+    _slices,
+    dropped,
+    parts_of,
+    slices_oracle,
+    unvalidated,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -441,17 +449,69 @@ def assert_tables_agree(form):
                 expected = None if pairs is None else (
                     sum(1 << var for var, _ in pairs),
                     sum(bit << var for var, bit in pairs))
-                assert got == (s, immediate_predecessors(sdf.forest, s)
-                               if s and s != sdf.root_of(w) else frozenset())
+                assert got[:2] == (s, immediate_predecessors(sdf.forest, s)
+                                   if s and s != sdf.root_of(w)
+                                   else frozenset())
                 assert table.entry(w, s) == expected
         assert _axiom1_violations(table, i) \
             == axiom1_oracle(sdf, i, form.choices[i])
         for members, menu in _menus(form, i):
             for void in (False, True):
-                assert list(_adapted_unions(form, i, members, menu, table,
-                                            void)) \
+                assert list(_adapted_unions(form, i, members, table, void)) \
                     == list(adapted_unions_oracle(form, bits, i, members,
                                                   menu, void))
+
+
+def assert_readers_as_before(form):
+    """
+    The readers of the slice records against the per-member regroupings
+    they replaced, wherever the first pass holds: Axiom 1 against the
+    per-group scan, the distinct slices and the slices at each move of an
+    information set against ``_slices``, and the menu index's groups
+    against the per-member grouping.  Returns whether the first pass held.
+    """
+    report = form.report if "report" in vars(form) \
+        else validate_sef(*parts_of(form))
+    if not report.checked:
+        return False
+    for i in form.agents:
+        table = _slice_table(form, i, form.choices[i])
+        assert _axiom1_violations(table, i) \
+            == axiom1_oracle(form.sdf, i, form.choices[i])
+        for w in form.sdf.scenarios:
+            assert table.distinct(w) == _slices(table, form.choices[i], w)
+        for members, menu in _menus(form, i):
+            for m in members:
+                for w in m.domain:
+                    assert sorted(table.slices_at(w, m(w)), key=sorted) \
+                        == _slices(table, menu, w)
+    assert_groups_cover(form, exact=True)
+    return True
+
+
+class TestReadersAsBefore:
+    @pytest.mark.parametrize("name", sorted(BUNDLED))
+    def test_bundled(self, name):
+        assert assert_readers_as_before(BUNDLED[name]())
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_exit_race(self, k):
+        assert assert_readers_as_before(amd_sef(k)[0])
+
+    @pytest.mark.parametrize("case", range(1, 5))
+    def test_coin_matching(self, case):
+        assert assert_readers_as_before(mp_sef(case)[0])
+
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(deadline=None, max_examples=40)
+    def test_strict_forms_and_their_variants(self, seed):
+        form = random_strict_sef(make_rng(seed))
+        rng = random.Random(seed)
+        assert assert_readers_as_before(form)
+        # a drop keeps every choice adapted; a merge may not
+        assert assert_readers_as_before(
+            unvalidated(parts_of(form, dropped(form, rng))))
+        assert_readers_as_before(coarsened(form, rng))
 
 
 class TestReportsAsBefore:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from exform.errors import ANotLeqB, InputError, NotLimit
 from exform.vtime import (
+    _V_KEY,
     INFINITY,
     OMEGA,
     OMEGA1,
@@ -46,6 +47,25 @@ verticals = st.one_of(ordinals, st.just(OMEGA1))
 
 vtimes = st.one_of(st.just(INFINITY),
                    st.builds(VTime, rationals, verticals))
+
+
+
+def first_extreme_oracle(values, sign):
+    """The first value that no later one beats, the least for sign 1 and
+    the greatest for sign -1: the loops ``vt_inf`` and ``vt_sup`` ran over
+    fiber levels before they took ``min`` and ``max`` with a key."""
+    best = values[0]
+    for v in values[1:]:
+        if sign * vt_cmp(VTime(0, v), VTime(0, best)) < 0:
+            best = v
+    return best
+
+
+@given(st.lists(verticals, min_size=1, max_size=6))
+def test_level_extremes_are_the_first_ones(values):
+    # equal levels are distinct objects here: the first one is returned
+    assert min(values, key=_V_KEY) is first_extreme_oracle(values, 1)
+    assert max(values, key=_V_KEY) is first_extreme_oracle(values, -1)
 
 
 class TestOrdinalArithmetic:
