@@ -382,19 +382,29 @@ def gamma(family, t):
     return deep.bound, False
 
 
-def _value(process, family, n, index):
-    grid = family.member(n)
-    time = grid(index)
-    if isinstance(process, StopIndexFamily):
-        return 1 if time < grid(process.index(n, grid)) else 0
-    return process(n, time)
+def _window_values(process, family, window):
+    """
+    The reader of a probe's value sequence over the window's depths.  It
+    keeps one table per call of depth -> (grid, stop time), each filled at
+    its first use, so every error surfaces where a fresh read would raise.
+    """
+    grids, stops = {}, {}
 
+    def values(t, beta):
+        out = []
+        for n in window.depths():
+            if n not in grids:
+                grids[n] = family.member(n)
+            grid = grids[n]
+            time = grid(ord_add(_locate(grid, t), beta))
+            if not isinstance(process, StopIndexFamily):
+                out.append(process(n, time))
+                continue
+            if n not in stops:
+                stops[n] = grid(process.index(n, grid))
+            out.append(1 if time < stops[n] else 0)
+        return out
 
-def _probe_values(process, family, t, beta, window):
-    values = []
-    for n in window.depths():
-        base = _locate(family.member(n), t)
-        values.append(_value(process, family, n, ord_add(base, beta)))
     return values
 
 
@@ -445,6 +455,7 @@ def tilting_limit(process, family, probes=None, window=Window()):
         raise BudgetExceeded(f"window depth {window.stop} exceeds {cap}")
     if probes is None:
         probes = default_probes(process, family, window)
+    probe_values = _window_values(process, family, window)
     table = {}
     for probe in sorted(set(probes)):
         if probe.is_infinity:
@@ -456,7 +467,7 @@ def tilting_limit(process, family, probes=None, window=Window()):
             # vertical part above every ordinal: left extension applies
             beta = extent
         if isinstance(beta, Ordinal) and ord_cmp(beta, extent) < 0:
-            values = _probe_values(process, family, t, beta, window)
+            values = probe_values(t, beta)
             limit = _settle(values, window, probe)
             if limit is None:
                 return TiltingResult(False, None, table, (probe, tuple(values)),
@@ -466,7 +477,7 @@ def tilting_limit(process, family, probes=None, window=Window()):
             stages = list(itertools.islice(fundamental_sequence(extent), 12))
             settled = []
             for stage in stages:
-                values = _probe_values(process, family, t, stage, window)
+                values = probe_values(t, stage)
                 limit = _settle(values, window, probe)
                 if limit is None:
                     return TiltingResult(False, None, table,

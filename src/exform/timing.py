@@ -8,6 +8,7 @@ the opponent's currency value of the dollar, which makes every pure
 post-whistle stopping level worth exactly zero and supports the mixing.
 """
 
+import functools
 import hashlib
 import math
 import struct
@@ -56,6 +57,10 @@ class PreWhistleStop:
     pass
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TimingConfig:
     eta: Fraction = Fraction(1)
@@ -79,6 +84,10 @@ class TimingConfig:
             if whistle < 0:
                 raise InputError(f"whistle time must be nonnegative: {whistle}")
         object.__setattr__(self, "whistle", whistle)
+        for name in ("trials", "seed"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise InputError(f"{name} must be an integer: {value!r}")
         if not 0 <= self.trials:
             raise InputError(f"negative trial count: {self.trials}")
         if not 0 <= self.seed < 2 ** 64:
@@ -199,18 +208,42 @@ def _cuts(eta):
     return _cut(stop_prob(1, eta)), _cut(stop_prob(2, eta))
 
 
-def _race(seed, trial, cut1, cut2):
+@functools.cache
+def _tails(boundary):
+    """The packed (level, player) key tails of levels 1..boundary, one
+    pair per level, shared by every trial of every race."""
+    return tuple((struct.pack(">QQ", level, 1), struct.pack(">QQ", level, 2))
+                 for level in range(1, boundary + 1))
+
+
+def _bound(cut):
+    """The cut as bytes that an 8-byte big-endian draw n sorts below iff
+    n < cut; a cut of 2**64 is nine bytes, above every draw."""
+    return cut.to_bytes(8, "big") if cut < 2 ** 64 else b"\xff" * 9
+
+
+def _races(seed, trials, cut1, cut2):
     """
-    One post-whistle race on integer cuts: the first level at which
-    either coin comes up, with the two stop bits.  A race that reaches
-    the boundary ends there with neither bit, the forced joint stop.
+    The post-whistle race of each trial on integer cuts: the first level
+    at which either coin comes up, with the two stop bits.  A race that
+    reaches the boundary ends there with neither bit, the forced joint
+    stop.  Each trial's (seed, trial) key head is packed once, and each
+    draw is decided on its digest's bytes, which is exactly n < cut.
     """
-    for level in range(BOUNDARY):
-        one = _draw(seed, trial, level + 1, 1) < cut1
-        two = _draw(seed, trial, level + 1, 2) < cut2
-        if one or two:
-            return level, one, two
-    return BOUNDARY, False, False
+    boundary = BOUNDARY
+    tails = _tails(boundary)
+    bound1, bound2 = _bound(cut1), _bound(cut2)
+    blake2b, pack = hashlib.blake2b, struct.Struct(">QQ").pack
+    for trial in trials:
+        head = pack(seed, trial)
+        for level, (tail1, tail2) in enumerate(tails):
+            one = blake2b(head + tail1, digest_size=8).digest() < bound1
+            two = blake2b(head + tail2, digest_size=8).digest() < bound2
+            if one or two:
+                yield level, one, two
+                break
+        else:
+            yield boundary, False, False
 
 
 def _outcome(race, eta):
@@ -229,8 +262,8 @@ def sample_race(config, trial):
     (seed, trial, level, player) so that the draw is reproducible and
     independent of evaluation order.
     """
-    return _outcome(_race(config.seed, trial, *_cuts(config.eta)),
-                    config.eta)
+    race, = _races(config.seed, (trial,), *_cuts(config.eta))
+    return _outcome(race, config.eta)
 
 
 def monte_carlo(config):
@@ -238,9 +271,8 @@ def monte_carlo(config):
     for identical (seed, trials) however the trials are scheduled.  The
     trials are tallied per distinct race, and each distinct race is
     classified and paid once."""
-    cut1, cut2 = _cuts(config.eta)
-    tally = Counter(_race(config.seed, trial, cut1, cut2)
-                    for trial in range(config.trials))
+    tally = Counter(_races(config.seed, range(config.trials),
+                           *_cuts(config.eta)))
     counts = {cls: 0 for cls in StopperClass}
     sums = [Fraction(0), Fraction(0)]
     for race, k in tally.items():
@@ -290,6 +322,8 @@ def deviation_payoff(config, deviation, player=1):
         # the null boundary event also pays 0
         return Fraction(0)
     if isinstance(deviation, PureLevel):
+        if not _is_int(deviation.level):
+            raise InputError(f"level must be an integer: {deviation.level!r}")
         if deviation.level < 0:
             raise InputError(f"negative level: {deviation.level}")
         survive = (1 - q_opp) ** deviation.level

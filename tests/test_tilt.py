@@ -1,10 +1,15 @@
+import itertools
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exform import cli, tilt
+from exform._util import budget
 from exform.errors import (
+    BudgetExceeded,
     GridAxiomViolation,
     InputError,
     TailWindowInconclusive,
@@ -13,7 +18,9 @@ from exform.errors import (
 from exform.tilt import (
     OMEGA_SQ,
     Grid,
+    GridFamily,
     StopIndexFamily,
+    TiltingResult,
     Window,
     approximate_stop_indicator,
     check_refines,
@@ -28,6 +35,7 @@ from exform.tilt import (
     tilting_limit,
     validate_grid,
 )
+from exform.timing import TimingConfig, path_tilt
 from exform.vtime import (
     INFINITY,
     OMEGA,
@@ -35,6 +43,8 @@ from exform.vtime import (
     ZERO,
     Ordinal,
     VTime,
+    format_vtime,
+    fundamental_sequence,
     ord_add,
     ord_cmp,
     ordinal,
@@ -312,3 +322,194 @@ class TestStopIndicatorSynthesis:
         assert result.converged and result.stop == target
         for probe, value in result.table.items():
             assert value == (1 if probe < target else 0)
+
+
+# --- the per-probe window reader as oracle ------------------------------------
+# tilting_limit as it read each (probe, depth) afresh: two family.member
+# calls and one stop-index locate per read, verbatim apart from its names.
+
+def oracle_value(process, family, n, index):
+    grid = family.member(n)
+    time = grid(index)
+    if isinstance(process, StopIndexFamily):
+        return 1 if time < grid(process.index(n, grid)) else 0
+    return process(n, time)
+
+
+def oracle_probe_values(process, family, t, beta, window):
+    values = []
+    for n in window.depths():
+        base = tilt._locate(family.member(n), t)
+        values.append(oracle_value(process, family, n, ord_add(base, beta)))
+    return values
+
+
+def oracle_tilting_limit(process, family, probes=None, window=Window()):
+    cap = budget(tilt.DEPTH_CAP)
+    if window.stop > cap:
+        raise BudgetExceeded(f"window depth {window.stop} exceeds {cap}")
+    if probes is None:
+        probes = default_probes(process, family, window)
+    table = {}
+    for probe in sorted(set(probes)):
+        if probe.is_infinity:
+            t, beta = INFINITY, ZERO
+        else:
+            t, beta = vt(probe.t), probe.v
+        extent, _ = gamma(family, t)
+        if beta is not None and not isinstance(beta, Ordinal):
+            beta = extent
+        if isinstance(beta, Ordinal) and ord_cmp(beta, extent) < 0:
+            values = oracle_probe_values(process, family, t, beta, window)
+            limit = tilt._settle(values, window, probe)
+            if limit is None:
+                return TiltingResult(False, None, table, (probe, tuple(values)),
+                                     window)
+            table[probe] = limit
+        else:
+            stages = list(itertools.islice(fundamental_sequence(extent), 12))
+            settled = []
+            for stage in stages:
+                values = oracle_probe_values(process, family, t, stage, window)
+                limit = tilt._settle(values, window, probe)
+                if limit is None:
+                    return TiltingResult(False, None, table,
+                                         (probe, tuple(values)), window)
+                settled.append(limit)
+            tail = settled[-4:]
+            if any(x != tail[0] for x in tail):
+                raise TailWindowInconclusive(
+                    f"no eventual constancy below the vertical extent "
+                    f"at {format_vtime(probe)}")
+            table[probe] = tail[0]
+    stop = tilt._stop_descriptor(process, family, window, table)
+    return TiltingResult(True, stop, table, None, window)
+
+
+def run_tilt(limit, process, family, **options):
+    """Every field of the result, its table in order, or the error's class
+    and message."""
+    try:
+        result = limit(process, family, **options)
+    except Exception as err:
+        return type(err), str(err)
+    return ([getattr(result, f.name) for f in fields(result)],
+            list(result.table.items()))
+
+
+def counted(family):
+    """The family with its member calls recorded, depth by depth."""
+    calls = []
+
+    def member(n):
+        calls.append(n)
+        return family.member(n)
+
+    return GridFamily(member, family.embed, family.name), calls
+
+
+def raising_at(depth, value=ordinal(2), bad=None):
+    """A kappa constant at ``value`` that raises ValueError at one depth,
+    or returns ``bad`` there when it is given."""
+    def kappa(n):
+        if n != depth:
+            return value
+        if bad is not None:
+            return bad
+        raise ValueError(f"no stop index at depth {n}")
+    return kappa
+
+
+def path_targets():
+    for whistle in (Fraction(0), Fraction(5, 8)):
+        for level in range(6):
+            yield VTime(whistle, ordinal(level))
+        for k in range(4):
+            yield VTime(whistle, ord_add(OMEGA, ordinal(k)))
+
+
+CLI_KAPPAS = ["alt:1,4", "alt:w,w*2", "0", "1", "3", "w", "w*2+1"]
+CLI_OPTIONS = [{}, {"window": Window(2, 12, 4)},
+               {"probes": [vt(0, ordinal(1)), vt(0, OMEGA), INFINITY]},
+               {"probes": []}]
+PROBES = [vt(0, ordinal(1)), vt(Fraction(1, 3), ordinal(2))]
+
+
+def oracle_cases():
+    """(process, family, options) triples: the path tilts, the tilt CLI's
+    families and kappas, a diverging window, a kappa that fails at one
+    depth, empty probe lists, a real-valued process, an unregistered
+    family and a late switch."""
+    for target in path_targets():
+        family, process = approximate_stop_indicator(target)
+        yield process, family, {}
+        yield process, family, {"probes": []}
+    for name, factory in sorted(tilt.REGISTERED.items()):
+        for text in CLI_KAPPAS:
+            process = StopIndexFamily(kappa=cli._parse_kappa(text), label=text)
+            for options in CLI_OPTIONS:
+                yield process, factory(), options
+    yield CAROL, dyadic_family(), {}
+    yield CAROL, dyadic_family(), {"window": Window(3, 9, 5)}
+    for kappa in (raising_at(9), raising_at(9, bad=3),
+                  raising_at(9, bad=OMEGA_SQ), raising_at(24)):
+        process = StopIndexFamily(kappa=kappa)
+        for options in ({}, {"probes": PROBES}, {"probes": []}):
+            yield process, dyadic_family(), options
+    # reading the probe's own index raises before the stop index is read
+    yield (StopIndexFamily(kappa=raising_at(4)), nested_family(),
+           {"probes": [vt(0, ordinal(tilt.DEPTH_CAP + 1))]})
+    yield (lambda n, time: 1 if time < vt(3 * Fraction(1, 2 ** n)) else 0,
+           dyadic_family(), {"probes": [vt(0, ordinal(k)) for k in range(6)]})
+    yield BOB, GridFamily(dyadic_grid, dyadic_family().embed), \
+        {"probes": PROBES}
+    yield (StopIndexFamily(kappa=lambda n: ordinal(1) if n < 23 else ordinal(2)),
+           dyadic_family(), {"probes": [vt(0, ordinal(1))]})
+
+
+class TestAgainstPerProbeReads:
+    def test_every_case_agrees(self):
+        seen = set()
+        for process, family, options in oracle_cases():
+            fast = run_tilt(tilting_limit, process, family, **options)
+            slow = run_tilt(oracle_tilting_limit, process, family, **options)
+            assert fast == slow, (process, family.name, options)
+            seen.add(fast[0] if isinstance(fast[0], type)
+                     else fast[0][0])
+        # the cases reach convergence, divergence and raised errors alike
+        assert {True, False, ValueError, InputError, BudgetExceeded,
+                TailWindowInconclusive} <= seen
+
+    @pytest.mark.parametrize("level", [0, 1, 2, 3, 4, 5, OMEGA,
+                                       ord_add(OMEGA, ordinal(3))])
+    def test_path_tilt(self, level):
+        config = TimingConfig(whistle=Fraction(3, 7))
+        family, process = approximate_stop_indicator(
+            VTime(config.whistle, ordinal(level)))
+        expected = oracle_tilting_limit(process, family)
+        assert path_tilt(config, level) == expected.stop
+
+    @pytest.mark.parametrize("text, top", [("alt:1,4", False), ("3", True),
+                                           ("w", True)])
+    @pytest.mark.parametrize("name", sorted(tilt.REGISTERED))
+    def test_one_grid_per_depth(self, name, text, top):
+        # each window depth's grid is built once, however many probes and
+        # stages read it; _stop_descriptor builds the deepest once more
+        # when the kappa has one value over the window
+        window = Window()
+        family, calls = counted(tilt.REGISTERED[name]())
+        process = StopIndexFamily(kappa=cli._parse_kappa(text), label=text)
+        result = tilting_limit(process, family, window=window)
+        assert result.converged != text.startswith("alt:")
+        assert calls == list(window.depths()) + [window.stop] * top
+
+    @pytest.mark.parametrize("target", list(path_targets()))
+    def test_one_grid_per_depth_of_a_path_tilt(self, target):
+        family, process = approximate_stop_indicator(target)
+        family, calls = counted(family)
+        assert tilting_limit(process, family).converged
+        assert calls == list(Window().depths())
+        # the per-probe reads built two grids per (probe, depth)
+        family, calls = counted(family)
+        oracle_tilting_limit(process, family)
+        assert len(calls) > 2 * len(Window().depths())

@@ -148,6 +148,15 @@ class TestConfig:
         with pytest.raises(InputError):
             TimingConfig(whistle={Fraction(0): Fraction(1, 2)})
 
+    @pytest.mark.parametrize("field", ["trials", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 1.0, True, False, "3", None,
+                                       Fraction(2)])
+    def test_integer_fields(self, field, value):
+        # a float, bool or string count or seed is rejected up front, not
+        # by range() or struct.pack in the sampler, nor read as 0 or 1
+        with pytest.raises(InputError, match=f"{field} must be an integer"):
+            TimingConfig(**{field: value})
+
     def test_whistle_distribution(self):
         config = TimingConfig(
             whistle={Fraction(0): Fraction(1, 2), Fraction(1): Fraction(1, 2)},
@@ -224,6 +233,13 @@ class TestDeviations:
             deviation_payoff(TimingConfig(), "tomorrow")
         with pytest.raises(InputError):
             deviation_payoff(TimingConfig(), PureLevel(-1))
+
+    @pytest.mark.parametrize("level", [2.5, 2.0, True, False, "2",
+                                       Fraction(2)])
+    def test_level_must_be_an_integer(self, level):
+        # (1 - q) ** 2.5 would leave Fraction, and True would read as 1
+        with pytest.raises(InputError, match="level must be an integer"):
+            deviation_payoff(TimingConfig(eta=2), PureLevel(level))
 
 
 class TestGridApproximant:
@@ -384,6 +400,62 @@ class TestAgainstFractionSampler:
             and o.payoffs == (0, 0) for o in boundary_stops)
         if boundary == 0:
             assert len(boundary_stops) == 200
+
+    @pytest.mark.parametrize("eta", [Fraction(2 ** 70), Fraction(1, 2 ** 70)])
+    def test_extreme_cuts(self, eta):
+        # at eta = 2^70, q1 > 1 - 2^-64: the cut is 2^64 and its bound the
+        # nine bytes every 8-byte digest sorts below, so 1 always stops at
+        # level 0; at 2^-70 the cut is 1 and only the digest 0 stops 1
+        cut1 = timing._cut(stop_prob(1, eta))
+        assert cut1 == (2 ** 64 if eta > 1 else 1)
+        assert timing._bound(cut1) == (b"\xff" * 9 if eta > 1
+                                       else bytes(7) + b"\x01")
+        for seed in (0, 3, 2 ** 64 - 1):
+            assert_matches_oracle(TimingConfig(eta=eta, trials=300, seed=seed))
+        stats = monte_carlo(TimingConfig(eta=eta, trials=300, seed=3))
+        if eta > 1:
+            assert stats.counts[StopperClass.SOLE_2] == 0
+        else:
+            assert stats.counts[StopperClass.SOLE_1] == 0
+
+    def test_tails_follow_the_boundary(self, monkeypatch):
+        # the key tails are memoised per boundary read at call time: a run
+        # at the default boundary must not leave its tails to a patched one
+        config = TimingConfig(eta=Fraction(1, 5), trials=200, seed=21)
+        default = timing.BOUNDARY
+        assert_matches_oracle(config)
+        for boundary in (0, 1, default):
+            monkeypatch.setattr(timing, "BOUNDARY", boundary)
+            assert_matches_oracle(config)
+            races = [sample_race(config, trial) for trial in range(200)]
+            at_boundary = sum(1 for o in races if o.stop_level_1 is NEVER
+                              and o.stop_level_2 is NEVER)
+            if boundary == 0:
+                assert at_boundary == 200
+            elif boundary == 1:
+                # each race reaches level 1 with probability 5/6 * 1/2
+                assert 0 < at_boundary < 200
+
+    def test_no_python_call_per_draw(self):
+        # at eta = 2^-70 player 1 stops with probability below 2^-70 and
+        # player 2 with 1/2 per level, so a trial draws 4 coins on average
+        # and never fewer than 2; the sampler may spend about one Python
+        # call per trial, plus a constant per distinct race, but none per
+        # draw
+        config = TimingConfig(eta=Fraction(1, 2 ** 70), trials=5000, seed=1)
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            if event == "call":
+                calls += 1
+
+        sys.setprofile(count)
+        try:
+            monte_carlo(config)
+        finally:
+            sys.setprofile(None)
+        assert calls < config.trials * 3 // 2
 
     def test_no_fraction_per_trial(self):
         # Fraction work is per distinct race outcome, of which there are
