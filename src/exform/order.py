@@ -48,6 +48,9 @@ class Poset:
         self._leq = pairs
         self._up = {x: frozenset(s) for x, s in up.items()}
         self._down = {x: frozenset(s) for x, s in down.items()}
+        # by antisymmetry no two elements share an up-set or a down-set
+        self._of_up = {s: x for x, s in self._up.items()}
+        self._of_down = {s: x for x, s in self._down.items()}
 
     @property
     def elements(self):
@@ -74,9 +77,6 @@ class Poset:
             raise InputError(f"unknown label: {x!r}")
         return self._down[x]
 
-    def maximal(self):
-        return frozenset(x for x in self._elements if self._up[x] == {x})
-
     def minimal(self):
         return frozenset(x for x in self._elements if self._down[x] == {x})
 
@@ -97,13 +97,12 @@ class Poset:
                      if subset <= self._up.get(x, frozenset())), None)
 
     def supremum_of(self, subset):
-        """The least upper bound within the poset, or None."""
-        upper, _ = bounds(self, subset)
-        return self.minimum_of(upper)
+        """The least upper bound, or None: m is it iff the upper bounds
+        are the up-set of m."""
+        return self._of_up.get(bounds(self, subset)[0])
 
     def infimum_of(self, subset):
-        lower = bounds(self, subset)[1]
-        return self.maximum_of(lower)
+        return self._of_down.get(bounds(self, subset)[1])
 
     def __eq__(self, other):
         return (isinstance(other, Poset)
@@ -129,16 +128,16 @@ def bounds(poset, subset):
 
 
 def is_forest(poset):
-    """True iff every principal up-set is totally ordered."""
-    return all(poset.is_chain(poset.up(x)) for x in poset.elements)
+    """True iff every principal up-set is totally ordered; in a finite
+    poset, iff every strict up-set is empty or principal."""
+    return all(up == {x} or up - {x} in poset._of_up
+               for x, up in poset._up.items())
 
 
 def _require_rooted_forest(poset):
+    # a finite nonempty chain has a maximum, so every forest is rooted
     if not is_forest(poset):
         raise StructureError("not a forest: some principal up-set is not a chain")
-    for x in poset.elements:
-        if poset.maximum_of(poset.up(x)) is None:
-            raise StructureError(f"not rooted: up-set of {x!r} has no maximum")
 
 
 def roots_and_components(poset):
@@ -149,11 +148,8 @@ def roots_and_components(poset):
     maximal elements.
     """
     _require_rooted_forest(poset)
-    root_of = {x: poset.maximum_of(poset.up(x)) for x in poset.elements}
-    roots = frozenset(root_of.values())
-    components = frozenset(
-        frozenset(x for x in poset.elements if root_of[x] == r) for r in roots)
-    return roots, components
+    roots = frozenset(x for x in poset.elements if poset.up(x) == {x})
+    return roots, frozenset(poset.down(r) for r in roots)
 
 
 def order_predicates(poset):
@@ -211,13 +207,13 @@ def is_complete_lattice(poset):
     A finite poset with a top in which every pair has a meet is one: the
     meet of any nonempty subset follows pair by pair, the empty meet is
     the top, and the join of a subset is the meet of its upper bounds.
+    The top exists iff the whole poset is a principal down-set, and a
+    meet of a and b iff their down-sets meet in a principal one.
     """
-    if not poset.elements:
+    if poset.elements not in poset._of_down:
         return False
-    if poset.maximum_of(poset.elements) is None:
-        return False
-    return all(poset.infimum_of({a, b}) is not None
-               for a, b in combinations(poset.elements, 2))
+    return all((a & b) in poset._of_down
+               for a, b in combinations(poset._down.values(), 2))
 
 
 @dataclass(frozen=True)

@@ -467,28 +467,23 @@ def tilting_limit(process, family, probes=None, window=Window()):
             # vertical part above every ordinal: left extension applies
             beta = extent
         if isinstance(beta, Ordinal) and ord_cmp(beta, extent) < 0:
-            values = probe_values(t, beta)
-            limit = _settle(values, window, probe)
-            if limit is None:
-                return TiltingResult(False, None, table, (probe, tuple(values)),
-                                     window)
-            table[probe] = limit
+            stages = [beta]
         else:
             stages = list(itertools.islice(fundamental_sequence(extent), 12))
-            settled = []
-            for stage in stages:
-                values = probe_values(t, stage)
-                limit = _settle(values, window, probe)
-                if limit is None:
-                    return TiltingResult(False, None, table,
-                                         (probe, tuple(values)), window)
-                settled.append(limit)
-            tail = settled[-4:]
-            if any(x != tail[0] for x in tail):
-                raise TailWindowInconclusive(
-                    f"no eventual constancy below the vertical extent "
-                    f"at {format_vtime(probe)}")
-            table[probe] = tail[0]
+        settled = []
+        for stage in stages:
+            values = probe_values(t, stage)
+            limit = _settle(values, window, probe)
+            if limit is None:
+                return TiltingResult(False, None, table,
+                                     (probe, tuple(values)), window)
+            settled.append(limit)
+        tail = settled[-4:]
+        if any(x != tail[0] for x in tail):
+            raise TailWindowInconclusive(
+                f"no eventual constancy below the vertical extent "
+                f"at {format_vtime(probe)}")
+        table[probe] = tail[0]
     stop = _stop_descriptor(process, family, window, table)
     return TiltingResult(True, stop, table, None, window)
 

@@ -18,6 +18,7 @@ from enum import Enum
 from fractions import Fraction
 
 from . import tilt
+from ._util import parse_rational
 from .errors import InconsistentOutcome, InputError
 from .vtime import INFINITY, OMEGA, VTime, ordinal, vt
 
@@ -61,6 +62,17 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _rational(name, value):
+    """An int (not a bool), a Fraction, or a string read by parse_rational;
+    a float's binary fraction is not taken for the decimal it prints as."""
+    if not (_is_int(value) or isinstance(value, (Fraction, str))):
+        raise InputError(f"{name} must be a rational: {value!r}")
+    try:
+        return parse_rational(value)
+    except InputError as err:
+        raise InputError(f"{name}: {err}") from None
+
+
 @dataclass(frozen=True)
 class TimingConfig:
     eta: Fraction = Fraction(1)
@@ -69,18 +81,19 @@ class TimingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "eta", Fraction(self.eta))
+        object.__setattr__(self, "eta", _rational("eta", self.eta))
         if self.eta <= 0:
             raise InputError(f"currency value must be positive: {self.eta}")
         whistle = self.whistle
         if isinstance(whistle, dict):
-            whistle = {Fraction(t): Fraction(q) for t, q in whistle.items()}
+            whistle = {_rational("whistle", t): _rational("whistle", q)
+                       for t, q in whistle.items()}
             if not whistle or sum(whistle.values()) != 1 \
                     or any(q < 0 for q in whistle.values()) \
                     or any(t < 0 for t in whistle):
                 raise InputError(f"bad whistle distribution: {whistle}")
         else:
-            whistle = Fraction(whistle)
+            whistle = _rational("whistle", whistle)
             if whistle < 0:
                 raise InputError(f"whistle time must be nonnegative: {whistle}")
         object.__setattr__(self, "whistle", whistle)
@@ -177,29 +190,30 @@ def _payoff(cls, a, b, eta, whistle_relation="post"):
     return (Fraction(-1), Fraction(-1))
 
 
-def _draw(seed, trial, level, player):
-    """The coin's 64-bit draw n, read as the uniform u = n / 2**64."""
-    key = struct.pack(">QQQQ", seed, trial, level, player)
-    return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
-
-
 def _cut(q):
     """
-    The integer cut of a coin with probability q: a draw n comes up iff
-    n < ceil(q * 2**64), which is n * q.denominator < q.numerator << 64,
-    i.e. exactly u < q, with no Fraction per draw.
+    The integer cut of a coin with probability q: a 64-bit draw n comes
+    up iff n < ceil(q * 2**64), which is n * q.denominator < q.numerator
+    << 64, i.e. exactly n / 2**64 < q, with no Fraction per draw.
     """
     return -(-(q.numerator << 64) // q.denominator)
+
+
+def _bound(cut):
+    """The cut as bytes that an 8-byte big-endian draw n sorts below iff
+    n < cut; a cut of 2**64 is nine bytes, above every draw."""
+    return cut.to_bytes(8, "big") if cut < 2 ** 64 else b"\xff" * 9
 
 
 def sample_whistle(config, trial):
     if not isinstance(config.whistle, dict):
         return config.whistle
-    n = _draw(config.seed, trial, 0, 0)
+    key = struct.pack(">QQQQ", config.seed, trial, 0, 0)
+    digest = hashlib.blake2b(key, digest_size=8).digest()
     running = Fraction(0)
     for t in sorted(config.whistle):
         running += config.whistle[t]
-        if n < _cut(running):
+        if digest < _bound(_cut(running)):
             return t
     return max(config.whistle)
 
@@ -214,12 +228,6 @@ def _tails(boundary):
     pair per level, shared by every trial of every race."""
     return tuple((struct.pack(">QQ", level, 1), struct.pack(">QQ", level, 2))
                  for level in range(1, boundary + 1))
-
-
-def _bound(cut):
-    """The cut as bytes that an 8-byte big-endian draw n sorts below iff
-    n < cut; a cut of 2**64 is nine bytes, above every draw."""
-    return cut.to_bytes(8, "big") if cut < 2 ** 64 else b"\xff" * 9
 
 
 def _races(seed, trials, cut1, cut2):

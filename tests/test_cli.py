@@ -885,19 +885,39 @@ class TestDM:
             "elements": len(doc["elements"]), "completion": completion,
             "complete_lattice": True, "dense_embedding": True}
 
-    def test_crown_completes_in_seconds(self, tmp_path):
-        # a_i < b_j for i != j: 16 elements, 2^8 cuts
-        low, high = [f"a{i}" for i in range(8)], [f"b{i}" for i in range(8)]
+    @staticmethod
+    def crown(tmp_path, half):
+        """The crown a_i < b_j for i != j on 2 * half elements, whose
+        completion has 2^half cuts."""
+        low = [f"a{i}" for i in range(half)]
+        high = [f"b{i}" for i in range(half)]
         path = tmp_path / "crown.json"
         path.write_text(json.dumps({
             "elements": low + high,
             "leq": [[a, b] for i, a in enumerate(low)
                     for j, b in enumerate(high) if i != j]}))
+        return path
+
+    def test_crown_completes_in_seconds(self, tmp_path):
+        # 16 elements, 2^8 cuts
+        path = self.crown(tmp_path, 8)
         start = time.perf_counter()
         result = run("dm", "--poset", str(path), "--json")
         assert time.perf_counter() - start < 5.0
         assert result.exit_code == 0
         assert json.loads(result.output)["completion"] == 256
+
+    def test_eighteen_element_crown(self, tmp_path):
+        # 2^9 cuts, a lattice of 512 elements: its bound questions are
+        # lookups of principal sets, not scans of the lattice
+        path = self.crown(tmp_path, 9)
+        start = time.perf_counter()
+        result = run("dm", "--poset", str(path), "--json")
+        assert time.perf_counter() - start < 0.75
+        assert result.exit_code == 0
+        assert json.loads(result.output) == {
+            "elements": 18, "completion": 512,
+            "complete_lattice": True, "dense_embedding": True}
 
     @pytest.mark.parametrize("doc, message", [
         ({"elements": ["a"], "leq": [["a", "b"]]},

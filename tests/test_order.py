@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -568,3 +570,113 @@ class TestCutBudget:
         monkeypatch.setenv("EXFORM_BUDGET", "4")
         with pytest.raises(BudgetExceeded, match="more than 4 cuts"):
             dm_completion(antichain("abc"))
+
+
+# --- oracles: the bound questions as scans, before the principal-set index --
+
+def supremum_by_scan(poset, subset):
+    return poset.minimum_of(bounds(poset, subset)[0])
+
+
+def infimum_by_scan(poset, subset):
+    return poset.maximum_of(bounds(poset, subset)[1])
+
+
+def complete_by_pairwise_bounds(poset):
+    """A top, and a greatest lower bound of every pair, each found by
+    scanning the bound sets."""
+    if not poset.elements:
+        return False
+    if poset.maximum_of(poset.elements) is None:
+        return False
+    return all(infimum_by_scan(poset, {a, b}) is not None
+               for a, b in combinations(poset.elements, 2))
+
+
+def forest_by_chains(poset):
+    return all(poset.is_chain(poset.up(x)) for x in poset.elements)
+
+
+def roots_and_components_by_scan(poset):
+    if not forest_by_chains(poset):
+        raise StructureError("not a forest")
+    root_of = {x: poset.maximum_of(poset.up(x)) for x in poset.elements}
+    roots = frozenset(root_of.values())
+    components = frozenset(
+        frozenset(x for x in poset.elements if root_of[x] == r) for r in roots)
+    return roots, components
+
+
+def assert_bounds_agree(poset, subsets):
+    for subset in subsets:
+        assert poset.supremum_of(subset) == supremum_by_scan(poset, subset)
+        assert poset.infimum_of(subset) == infimum_by_scan(poset, subset)
+    assert is_complete_lattice(poset) == complete_by_pairwise_bounds(poset)
+    assert is_forest(poset) == forest_by_chains(poset)
+    try:
+        want = roots_and_components_by_scan(poset)
+    except StructureError:
+        with pytest.raises(StructureError, match="not a forest"):
+            roots_and_components(poset)
+    else:
+        assert roots_and_components(poset) == want
+
+
+def every_subset(poset):
+    return [frozenset(s) for s in powerset(sorted(poset.elements, key=repr))]
+
+
+BOWTIE_WITH_TOP = Poset(
+    ["a", "b", "c", "d", "t"],
+    [(x, x) for x in "abcdt"] + [(x, y) for x in "ab" for y in "cdt"]
+    + [("c", "t"), ("d", "t")])
+
+
+class TestAgainstBoundScans:
+    @given(posets())
+    @settings(deadline=None)
+    def test_random_posets(self, p):
+        assert_bounds_agree(p, every_subset(p))
+
+    @given(forest_posets())
+    def test_random_forests(self, p):
+        assert is_forest(p)
+        assert_bounds_agree(p, every_subset(p))
+
+    @given(posets(max_size=6))
+    @settings(deadline=None, max_examples=60)
+    def test_dm_lattices(self, p):
+        lattice, _ = dm_completion(p)
+        assert is_complete_lattice(lattice)
+        pairs = [frozenset(pair) for pair in combinations(lattice.elements, 2)]
+        assert_bounds_agree(lattice, pairs + [frozenset(lattice.elements)])
+
+    @pytest.mark.parametrize("poset, lattice, forest", [
+        # no top: two maximal elements, and no meet of a and b either
+        (antichain("ab"), False, True),
+        # a top, but c and d have the two maximal lower bounds a and b
+        (BOWTIE_WITH_TOP, False, False),
+        # a lattice whose up-set of a holds the incomparable b and c
+        (DIAMOND, True, False),
+        # a forest of two chains, with no top
+        (Poset("abcd", [(x, x) for x in "abcd"] + [("a", "b"), ("c", "d")]),
+         False, True),
+        (chain(4), True, True),
+        (Poset([], []), False, True),
+    ])
+    def test_named_posets(self, poset, lattice, forest):
+        assert is_complete_lattice(poset) == lattice
+        assert is_forest(poset) == forest
+        assert_bounds_agree(poset, every_subset(poset))
+
+    def test_bowtie_pair_has_no_meet_but_two_maximal_lower_bounds(self):
+        lower = bounds(BOWTIE_WITH_TOP, {"c", "d"})[1]
+        assert lower == frozenset("ab")
+        assert BOWTIE_WITH_TOP.infimum_of({"c", "d"}) is None
+        assert BOWTIE_WITH_TOP.supremum_of({"a", "b"}) is None
+        assert BOWTIE_WITH_TOP.supremum_of({"c", "d"}) == "t"
+
+    def test_unknown_labels_still_raise(self):
+        for ask in (DIAMOND.supremum_of, DIAMOND.infimum_of):
+            with pytest.raises(InputError, match="unknown labels"):
+                ask({"a", "zz"})

@@ -1,11 +1,12 @@
 import hashlib
 import math
+import re
 import struct
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exform import timing
@@ -156,6 +157,41 @@ class TestConfig:
         # by range() or struct.pack in the sampler, nor read as 0 or 1
         with pytest.raises(InputError, match=f"{field} must be an integer"):
             TimingConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("eta", "x", "eta: not a rational: 'x'"),
+        ("eta", "nan", "eta: not a rational: 'nan'"),
+        ("eta", float("nan"), "eta must be a rational: nan"),
+        ("eta", 0.1, "eta must be a rational: 0.1"),
+        ("eta", None, "eta must be a rational: None"),
+        ("eta", True, "eta must be a rational: True"),
+        ("eta", "1e99999", "eta: a rational of over"),
+        ("whistle", "x", "whistle: not a rational: 'x'"),
+        ("whistle", 0.5, "whistle must be a rational: 0.5"),
+        ("whistle", None, "whistle must be a rational: None"),
+        ("whistle", False, "whistle must be a rational: False"),
+        ("whistle", {True: 1}, "whistle must be a rational: True"),
+        ("whistle", {0: 1.0}, "whistle must be a rational: 1.0"),
+        ("whistle", {"x": 1}, "whistle: not a rational: 'x'"),
+        ("whistle", {0: None}, "whistle must be a rational: None"),
+    ])
+    def test_rational_fields(self, field, value, error):
+        # a float is not read as its binary fraction, a bool not as 0 or
+        # 1, and a bad string or None is an input error naming the field
+        with pytest.raises(InputError, match=re.escape(error)):
+            TimingConfig(**{field: value})
+
+    @pytest.mark.parametrize("eta, whistle, want_eta, want_whistle", [
+        (2, 1, Fraction(2), Fraction(1)),
+        ("1/3", "0.1", Fraction(1, 3), Fraction(1, 10)),
+        (Fraction(3, 2), {"0": "1/4", 1: Fraction(3, 4)}, Fraction(3, 2),
+         {Fraction(0): Fraction(1, 4), Fraction(1): Fraction(3, 4)}),
+    ])
+    def test_rational_fields_read_exactly(self, eta, whistle, want_eta,
+                                          want_whistle):
+        config = TimingConfig(eta=eta, whistle=whistle)
+        assert config.eta == want_eta and type(config.eta) is Fraction
+        assert config.whistle == want_whistle
 
     def test_whistle_distribution(self):
         config = TimingConfig(
@@ -368,12 +404,30 @@ class TestAgainstFractionSampler:
         assert_matches_oracle(TimingConfig(eta, whistle, trials, seed))
 
     @given(whistle_distributions(), seeds)
+    @example({Fraction(0): Fraction(0), Fraction(1): Fraction(1)}, 0)
+    @example({Fraction(0): 1 - Fraction(1, 2 ** 64),
+              Fraction(1): Fraction(1, 2 ** 64)}, 2 ** 64 - 1)
     @settings(deadline=None, max_examples=80)
     def test_whistle_draws(self, whistle, seed):
+        # the last cumulative mass is 1, a cut of 2^64 whose nine-byte
+        # bound every 8-byte digest sorts below
+        assert timing._cut(sum(whistle.values())) == 2 ** 64
+        assert timing._bound(2 ** 64) > b"\xff" * 8
         config = TimingConfig(whistle=whistle, seed=seed)
         for trial in range(20):
             assert sample_whistle(config, trial) \
                 == oracle_sample_whistle(config, trial)
+
+    @pytest.mark.parametrize("seed, trial", [(0, 0), (7, 3), (2 ** 64 - 1, 9)])
+    def test_whistle_draw_at_its_cut(self, seed, trial):
+        # a first mass of exactly u puts the draw on the cut, which it
+        # does not fall below; one more 2^-64 of mass and it does
+        u = oracle_uniform(seed, trial, 0, 0)
+        for mass, first in ((u, False), (u + Fraction(1, 2 ** 64), True)):
+            config = TimingConfig(
+                whistle={Fraction(0): mass, Fraction(1): 1 - mass}, seed=seed)
+            assert sample_whistle(config, trial) \
+                == oracle_sample_whistle(config, trial) == (0 if first else 1)
 
     @given(st.one_of(
         st.fractions(min_value=0, max_value=1),
