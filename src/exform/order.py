@@ -10,7 +10,9 @@ play runs downward from a root to a minimal (terminal) element.
 """
 
 from dataclasses import dataclass
+from functools import partial, reduce
 from itertools import combinations
+from operator import and_
 
 from ._util import budget
 from .errors import BudgetExceeded, InputError, StructureError
@@ -45,7 +47,6 @@ class Poset:
                 c = next(c for c in self._elements
                          if c in up[b] and c not in up[a])
                 raise InputError(f"relation not transitive via {(a, b, c)!r}")
-        self._leq = pairs
         self._up = {x: frozenset(s) for x, s in up.items()}
         self._down = {x: frozenset(s) for x, s in down.items()}
         # by antisymmetry no two elements share an up-set or a down-set
@@ -56,14 +57,10 @@ class Poset:
     def elements(self):
         return self._elements
 
-    @property
-    def relation(self):
-        return self._leq
-
     def leq(self, a, b):
         if a not in self._elements or b not in self._elements:
             raise InputError(f"unknown label in comparison: {(a, b)!r}")
-        return (a, b) in self._leq
+        return b in self._up[a]
 
     def up(self, x):
         """The principal up-set of x (including x)."""
@@ -77,25 +74,6 @@ class Poset:
             raise InputError(f"unknown label: {x!r}")
         return self._down[x]
 
-    def minimal(self):
-        return frozenset(x for x in self._elements if self._down[x] == {x})
-
-    def is_chain(self, subset):
-        subset = list(subset)
-        return all(self.leq(a, b) or self.leq(b, a)
-                   for i, a in enumerate(subset) for b in subset[i + 1:])
-
-    def maximum_of(self, subset):
-        """The maximum of a subset, or None if it has no greatest member."""
-        subset = frozenset(subset)
-        return next((x for x in subset
-                     if subset <= self._down.get(x, frozenset())), None)
-
-    def minimum_of(self, subset):
-        subset = frozenset(subset)
-        return next((x for x in subset
-                     if subset <= self._up.get(x, frozenset())), None)
-
     def supremum_of(self, subset):
         """The least upper bound, or None: m is it iff the upper bounds
         are the up-set of m."""
@@ -105,12 +83,10 @@ class Poset:
         return self._of_down.get(bounds(self, subset)[1])
 
     def __eq__(self, other):
-        return (isinstance(other, Poset)
-                and self._elements == other._elements
-                and self._leq == other._leq)
+        return isinstance(other, Poset) and self._up == other._up
 
     def __hash__(self):
-        return hash((self._elements, self._leq))
+        return hash(self._elements)
 
     def __repr__(self):
         return f"Poset({len(self._elements)} elements)"
@@ -177,6 +153,24 @@ def order_predicates(poset):
     }
 
 
+@dataclass(frozen=True, repr=False)
+class Cuts:
+    """A family of sets ordered by inclusion: no relation is stored."""
+    elements: frozenset
+
+    def leq(self, a, b):
+        return a <= b
+
+    def as_poset(self):
+        return Poset(self.elements, [(a, b) for a in self.elements
+                                     for b in self.elements if a <= b])
+
+
+def _masks(labels, sets):
+    bit = {x: 1 << i for i, x in enumerate(labels)}
+    return [sum(bit[x] for x in s) for s in sets]
+
+
 def dm_completion(poset):
     """
     The Dedekind-MacNeille completion: all subsets A with A^{ul} = A,
@@ -187,17 +181,32 @@ def dm_completion(poset):
     meeting every cut found so far with each down-set in turn.
     """
     cap = budget(DM_CAP)
-    closed = {poset.elements}
-    for x in poset.elements:
-        down = poset.down(x)
-        for cut in list(closed):
-            closed.add(cut & down)
-            if len(closed) > cap:
-                raise BudgetExceeded(f"more than {cap} cuts")
-    leq = [(a, b) for a in closed for b in closed if a <= b]
-    lattice = Poset(closed, leq)
-    embedding = {x: poset.down(x) for x in poset.elements}
-    return lattice, embedding
+    labels = tuple(poset.elements)
+    closed = {(1 << len(labels)) - 1}
+    for down in _masks(labels, map(poset.down, labels)):
+        closed |= {cut & down for cut in closed}
+        if len(closed) > cap:
+            raise BudgetExceeded(f"more than {cap} cuts")
+    cuts = frozenset(frozenset(x for i, x in enumerate(labels) if cut >> i & 1)
+                     for cut in closed)
+    return Cuts(cuts), {x: poset.down(x) for x in poset.elements}
+
+
+def _are_the_cuts(poset, family, phi):
+    """True iff phi is x -> down-set of x and the family is the poset's
+    cuts: all of them iff it holds P and is closed under meets with each
+    principal down-set, and only cuts iff each member A is A^{ul}, the
+    meet of the principal down-sets that contain A."""
+    if any(phi[x] != poset.down(x) for x in poset.elements) \
+            or not all(a <= poset.elements for a in family.elements):
+        return False
+    labels = tuple(poset.elements)
+    full, *downs = _masks(labels, [labels, *map(poset.down, labels)])
+    masks = frozenset(_masks(labels, family.elements))
+    return full in masks and all(
+        masks.issuperset([cut & down for down in downs])
+        and reduce(and_, [d for d in downs if cut & d == cut], full) == cut
+        for cut in masks)
 
 
 def is_complete_lattice(poset):
@@ -223,21 +232,27 @@ class CompletionReport:
     embedding: dict
     detail: str = ""
 
+    def __bool__(self):
+        return self.dense
+
 
 def check_dense_completion(poset, lattice, phi):
     """
     Decide whether phi: poset -> lattice is a dense completion: an order
     embedding into a complete lattice whose image is join- and meet-dense.
+
+    The completion is unique, so Cuts with phi: x -> down-set of x are one
+    iff they are the poset's cuts; the definitions decide anything else.
     """
     for x in poset.elements:
         if x not in phi or phi[x] not in lattice.elements:
             raise InputError(f"map not total / out of range at {x!r}")
-
-    def fail(reason):
-        return CompletionReport(False, complete, dict(phi), reason)
-
+    if isinstance(lattice, Cuts):
+        if _are_the_cuts(poset, lattice, phi):
+            return CompletionReport(True, True, dict(phi))
+        lattice = lattice.as_poset()
     complete = is_complete_lattice(lattice)
-
+    fail = partial(CompletionReport, False, complete, dict(phi))
     for a in poset.elements:
         for b in poset.elements:
             if poset.leq(a, b) != lattice.leq(phi[a], phi[b]):
@@ -253,20 +268,3 @@ def check_dense_completion(poset, lattice, phi):
         if lattice.infimum_of(above) != a:
             return fail(f"image not meet-dense at {a!r}")
     return CompletionReport(True, True, dict(phi))
-
-
-def completion_extension(poset, lattice, phi, other, psi):
-    """
-    Canonical candidate embedding of one completion into another: each
-    lattice point maps to the supremum of the psi-images lying below it.
-
-    Returns the map, or None if some required supremum is missing.
-    """
-    result = {}
-    for a in lattice.elements:
-        below = [psi[x] for x in poset.elements if lattice.leq(phi[x], a)]
-        sup = other.supremum_of(below)
-        if sup is None:
-            return None
-        result[a] = sup
-    return result

@@ -210,12 +210,13 @@ def sample_whistle(config, trial):
         return config.whistle
     key = struct.pack(">QQQQ", config.seed, trial, 0, 0)
     digest = hashlib.blake2b(key, digest_size=8).digest()
+    *times, last = sorted(config.whistle)
     running = Fraction(0)
-    for t in sorted(config.whistle):
+    for t in times:
         running += config.whistle[t]
         if digest < _bound(_cut(running)):
             return t
-    return max(config.whistle)
+    return last
 
 
 def _cuts(eta):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import comb_sef, constant_choice_parts
-from exform import tilt, timing
+from exform import order, tilt, timing
 from exform.cli import (
     _closure,
     cli,
@@ -918,6 +918,49 @@ class TestDM:
         assert json.loads(result.output) == {
             "elements": 18, "completion": 512,
             "complete_lattice": True, "dense_embedding": True}
+
+    def test_twenty_four_element_crown(self, tmp_path):
+        # 2^12 cuts, checked in one pass over them: no relation over pairs
+        path = self.crown(tmp_path, 12)
+        start = time.perf_counter()
+        result = run("dm", "--poset", str(path), "--json")
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 0
+        assert json.loads(result.output) == {
+            "elements": 24, "completion": 4096,
+            "complete_lattice": True, "dense_embedding": True}
+
+    def test_thirty_two_element_crown(self, tmp_path):
+        path = self.crown(tmp_path, 16)
+        start = time.perf_counter()
+        result = run("dm", "--poset", str(path), "--json")
+        assert time.perf_counter() - start < 5.0
+        assert result.exit_code == 0
+        assert json.loads(result.output) == {
+            "elements": 32, "completion": 2 ** 16,
+            "complete_lattice": True, "dense_embedding": True}
+
+    def test_a_family_that_is_not_dense_prints_false(self, tmp_path,
+                                                     monkeypatch):
+        # the chain's completion with the non-cut {} added: still a
+        # complete lattice (a 4-chain), but {} is no meet of images
+        complete = order.dm_completion
+
+        def padded(poset):
+            lattice, phi = complete(poset)
+            return order.Cuts(lattice.elements | {frozenset()}), phi
+
+        monkeypatch.setattr(order, "dm_completion", padded)
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(
+            {"elements": ["a", "b", "c"], "leq": [["a", "b"], ["b", "c"]]}))
+        result = run("dm", "--poset", str(path), "--json")
+        assert result.exit_code == 1
+        assert json.loads(result.output) == {
+            "elements": 3, "completion": 4,
+            "complete_lattice": True, "dense_embedding": False}
+        assert "dense embedding: False" in run("dm", "--poset",
+                                               str(path)).output
 
     @pytest.mark.parametrize("doc, message", [
         ({"elements": ["a"], "leq": [["a", "b"]]},

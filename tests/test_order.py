@@ -10,11 +10,11 @@ from exform.errors import BudgetExceeded, InputError, StructureError
 from exform.order import (
     DM_CAP,
     CompletionReport,
+    Cuts,
     Poset,
     _require_rooted_forest,
     bounds,
     check_dense_completion,
-    completion_extension,
     dm_completion,
     is_complete_lattice,
     is_forest,
@@ -36,6 +36,36 @@ DIAMOND = Poset(
     "abcd",
     [(x, x) for x in "abcd"] + [("a", "b"), ("a", "c"), ("a", "d"),
                                 ("b", "d"), ("c", "d")])
+
+
+# --- oracles: the Poset scans that nothing outside the tests calls ----------
+
+def relation(poset):
+    """Every pair (a, b) with a <= b."""
+    return frozenset((a, b) for a in poset.elements for b in poset.up(a))
+
+
+def minimal(poset):
+    return frozenset(x for x in poset.elements if poset.down(x) == {x})
+
+
+def is_chain(poset, subset):
+    subset = list(subset)
+    return all(poset.leq(a, b) or poset.leq(b, a)
+               for i, a in enumerate(subset) for b in subset[i + 1:])
+
+
+def maximum_of(poset, subset):
+    """The maximum of a subset, or None if it has no greatest member."""
+    subset = frozenset(subset)
+    return next((x for x in subset if x in poset.elements
+                 and subset <= poset.down(x)), None)
+
+
+def minimum_of(poset, subset):
+    subset = frozenset(subset)
+    return next((x for x in subset if x in poset.elements
+                 and subset <= poset.up(x)), None)
 
 
 class TestPosetConstruction:
@@ -164,7 +194,7 @@ CHAINS_CAP = 2 ** 16
 
 def _maximal_chains(poset):
     # In a rooted forest every maximal chain is the up-set of a minimal element.
-    return frozenset(poset.up(m) for m in poset.minimal())
+    return frozenset(poset.up(m) for m in minimal(poset))
 
 
 def all_chains(poset):
@@ -210,7 +240,8 @@ def order_predicates_by_search(poset):
     """
     _require_rooted_forest(poset)
 
-    up_discrete = all(poset.maximum_of(c) is not None for c in all_chains(poset))
+    up_discrete = all(maximum_of(poset, c) is not None
+                      for c in all_chains(poset))
 
     weakly = True
     for x in poset.elements:
@@ -220,17 +251,17 @@ def order_predicates_by_search(poset):
         for m in strict_down:
             if poset.down(m) & strict_down == {m}:  # minimal within the strict down-set
                 chain = poset.up(m) & strict_down
-                if poset.maximum_of(chain) is None:
+                if maximum_of(poset, chain) is None:
                     weakly = False
 
     coherent = True
     for h in histories(poset):
-        if poset.minimum_of(h) is not None:
+        if minimum_of(poset, h) is not None:
             continue
         continuations = [c for c in all_chains(poset)
-                         if not (c & h) and poset.is_chain(c | h)
+                         if not (c & h) and is_chain(poset, c | h)
                          and all(poset.leq(y, x) for y in c for x in h)]
-        if not any(poset.maximum_of(c) is not None for c in continuations):
+        if not any(maximum_of(poset, c) is not None for c in continuations):
             coherent = False
 
     regular = True
@@ -256,9 +287,9 @@ def complete_by_ordered_pairs(poset):
     """
     if not poset.elements:
         return False
-    if poset.maximum_of(poset.elements) is None:
+    if maximum_of(poset, poset.elements) is None:
         return False
-    if poset.minimum_of(poset.elements) is None:
+    if minimum_of(poset, poset.elements) is None:
         return False
     for a in poset.elements:
         for b in poset.elements:
@@ -299,7 +330,7 @@ class TestDMCompletion:
 
     @given(posets(max_size=5))
     def test_complete_lattice_shortcut_matches_brute_force(self, p):
-        lattice, _ = dm_completion(p)
+        lattice = dm_completion(p)[0].as_poset()
         assert is_complete_lattice(lattice) == brute_force_complete(lattice)
 
     def test_empty_poset_is_not_a_lattice(self):
@@ -310,7 +341,7 @@ class TestDMCompletion:
     def test_pairwise_meets_match_every_ordered_pair(self, p):
         # random posets are seldom lattices, their completions always are
         lattice, _ = dm_completion(p)
-        for q in (p, lattice):
+        for q in (p, lattice.as_poset()):
             assert is_complete_lattice(q) == complete_by_ordered_pairs(q)
 
     @given(posets())
@@ -330,7 +361,7 @@ class TestDMCompletion:
     @given(st.integers(min_value=1, max_value=7))
     def test_chains_complete_to_chains(self, n):
         lattice, _ = dm_completion(chain(n))
-        assert lattice.is_chain(lattice.elements)
+        assert is_chain(lattice, lattice.elements)
         assert len(lattice.elements) == n
 
 
@@ -338,7 +369,7 @@ class TestCheckDenseCompletion:
     def test_identity_on_complete_lattice(self):
         lattice, _ = dm_completion(antichain("ab"))
         phi = {x: x for x in lattice.elements}
-        assert check_dense_completion(lattice, lattice, phi).dense
+        assert check_dense_completion(lattice.as_poset(), lattice, phi).dense
 
     def test_extra_middle_point_is_not_dense(self):
         # 2-antichain into the 4-lattice padded with a fifth point between
@@ -363,6 +394,23 @@ class TestCheckDenseCompletion:
         assert not report.dense
 
 
+def completion_extension(poset, lattice, phi, other, psi):
+    """
+    Canonical candidate embedding of one completion into another: each
+    lattice point maps to the supremum of the psi-images lying below it.
+
+    Returns the map, or None if some required supremum is missing.
+    """
+    result = {}
+    for a in lattice.elements:
+        below = [psi[x] for x in poset.elements if lattice.leq(phi[x], a)]
+        sup = other.supremum_of(below)
+        if sup is None:
+            return None
+        result[a] = sup
+    return result
+
+
 class TestSmallness:
     @given(posets(max_size=5))
     @settings(deadline=None, max_examples=40)
@@ -372,6 +420,7 @@ class TestSmallness:
         # canonical extension map must then be an order embedding.
         lattice, phi = dm_completion(p)
         other, psi = dm_completion(p)
+        other = other.as_poset()
         ext = completion_extension(p, lattice, phi, other, psi)
         assert ext is not None
         for a in lattice.elements:
@@ -431,15 +480,17 @@ def bounds_by_scan(poset, subset):
 
 
 def maximum_by_scan(poset, subset):
+    pairs = relation(poset)
     for x in subset:
-        if all((y, x) in poset.relation for y in subset):
+        if all((y, x) in pairs for y in subset):
             return x
     return None
 
 
 def minimum_by_scan(poset, subset):
+    pairs = relation(poset)
     for x in subset:
-        if all((x, y) in poset.relation for y in subset):
+        if all((x, y) in pairs for y in subset):
             return x
     return None
 
@@ -480,7 +531,7 @@ def relations(draw):
     unknown label "z" added."""
     p = draw(posets(max_size=5))
     labels = sorted(p.elements)
-    pairs = set(p.relation)
+    pairs = set(relation(p))
     for change in draw(st.lists(st.sampled_from(
             ["reflexive", "antisymmetric", "transitive", "unknown"]),
             max_size=3)):
@@ -514,7 +565,7 @@ class TestAgainstScans:
             assert str(got.value) == str(err)
             return
         p = Poset(elements, leq)
-        assert p.relation == pairs
+        assert relation(p) == pairs
         for x in elements:
             assert p.up(x) == frozenset(y for y in elements if (x, y) in pairs)
             assert p.down(x) == frozenset(y for y in elements
@@ -547,15 +598,17 @@ class TestAgainstScans:
         assert bounds(p, subset) == bounds_by_scan(p, subset)
         with_unknown = data.draw(st.lists(st.sampled_from(labels + ["z"])))
         for members in (subset, with_unknown):
-            assert p.maximum_of(members) == maximum_by_scan(p, members)
-            assert p.minimum_of(members) == minimum_by_scan(p, members)
+            assert maximum_of(p, members) == maximum_by_scan(p, members)
+            assert minimum_of(p, members) == minimum_by_scan(p, members)
 
     @given(posets(max_size=8))
     @settings(deadline=None, max_examples=150)
     def test_same_cuts(self, p):
         lattice, embedding = dm_completion(p)
         want, want_embedding = dm_completion_by_scan(p)
-        assert lattice == want
+        assert lattice.elements == want.elements
+        assert {(a, b) for a in lattice.elements for b in lattice.elements
+                if lattice.leq(a, b)} == relation(want)
         assert embedding == want_embedding
 
 
@@ -575,11 +628,11 @@ class TestCutBudget:
 # --- oracles: the bound questions as scans, before the principal-set index --
 
 def supremum_by_scan(poset, subset):
-    return poset.minimum_of(bounds(poset, subset)[0])
+    return minimum_of(poset, bounds(poset, subset)[0])
 
 
 def infimum_by_scan(poset, subset):
-    return poset.maximum_of(bounds(poset, subset)[1])
+    return maximum_of(poset, bounds(poset, subset)[1])
 
 
 def complete_by_pairwise_bounds(poset):
@@ -587,20 +640,20 @@ def complete_by_pairwise_bounds(poset):
     scanning the bound sets."""
     if not poset.elements:
         return False
-    if poset.maximum_of(poset.elements) is None:
+    if maximum_of(poset, poset.elements) is None:
         return False
     return all(infimum_by_scan(poset, {a, b}) is not None
                for a, b in combinations(poset.elements, 2))
 
 
 def forest_by_chains(poset):
-    return all(poset.is_chain(poset.up(x)) for x in poset.elements)
+    return all(is_chain(poset, poset.up(x)) for x in poset.elements)
 
 
 def roots_and_components_by_scan(poset):
     if not forest_by_chains(poset):
         raise StructureError("not a forest")
-    root_of = {x: poset.maximum_of(poset.up(x)) for x in poset.elements}
+    root_of = {x: maximum_of(poset, poset.up(x)) for x in poset.elements}
     roots = frozenset(root_of.values())
     components = frozenset(
         frozenset(x for x in poset.elements if root_of[x] == r) for r in roots)
@@ -646,7 +699,7 @@ class TestAgainstBoundScans:
     @given(posets(max_size=6))
     @settings(deadline=None, max_examples=60)
     def test_dm_lattices(self, p):
-        lattice, _ = dm_completion(p)
+        lattice = dm_completion(p)[0].as_poset()
         assert is_complete_lattice(lattice)
         pairs = [frozenset(pair) for pair in combinations(lattice.elements, 2)]
         assert_bounds_agree(lattice, pairs + [frozenset(lattice.elements)])
@@ -680,3 +733,124 @@ class TestAgainstBoundScans:
         for ask in (DIAMOND.supremum_of, DIAMOND.infimum_of):
             with pytest.raises(InputError, match="unknown labels"):
                 ask({"a", "zz"})
+
+
+# --- the one-pass check of a cut family against the definitions ------------
+
+def crown(half):
+    """a_i < b_j for i != j: 2 * half elements, 2^half cuts."""
+    low = [f"a{i}" for i in range(half)]
+    high = [f"b{i}" for i in range(half)]
+    return Poset(low + high, [(x, x) for x in low + high]
+                 + [(a, b) for i, a in enumerate(low)
+                    for j, b in enumerate(high) if i != j])
+
+
+def by_definitions(poset, family, phi):
+    """The dense-completion check on the family as an explicit Poset."""
+    return check_dense_completion(poset, family.as_poset(), phi)
+
+
+def assert_definitions_agree(poset, family, phi):
+    report = check_dense_completion(poset, family, phi)
+    assert report == by_definitions(poset, family, phi)
+    assert report.is_lattice_complete == is_complete_lattice(family.as_poset())
+    return report
+
+
+NAMED = {"empty": Poset([], []),
+         **{f"chain{n}": chain(n) for n in (1, 2, 5, 18)},
+         **{f"antichain{n}": antichain([f"x{i}" for i in range(n)])
+            for n in (1, 2, 5, 18)},
+         **{f"crown{2 * half}": crown(half) for half in range(1, 10)}}
+
+
+class TestCutFamilyPass:
+    @given(posets())
+    @settings(deadline=None)
+    def test_random_posets(self, p):
+        lattice, phi = dm_completion(p)
+        report = assert_definitions_agree(p, lattice, phi)
+        assert report.dense and report.is_lattice_complete
+
+    @pytest.mark.parametrize("name", NAMED)
+    def test_named_posets(self, name):
+        poset = NAMED[name]
+        lattice, phi = dm_completion(poset)
+        report = assert_definitions_agree(poset, lattice, phi)
+        assert report.dense and report.is_lattice_complete
+
+    def test_empty_poset_completes_to_one_cut(self):
+        lattice, phi = dm_completion(Poset([], []))
+        assert lattice.elements == {frozenset()}
+        assert check_dense_completion(Poset([], []), lattice, phi) \
+            == CompletionReport(True, True, {})
+
+    def test_dm_path_builds_no_poset_over_the_cuts(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a relation over the cuts was built")
+        monkeypatch.setattr(Cuts, "as_poset", refuse)
+        monkeypatch.setattr("exform.order.is_complete_lattice", refuse)
+        p = crown(8)
+        lattice, phi = dm_completion(p)
+        assert check_dense_completion(p, lattice, phi).dense
+
+    @given(posets(), st.data())
+    @settings(deadline=None)
+    def test_a_cut_dropped(self, p, data):
+        lattice, phi = dm_completion(p)
+        spare = sorted(lattice.elements - set(phi.values()), key=sorted)
+        if not spare:
+            return
+        family = Cuts(lattice.elements - {data.draw(st.sampled_from(spare))})
+        assert not assert_definitions_agree(p, family, phi).dense
+
+    @given(posets(), st.data())
+    @settings(deadline=None)
+    def test_a_non_cut_added(self, p, data):
+        lattice, phi = dm_completion(p)
+        others = [frozenset(s) for s in powerset(sorted(p.elements))
+                  if frozenset(s) not in lattice.elements]
+        others.append(frozenset({"z"}))
+        family = Cuts(lattice.elements | {data.draw(st.sampled_from(others))})
+        assert not assert_definitions_agree(p, family, phi).dense
+
+    @given(posets(), st.data())
+    @settings(deadline=None)
+    def test_an_image_swapped(self, p, data):
+        lattice, phi = dm_completion(p)
+        below = sorted((a, b) for (a, b) in relation(p) if a != b)
+        if not below:
+            return
+        a, b = data.draw(st.sampled_from(below))
+        swapped = {**phi, a: phi[b], b: phi[a]}
+        assert not assert_definitions_agree(p, lattice, swapped).dense
+
+    def test_swapping_twins_is_still_dense(self):
+        # an automorphism of the poset: not x -> down-set of x, so the
+        # definitions decide, and the map is a dense completion
+        lattice, phi = dm_completion(antichain("ab"))
+        swapped = {"a": phi["b"], "b": phi["a"]}
+        report = assert_definitions_agree(antichain("ab"), lattice, swapped)
+        assert report.dense
+
+    def test_mutations_of_a_crown(self):
+        p = crown(4)
+        lattice, phi = dm_completion(p)
+        spare = sorted(lattice.elements - set(phi.values()), key=sorted)
+        families = [Cuts(lattice.elements - {cut}) for cut in spare]
+        families += [Cuts(lattice.elements | {frozenset(s)})
+                     for s in powerset(sorted(p.elements))
+                     if frozenset(s) not in lattice.elements][:40]
+        for family in families:
+            assert not assert_definitions_agree(p, family, phi).dense
+        assert not assert_definitions_agree(
+            p, lattice, {**phi, "a0": phi["b1"], "b1": phi["a0"]}).dense
+
+    def test_report_is_truthy_iff_dense(self):
+        lattice, _ = dm_completion(chain(2))
+        collapse = {x: frozenset({"c0"}) for x in ["c0", "c1"]}
+        report = check_dense_completion(chain(2), lattice, collapse)
+        assert not report
+        assert CompletionReport(True, True, {})
+        assert not CompletionReport(False, True, {})
