@@ -559,7 +559,7 @@ def dm(path, as_json):
     lattice, phi = order.dm_completion(poset)
     dense = order.check_dense_completion(poset, lattice, phi)
     data = {"elements": len(poset.elements),
-            "completion": len(lattice.elements),
+            "completion": len(lattice),
             "complete_lattice": dense.is_lattice_complete,
             "dense_embedding": bool(dense)}
     emit(as_json,

@@ -11,9 +11,13 @@ by deviating).  Both halves share one pass: ``validate_eu`` checks the
 layer and scales its beliefs and tastes to integers once, and outcomes
 are read once, through one ``TreeFills`` memo.  A deviation's conditional
 payoff is linear in what it plays at each information set, as in the
-sequence form, so the rationality sweep sums each block from
-per-information-set partials instead of replaying every deviation.  All
-arithmetic is exact; ``Fraction``s are built only for reported values.
+sequence form (Koller, Megiddo & von Stengel, GEB 1996), so the
+rationality sweep sums each block from per-information-set partials
+instead of replaying every deviation: each term goes into the sum of its
+slice tuple under its tree's grouping of the menus, and each distinct
+grouping is expanded into choice tuples once, so the partials cost terms
+x slice tuples + groupings x choice tuples.  All arithmetic is exact;
+``Fraction``s are built only for reported values.
 """
 
 import itertools
@@ -216,12 +220,15 @@ class _Deviations:
     A term (start move, weight) of a block lies in the tree of its start,
     and a deviation changes its outcome only through the slices, in that
     tree, of its choices at S, the agent's information sets with moves
-    there.  So the term is read once per distinct slice tuple of S, from
-    the form's menus grouped by slice, and added into one partial sum per
-    choice tuple of S; a block's total under a deviation is the sum of its
-    partials at the deviation's choices.  A read that fails is kept with
-    its term's position and raised only when a deviation reaches the
-    block, the first failing term first.
+    there.  So the term is read once per slice tuple of S, from the form's
+    menus grouped by slice, and added into that slice tuple's sum under
+    the tree's grouping of S, which the form's index shares among the
+    trees that group alike.  Each distinct grouping is then expanded once
+    into the partial sum per choice tuple of S, the sum of its slice
+    tuples' sums over the groupings; a block's total under a deviation is
+    the sum of its partials at the deviation's choices.  A read that fails
+    is kept with its term's position and raised only when a deviation
+    reaches the block, the first failing term first.
     """
 
     def __init__(self, sef, fills, tables, i):
@@ -243,21 +250,32 @@ class _Deviations:
                 (n, start, weight, root))
         parts = []
         for sets, terms in by_set.items():
-            partial, failed = {}, {}
+            sums = {}   # grouping -> [[sum, first failed read] per slice tuple]
             for n, start, weight, root in terms:
                 grouped = [self.grouped[j][root] for j in sets]
-                for groups in itertools.product(*[g for _, g in grouped]):
+                grouping = tuple([g for _, g in grouped])
+                if grouping not in sums:
+                    sums[grouping] = [[0, None] for _
+                                      in itertools.product(*grouping)]
+                for slot, groups in zip(sums[grouping],
+                                        itertools.product(*grouping)):
                     table = {x: g[0] for (xs, _), g in zip(grouped, groups)
                              for x in xs}
                     try:
-                        value, error = weight * taste[self.fills.reader(
-                            {**self.tables, self.agent: table})(start)], None
+                        slot[0] += weight * taste[self.fills.reader(
+                            {**self.tables, self.agent: table})(start)]
                     except (NoOutcome, MultipleOutcomes) as err:
-                        value, error = 0, (n, err)
+                        slot[1] = slot[1] or (n, err)
+            partial, failed = {}, {}
+            for grouping, slots in sums.items():
+                for groups, (value, error) in zip(
+                        itertools.product(*grouping), slots):
                     for choices in itertools.product(*groups):
                         partial[choices] = partial.get(choices, 0) + value
-                        if error:
-                            failed.setdefault(choices, error)
+                        # terms were summed in order, so each grouping's
+                        # error is its first; keep the first over groupings
+                        if error and error[0] <= failed.get(choices, error)[0]:
+                            failed[choices] = error
             parts.append((sets, partial, failed))
         return parts
 
@@ -301,8 +319,11 @@ def check_dynamic_rationality(sef, eu, profile):
     is the sum of the block's partials at its choices (``_Deviations``),
     each term read through the same ``TreeFills`` memo once per distinct
     slice tuple of the deviating agent's information sets in the term's
-    tree.  The cost follows terms times distinct slice tuples plus
-    deviations times the blocks' information-set groups.
+    tree, and each distinct grouping of those sets' menus expanded into
+    choice tuples once.  The cost follows terms times slice tuples plus
+    groupings times choice tuples plus deviations times the blocks'
+    information-set groups; each fill is one pass over its tree's walk,
+    indexed when the form was built.
     """
     return _rationality(sef, eu, *_pass(sef, eu, profile))
 

@@ -10,7 +10,7 @@ play runs downward from a root to a minimal (terminal) element.
 """
 
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 from itertools import combinations
 from operator import and_
 
@@ -153,10 +153,33 @@ def order_predicates(poset):
     }
 
 
-@dataclass(frozen=True, repr=False)
 class Cuts:
-    """A family of sets ordered by inclusion: no relation is stored."""
-    elements: frozenset
+    """
+    A family of sets ordered by inclusion: no relation is stored.  The
+    completion keeps its cuts as int masks over its poset's labels, bit i
+    for labels[i], and ``elements``, the cuts as frozensets of labels, is
+    decoded only when it is read.  A family given by its sets keeps no
+    masks.
+    """
+
+    def __init__(self, elements):
+        self.elements = frozenset(elements)
+        self.labels = self.masks = None
+
+    @classmethod
+    def _of_masks(cls, labels, masks):
+        cuts = cls.__new__(cls)
+        cuts.labels, cuts.masks = labels, frozenset(masks)
+        return cuts
+
+    @cached_property
+    def elements(self):
+        return frozenset(
+            frozenset(x for i, x in enumerate(self.labels) if cut >> i & 1)
+            for cut in self.masks)
+
+    def __len__(self):
+        return len(self.elements if self.masks is None else self.masks)
 
     def leq(self, a, b):
         return a <= b
@@ -178,7 +201,8 @@ def dm_completion(poset):
 
     These cuts are exactly the intersections of principal down-sets, the
     whole poset being the empty one, so they are closed from {P} by
-    meeting every cut found so far with each down-set in turn.
+    meeting every cut found so far with each down-set in turn.  They are
+    returned as int masks over the poset's labels.
     """
     cap = budget(DM_CAP)
     labels = tuple(poset.elements)
@@ -187,9 +211,8 @@ def dm_completion(poset):
         closed |= {cut & down for cut in closed}
         if len(closed) > cap:
             raise BudgetExceeded(f"more than {cap} cuts")
-    cuts = frozenset(frozenset(x for i, x in enumerate(labels) if cut >> i & 1)
-                     for cut in closed)
-    return Cuts(cuts), {x: poset.down(x) for x in poset.elements}
+    return Cuts._of_masks(labels, closed), \
+        {x: poset.down(x) for x in poset.elements}
 
 
 def _are_the_cuts(poset, family, phi):
@@ -197,12 +220,16 @@ def _are_the_cuts(poset, family, phi):
     cuts: all of them iff it holds P and is closed under meets with each
     principal down-set, and only cuts iff each member A is A^{ul}, the
     meet of the principal down-sets that contain A."""
-    if any(phi[x] != poset.down(x) for x in poset.elements) \
-            or not all(a <= poset.elements for a in family.elements):
+    if any(phi.get(x) != poset.down(x) for x in poset.elements):
         return False
     labels = tuple(poset.elements)
     full, *downs = _masks(labels, [labels, *map(poset.down, labels)])
-    masks = frozenset(_masks(labels, family.elements))
+    if family.labels == labels:
+        masks = family.masks
+    elif all(a <= poset.elements for a in family.elements):
+        masks = frozenset(_masks(labels, family.elements))
+    else:
+        return False
     return full in masks and all(
         masks.issuperset([cut & down for down in downs])
         and reduce(and_, [d for d in downs if cut & d == cut], full) == cut
@@ -242,14 +269,15 @@ def check_dense_completion(poset, lattice, phi):
     embedding into a complete lattice whose image is join- and meet-dense.
 
     The completion is unique, so Cuts with phi: x -> down-set of x are one
-    iff they are the poset's cuts; the definitions decide anything else.
+    iff they are the poset's cuts, which hold every down-set; that is
+    decided on the cuts' masks, and the definitions decide anything else.
     """
+    if isinstance(lattice, Cuts) and _are_the_cuts(poset, lattice, phi):
+        return CompletionReport(True, True, dict(phi))
     for x in poset.elements:
         if x not in phi or phi[x] not in lattice.elements:
             raise InputError(f"map not total / out of range at {x!r}")
     if isinstance(lattice, Cuts):
-        if _are_the_cuts(poset, lattice, phi):
-            return CompletionReport(True, True, dict(phi))
         lattice = lattice.as_poset()
     complete = is_complete_lattice(lattice)
     fail = partial(CompletionReport, False, complete, dict(phi))

@@ -12,8 +12,9 @@ that tree's root r, so a query from the move reads each choice c the
 profile plays at the tree's moves only through its slice c & r.  Every
 caller that makes several queries reads through one per-call memo,
 ``TreeFills``: it fills a tree once per distinct signature, the slices
-the profile's tables hold at that tree's moves, and every profile that
-agrees with it on the tree reads that fill.  A profile's reader keys
+the profile's tables hold at that tree's moves, by one pass over the
+tree's walk that the form indexed at construction, and every profile
+that agrees with it on the tree reads that fill.  A profile's reader keys
 each tree once; the deviation sweep reads a term once per distinct slice
 of the deviating agent's choices in its tree, and the well-posedness
 check walks the histories in a total order, each as its sorted list of
@@ -183,43 +184,52 @@ def outcome_from(sef, tables, node):
     return _one_outcome(_compatible_below(sef, tables, core, {}), node)
 
 
+def _tree_fill(sef, tables, root):
+    """The outcomes compatible with the tables from each move of the tree
+    of the root on, from the tree's walk in the form's index: each move
+    keeps its terminal outcomes and the union of its child moves' fills,
+    cut down to every active agent's choice there."""
+    fill = {}
+    for x, found, below, active in sef._index.walks[root][1]:
+        if below:
+            found = found.union(*[fill[z] for z in below])
+        for i in active:
+            found &= tables[i][x]
+        fill[x] = found
+    return fill
+
+
 class TreeFills:
     """
     One call's memo of compatible-outcome fills, keyed by (root, slice
     signature).  Every node below a tree's root r lies inside r, so a fill
     of that tree reads each choice c the tables hold at the tree's moves
     only through its slice c & r.  The signature lists those slices over
-    the tree's (agent, move) pairs in an order fixed for the call; inside
-    one tree an information set's moves share their choice, so profiles
-    agree on it exactly when their slices per (agent, information set)
-    agree.  The fill under a key is ``_compatible_below`` from r, made once
-    from the first tables that carry the key.
+    the tree's (agent, move) pairs, in the order the form's index keeps
+    them; inside one tree an information set's moves share their choice,
+    so profiles agree on it exactly when their slices per (agent,
+    information set) agree.  The fill under a key is ``_tree_fill`` of r,
+    made once from the first tables that carry the key by one pass over
+    the tree's walk, which the form's index built at construction.  The
+    memo is all the object builds, and it goes with the object.
     """
 
     def __init__(self, sef):
         self.sef = sef
+        self.root = sef._index.root   # move -> the root of its tree
         self.fills = {}   # (root, signature) -> {move of the tree: outcomes}
-        sdf = sef.sdf
-        self.root = {x: sdf.root_of(sdf.projection[x])
-                     for x in sdf.forest.moves()}
-        # per root, the (agent, move) pairs of that tree, agents in order
-        self.pairs = {}
-        for i in sef.agents:
-            for x in sef.moves_of(i):
-                self.pairs.setdefault(self.root[x], []).append((i, x))
 
     def key(self, tables, root):
         """The tables' key on the tree of the root: the slices of the
         choices every agent's table holds at its moves in that tree."""
         return root, tuple([tables[i][x] & root
-                            for i, x in self.pairs.get(root, ())])
+                            for i, x in self.sef._index.walks[root][0]])
 
     def fill(self, tables, key):
         """The fill under the key, made from the tables on a miss."""
         fill = self.fills.get(key)
         if fill is None:
-            fill = self.fills[key] = {}
-            _compatible_below(self.sef, tables, key[0], fill)
+            fill = self.fills[key] = _tree_fill(self.sef, tables, key[0])
         return fill
 
     def reader(self, tables):

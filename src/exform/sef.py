@@ -314,7 +314,8 @@ def _adapted_unions(form, i, members, table, void=False):
 
 
 _MenuIndex = namedtuple("_MenuIndex",
-                        "moves info_sets offered active menus grouped")
+                        "moves info_sets offered active menus grouped root "
+                        "walks")
 
 
 def _meet(offered, i, m):
@@ -337,9 +338,14 @@ def _menu_index(form, tables):
     at that move but off the menu: ``_Deviations`` never looks up their
     partial sums, and a group's first member reads the outcome every
     member with its slice reads.
+
+    ``root`` maps each move to the root of its tree, and ``walks`` maps
+    each root to its (agent, move) pairs and its walk: the tree's moves
+    smallest first, so each comes after its child moves, each as (move,
+    its terminal outcomes, its child moves, its active agents).
     """
     sdf = form.sdf
-    index = _MenuIndex({}, {}, {}, {}, {}, {})
+    index = _MenuIndex({}, {}, {}, {}, {}, {}, {}, {})
     shared = {}   # groupings repeat from tree to tree; each is kept once
     for i in form.agents:
         table = tables[i]
@@ -371,6 +377,15 @@ def _menu_index(form, tables):
                 groups = table.groups_at(w, xs[0])
                 grouped[sdf.root_of(w)] = (tuple(xs),
                                            shared.setdefault(groups, groups))
+    forest = sdf.forest
+    for x in sorted(forest.moves(), key=len):
+        root = index.root[x] = sdf.root_of(sdf.projection[x])
+        pairs, walk = index.walks.setdefault(root, ([], []))
+        active = index.active.get(x, ())
+        pairs.extend((i, x) for i in active)
+        below = forest.children(x)
+        walk.append((x, frozenset().union(*[z for z in below if len(z) == 1]),
+                     tuple([z for z in below if len(z) > 1]), active))
     return index
 
 
@@ -378,10 +393,11 @@ class StochasticExtensiveForm:
     """
     A validated extensive form.  Construction stores the data once and
     validates the stored form.  Validation builds the menu index, with the
-    menus grouped by slice in each tree, from the slice tables of its first
-    pass; a form assembled without validation builds it on first use from
-    slice tables of its own.  The form keeps no table: each check that
-    needs one builds the agent's slice table and drops it when it returns.
+    menus grouped by slice in each tree and each tree's walk for outcome
+    fills, from the slice tables of its first pass; a form assembled
+    without validation builds it on first use from slice tables of its
+    own.  The form keeps no table: each check that needs one builds the
+    agent's slice table and drops it when it returns.
     """
 
     def __init__(self, sdf, agents, agent_moves, info, refchoices, choices,

@@ -385,23 +385,37 @@ def gamma(family, t):
 def _window_values(process, family, window):
     """
     The reader of a probe's value sequence over the window's depths.  It
-    keeps one table per call of depth -> (grid, stop time), each filled at
-    its first use, so every error surfaces where a fresh read would raise.
+    keeps one table per call of depth -> (grid, stop time), and one of
+    time -> {depth: located index}, which an anchored stop index reads
+    too; each entry is filled at its first use, so every error surfaces
+    where a fresh read would raise.
     """
-    grids, stops = {}, {}
+    grids, located, stops = {}, {}, {}
+
+    def base(at, n, t):
+        if n not in at:
+            at[n] = _locate(grids[n], t)
+        return at[n]
 
     def values(t, beta):
+        at = located.setdefault(t, {})
         out = []
         for n in window.depths():
             if n not in grids:
                 grids[n] = family.member(n)
             grid = grids[n]
-            time = grid(ord_add(_locate(grid, t), beta))
+            time = grid(ord_add(base(at, n, t), beta))
             if not isinstance(process, StopIndexFamily):
                 out.append(process(n, time))
                 continue
             if n not in stops:
-                stops[n] = grid(process.index(n, grid))
+                anchor = process.anchor
+                if anchor is None:
+                    stops[n] = grid(process.index(n, grid))
+                else:
+                    t0 = vt(anchor.t)
+                    stops[n] = grid(ord_add(
+                        base(located.setdefault(t0, {}), n, t0), anchor.v))
             out.append(1 if time < stops[n] else 0)
         return out
 

@@ -42,12 +42,19 @@ from exform.instances import (
     ultimatum_sef,
 )
 from exform.order import Poset
-from exform.equil import check_dynamic_rationality
+from exform.equil import (
+    bayes_beliefs,
+    check_dynamic_rationality,
+    expected_payoff,
+    units,
+    verify_equilibrium,
+)
 from exform.play import (
     StrategyProfile,
     check_wellposed_direct,
     outcome_from,
     profile_tables,
+    scenario_outcomes,
 )
 from exform.sdf import (
     RandomMove,
@@ -707,6 +714,19 @@ class TestQueriesKeepNothing:
         before = [held(part) for part in parts]
         assert check_dynamic_rationality(form, eu, profile)
         assert check_wellposed_direct(form)
+        assert [held(part) for part in parts] == before
+
+    @pytest.mark.parametrize("name", ["amd", "mp-case3"])
+    def test_verify_and_reads_leave_the_form_as_it_was(self, name):
+        # a memo kept on the form for its lifetime would show here
+        form, eu, profile, expected = load_example(name)
+        parts = form, form.sdf, form.sdf.forest
+        before = [held(part) for part in parts]
+        verify_equilibrium(form, eu, profile)
+        bayes_beliefs(form, expected["prior"], profile)
+        scenario_outcomes(form, profile)
+        for unit in units(form):
+            expected_payoff(form, eu, profile, *unit)
         assert [held(part) for part in parts] == before
 
 

@@ -795,6 +795,18 @@ class TestCutFamilyPass:
         lattice, phi = dm_completion(p)
         assert check_dense_completion(p, lattice, phi).dense
 
+    def test_dm_path_decodes_no_cut(self, monkeypatch):
+        # the cuts stay int masks through the check and the count that
+        # `exform dm` makes; only a read of ``elements`` decodes them
+        decoded = []
+        monkeypatch.setattr(Cuts, "elements",
+                            property(lambda cuts: decoded.append(cuts)))
+        p = crown(8)
+        lattice, phi = dm_completion(p)
+        assert check_dense_completion(p, lattice, phi).dense
+        assert len(lattice) == 2 ** 8
+        assert not decoded
+
     @given(posets(), st.data())
     @settings(deadline=None)
     def test_a_cut_dropped(self, p, data):

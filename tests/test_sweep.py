@@ -1,0 +1,235 @@
+"""
+The rationality sweep and the tree fills against the code they replaced.
+
+``term_parts`` is ``_Deviations.parts`` as it was before terms were summed
+per slice grouping: each term is added into the partial sum of every
+choice tuple of its groups.  ``walked_fill`` is ``TreeFills``' fill as it
+was before each tree's walk was indexed at construction:
+``_compatible_below`` from the root, which finds its bottom-up order with
+a stack.  Both are kept verbatim as oracles.
+"""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from exform import equil, play
+from exform.equil import (
+    Belief,
+    EUStructure,
+    expected_payoff,
+    units,
+    verify_equilibrium,
+)
+from exform.errors import MultipleOutcomes, NoOutcome
+from exform.forest import DecisionForest
+from exform.instances import amd_instance
+from exform.play import (
+    StrategyProfile,
+    _compatible_below,
+    check_wellposed_direct,
+    scenario_outcomes,
+)
+from exform.sdf import RandomMove, StochasticDecisionForest
+from exform.sef import StochasticExtensiveForm, info_sets, strategies
+from test_acceptance import _mp_profile
+from test_equil import (
+    EXAMPLES,
+    bundled,
+    coin_matching_checks,
+    dealt_layers,
+    drawn_layers,
+    outcome_or_error,
+    skipped_failure,
+    two_failures,
+)
+
+
+def term_parts(self, taste, pairs):
+    """The block's partial sums: (S, the sum per choice tuple of S,
+    {choice tuple: (term, the error of its failed read)})."""
+    by_set = {}
+    for n, (start, weight) in enumerate(pairs):
+        root = self.fills.root[start]
+        by_set.setdefault(self.active[root], []).append(
+            (n, start, weight, root))
+    parts = []
+    for sets, terms in by_set.items():
+        partial, failed = {}, {}
+        for n, start, weight, root in terms:
+            grouped = [self.grouped[j][root] for j in sets]
+            for groups in itertools.product(*[g for _, g in grouped]):
+                table = {x: g[0] for (xs, _), g in zip(grouped, groups)
+                         for x in xs}
+                try:
+                    value, error = weight * taste[self.fills.reader(
+                        {**self.tables, self.agent: table})(start)], None
+                except (NoOutcome, MultipleOutcomes) as err:
+                    value, error = 0, (n, err)
+                for choices in itertools.product(*groups):
+                    partial[choices] = partial.get(choices, 0) + value
+                    if error:
+                        failed.setdefault(choices, error)
+        parts.append((sets, partial, failed))
+    return parts
+
+
+def walked_fill(sef, tables, root):
+    """The fill of the tree of the root, walked below it with a stack."""
+    fill = {}
+    _compatible_below(sef, tables, root, fill)
+    return fill
+
+
+def failures(failed):
+    """A failed map with each error as its type and message."""
+    return {k: (n, type(err), str(err)) for k, (n, err) in failed.items()}
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    """While in use, every fill and every block's partial sums are compared
+    with the oracles', in order and field by field; counts each kind."""
+    seen = {"fills": 0, "parts": 0}
+    fill, parts = play._tree_fill, equil._Deviations.parts
+
+    def checked_fill(sef, tables, root):
+        found = fill(sef, tables, root)
+        assert found == walked_fill(sef, tables, root)
+        seen["fills"] += 1
+        return found
+
+    def checked_parts(self, taste, pairs):
+        found = parts(self, taste, pairs)
+        want = term_parts(self, taste, pairs)
+        assert [sets for sets, _, _ in found] == [sets for sets, _, _ in want]
+        for (_, partial, failed), (_, partial2, failed2) in zip(found, want):
+            assert list(partial.items()) == list(partial2.items())
+            assert failures(failed) == failures(failed2)
+        seen["parts"] += 1
+        return found
+
+    monkeypatch.setattr(play, "_tree_fill", checked_fill)
+    monkeypatch.setattr(equil._Deviations, "parts", checked_parts)
+    return seen
+
+
+def on_oracles(monkeypatch, check, *args):
+    """The check's result, or its error, with the oracles in place."""
+    with monkeypatch.context() as m:
+        m.setattr(play, "_tree_fill", walked_fill)
+        m.setattr(equil._Deviations, "parts", term_parts)
+        return outcome_or_error(check, *args)
+
+
+def assert_same_as_oracles(monkeypatch, sef, eu, profile):
+    """Both reports of ``verify_equilibrium`` equal the oracles', the
+    rationality report field by field in order, or both raise the same
+    error."""
+    want = on_oracles(monkeypatch, verify_equilibrium, sef, eu, profile)
+    report = outcome_or_error(verify_equilibrium, sef, eu, profile)
+    assert report == want
+    if isinstance(report, tuple):
+        return report
+    got, want = report.rationality, want.rationality
+    assert [(u, list(v.items())) for u, v in got.payoffs.items()] \
+        == [(u, list(v.items())) for u, v in want.payoffs.items()]
+    assert got.witnesses == want.witnesses
+    assert list(got.zero_blocks.items()) == list(want.zero_blocks.items())
+    return report
+
+
+def no_outcome_after_multiple():
+    """
+    Three scenarios u, v, x, each a root over three outcomes; agent i has
+    one information set at the random move over the three roots, told
+    nothing, and agent b is active at x's root alone, playing {x:1, x:3};
+    assembled without validation on purpose.  i's menu is {u:1, v:1, x:1},
+    which it plays, {u:2, v:2, v:3, x:2} and {u:3, v:1, x:3}.  The trees of
+    u and x group that menu alike, one choice per slice, and v's tree
+    groups the first and last together.  The second choice leaves two
+    outcomes at v, the second term, and none at x, the third: the first
+    failing term sits in the second grouping the sweep meets.
+    """
+    outcomes = [f"{w}:{k}" for w in "uvx" for k in "123"]
+    roots = {w: frozenset(o for o in outcomes if o[0] == w) for w in "uvx"}
+    nodes = [*roots.values(), *(frozenset({o}) for o in outcomes)]
+    at_i, at_b = RandomMove(roots), RandomMove({"x": roots["x"]})
+    sdf = StochasticDecisionForest(
+        DecisionForest(outcomes, nodes), ("u", "v", "x"),
+        {x: min(x)[0] for x in nodes}, [at_i, at_b])
+    sef = object.__new__(StochasticExtensiveForm)
+    sef._store(sdf, ("i", "b"), {"i": {at_i}, "b": {at_b}},
+               {"i": {at_i: frozenset({frozenset("uvx")})},
+                "b": {at_b: frozenset({frozenset("x")})}},
+               {"i": {at_i: ()}, "b": {at_b: ()}},
+               {"i": [{"u:1", "v:1", "x:1"}, {"u:2", "v:2", "v:3", "x:2"},
+                      {"u:3", "v:1", "x:3"}],
+                "b": [{"x:1", "x:3"}]})
+    profile = StrategyProfile({i: strategies(sef, i)[0] for i in sef.agents})
+    beliefs = {(i, p): Belief({w: Fraction(1, len(m.domain)) for w in m.domain},
+                              {w: m for w in m.domain})
+               for i, p in units(sef) for m in p.random_moves}
+    taste = dict.fromkeys(outcomes, Fraction(0))
+    return sef, EUStructure(beliefs, dict.fromkeys(beliefs, taste)), profile
+
+
+EXIT_RACES = [(3, Fraction(k, 3)) for k in range(4)] + \
+    [(6, Fraction(k, 6)) for k in range(7)]
+
+
+class TestAgainstOracles:
+    @pytest.mark.parametrize("name", EXAMPLES)
+    def test_bundled_forms(self, monkeypatch, checked, name):
+        sef, eu, profile, _ = bundled(name)
+        assert_same_as_oracles(monkeypatch, sef, eu, profile)
+        assert check_wellposed_direct(sef) == on_oracles(
+            monkeypatch, check_wellposed_direct, sef)
+        assert list(scenario_outcomes(sef, profile).items()) == list(
+            on_oracles(monkeypatch, scenario_outcomes, sef, profile).items())
+        for unit in units(sef):
+            assert list(expected_payoff(sef, eu, profile, *unit).items()) \
+                == list(on_oracles(monkeypatch, expected_payoff, sef, eu,
+                                   profile, *unit).items())
+        assert checked["fills"] and checked["parts"]
+
+    @pytest.mark.parametrize("atoms, p", EXIT_RACES)
+    def test_exit_race(self, monkeypatch, checked, atoms, p):
+        sef, eu, s, _ = amd_instance(p, atoms)
+        report = assert_same_as_oracles(monkeypatch, sef, eu, s)
+        assert report.rationality.rational == (p == Fraction(2, 3))
+        assert checked["parts"] == sum(len(report.rationality.payoffs[u])
+                                       for u in units(sef))
+
+    @pytest.mark.parametrize("check", range(19))
+    def test_coin_matching_checks(self, monkeypatch, checked, check):
+        case, first, picks, p = coin_matching_checks()[check]
+        assert_same_as_oracles(monkeypatch, *_mp_profile(case, first, picks, p))
+        assert checked["fills"] and checked["parts"]
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(layer=st.one_of(drawn_layers(), dealt_layers()))
+    def test_drawn_and_strict_forms(self, monkeypatch, checked, layer):
+        assert_same_as_oracles(monkeypatch, *layer)
+
+    @pytest.mark.parametrize("build", [
+        no_outcome_after_multiple, two_failures,
+        lambda: skipped_failure(gain=True)[:3],
+        lambda: skipped_failure(gain=False)[:3]])
+    def test_forms_assembled_without_validation(self, monkeypatch, checked,
+                                                build):
+        assert_same_as_oracles(monkeypatch, *build())
+        assert checked["parts"]
+
+    def test_first_failing_term_wins_across_groupings(self, monkeypatch,
+                                                      checked):
+        sef, eu, profile = no_outcome_after_multiple()
+        trees = sef._index.grouped[info_sets(sef, "i")[0][0]]
+        u, v, x = (trees[sef.sdf.root_of(w)][1] for w in "uvx")
+        assert u is x and u != v
+        error = assert_same_as_oracles(monkeypatch, sef, eu, profile)
+        assert error[0] is MultipleOutcomes and "v:2" in error[1]

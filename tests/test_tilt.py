@@ -3,6 +3,7 @@ from dataclasses import fields
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -502,6 +503,37 @@ class TestAgainstPerProbeReads:
         result = tilting_limit(process, family, window=window)
         assert result.converged != text.startswith("alt:")
         assert calls == list(window.depths()) + [window.stop] * top
+
+    def test_one_locate_per_depth_and_time(self, monkeypatch):
+        # every default probe of the anchored family shares the anchor's
+        # time, and its stop index reads the same table: one locate per
+        # depth, where a locate per (probe, depth) and stop index made 105
+        calls = []
+        locate = tilt._locate
+
+        def counted_locate(grid, t):
+            calls.append((grid, t))
+            return locate(grid, t)
+
+        monkeypatch.setattr(tilt, "_locate", counted_locate)
+        assert path_tilt(TimingConfig(), 3) == vt(0, ordinal(3))
+        assert len(calls) == len({(id(g), t) for g, t in calls}) == 21
+        # the preemption race's tilts stop where they did
+        for level in range(4):
+            assert path_tilt(TimingConfig(), level) == vt(0, ordinal(level))
+
+    @pytest.mark.parametrize("name", sorted(tilt.REGISTERED))
+    def test_cli_json_as_the_per_probe_reads(self, monkeypatch, name):
+        for text in CLI_KAPPAS:
+            for probe in ([], ["--probe", "(0, 1);(0, w);(1/3, 2)"]):
+                args = ["tilt", "--family", name, "--kappa", text, *probe,
+                        "--json"]
+                fast = CliRunner().invoke(cli.cli, args)
+                with monkeypatch.context() as m:
+                    m.setattr(tilt, "tilting_limit", oracle_tilting_limit)
+                    slow = CliRunner().invoke(cli.cli, args)
+                assert (fast.exit_code, fast.output) \
+                    == (slow.exit_code, slow.output)
 
     @pytest.mark.parametrize("target", list(path_targets()))
     def test_one_grid_per_depth_of_a_path_tilt(self, target):
