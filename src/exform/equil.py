@@ -585,6 +585,10 @@ def bayes_beliefs(sef, prior, profile):
 
 
 def uniform_tastes(sef, per_agent):
-    """The same taste at every info set of each agent."""
-    return {(i, p): {w: Fraction(v) for w, v in per_agent[i].items()}
-            for (i, p) in units(sef)}
+    """The same taste at every info set of each agent, its values made
+    Fractions once per agent, a Fraction kept; each unit gets a copy."""
+    found = units(sef)
+    taste = {i: {w: v if type(v) is Fraction else Fraction(v)
+                 for w, v in per_agent[i].items()}
+             for i in dict.fromkeys(i for i, _ in found)}
+    return {(i, p): dict(taste[i]) for i, p in found}

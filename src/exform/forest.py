@@ -65,6 +65,17 @@ class DecisionForest:
         """All nodes weakly following x in play, i.e. subsets of x."""
         return frozenset(y for y in self._nodes if y <= x)
 
+    def down_sets(self):
+        """Every move's down-set, from one pass over the up-sets: each node
+        is listed under every move above it in the order of the node set,
+        so each set is filled, and iterates, as ``down``'s scan would."""
+        below = {x: [] for x in self._moves}
+        for y in self._nodes:
+            for x in self._up[y]:
+                if len(x) > 1:
+                    below[x].append(y)
+        return {x: frozenset(ys) for x, ys in below.items()}
+
     def chain_of(self, w):
         """The decision path of an outcome: all nodes containing it."""
         if w not in self._outcomes:

@@ -123,6 +123,13 @@ class StochasticDecisionForest:
         self._root = {w: max(nodes, key=len) for w, nodes in trees.items()}
         self._scenario_of = {o: w for w, root in self._root.items()
                              for o in root}
+        # one bit per outcome, root by root in scenario order: a set of
+        # outcomes is cut by a root as its mask & the root's mask
+        self._bit, self._root_masks = {}, []
+        for root in self._root.values():
+            first = 1 << len(self._bit)
+            self._bit.update((o, first << n) for n, o in enumerate(root))
+            self._root_masks.append(first * ((1 << len(root)) - 1))
 
     def tree_of(self, scenario):
         """All nodes of the component indexed by the scenario."""
@@ -460,23 +467,20 @@ def check_adapted(sdf, c, info, refchoices, agent_moves):
     """
     if not is_union_of_nodes(sdf.forest, c):
         raise ChoiceError(f"not a nonempty union of nodes: {c!r}")
-    c = frozenset(c)
-    table = _SliceTable(sdf, agent_moves, info, refchoices, (c,))
-    return table.adapted(c)
+    table = _SliceTable(sdf, agent_moves, info, refchoices)
+    return table.cut(frozenset(c), join=True)
 
 
-def _join(fixed, entry):
-    """
-    The (known, value) bits ``fixed`` with a slice's entry added, or None
-    when the slice is a whole root or its bits disagree with known ones:
-    ``(value ^ v) & known & mask`` is not 0.
-    """
-    if entry is None:
-        return None
-    (known, value), (mask, bits) = fixed, entry
-    if (value ^ bits) & known & mask:
-        return None
-    return known | mask, value | bits
+class _Slice:
+    """A distinct slice of one tree: its outcomes, its mask of outcome
+    bits, its predecessor set, the choices cut to it when it is nonempty,
+    and its entry once read (False for a whole root)."""
+
+    __slots__ = ("outcomes", "mask", "preds", "members", "entry")
+
+    def __init__(self, outcomes, mask, preds):
+        self.outcomes, self.mask, self.preds = outcomes, mask, preds
+        self.members, self.entry = [], None
 
 
 class _SliceTable:
@@ -485,16 +489,16 @@ class _SliceTable:
     tree.  Every node of a tree lies inside its root, so x <= c iff
     x <= c & root: a choice's predecessor set is the union of its slices'
     sets, and each distinct (scenario, slice) is walked up the forest once.
-    ``slices`` maps each choice to its slice on each scenario, in scenario
-    order, interned per tree so that equal slices are one object;
-    ``preds`` maps it to its predecessor set, and per tree, ``trees`` maps
-    each distinct slice cut or read there to its record: (the slice, its
-    predecessor set, the choices cut to it when it is nonempty), read by
-    this class alone.
+    A choice is cut as its mask of outcome bits & each root's mask, and
+    ``trees`` maps each slice mask cut or read in a tree to its ``_Slice``,
+    whose outcomes are cut as a set once, when the record is made.
+    ``preds`` maps each cut choice to its predecessor set, equal sets kept
+    once, and ``choice_of`` maps its mask to it.  Records and masks are
+    read by this class alone.
 
     Adaptedness is read one slice at a time: a move m defined at w offers
     slice s iff m(w) is an immediate predecessor of s, and jointly with a
-    reference choice r iff m(w) precedes s & r.  ``entry(w, s)`` reads
+    reference choice r iff m(w) precedes s & r.  A slice's entry reads
     these as two ints over the agent's variables: one availability
     variable per move, and where the move offers s, one measurability
     variable per (move, reference choice, block of the move's partition);
@@ -502,8 +506,9 @@ class _SliceTable:
     A choice is adapted iff no slice is a whole root and, joined scenario
     by scenario, each entry agrees with the bits known so far: then
     availability is constant on each move's domain, and joint availability
-    on each block.  The variables are laid out on the first entry read, so
-    a malformed partition is reported by the check that first reads one.
+    on each block.  ``cut`` joins the entries in the loop that cuts the
+    choice.  The variables are laid out on the first entry read, so a
+    malformed partition is reported by the check that first reads one.
     The table refers to no form, so it is freed when the call that built
     it returns.
     """
@@ -513,61 +518,115 @@ class _SliceTable:
         self.scenarios = sdf.scenarios
         self.position = {w: k for k, w in enumerate(sdf.scenarios)}
         self.roots = [sdf.root_of(w) for w in sdf.scenarios]
+        self.bit, self.root_masks = sdf._bit, sdf._root_masks
         self.trees = [{} for _ in self.roots]
-        self.entries = [{} for _ in self.roots]
-        self.slices, self.preds = {}, {}
+        self.layout = list(zip(itertools.count(), self.trees, self.root_masks))
+        self.preds, self.choice_of = {}, {}
         self.shared = {}   # equal predecessor sets are kept once
         self.agent = agent_moves, info, refchoices
         for c in choices:
             self.cut(c)
 
-    def _record(self, k, s):
-        """The record of a slice of tree k, walked once."""
+    def mask(self, outcomes):
+        """The outcomes' mask; an outcome off the forest has no bit."""
+        return sum(map(self.bit.get, outcomes, itertools.repeat(0)))
+
+    def _record(self, k, s, outcomes):
+        """The record of slice mask s of tree k, cut from the outcomes."""
         got = self.trees[k].get(s)
         if got is None:
-            p = immediate_predecessors(self.forest, s) \
-                if s and s != self.roots[k] else frozenset()
-            got = self.trees[k][s] = (s, self.shared.setdefault(p, p), [])
+            cut = outcomes & self.roots[k]
+            p = immediate_predecessors(self.forest, cut) \
+                if s and s != self.root_masks[k] else frozenset()
+            got = self.trees[k][s] = _Slice(cut, s,
+                                            self.shared.setdefault(p, p))
         return got
 
-    def cut(self, c):
-        """Record the choice's slices, predecessor set and memberships."""
-        records = []
-        for k, (tree, root) in enumerate(zip(self.trees, self.roots)):
-            s = c & root   # most slices repeat: look them up inline
-            record = tree.get(s) or self._record(k, s)
+    def cut(self, c, join=False):
+        """Record the choice's slices, predecessor set and memberships;
+        with ``join``, return whether it is adapted."""
+        whole = self.mask(c)
+        self.choice_of[whole] = c
+        preds, adapted = [], join
+        known = value = 0
+        for k, tree, root in self.layout:
+            s = whole & root   # most slices repeat: look them up inline
+            record = tree.get(s) or self._record(k, s, c)
             if s:
-                record[2].append(c)
-            records.append(record)
-        self.slices[c] = tuple(s for s, _, _ in records)
-        preds = frozenset().union(*[p for _, p, _ in records])
-        self.preds[c] = self.shared.setdefault(preds, preds)
+                record.members.append(c)
+                if record.preds:
+                    preds.append(record.preds)
+            if adapted:
+                entry = record.entry or self._entry(k, record)
+                if not entry or (value ^ entry[1]) & known & entry[0]:
+                    adapted = False
+                else:
+                    known, value = known | entry[0], value | entry[1]
+        p = frozenset().union(*preds)
+        self.preds[c] = self.shared.setdefault(p, p)
+        return adapted
 
     def distinct(self, w):
         """The cut choices' distinct nonempty slices on w, sorted."""
         tree = self.trees[self.position[w]]
-        return sorted((s for s, _, cs in tree.values() if cs), key=sorted)
+        return sorted((r.outcomes for r in tree.values() if r.members),
+                      key=sorted)
+
+    def _at(self, w, x):
+        """The records of w's tree offered at x, a move of the tree: x
+        precedes c iff it precedes c's slice there."""
+        return [r for r in self.trees[self.position[w]].values()
+                if x in r.preds]
 
     def slices_at(self, w, x):
-        """The distinct slices on the scenario of the choices offered at x,
-        a move of its tree: x precedes c iff it precedes c's slice there."""
-        return [s for s, p, _ in self.trees[self.position[w]].values()
-                if x in p]
+        """The distinct slices on the scenario of the choices offered at x."""
+        return [r.outcomes for r in self._at(w, x)]
 
     def groups_at(self, w, x):
         """The choices offered at x, grouped by slice as in ``slices_at``."""
-        return tuple(tuple(cs) for _, p, cs
-                     in self.trees[self.position[w]].values() if x in p)
+        return tuple(tuple(r.members) for r in self._at(w, x))
+
+    def options(self, w, x, void):
+        """(slice, mask, entry) of each distinct slice offered at x, sorted,
+        and first the empty slice when ``void``; a whole root's entry is
+        False."""
+        k = self.position[w]
+        records = sorted(self._at(w, x), key=lambda r: sorted(r.outcomes))
+        if void:
+            records.insert(0, self._record(k, 0, frozenset()))
+        return [(r.outcomes, r.mask, r.entry or self._entry(k, r))
+                for r in records]
 
     def overlapping(self):
         """(k, members, members2) for each pair of distinct slices of tree
         k that overlap and share a nonempty predecessor set; two choices
         with one predecessor set have slices with one in every tree."""
         for k, tree in enumerate(self.trees):
-            for (s, p, cs), (s2, p2, cs2) in itertools.combinations(
-                    tree.values(), 2):
-                if p and p == p2 and s & s2:
-                    yield k, cs, cs2
+            for r, r2 in itertools.combinations(tree.values(), 2):
+                if r.preds and r.preds == r2.preds and r.mask & r2.mask:
+                    yield k, r.members, r2.members
+
+    def offered(self):
+        """Each move's choices offered there, frozen from a list in the
+        order they were cut, so the set iterates as one frozen from a scan
+        of the cut choices does: the members of the slices the move
+        precedes, merged.  Moves that precede the same slices share it."""
+        at = {}
+        for tree in self.trees:
+            for r in tree.values():
+                if r.members:
+                    for x in r.preds:
+                        at.setdefault(x, []).append(r)
+        rank = dict(zip(self.preds, itertools.count())).__getitem__
+        shared = {}
+        for x, records in at.items():
+            key = tuple(map(id, records))
+            if key not in shared:
+                shared[key] = frozenset(sorted(itertools.chain(*[
+                    r.members for r in records]), key=rank)
+                    if len(records) > 1 else records[0].members)
+            at[x] = shared[key]
+        return at
 
     @functools.cached_property
     def at(self):
@@ -586,41 +645,37 @@ class _SliceTable:
                     at[w].append((available, m(w), joint))
         return at
 
-    def entry(self, w, s):
-        """(mask, value) of slice s on scenario w, or None when s is the
-        whole root; read once, off the walk of the slice's predecessors."""
-        k = self.position[w]
-        memo = self.entries[k]
-        if s in memo:
-            return memo[s]
-        at = self.at[w]   # laid out, and its partitions checked, once
-        s, offered, _ = self._record(k, s)
-        if s == self.roots[k]:
-            memo[s] = None
-            return None
-        mask = value = 0
-        for available, x, joint in at:
-            mask |= available
-            if x in offered:
-                value |= available
-                for var, r in joint:
-                    mask |= var
-                    both = s & r
-                    if both and x in (offered if both == s else
-                                      immediate_predecessors(self.forest, both)):
-                        value |= var
-        memo[s] = mask, value
-        return memo[s]
+    def _entry(self, k, record):
+        """(mask, value) of a slice record of tree k, False for a whole
+        root; read once, off the walk of the slice's predecessors."""
+        if record.entry is None:
+            at = self.at[self.scenarios[k]]   # laid out, partitions checked
+            s, offered = record.outcomes, record.preds
+            mask = value = 0
+            for available, x, joint in at:
+                mask |= available
+                if x in offered:
+                    value |= available
+                    for var, r in joint:
+                        mask |= var
+                        both = s & r
+                        if both and x in (offered if both == s else
+                                          immediate_predecessors(
+                                              self.forest, both)):
+                            value |= var
+            record.entry = record.mask != self.root_masks[k] and (mask, value)
+        return record.entry
 
-    def adapted(self, c):
-        """Whether the cut choice is adapted: its slices' entries join."""
-        fixed = (0, 0)
-        for w, s, memo in zip(self.scenarios, self.slices[c], self.entries):
-            # an entry read is a pair; entry() reads the rest
-            fixed = _join(fixed, memo.get(s) or self.entry(w, s))
-            if fixed is None:
-                return False
-        return True
+    def start(self, scenarios):
+        """The (known, value) bits of the empty slice on the scenarios: it
+        is offered at no move there, so each availability bit is 0."""
+        return sum({bit for w in scenarios for bit, _, _ in self.at[w]}), 0
+
+    def union(self, whole, s, chosen):
+        """The cut choice whose mask is ``whole``, else the union of the
+        slice s and the chosen slices, read out."""
+        c = self.choice_of.get(whole)
+        return frozenset().union(s, *chosen) if c is None else c
 
 
 # --- action paths -----------------------------------------------------------

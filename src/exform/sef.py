@@ -25,7 +25,6 @@ from .errors import (
 )
 from .forest import is_union_of_nodes
 from .sdf import (
-    _join,
     _SliceTable,
     build_action_path_sdf,
     check_adapted,
@@ -89,10 +88,10 @@ def validate_sef(sdf, agents, agent_moves, info, refchoices, choices):
 def _validate(form):
     """
     ``validate_sef`` on stored data.  The first pass cuts each of an
-    agent's choices by every root into the agent's slice table, and reads
-    the adaptedness of each that is a union of nodes off its slices'
-    entries there.  The menu index and every axiom below read those
-    tables, which live for this call only.
+    agent's choices that is a union of nodes by every root into the
+    agent's slice table, joining its slices' entries there into its
+    adaptedness as it cuts.  The menu index and every axiom below read
+    those tables, which live for this call only.
     """
     axiom2_cap = budget(AXIOM2_CAP)
     sdf, agents, agent_moves = form.sdf, form.agents, form.agent_moves
@@ -112,12 +111,12 @@ def _validate(form):
             validate_reference_choices(sdf, refchoices[i], agent_moves[i])
         except ChoiceError as err:
             violations.append(("reference", (i, str(err))))
-        table = tables[i] = _slice_table(form, i, choices[i])
+        table = tables[i] = _slice_table(form, i, ())
         for c in choices[i]:
             if not is_union_of_nodes(sdf.forest, c):
                 violations.append(("choice", (
                     i, f"not a nonempty union of nodes: {c!r}")))
-            elif not table.adapted(c):
+            elif not table.cut(c, join=True):
                 violations.append(("adapted", (i, c)))
     if violations:
         return SEFReport(False, tuple(violations), checked)
@@ -174,8 +173,9 @@ def _validate(form):
     # Axiom 4: active agents can preserve any strictly future node; a node
     # below x lies inside a choice iff it lies inside its slice
     checked["axiom4"] = True
+    down = sdf.forest.down_sets()
     for x in sdf.forest.moves():
-        below = sdf.forest.down(x) - {x}
+        below = down[x] - {x}
         for i in form.active_agents(x):
             slices = tables[i].slices_at(sdf.projection[x], x)
             for y in below:
@@ -245,7 +245,7 @@ def _axiom1_violations(table, i):
                      if table.preds[c] == table.preds[c2])
     if not pairs:
         return []
-    rank = {c: n for n, c in enumerate(sorted(table.slices, key=sorted))}
+    rank = {c: n for n, c in enumerate(sorted(table.preds, key=sorted))}
     found = []
     for c, c2, k in pairs:
         first, second = (c, c2) if rank[c] < rank[c2] else (c2, c)
@@ -265,10 +265,12 @@ def _adapted_unions(form, i, members, table, void=False):
     choice offered at that move is offered at every move of the set, so
     it is on the menu, and validation reaches Axiom 6 only then.  The
     search backtracks over the scenarios with a stack of (known, value)
-    bits and takes a slice only if its entry in the table agrees with
-    those already fixed, so every leaf is adapted.  It visits the
-    scenarios block by block of the set's first move, which tests each
-    measurability bit soon after it is fixed.  Each slice tried is a
+    bits and the mask of the slices taken, and takes a slice only if its
+    entry in the table agrees with the bits already fixed, so every leaf
+    is adapted.  A leaf whose mask is a choice in the table is that
+    choice; any other is read out as the union of its slices.  It visits
+    the scenarios block by block of the set's first move, which tests
+    each measurability bit soon after it is fixed.  Each slice tried is a
     search node; past the cap it raises BudgetExceeded.
     """
     cap = budget(ADAPTED_CAP)
@@ -278,39 +280,35 @@ def _adapted_unions(form, i, members, table, void=False):
     move = {w: m(w) for m in members for w in m.domain}
     visit = [w for block in blocks for w in block] + sorted(
         set(move) - first.domain, key=repr)
-    options = [[(s, table.entry(w, s)) for s in [frozenset()] * void
-                + sorted(table.slices_at(w, move[w]), key=sorted)]
-               for w in visit]
-    # the inactive scenarios hold the empty slice, whose bits never clash
-    start = (0, 0)
-    for w in set(form.sdf.scenarios) - set(visit):
-        start = _join(start, table.entry(w, frozenset()))
-    # one iterator per scenario taken so far, and the bits fixed before it;
-    # no recursive closure, whose reference cycle would keep the tables
-    # alive until the cycle collector
-    levels, fixed, chosen = [iter(options[0])], [start], []
-    nodes = 0
+    options = [table.options(w, move[w], void) for w in visit]
+    # the inactive scenarios hold the empty slice
+    start = table.start(set(form.sdf.scenarios) - set(visit))
+    # one iterator per scenario taken so far, and the bits and mask fixed
+    # before it; no recursive closure, whose reference cycle would keep
+    # the tables alive until the cycle collector
+    levels, fixed, chosen = [iter(options[0])], [(*start, 0)], []
+    nodes, depth = 0, len(visit)
     while levels:
-        option = next(levels[-1], None)
-        if option is None:
+        known, value, whole = fixed[-1]
+        for s, mask, entry in levels[-1]:
+            nodes += 1
+            if nodes > cap:
+                raise BudgetExceeded(
+                    f"more than {cap} adapted-choice search nodes")
+            if not entry or (value ^ entry[1]) & known & entry[0]:
+                continue
+            if len(levels) < depth:
+                chosen.append(s)
+                fixed.append((known | entry[0], value | entry[1],
+                              whole | mask))
+                levels.append(iter(options[len(levels)]))
+                break
+            yield table.union(whole | mask, s, chosen)
+        else:
             levels.pop()
             fixed.pop()
             if chosen:
                 chosen.pop()
-            continue
-        nodes += 1
-        if nodes > cap:
-            raise BudgetExceeded(f"more than {cap} adapted-choice search nodes")
-        s, entry = option
-        joined = _join(fixed[-1], entry)
-        if joined is None:
-            continue
-        if len(levels) < len(visit):
-            chosen.append(s)
-            fixed.append(joined)
-            levels.append(iter(options[len(levels)]))
-            continue
-        yield frozenset().union(s, *chosen)
 
 
 _MenuIndex = namedtuple("_MenuIndex",
@@ -328,12 +326,12 @@ def _menu_index(form, tables):
     """
     The menus, read off each agent's slice table: per agent its moves and
     information sets, per (agent, move) the choices offered there, from
-    each choice's predecessor set, and per move its active agents in agent
-    order.  Per information set, ``menus`` holds its menu sorted, and
-    ``grouped`` maps the root of each tree where the set has moves to its
-    moves there and its menu grouped by slice, the choices with one slice
-    c & root in one group, as the table groups the choices offered at the
-    set's first move there.  On a validated form these are the menu's
+    the members of the table's slices each move precedes, and per move its
+    active agents in agent order.  Per information set, ``menus`` holds
+    its menu sorted, and ``grouped`` maps the root of each tree where the
+    set has moves to its moves there and its menu grouped by slice, the
+    choices with one slice c & root in one group, as the table groups the
+    choices offered at the set's first move there.  On a validated form these are the menu's
     choices.  A form assembled without validation may add choices offered
     at that move but off the menu: ``_Deviations`` never looks up their
     partial sums, and a group's first member reads the outcome every
@@ -353,14 +351,10 @@ def _menu_index(form, tables):
                                    for w in m.domain)
         for x in index.moves[i]:
             index.active[x] = index.active.get(x, ()) + (i,)
-        # menus frozen from lists in choices[i] order iterate as a scan
-        # over choices[i] does, which keeps Axiom 2's witness order
-        offered = {}
-        for c in form.choices[i]:
-            for x in table.preds[c]:
-                offered.setdefault(x, []).append(c)
-        index.offered.update(((i, x), frozenset(cs))
-                             for x, cs in offered.items())
+        # menus frozen from lists in the order the table cut the choices
+        # iterate as a scan over choices[i] does, which keeps Axiom 2's
+        # witness order
+        index.offered.update(((i, x), cs) for x, cs in table.offered().items())
         by_menu = {}
         for m in sorted(form.agent_moves[i], key=move_key):
             by_menu.setdefault(_meet(index.offered, i, m), []).append(m)

@@ -191,8 +191,7 @@ def check_leaves_against_product(form, limit=2 * 10 ** 5):
         table = _slice_table(form, i, ())
 
         def adapted(c):
-            table.cut(c)
-            return table.adapted(c)
+            return table.cut(c, join=True)
 
         for members, menu in _menus(form, i):
             for void in (False, True):

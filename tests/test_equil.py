@@ -1423,6 +1423,56 @@ class TestUniformTastes:
         for (i, _), taste in tastes.items():
             assert taste == per_agent[i]
 
+    def test_values_made_fractions_once_per_agent(self, monkeypatch):
+        # the coin-matching tastes, half of them ints: each int is made a
+        # Fraction once per agent, not once per unit, and a Fraction is kept
+        sef, eu, _, _ = bundled("mp-case1")
+        per_agent = {i: {w: int(v) if k % 2 else v
+                         for k, (w, v) in enumerate(sorted(
+                             eu.tastes[next(u for u in units(sef)
+                                            if u[0] == i)].items()))}
+                     for i in sef.agents}
+        made = []
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        tastes = uniform_tastes(sef, per_agent)
+        monkeypatch.undo()
+        ints = sum(type(v) is int for taste in per_agent.values()
+                   for v in taste.values())
+        assert len(units(sef)) > len(sef.agents)
+        assert len(made) == ints
+        for (i, _), taste in tastes.items():
+            assert taste == per_agent[i]
+            assert all(type(v) is Fraction for v in taste.values())
+            assert all(v is per_agent[i][w] for w, v in taste.items()
+                       if type(per_agent[i][w]) is Fraction)
+
+    def test_each_unit_its_own_dict(self):
+        sef, eu, _, _ = bundled("mp-case1")
+        per_agent = {i: {w: Fraction(1) for w in sef.sdf.forest.outcomes}
+                     for i in sef.agents}
+        tastes = uniform_tastes(sef, per_agent)
+        unit, *rest = units(sef)
+        tastes[unit][min(tastes[unit])] = Fraction(2)
+        assert all(set(tastes[u].values()) == {Fraction(1)} for u in rest)
+        assert set(per_agent[unit[0]].values()) == {Fraction(1)}
+
+    @pytest.mark.parametrize("name", EXAMPLES)
+    def test_validate_eu_as_with_a_conversion_per_unit(self, name):
+        sef, eu, _, _ = bundled(name)
+        per_agent = {i: eu.tastes[next(u for u in units(sef) if u[0] == i)]
+                     for i in {u[0] for u in units(sef)}}
+        before = {(i, p): {w: Fraction(v) for w, v in per_agent[i].items()}
+                  for (i, p) in units(sef)}
+        assert validate_eu(sef, EUStructure(eu.beliefs, uniform_tastes(
+            sef, per_agent))) == validate_eu(sef, EUStructure(eu.beliefs,
+                                                              before))
+
 
 # --- rationality oracle --------------------------------------------------------
 # The block values as Fractions, one block at a time, recomputed for every

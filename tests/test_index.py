@@ -70,6 +70,7 @@ from exform.sef import (
     info_sets,
     strategies,
 )
+from test_slices import slices_of
 
 EXAMPLES = ["simple", "simple-variant", "amd", "mp-case1", "mp-case2",
             "mp-case3", "mp-case4", "ultimatum"]
@@ -574,7 +575,7 @@ def grouped_oracle(form, table, p, menu):
     for k, xs in moves.items():
         by_slice = {}
         for c in menu:
-            by_slice.setdefault(table.slices[c][k], []).append(c)
+            by_slice.setdefault(slices_of(table, c)[k], []).append(c)
         grouped[table.roots[k]] = (tuple(xs),
                                    tuple(map(tuple, by_slice.values())))
     return grouped

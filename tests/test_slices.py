@@ -131,7 +131,30 @@ def _slices(table, cs, w):
     """The distinct nonempty slices of the choices on the scenario, sorted,
     read off a slice table that holds them."""
     k = table.position[w]
-    return sorted({table.slices[c][k] for c in cs} - {frozenset()}, key=sorted)
+    return sorted({slices_of(table, c)[k] for c in cs} - {frozenset()},
+                  key=sorted)
+
+
+def slices_of(table, c):
+    """A cut choice's slices in scenario order, read out of the table's
+    records by its mask."""
+    whole = table.mask(c)
+    return tuple(tree[whole & root].outcomes
+                 for tree, root in zip(table.trees, table.root_masks))
+
+
+def entry_of(table, w, s):
+    """The entry of slice s, a set of outcomes of w's tree, read out of
+    the table's record of it, or None when s is the whole root."""
+    k = table.position[w]
+    return table._entry(k, table._record(k, table.mask(s), s)) or None
+
+
+def records(table, w):
+    """The records of w's tree read out, in the order they were made:
+    (slice, predecessor set, the choices cut to it)."""
+    return [(r.outcomes, r.preds, r.members)
+            for r in table.trees[table.position[w]].values()]
 
 
 def options_oracle(sdf, menu, w):
@@ -274,8 +297,12 @@ def test_non_redundancy_on_every_union_of_nodes(f):
 # --- every cut by a root outside the slice table is listed, with its reason -----
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "exform"
-# the slice table's cut, the one place that cuts the choices of a form
-INDEXER = ("sdf.py", "cut")
+# the slice table, the one place that cuts the choices of a form: ``cut``
+# cuts each choice's mask, and ``_record`` its outcomes once per distinct
+# slice
+INDEXER = {("sdf.py", "cut"), ("sdf.py", "_record")}
+# the attributes that hold slice records, outcome bits or masks
+MASKED = {"trees", "bit", "root_masks", "choice_of", "_bit", "_root_masks"}
 # every other cut by a root in the guarded modules, with its reason
 ALLOWED = {
     ("sef.py", "_validate", "c & sdf.root_of(w)"):
@@ -325,18 +352,21 @@ class TestSliceGuard:
                  for name in ("sdf.py", "sef.py", "play.py", "equil.py")
                  for function, cut in root_cuts(
                      (SRC / name).read_text(encoding="utf-8"))}
-        assert {site[:2] for site in found} >= {INDEXER}
-        assert {site for site in found if site[:2] != INDEXER} == set(ALLOWED)
+        assert {site[:2] for site in found} >= INDEXER
+        assert {site for site in found if site[:2] not in INDEXER} \
+            == set(ALLOWED)
 
     def test_only_sdf_reads_a_slice_record(self):
-        # a record's layout is sdf.py's own: other modules ask the table
+        # a record's layout, the masks and the outcome-bit index are
+        # sdf.py's own: other modules ask the table
         def reads(name):
             tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
             return [ast.unparse(node) for node in ast.walk(tree)
                     if isinstance(node, ast.Attribute)
-                    and node.attr == "trees"]
+                    and node.attr in MASKED]
 
-        assert "self.trees" in reads("sdf.py")
+        assert {"self.trees", "self.bit", "self.root_masks", "self.choice_of",
+                "sdf._bit", "sdf._root_masks"} <= set(reads("sdf.py"))
         assert {path.name: reads(path.name) for path in SRC.glob("*.py")
                 if path.name != "sdf.py" and reads(path.name)} == {}
 

@@ -60,7 +60,10 @@ from test_slices import (
     _menus,
     _slices,
     dropped,
+    entry_of,
     parts_of,
+    records,
+    slices_of,
     slices_oracle,
     unvalidated,
 )
@@ -440,19 +443,20 @@ def assert_tables_agree(form):
         bits = bits_table(form, i)
         table = _slice_table(form, i, form.choices[i])
         for c in form.choices[i]:
-            assert table.slices[c] == tuple(c & sdf.root_of(w)
-                                            for w in sdf.scenarios)
+            assert slices_of(table, c) == tuple(c & sdf.root_of(w)
+                                                for w in sdf.scenarios)
             assert table.preds[c] == immediate_predecessors(sdf.forest, c)
-        for k, w in enumerate(sdf.scenarios):
-            for s, got in table.trees[k].items():
+        for w in sdf.scenarios:
+            made = records(table, w)
+            assert len({s for s, _, _ in made}) == len(made)
+            for s, p, _ in made:
                 pairs = bits.bits(w, s)
                 expected = None if pairs is None else (
                     sum(1 << var for var, _ in pairs),
                     sum(bit << var for var, bit in pairs))
-                assert got[:2] == (s, immediate_predecessors(sdf.forest, s)
-                                   if s and s != sdf.root_of(w)
-                                   else frozenset())
-                assert table.entry(w, s) == expected
+                assert p == (immediate_predecessors(sdf.forest, s)
+                             if s and s != sdf.root_of(w) else frozenset())
+                assert entry_of(table, w, s) == expected
         assert _axiom1_violations(table, i) \
             == axiom1_oracle(sdf, i, form.choices[i])
         for members, menu in _menus(form, i):
@@ -615,7 +619,10 @@ def walks(monkeypatch, build):
 
 class TestWalks:
     @pytest.mark.parametrize("build, count", [
-        (lambda: mp_sef(3), 76), (lambda: amd_sef(6), 296)])
+        (lambda: mp_sef(3), 76), (lambda: amd_sef(6), 296),
+        pytest.param(lambda: mp_sef(1), 108, id="mp-case1"),
+        pytest.param(lambda: mp_sef(2), 76, id="mp-case2"),
+        pytest.param(lambda: mp_sef(4), 108, id="mp-case4")])
     def test_each_slice_walked_once(self, monkeypatch, build, count):
         # mp-case3: 64 distinct (tree, slice) pairs and 12 walks of the
         # reference choices; the exit race: 288 and 8.  The entries' joint
@@ -625,6 +632,11 @@ class TestWalks:
         roots = [form.sdf.root_of(w) for w in form.sdf.scenarios]
         slices = [c for c in calls if any(c <= root for root in roots)]
         assert len(slices) == len(set(slices))
+        # one walk per distinct (tree, slice) record of each agent
+        assert sorted(map(sorted, slices)) == sorted(
+            sorted(s) for i in form.agents
+            for s in {c & root for c in form.choices[i] for root in roots}
+            if s and s not in roots)
         refs = {frozenset(r) for i in form.agents
                 for rs in form.refchoices[i].values() for r in rs}
         assert set(calls) - set(slices) <= refs
