@@ -374,6 +374,11 @@ MP_SCENARIOS = tuple(f"r{r}z{z0}{z1}{z2}" for r in "12"
 
 _MP_COORD = {"r": 1, "z0": 3, "z1": 4, "z2": 5}
 
+# each scenario's four outcome labels by first and second action, formatted
+# once, so that a choice is built from them without formatting a name
+_MP_OUTCOMES = {w: {a: {b: f"{w}:{a}{b}" for b in "12"} for a in "12"}
+                for w in MP_SCENARIOS}
+
 
 def mp_blocks(keys):
     """Scenarios grouped by the selected signal coordinates."""
@@ -423,13 +428,15 @@ def mp_sdf():
 
 def mp_choice_first(a):
     """First action as prescribed by the map a per scenario."""
-    return frozenset(f"{w}:{a[w]}{b}" for w in MP_SCENARIOS for b in "12")
+    return frozenset(o for w in MP_SCENARIOS
+                     for o in _MP_OUTCOMES[w][a[w]].values())
 
 
 def mp_choice_second(k, g):
     """Second action per g after first action k; "." covers both firsts."""
     firsts = "12" if k == "." else k
-    return frozenset(f"{w}:{a}{g[w]}" for w in MP_SCENARIOS for a in firsts)
+    return frozenset(_MP_OUTCOMES[w][a][g[w]] for w in MP_SCENARIOS
+                     for a in firsts)
 
 
 # second-stage information per case: signals at the two stage-two moves,

@@ -15,10 +15,11 @@ caller that makes several queries reads through one per-call memo,
 the profile's tables hold at that tree's moves, by one pass over the
 tree's walk that the form indexed at construction, and every profile
 that agrees with it on the tree reads that fill.  A profile's reader keys
-each tree once; the deviation sweep reads a term once per distinct slice
-of the deviating agent's choices in its tree, and the well-posedness
-check walks the histories in a total order, each as its sorted list of
-sorted nodes.
+each tree once, and the deviation sweep reads a term once per distinct
+slice of the deviating agent's choices in its tree.  The direct
+well-posedness check enumerates no profile: it decides each tree's
+histories once per key, one distinct slice per information set with
+moves there, and reads its witnesses off those verdicts.
 Well-posedness is also decided by the order-theoretic classification of
 the underlying forest.
 """
@@ -40,11 +41,11 @@ from .forest import DecisionForest, closure, histories, is_history
 from .order import order_predicates
 from .sdf import StochasticDecisionForest
 from .sef import (
+    Strategy,
     StochasticExtensiveForm,
     _slice_table,
+    _strategy_menus,
     convert_strategy,
-    info_sets,
-    strategies,
 )
 
 # default cap of the (history, profile) pairs of the direct well-posedness
@@ -272,63 +273,80 @@ class WellPosedReport:
 def check_wellposed_direct(sef):
     """
     Exhaustive verification of the three well-posedness properties over
-    all (profile, history) pairs, profile by profile and history by
-    history, so the first failing pair is the witness; the histories are
-    ordered by their sorted lists of sorted nodes, a total order that does
-    not follow the hash seed.  A history's verdict reads only the tree of
-    its core, so it is decided once per (root, slice signature), from that
-    signature's ``TreeFills`` fill, and the outcomes attained there are
-    collected then; the cap still counts (history, profile) pairs.
+    all (profile, history) pairs, without enumerating profiles.  Profiles
+    run lexicographically in the menu indices of their (agent,
+    information set) coordinates, agents in order and sets in
+    ``ordered_info_sets`` order; histories run by their sorted lists of
+    sorted nodes, a total order that does not follow the hash seed.  A
+    history's verdict reads only its core's tree, where a profile acts
+    through its choices' slices at the coordinates with moves there.  So
+    each tree's histories are decided, and their outcomes attained, once
+    per key: one slice per such coordinate, taken at its first menu
+    index.  The key's first profile, index 0 elsewhere, gives its
+    ``TreeFills`` fill, and the least failing pair over the keys is the
+    witness.  The caps still count each agent's strategies and (history,
+    profile) pairs.
     """
     cap = budget(WELLPOSED_CAP)
     hs = sorted(histories(sef.sdf.forest),
                 key=lambda h: sorted(map(sorted, h)))
-    menus = [strategies(sef, i) for i in sef.agents]
-    profiles = math.prod(map(len, menus))
+    coords = [(i, p, menu) for i in sef.agents
+              for p, menu in zip(*_strategy_menus(sef, i))]
+    profiles = math.prod(len(menu) for *_, menu in coords)
     if len(hs) * profiles > cap:
         raise EnumerationBudgetExceeded(
             f"{len(hs)} histories x {profiles} profiles")
     cores = {h: frozenset.intersection(*h) for h in hs}
     fills = TreeFills(sef)
-    trees = {}
-    for h in hs:
-        trees.setdefault(fills.root[cores[h]], []).append(h)
+    trees = {}   # root -> its histories as (position, history)
+    for n, h in enumerate(hs):
+        trees.setdefault(fills.root[cores[h]], []).append((n, h))
+    # root -> its coordinates as (n, their moves there, the first menu index
+    # of each slice group there; unvalidated forms may group off-menu choices)
+    local = {root: [] for root in trees}
+    for n, (_, p, menu) in enumerate(coords):
+        rank = {c: k for k, c in enumerate(menu)}
+        for root, (xs, groups) in sef._index.grouped[p].items():
+            ranks = [[rank[c] for c in group if c in rank] for group in groups]
+            local[root].append((n, xs, sorted(min(r) for r in ranks if r)))
     attained = {h: set() for h in hs}
-    verdicts = {}   # (root, signature) -> {history: (compatible, unique)}
     report = WellPosedReport(True, True, True)
     if not profiles:
         # an information set offers no choice: no profile, so no outcome
         report.existence = report.uniqueness = False
         report.witnesses["existence"] = report.witnesses["uniqueness"] = next(
-            p for i in sef.agents for p in info_sets(sef, i)[0]
-            if not sef.available_at(i, next(iter(p.random_moves))))
-    players = [[(t, convert_strategy(sef, t, "move")) for t in menu]
-               for menu in menus]
-    for combo in itertools.product(*players):
-        profile = StrategyProfile({i: t for i, (t, _) in zip(sef.agents, combo)})
-        tables = {i: table for i, (_, table) in zip(sef.agents, combo)}
-        verdict = {}
-        for root, group in trees.items():
-            key = fills.key(tables, root)
-            if key not in verdicts:
-                fill = fills.fill(tables, key)
-                verdicts[key] = {}
-                for h in group:
-                    compatible = sorted(fill[cores[h]])
-                    attained[h].update(compatible)
-                    unique = len(compatible) == 1 and _reduction(
-                        sef, tables, compatible[0], cores[h]) == {compatible[0]}
-                    verdicts[key][h] = compatible, unique
-            verdict.update(verdicts[key])
-        for h in hs:
-            compatible, unique = verdict[h]
-            if not compatible:
-                report.existence = False
-                report.witnesses.setdefault("existence", (profile, h))
-            elif not unique:
-                report.uniqueness = False
-                report.witnesses.setdefault("uniqueness",
-                                            (profile, h, compatible))
+            p for _, p, menu in coords if not menu)
+        trees = {}
+    # kind -> the least (menu indices of a failing key's first profile,
+    # position, history, ...) over the failing keys: the first failing pair
+    least = {}
+    for root, group in trees.items():
+        for key in itertools.product(*[firsts for *_, firsts in local[root]]):
+            tables = {i: {} for i in sef.agents}
+            index = [0] * len(coords)
+            for (n, xs, _), k in zip(local[root], key):
+                i, _, menu = coords[n]
+                tables[i].update(dict.fromkeys(xs, menu[k]))
+                index[n] = k
+            fill = fills.fill(tables, fills.key(tables, root))
+            found = {}
+            for n, h in group:
+                compatible = sorted(fill[cores[h]])
+                attained[h].update(compatible)
+                if not compatible:
+                    found.setdefault("existence", (index, n, h))
+                elif len(compatible) > 1 or _reduction(
+                        sef, tables, compatible[0], cores[h]) != {compatible[0]}:
+                    found.setdefault("uniqueness", (index, n, h, compatible))
+            for kind, pair in found.items():
+                least[kind] = min(least.get(kind, pair), pair)
+    for kind, (index, _, *witness) in sorted(least.items(),
+                                             key=lambda item: item[1][:2]):
+        setattr(report, kind, False)
+        profile = {i: Strategy(i, {}) for i in sef.agents}
+        for (i, p, menu), k in zip(coords, index):
+            profile[i].assignment[p] = menu[k]
+        report.witnesses[kind] = (StrategyProfile(profile), *witness)
     for h in hs:
         if attained[h] != cores[h]:
             report.attainable = False

@@ -92,6 +92,8 @@ def merge_random_moves(moves):
 class SDFReport:
     valid: bool
     violations: tuple = ()
+    # the components' roots, which the constructor indexes
+    roots: frozenset = field(default=None, repr=False, compare=False)
 
     def __bool__(self):
         return self.valid
@@ -102,10 +104,11 @@ class StochasticDecisionForest:
     A decision forest with scenario projection and random moves.
 
     Construction validates the axioms and then indexes the forest once:
-    each scenario's component nodes, each scenario's root, and each
-    outcome's scenario.  ``tree_of``, ``root_of`` and
-    ``scenario_of_outcome`` answer from these maps; the forest, the
-    projection and the scenarios are not to be changed afterwards.
+    each scenario's component nodes, each scenario's root, read off the
+    roots validation found, and each outcome's scenario.  ``tree_of``,
+    ``root_of`` and ``scenario_of_outcome`` answer from these maps; the
+    forest, the projection and the scenarios are not to be changed
+    afterwards.
     """
 
     def __init__(self, forest, scenarios, projection, random_moves):
@@ -120,7 +123,8 @@ class StochasticDecisionForest:
         for x in forest.nodes:
             trees[self.projection[x]].append(x)
         self._tree = {w: frozenset(nodes) for w, nodes in trees.items()}
-        self._root = {w: max(nodes, key=len) for w, nodes in trees.items()}
+        roots = {self.projection[r]: r for r in report.roots}
+        self._root = {w: roots[w] for w in self.scenarios}
         self._scenario_of = {o: w for w, root in self._root.items()
                              for o in root}
         # one bit per outcome, root by root in scenario order: a set of
@@ -168,10 +172,8 @@ def validate_sdf(forest, scenarios, projection, random_moves):
     if len(set(scenarios)) != len(scenarios) or not scenarios:
         violations.append(("scenarios", "labels empty or not unique"))
 
-    component_of = {}
-    for x in forest.nodes:
-        root = max(forest.up(x), key=len)
-        component_of[x] = root
+    component_of = {x: max(forest.up(x), key=len) for x in forest.nodes}
+    roots = frozenset(component_of.values())
     fibre_ok = True
     for x in forest.nodes:
         if x not in projection or projection[x] not in scenarios:
@@ -182,7 +184,6 @@ def validate_sdf(forest, scenarios, projection, random_moves):
             violations.append(("projection", ("fibre splits a component", x)))
             fibre_ok = False
     if fibre_ok:
-        roots = {component_of[x] for x in forest.nodes}
         images = {projection[r] for r in roots}
         if len(images) != len(roots):
             violations.append(("projection", "two components share a scenario"))
@@ -207,7 +208,7 @@ def validate_sdf(forest, scenarios, projection, random_moves):
     uncovered = moves - covered
     for x in uncovered:
         violations.append(("covering", ("uncovered move", x)))
-    return SDFReport(not violations, tuple(violations))
+    return SDFReport(not violations, tuple(violations), roots)
 
 
 def move_key(m):
@@ -433,7 +434,11 @@ def is_non_redundant(sdf, c):
 
 def is_complete(sdf, c, agent_moves):
     """Availability of the choice is all-or-nothing on each random move."""
-    p = immediate_predecessors(sdf.forest, c)
+    return _complete(immediate_predecessors(sdf.forest, c), agent_moves)
+
+
+def _complete(p, agent_moves):
+    """``is_complete`` of a choice whose immediate predecessors are p."""
     for m in agent_moves:
         hit = preimage(m, p)
         if hit and hit != m.domain:
@@ -446,16 +451,18 @@ def is_available_at(sdf, c, m):
 
 
 def validate_reference_choices(sdf, refchoices, agent_moves):
-    """Each reference choice must be non-redundant, complete, available."""
+    """Each reference choice must be non-redundant, complete, available;
+    completeness and availability read one walk to its predecessors."""
     for m in agent_moves:
         for c in refchoices.get(m, ()):
             if not is_union_of_nodes(sdf.forest, c):
                 raise ChoiceError(f"reference choice not a union of nodes: {c!r}")
             if not is_non_redundant(sdf, c):
                 raise ChoiceError(f"redundant reference choice at {m!r}")
-            if not is_complete(sdf, c, agent_moves):
+            p = immediate_predecessors(sdf.forest, c)
+            if not _complete(p, agent_moves):
                 raise ChoiceError(f"incomplete reference choice at {m!r}")
-            if not is_available_at(sdf, c, m):
+            if preimage(m, p) != m.domain:
                 raise ChoiceError(f"reference choice unavailable at {m!r}")
 
 

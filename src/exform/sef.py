@@ -10,6 +10,7 @@ action-path data and history structures.
 
 import functools
 import itertools
+import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -526,20 +527,24 @@ def complete_choices(sef):
     return completed
 
 
-def strategies(sef, i):
-    """All strategies of the agent, as assignments of available choices."""
+def _strategy_menus(sef, i):
+    """The agent's information sets in ``ordered_info_sets`` order and their
+    menus, once the product of the menu sizes, the agent's strategy count,
+    is checked against the cap."""
     cap = budget(STRATEGIES_CAP)
     sets = ordered_info_sets(sef, i)
     menus = [sef._index.menus[p] for p in sets]
-    total = 1
-    for menu in menus:
-        total *= len(menu)
+    total = math.prod(map(len, menus))
     if total > cap:
         raise EnumerationBudgetExceeded(f"{total} strategies exceed the budget")
-    result = []
-    for combo in itertools.product(*menus):
-        result.append(Strategy(i, dict(zip(sets, combo))))
-    return result
+    return sets, menus
+
+
+def strategies(sef, i):
+    """All strategies of the agent, as assignments of available choices."""
+    sets, menus = _strategy_menus(sef, i)
+    return [Strategy(i, dict(zip(sets, combo)))
+            for combo in itertools.product(*menus)]
 
 
 def convert_strategy(sef, strategy, form):

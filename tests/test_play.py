@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import comb_parts, make_rng, random_strict_sef
+import exform.sef
 from exform import equil, play
 from exform._util import budget
 from exform.equil import check_dynamic_rationality, units, verify_equilibrium
@@ -173,6 +174,18 @@ class TestWellPosedness:
         with pytest.raises(EnumerationBudgetExceeded):
             check_wellposed_direct(sef)
 
+    def test_strategies_cap_per_agent_comes_first(self, monkeypatch):
+        # i's 4 strategies fit, j's 16 do not, nor do the 48 x 64 pairs
+        sef = load_example("mp-case1")[0]
+        monkeypatch.setenv("EXFORM_BUDGET", "15")
+        with pytest.raises(EnumerationBudgetExceeded,
+                           match="^16 strategies exceed the budget$"):
+            check_wellposed_direct(sef)
+        monkeypatch.setenv("EXFORM_BUDGET", "16")
+        with pytest.raises(EnumerationBudgetExceeded,
+                           match="^48 histories x 64 profiles$"):
+            check_wellposed_direct(sef)
+
     def test_underseparated_pseudo_structure_fails_uniqueness(self):
         pseudo = underseparated_pseudo()
         sdf = pseudo.sdf
@@ -258,18 +271,28 @@ def dealt_to_two(sef, rng):
 
 
 def coarsened(sef, rng):
-    """The form with two sibling choices of one move merged into one, so
-    that the merged choice never separates them; assembled without
-    validation on purpose."""
-    pairs = [(c, d) for c, d in itertools.combinations(
-        sorted(sef.choices["i"], key=sorted), 2)
+    """The form with two sibling choices of one agent's move merged into
+    one, so that the merged choice never separates them; the pair is drawn
+    from every agent's, and the form is assembled without validation on
+    purpose."""
+    pairs = [(i, c, d) for i in sef.agents for c, d in itertools.combinations(
+        sorted(sef.choices[i], key=sorted), 2)
         if immediate_predecessors(sef.sdf.forest, c)
         == immediate_predecessors(sef.sdf.forest, d)]
-    c, d = rng.choice(pairs)
+    i, c, d = rng.choice(pairs)
     pseudo = object.__new__(StochasticExtensiveForm)
     pseudo._store(sef.sdf, sef.agents, sef.agent_moves, sef.info,
-                  sef.refchoices, {"i": sef.choices["i"] - {c, d} | {c | d}})
+                  sef.refchoices,
+                  {**sef.choices, i: sef.choices[i] - {c, d} | {c | d}})
     return pseudo
+
+
+def unique_first_pseudo():
+    """One move where a's only choice never separates w:1 from w:2 and b
+    may take either side: the first profile fails uniqueness and the
+    second existence."""
+    return one_move_pseudo(["w:1", "w:2", "w:3"], {
+        "a": [{"w:1", "w:2"}], "b": [{"w:1", "w:2"}, {"w:3"}]})
 
 
 def wellposed_by_forward_play(sef):
@@ -407,9 +430,32 @@ class TestWellPosednessTableOracle:
         assert_same_report(load_example(name)[0])
 
     @pytest.mark.parametrize("build", [underseparated_pseudo, empty_menu_pseudo,
-                                       disjoint_joint_pseudo])
+                                       disjoint_joint_pseudo,
+                                       unique_first_pseudo])
     def test_pseudo_forms(self, build):
         assert not assert_same_report(build())
+
+    def test_uniqueness_witness_before_existence(self):
+        report = assert_same_report(unique_first_pseudo())
+        assert list(report.witnesses) == ["uniqueness", "existence",
+                                          "attainable"]
+
+    def test_strict_forms_dealt_and_coarsened(self):
+        # each strict form, its deal to two agents, and the coarsening of
+        # both; the coarsened deals fail with profiles of two agents
+        witnesses = set()
+        for seed in range(300):
+            rng = make_rng(seed)
+            sef = random_strict_sef(rng)
+            two = dealt_to_two(sef, rng)
+            for form in (sef, coarsened(sef, rng), two, coarsened(two, rng)):
+                report = assert_same_report(form)
+                for witness in report.witnesses.values():
+                    if isinstance(witness, tuple) and \
+                            isinstance(witness[0], StrategyProfile):
+                        witnesses.add(sum(bool(t.assignment) for t in
+                                          witness[0].strategies.values()))
+        assert witnesses == {1, 2}
 
     def test_draws_reach_two_agents_and_witnesses(self):
         # the coarsened forms give the witness comparison something to
@@ -494,6 +540,63 @@ class TestTreeFills:
         fill_count.clear()
         assert verify_equilibrium(sef, eu, s)
         assert len(fill_count) <= alone
+
+
+class TestDirectWork:
+    """The direct check decides each tree's histories once per key, one
+    distinct slice per (agent, information set) with moves in the tree,
+    and builds no strategy but its witnesses'."""
+
+    @staticmethod
+    def keys_per_tree(sef):
+        """Per root of a tree with moves, the product over the information
+        sets with moves there of the distinct slices of their menus."""
+        keys = {sef.sdf.root_of(sef.sdf.projection[x]): 1
+                for x in sef.sdf.forest.moves()}
+        for i in sef.agents:
+            sets, moves = info_sets(sef, i)
+            for p in sets:
+                menu = sef.available_at(i, next(iter(p.random_moves)))
+                for root in {r for r in keys if any(x <= r for x in moves[p])}:
+                    keys[root] *= len({c & root for c in menu})
+        return keys
+
+    @pytest.mark.parametrize("name", ["amd", "mp-case1", "mp-case3",
+                                      "mp-case4", "ultimatum"])
+    def test_one_pass_per_tree_key(self, name, monkeypatch, fill_count):
+        sef = load_example(name)[0]
+        passes = []
+        fill = play.TreeFills.fill
+
+        def counted(self, tables, key):
+            passes.append(key[0])
+            return fill(self, tables, key)
+
+        monkeypatch.setattr(play.TreeFills, "fill", counted)
+        fill_count.clear()
+        check_wellposed_direct(sef)
+        keys = self.keys_per_tree(sef)
+        assert {r: passes.count(r) for r in set(passes)} == keys
+        assert len(fill_count) == sum(keys.values())
+
+    def test_no_strategy_enumerated(self, monkeypatch):
+        forms = [load_example(name)[0] for name in ("amd", "mp-case3")]
+        rng = make_rng(7)
+        two = dealt_to_two(random_strict_sef(rng), rng)
+        forms += [two, coarsened(two, rng), empty_menu_pseudo(),
+                  unique_first_pseudo()]
+
+        def refuse(*args):
+            raise AssertionError("a strategy was enumerated or converted")
+
+        for module in (exform.sef, play):
+            for name in ("strategies", "convert_strategy"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        for form in forms:
+            check_wellposed_direct(form)
+        monkeypatch.undo()
+        for form in forms:
+            assert_same_report(form)
 
 
 @pytest.fixture

@@ -24,6 +24,7 @@ from exform.order import is_forest, roots_and_components
 from exform.sdf import (
     ActionPathData,
     RandomMove,
+    SDFReport,
     StochasticDecisionForest,
     build_action_path_sdf,
     check_adapted,
@@ -66,6 +67,18 @@ class TestValidation:
             report = validate_sdf(sdf.forest, sdf.scenarios, sdf.projection,
                                   sdf.random_moves)
             assert report.valid
+
+    def test_report_carries_roots_outside_its_verdict(self, amd):
+        # the constructor indexes the roots validation found; they stay
+        # out of the report's equality and repr
+        sdf, _ = amd
+        report = validate_sdf(sdf.forest, sdf.scenarios, sdf.projection,
+                              sdf.random_moves)
+        assert report == SDFReport(True)
+        assert repr(report) == "SDFReport(valid=True, violations=())"
+        assert {sdf.projection[r]: r for r in report.roots} \
+            == {w: sdf.root_of(w) for w in sdf.scenarios}
+        assert list(sdf._root) == list(sdf.scenarios)
 
     def test_terminal_valued_section_rejected(self, simple):
         sdf, _ = simple

@@ -35,6 +35,8 @@ from exform.instances import (
     MP_SCENARIOS,
     amd_sef,
     mp_blocks,
+    mp_choice_first,
+    mp_choice_second,
     mp_maps,
     mp_sef,
 )
@@ -619,14 +621,16 @@ def walks(monkeypatch, build):
 
 class TestWalks:
     @pytest.mark.parametrize("build, count", [
-        (lambda: mp_sef(3), 76), (lambda: amd_sef(6), 296),
-        pytest.param(lambda: mp_sef(1), 108, id="mp-case1"),
-        pytest.param(lambda: mp_sef(2), 76, id="mp-case2"),
-        pytest.param(lambda: mp_sef(4), 108, id="mp-case4")])
+        pytest.param(lambda: mp_sef(3), 70, id="mp-case3"),
+        pytest.param(lambda: amd_sef(6), 292, id="amd_sef-6"),
+        pytest.param(lambda: mp_sef(1), 102, id="mp-case1"),
+        pytest.param(lambda: mp_sef(2), 70, id="mp-case2"),
+        pytest.param(lambda: mp_sef(4), 102, id="mp-case4")])
     def test_each_slice_walked_once(self, monkeypatch, build, count):
-        # mp-case3: 64 distinct (tree, slice) pairs and 12 walks of the
-        # reference choices; the exit race: 288 and 8.  The entries' joint
-        # sets s & r here all equal s, whose walk they share
+        # mp-case3: 64 distinct (tree, slice) pairs and 6 walks of the
+        # reference choices, one per (move, reference choice); the exit
+        # race: 288 and 4.  The entries' joint sets s & r here all equal
+        # s, whose walk they share
         (form, _), calls = walks(monkeypatch, build)
         assert len(calls) == count
         roots = [form.sdf.root_of(w) for w in form.sdf.scenarios]
@@ -715,3 +719,16 @@ def test_mp_maps_as_before(keys):
     maps, expected = mp_maps(keys), mp_maps_oracle(keys)
     assert maps == expected
     assert [list(m) for m in maps] == [list(m) for m in expected]
+
+
+def test_mp_choices_as_before():
+    # the choices read labels formatted once; each lists its outcomes in
+    # the order it did when it formatted them
+    for a in mp_maps(("z0",)):
+        expected = [f"{w}:{a[w]}{b}" for w in MP_SCENARIOS for b in "12"]
+        assert list(mp_choice_first(a)) == list(frozenset(expected))
+    for g in mp_maps(("r", "z1", "z2")):
+        for k in ".12":
+            expected = [f"{w}:{a}{g[w]}" for w in MP_SCENARIOS
+                        for a in ("12" if k == "." else k)]
+            assert list(mp_choice_second(k, g)) == list(frozenset(expected))
