@@ -17,8 +17,9 @@ from operator import and_
 from ._util import budget
 from .errors import BudgetExceeded, InputError, StructureError
 
-# default cap of the number of DM-completion cuts; EXFORM_BUDGET
-# overrides it
+# default cap of the DM completion's cuts times the poset's elements: the
+# mask operations that build and check the cuts, and the size of the
+# family as sets of labels; EXFORM_BUDGET overrides it
 DM_CAP = 2 ** 22
 
 
@@ -209,8 +210,9 @@ def dm_completion(poset):
     closed = {(1 << len(labels)) - 1}
     for down in _masks(labels, map(poset.down, labels)):
         closed |= {cut & down for cut in closed}
-        if len(closed) > cap:
-            raise BudgetExceeded(f"more than {cap} cuts")
+        if len(closed) * len(labels) > cap:
+            raise BudgetExceeded(f"more than {cap // len(labels)} cuts of "
+                                 f"a {len(labels)}-element poset")
     return Cuts._of_masks(labels, closed), \
         {x: poset.down(x) for x in poset.elements}
 

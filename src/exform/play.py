@@ -48,8 +48,8 @@ from .sef import (
     convert_strategy,
 )
 
-# default cap of the (history, profile) pairs of the direct well-posedness
-# check; EXFORM_BUDGET overrides it
+# default cap of the (history, tree key) pairs the direct well-posedness
+# check decides; EXFORM_BUDGET overrides it
 WELLPOSED_CAP = 10 ** 6
 
 
@@ -284,8 +284,8 @@ def check_wellposed_direct(sef):
     per key: one slice per such coordinate, taken at its first menu
     index.  The key's first profile, index 0 elsewhere, gives its
     ``TreeFills`` fill, and the least failing pair over the keys is the
-    witness.  The caps still count each agent's strategies and (history,
-    profile) pairs.
+    witness.  The caps count each agent's strategies, then the (history,
+    tree key) pairs so decided, before any is.
     """
     cap = budget(WELLPOSED_CAP)
     hs = sorted(histories(sef.sdf.forest),
@@ -293,9 +293,6 @@ def check_wellposed_direct(sef):
     coords = [(i, p, menu) for i in sef.agents
               for p, menu in zip(*_strategy_menus(sef, i))]
     profiles = math.prod(len(menu) for *_, menu in coords)
-    if len(hs) * profiles > cap:
-        raise EnumerationBudgetExceeded(
-            f"{len(hs)} histories x {profiles} profiles")
     cores = {h: frozenset.intersection(*h) for h in hs}
     fills = TreeFills(sef)
     trees = {}   # root -> its histories as (position, history)
@@ -309,6 +306,13 @@ def check_wellposed_direct(sef):
         for root, (xs, groups) in sef._index.grouped[p].items():
             ranks = [[rank[c] for c in group if c in rank] for group in groups]
             local[root].append((n, xs, sorted(min(r) for r in ranks if r)))
+    # (history, tree key) pairs, each decided once below
+    pairs = 0 if not profiles else sum(
+        len(group) * math.prod(len(firsts) for *_, firsts in local[root])
+        for root, group in trees.items())
+    if pairs > cap:
+        raise EnumerationBudgetExceeded(
+            f"{pairs} (history, tree key) pairs exceed the budget")
     attained = {h: set() for h in hs}
     report = WellPosedReport(True, True, True)
     if not profiles:

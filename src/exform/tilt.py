@@ -59,6 +59,7 @@ class Grid:
     name: str | None = None
     locate: object = None              # t -> least index with value >= t
     gap: Fraction | None = None        # exact mesh, registered families only
+    vet: object = None                 # index -> raises where eval would
 
     def __call__(self, beta):
         # indices beyond the bound read as infinity
@@ -204,7 +205,7 @@ def nested_grid(n):
         return ord_add(Ordinal(((1, k),)) if k else ZERO, ordinal(m))
 
     return Grid(OMEGA_SQ, evaluate, name="nested", locate=locate,
-                gap=g / 2)
+                gap=g / 2, vet=split)
 
 
 def _dyadic_embed(n, beta):
@@ -385,17 +386,36 @@ def gamma(family, t):
 def _window_values(process, family, window):
     """
     The reader of a probe's value sequence over the window's depths.  It
-    keeps one table per call of depth -> (grid, stop time), and one of
-    time -> {depth: located index}, which an anchored stop index reads
-    too; each entry is filled at its first use, so every error surfaces
-    where a fresh read would raise.
+    keeps one table per call of depth -> (grid, stop), and one of time ->
+    {depth: located index}, which an anchored stop index reads too; each
+    entry is filled at its first use, so every error surfaces where a
+    fresh read would raise.
+
+    A stop index family on a registered family is decided by index, with
+    no grid time built: such a grid is strictly increasing on [0, bound]
+    and reads infinity from the bound on, so an index's time is below the
+    stop's iff the index clipped at the bound is below the stop index
+    clipped there.  Each index below the bound is vetted (``Grid.vet``)
+    where its time would have been read.  Plain callables, and stop
+    index families on unregistered families, compare grid times.
     """
     grids, located, stops = {}, {}, {}
+    by_index = isinstance(process, StopIndexFamily) \
+        and family.name in REGISTERED
 
     def base(at, n, t):
         if n not in at:
             at[n] = _locate(grids[n], t)
         return at[n]
+
+    def read(grid, index):
+        if not by_index:
+            return grid(index)
+        if ord_cmp(index, grid.bound) >= 0:
+            return grid.bound
+        if grid.vet is not None:
+            grid.vet(index)
+        return index
 
     def values(t, beta):
         at = located.setdefault(t, {})
@@ -404,19 +424,20 @@ def _window_values(process, family, window):
             if n not in grids:
                 grids[n] = family.member(n)
             grid = grids[n]
-            time = grid(ord_add(base(at, n, t), beta))
+            index = ord_add(base(at, n, t), beta)
             if not isinstance(process, StopIndexFamily):
-                out.append(process(n, time))
+                out.append(process(n, grid(index)))
                 continue
+            here = read(grid, index)
             if n not in stops:
                 anchor = process.anchor
                 if anchor is None:
-                    stops[n] = grid(process.index(n, grid))
+                    stops[n] = read(grid, process.index(n, grid))
                 else:
                     t0 = vt(anchor.t)
-                    stops[n] = grid(ord_add(
+                    stops[n] = read(grid, ord_add(
                         base(located.setdefault(t0, {}), n, t0), anchor.v))
-            out.append(1 if time < stops[n] else 0)
+            out.append(1 if here < stops[n] else 0)
         return out
 
     return values
@@ -462,7 +483,9 @@ def tilting_limit(process, family, probes=None, window=Window()):
     Evaluate the stop indicators through the grids at each probe point
     and declare the limit if every tail settles.  Probes at or above the
     filled-in vertical extent are read off by left extension: constant
-    continuation of the values just below it.
+    continuation of the values just below it.  On a registered family a
+    stop index family's indicators are decided by comparing indices, with
+    no grid time read (see ``_window_values``).
     """
     cap = budget(DEPTH_CAP)
     if window.stop > cap:

@@ -205,11 +205,20 @@ def _bound(cut):
     return cut.to_bytes(8, "big") if cut < 2 ** 64 else b"\xff" * 9
 
 
+def _seeded(seed):
+    """The blake2b state that has read a seed's 8 key bytes.  A draw keyed
+    (seed, trial, level, player) is the digest of a copy updated with the
+    rest of the key: blake2b reads its input as a stream, so that is the
+    digest of the whole packed key."""
+    return hashlib.blake2b(struct.pack(">Q", seed), digest_size=8)
+
+
 def sample_whistle(config, trial):
     if not isinstance(config.whistle, dict):
         return config.whistle
-    key = struct.pack(">QQQQ", config.seed, trial, 0, 0)
-    digest = hashlib.blake2b(key, digest_size=8).digest()
+    state = _seeded(config.seed)
+    state.update(struct.pack(">QQQ", trial, 0, 0))
+    digest = state.digest()
     *times, last = sorted(config.whistle)
     running = Fraction(0)
     for t in times:
@@ -236,18 +245,23 @@ def _races(seed, trials, cut1, cut2):
     The post-whistle race of each trial on integer cuts: the first level
     at which either coin comes up, with the two stop bits.  A race that
     reaches the boundary ends there with neither bit, the forced joint
-    stop.  Each trial's (seed, trial) key head is packed once, and each
-    draw is decided on its digest's bytes, which is exactly n < cut.
+    stop.  The seed's key bytes are hashed once per call and each trial's
+    once per trial: every coin copies its trial's hash state and reads
+    only its (level, player) tail, and each draw is decided on its
+    digest's bytes, which is exactly n < cut.
     """
     boundary = BOUNDARY
     tails = _tails(boundary)
     bound1, bound2 = _bound(cut1), _bound(cut2)
-    blake2b, pack = hashlib.blake2b, struct.Struct(">QQ").pack
+    seeded, pack = _seeded(seed), struct.Struct(">Q").pack
     for trial in trials:
-        head = pack(seed, trial)
+        head = seeded.copy()
+        head.update(pack(trial))
         for level, (tail1, tail2) in enumerate(tails):
-            one = blake2b(head + tail1, digest_size=8).digest() < bound1
-            two = blake2b(head + tail2, digest_size=8).digest() < bound2
+            draw1, draw2 = head.copy(), head.copy()
+            draw1.update(tail1)
+            draw2.update(tail2)
+            one, two = draw1.digest() < bound1, draw2.digest() < bound2
             if one or two:
                 yield level, one, two
                 break

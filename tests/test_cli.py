@@ -597,6 +597,18 @@ class TestUndecided:
         assert "undecided:" in result.output
         assert "check failed" not in result.output
 
+    def test_wellposed_budget_counts_tree_keys(self):
+        # mp-case3's 48 histories x 1,024 profiles exceed 49,151, but the
+        # direct check decides its 16 trees' histories once per tree key:
+        # 192 pairs, under its agents' 256 strategies
+        args = ["wellposed", "--sef", "examples:mp-case3", "--method",
+                "direct"]
+        result = CliRunner().invoke(cli, args, env={"EXFORM_BUDGET": "49151"})
+        assert (result.exit_code, result.output) == (0, "well-posed\n")
+        result = CliRunner().invoke(cli, args, env={"EXFORM_BUDGET": "255"})
+        assert (result.exit_code, result.output) \
+            == (3, "undecided: 256 strategies exceed the budget\n")
+
 
 def error_classes(cls=ExformError):
     """The package's error classes: the class and its subclasses in

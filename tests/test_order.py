@@ -613,16 +613,27 @@ class TestAgainstScans:
 
 
 class TestCutBudget:
-    # the 3-antichain has 5 cuts: the empty set, three points, everything
-    def test_a_cap_of_the_cut_count_decides(self, monkeypatch):
-        monkeypatch.setenv("EXFORM_BUDGET", "5")
+    # the 3-antichain has 5 cuts: the empty set, three points, everything;
+    # the cap counts cuts x elements, 15 here
+    def test_a_cap_of_cuts_times_elements_decides(self, monkeypatch):
+        monkeypatch.setenv("EXFORM_BUDGET", "15")
         lattice, _ = dm_completion(antichain("abc"))
         assert len(lattice.elements) == 5
 
     def test_one_cut_over_the_cap_is_undecided(self, monkeypatch):
-        monkeypatch.setenv("EXFORM_BUDGET", "4")
-        with pytest.raises(BudgetExceeded, match="more than 4 cuts"):
+        monkeypatch.setenv("EXFORM_BUDGET", "14")
+        with pytest.raises(BudgetExceeded,
+                           match="^more than 4 cuts of a 3-element poset$"):
             dm_completion(antichain("abc"))
+
+    def test_default_cap_bounds_the_family(self):
+        # the 32-element crown's 2^16 cuts x 32 elements fit 2^22; the
+        # 34-element crown's 2^17 cuts x 34 do not, and the closure stops
+        # before it holds them all
+        assert len(dm_completion(crown(16))[0]) == 2 ** 16
+        with pytest.raises(BudgetExceeded,
+                           match="^more than 123361 cuts of a 34-element poset$"):
+            dm_completion(crown(17))
 
 
 # --- oracles: the bound questions as scans, before the principal-set index --

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import math
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -182,8 +183,8 @@ class TestWellPosedness:
                            match="^16 strategies exceed the budget$"):
             check_wellposed_direct(sef)
         monkeypatch.setenv("EXFORM_BUDGET", "16")
-        with pytest.raises(EnumerationBudgetExceeded,
-                           match="^48 histories x 64 profiles$"):
+        with pytest.raises(EnumerationBudgetExceeded, match=r"^384 \(history, "
+                           r"tree key\) pairs exceed the budget$"):
             check_wellposed_direct(sef)
 
     def test_underseparated_pseudo_structure_fails_uniqueness(self):
@@ -578,6 +579,24 @@ class TestDirectWork:
         keys = self.keys_per_tree(sef)
         assert {r: passes.count(r) for r in set(passes)} == keys
         assert len(fill_count) == sum(keys.values())
+
+    @pytest.mark.parametrize("name", ["amd", "mp-case1", "mp-case2",
+                                      "mp-case4", "simple", "ultimatum"])
+    def test_cap_counts_history_and_tree_key_pairs(self, name, monkeypatch):
+        # each history is decided once per key of its tree; the cap counts
+        # those pairs, never more than the (history, profile) pairs
+        sef = load_example(name)[0]
+        keys = self.keys_per_tree(sef)
+        hs = histories(sef.sdf.forest)
+        pairs = sum(keys[max(h, key=len)] for h in hs)
+        profiles = math.prod(len(strategies(sef, i)) for i in sef.agents)
+        assert pairs <= len(hs) * profiles
+        monkeypatch.setenv("EXFORM_BUDGET", str(pairs - 1))
+        with pytest.raises(EnumerationBudgetExceeded, match=(
+                rf"^{pairs} \(history, tree key\) pairs exceed the budget$")):
+            check_wellposed_direct(sef)
+        monkeypatch.setenv("EXFORM_BUDGET", str(pairs))
+        check_wellposed_direct(sef)
 
     def test_no_strategy_enumerated(self, monkeypatch):
         forms = [load_example(name)[0] for name in ("amd", "mp-case3")]

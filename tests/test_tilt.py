@@ -409,6 +409,20 @@ def counted(family):
     return GridFamily(member, family.embed, family.name), calls
 
 
+@pytest.fixture
+def grid_reads(monkeypatch):
+    """The (grid, index) pairs of every grid time read, in order."""
+    reads = []
+    read = Grid.__call__
+
+    def counted_read(grid, beta):
+        reads.append((grid, beta))
+        return read(grid, beta)
+
+    monkeypatch.setattr(Grid, "__call__", counted_read)
+    return reads
+
+
 def raising_at(depth, value=ordinal(2), bad=None):
     """A kappa constant at ``value`` that raises ValueError at one depth,
     or returns ``bad`` there when it is given."""
@@ -464,6 +478,9 @@ def oracle_cases():
            dyadic_family(), {"probes": [vt(0, ordinal(k)) for k in range(6)]})
     yield BOB, GridFamily(dyadic_grid, dyadic_family().embed), \
         {"probes": PROBES}
+    # a stop index past the bound reads infinity, as the bound itself does
+    yield (StopIndexFamily(anchor=VTime(0, ord_add(OMEGA, OMEGA))),
+           dyadic_family(), {"probes": [vt(0, ordinal(1)), INFINITY]})
     yield (StopIndexFamily(kappa=lambda n: ordinal(1) if n < 23 else ordinal(2)),
            dyadic_family(), {"probes": [vt(0, ordinal(1))]})
 
@@ -504,7 +521,7 @@ class TestAgainstPerProbeReads:
         assert result.converged != text.startswith("alt:")
         assert calls == list(window.depths()) + [window.stop] * top
 
-    def test_one_locate_per_depth_and_time(self, monkeypatch):
+    def test_one_locate_per_depth_and_time(self, monkeypatch, grid_reads):
         # every default probe of the anchored family shares the anchor's
         # time, and its stop index reads the same table: one locate per
         # depth, where a locate per (probe, depth) and stop index made 105
@@ -518,9 +535,29 @@ class TestAgainstPerProbeReads:
         monkeypatch.setattr(tilt, "_locate", counted_locate)
         assert path_tilt(TimingConfig(), 3) == vt(0, ordinal(3))
         assert len(calls) == len({(id(g), t) for g, t in calls}) == 21
-        # the preemption race's tilts stop where they did
+        # the preemption race's tilts stop where they did, and on their
+        # registered family no grid time is read, where the time reads
+        # made 63, 84, 105 and 105
+        grid_reads.clear()
         for level in range(4):
             assert path_tilt(TimingConfig(), level) == vt(0, ordinal(level))
+        assert grid_reads == []
+
+    def test_registered_family_names_decide_by_index(self, grid_reads):
+        # a registered family keeps its name when its member calls are
+        # counted, and reads no grid time; the same member function in an
+        # unnamed family is unregistered, and its window compares grid
+        # times at every depth (gamma samples only depth 16's grid, and
+        # puts the vertical extent at time 0 at 1, above the probe (0, 0))
+        registered, _ = counted(dyadic_family())
+        unregistered = GridFamily(dyadic_grid, dyadic_family().embed)
+        depths = {Fraction(1, 2 ** n) for n in Window().depths()}
+        for family, reads in ((registered, set()), (unregistered, depths)):
+            grid_reads.clear()
+            fast = run_tilt(tilting_limit, BOB, family, probes=[vt(0)])
+            assert {grid.gap for grid, _ in grid_reads} == reads
+            assert fast[0][0] and fast == run_tilt(
+                oracle_tilting_limit, BOB, family, probes=[vt(0)])
 
     @pytest.mark.parametrize("name", sorted(tilt.REGISTERED))
     def test_cli_json_as_the_per_probe_reads(self, monkeypatch, name):

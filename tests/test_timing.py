@@ -490,6 +490,17 @@ class TestAgainstFractionSampler:
                 # each race reaches level 1 with probability 5/6 * 1/2
                 assert 0 < at_boundary < 200
 
+    @pytest.mark.parametrize("eta", [Fraction(1), Fraction(1, 2 ** 70),
+                                     Fraction(2 ** 70)])
+    def test_trials_in_any_order(self, eta):
+        # trials share only the seed's hash state: reversed or sparse trial
+        # numbers give each trial the race it has on its own
+        config = TimingConfig(eta=eta, seed=2 ** 64 - 3)
+        for trials in (range(40, 0, -1), [2 ** 64 - 1, 0, 7, 2 ** 40, 7, 3]):
+            races = timing._races(config.seed, trials, *timing._cuts(eta))
+            assert [timing._outcome(race, eta) for race in races] \
+                == [oracle_sample_race(config, t) for t in trials]
+
     def test_no_python_call_per_draw(self):
         # at eta = 2^-70 player 1 stops with probability below 2^-70 and
         # player 2 with 1/2 per level, so a trial draws 4 coins on average
