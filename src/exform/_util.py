@@ -1,4 +1,4 @@
-"""Small shared helpers: enumeration budgets and rational formatting."""
+"""Small shared helpers: budgets, the canonical order, rational formatting."""
 
 import os
 import re
@@ -26,6 +26,40 @@ def budget(default):
     if value <= 0:
         raise InputError("EXFORM_BUDGET must be positive")
     return value
+
+
+def canonical(value):
+    """
+    The total sort key of witnesses and random moves: a set as the sorted
+    keys of its members, a random move as its graph, a tuple or list
+    member by member, anything else as its repr.  Each shape is tagged, so
+    labels of mixed types never compare a list with a str.
+    """
+    if isinstance(value, str):   # most labels: the last line's key, sooner
+        return 0, repr(value)
+    if isinstance(value, (set, frozenset)):
+        return 1, sorted(map(canonical, value))
+    if isinstance(value, (tuple, list)):
+        return 2, list(map(canonical, value))
+    graph = getattr(value, "graph", None)   # only random moves have one
+    return (0, repr(value)) if graph is None else canonical(graph)
+
+
+def sorted_violations(violations, kinds):
+    """The (kind, payload) violations by kind in ``kinds`` order, then by
+    the payload's canonical key."""
+    return tuple(sorted(violations,
+                        key=lambda v: (kinds.index(v[0]), canonical(v[1]))))
+
+
+def canonical_text(value):
+    """The value's repr with each set as the list of its members in
+    canonical order, which reads the same under any hash seed."""
+    def plain(v):
+        if isinstance(v, (set, frozenset)):
+            return list(map(plain, sorted(v, key=canonical)))
+        return type(v)(map(plain, v)) if isinstance(v, (tuple, list)) else v
+    return repr(plain(value))
 
 
 def powerset(iterable):

@@ -8,6 +8,7 @@ once: the moves and each node's up-set, parent and children.
 
 from dataclasses import dataclass
 
+from ._util import canonical, canonical_text
 from .errors import ChoiceError, InputError, NotAHistory, StructureError
 from .order import Poset
 
@@ -28,7 +29,8 @@ class DecisionForest:
     def __init__(self, outcomes, nodes):
         report = validate_decision_forest(outcomes, nodes)
         if not report:
-            raise StructureError(f"{report.failure}: {report.witness!r}")
+            raise StructureError(
+                f"{report.failure}: {canonical_text(report.witness)}")
         self._outcomes = frozenset(outcomes)
         self._nodes = frozenset(frozenset(x) for x in nodes)
         # duality makes every singleton a node, so the moves are the rest
@@ -67,8 +69,7 @@ class DecisionForest:
 
     def down_sets(self):
         """Every move's down-set, from one pass over the up-sets: each node
-        is listed under every move above it in the order of the node set,
-        so each set is filled, and iterates, as ``down``'s scan would."""
+        is listed under every move above it."""
         below = {x: [] for x in self._moves}
         for y in self._nodes:
             for x in self._up[y]:
@@ -130,17 +131,19 @@ def validate_decision_forest(outcomes, nodes):
     nodes = frozenset(frozenset(x) for x in nodes)
     if not outcomes:
         return ValidationReport(False, "duality", "empty outcome set")
-    for x in nodes:
+    if all(x and x <= outcomes for x in nodes) \
+            and _laminar_with_singletons(outcomes, nodes):
+        return ValidationReport(True)
+    # the scans below run in canonical order and find the least witness
+    ordered = sorted(nodes, key=canonical)
+    for x in ordered:
         if not x:
             return ValidationReport(False, "rooted_forest", "empty node")
         if not x <= outcomes:
             return ValidationReport(False, "rooted_forest", ("alien outcomes", x))
-    if _laminar_with_singletons(outcomes, nodes):
-        return ValidationReport(True)
-    # the scans below find the report and its witness
     up = {}
-    for x in nodes:
-        above = [y for y in nodes if y >= x]
+    for x in ordered:
+        above = [y for y in ordered if y >= x]
         for i, a in enumerate(above):
             for b in above[i + 1:]:
                 if not (a <= b or b <= a):
@@ -148,6 +151,7 @@ def validate_decision_forest(outcomes, nodes):
                                             ("incomparable ancestors", x, a, b))
         # finite chains always carry a maximum, so rootedness follows
         up[x] = frozenset(above)
+    outcomes = sorted(outcomes, key=canonical)
     chains = {}
     for w in outcomes:
         chain = frozenset(x for x in nodes if w in x)
@@ -161,8 +165,8 @@ def validate_decision_forest(outcomes, nodes):
     if set(chains.values()) != maximal:
         missing = maximal - set(chains.values())
         extra = [w for w, c in chains.items() if c not in maximal]
-        return ValidationReport(False, "duality",
-                                ("chain mismatch", sorted(map(sorted, missing)), extra))
+        return ValidationReport(False, "duality", (
+            "chain mismatch", sorted(missing, key=canonical), extra))
     if len(set(chains.values())) != len(outcomes):
         collide = [w for w in outcomes
                    if sum(1 for v in outcomes if chains[v] == chains[w]) > 1]

@@ -12,7 +12,8 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
-from ._util import budget, partitions_of
+from ._util import (budget, canonical, canonical_text, partitions_of,
+                    sorted_violations)
 from .errors import (
     APAxiomViolation,
     BudgetExceeded,
@@ -23,6 +24,9 @@ from .errors import (
 )
 from .forest import DecisionForest, immediate_predecessors, is_union_of_nodes
 from .order import Poset, roots_and_components
+
+# the kinds of SDF violation, in the order their checks run
+SDF_KINDS = ("forest", "scenarios", "projection", "random_moves", "covering")
 
 # default caps of the random-move merge and recall-structure searches;
 # EXFORM_BUDGET overrides both
@@ -114,7 +118,8 @@ class StochasticDecisionForest:
     def __init__(self, forest, scenarios, projection, random_moves):
         report = validate_sdf(forest, scenarios, projection, random_moves)
         if not report:
-            raise StructureError(f"invalid SDF: {report.violations[0]}")
+            raise StructureError(
+                f"invalid SDF: {canonical_text(report.violations[0])}")
         self.forest = forest
         self.scenarios = tuple(scenarios)
         self.projection = dict(projection)
@@ -163,7 +168,8 @@ def validate_sdf(forest, scenarios, projection, random_moves):
     """
     Check the SDF axioms: the projection's fibres are exactly the connected
     components, and the random moves are sections of moves covering the
-    move set.
+    move set.  The violations come sorted by ``sorted_violations``; where
+    the projection is not total, the least node off it is the one listed.
     """
     scenarios = tuple(scenarios)
     violations = []
@@ -174,16 +180,16 @@ def validate_sdf(forest, scenarios, projection, random_moves):
 
     component_of = {x: max(forest.up(x), key=len) for x in forest.nodes}
     roots = frozenset(component_of.values())
-    fibre_ok = True
-    for x in forest.nodes:
-        if x not in projection or projection[x] not in scenarios:
-            violations.append(("projection", ("not total / out of range", x)))
-            fibre_ok = False
-            break
-        if projection[x] != projection.get(component_of[x]):
-            violations.append(("projection", ("fibre splits a component", x)))
-            fibre_ok = False
-    if fibre_ok:
+    off = [x for x in forest.nodes
+           if x not in projection or projection[x] not in scenarios]
+    split = [] if off else [x for x in forest.nodes
+                            if projection[x] != projection[component_of[x]]]
+    if off:
+        violations.append(("projection", ("not total / out of range",
+                                          min(off, key=canonical))))
+    violations.extend(("projection", ("fibre splits a component", x))
+                      for x in split)
+    if not off and not split:
         images = {projection[r] for r in roots}
         if len(images) != len(roots):
             violations.append(("projection", "two components share a scenario"))
@@ -208,16 +214,8 @@ def validate_sdf(forest, scenarios, projection, random_moves):
     uncovered = moves - covered
     for x in uncovered:
         violations.append(("covering", ("uncovered move", x)))
-    return SDFReport(not violations, tuple(violations), roots)
-
-
-def move_key(m):
-    """
-    A total sort key of random moves: each scenario's repr with its node's
-    outcomes as sorted reprs.  A frozenset's repr follows the hash seed,
-    so ``repr(m.graph)`` is no order to sort by.
-    """
-    return [(repr(w), sorted(map(repr, x))) for w, x in m.graph]
+    return SDFReport(not violations, sorted_violations(violations, SDF_KINDS),
+                     roots)
 
 
 def xgeq(m1, m2):
@@ -275,7 +273,7 @@ def check_flags(sdf):
 
 
 def _check_maximal(sdf, cap):
-    members = sorted(sdf.random_moves, key=move_key)
+    members = sorted(sdf.random_moves, key=canonical)
     moves = sdf.forest.moves()
 
     # a proper sub-cover is itself a coarser valid cover
@@ -398,7 +396,7 @@ def _is_block_union(event, partition):
 def enumerate_recall_structures(sdf, agent_moves):
     """All families of per-move partitions admitting recall, exhaustively."""
     cap = budget(RECALL_CAP)
-    agent_moves = sorted(agent_moves, key=move_key)
+    agent_moves = sorted(agent_moves, key=canonical)
     per_move = [
         [tuple(p) for p in partitions_of(sorted(m.domain, key=repr))]
         for m in agent_moves
@@ -452,18 +450,26 @@ def is_available_at(sdf, c, m):
 
 def validate_reference_choices(sdf, refchoices, agent_moves):
     """Each reference choice must be non-redundant, complete, available;
-    completeness and availability read one walk to its predecessors."""
+    completeness and availability read one walk to its predecessors.  Of
+    the failing (move, choice) pairs, the least one is reported."""
+    failed = []
     for m in agent_moves:
         for c in refchoices.get(m, ()):
             if not is_union_of_nodes(sdf.forest, c):
-                raise ChoiceError(f"reference choice not a union of nodes: {c!r}")
-            if not is_non_redundant(sdf, c):
-                raise ChoiceError(f"redundant reference choice at {m!r}")
-            p = immediate_predecessors(sdf.forest, c)
-            if not _complete(p, agent_moves):
-                raise ChoiceError(f"incomplete reference choice at {m!r}")
-            if preimage(m, p) != m.domain:
-                raise ChoiceError(f"reference choice unavailable at {m!r}")
+                why = ("reference choice not a union of nodes: "
+                       + canonical_text(frozenset(c)))
+            elif not is_non_redundant(sdf, c):
+                why = f"redundant reference choice at {m!r}"
+            elif not _complete(p := immediate_predecessors(sdf.forest, c),
+                               agent_moves):
+                why = f"incomplete reference choice at {m!r}"
+            elif preimage(m, p) != m.domain:
+                why = f"reference choice unavailable at {m!r}"
+            else:
+                continue
+            failed.append((m, c, why))
+    if failed:
+        raise ChoiceError(min(failed, key=canonical)[2])
 
 
 def check_adapted(sdf, c, info, refchoices, agent_moves):
@@ -614,24 +620,20 @@ class _SliceTable:
                     yield k, r.members, r2.members
 
     def offered(self):
-        """Each move's choices offered there, frozen from a list in the
-        order they were cut, so the set iterates as one frozen from a scan
-        of the cut choices does: the members of the slices the move
-        precedes, merged.  Moves that precede the same slices share it."""
+        """Each move's choices offered there: the members of the slices the
+        move precedes.  Moves that precede the same slices share the set."""
         at = {}
         for tree in self.trees:
             for r in tree.values():
                 if r.members:
                     for x in r.preds:
                         at.setdefault(x, []).append(r)
-        rank = dict(zip(self.preds, itertools.count())).__getitem__
         shared = {}
         for x, records in at.items():
             key = tuple(map(id, records))
             if key not in shared:
-                shared[key] = frozenset(sorted(itertools.chain(*[
-                    r.members for r in records]), key=rank)
-                    if len(records) > 1 else records[0].members)
+                shared[key] = frozenset(itertools.chain(*[
+                    r.members for r in records]))
             at[x] = shared[key]
         return at
 

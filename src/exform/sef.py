@@ -15,7 +15,8 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from ._util import budget, powerset
+from ._util import (budget, canonical, canonical_text, powerset,
+                    sorted_violations)
 from .errors import (
     APSEFAxiomViolation,
     BudgetExceeded,
@@ -30,7 +31,6 @@ from .sdf import (
     build_action_path_sdf,
     check_adapted,
     check_recall,
-    move_key,
     validate_reference_choices,
     xgeq,
 )
@@ -43,6 +43,10 @@ AXIOM2_CAP = 10 ** 6
 ADAPTED_CAP = 10 ** 5
 STRATEGIES_CAP = 10 ** 6
 AP_PROFILES_CAP = 10 ** 6
+
+# the kinds of extensive-form violation, in the order their checks run
+SEF_KINDS = ("agent_moves", "evaluation", "reference", "choice", "adapted",
+             "axiom1", "axiom2", "axiom3", "axiom4", "axiom5", "axiom6")
 
 
 @dataclass(frozen=True)
@@ -92,19 +96,20 @@ def _validate(form):
     agent's choices that is a union of nodes by every root into the
     agent's slice table, joining its slices' entries there into its
     adaptedness as it cuts.  The menu index and every axiom below read
-    those tables, which live for this call only.
+    those tables, which live for this call only.  An axiom reads False
+    exactly when it has violations, and the violations are listed by
+    ``sorted_violations``.
     """
     axiom2_cap = budget(AXIOM2_CAP)
     sdf, agents, agent_moves = form.sdf, form.agents, form.agent_moves
     info, refchoices, choices = form.info, form.refchoices, form.choices
     violations = []
-    checked = {}
 
     tables = {}
     for i in agents:
         if not agent_moves[i] <= sdf.random_moves:
             violations.append(("agent_moves", (i, "not random moves")))
-            return SEFReport(False, tuple(violations), checked)
+            break
         values = [m(w) for m in agent_moves[i] for w in m.domain]
         if len(set(values)) != len(values):
             violations.append(("evaluation", (i, "not injective")))
@@ -116,24 +121,22 @@ def _validate(form):
         for c in choices[i]:
             if not is_union_of_nodes(sdf.forest, c):
                 violations.append(("choice", (
-                    i, f"not a nonempty union of nodes: {c!r}")))
+                    i, f"not a nonempty union of nodes: {canonical_text(c)}")))
             elif not table.cut(c, join=True):
                 violations.append(("adapted", (i, c)))
     if violations:
-        return SEFReport(False, tuple(violations), checked)
+        return SEFReport(False, sorted_violations(violations, SEF_KINDS))
     form._index = _menu_index(form, tables)
 
     # Axiom 1: predecessor sets of an agent's choices must not properly
     # overlap, and overlapping choices agree or are disjoint per scenario
-    found = [v for i in agents for v in _axiom1_violations(tables[i], i)]
-    violations.extend(found)
-    checked["axiom1"] = not found
+    violations.extend(v for i in agents
+                      for v in _axiom1_violations(tables[i], i))
 
     # Axiom 2: profiles of available choices of active agents are jointly
     # compatible with the move.  x meets choices as it meets their slices,
     # so the distinct slices decide; at a move where a profile of them
-    # fails, the whole-choice product lists the witnesses in its order
-    checked["axiom2"] = True
+    # fails, the whole-choice product lists the witnesses
     count = 0
     for x in sdf.forest.moves():
         w = sdf.projection[x]
@@ -153,27 +156,24 @@ def _validate(form):
                 raise BudgetExceeded("too many available-choice profiles")
             if not x.intersection(*profile):
                 violations.append(("axiom2", (x, profile)))
-                checked["axiom2"] = False
 
     # Axiom 3: disjoint nodes of a shared scenario are separated by
     # disjoint choices of one agent; inside one tree a choice acts through
     # its slice there.  In a finite forest this implies strong separation
     # (Axiom 3'): the choices that separate the children of the meet of
     # two disjoint nodes are both on offer at that meet
-    checked["axiom3"] = True
     for w in sdf.scenarios:
         tree = sdf.tree_of(w)
         sliced = [tables[i].distinct(w) for i in agents]
-        for y, y2 in itertools.combinations(sorted(tree, key=sorted), 2):
+        for y, y2 in itertools.combinations(tree, 2):
             if not y & y2 and not any(
                     y <= s and y2 <= s2 and not s & s2
                     for slices in sliced for s in slices for s2 in slices):
-                violations.append(("axiom3", (w, y, y2)))
-                checked["axiom3"] = False
+                violations.append(("axiom3", (
+                    w, *sorted((y, y2), key=canonical))))
 
     # Axiom 4: active agents can preserve any strictly future node; a node
     # below x lies inside a choice iff it lies inside its slice
-    checked["axiom4"] = True
     down = sdf.forest.down_sets()
     for x in sdf.forest.moves():
         below = down[x] - {x}
@@ -182,11 +182,9 @@ def _validate(form):
             for y in below:
                 if not any(y <= s for s in slices):
                     violations.append(("axiom4", (i, x, y)))
-                    checked["axiom4"] = False
 
     # Axiom 5: random moves sharing an available choice share exogenous
     # information and reference choices
-    checked["axiom5"] = True
     for i in agents:
         for m in agent_moves[i]:
             for m2 in agent_moves[i]:
@@ -198,29 +196,25 @@ def _validate(form):
                     == frozenset(map(frozenset, refchoices[i][m2]))
                 if not (same_info and same_refs):
                     violations.append(("axiom5", (i, m, m2)))
-                    checked["axiom5"] = False
 
     # Axiom 6: completeness, every adapted union of slices of an
-    # information set's menu is a choice; witnesses in the order of the
-    # slice product over the scenarios sorted by repr
-    order = sorted(sdf.scenarios, key=repr)
+    # information set's menu is a choice; where the search runs over its
+    # budget and finds none, the axiom reads None
     undecided = False
-    missing = []
     for i in agents:
         for p in info_sets(form, i)[0]:
-            found = []
             try:
-                found.extend(c for c in _adapted_unions(
+                violations.extend(("axiom6", (i, c)) for c in _adapted_unions(
                     form, i, p.random_moves, tables[i]) if c not in choices[i])
             except BudgetExceeded:
                 undecided = True
-            found.sort(key=lambda c: [sorted(c & sdf.root_of(w))
-                                      for w in order])
-            missing.extend(("axiom6", (i, c)) for c in found)
-    violations.extend(missing)
-    checked["axiom6"] = not missing and (None if undecided else True)
 
-    return SEFReport(not violations, tuple(violations), checked)
+    failed = {kind for kind, _ in violations}
+    checked = {f"axiom{k}": f"axiom{k}" not in failed for k in range(1, 7)}
+    if undecided and checked["axiom6"]:
+        checked["axiom6"] = None
+    return SEFReport(not violations, sorted_violations(violations, SEF_KINDS),
+                     checked)
 
 
 def _axiom1_violations(table, i):
@@ -228,33 +222,20 @@ def _axiom1_violations(table, i):
     Axiom 1 for the choices of one agent's slice table: every pair of
     choices whose predecessor sets differ and overlap, and every pair with
     one predecessor set whose slices on a scenario differ and overlap,
-    paired across the table's overlapping slices of each tree.  The
-    violations come in the order of the pairs in the sorted choice list,
-    scenario by scenario within a pair.
+    paired across the table's overlapping slices of each tree.  Each pair
+    is listed in canonical order.
     """
     groups = {}
     for c, p in table.preds.items():
         if p:
             groups.setdefault(p, []).append(c)
-    pairs = []   # (c, c2, k), k = -1 where the predecessor sets differ
-    for (p, members), (p2, members2) in itertools.combinations(
-            groups.items(), 2):
-        if p & p2:
-            pairs.extend((c, c2, -1) for c in members for c2 in members2)
-    for k, cs, cs2 in table.overlapping():
-        pairs.extend((c, c2, k) for c in cs for c2 in cs2
-                     if table.preds[c] == table.preds[c2])
-    if not pairs:
-        return []
-    rank = {c: n for n, c in enumerate(sorted(table.preds, key=sorted))}
-    found = []
-    for c, c2, k in pairs:
-        first, second = (c, c2) if rank[c] < rank[c2] else (c2, c)
-        found.append(((rank[first], rank[second], k), (
-            i, first, second,
-            "predecessors differ" if k < 0 else table.scenarios[k])))
-    found.sort(key=lambda item: item[0])
-    return [("axiom1", v) for _, v in found]
+    pairs = [(c, c2, "predecessors differ") for (p, cs), (p2, cs2)
+             in itertools.combinations(groups.items(), 2) if p & p2
+             for c in cs for c2 in cs2]
+    pairs += [(c, c2, table.scenarios[k]) for k, cs, cs2 in table.overlapping()
+              for c in cs for c2 in cs2 if table.preds[c] == table.preds[c2]]
+    return [("axiom1", (i, *sorted((c, c2), key=canonical), where))
+            for c, c2, where in pairs]
 
 
 def _adapted_unions(form, i, members, table, void=False):
@@ -275,7 +256,7 @@ def _adapted_unions(form, i, members, table, void=False):
     search node; past the cap it raises BudgetExceeded.
     """
     cap = budget(ADAPTED_CAP)
-    first = min(members, key=move_key)
+    first = min(members, key=canonical)
     blocks = sorted((sorted(b, key=repr) for b in form.info[i][first]),
                     key=repr)
     move = {w: m(w) for m in members for w in m.domain}
@@ -352,12 +333,9 @@ def _menu_index(form, tables):
                                    for w in m.domain)
         for x in index.moves[i]:
             index.active[x] = index.active.get(x, ()) + (i,)
-        # menus frozen from lists in the order the table cut the choices
-        # iterate as a scan over choices[i] does, which keeps Axiom 2's
-        # witness order
         index.offered.update(((i, x), cs) for x, cs in table.offered().items())
         by_menu = {}
-        for m in sorted(form.agent_moves[i], key=move_key):
+        for m in sorted(form.agent_moves[i], key=canonical):
             by_menu.setdefault(_meet(index.offered, i, m), []).append(m)
         sets = tuple(InfoSet(i, frozenset(ms)) for ms in by_menu.values())
         index.info_sets[i] = (sets, MappingProxyType(
@@ -402,8 +380,8 @@ class StochasticExtensiveForm:
         # an axiom reads False exactly when it has violations
         if any(not (allow_incomplete and v[0] == "axiom6")
                for v in self.report.violations):
-            raise StructureError(
-                f"invalid extensive form: {self.report.violations[:1]}")
+            raise StructureError("invalid extensive form: " + canonical_text(
+                self.report.violations[:1]))
 
     def _store(self, sdf, agents, agent_moves, info, refchoices, choices):
         """The normalised fields, before or without validation."""

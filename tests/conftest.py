@@ -1,6 +1,11 @@
-"""Shared generators for property tests."""
+"""Shared generators for property tests, and a run under several hash
+seeds."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -8,6 +13,25 @@ from exform.forest import DecisionForest
 from exform.order import Poset
 
 LABELS = "abcdefghijkl"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
+
+
+def stdout_across_hash_seeds(args, returncode=0):
+    """Run ``python *args`` under PYTHONHASHSEED 1, 2 and 3 with the
+    package and the tests on the path; each run must end with the given
+    exit code and all must print one stdout, which is returned."""
+    outputs = set()
+    for seed in ("1", "2", "3"):
+        result = subprocess.run(
+            [sys.executable, *args], capture_output=True, text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed,
+                 "PYTHONPATH": os.pathsep.join([
+                     str(SRC), str(TESTS), os.environ.get("PYTHONPATH", "")])})
+        assert result.returncode == returncode, result.stderr
+        outputs.add(result.stdout)
+    assert len(outputs) == 1, outputs
+    return outputs.pop()
 
 
 def poset_from_dag(n, edges):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import constant_choice_parts, make_rng, random_strict_sef
+from exform._util import canonical
 from exform.errors import BudgetExceeded, ChoiceError, StructureError
 from exform.forest import immediate_predecessors, is_union_of_nodes
 from exform.instances import EXAMPLES, amd_sef, load_example, mp_sef
@@ -67,7 +68,8 @@ def check_adapted_oracle(sdf, c, info, refchoices, agent_moves):
 
 
 def axiom6_oracle(form):
-    """Axiom 6 of validate_sef by the product search: (violations, flag)."""
+    """Axiom 6 of validate_sef by the product search: (violations in
+    canonical order, flag)."""
     sdf, agents, choices = form.sdf, form.agents, form.choices
     info, refchoices, agent_moves = form.info, form.refchoices, form.agent_moves
     violations = []
@@ -96,7 +98,7 @@ def axiom6_oracle(form):
                                  agent_moves[i]):
                     violations.append(("axiom6", (i, candidate)))
                     checked["axiom6"] = False
-    return violations, checked["axiom6"]
+    return sorted(violations, key=canonical), checked["axiom6"]
 
 
 def completion_oracle(sef):
@@ -292,7 +294,7 @@ class TestAdaptedSearch:
 
     def test_dropped_variants_fail_axiom6_as_before(self):
         # where the product search decides Axiom 6 it gives the same
-        # verdict and the same witnesses in the same order
+        # verdict and the same witnesses in the same canonical order
         rng = random.Random(6)
         failed = 0
         for name in SMALL:

@@ -12,7 +12,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import comb_sef, constant_choice_parts
+from conftest import comb_sef, constant_choice_parts, stdout_across_hash_seeds
 from exform import order, tilt, timing
 from exform.cli import (
     _closure,
@@ -25,6 +25,8 @@ from exform.cli import (
 from exform.instances import load_example
 from exform.errors import ExformError, InputError
 from exform.sef import StochasticExtensiveForm
+from test_slices import unvalidated
+from test_validate import twinned
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -91,6 +93,33 @@ class TestValidate:
         result = run("validate", "--sef", str(path))
         assert result.exit_code == 1 and "invalid SEF" in result.output
 
+    def test_witness_does_not_depend_on_the_hash_seed(self, tmp_path):
+        # the twinned simple form fails Axiom 2 at each of its six moves;
+        # its least witness is the first violation
+        path = tmp_path / "twinned.json"
+        path.write_text(json.dumps(serialize_sef(
+            unvalidated(twinned(load_example("simple")[0])))))
+        output = stdout_across_hash_seeds(
+            ["-m", "exform", "validate", "--sef", str(path), "--json"],
+            returncode=1)
+        assert json.loads(output)["witness"] == (
+            "invalid extensive form: (('axiom2', (['o1:11', 'o1:12'], "
+            "(['o1:11', 'o2:11'], ['o1:12', 'o2:12']))),)")
+
+    def test_forest_witness_is_the_least(self, tmp_path):
+        # ab, bc and cd overlap under abcd: b is the least node with two
+        # incomparable ancestors, ab and bc the least such pair
+        path = tmp_path / "overlapping.json"
+        path.write_text(json.dumps({
+            "outcomes": list("abcd"), "scenarios": ["w"],
+            "nodes": [list(x) for x in ("abcd", "ab", "bc", "cd", *"abcd")],
+            "projection": ["w"] * 8, "random_moves": [], "agents": [],
+            "agent_moves": {}, "info": {}, "refchoices": {}, "choices": {}}))
+        output = stdout_across_hash_seeds(
+            ["-m", "exform", "validate", "--sef", str(path)], returncode=1)
+        assert output == ("invalid SEF: rooted_forest: ('incomparable "
+                          "ancestors', ['b'], ['a', 'b'], ['b', 'c'])\n")
+
 
 class TestEquilibrium:
     def test_verified_payoff(self):
@@ -107,19 +136,9 @@ class TestEquilibrium:
         assert data["equilibrium"] is False and data["witnesses"]
 
     def test_witnesses_do_not_depend_on_the_hash_seed(self):
-        outputs = set()
-        for seed in ("1", "2"):
-            result = subprocess.run(
-                [sys.executable, "-c", "from exform.cli import main; main()",
-                 "equilibrium", "verify",
-                 "--sef", "examples:amd", "--p", "1/3", "--json"],
-                capture_output=True, text=True,
-                env={**os.environ, "PYTHONHASHSEED": seed,
-                     "PYTHONPATH": SRC + os.pathsep
-                     + os.environ.get("PYTHONPATH", "")})
-            assert result.returncode == 1, result.stderr
-            outputs.add(result.stdout)
-        (output,) = outputs
+        output = stdout_across_hash_seeds(
+            ["-m", "exform", "equilibrium", "verify", "--sef", "examples:amd",
+             "--p", "1/3", "--json"], returncode=1)
         assert json.loads(output)["witnesses"]
 
     def test_p_outside_grid_is_input_error(self):
@@ -312,19 +331,9 @@ cli.main()
 
 class TestWellposedWitness:
     def test_witness_does_not_depend_on_the_hash_seed(self):
-        tests = str(Path(__file__).resolve().parent)
-        outputs = set()
-        for seed in ("1", "2"):
-            result = subprocess.run(
-                [sys.executable, "-c", COARSENED, "wellposed",
-                 "--sef", "coarsened", "--json"],
-                capture_output=True, text=True,
-                env={**os.environ, "PYTHONHASHSEED": seed,
-                     "PYTHONPATH": os.pathsep.join(
-                         [SRC, tests, os.environ.get("PYTHONPATH", "")])})
-            assert result.returncode == 1, result.stderr
-            outputs.add(result.stdout)
-        (output,) = outputs
+        output = stdout_across_hash_seeds(
+            ["-c", COARSENED, "wellposed", "--sef", "coarsened", "--json"],
+            returncode=1)
         witness = json.loads(output)["direct"]["witnesses"]["uniqueness"]
         # the first history in the total order: the root of w1 and the
         # move below it

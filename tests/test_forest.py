@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import forests
+from exform._util import canonical
 from exform.errors import ChoiceError, NotAHistory
 from exform.forest import (
     DecisionForest,
@@ -352,26 +353,29 @@ class TestPrimitivesAgainstScans:
 
 def validate_by_scans(outcomes, nodes):
     """validate_decision_forest as it was when the minimal nodes came from
-    a second scan over all node pairs instead of from the up-sets."""
+    a second scan over all node pairs instead of from the up-sets, with
+    its scans in canonical order."""
     from exform.forest import ValidationReport
     outcomes = frozenset(outcomes)
     nodes = frozenset(frozenset(x) for x in nodes)
+    ordered = sorted(nodes, key=canonical)
     if not outcomes:
         return ValidationReport(False, "duality", "empty outcome set")
-    for x in nodes:
+    for x in ordered:
         if not x:
             return ValidationReport(False, "rooted_forest", "empty node")
         if not x <= outcomes:
             return ValidationReport(False, "rooted_forest", ("alien outcomes", x))
     up = {}
-    for x in nodes:
-        above = [y for y in nodes if y >= x]
+    for x in ordered:
+        above = [y for y in ordered if y >= x]
         for i, a in enumerate(above):
             for b in above[i + 1:]:
                 if not (a <= b or b <= a):
                     return ValidationReport(False, "rooted_forest",
                                             ("incomparable ancestors", x, a, b))
         up[x] = frozenset(above)
+    outcomes = sorted(outcomes, key=canonical)
     chains = {}
     for w in outcomes:
         chain = frozenset(x for x in nodes if w in x)
@@ -383,7 +387,7 @@ def validate_by_scans(outcomes, nodes):
         missing = maximal - set(chains.values())
         extra = [w for w, c in chains.items() if c not in maximal]
         return ValidationReport(False, "duality",
-                                ("chain mismatch", sorted(map(sorted, missing)), extra))
+                                ("chain mismatch", sorted(missing, key=canonical), extra))
     if len(set(chains.values())) != len(outcomes):
         collide = [w for w in outcomes
                    if sum(1 for v in outcomes if chains[v] == chains[w]) > 1]
@@ -394,20 +398,21 @@ def validate_by_scans(outcomes, nodes):
 def validate_by_up_sets(outcomes, nodes):
     """validate_decision_forest as it was before its one largest-first pass:
     every family went through the scans that now run only when that pass
-    rejects it."""
+    rejects it, here in canonical order."""
     from exform.forest import ValidationReport
     outcomes = frozenset(outcomes)
     nodes = frozenset(frozenset(x) for x in nodes)
+    ordered = sorted(nodes, key=canonical)
     if not outcomes:
         return ValidationReport(False, "duality", "empty outcome set")
-    for x in nodes:
+    for x in ordered:
         if not x:
             return ValidationReport(False, "rooted_forest", "empty node")
         if not x <= outcomes:
             return ValidationReport(False, "rooted_forest", ("alien outcomes", x))
     up = {}
-    for x in nodes:
-        above = [y for y in nodes if y >= x]
+    for x in ordered:
+        above = [y for y in ordered if y >= x]
         for i, a in enumerate(above):
             for b in above[i + 1:]:
                 if not (a <= b or b <= a):
@@ -415,6 +420,7 @@ def validate_by_up_sets(outcomes, nodes):
                                             ("incomparable ancestors", x, a, b))
         # finite chains always carry a maximum, so rootedness follows
         up[x] = frozenset(above)
+    outcomes = sorted(outcomes, key=canonical)
     chains = {}
     for w in outcomes:
         chain = frozenset(x for x in nodes if w in x)
@@ -429,7 +435,7 @@ def validate_by_up_sets(outcomes, nodes):
         missing = maximal - set(chains.values())
         extra = [w for w, c in chains.items() if c not in maximal]
         return ValidationReport(False, "duality",
-                                ("chain mismatch", sorted(map(sorted, missing)), extra))
+                                ("chain mismatch", sorted(missing, key=canonical), extra))
     if len(set(chains.values())) != len(outcomes):
         collide = [w for w in outcomes
                    if sum(1 for v in outcomes if chains[v] == chains[w]) > 1]

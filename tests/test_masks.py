@@ -1,12 +1,12 @@
 """
 The slice table on outcome masks against the frozenset table it replaced,
 kept below verbatim apart from its name: every record, entry and adapted
-verdict, the offered map and the menus read off the records, in order
-(frozensets filled in another order may iterate in another one), the
-reports with their Axiom 1, 2, 4 and 6 witnesses in order, and the
-completed choices.  Also: the walks up the forest and the cuts by a root
-per build, the down-sets Axiom 4 reads, and the witness order of a form
-that fails Axiom 4 at several nodes.
+verdict, the offered map as sets, and the menus read off the records in
+order (frozensets filled in another order may iterate in another one),
+the reports with their Axiom 1, 2, 4 and 6 witnesses in canonical order,
+and the completed choices.  Also: the walks up the forest and the cuts by
+a root per build, the down-sets Axiom 4 reads, and the witness order of a
+form that fails Axiom 4 at several nodes.
 """
 
 import functools
@@ -18,9 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import forests, make_rng, random_strict_sef
+from exform._util import canonical
 from exform.forest import immediate_predecessors
 from exform.instances import amd_sef, mp_sef
-from exform.sdf import StochasticDecisionForest, _require_partition, move_key
+from exform.sdf import StochasticDecisionForest, _require_partition
 from exform.sef import (
     _slice_table,
     complete_choices,
@@ -222,7 +223,7 @@ def frozen_menus(form, i, offered):
     """The information sets and their sorted menus, from the lists."""
     frozen = {(i, x): frozenset(cs) for x, cs in offered.items()}
     by_menu = {}
-    for m in sorted(form.agent_moves[i], key=move_key):
+    for m in sorted(form.agent_moves[i], key=canonical):
         by_menu.setdefault(frozenset.intersection(*[
             frozen.get((i, m(w)), frozenset()) for w in m.domain]),
             []).append(m)
@@ -249,7 +250,8 @@ def complete_oracle(form):
 def assert_table_as_frozen(form):
     """Each agent's table, its choices cut and joined in one pass, against
     the frozenset table: records, entries, verdicts, predecessor sets and
-    every reader, each frozenset in the same iteration order."""
+    every reader, each frozenset in the same iteration order but the
+    offered sets, which are compared as sets."""
     sdf = form.sdf
     for i in form.agents:
         frozen = frozen_table(form, i, form.choices[i])
@@ -273,10 +275,10 @@ def assert_table_as_frozen(form):
                 assert table.groups_at(w, x) == frozen.groups_at(w, x)
         assert list(table.overlapping()) == list(frozen.overlapping())
         offered = frozen_offered(form, i, frozen)
-        assert {x: list(cs) for x, cs in table.offered().items()} \
-            == {x: list(cs) for (j, x), cs in form._index.offered.items()
+        assert table.offered() \
+            == {x: cs for (j, x), cs in form._index.offered.items()
                 if j == i} \
-            == {x: list(frozenset(cs)) for x, cs in offered.items()}
+            == {x: frozenset(cs) for x, cs in offered.items()}
         sets, _ = info_sets(form, i)
         assert [(p.random_moves, form._index.menus[p]) for p in sets] \
             == frozen_menus(form, i, offered)
@@ -421,13 +423,12 @@ class TestWorkCounts:
 class TestDownSets:
     @given(forests())
     @settings(deadline=None)
-    def test_down_sets_iterate_as_the_scan(self, f):
-        # Axiom 4 reports the nodes below a move in the down-set's order
+    def test_down_sets_as_the_scan(self, f):
         down = f.down_sets()
         assert down.keys() == f.moves()
         for x in f.moves():
-            assert list(down[x]) == list(f.down(x)) \
-                == list(frozenset(y for y in f.nodes if y <= x))
+            assert down[x] == f.down(x) \
+                == frozenset(y for y in f.nodes if y <= x)
 
     def test_axiom4_witnesses_in_order(self):
         # drops that leave several nodes below a move unpreservable

@@ -169,11 +169,14 @@ class TestWellPosedness:
         assert all(verdicts) == bool(check_wellposed_direct(sef))
 
     def test_budget_enforced(self, monkeypatch):
-        sef = simple_sef(7)
-        # 6 histories and 8 profiles each fit, their 48 pairs do not
+        sef = simple_sef(1)
+        # the agent's 8 strategies fit, the 6 histories' 48 pairs do not
         monkeypatch.setenv("EXFORM_BUDGET", "20")
-        with pytest.raises(EnumerationBudgetExceeded):
+        with pytest.raises(EnumerationBudgetExceeded, match=r"^48 \(history, "
+                           r"tree key\) pairs exceed the budget$"):
             check_wellposed_direct(sef)
+        monkeypatch.setenv("EXFORM_BUDGET", "48")
+        assert check_wellposed_direct(sef)
 
     def test_strategies_cap_per_agent_comes_first(self, monkeypatch):
         # i's 4 strategies fit, j's 16 do not, nor do the 48 x 64 pairs

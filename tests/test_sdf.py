@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from exform.errors import (
@@ -116,6 +118,37 @@ class TestValidation:
         with pytest.raises(StructureError):
             StochasticDecisionForest(sdf.forest, sdf.scenarios,
                                      sdf.projection, [x0, x1])
+
+    def test_least_node_off_the_projection_is_reported(self, simple):
+        # two nodes off the projection and one fibre split: only the least
+        # node off it is listed, whatever the order of the node set
+        sdf, _ = simple
+        projection = dict(sdf.projection)
+        for x in ("o2:22", "o1:21"):
+            del projection[frozenset({x})]
+        projection[frozenset({"o2:11"})] = "o1"
+        report = validate_sdf(sdf.forest, sdf.scenarios, projection,
+                              sdf.random_moves)
+        assert report.violations == (("projection", (
+            "not total / out of range", frozenset({"o1:21"}))),)
+        with pytest.raises(StructureError, match=re.escape(
+                "invalid SDF: ('projection', ('not total / out of range', "
+                "['o1:21']))")):
+            StochasticDecisionForest(sdf.forest, sdf.scenarios, projection,
+                                     sdf.random_moves)
+
+    def test_violations_by_kind_then_payload(self, simple):
+        sdf, (x0, x1, x2) = simple
+        bad = RandomMove({"o1": frozenset({"o1:11"})})
+        report = validate_sdf(sdf.forest, sdf.scenarios, sdf.projection,
+                              [bad, x0])
+        assert report.violations == (
+            ("random_moves", ("value is not a move", "o1",
+                              frozenset({"o1:11"}))),
+            ("covering", ("uncovered move", frozenset({"o1:11", "o1:12"}))),
+            ("covering", ("uncovered move", frozenset({"o1:21", "o1:22"}))),
+            ("covering", ("uncovered move", frozenset({"o2:11", "o2:12"}))),
+            ("covering", ("uncovered move", frozenset({"o2:21", "o2:22"}))))
 
 
 class TestOrderOnSections:
@@ -290,6 +323,18 @@ class TestChoices:
         refs = {x0: [simple_choice_second_any({"o1": "1", "o2": "1"})]}
         with pytest.raises(ChoiceError):
             validate_reference_choices(sdf, refs, [x0])
+
+    def test_least_failing_reference_choice_reported(self, simple):
+        # a failing choice at each move: the least (move, choice) is named,
+        # in either order of the moves
+        sdf, (x0, x1, x2) = simple
+        refs = {x0: [{"o2:12", "o1:12", "z"}], x1: [{"y", "o1:11"}],
+                x2: [frozenset()]}
+        for moves in ([x0, x1, x2], [x2, x1, x0]):
+            with pytest.raises(ChoiceError, match=re.escape(
+                    "reference choice not a union of nodes: "
+                    "['o1:11', 'y']")):
+                validate_reference_choices(sdf, refs, moves)
 
     def test_non_union_rejected(self, simple):
         sdf, moves = simple

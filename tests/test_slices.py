@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import forests, make_rng, random_strict_sef
+from exform._util import canonical
 from exform.forest import immediate_predecessors
 from exform.instances import (
     EXAMPLES,
@@ -46,8 +47,8 @@ from exform.sef import (
 def axiom3_oracle(sdf, agents, choices):
     """
     Axioms 3 and 3' over every pair of whole choices containing each pair of
-    disjoint nodes: the violations, the Axiom 3 flag and the strong
-    separation flag.
+    disjoint nodes: the violations in canonical order, the Axiom 3 flag and
+    the strong separation flag.
     """
     violations = []
     checked = {}
@@ -69,7 +70,7 @@ def axiom3_oracle(sdf, agents, choices):
         return preds[c]
 
     for w in sdf.scenarios:
-        tree = sorted(sdf.tree_of(w), key=sorted)
+        tree = sorted(sdf.tree_of(w), key=canonical)
         for y, y2 in itertools.combinations(tree, 2):
             if y & y2:
                 continue
@@ -96,7 +97,7 @@ def axiom3_oracle(sdf, agents, choices):
                 checked["axiom3"] = False
             if not strong:
                 strict = False
-    return violations, checked["axiom3"], strict
+    return sorted(violations, key=canonical), checked["axiom3"], strict
 
 
 def endogenous_recall_oracle(sef, i):
@@ -305,8 +306,6 @@ INDEXER = {("sdf.py", "cut"), ("sdf.py", "_record")}
 MASKED = {"trees", "bit", "root_masks", "choice_of", "_bit", "_root_masks"}
 # every other cut by a root in the guarded modules, with its reason
 ALLOWED = {
-    ("sef.py", "_validate", "c & sdf.root_of(w)"):
-        "Axiom 6 sorts its candidate unions, which are not choices",
     ("play.py", "key", "tables[i][x] & root"):
         "a profile's table may hold a set that is not a choice of the form, "
         "and the sweep reads few enough keys that a lookup gains nothing",

@@ -280,6 +280,20 @@ class TestTiltingLimits:
             tilting_limit(late, dyadic_family(),
                           probes=[vt(0, ordinal(1))])
 
+    def test_a_tail_with_two_switches_oscillates(self):
+        # the least number of switches the window reads as oscillation
+        window = Window(0, 7, 3)
+        assert tilt._settle([1, 1, 1, 1, 1, 0, 1, 0], window, vt(0)) is None
+        assert tilt._settle([0, 0, 0, 0, 1, 0, 1, 0], Window(0, 7, 4),
+                            vt(0)) is None
+
+    def test_a_tail_with_one_switch_is_inconclusive(self):
+        window = Window(0, 7, 3)
+        with pytest.raises(TailWindowInconclusive):
+            tilt._settle([1, 1, 1, 1, 1, 0, 0, 1], window, vt(0))
+        with pytest.raises(TailWindowInconclusive):
+            tilt._settle([1, 0, 1, 0, 1, 1, 0, 0], window, vt(0))
+
     def test_window_reported_and_validated(self):
         window = Window(2, 12, 4)
         result = tilting_limit(ALICE, dyadic_family(), window=window)

@@ -501,6 +501,31 @@ class TestAgainstFractionSampler:
             assert [timing._outcome(race, eta) for race in races] \
                 == [oracle_sample_race(config, t) for t in trials]
 
+    @pytest.mark.parametrize("seed, trial", [(5, 11), (2 ** 64 - 1, 0)])
+    def test_no_stop_at_a_draw_equal_to_the_cut(self, seed, trial):
+        # a coin comes up iff its draw is below its cut: at a cut equal to
+        # the trial's first draw the coin stays down there, one above it
+        # comes up
+        def first_draw(player):
+            key = struct.pack(">QQQQ", seed, trial, 1, player)
+            return int.from_bytes(
+                hashlib.blake2b(key, digest_size=8).digest(), "big")
+
+        for player in (1, 2):
+            cuts = [0, 0]
+            cuts[player - 1] = first_draw(player)
+            (level, *_), = timing._races(seed, [trial], *cuts)
+            assert level > 0
+            cuts[player - 1] += 1
+            assert list(timing._races(seed, [trial], *cuts)) \
+                == [(0, player == 1, player == 2)]
+        # eta = n / (2^64 - n) gives player 1 the probability n / 2^64,
+        # whose cut is exactly n
+        n = first_draw(1)
+        config = TimingConfig(eta=Fraction(n, 2 ** 64 - n), seed=seed)
+        assert timing._cuts(config.eta)[0] == n
+        assert sample_race(config, trial) == oracle_sample_race(config, trial)
+
     def test_no_python_call_per_draw(self):
         # at eta = 2^-70 player 1 stops with probability below 2^-70 and
         # player 2 with 1/2 per level, so a trial draws 4 coins on average

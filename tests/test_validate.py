@@ -3,20 +3,17 @@ Form validation from one slice table per agent, against the code it
 replaced: the earlier ``_validate``, ``_axiom1_violations``,
 ``_adapted_unions`` and the adapted table's (variable, bit) lists with
 their ``bits`` and ``fix``, kept below verbatim apart from their names,
-the table they are handed, and the total move order of the search's first
-move.  Also: the walks up the forest per build, that a built form keeps
-nothing of its slice tables, the information-set order across hash seeds,
-and the coin-matching action maps against their earlier builder.
+the table they are handed, the total move order of the search's first
+move, and their violations put in canonical order.  Also: the walks up
+the forest per build, that a built form keeps nothing of its slice
+tables, the information-set order across hash seeds, the coin-matching
+action maps against their earlier builder, and the canonical order.
 """
 
 import gc
 import itertools
-import os
 import random
-import subprocess
-import sys
 import weakref
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,8 +22,8 @@ from hypothesis import strategies as st
 import exform.forest
 import exform.sdf
 import exform.sef
-from conftest import make_rng, random_strict_sef
-from exform._util import budget
+from conftest import make_rng, random_strict_sef, stdout_across_hash_seeds
+from exform._util import budget, canonical, canonical_text, sorted_violations
 from exform.errors import BudgetExceeded, ChoiceError, ExformError
 from exform.forest import immediate_predecessors, is_union_of_nodes
 from exform.instances import (
@@ -41,14 +38,15 @@ from exform.instances import (
     mp_sef,
 )
 from exform.sdf import (
+    RandomMove,
     _require_partition,
     _SliceTable,
-    move_key,
     validate_reference_choices,
 )
 from exform.sef import (
     ADAPTED_CAP,
     AXIOM2_CAP,
+    SEF_KINDS,
     SEFReport,
     _adapted_unions,
     _axiom1_violations,
@@ -69,9 +67,6 @@ from test_slices import (
     slices_oracle,
     unvalidated,
 )
-
-ROOT = Path(__file__).resolve().parents[1]
-
 
 # --- the code the slice tables replaced ------------------------------------------
 
@@ -161,10 +156,10 @@ def axiom1_oracle(sdf, i, choices):
     Axiom 1 for one agent in one pass over predecessor-set groups: every
     pair of choices from two distinct groups whose predecessor sets
     overlap, and every pair from one group whose slices on a scenario
-    differ and overlap.  The violations come in the order of the pairs in
-    the sorted choice list, scenario by scenario within a pair.
+    differ and overlap.  The violations come in canonical order, and so
+    do the two choices of each pair.
     """
-    order = sorted(choices, key=sorted)
+    order = sorted(choices, key=canonical)
     rank = {c: k for k, c in enumerate(order)}
     groups = {}
     for c in order:
@@ -202,8 +197,7 @@ def axiom1_oracle(sdf, i, choices):
                             first, second = pair(c, c2)
                             found.append(((rank[first], rank[second], k),
                                           (i, first, second, w)))
-    found.sort(key=lambda item: item[0])
-    return [("axiom1", v) for _, v in found]
+    return sorted((("axiom1", v) for _, v in found), key=canonical)
 
 
 def adapted_unions_oracle(form, table, i, members, menu, void=False):
@@ -218,7 +212,7 @@ def adapted_unions_oracle(form, table, i, members, menu, void=False):
     BudgetExceeded.
     """
     cap = budget(ADAPTED_CAP)
-    first = min(members, key=move_key)
+    first = min(members, key=canonical)
     blocks = sorted((sorted(b, key=repr) for b in form.info[i][first]),
                     key=repr)
     visit = [w for block in blocks for w in block] + sorted(
@@ -260,7 +254,7 @@ def adapted_unions_oracle(form, table, i, members, menu, void=False):
 
 def validate_oracle(form):
     """``validate_sef`` on stored data, through the form's own menu index
-    and adapted-choice tables."""
+    and adapted-choice tables, its violations in canonical order."""
     axiom2_cap = budget(AXIOM2_CAP)
     sdf, agents, agent_moves = form.sdf, form.agents, form.agent_moves
     info, refchoices, choices = form.info, form.refchoices, form.choices
@@ -287,11 +281,12 @@ def validate_oracle(form):
         for c in choices[i]:
             if not is_union_of_nodes(sdf.forest, c):
                 violations.append(("choice", (
-                    i, f"not a nonempty union of nodes: {c!r}")))
+                    i, f"not a nonempty union of nodes: {canonical_text(c)}")))
             elif not table_of(i).adapted(c):
                 violations.append(("adapted", (i, c)))
     if violations:
-        return SEFReport(False, tuple(violations), checked)
+        return SEFReport(False, sorted_violations(violations, SEF_KINDS),
+                         checked)
 
     # Axiom 1: predecessor sets of an agent's choices must not properly
     # overlap, and overlapping choices agree or are disjoint per scenario
@@ -323,7 +318,7 @@ def validate_oracle(form):
     for w in sdf.scenarios:
         tree = sdf.tree_of(w)
         sliced = [slices_oracle(sdf, choices[i], w) for i in agents]
-        for y, y2 in itertools.combinations(sorted(tree, key=sorted), 2):
+        for y, y2 in itertools.combinations(sorted(tree, key=canonical), 2):
             if not y & y2 and not any(
                     y <= s and y2 <= s2 and not s & s2
                     for slices in sliced for s in slices for s2 in slices):
@@ -358,26 +353,23 @@ def validate_oracle(form):
                     checked["axiom5"] = False
 
     # Axiom 6: completeness, every adapted union of slices of an
-    # information set's menu is a choice; witnesses in the order of the
-    # slice product over the scenarios sorted by repr
-    order = sorted(sdf.scenarios, key=repr)
+    # information set's menu is a choice
     undecided = False
     missing = []
     for i in agents:
         for members, menu in _menus(form, i):
-            found = []
             try:
-                found.extend(c for c in adapted_unions_oracle(
-                    form, table_of(i), i, members, menu) if c not in choices[i])
+                missing.extend(
+                    ("axiom6", (i, c)) for c in adapted_unions_oracle(
+                        form, table_of(i), i, members, menu)
+                    if c not in choices[i])
             except BudgetExceeded:
                 undecided = True
-            found.sort(key=lambda c: [sorted(c & sdf.root_of(w))
-                                      for w in order])
-            missing.extend(("axiom6", (i, c)) for c in found)
     violations.extend(missing)
     checked["axiom6"] = not missing and (None if undecided else True)
 
-    return SEFReport(not violations, tuple(violations), checked)
+    return SEFReport(not violations, sorted_violations(violations, SEF_KINDS),
+                     checked)
 
 
 # --- variants ---------------------------------------------------------------------
@@ -459,7 +451,7 @@ def assert_tables_agree(form):
                 assert p == (immediate_predecessors(sdf.forest, s)
                              if s and s != sdf.root_of(w) else frozenset())
                 assert entry_of(table, w, s) == expected
-        assert _axiom1_violations(table, i) \
+        assert sorted(_axiom1_violations(table, i), key=canonical) \
             == axiom1_oracle(sdf, i, form.choices[i])
         for members, menu in _menus(form, i):
             for void in (False, True):
@@ -482,7 +474,7 @@ def assert_readers_as_before(form):
         return False
     for i in form.agents:
         table = _slice_table(form, i, form.choices[i])
-        assert _axiom1_violations(table, i) \
+        assert sorted(_axiom1_violations(table, i), key=canonical) \
             == axiom1_oracle(form.sdf, i, form.choices[i])
         for w in form.sdf.scenarios:
             assert table.distinct(w) == _slices(table, form.choices[i], w)
@@ -559,8 +551,8 @@ class TestReportsAsBefore:
 
     def test_twinned_coin_matching_interleaves_slices(self):
         # agent i's four first-stage choices take two slices per tree in
-        # an order the slice product does not follow; the witnesses come
-        # in the whole-choice product order all the same
+        # an order the slice product does not follow; every whole-choice
+        # witness is listed all the same
         form = mp_sef(2)[0]
         report = assert_validates_as_oracle(twinned(form))
         witnesses = [v for v in report.violations if v[0] == "axiom2"]
@@ -675,8 +667,7 @@ class TestLifetime:
 
 
 DIGEST = """
-import hashlib, sys
-sys.path.insert(0, sys.argv[1])
+import hashlib
 from conftest import make_rng, random_strict_sef
 from exform.instances import load_example
 from exform.sef import info_sets
@@ -690,15 +681,7 @@ print(digest.hexdigest())
 
 
 def test_information_sets_in_one_order_across_hash_seeds():
-    digests = set()
-    for seed in ("1", "2", "3"):
-        env = dict(os.environ, PYTHONHASHSEED=seed,
-                   PYTHONPATH=str(ROOT / "src"))
-        out = subprocess.run([sys.executable, "-c", DIGEST,
-                              str(ROOT / "tests")], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        digests.add(out.strip())
-    assert len(digests) == 1
+    assert stdout_across_hash_seeds(["-c", DIGEST])
 
 
 def mp_maps_oracle(keys):
@@ -732,3 +715,58 @@ def test_mp_choices_as_before():
             expected = [f"{w}:{a}{g[w]}" for w in MP_SCENARIOS
                         for a in ("12" if k == "." else k)]
             assert list(mp_choice_second(k, g)) == list(frozenset(expected))
+
+
+def move_key(m):
+    """The random-move sort key that ``canonical`` replaced, verbatim."""
+    return [(repr(w), sorted(map(repr, x))) for w, x in m.graph]
+
+
+class TestCanonicalOrder:
+    def test_random_moves_sort_as_before(self):
+        # string labels, as every bundled and serialized form has
+        forms = [BUNDLED[name]() for name in sorted(BUNDLED)] \
+            + [amd_sef(4)[0]] \
+            + [random_strict_sef(make_rng(seed)) for seed in range(30)]
+        for form in forms:
+            moves = list(form.sdf.random_moves)
+            assert sorted(moves, key=canonical) == sorted(moves, key=move_key)
+
+    def test_shapes_are_tagged(self):
+        # atoms by repr, then sets, then sequences and random moves: labels
+        # of mixed types sort without comparing a list with a str
+        move = RandomMove({"w": frozenset({"a"})})
+        ordered = ["i", 1, 10, 9, None, frozenset(), frozenset({"a", 1}),
+                   ("twin", "i"), [2, "x"], move]
+        for values in (ordered, ordered[::-1]):
+            assert sorted(values, key=canonical) == ordered
+
+    def test_text_lists_each_set_in_canonical_order(self):
+        assert canonical_text(("axiom6", ("i", frozenset({"b", "a", 1})))) \
+            == "('axiom6', ('i', ['a', 'b', 1]))"
+        assert canonical_text([frozenset(), ("i",), {frozenset({2, 10})}]) \
+            == "[[], ('i',), [[10, 2]]]"
+
+    def test_violations_by_kind_then_payload(self):
+        found = [("axiom6", ("i", frozenset("a"))),
+                 ("axiom2", (frozenset("b"), ())),
+                 ("adapted", (("twin", "i"), frozenset("a"))),
+                 ("adapted", ("i", frozenset("b"))),
+                 ("axiom2", (frozenset("ab"), ()))]
+        assert sorted_violations(found, SEF_KINDS) == (
+            found[3], found[2], found[4], found[1], found[0])
+
+    def test_report_in_canonical_order(self):
+        rng = random.Random(31)
+        several = 0
+        for name in ["simple", "mp-case1", "ultimatum"]:
+            form = BUNDLED[name]()
+            for parts in [parts_of(form, dropped(form, rng)),
+                          parts_of(form, overlapped(form, rng)),
+                          twinned(form)]:
+                violations = validate_sef(*parts).violations
+                several += len({v[0] for v in violations}) >= 2
+                assert list(violations) == sorted(
+                    violations, key=lambda v: (SEF_KINDS.index(v[0]),
+                                               canonical(v[1])))
+        assert several >= 2
