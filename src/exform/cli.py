@@ -395,9 +395,8 @@ def _parse_kappa(text):
             low, high = (parse_ordinal(part) for part in text[4:].split(","))
         except ValueError as err:
             raise InputError(f"bad alternation spec: {text!r}") from err
-        return lambda n: high if n % 2 == 0 else low
-    value = parse_ordinal(text)
-    return lambda n: value
+        return high, low               # kappa(n) = high at even depths n
+    return (parse_ordinal(text),)
 
 
 def _parse_window(text):
@@ -414,7 +413,8 @@ def _parse_window(text):
 @click.option("--kappa", required=True,
               help="stop index: an ordinal or alt:<odd>,<even>")
 @click.option("--probe", default=None, help='";"-separated probe points')
-@click.option("--window", default="4:24:8", help="start:stop:tail")
+@click.option("--window", default="4:24:8",
+              help="start:stop:tail; a closed form reads from depth start")
 @json_flag
 @guarded
 def tilt_command(family, kappa, probe, window, as_json):
@@ -425,20 +425,22 @@ def tilt_command(family, kappa, probe, window, as_json):
     result = tilt.tilting_limit(process, grids, probes=probes,
                                 window=_parse_window(window))
     win = f"{result.window.start}:{result.window.stop}:{result.window.tail}"
+    how = f"window {win}" if result.windowed else "closed form"
     if result.converged:
         stop = format_vtime(result.stop) if result.stop is not None else None
-        human = (f"Limit 1[0, {stop}) (window {win})" if stop
-                 else f"Limit value table (window {win})")
+        human = (f"Limit 1[0, {stop}) ({how})" if stop
+                 else f"Limit value table ({how})")
         emit(as_json, human, {
-            "converged": True, "stop": stop, "window": win,
+            "converged": True, "stop": stop, "window": win, "decided": how,
             "table": {format_vtime(p): v for p, v in result.table.items()}})
     else:
-        witness_probe, values = result.witness
+        witness_probe, n0, cycle = result.witness
         emit(as_json,
-             f"Diverged at {format_vtime(witness_probe)}: "
-             f"{list(values)} (window {win})",
+             f"Diverged at {format_vtime(witness_probe)}: period "
+             f"{list(cycle)} from depth {n0} ({how})",
              {"converged": False, "at": format_vtime(witness_probe),
-              "values": list(values), "window": win})
+              "n0": n0, "period": list(cycle), "window": win,
+              "decided": how})
         raise SystemExit(1)
 
 

@@ -224,12 +224,16 @@ def xgeq(m1, m2):
 
 
 def is_order_consistent(random_moves):
-    """One-point comparability must already imply the full order."""
+    """One-point comparability must already imply the full order; the
+    witness is the least failing (m1, m2, w) under ``canonical``."""
     for m1 in random_moves:
         for m2 in random_moves:
             for w in m1.domain & m2.domain:
                 if m1(w) >= m2(w) and not xgeq(m1, m2):
-                    return False, (m1, m2, w)
+                    return False, min(
+                        ((a, b, x) for a in random_moves for b in random_moves
+                         for x in a.domain & b.domain
+                         if a(x) >= b(x) and not xgeq(a, b)), key=canonical)
     return True, None
 
 

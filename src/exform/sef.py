@@ -433,10 +433,9 @@ def info_sets(sef, i):
 
 
 def ordered_info_sets(sef, i):
-    """The agent's information sets in one order, by the sorted reprs of
-    their random moves."""
-    sets, _ = info_sets(sef, i)
-    return sorted(sets, key=lambda p: sorted(map(repr, p.random_moves)))
+    """The agent's information sets in one order: the canonical order of
+    their moves, in which the menu index builds them."""
+    return info_sets(sef, i)[0]
 
 
 def check_recall_and_info(sef, i):

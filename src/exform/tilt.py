@@ -41,8 +41,9 @@ from .vtime import (
 
 OMEGA_SQ = Ordinal(((2, 1),))
 
-# default cap of the deepest grid depth a tilting window inspects, and of
-# the subdivision depth of a nested grid's index; EXFORM_BUDGET overrides it
+# default cap of the deepest grid depth a tilting limit reads (a window's
+# stop, or the last depth of a closed form's period), and of the
+# subdivision depth of a nested grid's index; EXFORM_BUDGET overrides it
 DEPTH_CAP = 10 ** 4
 
 
@@ -84,14 +85,15 @@ class StopIndexFamily:
     """
     The processes "stop at the kappa(n)-th opportunity of the n-th grid":
     the n-th process is 1 strictly before the time of that opportunity
-    and 0 from it onwards.
+    and 0 from it onwards.  kappa is a callable, or a tuple of ordinals
+    read as kappa(n) = kappa[n % len(kappa)]: a declared period.
 
     An anchored family stops at a fixed vertically extended target
     instead: kappa(n) is the first index at or after the target's real
     time, shifted up by the target's vertical part.
     """
 
-    kappa: object = None               # n -> Ordinal
+    kappa: object = None               # n -> Ordinal, or a tuple
     anchor: VTime | None = None
     label: str | None = None
 
@@ -99,7 +101,9 @@ class StopIndexFamily:
         if self.anchor is not None:
             base = _locate(grid, vt(self.anchor.t))
             return ord_add(base, self.anchor.v)
-        value = self.kappa(n)
+        kappa = self.kappa
+        value = kappa[n % len(kappa)] if isinstance(kappa, tuple) \
+            else kappa(n)
         if not isinstance(value, Ordinal):
             raise InputError(f"stop index must be an ordinal: {value!r}")
         if ord_cmp(value, grid.bound) > 0:
@@ -109,7 +113,8 @@ class StopIndexFamily:
 
 @dataclass(frozen=True)
 class Window:
-    """Grid depths inspected per probe, and the required constant tail."""
+    """Grid depths a windowed verdict reads per probe, and the constant
+    tail it requires; a closed form reads from no shallower than start."""
 
     start: int = 4
     stop: int = 24
@@ -130,14 +135,16 @@ class TiltingResult:
     converged: bool
     stop: VTime | None                 # descriptor 1 on [0, stop), when known
     table: dict                        # probe -> limit value
-    witness: tuple | None              # (probe, value sequence) when diverged
-    window: Window
+    witness: tuple | None              # when diverged: (probe, n0, period),
+    window: Window                     # or (probe, values) when windowed
+    windowed: bool = False             # read off the window, not proved
 
     def __repr__(self):
+        how = ", windowed" if self.windowed else ""
         if self.converged:
             inner = format_vtime(self.stop) if self.stop is not None else "table"
-            return f"TiltingResult(limit, {inner})"
-        return f"TiltingResult(diverged at {format_vtime(self.witness[0])})"
+            return f"TiltingResult(limit, {inner}{how})"
+        return f"TiltingResult(diverged at {format_vtime(self.witness[0])}{how})"
 
 
 @dataclass(frozen=True)
@@ -169,7 +176,7 @@ def nested_grid(n):
     """
     Mesh-2^-n blocks, each block containing a copy of the dyadic
     subdivision of its own cell: index k*w + m reads as (k+1-2^-m)*2^-n.
-    Its subdivision depth m is capped as a window's depth is.
+    Its subdivision depth m is capped as a tilting limit's depth is.
     """
     g = Fraction(2) ** -n
     cap = budget(DEPTH_CAP)
@@ -239,14 +246,9 @@ REGISTERED = {"dyadic": dyadic_family, "nested": nested_family}
 
 def _locate(grid, t):
     """The least index whose grid time is at least t."""
-    if grid.locate is not None:
-        return grid.locate(t)
-    index, cap = ZERO, 2 ** 12
-    for _ in range(cap):
-        if grid(index) >= t:
-            return index
-        index = ord_succ(index)
-    raise InputError("cannot locate a time on an unregistered infinite grid")
+    if grid.locate is None:
+        raise InputError("cannot locate a time on a grid without a locator")
+    return grid.locate(t)
 
 
 def _sample_indices(bound, extra=()):
@@ -383,13 +385,12 @@ def gamma(family, t):
     return deep.bound, False
 
 
-def _window_values(process, family, window):
+def _indicators(process, family):
     """
-    The reader of a probe's value sequence over the window's depths.  It
-    keeps one table per call of depth -> (grid, stop), and one of time ->
-    {depth: located index}, which an anchored stop index reads too; each
-    entry is filled at its first use, so every error surfaces where a
-    fresh read would raise.
+    The reader of one indicator, (t, beta, n) -> the value at depth n of
+    the probe t + beta.  Its tables of depth -> (grid, stop) and of time
+    -> {depth: located index}, which an anchored stop index reads too,
+    fill at first use, so every error surfaces where a fresh read would.
 
     A stop index family on a registered family is decided by index, with
     no grid time built: such a grid is strictly increasing on [0, bound]
@@ -403,7 +404,8 @@ def _window_values(process, family, window):
     by_index = isinstance(process, StopIndexFamily) \
         and family.name in REGISTERED
 
-    def base(at, n, t):
+    def base(t, n):
+        at = located.setdefault(t, {})
         if n not in at:
             at[n] = _locate(grids[n], t)
         return at[n]
@@ -417,30 +419,21 @@ def _window_values(process, family, window):
             grid.vet(index)
         return index
 
-    def values(t, beta):
-        at = located.setdefault(t, {})
-        out = []
-        for n in window.depths():
-            if n not in grids:
-                grids[n] = family.member(n)
-            grid = grids[n]
-            index = ord_add(base(at, n, t), beta)
-            if not isinstance(process, StopIndexFamily):
-                out.append(process(n, grid(index)))
-                continue
-            here = read(grid, index)
-            if n not in stops:
-                anchor = process.anchor
-                if anchor is None:
-                    stops[n] = read(grid, process.index(n, grid))
-                else:
-                    t0 = vt(anchor.t)
-                    stops[n] = read(grid, ord_add(
-                        base(located.setdefault(t0, {}), n, t0), anchor.v))
-            out.append(1 if here < stops[n] else 0)
-        return out
+    def value(t, beta, n):
+        if n not in grids:
+            grids[n] = family.member(n)
+        grid = grids[n]
+        index = ord_add(base(t, n), beta)
+        if not isinstance(process, StopIndexFamily):
+            return process(n, grid(index))
+        here = read(grid, index)
+        if n not in stops:
+            anchor = process.anchor
+            stops[n] = read(grid, process.index(n, grid) if anchor is None
+                            else ord_add(base(vt(anchor.t), n), anchor.v))
+        return 1 if here < stops[n] else 0
 
-    return values
+    return value
 
 
 def _settle(values, window, probe):
@@ -449,22 +442,64 @@ def _settle(values, window, probe):
         return tail[0]
     switches = sum(1 for a, b in zip(tail, tail[1:]) if a != b)
     if switches >= 2:
-        return None                    # proven oscillation
+        return None                    # oscillation over the window
     raise TailWindowInconclusive(
-        f"tail neither constant nor oscillating at {format_vtime(probe)}")
+        f"window tail neither constant nor oscillating at "
+        f"{format_vtime(probe)}")
+
+
+def _stops(process, window):
+    """The stop indices: the anchor's offset, kappa's declared period, or
+    kappa over the window's depths."""
+    if process.anchor is not None:
+        return (process.anchor.v,)
+    kappa = process.kappa
+    return kappa if isinstance(kappa, tuple) \
+        else tuple(kappa(n) for n in window.depths())
+
+
+def _period(value, process, bound, t, beta, start, cap):
+    """
+    (n0, indicators): the indicators at t + beta repeat with kappa's
+    period (1 when anchored) from n0 on, the least such depth from start.
+    An index's coefficient of w^(e-1), for the bound w^e, is ceil(t*2^n)
+    (dyadic) or floor(t*2^n) (nested) plus its offset's; once rate*2^n
+    passes margin + 1, with rate t, or |t - a| for an anchor at a, it
+    decides every comparison, and each indicator is fixed by its stop
+    index's place in the period.  One period is read from there, and,
+    only where it is not constant, back.
+    """
+    anchor = process.anchor
+    period = 1 if anchor is not None else len(process.kappa)
+    coefficient = bound.cnf[0][0] - 1
+    below = [dict(k.cnf).get(coefficient, 0) for k in _stops(process, None)
+             if ord_cmp(k, bound) < 0]
+    n = start
+    if below and not t.is_infinity:
+        rate = t.t if anchor is None else abs(t.t - anchor.t)
+        offset = dict(beta.cnf).get(coefficient, 0)
+        margin = max(below) - offset if anchor is None \
+            else abs(below[0] - offset)
+        if rate:
+            # the least n with rate * 2^n > margin + 1
+            n = max(n, (max(margin + 1, 0) * rate.denominator
+                        // rate.numerator).bit_length())
+    if n + period - 1 > cap:
+        raise BudgetExceeded(f"closed-form depth {n + period - 1} exceeds {cap}")
+    cycle = [value(t, beta, n + i) for i in range(period)]
+    if len(set(cycle)) > 1:
+        while n > start and value(t, beta, n - 1) == cycle[-1]:
+            n, cycle = n - 1, cycle[-1:] + cycle[:-1]
+    return n, tuple(cycle)
 
 
 def default_probes(process, family, window):
-    anchors = [vt(0)]
+    anchors, tops = [vt(0)], [ordinal(2)]
     if isinstance(process, StopIndexFamily):
         if process.anchor is not None:
             anchors = [vt(process.anchor.t)]
-            tops = [process.anchor.v]
-        else:
-            tops = sorted({process.kappa(n) for n in window.depths()},
-                          key=functools.cmp_to_key(ord_cmp))
-    else:
-        tops = [ordinal(2)]
+        tops = sorted(set(_stops(process, window)),
+                      key=functools.cmp_to_key(ord_cmp))
     probes = []
     for t in anchors:
         verticals = {ZERO, ordinal(1)}
@@ -481,18 +516,23 @@ def default_probes(process, family, window):
 def tilting_limit(process, family, probes=None, window=Window()):
     """
     Evaluate the stop indicators through the grids at each probe point
-    and declare the limit if every tail settles.  Probes at or above the
-    filled-in vertical extent are read off by left extension: constant
-    continuation of the values just below it.  On a registered family a
-    stop index family's indicators are decided by comparing indices, with
-    no grid time read (see ``_window_values``).
+    and declare the limit if every probe's indicators settle.  Probes at
+    or above the filled-in vertical extent are read off by left
+    extension: constant continuation of the values just below it.  A stop
+    index family on a registered family, anchored or with kappa a tuple,
+    is decided in closed form (``_period``): the limit exists iff one
+    period is constant, and a divergence's witness is (probe, n0, period).
+    Any other input is read over the window's depths and marked windowed.
     """
     cap = budget(DEPTH_CAP)
     if window.stop > cap:
         raise BudgetExceeded(f"window depth {window.stop} exceeds {cap}")
     if probes is None:
         probes = default_probes(process, family, window)
-    probe_values = _window_values(process, family, window)
+    closed = isinstance(process, StopIndexFamily) \
+        and family.name in REGISTERED \
+        and (process.anchor is not None or isinstance(process.kappa, tuple))
+    value = _indicators(process, family)
     table = {}
     for probe in sorted(set(probes)):
         if probe.is_infinity:
@@ -505,24 +545,38 @@ def tilting_limit(process, family, probes=None, window=Window()):
             beta = extent
         if isinstance(beta, Ordinal) and ord_cmp(beta, extent) < 0:
             stages = [beta]
+        elif closed:
+            # an indicator falls as the stage climbs, and from the last
+            # stop index below the extent on, every stage reads alike
+            top = max((k for k in _stops(process, window) if k < extent),
+                      default=ZERO)
+            stages = [next(s for s in fundamental_sequence(extent)
+                           if ord_cmp(s, top) >= 0)]
         else:
             stages = list(itertools.islice(fundamental_sequence(extent), 12))
         settled = []
         for stage in stages:
-            values = probe_values(t, stage)
-            limit = _settle(values, window, probe)
+            if closed:
+                n0, cycle = _period(value, process, extent, t, stage,
+                                    window.start, cap)
+                limit = cycle[0] if len(set(cycle)) == 1 else None
+                witness = (probe, n0, cycle)
+            else:
+                values = [value(t, stage, n) for n in window.depths()]
+                limit, witness = _settle(values, window, probe), \
+                    (probe, tuple(values))
             if limit is None:
-                return TiltingResult(False, None, table,
-                                     (probe, tuple(values)), window)
+                return TiltingResult(False, None, table, witness, window,
+                                     not closed)
             settled.append(limit)
         tail = settled[-4:]
         if any(x != tail[0] for x in tail):
             raise TailWindowInconclusive(
-                f"no eventual constancy below the vertical extent "
-                f"at {format_vtime(probe)}")
+                f"window shows no eventual constancy below the vertical "
+                f"extent at {format_vtime(probe)}")
         table[probe] = tail[0]
     stop = _stop_descriptor(process, family, window, table)
-    return TiltingResult(True, stop, table, None, window)
+    return TiltingResult(True, stop, table, None, window, not closed)
 
 
 def _stop_descriptor(process, family, window, table):
@@ -532,7 +586,7 @@ def _stop_descriptor(process, family, window, table):
     if process.anchor is not None:
         stop = process.anchor
     else:
-        tops = {process.kappa(n) for n in window.depths()}
+        tops = set(_stops(process, window))
         if len(tops) != 1:
             return None
         top = tops.pop()

@@ -429,13 +429,45 @@ class TestTiltCommand:
         assert result.output == \
             "undecided: subdivision depth 13284 exceeds 10000\n"
 
-    def test_inconclusive_window_is_undecided(self):
-        # two grid depths show one switch: neither constant nor oscillating
+    def test_a_short_window_still_proves_the_alternation(self):
+        # two grid depths show one switch, which a window's tail left
+        # undecided; the closed form reads one period from the start
         result = run("tilt", "--family", "dyadic", "--kappa", "alt:1,4",
                      "--window", "4:5:2")
+        assert result.exit_code == 1
+        assert result.output == ("Diverged at (0, 1): period [1, 0] from "
+                                 "depth 4 (closed form)\n")
+
+    @pytest.mark.parametrize("family", ["dyadic", "nested"])
+    def test_a_probe_finer_than_the_window_settles(self, family):
+        # at 2^-30 the probe's index passes both stop indices from depth 33
+        # on; the 4:24:8 window saw only the alternation and said Diverged
+        result = run("tilt", "--family", family, "--kappa", "alt:1,4",
+                     "--probe", "(1/1073741824, 0)", "--json")
+        assert result.exit_code == 0
+        assert json.loads(result.output) == {
+            "converged": True, "stop": None, "window": "4:24:8",
+            "decided": "closed form", "table": {"(1/1073741824, 0)": 0}}
+
+    def test_diverged_json_carries_its_period(self):
+        result = run("tilt", "--family", "dyadic", "--kappa", "alt:3,w",
+                     "--probe", "(3/1024, 0)", "--json")
+        assert result.exit_code == 1
+        # the probe's index ceil(3 * 2^(n-10)) is below the odd depths'
+        # stop index 3 up to depth 9, and from depth 11 on it is not
+        assert json.loads(result.output) == {
+            "converged": False, "at": "(3/1024, 0)", "n0": 10,
+            "period": [1, 0], "window": "4:24:8", "decided": "closed form"}
+
+    def test_a_probe_past_the_depth_cap_is_undecided_at_once(self):
+        # the probe's index passes the stop index only from depth 14003
+        start = time.perf_counter()
+        result = run("tilt", "--family", "dyadic", "--kappa", "3",
+                     "--probe", f"(1/{2 ** 14000}, 0)")
+        assert time.perf_counter() - start < 0.5
         assert result.exit_code == 3
-        assert result.output == ("undecided: tail neither constant nor "
-                                 "oscillating at (0, 1)\n")
+        assert result.output == \
+            "undecided: closed-form depth 14003 exceeds 10000\n"
 
     def test_bad_specs_are_input_errors(self):
         assert run("tilt", "--family", "dyadic",
@@ -659,7 +691,8 @@ rationals = st.one_of(
     st.sampled_from(["9" * 4301, "1/0", "nan", "inf", "-0"]))
 kappas = st.one_of(ordinals, st.builds(lambda a, b: f"alt:{a},{b}",
                                        ordinals, ordinals))
-# a window's stop is small or over tilt.DEPTH_CAP, so every run is cheap;
+# a window's stop is small or over tilt.DEPTH_CAP, and the closed form reads
+# one period per probe from no deeper than the cap, so every run is cheap;
 # a window of text without digits never parses to a stop
 windows = st.one_of(
     st.builds(lambda a, b, c: f"{a}:{b}:{c}", st.integers(-2, 12),

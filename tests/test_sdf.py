@@ -2,6 +2,8 @@ import re
 
 import pytest
 
+from conftest import stdout_across_hash_seeds
+from exform._util import canonical
 from exform.errors import (
     APAxiomViolation,
     BudgetExceeded,
@@ -191,6 +193,27 @@ class TestFlags:
         m1, m2, w = flags.witnesses["order_consistent"]
         assert {m1, m2} == {x1, x2}
         assert flags.maximal is None
+        # the least failing triple, by a scan of every one
+        failing = [(a, b, v) for a in sdf.random_moves
+                   for b in sdf.random_moves for v in a.domain & b.domain
+                   if a(v) >= b(v) and not xgeq(a, b)]
+        assert (m1, m2, w) == min(failing, key=canonical) and len(failing) > 1
+
+    def test_order_consistency_witness_across_hash_seeds(self):
+        output = stdout_across_hash_seeds(["-c", (
+            "from exform._util import canonical_text\n"
+            "from exform.errors import NotOrderConsistent\n"
+            "from exform.instances import amd_sdf\n"
+            "from exform.sdf import check_flags, induced_tree\n"
+            "sdf = amd_sdf()[0]\n"
+            "m1, m2, w = check_flags(sdf).witnesses['order_consistent']\n"
+            "print(canonical_text((m1.graph, m2.graph, w)))\n"
+            "try:\n"
+            "    induced_tree(sdf)\n"
+            "except NotOrderConsistent as err:\n"
+            "    print(err)\n")])
+        assert output.splitlines()[0].endswith("'r1')")
+        assert output.splitlines()[1].endswith("'r1')")
 
     def test_trivial_component_breaks_sure_nontriviality(self, simple):
         sdf, moves = simple

@@ -36,7 +36,7 @@ from exform.tilt import (
     tilting_limit,
     validate_grid,
 )
-from exform.timing import TimingConfig, path_tilt
+from exform.timing import TimingConfig, path_tilt, race_grid
 from exform.vtime import (
     INFINITY,
     OMEGA,
@@ -48,6 +48,7 @@ from exform.vtime import (
     fundamental_sequence,
     ord_add,
     ord_cmp,
+    ord_succ,
     ordinal,
     parse_ordinal,
     parse_vtime,
@@ -341,7 +342,9 @@ class TestStopIndicatorSynthesis:
 
 # --- the per-probe window reader as oracle ------------------------------------
 # tilting_limit as it read each (probe, depth) afresh: two family.member
-# calls and one stop-index locate per read, verbatim apart from its names.
+# calls and one stop-index locate per read, by grid time.  A windowed input
+# is read over its window, verbatim apart from its names; a closed-form one
+# over a deep window from the window's start, and put in closed-form terms.
 
 def oracle_value(process, family, n, index):
     grid = family.member(n)
@@ -359,12 +362,48 @@ def oracle_probe_values(process, family, t, beta, window):
     return values
 
 
-def oracle_tilting_limit(process, family, probes=None, window=Window()):
+def closed_form_input(process, family):
+    return isinstance(process, StopIndexFamily) \
+        and family.name in tilt.REGISTERED \
+        and (process.anchor is not None or isinstance(process.kappa, tuple))
+
+
+def stop_indices(process):
+    return (process.anchor.v,) if process.anchor is not None \
+        else process.kappa
+
+
+def left_stage(process, extent):
+    """The stage a closed form reads for a probe at or above the vertical
+    extent: the first of the extent's fundamental sequence at or above
+    every stop index below the extent."""
+    top = max((k for k in stop_indices(process) if k < extent), default=ZERO)
+    return next(s for s in fundamental_sequence(extent) if s >= top)
+
+
+def oracle_period(process, family, t, beta, window, deep):
+    """(limit or None, n0, period) off a deep window from the window's
+    start: n0 is the least depth from which its values repeat with kappa's
+    period, and they must show four periods from there."""
+    period = 1 if process.anchor is not None else len(process.kappa)
+    values = oracle_probe_values(
+        process, family, t, beta, Window(window.start, window.start + deep, 1))
+    i = len(values) - period
+    while i > 0 and values[i - 1] == values[i - 1 + period]:
+        i -= 1
+    assert len(values) - i >= 4 * period, "the deep window misses the period"
+    cycle = tuple(values[i:i + period])
+    return (cycle[0] if len(set(cycle)) == 1 else None), window.start + i, cycle
+
+
+def oracle_tilting_limit(process, family, probes=None, window=Window(),
+                         deep=40):
     cap = budget(tilt.DEPTH_CAP)
     if window.stop > cap:
         raise BudgetExceeded(f"window depth {window.stop} exceeds {cap}")
     if probes is None:
         probes = default_probes(process, family, window)
+    closed = closed_form_input(process, family)
     table = {}
     for probe in sorted(set(probes)):
         if probe.is_infinity:
@@ -375,30 +414,33 @@ def oracle_tilting_limit(process, family, probes=None, window=Window()):
         if beta is not None and not isinstance(beta, Ordinal):
             beta = extent
         if isinstance(beta, Ordinal) and ord_cmp(beta, extent) < 0:
-            values = oracle_probe_values(process, family, t, beta, window)
-            limit = tilt._settle(values, window, probe)
-            if limit is None:
-                return TiltingResult(False, None, table, (probe, tuple(values)),
-                                     window)
-            table[probe] = limit
+            stages = [beta]
+        elif closed:
+            stages = [left_stage(process, extent)]
         else:
             stages = list(itertools.islice(fundamental_sequence(extent), 12))
-            settled = []
-            for stage in stages:
+        settled = []
+        for stage in stages:
+            if closed:
+                limit, n0, cycle = oracle_period(process, family, t, stage,
+                                                 window, deep)
+                witness = (probe, n0, cycle)
+            else:
                 values = oracle_probe_values(process, family, t, stage, window)
                 limit = tilt._settle(values, window, probe)
-                if limit is None:
-                    return TiltingResult(False, None, table,
-                                         (probe, tuple(values)), window)
-                settled.append(limit)
-            tail = settled[-4:]
-            if any(x != tail[0] for x in tail):
-                raise TailWindowInconclusive(
-                    f"no eventual constancy below the vertical extent "
-                    f"at {format_vtime(probe)}")
-            table[probe] = tail[0]
+                witness = (probe, tuple(values))
+            if limit is None:
+                return TiltingResult(False, None, table, witness, window,
+                                     not closed)
+            settled.append(limit)
+        tail = settled[-4:]
+        if any(x != tail[0] for x in tail):
+            raise TailWindowInconclusive(
+                f"window shows no eventual constancy below the vertical "
+                f"extent at {format_vtime(probe)}")
+        table[probe] = tail[0]
     stop = tilt._stop_descriptor(process, family, window, table)
-    return TiltingResult(True, stop, table, None, window)
+    return TiltingResult(True, stop, table, None, window, not closed)
 
 
 def run_tilt(limit, process, family, **options):
@@ -525,20 +567,23 @@ class TestAgainstPerProbeReads:
                                            ("w", True)])
     @pytest.mark.parametrize("name", sorted(tilt.REGISTERED))
     def test_one_grid_per_depth(self, name, text, top):
-        # each window depth's grid is built once, however many probes and
-        # stages read it; _stop_descriptor builds the deepest once more
-        # when the kappa has one value over the window
+        # each depth's grid is built once, however many probes read it; at
+        # time 0 the closed form reads one period from the window's start,
+        # where the window read its 21 depths; _stop_descriptor builds the
+        # window's deepest once more when the kappa has one value
         window = Window()
         family, calls = counted(tilt.REGISTERED[name]())
         process = StopIndexFamily(kappa=cli._parse_kappa(text), label=text)
         result = tilting_limit(process, family, window=window)
         assert result.converged != text.startswith("alt:")
-        assert calls == list(window.depths()) + [window.stop] * top
+        assert calls == [window.start] + [window.start + 1] * (not top) \
+            + [window.stop] * top
 
     def test_one_locate_per_depth_and_time(self, monkeypatch, grid_reads):
         # every default probe of the anchored family shares the anchor's
-        # time, and its stop index reads the same table: one locate per
-        # depth, where a locate per (probe, depth) and stop index made 105
+        # time, and its stop index reads the same table: one locate at the
+        # one depth the closed form reads, where the window's 21 depths
+        # made 21 and a locate per (probe, depth) and stop index made 105
         calls = []
         locate = tilt._locate
 
@@ -548,7 +593,7 @@ class TestAgainstPerProbeReads:
 
         monkeypatch.setattr(tilt, "_locate", counted_locate)
         assert path_tilt(TimingConfig(), 3) == vt(0, ordinal(3))
-        assert len(calls) == len({(id(g), t) for g, t in calls}) == 21
+        assert len(calls) == len({(id(g), t) for g, t in calls}) == 1
         # the preemption race's tilts stop where they did, and on their
         # registered family no grid time is read, where the time reads
         # made 63, 84, 105 and 105
@@ -591,8 +636,246 @@ class TestAgainstPerProbeReads:
         family, process = approximate_stop_indicator(target)
         family, calls = counted(family)
         assert tilting_limit(process, family).converged
-        assert calls == list(Window().depths())
+        # every probe sits at the anchor's time, so one depth decides it
+        assert calls == [Window().start]
         # the per-probe reads built two grids per (probe, depth)
         family, calls = counted(family)
         oracle_tilting_limit(process, family)
         assert len(calls) > 2 * len(Window().depths())
+
+
+# --- the closed form against a deep window --------------------------------------
+# On a registered family a window decides each depth exactly, so a window that
+# spans several periods past n0 is the closed form's oracle.
+
+DEEP = Window(4, 120, 8)
+SWEEP_KAPPAS = ["0", "1", "3", "5", "alt:1,4", "alt:0,3", "w", "w*2+1",
+                "alt:1,w"]
+SWEEP_PROBES = [VTime(Fraction(p, 2 ** q), v) for p in (1, 3)
+                for q in (0, 3, 10, 20, 23, 26, 30, 36)
+                for v in (ZERO, ordinal(1), OMEGA)]
+
+
+def windowed(process):
+    """The process with its declared period hidden in a callable kappa,
+    which is read off the window."""
+    kappa = process.kappa
+    return StopIndexFamily(kappa=lambda n: kappa[n % len(kappa)],
+                           label=process.label)
+
+
+def verdict(limit, process, family, **options):
+    """Converged, stop, table and the witness's probe, or the error."""
+    try:
+        result = limit(process, family, **options)
+    except Exception as err:
+        return type(err), str(err)
+    return (result.converged, result.stop, list(result.table.items()),
+            result.witness and result.witness[0])
+
+
+def search_locate(grid, t):
+    """The least index whose grid time is at least t, by climbing the
+    finite indices: what _locate searched on a grid without a locator."""
+    index = ZERO
+    for _ in range(2 ** 12):
+        if grid(index) >= t:
+            return index
+        index = ord_succ(index)
+    raise InputError("cannot locate a time on an unregistered infinite grid")
+
+
+class TestClosedForm:
+    def test_the_sweep_gives_the_deep_window_verdict(self):
+        cases = diverged = 0
+        for name, factory in sorted(tilt.REGISTERED.items()):
+            for text in SWEEP_KAPPAS:
+                process = StopIndexFamily(kappa=cli._parse_kappa(text))
+                for probe in SWEEP_PROBES:
+                    options = {"probes": [probe]}
+                    fast = tilting_limit(process, factory(), **options) \
+                        if "w*2" not in text or name == "nested" else None
+                    deep = verdict(tilting_limit, windowed(process),
+                                   factory(), window=DEEP, **options)
+                    assert verdict(tilting_limit, process, factory(),
+                                   window=DEEP, **options) \
+                        == verdict(tilting_limit, process, factory(),
+                                   **options) == deep, (name, text, probe)
+                    cases += 1
+                    if fast is None or fast.converged:
+                        continue
+                    diverged += 1
+                    assert not fast.windowed
+                    n0, cycle = fast.witness[1:]
+                    if probe.v == OMEGA and name == "dyadic":
+                        continue       # left extension: another stage
+                    values = tilting_limit(windowed(process), factory(),
+                                           window=DEEP,
+                                           **options).witness[1]
+                    assert all(values[n - DEEP.start]
+                               == cycle[(n - n0) % len(cycle)]
+                               for n in range(n0, DEEP.stop + 1))
+                    assert n0 == DEEP.start \
+                        or values[n0 - 1 - DEEP.start] != cycle[-1]
+        assert (cases, diverged) == (864, 48)
+
+    @given(st.integers(0, 60), st.sampled_from([3, 5, 7]), st.integers(0, 3),
+           st.sampled_from([ZERO, ordinal(1), OMEGA, ord_add(OMEGA, ordinal(1))]),
+           st.sampled_from(SWEEP_KAPPAS + ["alt:w,w*2", "alt:w*2+1,w+3"]))
+    @settings(max_examples=60, deadline=None)
+    def test_nested_probes_of_odd_denominators(self, p, d, k, v, text):
+        process = StopIndexFamily(kappa=cli._parse_kappa(text), label=text)
+        options = {"probes": [VTime(Fraction(p, d * 2 ** k), v)]}
+        assert run_tilt(tilting_limit, process, nested_family(), **options) \
+            == run_tilt(oracle_tilting_limit, process, nested_family(),
+                        **options)
+
+    @given(st.sampled_from(list(path_targets())),
+           st.sampled_from([Fraction(1, 3), Fraction(5, 7), Fraction(1, 5)]),
+           st.integers(0, 12), st.booleans(),
+           st.sampled_from([ZERO, ordinal(1), ordinal(4), OMEGA,
+                            ord_add(OMEGA, ordinal(2))]))
+    @settings(max_examples=60, deadline=None)
+    def test_anchored_targets_probed_off_the_anchor(self, target, step, k,
+                                                    above, v):
+        family, process = approximate_stop_indicator(target)
+        shift = step / 2 ** k
+        t = target.t + shift if above or target.t < shift else target.t - shift
+        options = {"probes": [VTime(t, v), VTime(target.t, v)]}
+        fast = run_tilt(tilting_limit, process, family, **options)
+        assert fast == run_tilt(oracle_tilting_limit, process, family,
+                                **options)
+        assert fast[0][0] and fast[1] == [
+            (p, 1 if p < target else 0) for p in sorted(options["probes"])]
+
+    @pytest.mark.parametrize("level", range(4))
+    def test_the_race_path_tilts(self, level):
+        config = TimingConfig(whistle=Fraction(5, 8))
+        family, process = approximate_stop_indicator(
+            VTime(config.whistle, ordinal(level)))
+        result = tilting_limit(process, family)
+        assert not result.windowed and result.stop == path_tilt(config, level)
+        assert run_tilt(tilting_limit, process, family) \
+            == run_tilt(oracle_tilting_limit, process, family, deep=116)
+
+    @pytest.mark.parametrize("name, text", [
+        (name, text) for name in sorted(tilt.REGISTERED)
+        for text in ["alt:1,4", "alt:3,5", "7"]] + [("nested", "alt:w*2,w")])
+    def test_every_stage_past_the_left_one_reads_alike(self, name, text):
+        # a probe at the extent reads one stage; the stages after it agree
+        family = tilt.REGISTERED[name]()
+        process = StopIndexFamily(kappa=cli._parse_kappa(text))
+        extent = gamma(family, vt(0))[0]
+        first = left_stage(process, extent)
+        stages = itertools.islice(fundamental_sequence(extent), 40)
+        later = [s for s in stages if s >= first][:4]
+        def read(probe):
+            result = tilting_limit(process, family, probes=[probe])
+            return result.converged, list(result.table.values()), \
+                result.witness and result.witness[1:]
+
+        assert len(later) == 4
+        for stage in later:
+            assert read(vt(0, stage)) == read(vt(0, extent))
+
+    @given(st.one_of(st.integers(31, 90).map(lambda n: {"period": n}),
+                     st.integers(31, 200).map(lambda q: {"q": q})))
+    @settings(max_examples=30, deadline=None)
+    def test_past_the_depth_cap_is_undecided(self, case):
+        # a period, or a depth from which a probe settles, past the cap
+        if "period" in case:
+            kappa = tuple(ordinal(k % 3) for k in range(case["period"]))
+            process, probes = StopIndexFamily(kappa=kappa), [vt(0, ordinal(1))]
+        else:
+            process = StopIndexFamily(kappa=(ordinal(3),))
+            probes = [vt(Fraction(1, 2 ** case["q"]))]
+        with pytest.MonkeyPatch.context() as m:
+            m.setenv("EXFORM_BUDGET", "30")
+            with pytest.raises(BudgetExceeded, match="closed-form depth"):
+                tilting_limit(process, dyadic_family(), probes=probes,
+                              window=Window(4, 30, 8))
+
+    @pytest.mark.parametrize("name, kappa, probe, value", [
+        # a kappa of the bound alone has no coefficient to pass
+        ("dyadic", (OMEGA,), VTime(Fraction(1, 2 ** 14000), ZERO), 1),
+        # the probe's offset 1000 is past kappa 3 at every depth
+        ("dyadic", (ordinal(3),),
+         VTime(Fraction(1, 2 ** 9995), ordinal(1000)), 0),
+        # ceil(2^(n - 9998)) passes 2 from depth 9999; the closed form,
+        # waiting for 2^(n - 9998) > 2, reads depth 10000, the cap
+        ("dyadic", (ordinal(2),), VTime(Fraction(1, 2 ** 9998), ZERO), 0),
+        # an anchor at 1/2 + w*40, probed 2^-9997 later at the same offset:
+        # the gap of the two w-coefficients passes 1 from depth 9998 on
+        ("nested", None, VTime(Fraction(1, 2) + Fraction(1, 2 ** 9997),
+                               Ordinal(((1, 40),))), 0),
+    ])
+    def test_decided_within_the_cap(self, name, kappa, probe, value):
+        process = StopIndexFamily(kappa=kappa) if kappa else \
+            StopIndexFamily(anchor=VTime(Fraction(1, 2), Ordinal(((1, 40),))))
+        result = tilting_limit(process, tilt.REGISTERED[name](), probes=[probe])
+        assert result.converged and list(result.table.values()) == [value]
+
+    @pytest.mark.parametrize("name, kappa, t", [
+        # at odd depths the index ceil(3 * 2^(n-10)) is below 3 up to
+        # depth 9 and not from 11 on: n0 = 10, the period (1, 0)
+        ("dyadic", "alt:3,w", Fraction(3, 1024)),
+        ("nested", "alt:w*3,w^2", Fraction(5, 1024)),
+        # a period of three, (1, 0, 0) from depth 9, whose last stop index
+        # 5 the index passes at depth 11
+        ("dyadic", (OMEGA, ordinal(1), ordinal(5)), Fraction(3, 1024)),
+    ])
+    def test_a_divergence_reads_back_to_its_first_depth(self, name, kappa, t):
+        kappa = cli._parse_kappa(kappa) if isinstance(kappa, str) else kappa
+        process, options = StopIndexFamily(kappa=kappa), {"probes": [vt(t)]}
+        fast = run_tilt(tilting_limit, process, tilt.REGISTERED[name](),
+                        **options)
+        assert not fast[0][0] and fast[0][3][1] > Window().start
+        assert fast == run_tilt(oracle_tilting_limit, process,
+                                tilt.REGISTERED[name](), deep=60, **options)
+
+    def test_a_settled_probe_reads_one_period(self):
+        # 2^n / 8 passes kappa 3 + 1 from depth 6, which alone is read; the
+        # window's deepest depth is built once more for the stop descriptor
+        family, calls = counted(dyadic_family())
+        result = tilting_limit(StopIndexFamily(kappa=(ordinal(3),)), family,
+                               probes=[vt(Fraction(1, 8))])
+        assert result.table == {vt(Fraction(1, 8)): 0}
+        assert calls == [6, Window().stop]
+
+    def test_the_rate_is_read_exactly(self, monkeypatch):
+        # (2048 + 1) * 1024 // 1023 has 12 bits: t = 1023/1024 passes the
+        # stop index 2048 + 1 at depth 12, well within a budget of 30
+        monkeypatch.setenv("EXFORM_BUDGET", "30")
+        probe = vt(Fraction(1023, 1024))
+        result = tilting_limit(StopIndexFamily(kappa=(ordinal(2048),)),
+                               dyadic_family(), probes=[probe],
+                               window=Window(4, 30, 8))
+        assert result.table == {probe: 0}
+
+    def test_one_depth_past_the_cap_is_undecided(self):
+        with pytest.raises(BudgetExceeded,
+                           match="closed-form depth 10001 exceeds 10000"):
+            tilting_limit(StopIndexFamily(kappa=(ordinal(2),)),
+                          dyadic_family(),
+                          probes=[vt(Fraction(1, 2 ** 9999))])
+
+    def test_windowed_inputs_are_marked(self):
+        for process, family in ((CAROL, dyadic_family()),
+                                (BOB, dyadic_family()),
+                                (StopIndexFamily(kappa=(ordinal(2),)),
+                                 GridFamily(dyadic_grid, dyadic_family().embed))):
+            result = tilting_limit(process, family, probes=[vt(0)])
+            assert result.windowed and "windowed" in repr(result)
+        assert not tilting_limit(StopIndexFamily(kappa=(ordinal(2),)),
+                                 dyadic_family()).windowed
+
+    @given(st.builds(Fraction, st.integers(0, 40), st.integers(1, 64)),
+           st.integers(0, 6), st.sampled_from([Fraction(0), Fraction(5, 8)]))
+    @settings(max_examples=60, deadline=None)
+    def test_locators_as_a_search(self, t, n, whistle):
+        for grid in (dyadic_grid(n), race_grid(TimingConfig(whistle=whistle), n)):
+            assert grid.locate(vt(t)) == search_locate(grid, vt(t))
+
+    def test_a_grid_without_a_locator_is_rejected(self):
+        with pytest.raises(InputError, match="without a locator"):
+            psi_delta(table_grid([0, 1, 2, None]), vt(1))
