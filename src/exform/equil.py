@@ -16,8 +16,11 @@ rationality sweep sums each block from per-information-set partials
 instead of replaying every deviation: each term goes into the sum of its
 slice tuple under its tree's grouping of the menus, and each distinct
 grouping is expanded into choice tuples once, so the partials cost terms
-x slice tuples + groupings x choice tuples.  All arithmetic is exact;
-``Fraction``s are built only for reported values.
+x slice tuples + groupings x choice tuples.  The sum of each part's
+largest partial bounds every deviation's total of a block, so an agent
+whose blocks are all bounded by the profile's totals is rational with
+no deviation enumerated; only the others are swept.  All arithmetic is
+exact; ``Fraction``s are built only for reported values.
 """
 
 import itertools
@@ -32,7 +35,7 @@ from .errors import (
     ZeroProbabilityBlockRequested,
 )
 from .play import TreeFills, profile_tables, scenario_outcomes
-from .sef import info_sets, ordered_info_sets, strategies
+from .sef import _strategy_menus, info_sets, ordered_info_sets, strategies
 
 
 @dataclass
@@ -298,6 +301,16 @@ def _deviation_total(parts, at):
     return total
 
 
+def _bounded(parts, base):
+    """Whether no deviation's total of the block exceeds the profile's
+    base: no part holds a failed read, and the parts' largest partial
+    sums add up to at most base.  A deviation's total is the sum of one
+    partial per part, so their largest bound it."""
+    if any(failed or not partial for _, partial, failed in parts):
+        return False
+    return sum(max(partial.values()) for _, partial, _ in parts) <= base
+
+
 def _pass(sef, eu, profile):
     """One pass over the layer under the profile, shared by both halves:
     the scaled beliefs and tastes, the profile's tables, one ``TreeFills``
@@ -320,10 +333,13 @@ def check_dynamic_rationality(sef, eu, profile):
     each term read through the same ``TreeFills`` memo once per distinct
     slice tuple of the deviating agent's information sets in the term's
     tree, and each distinct grouping of those sets' menus expanded into
-    choice tuples once.  The cost follows terms times slice tuples plus
-    groupings times choice tuples plus deviations times the blocks'
-    information-set groups; each fill is one pass over its tree's walk,
-    indexed when the form was built.
+    choice tuples once.  An agent whose every block is bounded
+    (``_bounded``) is rational with no witness and its strategies are not
+    built, once their count is checked against the cap; any other agent
+    is swept.  The cost follows terms times slice tuples plus groupings
+    times choice tuples plus, for a swept agent, deviations times the
+    blocks' information-set groups; each fill is one pass over its tree's
+    walk, indexed when the form was built.
     """
     return _rationality(sef, eu, *_pass(sef, eu, profile))
 
@@ -344,6 +360,10 @@ def _rationality(sef, eu, beliefs, tastes, tables, fills, outcome):
         own = [(unit, plan, totals, [deviations.parts(plan.taste, pairs)
                                      for _, pairs, _ in plan.blocks])
                for unit, plan, totals in swept if unit[0] == i]
+        _strategy_menus(sef, i)   # the sweep's cap, checked as it would be
+        if all(_bounded(parts, base) for _, _, totals, split in own
+               for base, parts in zip(totals, split)):
+            continue
         for t in strategies(sef, i):
             at = deviations.choices(t)
             for unit, plan, totals, split in own:

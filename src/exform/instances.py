@@ -439,6 +439,19 @@ def mp_choice_second(k, g):
                      for a in firsts)
 
 
+def _mp_seconds(k, keys):
+    """``mp_choice_second(k, g)`` for each map g of ``mp_maps(keys)``, in
+    its order, built block by block: the union of one outcome set per
+    signal block, the block's outcomes under g's action there."""
+    firsts = "12" if k == "." else k
+    blocks = mp_blocks(keys)
+    per_block = [{b: frozenset(_MP_OUTCOMES[w][a][b] for w in blocks[sig]
+                               for a in firsts) for b in "12"}
+                 for sig in sorted(blocks)]
+    return [frozenset().union(*[sets[b] for sets, b in zip(per_block, combo)])
+            for combo in itertools.product("12", repeat=len(per_block))]
+
+
 # second-stage information per case: signals at the two stage-two moves,
 # and whether the first action is observed (split) or not (merged)
 MP_CASES = {
@@ -468,10 +481,9 @@ def mp_sef(case=1):
     }
     firsts = [mp_choice_first(a) for a in mp_maps(("z0",))]
     if shape == "merged":
-        seconds = [mp_choice_second(".", g) for g in mp_maps(keys1)]
+        seconds = _mp_seconds(".", keys1)
     else:
-        seconds = [mp_choice_second("1", g) for g in mp_maps(keys1)] + \
-            [mp_choice_second("2", g) for g in mp_maps(keys2)]
+        seconds = _mp_seconds("1", keys1) + _mp_seconds("2", keys2)
     choices = {"i": frozenset(firsts), "j": frozenset(seconds)}
     sef = StochasticExtensiveForm(sdf, agents, agent_moves, info,
                                   refchoices, choices)

@@ -322,7 +322,9 @@ def induced_tree(sdf):
     """
     consistent, witness = is_order_consistent(sdf.random_moves)
     if not consistent:
-        raise NotOrderConsistent(f"witness pair: {witness!r}")
+        m1, m2, w = witness
+        raise NotOrderConsistent(
+            f"witness pair: {canonical_text((m1.graph, m2.graph, w))}")
     root_section = RandomMove({w: sdf.root_of(w) for w in sdf.scenarios})
     if root_section not in sdf.random_moves:
         raise StructureError("the root section is not a random move")
@@ -683,6 +685,14 @@ class _SliceTable:
         """The (known, value) bits of the empty slice on the scenarios: it
         is offered at no move there, so each availability bit is 0."""
         return sum({bit for w in scenarios for bit, _, _ in self.at[w]}), 0
+
+    def within(self, scenarios):
+        """The cut choices with no slice off the scenarios."""
+        inside = 0
+        for w in scenarios:
+            inside |= self.root_masks[self.position[w]]
+        return [c for whole, c in self.choice_of.items()
+                if not whole & ~inside]
 
     def union(self, whole, s, chosen):
         """The cut choice whose mask is ``whole``, else the union of the

@@ -96,9 +96,11 @@ def _validate(form):
     agent's choices that is a union of nodes by every root into the
     agent's slice table, joining its slices' entries there into its
     adaptedness as it cuts.  The menu index and every axiom below read
-    those tables, which live for this call only.  An axiom reads False
-    exactly when it has violations, and the violations are listed by
-    ``sorted_violations``.
+    those tables, which live for this call only.  Axiom 6 is decided per
+    information set by counting adapted unions component by component of
+    its scenarios, and searched whole only to list the missing ones
+    (``_missing_choices``).  An axiom reads False exactly when it has
+    violations, and the violations are listed by ``sorted_violations``.
     """
     axiom2_cap = budget(AXIOM2_CAP)
     sdf, agents, agent_moves = form.sdf, form.agents, form.agent_moves
@@ -204,8 +206,8 @@ def _validate(form):
     for i in agents:
         for p in info_sets(form, i)[0]:
             try:
-                violations.extend(("axiom6", (i, c)) for c in _adapted_unions(
-                    form, i, p.random_moves, tables[i]) if c not in choices[i])
+                violations.extend(("axiom6", (i, c)) for c in _missing_choices(
+                    form, i, p, tables[i]))
             except BudgetExceeded:
                 undecided = True
 
@@ -238,24 +240,19 @@ def _axiom1_violations(table, i):
             for c, c2, where in pairs]
 
 
-def _adapted_unions(form, i, members, table, void=False):
+def _search_plan(form, i, members, table, void):
     """
-    Every adapted union of one slice of the menu per active scenario of
-    the information set, the empty slice included when ``void``.  A
-    scenario's options are the slices the agent's slice table holds at
-    the set's move there: when every choice is adapted, hence complete, a
-    choice offered at that move is offered at every move of the set, so
-    it is on the menu, and validation reaches Axiom 6 only then.  The
-    search backtracks over the scenarios with a stack of (known, value)
-    bits and the mask of the slices taken, and takes a slice only if its
-    entry in the table agrees with the bits already fixed, so every leaf
-    is adapted.  A leaf whose mask is a choice in the table is that
-    choice; any other is read out as the union of its slices.  It visits
-    the scenarios block by block of the set's first move, which tests
-    each measurability bit soon after it is fixed.  Each slice tried is a
-    search node; past the cap it raises BudgetExceeded.
+    The scenarios of the information set in visiting order, each one's
+    options and the start bits of the search over one slice per scenario.
+    A scenario's options are the slices the agent's slice table holds at
+    the set's move there, the empty slice first when ``void``: when every
+    choice is adapted, hence complete, a choice offered at that move is
+    offered at every move of the set, so it is on the menu, and
+    validation reaches Axiom 6 only then.  The scenarios are visited
+    block by block of the set's first move, which tests each
+    measurability bit soon after it is fixed, and the inactive scenarios
+    hold the empty slice.
     """
-    cap = budget(ADAPTED_CAP)
     first = min(members, key=canonical)
     blocks = sorted((sorted(b, key=repr) for b in form.info[i][first]),
                     key=repr)
@@ -263,20 +260,35 @@ def _adapted_unions(form, i, members, table, void=False):
     visit = [w for block in blocks for w in block] + sorted(
         set(move) - first.domain, key=repr)
     options = [table.options(w, move[w], void) for w in visit]
-    # the inactive scenarios hold the empty slice
-    start = table.start(set(form.sdf.scenarios) - set(visit))
-    # one iterator per scenario taken so far, and the bits and mask fixed
+    return visit, options, table.start(set(form.sdf.scenarios) - set(visit))
+
+
+def _nodes():
+    """One draw per search node; past ``ADAPTED_CAP`` it raises
+    BudgetExceeded."""
+    cap = budget(ADAPTED_CAP)
+    yield from range(cap)
+    raise BudgetExceeded(f"more than {cap} adapted-choice search nodes")
+
+
+def _leaves(options, start, nodes):
+    """
+    Each leaf of the search as (known, value, mask, slice, the slices
+    chosen before it): the search backtracks over the positions of
+    ``options`` with a stack of (known, value) bits and the mask of the
+    slices taken, and takes a slice only if its entry in the table agrees
+    with the bits already fixed, so every leaf is adapted.  Each slice
+    tried is drawn from ``nodes`` (``_nodes``).
+    """
+    # one iterator per position taken so far, and the bits and mask fixed
     # before it; no recursive closure, whose reference cycle would keep
     # the tables alive until the cycle collector
     levels, fixed, chosen = [iter(options[0])], [(*start, 0)], []
-    nodes, depth = 0, len(visit)
+    depth = len(options)
     while levels:
         known, value, whole = fixed[-1]
         for s, mask, entry in levels[-1]:
-            nodes += 1
-            if nodes > cap:
-                raise BudgetExceeded(
-                    f"more than {cap} adapted-choice search nodes")
+            next(nodes)
             if not entry or (value ^ entry[1]) & known & entry[0]:
                 continue
             if len(levels) < depth:
@@ -285,12 +297,117 @@ def _adapted_unions(form, i, members, table, void=False):
                               whole | mask))
                 levels.append(iter(options[len(levels)]))
                 break
-            yield table.union(whole | mask, s, chosen)
+            yield known | entry[0], value | entry[1], whole | mask, s, chosen
         else:
             levels.pop()
             fixed.pop()
             if chosen:
                 chosen.pop()
+
+
+def _adapted_unions(form, i, members, table, void=False):
+    """
+    Every adapted union of one slice of the menu per active scenario of
+    the information set (``_search_plan``), the empty slice included when
+    ``void``, searched over all the scenarios at once.  A leaf whose mask
+    is a choice in the table is that choice; any other is read out as the
+    union of its slices.  Each slice tried is a search node, at most
+    ``ADAPTED_CAP``.
+    """
+    _, options, start = _search_plan(form, i, members, table, void)
+    return _unions(table, options, start)
+
+
+def _unions(table, options, start):
+    """The leaves of the search over the options, read out as unions."""
+    for _, _, whole, s, chosen in _leaves(options, start, _nodes()):
+        yield table.union(whole, s, chosen)
+
+
+def _components(options, free):
+    """
+    The positions of the options split into components that share no
+    bit outside ``free`` (the availability bits), each in visiting order:
+    the measurability bits a scenario's options can set are those of its
+    blocks, so on a form that passes Axiom 5 these are the blocks of the
+    information set's partition.
+    """
+    parts = []   # (the component's bits, its positions)
+    for k, opts in enumerate(options):
+        bits = 0
+        for _, _, entry in opts:
+            if entry:
+                bits |= entry[0]
+        bits &= ~free
+        positions = [k]
+        for part in [part for part in parts if part[0] & bits]:
+            parts.remove(part)
+            bits |= part[0]
+            positions += part[1]
+        parts.append((bits, positions))
+    return [sorted(positions) for _, positions in parts]
+
+
+def _count_unions(options, start, parts, free):
+    """
+    The number of leaves of the whole search (``_adapted_unions``),
+    counted per component: once the availability bits ``free`` are fixed,
+    the components share no bit, so the leaves are the tuples of one leaf
+    per component that agree on those bits (cutset conditioning; Dechter,
+    *Constraint Processing*, 2003).  Each component is searched alone
+    from the start bits, its leaves grouped by the availability bits
+    they fix, and the groups joined across components on equal bits.
+    Each slice tried and each pair of groups the join compares is a node
+    (``_nodes``).
+    """
+    nodes = _nodes()
+    joined, fixed = {0: 1}, 0   # leaf tuples per value of the bits fixed
+    for positions in parts:
+        groups, bits = {}, 0
+        for known, value, _, _, _ in _leaves(
+                [options[k] for k in positions], start, nodes):
+            bits |= known & free
+            groups[value & free] = groups.get(value & free, 0) + 1
+        pairs = {}
+        for value, count in joined.items():
+            for value2, count2 in groups.items():
+                next(nodes)
+                if not (value ^ value2) & fixed & bits:
+                    key = value | value2
+                    pairs[key] = pairs.get(key, 0) + count * count2
+        joined, fixed = pairs, fixed | bits
+    return sum(joined.values())
+
+
+def _missing_choices(form, i, p, table):
+    """
+    The adapted unions of the information set's menu that are not
+    choices: Axiom 6's violations there.  Every menu choice with no slice
+    off the set's scenarios is a leaf of the search, every leaf that is a
+    choice is one of them, and leaves are distinct unions.  So where the
+    scenarios split into components, Axiom 6 holds at the set iff the
+    leaves counted per component (``_count_unions``) are as many as those
+    menu choices.  Otherwise, or where the count runs over its budget,
+    the whole search lists the missing unions, each as it is found, so
+    that those found before it runs over its budget are kept.
+    """
+    visit, options, start = _search_plan(form, i, p.random_moves, table,
+                                         False)
+    parts = ()
+    if len(visit) > 1:
+        free = table.start(visit)[0]
+        parts = _components(options, free)
+    if len(parts) > 1:
+        menu = len(set(table.within(visit)).intersection(form._index.menus[p]))
+        try:
+            if _count_unions(options, start, parts, free) == menu:
+                return
+        except BudgetExceeded:
+            pass
+    choices = form.choices[i]
+    for c in _unions(table, options, start):
+        if c not in choices:
+            yield c
 
 
 _MenuIndex = namedtuple("_MenuIndex",

@@ -367,13 +367,16 @@ def gamma(family, t):
     """
     The vertical extent that the grids fill in at a real time: the first
     offset whose grid times stay strictly above t in the limit.
-    Symbolic for the registered families, sampled otherwise.
+    Symbolic for the registered families, sampled otherwise.  On a
+    registered family it is the member grid's bound at every time: below
+    infinity the grids fill in a whole block of that order type, and at
+    infinity no offset's time exceeds t, so the extent reaches the bound.
     """
     if not isinstance(t, VTime):
         t = vt(t)
-    if family.name == "dyadic" and not t.is_infinity:
+    if family.name == "dyadic":
         return OMEGA, True
-    if family.name == "nested" and not t.is_infinity:
+    if family.name == "nested":
         return OMEGA_SQ, True
     # empirical: offsets whose times exceed t at the deepest sampled grid
     deep = family.member(16)
@@ -523,14 +526,18 @@ def tilting_limit(process, family, probes=None, window=Window()):
     is decided in closed form (``_period``): the limit exists iff one
     period is constant, and a divergence's witness is (probe, n0, period).
     Any other input is read over the window's depths and marked windowed.
+    At or above the extent, a stop index family on a registered family
+    reads one stage, the first at or above the stop indices it reads, and
+    any other input twelve stages of the extent's fundamental sequence.
     """
     cap = budget(DEPTH_CAP)
     if window.stop > cap:
         raise BudgetExceeded(f"window depth {window.stop} exceeds {cap}")
     if probes is None:
         probes = default_probes(process, family, window)
-    closed = isinstance(process, StopIndexFamily) \
-        and family.name in REGISTERED \
+    by_index = isinstance(process, StopIndexFamily) \
+        and family.name in REGISTERED
+    closed = by_index \
         and (process.anchor is not None or isinstance(process.kappa, tuple))
     value = _indicators(process, family)
     table = {}
@@ -545,9 +552,10 @@ def tilting_limit(process, family, probes=None, window=Window()):
             beta = extent
         if isinstance(beta, Ordinal) and ord_cmp(beta, extent) < 0:
             stages = [beta]
-        elif closed:
+        elif by_index:
             # an indicator falls as the stage climbs, and from the last
-            # stop index below the extent on, every stage reads alike
+            # stop index below the extent on, every stage reads alike; a
+            # callable kappa's are those over the window's depths
             top = max((k for k in _stops(process, window) if k < extent),
                       default=ZERO)
             stages = [next(s for s in fundamental_sequence(extent)

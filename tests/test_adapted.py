@@ -3,6 +3,8 @@ The adapted-choice table against the code it replaced: the whole-choice
 body of check_adapted, and the two product searches over one slice per
 active scenario, Axiom 6 of validate_sef and the choice completion.  The
 oracles below are the earlier code, kept verbatim apart from their names.
+Also: Axiom 6 decided by counting the search's leaves per component,
+against the whole search, ``_adapted_unions``, which lists them.
 """
 
 import itertools
@@ -16,7 +18,15 @@ from conftest import constant_choice_parts, make_rng, random_strict_sef
 from exform._util import canonical
 from exform.errors import BudgetExceeded, ChoiceError, StructureError
 from exform.forest import immediate_predecessors, is_union_of_nodes
-from exform.instances import EXAMPLES, amd_sef, load_example, mp_sef
+from exform.instances import (
+    EXAMPLES,
+    MP_SCENARIOS,
+    amd_sef,
+    load_example,
+    mp_choice_second,
+    mp_partition,
+    mp_sef,
+)
 from exform.sdf import (
     _is_block_union,
     check_adapted,
@@ -25,11 +35,18 @@ from exform.sdf import (
     is_non_redundant,
     preimage,
 )
+from exform.forest import DecisionForest
+from exform.sdf import RandomMove, StochasticDecisionForest
 from exform.sef import (
     StochasticExtensiveForm,
     _adapted_unions,
+    _components,
+    _count_unions,
+    _missing_choices,
+    _search_plan,
     _slice_table,
     complete_choices,
+    info_sets,
     validate_sef,
 )
 from test_slices import BUNDLED, _menus, dropped, parts_of, slices_oracle
@@ -337,3 +354,298 @@ class TestAdaptedSearch:
         monkeypatch.setenv("EXFORM_BUDGET", "281")
         with pytest.raises(BudgetExceeded):
             complete_choices(form)
+
+
+# --- Axiom 6 counted per component -----------------------------------------------
+
+def two_level_parts(diagonal=False):
+    """
+    Two scenarios u and v, each a root over a terminal a and a node y
+    over terminals b and c.  Agent i owns the root move X, told the
+    scenario, and the move Y over the y nodes, told nothing, with no
+    reference choices.  At each root four slices are offered: {a} and
+    y at X alone, {a, b} and {a, c} at X and at Y, so they set Y's
+    availability bit, which u and v share.  X's information set splits
+    into the components u and v, four leaves each, and only the 8 of the
+    16 pairs that agree on Y's bit are adapted unions; the choices are
+    those 8, or with ``diagonal`` the 4 that take the same slice in both
+    trees.  Returns the parts of ``validate_sef``.
+    """
+    scenarios = ("u", "v")
+    leaf = {w: {k: f"{w}:{k}" for k in "abc"} for w in scenarios}
+    root = {w: frozenset(leaf[w].values()) for w in scenarios}
+    y = {w: frozenset({leaf[w]["b"], leaf[w]["c"]}) for w in scenarios}
+    nodes = [*root.values(), *y.values(),
+             *(frozenset({o}) for w in scenarios for o in leaf[w].values())]
+    at_x, at_y = RandomMove(root), RandomMove(y)
+    sdf = StochasticDecisionForest(
+        DecisionForest([o for x in root.values() for o in x], nodes),
+        scenarios, {x: min(x)[0] for x in nodes}, [at_x, at_y])
+    offered = {w: [[frozenset({leaf[w]["a"]}), y[w]],
+                   [frozenset({leaf[w]["a"], leaf[w][k]}) for k in "bc"]]
+               for w in scenarios}
+    choices = {s | t for side in (0, 1)
+               for n, s in enumerate(offered["u"][side])
+               for n2, t in enumerate(offered["v"][side])
+               if not diagonal or n == n2}
+    return (sdf, ("i",), {"i": {at_x, at_y}},
+            {"i": {at_x: frozenset({frozenset("u"), frozenset("v")}),
+                   at_y: frozenset({frozenset("uv")})}},
+            {"i": {at_x: (), at_y: ()}}, {"i": choices})
+
+
+def uneven_parts(linked=False):
+    """
+    Six scenarios: u, s and t, each a root over terminals a and b, and v,
+    w and x, each a root over a terminal a and a node y over terminals b
+    and c.  Agent i, told the scenario, owns the move X over the roots of
+    u, v, w and x, the move Z over the y nodes, told nothing, and the
+    move B over the roots of s and t.  Its choices are the adapted unions
+    of one slice per tree on X's scenarios and on B's.  X's components
+    fix different availability bits: u fixes X's bit alone, v, w and x
+    also Z's, which they must agree on.  With ``linked``, Z has the
+    reference choice {v:c, w:c, x:c} and v offers no slice {a, c}, so v,
+    w and x share Z's measurability bit, which no slice at v sets.
+    Returns the parts of ``validate_sef``.
+    """
+    leaf = {w: {k: f"{w}:{k}" for k in "abc" if k != "c" or w in "vwx"}
+            for w in "usvwxt"}
+    root = {w: frozenset(leaf[w].values()) for w in leaf}
+    y = {w: frozenset({leaf[w]["b"], leaf[w]["c"]}) for w in "vwx"}
+    nodes = [*root.values(), *y.values(),
+             *(frozenset({o}) for w in leaf for o in leaf[w].values())]
+    at_x = RandomMove({w: root[w] for w in "uvwx"})
+    at_z, at_b = RandomMove(y), RandomMove({w: root[w] for w in "st"})
+    sdf = StochasticDecisionForest(
+        DecisionForest([o for x in root.values() for o in x], nodes),
+        tuple(leaf), {x: min(x)[0] for x in nodes}, [at_x, at_z, at_b])
+    plain = {w: [frozenset({leaf[w][k]}) for k in "ab"] for w in "ust"}
+    slices = {w: [frozenset({leaf[w]["a"]}), y[w],
+                  *(frozenset({leaf[w]["a"], leaf[w][k]})
+                    for k in ("b" if linked and w == "v" else "bc"))]
+              for w in "vwx"}
+    ref = frozenset(leaf[w]["c"] for w in "vwx")
+    info = {at_x: frozenset(frozenset(w) for w in "uvwx"),
+            at_z: frozenset({frozenset("vwx")}),
+            at_b: frozenset(frozenset(w) for w in "st")}
+    refs = {at_x: (), at_z: (ref,) if linked else (), at_b: ()}
+    # the choices are the unions the slice table reads adapted
+    table = _slice_table(stored((sdf, ("i",), {"i": {at_x, at_z, at_b}},
+                                 {"i": info}, {"i": refs}, {"i": ()})),
+                         "i", ())
+    unions = [s | t | r | q for s in plain["u"] for t in slices["v"]
+              for r in slices["w"] for q in slices["x"]]
+    unions += [s | t for s in plain["s"] for t in plain["t"]]
+    return (sdf, ("i",), {"i": {at_x, at_z, at_b}}, {"i": info},
+            {"i": refs}, {"i": {c for c in unions if table.cut(c, join=True)}})
+
+
+def outside_parts():
+    """
+    Three scenarios, n first, each a root over terminals a and b; agent
+    i, told the scenario, owns the move X over the roots of u and v, with
+    no reference choices, and nature alone moves at n.  Two of i's
+    choices add n's a or n's b to u's a and v's a; the other three are
+    the other unions of one slice at u and one at v.  So X's menu holds
+    3 choices with no slice off u and v, and the search's 4 leaves miss
+    one, {u:a, v:a}.  One of n's outcomes holds the forest's first bit.
+    Returns the parts of ``validate_sef``.
+    """
+    leaf = {w: {k: f"{w}:{k}" for k in "ab"} for w in "nuv"}
+    root = {w: frozenset(leaf[w].values()) for w in leaf}
+    nodes = [*root.values(),
+             *(frozenset({o}) for w in leaf for o in leaf[w].values())]
+    at_x = RandomMove({w: root[w] for w in "uv"})
+    sdf = StochasticDecisionForest(
+        DecisionForest([o for x in root.values() for o in x], nodes),
+        tuple(leaf), {x: min(x)[0] for x in nodes},
+        [at_x, RandomMove({"n": root["n"]})])
+    choices = {frozenset({leaf["u"][a], leaf["v"][b]})
+               for a, b in ("ab", "ba", "bb")}
+    choices |= {frozenset({leaf["u"]["a"], leaf["v"]["a"], leaf["n"][k]})
+                for k in "ab"}
+    return (sdf, ("i",), {"i": {at_x}},
+            {"i": {at_x: frozenset({frozenset("u"), frozenset("v")})}},
+            {"i": {at_x: ()}}, {"i": choices})
+
+
+def chained_parts():
+    """
+    Coin-matching case 2 with its second mover's two moves told z1 and z2
+    apart, and offered only the two constant choices: the blocks of the
+    two partitions chain every scenario into one component.  The form
+    fails Axiom 5.
+    """
+    form = mp_sef(2)[0]
+    x1, x2 = sorted(form.agent_moves["j"], key=canonical)
+    info = {**form.info, "j": {x1: mp_partition(("z1",)),
+                               x2: mp_partition(("z2",))}}
+    constant = frozenset(mp_choice_second(".", dict.fromkeys(MP_SCENARIOS, a))
+                         for a in "12")
+    return parts_of(form, {**form.choices, "j": constant})[:3] \
+        + (info, form.refchoices, {**form.choices, "j": constant})
+
+
+def count_as_listed(form):
+    """
+    On every information set: the leaves counted per component equal the
+    whole search's leaves, and the missing choices equal the whole
+    search's leaves that are not choices, in order.  Returns the number
+    of (components, leaves) per set where the scenarios split.
+    """
+    split = []
+    for i in form.agents:
+        table = _slice_table(form, i, form.choices[i])
+        for p in info_sets(form, i)[0]:
+            leaves = list(_adapted_unions(form, i, p.random_moves, table))
+            visit, options, start = _search_plan(form, i, p.random_moves,
+                                                 table, False)
+            free = table.start(visit)[0]
+            parts = _components(options, free)
+            assert sorted(k for part in parts for k in part) \
+                == list(range(len(visit)))
+            assert _count_unions(options, start, parts, free) == len(leaves)
+            assert list(_missing_choices(form, i, p, table)) \
+                == [c for c in leaves if c not in form.choices[i]]
+            if len(parts) > 1:
+                split.append((len(parts), len(leaves)))
+    return split
+
+
+def stored(parts):
+    form = StochasticExtensiveForm.__new__(StochasticExtensiveForm)
+    form._store(*parts)
+    form._index   # the menu index, as validation builds it
+    return form
+
+
+class TestCountPerComponent:
+    @pytest.mark.parametrize("name", sorted(BUNDLED))
+    def test_bundled(self, name):
+        count_as_listed(BUNDLED[name]())
+
+    @pytest.mark.parametrize("k", range(3, 11))
+    def test_exit_race(self, k):
+        # one component per signal block, two leaves each: 2^k unions
+        assert count_as_listed(amd_sef(k)[0]) == [(k, 2 ** k)] * 2
+
+    def test_coin_matching_second_mover(self):
+        # case 3's second mover sees (r, z1, z2): 8 blocks, 2^8 unions
+        assert (8, 256) in count_as_listed(BUNDLED["mp-case3"]())
+
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(deadline=None, max_examples=40)
+    def test_strict_forms(self, seed):
+        form = random_strict_sef(make_rng(seed))
+        count_as_listed(form)
+        count_as_listed(stored(parts_of(form, dropped(form,
+                                                      random.Random(seed)))))
+
+    def test_dropped_variants_fail_axiom6_with_the_same_list(self):
+        rng = random.Random(33)
+        counted = failed = 0
+        for name in sorted(BUNDLED):
+            form = BUNDLED[name]()
+            for _ in range(2):
+                parts = parts_of(form, dropped(form, rng))
+                counted += bool(count_as_listed(stored(parts)))
+                report = check_axiom6_against_oracle(parts)
+                failed += report.checked.get("axiom6") is False
+        assert counted and failed
+
+    def test_components_that_disagree_on_availability(self):
+        # X's set: 4 x 4 pairs, 8 agree on Y's bit; Y's set: 2 x 2
+        assert count_as_listed(stored(two_level_parts())) == [(2, 8), (2, 4)]
+        assert validate_sef(*two_level_parts()).checked["axiom6"] is True
+        # with the diagonal choices only, the counts differ and the whole
+        # search lists the 4 missing unions at X's set, and at Y's set
+        # the 2 of them that take {a, b} or {a, c} in both trees
+        parts = two_level_parts(diagonal=True)
+        assert count_as_listed(stored(parts)) == [(2, 8), (2, 4)]
+        report = check_axiom6_against_oracle(parts)
+        assert report.checked["axiom6"] is False
+        assert len([v for v in report.violations if v[0] == "axiom6"]) == 6
+
+    def test_two_components_are_counted_within_the_cap(self, monkeypatch):
+        # X's set: 4 + 4 nodes and 2 + 4 join pairs, where the whole
+        # search takes 4 + 16 nodes; Y's set takes 2 + 2 and 1 + 1
+        monkeypatch.setenv("EXFORM_BUDGET", "14")
+        assert validate_sef(*two_level_parts()).checked["axiom6"] is True
+        monkeypatch.setenv("EXFORM_BUDGET", "13")
+        assert validate_sef(*two_level_parts()).checked["axiom6"] is None
+
+    def test_components_that_fix_different_availability_bits(self):
+        # B's set: 2 x 2, with X's and Z's bits fixed off its scenarios;
+        # X's set: u's 2 leaves, times the 4^3 of v, w and x that agree
+        # on Z's bit, 2 x (8 + 8); Z's set: X's bit is 0 at u, no leaf
+        form = stored(uneven_parts())
+        assert count_as_listed(form) == [(2, 4), (4, 32), (3, 0)]
+        assert validate_sef(*uneven_parts()).checked["axiom6"] is True
+
+    def test_a_bit_no_slice_sets_still_links(self):
+        # Z's measurability bit is in the masks of v's slice {a, b} and
+        # set by the slices {a, c} of w and x: v, w and x are one
+        # component, with u 2 x (8 + 1) = 18 leaves
+        form = stored(uneven_parts(linked=True))
+        assert count_as_listed(form) == [(2, 4), (2, 18)]
+
+    def test_menu_choices_with_slices_off_the_set_are_not_counted(self):
+        # 4 leaves against the 3 menu choices inside u and v: the whole
+        # search lists the missing one
+        parts = outside_parts()
+        assert count_as_listed(stored(parts)) == [(2, 4)]
+        report = check_axiom6_against_oracle(parts)
+        assert [v for v in report.violations if v[0] == "axiom6"] \
+            == [("axiom6", ("i", frozenset({"u:a", "v:a"})))]
+
+    def test_chained_blocks_are_one_component(self):
+        form = stored(chained_parts())
+        table = _slice_table(form, "j", form.choices["j"])
+        (p,), _ = info_sets(form, "j")
+        _, options, _ = _search_plan(form, "j", p.random_moves, table, False)
+        assert _components(options, table.start(form.sdf.scenarios)[0]) \
+            == [list(range(16))]
+        # only the first mover's set splits, by z0
+        assert count_as_listed(form) == [(2, 4)]
+        report = validate_sef(*chained_parts())
+        assert report.checked["axiom5"] is False
+        assert report.checked["axiom6"] is True
+
+    def test_the_join_reads_the_bits_each_component_fixes(self):
+        # two availability bits: the first component's one slice fixes
+        # bit 1 alone, the second's two slices fix bits 0 and 1, agreeing
+        # on bit 1 and differing on bit 0, so both pairs agree
+        options = [[(frozenset("a"), 1, (0b10, 0b10))],
+                   [(frozenset("b"), 2, (0b11, 0b11)),
+                    (frozenset("c"), 4, (0b11, 0b10))]]
+        assert _count_unions(options, (0, 0), [[0], [1]], 0b11) == 2
+        # with the first slice fixing bit 0 as well, at 0, one pair agrees
+        options[0] = [(frozenset("a"), 1, (0b11, 0b10))]
+        assert _count_unions(options, (0, 0), [[0], [1]], 0b11) == 1
+
+    def test_twelve_atom_exit_race_decided(self):
+        # the whole search takes 384,930 nodes, over the default cap; the
+        # count takes 12 components of 94 nodes and 12 join pairs, and
+        # reads 2^12 unions, the menu's 4,096 choices
+        assert amd_sef(12)[0].report.checked["axiom6"] is True
+
+    def test_cap_counts_per_component_nodes(self, monkeypatch):
+        # amd_sef(4) needs a budget of 128 for its other searches; each
+        # agent's count takes 4 components of 30 nodes and 4 join pairs,
+        # where the whole search takes 450 nodes
+        form = amd_sef(4)[0]
+        monkeypatch.setenv("EXFORM_BUDGET", "128")
+        assert validate_sef(*parts_of(form)).checked["axiom6"] is True
+        table = _slice_table(form, 1, form.choices[1])
+        (p,), _ = info_sets(form, 1)
+        with pytest.raises(BudgetExceeded):
+            list(_adapted_unions(form, 1, p.random_moves, table))
+        visit, options, start = _search_plan(form, 1, p.random_moves, table,
+                                             False)
+        free = table.start(visit)[0]
+        parts = _components(options, free)
+        monkeypatch.setenv("EXFORM_BUDGET", "124")
+        assert _count_unions(options, start, parts, free) == 16
+        monkeypatch.setenv("EXFORM_BUDGET", "123")
+        with pytest.raises(BudgetExceeded):
+            _count_unions(options, start, parts, free)

@@ -215,6 +215,22 @@ class TestFlags:
         assert output.splitlines()[0].endswith("'r1')")
         assert output.splitlines()[1].endswith("'r1')")
 
+    def test_not_order_consistent_names_its_moves(self):
+        # the two moves by their graphs, each node's outcomes in canonical
+        # order, and the scenario where they fail
+        output = stdout_across_hash_seeds(["-c", (
+            "from exform.errors import NotOrderConsistent\n"
+            "from exform.instances import amd_sdf\n"
+            "from exform.sdf import induced_tree\n"
+            "try:\n"
+            "    induced_tree(amd_sdf()[0])\n"
+            "except NotOrderConsistent as err:\n"
+            "    print(err)\n")])
+        assert output == (
+            "witness pair: ((('r1', ['r1:D', 'r1:H', 'r1:M']), "
+            "('r2', ['r2:H', 'r2:M'])), (('r1', ['r1:H', 'r1:M']), "
+            "('r2', ['r2:D', 'r2:H', 'r2:M'])), 'r1')\n")
+
     def test_trivial_component_breaks_sure_nontriviality(self, simple):
         sdf, moves = simple
         outcomes = set(sdf.forest.outcomes) | {"o3:_"}

@@ -6,7 +6,9 @@ per slice grouping: each term is added into the partial sum of every
 choice tuple of its groups.  ``walked_fill`` is ``TreeFills``' fill as it
 was before each tree's walk was indexed at construction:
 ``_compatible_below`` from the root, which finds its bottom-up order with
-a stack.  Both are kept verbatim as oracles.
+a stack.  ``swept_rationality`` is ``_rationality`` as it was before the
+blocks' bounds could decide an agent: it sweeps every strategy of every
+agent.  All three are kept verbatim as oracles.
 """
 
 import itertools
@@ -20,13 +22,30 @@ from exform import equil, play
 from exform.equil import (
     Belief,
     EUStructure,
+    RationalityReport,
+    _deviation_total,
+    _Deviations,
+    _unit_plan,
+    bayes_beliefs,
+    check_dynamic_rationality,
     expected_payoff,
+    information_blocks,
     units,
     verify_equilibrium,
 )
-from exform.errors import MultipleOutcomes, NoOutcome
+from exform.errors import (
+    EnumerationBudgetExceeded,
+    MultipleOutcomes,
+    NoOutcome,
+)
 from exform.forest import DecisionForest
-from exform.instances import amd_instance
+from exform.instances import (
+    _assign,
+    amd_event_choice,
+    amd_instance,
+    amd_sef,
+    amd_signal,
+)
 from exform.play import (
     StrategyProfile,
     _compatible_below,
@@ -77,6 +96,36 @@ def term_parts(self, taste, pairs):
     return parts
 
 
+def swept_rationality(sef, eu, beliefs, tastes, tables, fills, outcome):
+    report = RationalityReport(True, {})
+    swept = []   # (unit, plan, the profile's total per block)
+    for unit in units(sef):
+        plan = _unit_plan(eu.beliefs[unit].assessment, beliefs[unit][0],
+                          tastes[unit], information_blocks(sef, *unit))
+        totals = [plan.total(outcome, pairs) for _, pairs, _ in plan.blocks]
+        report.payoffs[unit] = {b: plan.value(total, mass) for (b, _, mass), total
+                                in zip(plan.blocks, totals)}
+        report.zero_blocks[unit] = plan.zero
+        swept.append((unit, plan, totals))
+    for i in sef.agents:
+        deviations = _Deviations(sef, fills, tables, i)
+        own = [(unit, plan, totals, [deviations.parts(plan.taste, pairs)
+                                     for _, pairs, _ in plan.blocks])
+               for unit, plan, totals in swept if unit[0] == i]
+        for t in strategies(sef, i):
+            at = deviations.choices(t)
+            for unit, plan, totals, split in own:
+                for (b, _, mass), base, parts in zip(plan.blocks, totals, split):
+                    total = _deviation_total(parts, at)
+                    if total > base:
+                        report.rational = False
+                        report.witnesses.append(
+                            (i, unit[1], t, b, report.payoffs[unit][b],
+                             plan.value(total, mass)))
+                        break
+    return report
+
+
 def walked_fill(sef, tables, root):
     """The fill of the tree of the root, walked below it with a stack."""
     fill = {}
@@ -122,6 +171,7 @@ def on_oracles(monkeypatch, check, *args):
     with monkeypatch.context() as m:
         m.setattr(play, "_tree_fill", walked_fill)
         m.setattr(equil._Deviations, "parts", term_parts)
+        m.setattr(equil, "_rationality", swept_rationality)
         return outcome_or_error(check, *args)
 
 
@@ -181,6 +231,36 @@ EXIT_RACES = [(3, Fraction(k, 3)) for k in range(4)] + \
     [(6, Fraction(k, 6)) for k in range(7)]
 
 
+def bench_exit_race(sef, atoms, p):
+    """The bench's exit race at bias p: a uniform prior, the taste D 0,
+    H 4, M 1 for both agents, and both exiting on the signal atoms below
+    (1 - p) * atoms."""
+    scenarios = sorted(sef.sdf.scenarios)
+    exits = {str(k) for k in range(int((1 - p) * atoms))}
+    profile = StrategyProfile({agent: _assign(sef, agent, [amd_event_choice(
+        atoms, agent, frozenset(w for w in scenarios
+                                if amd_signal(w, agent) in exits))])
+        for agent in (1, 2)})
+    prior = {w: Fraction(1, 2 * atoms * atoms) for w in scenarios}
+    taste = {f"{w}:{a}": Fraction(v) for w in scenarios
+             for a, v in (("D", 0), ("H", 4), ("M", 1))}
+    beliefs = bayes_beliefs(sef, prior, profile)
+    return EUStructure(beliefs, {u: dict(taste) for u in beliefs}), profile
+
+
+def sweeps(monkeypatch, check, *args):
+    """The check's result and the agents whose strategies it enumerated."""
+    swept = []
+
+    def counted(sef, i):
+        swept.append(i)
+        return strategies(sef, i)
+
+    with monkeypatch.context() as m:
+        m.setattr(equil, "strategies", counted)
+        return check(*args), swept
+
+
 class TestAgainstOracles:
     @pytest.mark.parametrize("name", EXAMPLES)
     def test_bundled_forms(self, monkeypatch, checked, name):
@@ -203,6 +283,14 @@ class TestAgainstOracles:
         assert report.rationality.rational == (p == Fraction(2, 3))
         assert checked["parts"] == sum(len(report.rationality.payoffs[u])
                                        for u in units(sef))
+
+    @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(2, 3),
+                                   Fraction(5, 6)])
+    def test_bench_exit_race(self, monkeypatch, checked, p):
+        sef = amd_sef(6)[0]
+        eu, profile = bench_exit_race(sef, 6, p)
+        report = assert_same_as_oracles(monkeypatch, sef, eu, profile)
+        assert report.in_equilibrium == (p == Fraction(2, 3))
 
     @pytest.mark.parametrize("check", range(19))
     def test_coin_matching_checks(self, monkeypatch, checked, check):
@@ -233,3 +321,56 @@ class TestAgainstOracles:
         assert u is x and u != v
         error = assert_same_as_oracles(monkeypatch, sef, eu, profile)
         assert error[0] is MultipleOutcomes and "v:2" in error[1]
+
+
+class TestBlockBounds:
+    """An agent whose blocks' bounds are at most their bases is rational
+    with no strategy enumerated; any other agent is swept as before."""
+
+    def test_coin_matching_sweeps_exactly_the_irrational_agents(
+            self, monkeypatch):
+        decided = 0
+        for case, first, picks, p in coin_matching_checks():
+            layer = _mp_profile(case, first, picks, p)
+            report, swept = sweeps(monkeypatch, check_dynamic_rationality,
+                                   *layer)
+            assert swept == sorted({w[0] for w in report.witnesses},
+                                   key=layer[0].agents.index)
+            decided += not swept
+        assert decided == 11
+
+    @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(2, 3),
+                                   Fraction(5, 6)])
+    def test_bench_exit_race(self, monkeypatch, p):
+        sef = amd_sef(6)[0]
+        eu, profile = bench_exit_race(sef, 6, p)
+        report, swept = sweeps(monkeypatch, check_dynamic_rationality, sef,
+                               eu, profile)
+        assert swept == ([] if p == Fraction(2, 3) else [1, 2])
+        assert report.rational == (p == Fraction(2, 3))
+
+    def test_a_decided_agent_keeps_the_strategy_cap(self, monkeypatch):
+        # case 3's second mover has 2^8 strategies and is rational under
+        # the first check of that case; its first mover has 2
+        case, first, picks, p = coin_matching_checks()[9]
+        layer = _mp_profile(case, first, picks, p)
+        assert sweeps(monkeypatch, check_dynamic_rationality, *layer)[1] == []
+        monkeypatch.setenv("EXFORM_BUDGET", "255")
+        with pytest.raises(EnumerationBudgetExceeded, match="256 strategies"):
+            check_dynamic_rationality(*layer)
+        monkeypatch.setenv("EXFORM_BUDGET", "256")
+        assert check_dynamic_rationality(*layer).rational
+
+    def test_the_bound_of_a_block(self):
+        # two parts whose largest partial sums, 1 each, come from
+        # different deviations: the bound is 2, though no deviation's
+        # total exceeds 1; a part with a failed read, or with no
+        # partial sum, leaves the block to the sweep
+        parts = [((0,), {("a",): 1, ("b",): 0}, {}),
+                 ((1,), {("a",): 0, ("b",): 1}, {})]
+        assert not equil._bounded(parts, 1)
+        assert equil._bounded(parts, 2)
+        failed = ((2,), {("a",): 0}, {("a",): (0, None)})
+        assert not equil._bounded([failed], 5)
+        assert not equil._bounded([*parts, failed], 5)
+        assert not equil._bounded([*parts, ((2,), {}, {})], 5)

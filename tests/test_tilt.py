@@ -217,6 +217,15 @@ class TestVerticalExtent:
         assert gamma(nested_family(), vt(0)) == (OMEGA_SQ, True)
         assert gamma(dyadic_family(), vt(Fraction(7, 3)))[0] == OMEGA
 
+    def test_registered_extent_at_infinity(self):
+        # the member grid's bound, decided; the sampled read of the same
+        # grids, unregistered, reads 1,024 offsets to the same extent
+        for family, bound in ((dyadic_family(), OMEGA),
+                              (nested_family(), OMEGA_SQ)):
+            assert gamma(family, INFINITY) == (bound, True)
+            assert gamma(GridFamily(family.member, family.embed),
+                         INFINITY) == (bound, False)
+
     def test_extent_is_a_limit_ordinal(self):
         from exform.vtime import is_limit
         for family in (dyadic_family(), nested_family()):
@@ -868,6 +877,24 @@ class TestClosedForm:
             assert result.windowed and "windowed" in repr(result)
         assert not tilting_limit(StopIndexFamily(kappa=(ordinal(2),)),
                                  dyadic_family()).windowed
+
+    def test_a_callable_kappa_reads_the_stage_above_its_stops(self):
+        # at (0, w) on dyadic, every stage from 21 on reads 0 at every
+        # depth; twelve stages (0 to 11) would read 1, below both stops
+        callable_kappa = StopIndexFamily(
+            kappa=lambda n: ordinal(21) if n % 2 == 0 else ordinal(20))
+        tuple_kappa = StopIndexFamily(kappa=(ordinal(21), ordinal(20)))
+        probes = [VTime(0, OMEGA)]
+        result = tilting_limit(callable_kappa, dyadic_family(), probes=probes)
+        assert result.windowed and result.table == {probes[0]: 0}
+        assert tilting_limit(tuple_kappa, dyadic_family(),
+                             probes=probes).table == {probes[0]: 0}
+        # a plain callable stopping at the 21st opportunity still reads
+        # twelve stages, each 1
+        plain = tilting_limit(
+            lambda n, t: 1 if t < vt(Fraction(21, 2 ** n)) else 0,
+            dyadic_family(), probes=probes)
+        assert plain.windowed and plain.table == {probes[0]: 1}
 
     @given(st.builds(Fraction, st.integers(0, 40), st.integers(1, 64)),
            st.integers(0, 6), st.sampled_from([Fraction(0), Fraction(5, 8)]))

@@ -30,6 +30,7 @@ from exform.instances import (
     _MP_COORD,
     MP_CASES,
     MP_SCENARIOS,
+    _mp_seconds,
     amd_sef,
     mp_blocks,
     mp_choice_first,
@@ -702,6 +703,16 @@ def test_mp_maps_as_before(keys):
     maps, expected = mp_maps(keys), mp_maps_oracle(keys)
     assert maps == expected
     assert [list(m) for m in maps] == [list(m) for m in expected]
+
+
+@pytest.mark.parametrize("keys", sorted(
+    {keys for case in MP_CASES.values() for keys in case[:2]}))
+def test_mp_seconds_block_by_block_as_before(keys):
+    # each second-stage choice, built as a union of per-block outcome
+    # sets, equals the one built from its action map, in the maps' order
+    for k in ".12":
+        assert _mp_seconds(k, keys) \
+            == [mp_choice_second(k, g) for g in mp_maps(keys)]
 
 
 def test_mp_choices_as_before():
