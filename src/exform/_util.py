@@ -41,8 +41,8 @@ def canonical(value):
         return 1, sorted(map(canonical, value))
     if isinstance(value, (tuple, list)):
         return 2, list(map(canonical, value))
-    graph = getattr(value, "graph", None)   # only random moves have one
-    return (0, repr(value)) if graph is None else canonical(graph)
+    key = getattr(value, "canonical_key", None)   # only random moves have one
+    return (0, repr(value)) if key is None else key
 
 
 def sorted_violations(violations, kinds):

@@ -5,9 +5,10 @@ tilting limits, the timing race, lattice completions, and the registry
 of bundled instances.
 
 Exit codes: 0 on success, 1 on a failed check (with witnesses), 2 on
-malformed input, 3 when a search ran over its budget or a tilt window was
-inconclusive, leaving the check undecided.  All rationals print as
-"num/den"; floats appear only in human-readable simulation summaries.
+malformed input, 3 when a search ran over its budget or a tilting limit's
+probes disagreed with its stop descriptor, leaving the check undecided.
+All rationals print as "num/den"; floats appear only in human-readable
+simulation summaries.
 """
 
 import json as jsonlib
@@ -156,7 +157,7 @@ def load_instance(ref):
             doc = jsonlib.load(handle)
     except OSError as err:
         raise InputError(f"cannot read {ref}: {err}") from err
-    except jsonlib.JSONDecodeError as err:
+    except (jsonlib.JSONDecodeError, UnicodeDecodeError) as err:
         raise InputError(f"not a JSON document: {err}") from err
     return parse_sef(doc), None, None, None
 
@@ -189,7 +190,8 @@ def json_flag(command):
 
 def guarded(command):
     """Map malformed input to exit code 2 instead of a traceback, and a
-    search over budget or an inconclusive tilt window to exit code 3."""
+    search over budget or a tilting limit whose probes disagree with its
+    stop descriptor to exit code 3."""
 
     def wrapper(*args, **kwargs):
         try:
@@ -399,48 +401,33 @@ def _parse_kappa(text):
     return (parse_ordinal(text),)
 
 
-def _parse_window(text):
-    try:
-        start, stop, tail = (int(x) for x in text.split(":"))
-    except ValueError as err:
-        raise InputError(f"bad window spec: {text!r}") from err
-    return tilt.Window(start, stop, tail)
-
-
 @cli.command(name="tilt")
 @click.option("--family", type=click.Choice(sorted(tilt.REGISTERED)),
               required=True)
 @click.option("--kappa", required=True,
               help="stop index: an ordinal or alt:<odd>,<even>")
 @click.option("--probe", default=None, help='";"-separated probe points')
-@click.option("--window", default="4:24:8",
-              help="start:stop:tail; a closed form reads from depth start")
 @json_flag
 @guarded
-def tilt_command(family, kappa, probe, window, as_json):
+def tilt_command(family, kappa, probe, as_json):
     """Tilt a stop-index family through a registered grid family."""
     grids = tilt.REGISTERED[family]()
     process = tilt.StopIndexFamily(kappa=_parse_kappa(kappa), label=kappa)
     probes = ([parse_vtime(p) for p in probe.split(";")] if probe else None)
-    result = tilt.tilting_limit(process, grids, probes=probes,
-                                window=_parse_window(window))
-    win = f"{result.window.start}:{result.window.stop}:{result.window.tail}"
-    how = f"window {win}" if result.windowed else "closed form"
+    result = tilt.tilting_limit(process, grids, probes=probes)
     if result.converged:
         stop = format_vtime(result.stop) if result.stop is not None else None
-        human = (f"Limit 1[0, {stop}) ({how})" if stop
-                 else f"Limit value table ({how})")
+        human = f"Limit 1[0, {stop})" if stop else "Limit value table"
         emit(as_json, human, {
-            "converged": True, "stop": stop, "window": win, "decided": how,
+            "converged": True, "stop": stop,
             "table": {format_vtime(p): v for p, v in result.table.items()}})
     else:
         witness_probe, n0, cycle = result.witness
         emit(as_json,
              f"Diverged at {format_vtime(witness_probe)}: period "
-             f"{list(cycle)} from depth {n0} ({how})",
+             f"{list(cycle)} from depth {n0}",
              {"converged": False, "at": format_vtime(witness_probe),
-              "n0": n0, "period": list(cycle), "window": win,
-              "decided": how})
+              "n0": n0, "period": list(cycle)})
         raise SystemExit(1)
 
 
@@ -541,7 +528,8 @@ def dm(path, as_json):
         with open(path, encoding="utf-8") as handle:
             doc = jsonlib.load(handle)
         elements, pairs = doc["elements"], doc["leq"]
-    except (OSError, jsonlib.JSONDecodeError, KeyError, TypeError) as err:
+    except (OSError, jsonlib.JSONDecodeError, UnicodeDecodeError, KeyError,
+            TypeError) as err:
         raise InputError(f"cannot read poset: {err}") from err
     if not (isinstance(elements, list) and isinstance(pairs, list)
             and all(isinstance(p, list) and len(p) == 2 for p in pairs)):

@@ -88,7 +88,8 @@ class GridAxiomViolation(StructureError):
 
 
 class TailWindowInconclusive(ExformError):
-    """Neither a constant tail nor a proven oscillation in the probe window."""
+    """A tilting limit's probe disagrees with its stop descriptor, so the
+    limit is left undecided."""
 
 
 class TargetOutOfRange(InputError):

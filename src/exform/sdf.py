@@ -65,6 +65,12 @@ class RandomMove:
     def image(self):
         return frozenset(x for _, x in self._graph)
 
+    @functools.cached_property
+    def canonical_key(self):
+        """The canonical key of the graph, which never changes: computed
+        once per move."""
+        return canonical(self._graph)
+
     def restricted(self, event):
         return RandomMove({w: x for w, x in self._graph if w in event})
 

@@ -8,7 +8,6 @@ Everything here is deterministic: grids are constant in the scenario
 argument and processes are plain value tables.
 """
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +26,7 @@ from .vtime import (
     ZERO,
     Ordinal,
     VTime,
+    first_stage_at_least,
     format_ordinal,
     format_vtime,
     fundamental_sequence,
@@ -41,10 +41,13 @@ from .vtime import (
 
 OMEGA_SQ = Ordinal(((2, 1),))
 
-# default cap of the deepest grid depth a tilting limit reads (a window's
-# stop, or the last depth of a closed form's period), and of the
-# subdivision depth of a nested grid's index; EXFORM_BUDGET overrides it
+# default cap of the deepest grid depth a tilting limit reads (the last
+# depth of a closed form's period), and of the subdivision depth of a
+# nested grid's index; EXFORM_BUDGET overrides it
 DEPTH_CAP = 10 ** 4
+
+# the shallowest grid depth a closed form reads: every n0 is at least this
+START_DEPTH = 4
 
 
 @dataclass(frozen=True)
@@ -85,49 +88,34 @@ class StopIndexFamily:
     """
     The processes "stop at the kappa(n)-th opportunity of the n-th grid":
     the n-th process is 1 strictly before the time of that opportunity
-    and 0 from it onwards.  kappa is a callable, or a tuple of ordinals
-    read as kappa(n) = kappa[n % len(kappa)]: a declared period.
+    and 0 from it onwards.  kappa is a nonempty tuple of ordinals, read
+    as kappa(n) = kappa[n % len(kappa)]: a declared period.
 
     An anchored family stops at a fixed vertically extended target
     instead: kappa(n) is the first index at or after the target's real
     time, shifted up by the target's vertical part.
     """
 
-    kappa: object = None               # n -> Ordinal, or a tuple
+    kappa: tuple | None = None
     anchor: VTime | None = None
     label: str | None = None
+
+    def __post_init__(self):
+        kappa = self.kappa
+        if self.anchor is None and not (
+                isinstance(kappa, tuple) and kappa
+                and all(isinstance(k, Ordinal) for k in kappa)):
+            raise InputError(
+                f"kappa must be a nonempty tuple of ordinals: {kappa!r}")
 
     def index(self, n, grid):
         if self.anchor is not None:
             base = _locate(grid, vt(self.anchor.t))
             return ord_add(base, self.anchor.v)
-        kappa = self.kappa
-        value = kappa[n % len(kappa)] if isinstance(kappa, tuple) \
-            else kappa(n)
-        if not isinstance(value, Ordinal):
-            raise InputError(f"stop index must be an ordinal: {value!r}")
+        value = self.kappa[n % len(self.kappa)]
         if ord_cmp(value, grid.bound) > 0:
             raise InputError("stop index exceeds the grid bound")
         return value
-
-
-@dataclass(frozen=True)
-class Window:
-    """Grid depths a windowed verdict reads per probe, and the constant
-    tail it requires; a closed form reads from no shallower than start."""
-
-    start: int = 4
-    stop: int = 24
-    tail: int = 8
-
-    def __post_init__(self):
-        if not 0 <= self.start < self.stop or not 0 < self.tail:
-            raise InputError(f"bad window: {self}")
-        if self.stop - self.start + 1 < self.tail:
-            raise InputError("window shorter than the required tail")
-
-    def depths(self):
-        return range(self.start, self.stop + 1)
 
 
 @dataclass(frozen=True)
@@ -135,16 +123,13 @@ class TiltingResult:
     converged: bool
     stop: VTime | None                 # descriptor 1 on [0, stop), when known
     table: dict                        # probe -> limit value
-    witness: tuple | None              # when diverged: (probe, n0, period),
-    window: Window                     # or (probe, values) when windowed
-    windowed: bool = False             # read off the window, not proved
+    witness: tuple | None              # when diverged: (probe, n0, period)
 
     def __repr__(self):
-        how = ", windowed" if self.windowed else ""
         if self.converged:
             inner = format_vtime(self.stop) if self.stop is not None else "table"
-            return f"TiltingResult(limit, {inner}{how})"
-        return f"TiltingResult(diverged at {format_vtime(self.witness[0])}{how})"
+            return f"TiltingResult(limit, {inner})"
+        return f"TiltingResult(diverged at {format_vtime(self.witness[0])})"
 
 
 @dataclass(frozen=True)
@@ -395,17 +380,14 @@ def _indicators(process, family):
     -> {depth: located index}, which an anchored stop index reads too,
     fill at first use, so every error surfaces where a fresh read would.
 
-    A stop index family on a registered family is decided by index, with
-    no grid time built: such a grid is strictly increasing on [0, bound]
-    and reads infinity from the bound on, so an index's time is below the
-    stop's iff the index clipped at the bound is below the stop index
-    clipped there.  Each index below the bound is vetted (``Grid.vet``)
-    where its time would have been read.  Plain callables, and stop
-    index families on unregistered families, compare grid times.
+    Each indicator is decided by index, with no grid time built: a
+    registered grid is strictly increasing on [0, bound] and reads
+    infinity from the bound on, so an index's time is below the stop's
+    iff the index clipped at the bound is below the stop index clipped
+    there.  Each index below the bound is vetted (``Grid.vet``) where its
+    time would have been read.
     """
     grids, located, stops = {}, {}, {}
-    by_index = isinstance(process, StopIndexFamily) \
-        and family.name in REGISTERED
 
     def base(t, n):
         at = located.setdefault(t, {})
@@ -414,8 +396,6 @@ def _indicators(process, family):
         return at[n]
 
     def read(grid, index):
-        if not by_index:
-            return grid(index)
         if ord_cmp(index, grid.bound) >= 0:
             return grid.bound
         if grid.vet is not None:
@@ -426,10 +406,7 @@ def _indicators(process, family):
         if n not in grids:
             grids[n] = family.member(n)
         grid = grids[n]
-        index = ord_add(base(t, n), beta)
-        if not isinstance(process, StopIndexFamily):
-            return process(n, grid(index))
-        here = read(grid, index)
+        here = read(grid, ord_add(base(t, n), beta))
         if n not in stops:
             anchor = process.anchor
             stops[n] = read(grid, process.index(n, grid) if anchor is None
@@ -439,45 +416,29 @@ def _indicators(process, family):
     return value
 
 
-def _settle(values, window, probe):
-    tail = values[-window.tail:]
-    if all(x == tail[0] for x in tail):
-        return tail[0]
-    switches = sum(1 for a, b in zip(tail, tail[1:]) if a != b)
-    if switches >= 2:
-        return None                    # oscillation over the window
-    raise TailWindowInconclusive(
-        f"window tail neither constant nor oscillating at "
-        f"{format_vtime(probe)}")
+def _stops(process):
+    """The stop indices: the anchor's offset, or kappa's declared period."""
+    return (process.anchor.v,) if process.anchor is not None \
+        else process.kappa
 
 
-def _stops(process, window):
-    """The stop indices: the anchor's offset, kappa's declared period, or
-    kappa over the window's depths."""
-    if process.anchor is not None:
-        return (process.anchor.v,)
-    kappa = process.kappa
-    return kappa if isinstance(kappa, tuple) \
-        else tuple(kappa(n) for n in window.depths())
-
-
-def _period(value, process, bound, t, beta, start, cap):
+def _period(value, process, bound, t, beta, cap):
     """
     (n0, indicators): the indicators at t + beta repeat with kappa's
-    period (1 when anchored) from n0 on, the least such depth from start.
-    An index's coefficient of w^(e-1), for the bound w^e, is ceil(t*2^n)
-    (dyadic) or floor(t*2^n) (nested) plus its offset's; once rate*2^n
-    passes margin + 1, with rate t, or |t - a| for an anchor at a, it
-    decides every comparison, and each indicator is fixed by its stop
-    index's place in the period.  One period is read from there, and,
-    only where it is not constant, back.
+    period (1 when anchored) from n0 on, the least such depth from
+    START_DEPTH.  An index's coefficient of w^(e-1), for the bound w^e,
+    is ceil(t*2^n) (dyadic) or floor(t*2^n) (nested) plus its offset's;
+    once rate*2^n passes margin + 1, with rate t, or |t - a| for an
+    anchor at a, it decides every comparison, and each indicator is fixed
+    by its stop index's place in the period.  One period is read from
+    there, and, only where it is not constant, back.
     """
     anchor = process.anchor
     period = 1 if anchor is not None else len(process.kappa)
     coefficient = bound.cnf[0][0] - 1
-    below = [dict(k.cnf).get(coefficient, 0) for k in _stops(process, None)
+    below = [dict(k.cnf).get(coefficient, 0) for k in _stops(process)
              if ord_cmp(k, bound) < 0]
-    n = start
+    n = START_DEPTH
     if below and not t.is_infinity:
         rate = t.t if anchor is None else abs(t.t - anchor.t)
         offset = dict(beta.cnf).get(coefficient, 0)
@@ -491,54 +452,44 @@ def _period(value, process, bound, t, beta, start, cap):
         raise BudgetExceeded(f"closed-form depth {n + period - 1} exceeds {cap}")
     cycle = [value(t, beta, n + i) for i in range(period)]
     if len(set(cycle)) > 1:
-        while n > start and value(t, beta, n - 1) == cycle[-1]:
+        while n > START_DEPTH and value(t, beta, n - 1) == cycle[-1]:
             n, cycle = n - 1, cycle[-1:] + cycle[:-1]
     return n, tuple(cycle)
 
 
-def default_probes(process, family, window):
-    anchors, tops = [vt(0)], [ordinal(2)]
-    if isinstance(process, StopIndexFamily):
-        if process.anchor is not None:
-            anchors = [vt(process.anchor.t)]
-        tops = sorted(set(_stops(process, window)),
-                      key=functools.cmp_to_key(ord_cmp))
-    probes = []
-    for t in anchors:
-        verticals = {ZERO, ordinal(1)}
-        for top in tops:
-            verticals.add(top)
-            verticals.add(ord_succ(top))
-            if is_limit(top):
-                verticals.update(
-                    itertools.islice(fundamental_sequence(top), 1, 3))
-        probes.extend(VTime(t.t, v) for v in verticals)
-    return sorted(probes)
+def default_probes(process):
+    """Probes at the anchor's time, or at time 0, at the vertical parts 0
+    and 1 and at and just above each stop index, with the first stages
+    below a limit one."""
+    t = vt(process.anchor.t if process.anchor is not None else 0).t
+    verticals = {ZERO, ordinal(1)}
+    for top in _stops(process):
+        verticals.add(top)
+        verticals.add(ord_succ(top))
+        if is_limit(top):
+            verticals.update(itertools.islice(fundamental_sequence(top), 1, 3))
+    return sorted(VTime(t, v) for v in verticals)
 
 
-def tilting_limit(process, family, probes=None, window=Window()):
+def tilting_limit(process, family, probes=None):
     """
-    Evaluate the stop indicators through the grids at each probe point
-    and declare the limit if every probe's indicators settle.  Probes at
-    or above the filled-in vertical extent are read off by left
-    extension: constant continuation of the values just below it.  A stop
-    index family on a registered family, anchored or with kappa a tuple,
-    is decided in closed form (``_period``): the limit exists iff one
-    period is constant, and a divergence's witness is (probe, n0, period).
-    Any other input is read over the window's depths and marked windowed.
-    At or above the extent, a stop index family on a registered family
-    reads one stage, the first at or above the stop indices it reads, and
-    any other input twelve stages of the extent's fundamental sequence.
+    Decide the limit of the stop indicators of a stop-index family,
+    anchored or with a declared period, through a registered grid family
+    at each probe point, in closed form (``_period``): the limit exists
+    iff one period of indicators is constant, and a divergence's witness
+    is (probe, n0, period).  A probe at or above the filled-in vertical
+    extent is read off by left extension, at one stage: an indicator
+    falls as the stage climbs, so every stage of the extent's fundamental
+    sequence at or above the stop indices below the extent reads alike.
+    Any other process or grid family is an InputError.
     """
+    if not isinstance(process, StopIndexFamily) \
+            or family.name not in REGISTERED:
+        raise InputError("a tilting limit is decided for a stop-index "
+                         "family on a registered grid family")
     cap = budget(DEPTH_CAP)
-    if window.stop > cap:
-        raise BudgetExceeded(f"window depth {window.stop} exceeds {cap}")
     if probes is None:
-        probes = default_probes(process, family, window)
-    by_index = isinstance(process, StopIndexFamily) \
-        and family.name in REGISTERED
-    closed = by_index \
-        and (process.anchor is not None or isinstance(process.kappa, tuple))
+        probes = default_probes(process)
     value = _indicators(process, family)
     table = {}
     for probe in sorted(set(probes)):
@@ -547,62 +498,30 @@ def tilting_limit(process, family, probes=None, window=Window()):
         else:
             t, beta = vt(probe.t), probe.v
         extent, _ = gamma(family, t)
-        if beta is not None and not isinstance(beta, Ordinal):
-            # vertical part above every ordinal: left extension applies
-            beta = extent
-        if isinstance(beta, Ordinal) and ord_cmp(beta, extent) < 0:
-            stages = [beta]
-        elif by_index:
-            # an indicator falls as the stage climbs, and from the last
-            # stop index below the extent on, every stage reads alike; a
-            # callable kappa's are those over the window's depths
-            top = max((k for k in _stops(process, window) if k < extent),
-                      default=ZERO)
-            stages = [next(s for s in fundamental_sequence(extent)
-                           if ord_cmp(s, top) >= 0)]
-        else:
-            stages = list(itertools.islice(fundamental_sequence(extent), 12))
-        settled = []
-        for stage in stages:
-            if closed:
-                n0, cycle = _period(value, process, extent, t, stage,
-                                    window.start, cap)
-                limit = cycle[0] if len(set(cycle)) == 1 else None
-                witness = (probe, n0, cycle)
-            else:
-                values = [value(t, stage, n) for n in window.depths()]
-                limit, witness = _settle(values, window, probe), \
-                    (probe, tuple(values))
-            if limit is None:
-                return TiltingResult(False, None, table, witness, window,
-                                     not closed)
-            settled.append(limit)
-        tail = settled[-4:]
-        if any(x != tail[0] for x in tail):
-            raise TailWindowInconclusive(
-                f"window shows no eventual constancy below the vertical "
-                f"extent at {format_vtime(probe)}")
-        table[probe] = tail[0]
-    stop = _stop_descriptor(process, family, window, table)
-    return TiltingResult(True, stop, table, None, window, not closed)
+        if not isinstance(beta, Ordinal) or ord_cmp(beta, extent) >= 0:
+            beta = first_stage_at_least(
+                extent, max((k for k in _stops(process) if k < extent),
+                            default=ZERO))
+        n0, cycle = _period(value, process, extent, t, beta, cap)
+        if len(set(cycle)) > 1:
+            return TiltingResult(False, None, table, (probe, n0, cycle))
+        table[probe] = cycle[0]
+    return TiltingResult(True, _stop_descriptor(process, family, table),
+                         table, None)
 
 
-def _stop_descriptor(process, family, window, table):
-    """The limit stop time, when the family stops at a stable index."""
-    if not isinstance(process, StopIndexFamily):
-        return None
+def _stop_descriptor(process, family, table):
+    """The limit stop time, when the family stops at a stable index,
+    cross-checked against every probe's limit."""
     if process.anchor is not None:
         stop = process.anchor
     else:
-        tops = set(_stops(process, window))
+        tops = set(process.kappa)
         if len(tops) != 1:
             return None
         top = tops.pop()
-        grid = family.member(window.stop)
-        if ord_cmp(top, grid.bound) >= 0:
-            stop = INFINITY
-        else:
-            stop = vt(0, top)
+        stop = INFINITY if ord_cmp(top, gamma(family, INFINITY)[0]) >= 0 \
+            else vt(0, top)
     for probe, value in table.items():
         if value != (1 if probe < stop else 0):
             raise TailWindowInconclusive(

@@ -11,6 +11,7 @@ descriptors are evaluated by the closed-form case analysis on the
 horizontal projection.
 """
 
+import itertools
 import re
 import sys
 from dataclasses import dataclass
@@ -115,26 +116,42 @@ def ord_left_sub(a, b):
     return Ordinal(b.cnf[len(a.cnf):])
 
 
-def fundamental_sequence(gamma):
-    """A strictly increasing canonical sequence with supremum gamma: the
-    last term w^e is approached through w^(e-1) stages."""
+def _stages_of(gamma):
+    """(base, e, k0): gamma = base + w^e, and the fundamental sequence's
+    k-th term, from k = k0, is base + w^(e-1)*k."""
     if not is_limit(gamma):
         raise NotLimit(f"not a limit ordinal: {gamma!r}")
     e, c = gamma.cnf[-1]
     base = Ordinal(gamma.cnf[:-1] + (((e, c - 1),) if c > 1 else ()))
+    return base, e, 0 if e == 1 else 1
+
+
+def _stage(base, e, k):
+    return ord_add(base, Ordinal(((e - 1, k),)) if k else ZERO)
+
+
+def fundamental_sequence(gamma):
+    """A strictly increasing canonical sequence with supremum gamma: the
+    last term w^e is approached through w^(e-1) stages."""
+    base, e, k = _stages_of(gamma)
 
     def stages():
-        if e == 1:
-            k = 0
-            while True:
-                yield ord_add(base, ordinal(k))
-                k += 1
-        else:
-            k = 1
-            while True:
-                yield ord_add(base, Ordinal(((e - 1, k),)))
-                k += 1
+        for j in itertools.count(k):
+            yield _stage(base, e, j)
     return stages()
+
+
+def first_stage_at_least(gamma, alpha):
+    """The first term of gamma's fundamental sequence at or above
+    alpha < gamma, its index read off alpha's coefficient of w^(e-1)
+    rather than climbed to, which takes alpha's coefficient many steps."""
+    base, e, k = _stages_of(gamma)
+    if ord_cmp(alpha, base) > 0:
+        d = ord_left_sub(base, alpha)      # 0 < d < w^e
+        lead, coefficient = d.cnf[0]
+        # d below w^(e-1) is passed by the first term, w^(e-1)*k by the k-th
+        k = coefficient + (len(d.cnf) > 1) if lead == e - 1 else 1
+    return _stage(base, e, k)
 
 
 class _Omega1:

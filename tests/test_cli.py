@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -83,6 +84,14 @@ class TestValidate:
         path = tmp_path / "bad.json"
         path.write_text('{"outcomes": ["a"]}')
         assert run("validate", "--sef", str(path)).exit_code == 2
+
+    def test_non_utf8_document_is_input_error(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe")
+        result = run("validate", "--sef", str(path))
+        assert result.exit_code == 2 and result.exception.code == 2
+        assert result.output.startswith("input error: not a JSON document: "
+                                        "'utf-8' codec can't decode")
 
     def test_broken_structure_fails_the_check(self, tmp_path):
         form, _, _, _ = load_example("simple")
@@ -387,31 +396,22 @@ class TestTiltCommand:
 
     def test_probe_and_window_flags(self):
         result = run("tilt", "--family", "dyadic", "--kappa", "2",
-                     "--probe", "(0,1);(0,w)", "--window", "2:20:6", "--json")
-        data = json.loads(result.output)
-        assert data["window"] == "2:20:6"
-        assert data["table"] == {"(0, 1)": 1, "(0, w)": 0}
-
-    @pytest.mark.parametrize("stop, code", [(30, 0), (31, 3)])
-    def test_window_depth_cap(self, stop, code):
-        # the deepest grid depth of the window counts against the budget
-        result = CliRunner().invoke(
-            cli, ["tilt", "--family", "dyadic", "--kappa", "1",
-                  "--window", f"4:{stop}:8"], env={"EXFORM_BUDGET": "30"})
-        assert result.exit_code == code
-        if code:
-            assert result.output == \
-                f"undecided: window depth {stop} exceeds 30\n"
-        else:
-            assert "Limit 1[0, (0, 1))" in result.output
+                     "--probe", "(0,1);(0,w)", "--json")
+        assert json.loads(result.output) == {
+            "converged": True, "stop": "(0, 2)",
+            "table": {"(0, 1)": 1, "(0, w)": 0}}
+        # a closed form reads no window, and there is no flag to set one
+        result = run("tilt", "--family", "dyadic", "--kappa", "2",
+                     "--window", "2:20:6")
+        assert result.exit_code == 2 and "No such option" in result.output
 
     @pytest.mark.parametrize("kappa, code", [(29, 0), (30, 3)])
     def test_nested_subdivision_depth_cap(self, kappa, code):
         # index m of a nested grid reads 2^-m: its depth m counts against
         # the budget too, here the depth kappa + 1 of the default probes
         result = CliRunner().invoke(
-            cli, ["tilt", "--family", "nested", "--kappa", str(kappa),
-                  "--window", "1:10:1"], env={"EXFORM_BUDGET": "30"})
+            cli, ["tilt", "--family", "nested", "--kappa", str(kappa)],
+            env={"EXFORM_BUDGET": "30"})
         assert result.exit_code == code
         if code:
             assert result.output == \
@@ -430,24 +430,23 @@ class TestTiltCommand:
             "undecided: subdivision depth 13284 exceeds 10000\n"
 
     def test_a_short_window_still_proves_the_alternation(self):
-        # two grid depths show one switch, which a window's tail left
-        # undecided; the closed form reads one period from the start
-        result = run("tilt", "--family", "dyadic", "--kappa", "alt:1,4",
-                     "--window", "4:5:2")
+        # two grid depths, 4 and 5, show one switch, which a window's tail
+        # of two left undecided; the closed form reads that one period
+        result = run("tilt", "--family", "dyadic", "--kappa", "alt:1,4")
         assert result.exit_code == 1
-        assert result.output == ("Diverged at (0, 1): period [1, 0] from "
-                                 "depth 4 (closed form)\n")
+        assert result.output == \
+            "Diverged at (0, 1): period [1, 0] from depth 4\n"
 
     @pytest.mark.parametrize("family", ["dyadic", "nested"])
     def test_a_probe_finer_than_the_window_settles(self, family):
         # at 2^-30 the probe's index passes both stop indices from depth 33
-        # on; the 4:24:8 window saw only the alternation and said Diverged
+        # on; a window of depths 4 to 24 saw only the alternation
         result = run("tilt", "--family", family, "--kappa", "alt:1,4",
                      "--probe", "(1/1073741824, 0)", "--json")
         assert result.exit_code == 0
         assert json.loads(result.output) == {
-            "converged": True, "stop": None, "window": "4:24:8",
-            "decided": "closed form", "table": {"(1/1073741824, 0)": 0}}
+            "converged": True, "stop": None,
+            "table": {"(1/1073741824, 0)": 0}}
 
     def test_diverged_json_carries_its_period(self):
         result = run("tilt", "--family", "dyadic", "--kappa", "alt:3,w",
@@ -457,7 +456,7 @@ class TestTiltCommand:
         # stop index 3 up to depth 9, and from depth 11 on it is not
         assert json.loads(result.output) == {
             "converged": False, "at": "(3/1024, 0)", "n0": 10,
-            "period": [1, 0], "window": "4:24:8", "decided": "closed form"}
+            "period": [1, 0]}
 
     def test_a_probe_past_the_depth_cap_is_undecided_at_once(self):
         # the probe's index passes the stop index only from depth 14003
@@ -469,11 +468,23 @@ class TestTiltCommand:
         assert result.output == \
             "undecided: closed-form depth 14003 exceeds 10000\n"
 
+    @pytest.mark.parametrize("family, kappa, stop", [
+        ("dyadic", "1000000000000", "(0, 1000000000000)"),
+        ("nested", "w*1000000000000 + 5", "(0, w*1000000000000 + 5)")])
+    def test_a_probe_at_the_extent_above_a_large_kappa_is_decided_at_once(
+            self, family, kappa, stop):
+        # the probe reads the first stage of the extent's fundamental
+        # sequence at or above the stop index, counted, not climbed to
+        start = time.perf_counter()
+        result = run("tilt", "--family", family, "--kappa", kappa,
+                     "--probe", "(0, w^2);(1/3, W1);inf", "--json")
+        assert time.perf_counter() - start < 0.5
+        assert result.exit_code == 0
+        assert json.loads(result.output)["stop"] == stop
+
     def test_bad_specs_are_input_errors(self):
         assert run("tilt", "--family", "dyadic",
                    "--kappa", "alt:1").exit_code == 2
-        assert run("tilt", "--family", "dyadic", "--kappa", "1",
-                   "--window", "4:24").exit_code == 2
         assert run("tilt", "--family", "pentadic",
                    "--kappa", "1").exit_code == 2
 
@@ -674,6 +685,27 @@ def test_readme_exit_code_table_names_every_error():
     assert dict(rows) == codes
 
 
+def readme_examples():
+    """(command line, printed lines) of each "$ exform" line in the
+    README's "Some examples" block."""
+    block = README.read_text().split("Some examples:\n\n```text\n", 1)[1]
+    block = block.split("```", 1)[0]
+    for example in block.strip().split("\n\n"):
+        command, *lines = example.split("\n")
+        assert command.startswith("$ exform ")
+        yield command[len("$ exform "):], "".join(f"{x}\n" for x in lines)
+
+
+README_EXAMPLES = list(readme_examples())
+
+
+@pytest.mark.parametrize("command, printed", README_EXAMPLES,
+                         ids=[command for command, _ in README_EXAMPLES])
+def test_readme_examples_print_as_shown(command, printed):
+    result = CliRunner().invoke(cli, shlex.split(command))
+    assert result.stdout == printed
+
+
 # --- fuzzed options: every run ends in an exit code, never a traceback --------
 
 ORDINAL_CHARS = "0123456789w^*+ "
@@ -691,15 +723,6 @@ rationals = st.one_of(
     st.sampled_from(["9" * 4301, "1/0", "nan", "inf", "-0"]))
 kappas = st.one_of(ordinals, st.builds(lambda a, b: f"alt:{a},{b}",
                                        ordinals, ordinals))
-# a window's stop is small or over tilt.DEPTH_CAP, and the closed form reads
-# one period per probe from no deeper than the cap, so every run is cheap;
-# a window of text without digits never parses to a stop
-windows = st.one_of(
-    st.builds(lambda a, b, c: f"{a}:{b}:{c}", st.integers(-2, 12),
-              st.one_of(st.integers(-2, 12),
-                        st.integers(tilt.DEPTH_CAP + 1, 10 ** 40)),
-              st.integers(-2, 12)),
-    st.text(":+- x_", max_size=8))
 probes = st.lists(st.one_of(
     st.builds(lambda t, v: f"({t}, {v})", rationals, ordinals),
     st.sampled_from(["inf", "(0, W1)", "(1/2, w)"]),
@@ -716,16 +739,19 @@ posets = st.one_of(
                  | st.dictionaries(st.sampled_from(["elements", "leq"]),
                                    inner, max_size=2), max_leaves=6))
 invocations = st.one_of(
-    st.builds(lambda family, kappa, window, probe: [
-        "tilt", "--family", family, "--kappa", kappa, "--window", window,
+    # the closed form reads one period per probe from no deeper than
+    # tilt.DEPTH_CAP, so every run is cheap
+    st.builds(lambda family, kappa, probe: [
+        "tilt", "--family", family, "--kappa", kappa,
         *(["--probe", ";".join(probe)] if probe else [])],
-        st.sampled_from(sorted(tilt.REGISTERED)), kappas, windows,
+        st.sampled_from(sorted(tilt.REGISTERED)), kappas,
         st.none() | probes),
     st.builds(lambda eta: ["timing-sim", "--eta", eta, "--trials", "3"],
               rationals),
     st.builds(lambda p: ["equilibrium", "verify", "--sef", "examples:amd",
                          "--p", p], rationals),
-    st.builds(lambda doc: ["dm", doc], posets))
+    # a poset document, or raw bytes that need not be UTF-8
+    st.builds(lambda doc: ["dm", doc], posets | st.binary(max_size=8)))
 
 
 @given(invocations)
@@ -734,7 +760,9 @@ def test_fuzzed_options_end_in_an_exit_code(args):
     runner = CliRunner()
     with runner.isolated_filesystem():
         if args[0] == "dm":
-            Path("poset.json").write_text(json.dumps(args[1]))
+            doc = args[1]
+            Path("poset.json").write_bytes(
+                doc if isinstance(doc, bytes) else json.dumps(doc).encode())
             args = ["dm", "--poset", "poset.json"]
         result = runner.invoke(cli, args)
     assert result.exception is None \
@@ -894,6 +922,14 @@ class TestDM:
         path = tmp_path / "junk.json"
         path.write_text("not json")
         assert run("dm", "--poset", str(path)).exit_code == 2
+
+    def test_non_utf8_file_is_input_error(self, tmp_path):
+        path = tmp_path / "junk.json"
+        path.write_bytes(b"\xff\xfe")
+        result = run("dm", "--poset", str(path))
+        assert result.exit_code == 2 and result.exception.code == 2
+        assert result.output.startswith("input error: cannot read poset: "
+                                        "'utf-8' codec can't decode")
 
     @pytest.mark.parametrize("doc", [
         {"elements": ["a", "b"], "leq": [["a"]]},

@@ -1,5 +1,5 @@
 import itertools
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import pytest
@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exform import cli, tilt
-from exform._util import budget
 from exform.errors import (
     BudgetExceeded,
     GridAxiomViolation,
@@ -22,7 +21,6 @@ from exform.tilt import (
     GridFamily,
     StopIndexFamily,
     TiltingResult,
-    Window,
     approximate_stop_indicator,
     check_refines,
     default_probes,
@@ -70,10 +68,9 @@ def nested_locate_oracle(n, t):
     return ord_add(Ordinal(((1, k),)) if k else ZERO, ordinal(m))
 
 
-ALICE = StopIndexFamily(kappa=lambda n: ordinal(1), label="alice")
-BOB = StopIndexFamily(kappa=lambda n: ordinal(2), label="bob")
-CAROL = StopIndexFamily(
-    kappa=lambda n: ordinal(4) if n % 2 == 0 else ordinal(1), label="carol")
+ALICE = StopIndexFamily(kappa=(ordinal(1),), label="alice")
+BOB = StopIndexFamily(kappa=(ordinal(2),), label="bob")
+CAROL = StopIndexFamily(kappa=(ordinal(4), ordinal(1)), label="carol")
 
 
 def table_grid(times):
@@ -245,14 +242,16 @@ class TestTiltingLimits:
     def test_alternation_diverges(self):
         result = tilting_limit(CAROL, dyadic_family())
         assert not result.converged
-        probe, values = result.witness
+        probe, n0, period = result.witness
         assert probe == vt(0, ordinal(1))
-        assert set(values) == {0, 1}
-        assert values[0] != values[1]
+        assert n0 == tilt.START_DEPTH and period == (1, 0)
+        # the window read the same indicators, alternating from its start
+        values = window_tilting_limit(CAROL, dyadic_family()).witness[1]
+        assert values == (1, 0) * 10 + (1,)
 
     def test_nested_family_tilts_the_same_processes_higher(self):
-        alice = StopIndexFamily(kappa=lambda n: OMEGA)
-        bob = StopIndexFamily(kappa=lambda n: parse_ordinal("w*2"))
+        alice = StopIndexFamily(kappa=(OMEGA,))
+        bob = StopIndexFamily(kappa=(parse_ordinal("w*2"),))
         assert tilting_limit(alice, nested_family()).stop == vt(0, OMEGA)
         assert tilting_limit(bob, nested_family()).stop \
             == vt(0, parse_ordinal("w*2"))
@@ -265,58 +264,66 @@ class TestTiltingLimits:
         assert result.table[VTime(0, OMEGA1)] == 0
 
     def test_uniqueness_across_runs(self):
-        probes = default_probes(BOB, dyadic_family(), Window())
+        probes = default_probes(BOB)
         first = tilting_limit(BOB, dyadic_family(), probes=probes)
         second = tilting_limit(BOB, dyadic_family(), probes=probes)
         assert first.table == second.table and first.stop == second.stop
 
     def test_linearity_of_real_valued_tables(self):
+        # a real-valued process is no stop-index family: the window reads
+        # its tables, and a tilting limit refuses it
         def stopper(threshold):
             return lambda n, time: 1 if time < vt(threshold * Fraction(1, 2 ** n)) else 0
 
         probes = [vt(0, ordinal(k)) for k in range(6)]
-        one = tilting_limit(stopper(1), dyadic_family(), probes=probes)
-        three = tilting_limit(stopper(3), dyadic_family(), probes=probes)
-        mixed = tilting_limit(
+        one = window_tilting_limit(stopper(1), dyadic_family(), probes=probes)
+        three = window_tilting_limit(stopper(3), dyadic_family(), probes=probes)
+        mixed = window_tilting_limit(
             lambda n, time: 5 * stopper(1)(n, time) + stopper(3)(n, time),
             dyadic_family(), probes=probes)
         for probe in probes:
             assert mixed.table[probe] == 5 * one.table[probe] + three.table[probe]
+        with pytest.raises(InputError, match="stop-index family"):
+            tilting_limit(stopper(1), dyadic_family(), probes=probes)
 
     def test_single_late_switch_is_inconclusive(self):
-        late = StopIndexFamily(
-            kappa=lambda n: ordinal(1) if n < 23 else ordinal(2))
+        # a kappa of 1 up to depth 22 and 2 from 23 on switches once in
+        # the window's tail; such a kappa declares no period, and is refused
+        with pytest.raises(InputError, match="nonempty tuple of ordinals"):
+            StopIndexFamily(kappa=lambda n: ordinal(1) if n < 23 else ordinal(2))
         with pytest.raises(TailWindowInconclusive):
-            tilting_limit(late, dyadic_family(),
-                          probes=[vt(0, ordinal(1))])
+            settle([0] * 19 + [1, 1], Window(), vt(0, ordinal(1)))
 
     def test_a_tail_with_two_switches_oscillates(self):
         # the least number of switches the window reads as oscillation
         window = Window(0, 7, 3)
-        assert tilt._settle([1, 1, 1, 1, 1, 0, 1, 0], window, vt(0)) is None
-        assert tilt._settle([0, 0, 0, 0, 1, 0, 1, 0], Window(0, 7, 4),
-                            vt(0)) is None
+        assert settle([1, 1, 1, 1, 1, 0, 1, 0], window, vt(0)) is None
+        assert settle([0, 0, 0, 0, 1, 0, 1, 0], Window(0, 7, 4),
+                      vt(0)) is None
 
     def test_a_tail_with_one_switch_is_inconclusive(self):
         window = Window(0, 7, 3)
         with pytest.raises(TailWindowInconclusive):
-            tilt._settle([1, 1, 1, 1, 1, 0, 0, 1], window, vt(0))
+            settle([1, 1, 1, 1, 1, 0, 0, 1], window, vt(0))
         with pytest.raises(TailWindowInconclusive):
-            tilt._settle([1, 0, 1, 0, 1, 1, 0, 0], window, vt(0))
-
-    def test_window_reported_and_validated(self):
-        window = Window(2, 12, 4)
-        result = tilting_limit(ALICE, dyadic_family(), window=window)
-        assert result.window == window
-        with pytest.raises(InputError):
-            Window(8, 4, 2)
-        with pytest.raises(InputError):
-            Window(0, 4, 8)
+            settle([1, 0, 1, 0, 1, 1, 0, 0], window, vt(0))
 
     def test_excessive_stop_index_rejected(self):
-        runaway = StopIndexFamily(kappa=lambda n: OMEGA_SQ)
+        runaway = StopIndexFamily(kappa=(OMEGA_SQ,))
         with pytest.raises(InputError):
             tilting_limit(runaway, dyadic_family())
+
+    @pytest.mark.parametrize("kappa", [
+        (), None, [ordinal(1)], (ordinal(1), 2), lambda n: ordinal(1)])
+    def test_a_kappa_that_is_no_tuple_of_ordinals_is_rejected(self, kappa):
+        with pytest.raises(InputError, match="nonempty tuple of ordinals"):
+            StopIndexFamily(kappa=kappa)
+
+    def test_no_kappa_is_rejected_unless_anchored(self):
+        with pytest.raises(InputError, match="nonempty tuple of ordinals"):
+            StopIndexFamily()
+        anchored = StopIndexFamily(anchor=vt(0, ordinal(2)))
+        assert tilting_limit(anchored, dyadic_family()).stop == vt(0, ordinal(2))
 
 
 class TestStopIndicatorSynthesis:
@@ -350,10 +357,41 @@ class TestStopIndicatorSynthesis:
 
 
 # --- the per-probe window reader as oracle ------------------------------------
-# tilting_limit as it read each (probe, depth) afresh: two family.member
-# calls and one stop-index locate per read, by grid time.  A windowed input
-# is read over its window, verbatim apart from its names; a closed-form one
-# over a deep window from the window's start, and put in closed-form terms.
+# tilting_limit as it read each (probe, depth) afresh, by grid time: two
+# family.member calls and one stop-index locate per read.  The window reader
+# reads a probe's indicators over a window of depths and settles them by the
+# window's tail, which is evidence, not a proof: it serves any process and
+# grid family, plain callables and unregistered families too.  On a
+# registered family it is exact at each depth, so a deep window from the
+# closed form's first depth, put in closed-form terms, is the closed form's
+# oracle.
+
+@dataclass(frozen=True)
+class Window:
+    """Grid depths a windowed verdict reads per probe, and the constant
+    tail it requires."""
+
+    start: int = tilt.START_DEPTH
+    stop: int = 24
+    tail: int = 8
+
+    def depths(self):
+        return range(self.start, self.stop + 1)
+
+
+def settle(values, window, probe):
+    """The limit a window's tail shows: its value when constant, None when
+    it switches at least twice; a single switch is inconclusive."""
+    tail = values[-window.tail:]
+    if all(x == tail[0] for x in tail):
+        return tail[0]
+    switches = sum(1 for a, b in zip(tail, tail[1:]) if a != b)
+    if switches >= 2:
+        return None                    # oscillation over the window
+    raise TailWindowInconclusive(
+        f"window tail neither constant nor oscillating at "
+        f"{format_vtime(probe)}")
+
 
 def oracle_value(process, family, n, index):
     grid = family.member(n)
@@ -373,8 +411,7 @@ def oracle_probe_values(process, family, t, beta, window):
 
 def closed_form_input(process, family):
     return isinstance(process, StopIndexFamily) \
-        and family.name in tilt.REGISTERED \
-        and (process.anchor is not None or isinstance(process.kappa, tuple))
+        and family.name in tilt.REGISTERED
 
 
 def stop_indices(process):
@@ -390,57 +427,37 @@ def left_stage(process, extent):
     return next(s for s in fundamental_sequence(extent) if s >= top)
 
 
-def oracle_period(process, family, t, beta, window, deep):
-    """(limit or None, n0, period) off a deep window from the window's
-    start: n0 is the least depth from which its values repeat with kappa's
-    period, and they must show four periods from there."""
-    period = 1 if process.anchor is not None else len(process.kappa)
-    values = oracle_probe_values(
-        process, family, t, beta, Window(window.start, window.start + deep, 1))
-    i = len(values) - period
-    while i > 0 and values[i - 1] == values[i - 1 + period]:
-        i -= 1
-    assert len(values) - i >= 4 * period, "the deep window misses the period"
-    cycle = tuple(values[i:i + period])
-    return (cycle[0] if len(set(cycle)) == 1 else None), window.start + i, cycle
+def probe_stages(process, family, probe):
+    """(t, the stages read at probe): its vertical part below the extent;
+    at or above it, the left stage of a closed-form input, and twelve
+    stages of the extent's fundamental sequence otherwise."""
+    if probe.is_infinity:
+        t, beta = INFINITY, ZERO
+    else:
+        t, beta = vt(probe.t), probe.v
+    extent, _ = gamma(family, t)
+    if isinstance(beta, Ordinal) and ord_cmp(beta, extent) < 0:
+        return t, [beta]
+    if closed_form_input(process, family):
+        return t, [left_stage(process, extent)]
+    return t, list(itertools.islice(fundamental_sequence(extent), 12))
 
 
-def oracle_tilting_limit(process, family, probes=None, window=Window(),
-                         deep=40):
-    cap = budget(tilt.DEPTH_CAP)
-    if window.stop > cap:
-        raise BudgetExceeded(f"window depth {window.stop} exceeds {cap}")
+def window_tilting_limit(process, family, probes=None, window=Window()):
+    """The window reader: a probe's limit is the value its settled stages
+    agree on in their last four, and a witness of divergence is (probe,
+    the window's values)."""
     if probes is None:
-        probes = default_probes(process, family, window)
-    closed = closed_form_input(process, family)
+        probes = default_probes(process)
     table = {}
     for probe in sorted(set(probes)):
-        if probe.is_infinity:
-            t, beta = INFINITY, ZERO
-        else:
-            t, beta = vt(probe.t), probe.v
-        extent, _ = gamma(family, t)
-        if beta is not None and not isinstance(beta, Ordinal):
-            beta = extent
-        if isinstance(beta, Ordinal) and ord_cmp(beta, extent) < 0:
-            stages = [beta]
-        elif closed:
-            stages = [left_stage(process, extent)]
-        else:
-            stages = list(itertools.islice(fundamental_sequence(extent), 12))
+        t, stages = probe_stages(process, family, probe)
         settled = []
         for stage in stages:
-            if closed:
-                limit, n0, cycle = oracle_period(process, family, t, stage,
-                                                 window, deep)
-                witness = (probe, n0, cycle)
-            else:
-                values = oracle_probe_values(process, family, t, stage, window)
-                limit = tilt._settle(values, window, probe)
-                witness = (probe, tuple(values))
+            values = oracle_probe_values(process, family, t, stage, window)
+            limit = settle(values, window, probe)
             if limit is None:
-                return TiltingResult(False, None, table, witness, window,
-                                     not closed)
+                return TiltingResult(False, None, table, (probe, tuple(values)))
             settled.append(limit)
         tail = settled[-4:]
         if any(x != tail[0] for x in tail):
@@ -448,8 +465,40 @@ def oracle_tilting_limit(process, family, probes=None, window=Window(),
                 f"window shows no eventual constancy below the vertical "
                 f"extent at {format_vtime(probe)}")
         table[probe] = tail[0]
-    stop = tilt._stop_descriptor(process, family, window, table)
-    return TiltingResult(True, stop, table, None, window, not closed)
+    stop = tilt._stop_descriptor(process, family, table) \
+        if isinstance(process, StopIndexFamily) else None
+    return TiltingResult(True, stop, table, None)
+
+
+def oracle_period(process, family, t, beta, deep):
+    """(limit or None, n0, period) off a deep window from the closed form's
+    first depth: n0 is the least depth from which its values repeat with
+    kappa's period, and they must show four periods from there."""
+    period = 1 if process.anchor is not None else len(process.kappa)
+    start = tilt.START_DEPTH
+    values = oracle_probe_values(process, family, t, beta,
+                                 Window(start, start + deep, 1))
+    i = len(values) - period
+    while i > 0 and values[i - 1] == values[i - 1 + period]:
+        i -= 1
+    assert len(values) - i >= 4 * period, "the deep window misses the period"
+    cycle = tuple(values[i:i + period])
+    return (cycle[0] if len(set(cycle)) == 1 else None), start + i, cycle
+
+
+def oracle_tilting_limit(process, family, probes=None, deep=40):
+    """The closed form's oracle: each probe's period off a deep window."""
+    if probes is None:
+        probes = default_probes(process)
+    table = {}
+    for probe in sorted(set(probes)):
+        t, (stage,) = probe_stages(process, family, probe)
+        limit, n0, cycle = oracle_period(process, family, t, stage, deep)
+        if limit is None:
+            return TiltingResult(False, None, table, (probe, n0, cycle))
+        table[probe] = limit
+    stop = tilt._stop_descriptor(process, family, table)
+    return TiltingResult(True, stop, table, None)
 
 
 def run_tilt(limit, process, family, **options):
@@ -488,18 +537,6 @@ def grid_reads(monkeypatch):
     return reads
 
 
-def raising_at(depth, value=ordinal(2), bad=None):
-    """A kappa constant at ``value`` that raises ValueError at one depth,
-    or returns ``bad`` there when it is given."""
-    def kappa(n):
-        if n != depth:
-            return value
-        if bad is not None:
-            return bad
-        raise ValueError(f"no stop index at depth {n}")
-    return kappa
-
-
 def path_targets():
     for whistle in (Fraction(0), Fraction(5, 8)):
         for level in range(6):
@@ -509,17 +546,15 @@ def path_targets():
 
 
 CLI_KAPPAS = ["alt:1,4", "alt:w,w*2", "0", "1", "3", "w", "w*2+1"]
-CLI_OPTIONS = [{}, {"window": Window(2, 12, 4)},
-               {"probes": [vt(0, ordinal(1)), vt(0, OMEGA), INFINITY]},
+CLI_OPTIONS = [{}, {"probes": [vt(0, ordinal(1)), vt(0, OMEGA), INFINITY]},
                {"probes": []}]
 PROBES = [vt(0, ordinal(1)), vt(Fraction(1, 3), ordinal(2))]
 
 
 def oracle_cases():
     """(process, family, options) triples: the path tilts, the tilt CLI's
-    families and kappas, a diverging window, a kappa that fails at one
-    depth, empty probe lists, a real-valued process, an unregistered
-    family and a late switch."""
+    families and kappas, a divergence, empty probe lists, a probe whose
+    own index is over the cap and a stop index past the bound."""
     for target in path_targets():
         family, process = approximate_stop_indicator(target)
         yield process, family, {}
@@ -529,25 +564,15 @@ def oracle_cases():
             process = StopIndexFamily(kappa=cli._parse_kappa(text), label=text)
             for options in CLI_OPTIONS:
                 yield process, factory(), options
-    yield CAROL, dyadic_family(), {}
-    yield CAROL, dyadic_family(), {"window": Window(3, 9, 5)}
-    for kappa in (raising_at(9), raising_at(9, bad=3),
-                  raising_at(9, bad=OMEGA_SQ), raising_at(24)):
-        process = StopIndexFamily(kappa=kappa)
-        for options in ({}, {"probes": PROBES}, {"probes": []}):
-            yield process, dyadic_family(), options
-    # reading the probe's own index raises before the stop index is read
-    yield (StopIndexFamily(kappa=raising_at(4)), nested_family(),
+    for options in ({}, {"probes": PROBES}, {"probes": []}):
+        yield CAROL, dyadic_family(), options
+    # reading the probe's own index raises before the stop index, past the
+    # nested grid's bound, is read
+    yield (StopIndexFamily(kappa=(ord_succ(OMEGA_SQ),)), nested_family(),
            {"probes": [vt(0, ordinal(tilt.DEPTH_CAP + 1))]})
-    yield (lambda n, time: 1 if time < vt(3 * Fraction(1, 2 ** n)) else 0,
-           dyadic_family(), {"probes": [vt(0, ordinal(k)) for k in range(6)]})
-    yield BOB, GridFamily(dyadic_grid, dyadic_family().embed), \
-        {"probes": PROBES}
     # a stop index past the bound reads infinity, as the bound itself does
     yield (StopIndexFamily(anchor=VTime(0, ord_add(OMEGA, OMEGA))),
            dyadic_family(), {"probes": [vt(0, ordinal(1)), INFINITY]})
-    yield (StopIndexFamily(kappa=lambda n: ordinal(1) if n < 23 else ordinal(2)),
-           dyadic_family(), {"probes": [vt(0, ordinal(1))]})
 
 
 class TestAgainstPerProbeReads:
@@ -560,8 +585,7 @@ class TestAgainstPerProbeReads:
             seen.add(fast[0] if isinstance(fast[0], type)
                      else fast[0][0])
         # the cases reach convergence, divergence and raised errors alike
-        assert {True, False, ValueError, InputError, BudgetExceeded,
-                TailWindowInconclusive} <= seen
+        assert {True, False, InputError, BudgetExceeded} <= seen
 
     @pytest.mark.parametrize("level", [0, 1, 2, 3, 4, 5, OMEGA,
                                        ord_add(OMEGA, ordinal(3))])
@@ -577,16 +601,14 @@ class TestAgainstPerProbeReads:
     @pytest.mark.parametrize("name", sorted(tilt.REGISTERED))
     def test_one_grid_per_depth(self, name, text, top):
         # each depth's grid is built once, however many probes read it; at
-        # time 0 the closed form reads one period from the window's start,
-        # where the window read its 21 depths; _stop_descriptor builds the
-        # window's deepest once more when the kappa has one value
-        window = Window()
+        # time 0 the closed form reads one period from its first depth,
+        # where the window read its 21 depths
         family, calls = counted(tilt.REGISTERED[name]())
         process = StopIndexFamily(kappa=cli._parse_kappa(text), label=text)
-        result = tilting_limit(process, family, window=window)
+        result = tilting_limit(process, family)
         assert result.converged != text.startswith("alt:")
-        assert calls == [window.start] + [window.start + 1] * (not top) \
-            + [window.stop] * top
+        start = tilt.START_DEPTH
+        assert calls == [start] + [start + 1] * (not top)
 
     def test_one_locate_per_depth_and_time(self, monkeypatch, grid_reads):
         # every default probe of the anchored family shares the anchor's
@@ -614,18 +636,23 @@ class TestAgainstPerProbeReads:
     def test_registered_family_names_decide_by_index(self, grid_reads):
         # a registered family keeps its name when its member calls are
         # counted, and reads no grid time; the same member function in an
-        # unnamed family is unregistered, and its window compares grid
-        # times at every depth (gamma samples only depth 16's grid, and
-        # puts the vertical extent at time 0 at 1, above the probe (0, 0))
+        # unnamed family is unregistered and refused, and the window reader
+        # compares its grid times at every depth (gamma samples only depth
+        # 16's grid, and puts the vertical extent at time 0 at 1, above the
+        # probe (0, 0))
         registered, _ = counted(dyadic_family())
+        fast = run_tilt(tilting_limit, BOB, registered, probes=[vt(0)])
+        assert grid_reads == []
+        assert fast[0][0] and fast == run_tilt(
+            oracle_tilting_limit, BOB, registered, probes=[vt(0)])
         unregistered = GridFamily(dyadic_grid, dyadic_family().embed)
-        depths = {Fraction(1, 2 ** n) for n in Window().depths()}
-        for family, reads in ((registered, set()), (unregistered, depths)):
-            grid_reads.clear()
-            fast = run_tilt(tilting_limit, BOB, family, probes=[vt(0)])
-            assert {grid.gap for grid, _ in grid_reads} == reads
-            assert fast[0][0] and fast == run_tilt(
-                oracle_tilting_limit, BOB, family, probes=[vt(0)])
+        with pytest.raises(InputError):
+            tilting_limit(BOB, unregistered, probes=[vt(0)])
+        grid_reads.clear()
+        read = window_tilting_limit(BOB, unregistered, probes=[vt(0)])
+        assert {grid.gap for grid, _ in grid_reads} \
+            == {Fraction(1, 2 ** n) for n in Window().depths()}
+        assert read.table == fast[0][2]
 
     @pytest.mark.parametrize("name", sorted(tilt.REGISTERED))
     def test_cli_json_as_the_per_probe_reads(self, monkeypatch, name):
@@ -646,7 +673,7 @@ class TestAgainstPerProbeReads:
         family, calls = counted(family)
         assert tilting_limit(process, family).converged
         # every probe sits at the anchor's time, so one depth decides it
-        assert calls == [Window().start]
+        assert calls == [tilt.START_DEPTH]
         # the per-probe reads built two grids per (probe, depth)
         family, calls = counted(family)
         oracle_tilting_limit(process, family)
@@ -657,20 +684,12 @@ class TestAgainstPerProbeReads:
 # On a registered family a window decides each depth exactly, so a window that
 # spans several periods past n0 is the closed form's oracle.
 
-DEEP = Window(4, 120, 8)
+DEEP = Window(tilt.START_DEPTH, 120, 8)
 SWEEP_KAPPAS = ["0", "1", "3", "5", "alt:1,4", "alt:0,3", "w", "w*2+1",
                 "alt:1,w"]
 SWEEP_PROBES = [VTime(Fraction(p, 2 ** q), v) for p in (1, 3)
                 for q in (0, 3, 10, 20, 23, 26, 30, 36)
                 for v in (ZERO, ordinal(1), OMEGA)]
-
-
-def windowed(process):
-    """The process with its declared period hidden in a callable kappa,
-    which is read off the window."""
-    kappa = process.kappa
-    return StopIndexFamily(kappa=lambda n: kappa[n % len(kappa)],
-                           label=process.label)
 
 
 def verdict(limit, process, family, **options):
@@ -704,23 +723,20 @@ class TestClosedForm:
                     options = {"probes": [probe]}
                     fast = tilting_limit(process, factory(), **options) \
                         if "w*2" not in text or name == "nested" else None
-                    deep = verdict(tilting_limit, windowed(process),
-                                   factory(), window=DEEP, **options)
+                    deep = verdict(window_tilting_limit, process, factory(),
+                                   window=DEEP, **options)
                     assert verdict(tilting_limit, process, factory(),
-                                   window=DEEP, **options) \
-                        == verdict(tilting_limit, process, factory(),
                                    **options) == deep, (name, text, probe)
                     cases += 1
                     if fast is None or fast.converged:
                         continue
                     diverged += 1
-                    assert not fast.windowed
                     n0, cycle = fast.witness[1:]
                     if probe.v == OMEGA and name == "dyadic":
                         continue       # left extension: another stage
-                    values = tilting_limit(windowed(process), factory(),
-                                           window=DEEP,
-                                           **options).witness[1]
+                    values = window_tilting_limit(process, factory(),
+                                                  window=DEEP,
+                                                  **options).witness[1]
                     assert all(values[n - DEEP.start]
                                == cycle[(n - n0) % len(cycle)]
                                for n in range(n0, DEEP.stop + 1))
@@ -763,7 +779,7 @@ class TestClosedForm:
         family, process = approximate_stop_indicator(
             VTime(config.whistle, ordinal(level)))
         result = tilting_limit(process, family)
-        assert not result.windowed and result.stop == path_tilt(config, level)
+        assert result.stop == path_tilt(config, level)
         assert run_tilt(tilting_limit, process, family) \
             == run_tilt(oracle_tilting_limit, process, family, deep=116)
 
@@ -801,8 +817,7 @@ class TestClosedForm:
         with pytest.MonkeyPatch.context() as m:
             m.setenv("EXFORM_BUDGET", "30")
             with pytest.raises(BudgetExceeded, match="closed-form depth"):
-                tilting_limit(process, dyadic_family(), probes=probes,
-                              window=Window(4, 30, 8))
+                tilting_limit(process, dyadic_family(), probes=probes)
 
     @pytest.mark.parametrize("name, kappa, probe, value", [
         # a kappa of the bound alone has no coefficient to pass
@@ -838,18 +853,17 @@ class TestClosedForm:
         process, options = StopIndexFamily(kappa=kappa), {"probes": [vt(t)]}
         fast = run_tilt(tilting_limit, process, tilt.REGISTERED[name](),
                         **options)
-        assert not fast[0][0] and fast[0][3][1] > Window().start
+        assert not fast[0][0] and fast[0][3][1] > tilt.START_DEPTH
         assert fast == run_tilt(oracle_tilting_limit, process,
                                 tilt.REGISTERED[name](), deep=60, **options)
 
     def test_a_settled_probe_reads_one_period(self):
-        # 2^n / 8 passes kappa 3 + 1 from depth 6, which alone is read; the
-        # window's deepest depth is built once more for the stop descriptor
+        # 2^n / 8 passes kappa 3 + 1 from depth 6, which alone is read
         family, calls = counted(dyadic_family())
         result = tilting_limit(StopIndexFamily(kappa=(ordinal(3),)), family,
                                probes=[vt(Fraction(1, 8))])
         assert result.table == {vt(Fraction(1, 8)): 0}
-        assert calls == [6, Window().stop]
+        assert calls == [6]
 
     def test_the_rate_is_read_exactly(self, monkeypatch):
         # (2048 + 1) * 1024 // 1023 has 12 bits: t = 1023/1024 passes the
@@ -857,8 +871,7 @@ class TestClosedForm:
         monkeypatch.setenv("EXFORM_BUDGET", "30")
         probe = vt(Fraction(1023, 1024))
         result = tilting_limit(StopIndexFamily(kappa=(ordinal(2048),)),
-                               dyadic_family(), probes=[probe],
-                               window=Window(4, 30, 8))
+                               dyadic_family(), probes=[probe])
         assert result.table == {probe: 0}
 
     def test_one_depth_past_the_cap_is_undecided(self):
@@ -868,33 +881,30 @@ class TestClosedForm:
                           dyadic_family(),
                           probes=[vt(Fraction(1, 2 ** 9999))])
 
-    def test_windowed_inputs_are_marked(self):
-        for process, family in ((CAROL, dyadic_family()),
-                                (BOB, dyadic_family()),
-                                (StopIndexFamily(kappa=(ordinal(2),)),
-                                 GridFamily(dyadic_grid, dyadic_family().embed))):
-            result = tilting_limit(process, family, probes=[vt(0)])
-            assert result.windowed and "windowed" in repr(result)
-        assert not tilting_limit(StopIndexFamily(kappa=(ordinal(2),)),
-                                 dyadic_family()).windowed
+    def test_windowed_inputs_are_rejected(self):
+        # a plain callable, or any process on an unregistered family, has
+        # no closed form; the window reader still reads them
+        unregistered = GridFamily(dyadic_grid, dyadic_family().embed)
+        plain = lambda n, time: 1 if time < vt(3 * Fraction(1, 2 ** n)) else 0
+        for process, family in ((plain, dyadic_family()), (BOB, unregistered)):
+            with pytest.raises(InputError, match="stop-index family on a "
+                                                 "registered grid family"):
+                tilting_limit(process, family, probes=PROBES)
+            assert window_tilting_limit(process, family,
+                                        probes=[vt(0)]).table == {vt(0): 1}
 
-    def test_a_callable_kappa_reads_the_stage_above_its_stops(self):
+    def test_a_kappa_reads_the_stage_above_its_stops(self):
         # at (0, w) on dyadic, every stage from 21 on reads 0 at every
-        # depth; twelve stages (0 to 11) would read 1, below both stops
-        callable_kappa = StopIndexFamily(
-            kappa=lambda n: ordinal(21) if n % 2 == 0 else ordinal(20))
-        tuple_kappa = StopIndexFamily(kappa=(ordinal(21), ordinal(20)))
+        # depth; the window reader's twelve stages (0 to 11) of a plain
+        # callable stopping at the 21st opportunity read 1, below the stops
         probes = [VTime(0, OMEGA)]
-        result = tilting_limit(callable_kappa, dyadic_family(), probes=probes)
-        assert result.windowed and result.table == {probes[0]: 0}
-        assert tilting_limit(tuple_kappa, dyadic_family(),
-                             probes=probes).table == {probes[0]: 0}
-        # a plain callable stopping at the 21st opportunity still reads
-        # twelve stages, each 1
-        plain = tilting_limit(
+        result = tilting_limit(StopIndexFamily(kappa=(ordinal(21), ordinal(20))),
+                               dyadic_family(), probes=probes)
+        assert result.table == {probes[0]: 0}
+        plain = window_tilting_limit(
             lambda n, t: 1 if t < vt(Fraction(21, 2 ** n)) else 0,
             dyadic_family(), probes=probes)
-        assert plain.windowed and plain.table == {probes[0]: 1}
+        assert plain.table == {probes[0]: 1}
 
     @given(st.builds(Fraction, st.integers(0, 40), st.integers(1, 64)),
            st.integers(0, 6), st.sampled_from([Fraction(0), Fraction(5, 8)]))

@@ -752,6 +752,21 @@ class TestCanonicalOrder:
         for values in (ordered, ordered[::-1]):
             assert sorted(values, key=canonical) == ordered
 
+    def test_a_move_key_is_its_graph_key_computed_once(self, monkeypatch):
+        # a random move's graph never changes, so its key is cached: the
+        # second read of a move calls canonical on no member of its graph
+        from exform import _util
+        move = RandomMove({"w": frozenset({"a", 1}), "v": frozenset({"b"})})
+        assert canonical(move) == canonical(move.graph)
+        calls = []
+        original = _util.canonical
+        monkeypatch.setattr(_util, "canonical",
+                            lambda v: calls.append(v) or original(v))
+        assert canonical(move) is canonical(move)
+        assert calls == []
+        fresh = RandomMove(dict(move.graph))
+        assert canonical(fresh) == canonical(move) and calls
+
     def test_text_lists_each_set_in_canonical_order(self):
         assert canonical_text(("axiom6", ("i", frozenset({"b", "a", 1})))) \
             == "('axiom6', ('i', ['a', 'b', 1]))"

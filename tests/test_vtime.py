@@ -18,6 +18,7 @@ from exform.vtime import (
     PointPiece,
     VerticalSegment,
     VTime,
+    first_stage_at_least,
     format_ordinal,
     format_vtime,
     fundamental_sequence,
@@ -164,6 +165,27 @@ class TestFundamentalSequences:
             return
         seq = fundamental_sequence(gamma)
         assert any(ord_cmp(next(seq), below) > 0 for _ in range(200))
+
+    @given(ordinals.filter(is_limit), ordinals)
+    @settings(max_examples=200)
+    def test_first_stage_at_least_is_the_climbed_one(self, gamma, alpha):
+        # the stage counted off alpha's coefficient is the first one a
+        # climb of the sequence reaches at or above alpha
+        if ord_cmp(alpha, gamma) >= 0:
+            return
+        climbed = next(s for s in fundamental_sequence(gamma)
+                       if ord_cmp(s, alpha) >= 0)
+        assert first_stage_at_least(gamma, alpha) == climbed
+
+    def test_first_stage_at_least_a_large_coefficient(self):
+        # a climb would take 10^30 steps
+        big = 10 ** 30
+        assert first_stage_at_least(OMEGA, ordinal(big)) == ordinal(big)
+        assert first_stage_at_least(parse_ordinal("w^2"),
+                                    Ordinal(((1, big), (0, 1)))) \
+            == Ordinal(((1, big + 1),))
+        with pytest.raises(NotLimit):
+            first_stage_at_least(parse_ordinal("w + 3"), ZERO)
 
 
 class TestLexicographicOrder:
