@@ -19,8 +19,12 @@ grouping is expanded into choice tuples once, so the partials cost terms
 x slice tuples + groupings x choice tuples.  The sum of each part's
 largest partial bounds every deviation's total of a block, so an agent
 whose blocks are all bounded by the profile's totals is rational with
-no deviation enumerated; only the others are swept.  All arithmetic is
-exact; ``Fraction``s are built only for reported values.
+no deviation enumerated; only the others are swept.  The consistency
+half reads each unit's assessed nodes and the member move holding each
+outcome from maps built once per check, and runs each pair's two
+directions in ``units`` order.  ``bayes_beliefs`` conditions a prior
+scaled to integers once.  All arithmetic is exact; ``Fraction``s are
+built only for reported values.
 """
 
 import itertools
@@ -28,6 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
+from ._util import canonical
 from .errors import (
     InputError,
     MultipleOutcomes,
@@ -131,15 +136,6 @@ def _validate_unit(sef, eu, unit):
     if not sef.sdf.forest.outcomes <= eu.tastes[unit].keys():
         raise InputError(f"taste at {unit!r} misses outcomes")
     return scaled
-
-
-def _psi(infoset, sdf, w):
-    """The unique member move whose image contains the outcome, if any."""
-    sw = sdf.scenario_of_outcome(w)
-    hits = [m for m in infoset.random_moves if sw in m.domain and w in m(sw)]
-    if len(hits) == 1:
-        return hits[0]
-    return None
 
 
 @dataclass
@@ -484,45 +480,73 @@ def _consistency(sef, eu, beliefs, tastes, tables, fills, outcome):
                     for unit, taste in tastes.items())
     report = ConsistencyReport(True, tastes_ok)
     my_units = units(sef)
-    outs = {}
-    for unit in my_units:
-        belief = eu.beliefs[unit]
-        outs[unit] = {w: outcome(belief.assessment[w](w))
-                      for w in unit_domain(unit)}
-    groups = [frozenset({u}) for u in my_units]
-    groups += [frozenset(pair) for pair in itertools.combinations(my_units, 2)]
+    assessed = {unit: _assessed(unit, eu.beliefs[unit].assessment, outcome)
+                for unit in my_units}
+    groups = [(u,) for u in my_units]
+    groups += itertools.combinations(my_units, 2)
     for group in groups:
         status, witness, prior = _group_verdict(
-            sef, eu, beliefs, outs, sorted(group, key=repr), report.events)
-        report.pair_status[group] = status
+            beliefs, assessed, group, report.events)
+        key = frozenset(group)
+        report.pair_status[key] = status
         if witness is not None:
-            report.witnesses[group] = witness
+            report.witnesses[key] = witness
         if prior is not None:
-            report.priors[group] = prior
+            report.priors[key] = prior
     report.consistent = tastes_ok and \
         "inconsistent" not in report.pair_status.values()
     return report
 
 
-def _group_verdict(sef, eu, beliefs, outs, members, events):
-    """One group's (status, witness, prior); each direction's agreement
-    event goes into ``events`` once its assessments are checked."""
-    domains = {u: unit_domain(u) for u in members}
+@dataclass
+class _Assessed:
+    """
+    A unit's assessment read once per consistency check: its domain, sorted
+    and as a set, the assessed move per scenario and the node it takes
+    there, the outcome play reaches from that node, and ``member``, the
+    member move whose image holds each outcome, None where two members
+    hold it.  Each move is a section, so an outcome in m(w) lies in w's
+    tree; ``member`` answers for the outcome what a scan of the members
+    defined at its scenario would.
+    """
+    order: list
+    domain: frozenset
+    assessment: dict
+    nodes: dict
+    outs: dict
+    member: dict
+
+
+def _assessed(unit, assessment, outcome):
+    domain = unit_domain(unit)
+    nodes = {w: assessment[w](w) for w in domain}
+    member = {}
+    for m in unit[1].random_moves:
+        for _, x in m.graph:
+            for o in x:
+                member[o] = None if o in member else m
+    return _Assessed(sorted(domain), domain, assessment, nodes,
+                     {w: outcome(x) for w, x in nodes.items()}, member)
+
+
+def _group_verdict(beliefs, assessed, members, events):
+    """One group's (status, witness, prior), its directions in the order
+    of its members; each direction's agreement event goes into ``events``
+    once its assessments are checked."""
     reached = {}
     for ua, ub in _ordered_directions(members):
-        belief_a, belief_b = eu.beliefs[ua], eu.beliefs[ub]
+        a, b = assessed[ua], assessed[ub]
         psi = {}
-        for w in sorted(domains[ua]):
-            m = psi[w] = _psi(ub[1], sef.sdf, outs[ua][w])
-            if m is not None and belief_a.assessment[w](w) >= m(w) and \
-                    belief_b.assessment[w] != m:
+        for w in a.order:
+            m = psi[w] = b.member.get(a.outs[w])
+            if m is not None and a.nodes[w] >= m(w) and b.assessment[w] != m:
                 return "inconsistent", ("assessment", ub, w, m), None
         event = events[(ua, ub)] = frozenset(
-            w for w in domains[ua] & domains[ub]
-            if belief_a.assessment[w](w) >= belief_b.assessment[w](w))
-        reached[(ua, ub)] = (domains[ub] - event) | frozenset(
+            w for w in a.domain & b.domain if a.nodes[w] >= b.nodes[w])
+        reached[(ua, ub)] = (b.domain - event) | frozenset(
             w for w in event if psi[w] is not None)
-    universe = sorted(frozenset().union(*domains.values()))
+    universe = sorted(frozenset().union(*(assessed[u].domain
+                                          for u in members)))
     q, total, obstructions = _common_prior(universe, [
         (ub, reached[(ua, ub)], beliefs[ub][0])
         for ua, ub in _ordered_directions(members)])
@@ -537,7 +561,7 @@ def _group_verdict(sef, eu, beliefs, outs, members, events):
             continue
         # p_b(w0) q(A) = q(w0), both sides times D_b * total
         weights, denominator = beliefs[ub]
-        for w0 in sorted(domains[ub]):
+        for w0 in assessed[ub].order:
             lhs = weights.get(w0, 0) * a_mass
             rhs = q[w0] * denominator if w0 in a_set else 0
             if lhs != rhs:
@@ -572,30 +596,36 @@ def bayes_beliefs(sef, prior, profile):
     condition the prior on the scenarios whose realized play passes
     through a member move; at unreached info sets fall back to the prior
     restricted to the domain.  Assessments point at the member reached,
-    else at the first member defined on the scenario.
+    else at the first member defined on the scenario, in canonical order.
+    The prior is scaled to integers over its common denominator once, the
+    masses are integer sums, and each reported probability is one
+    ``Fraction`` of its weight over its mass.
     """
     played = scenario_outcomes(sef, profile)
     prior = {w: Fraction(v) for w, v in prior.items()}
+    scale = lcm(*(q.denominator for q in prior.values()))
+    weight = {w: q.numerator * (scale // q.denominator)
+              for w, q in prior.items()}
     beliefs = {}
     for unit in units(sef):
         _, p = unit
         domain = sorted(unit_domain(unit))
-        members = sorted(p.random_moves, key=repr)
+        members = sorted(p.random_moves, key=canonical)
         hit = {}
         for w in domain:
             for m in members:
                 if w in m.domain and played[w] in m(w):
                     hit[w] = m
                     break
-        mass = sum((prior.get(w, 0) for w in hit), Fraction(0))
-        if mass > 0:
-            prob = {w: prior[w] / mass for w in hit if prior.get(w, 0) > 0}
-        else:
-            total = sum((prior.get(w, 0) for w in domain), Fraction(0))
-            if total == 0:
+        support = hit
+        mass = sum(weight.get(w, 0) for w in hit)
+        if mass <= 0:
+            support = domain
+            mass = sum(weight.get(w, 0) for w in domain)
+            if mass == 0:
                 raise InputError(f"the prior misses the domain of {unit!r}")
-            prob = {w: prior[w] / total for w in domain
-                    if prior.get(w, 0) > 0}
+        prob = {w: Fraction(weight[w], mass) for w in support
+                if weight.get(w, 0) > 0}
         assessment = {}
         for w in domain:
             assessment[w] = hit.get(w) or next(

@@ -43,7 +43,6 @@ from .sdf import StochasticDecisionForest
 from .sef import (
     Strategy,
     StochasticExtensiveForm,
-    _slice_table,
     _strategy_menus,
     convert_strategy,
 )
@@ -368,7 +367,8 @@ def check_wellposed_order(sef):
 def scenario_truncation(sef, w):
     """
     The classical extensive form the scenario induces: its decision tree,
-    the same agents, and the nonempty scenario slices of their choices.
+    the same agents, and the nonempty scenario slices of their choices,
+    as the menu index keeps them.
     """
     sdf = sef.sdf
     nodes = sdf.tree_of(w)
@@ -395,8 +395,7 @@ def scenario_truncation(sef, w):
                     if trace and trace not in traces:
                         traces.append(trace)
                 refchoices[i][m.restricted({w})] = tuple(traces)
-        choices[i] = frozenset(
-            _slice_table(sef, i, sef.choices[i]).distinct(w))
+        choices[i] = frozenset(sef._index.distinct[i][w])
     return StochasticExtensiveForm(tsdf, sef.agents, agent_moves, info,
                                    refchoices, choices)
 

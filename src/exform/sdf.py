@@ -45,6 +45,7 @@ class RandomMove:
                                    key=repr))
         self._domain = frozenset(items)
         self._map = dict(self._graph)
+        self._hash = hash(self._graph)   # the graph never changes
 
     @property
     def domain(self):
@@ -78,7 +79,7 @@ class RandomMove:
         return isinstance(other, RandomMove) and self._graph == other._graph
 
     def __hash__(self):
-        return hash(self._graph)
+        return self._hash
 
     def __repr__(self):
         return f"RandomMove({len(self._domain)} scenarios)"
@@ -444,16 +445,32 @@ def is_non_redundant(sdf, c):
 
 def is_complete(sdf, c, agent_moves):
     """Availability of the choice is all-or-nothing on each random move."""
-    return _complete(immediate_predecessors(sdf.forest, c), agent_moves)
+    return _all_or_nothing(_hits(immediate_predecessors(sdf.forest, c),
+                                 _moves_at(agent_moves)))
 
 
-def _complete(p, agent_moves):
-    """``is_complete`` of a choice whose immediate predecessors are p."""
+def _moves_at(agent_moves):
+    """Each node's agent moves, one entry per scenario the move takes it."""
+    at = {}
     for m in agent_moves:
-        hit = preimage(m, p)
-        if hit and hit != m.domain:
-            return False
-    return True
+        for _, x in m.graph:
+            at.setdefault(x, []).append(m)
+    return at
+
+
+def _hits(p, moves_at):
+    """Per agent move with a node in p, the size of its preimage of p,
+    counted off p through ``moves_at`` (``_moves_at``)."""
+    hits = {}
+    for x in p:
+        for m in moves_at.get(x, ()):
+            hits[m] = hits.get(m, 0) + 1
+    return hits
+
+
+def _all_or_nothing(hits):
+    """Whether each counted preimage is its move's whole domain."""
+    return all(k == len(m.domain) for m, k in hits.items())
 
 
 def is_available_at(sdf, c, m):
@@ -462,9 +479,12 @@ def is_available_at(sdf, c, m):
 
 def validate_reference_choices(sdf, refchoices, agent_moves):
     """Each reference choice must be non-redundant, complete, available;
-    completeness and availability read one walk to its predecessors.  Of
-    the failing (move, choice) pairs, the least one is reported."""
+    completeness and availability read one walk to its predecessors, whose
+    preimages are counted off the nodes' agent moves, in time linear in
+    the predecessor set.  Of the failing (move, choice) pairs, the least
+    one is reported."""
     failed = []
+    moves_at = _moves_at(agent_moves)
     for m in agent_moves:
         for c in refchoices.get(m, ()):
             if not is_union_of_nodes(sdf.forest, c):
@@ -472,10 +492,10 @@ def validate_reference_choices(sdf, refchoices, agent_moves):
                        + canonical_text(frozenset(c)))
             elif not is_non_redundant(sdf, c):
                 why = f"redundant reference choice at {m!r}"
-            elif not _complete(p := immediate_predecessors(sdf.forest, c),
-                               agent_moves):
+            elif not _all_or_nothing(hits := _hits(
+                    immediate_predecessors(sdf.forest, c), moves_at)):
                 why = f"incomplete reference choice at {m!r}"
-            elif preimage(m, p) != m.domain:
+            elif hits.get(m, 0) != len(m.domain):
                 why = f"reference choice unavailable at {m!r}"
             else:
                 continue

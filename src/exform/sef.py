@@ -166,7 +166,7 @@ def _validate(form):
     # two disjoint nodes are both on offer at that meet
     for w in sdf.scenarios:
         tree = sdf.tree_of(w)
-        sliced = [tables[i].distinct(w) for i in agents]
+        sliced = [form._index.distinct[i][w] for i in agents]
         for y, y2 in itertools.combinations(tree, 2):
             if not y & y2 and not any(
                     y <= s and y2 <= s2 and not s & s2
@@ -411,8 +411,8 @@ def _missing_choices(form, i, p, table):
 
 
 _MenuIndex = namedtuple("_MenuIndex",
-                        "moves info_sets offered active menus grouped root "
-                        "walks")
+                        "moves info_sets offered active menu_of menus grouped "
+                        "distinct root walks")
 
 
 def _meet(offered, i, m):
@@ -426,12 +426,15 @@ def _menu_index(form, tables):
     The menus, read off each agent's slice table: per agent its moves and
     information sets, per (agent, move) the choices offered there, from
     the members of the table's slices each move precedes, and per move its
-    active agents in agent order.  Per information set, ``menus`` holds
-    its menu sorted, and ``grouped`` maps the root of each tree where the
-    set has moves to its moves there and its menu grouped by slice, the
-    choices with one slice c & root in one group, as the table groups the
-    choices offered at the set's first move there.  On a validated form these are the menu's
-    choices.  A form assembled without validation may add choices offered
+    active agents in agent order.  ``menu_of`` maps each (agent, agent
+    move) to its menu, the meet (``_meet``) that groups the agent's moves
+    into information sets, and ``distinct`` maps each agent and scenario
+    to the table's distinct slices there.  Per information set, ``menus``
+    holds its menu sorted, and ``grouped`` maps the root of each tree
+    where the set has moves to its moves there and its menu grouped by
+    slice, the choices with one slice c & root in one group, as the table
+    groups the choices offered at the set's first move there.  On a
+    validated form these are the menu's choices.  A form assembled without validation may add choices offered
     at that move but off the menu: ``_Deviations`` never looks up their
     partial sums, and a group's first member reads the outcome every
     member with its slice reads.
@@ -442,7 +445,7 @@ def _menu_index(form, tables):
     its terminal outcomes, its child moves, its active agents).
     """
     sdf = form.sdf
-    index = _MenuIndex({}, {}, {}, {}, {}, {}, {}, {})
+    index = _MenuIndex({}, {}, {}, {}, {}, {}, {}, {}, {}, {})
     shared = {}   # groupings repeat from tree to tree; each is kept once
     for i in form.agents:
         table = tables[i]
@@ -451,9 +454,12 @@ def _menu_index(form, tables):
         for x in index.moves[i]:
             index.active[x] = index.active.get(x, ()) + (i,)
         index.offered.update(((i, x), cs) for x, cs in table.offered().items())
+        index.distinct[i] = {w: table.distinct(w) for w in sdf.scenarios}
         by_menu = {}
         for m in sorted(form.agent_moves[i], key=canonical):
             by_menu.setdefault(_meet(index.offered, i, m), []).append(m)
+        index.menu_of.update(((i, m), menu) for menu, ms in by_menu.items()
+                             for m in ms)
         sets = tuple(InfoSet(i, frozenset(ms)) for ms in by_menu.values())
         index.info_sets[i] = (sets, MappingProxyType(
             {p: p.moves() for p in sets}))
@@ -524,7 +530,11 @@ class StochasticExtensiveForm:
         return self._index.active.get(x, ())
 
     def available_at(self, i, m):
-        return _meet(self._index.offered, i, m)
+        """The agent's choices offered at every value of the random move:
+        an agent move's menu as the index keeps it, any other move's (a
+        ``restricted`` part, say) met from the moves' menus."""
+        menu = self._index.menu_of.get((i, m))
+        return _meet(self._index.offered, i, m) if menu is None else menu
 
     def available_at_move(self, i, x):
         return self._index.offered.get((i, x), frozenset())
@@ -556,11 +566,12 @@ def ordered_info_sets(sef, i):
 
 
 def check_recall_and_info(sef, i):
-    """The four perfection flags of an agent, each checked exhaustively."""
-    table = _slice_table(sef, i, sef.choices[i])
+    """The four perfection flags of an agent, each checked exhaustively;
+    the slices are those the menu index keeps."""
+    distinct = sef._index.distinct[i]
     endo_recall = all(
         not s & s2 or s <= s2 or s2 <= s for w in sef.sdf.scenarios
-        for s, s2 in itertools.combinations(table.distinct(w), 2))
+        for s, s2 in itertools.combinations(distinct[w], 2))
     exo_recall = check_recall(sef.sdf, sef.info[i], sef.agent_moves[i])
     sets, _ = info_sets(sef, i)
     endo_info = all(len(p.random_moves) == 1 for p in sets) and all(

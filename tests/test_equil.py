@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exform import equil
+from exform._util import canonical
 from exform.equil import (
     Belief,
     EUStructure,
@@ -21,7 +22,6 @@ from exform.equil import (
     _common_prior,
     _scaled,
     _ordered_directions,
-    _psi,
     bayes_beliefs,
     check_dynamic_consistency,
     check_dynamic_rationality,
@@ -56,9 +56,16 @@ from exform.instances import (
     simple_split_sdf,
 )
 from exform.forest import DecisionForest
-from exform.play import StrategyProfile, TreeFills, outcome_from, profile_tables
+from exform.play import (
+    StrategyProfile,
+    TreeFills,
+    outcome_from,
+    profile_tables,
+    scenario_outcomes,
+)
 from exform.sdf import RandomMove, StochasticDecisionForest
 from exform.sef import (
+    InfoSet,
     StochasticExtensiveForm,
     Strategy,
     convert_strategy,
@@ -75,7 +82,7 @@ from test_acceptance import (
     _mp_profile,
     _reaction_map,
 )
-from conftest import make_rng, random_strict_sef
+from conftest import make_rng, random_strict_sef, stdout_across_hash_seeds
 from test_play import dealt_to_two, one_move_pseudo
 
 EXAMPLES = ["simple", "simple-variant", "amd",
@@ -714,6 +721,17 @@ def fraction_common_prior(universe, conditions):
     return q, None
 
 
+def _psi(infoset, sdf, w):
+    """The unique member move whose image contains the outcome, if any:
+    the scan the consistency check's member map replaced, kept as its
+    oracle."""
+    sw = sdf.scenario_of_outcome(w)
+    hits = [m for m in infoset.random_moves if sw in m.domain and w in m(sw)]
+    if len(hits) == 1:
+        return hits[0]
+    return None
+
+
 def simplex_consistency(sef, eu, profile, decide=simplex_prior):
     """
     check_dynamic_consistency over ``Fraction``, with each group's prior
@@ -744,10 +762,10 @@ def simplex_consistency(sef, eu, profile, decide=simplex_prior):
         belief = eu.beliefs[unit]
         outs[unit] = {w: outcome_from(sef, tables, belief.assessment[w](w))
                       for w in unit_domain(unit)}
-    groups = [frozenset({u}) for u in my_units]
-    groups += [frozenset(pair) for pair in itertools.combinations(my_units, 2)]
-    for group in groups:
-        members = sorted(group, key=repr)
+    # each group's directions in units order, as check_dynamic_consistency
+    groups = [(u,) for u in my_units] + list(itertools.combinations(my_units, 2))
+    for members in groups:
+        group = frozenset(members)
         status = "consistent"
         witness = None
         domains = {u: unit_domain(u) for u in members}
@@ -2020,10 +2038,10 @@ def two_pass_consistency(sef, eu, profile):
         belief = eu.beliefs[unit]
         outs[unit] = {w: outcome_from(sef, tables, belief.assessment[w](w))
                       for w in unit_domain(unit)}
-    groups = [frozenset({u}) for u in my_units]
-    groups += [frozenset(pair) for pair in itertools.combinations(my_units, 2)]
-    for group in groups:
-        members = sorted(group, key=repr)
+    # each group's directions in units order, as check_dynamic_consistency
+    groups = [(u,) for u in my_units] + list(itertools.combinations(my_units, 2))
+    for members in groups:
+        group = frozenset(members)
         status = "consistent"
         witness = None
         domains = {u: unit_domain(u) for u in members}
@@ -2239,3 +2257,273 @@ class TestOnePass:
                 check(sef, eu) if check is validate_eu else check(sef, eu, s)
         with pytest.raises(InputError, match=re.escape(repr(unit))):
             expected_payoff(sef, eu, s, *unit)
+
+
+# --- bayes_beliefs on integer weights and the consistency member map --------
+# ``bayes_beliefs`` before it summed integer weights, kept as its oracle:
+# every mass and probability a Fraction.  The members are sorted by
+# ``canonical``, as now; they were sorted by ``repr``, which ties on moves
+# with equal scenario counts.
+
+def fraction_bayes_beliefs(sef, prior, profile):
+    played = scenario_outcomes(sef, profile)
+    prior = {w: Fraction(v) for w, v in prior.items()}
+    beliefs = {}
+    for unit in units(sef):
+        _, p = unit
+        domain = sorted(unit_domain(unit))
+        members = sorted(p.random_moves, key=canonical)
+        hit = {}
+        for w in domain:
+            for m in members:
+                if w in m.domain and played[w] in m(w):
+                    hit[w] = m
+                    break
+        mass = sum((prior.get(w, 0) for w in hit), Fraction(0))
+        if mass > 0:
+            prob = {w: prior[w] / mass for w in hit if prior.get(w, 0) > 0}
+        else:
+            total = sum((prior.get(w, 0) for w in domain), Fraction(0))
+            if total == 0:
+                raise InputError(f"the prior misses the domain of {unit!r}")
+            prob = {w: prior[w] / total for w in domain
+                    if prior.get(w, 0) > 0}
+        assessment = {}
+        for w in domain:
+            assessment[w] = hit.get(w) or next(
+                m for m in members if w in m.domain)
+        beliefs[unit] = Belief(prob, assessment)
+    return beliefs
+
+
+def assert_beliefs_as_oracle(sef, prior, profile):
+    """The beliefs equal the Fraction oracle's, unit by unit and value by
+    value in insertion order, each a Fraction; or both raise alike."""
+    got = outcome_or_error(bayes_beliefs, sef, prior, profile)
+    want = outcome_or_error(fraction_bayes_beliefs, sef, prior, profile)
+    if isinstance(want, tuple):
+        assert got == want
+        return None
+    assert list(got) == list(want)
+    for unit, belief in want.items():
+        assert list(got[unit].prob.items()) == list(belief.prob.items())
+        assert all(type(q) is Fraction for q in got[unit].prob.values())
+        assert got[unit].assessment == belief.assessment
+    return got
+
+
+def prior_variants(sef, prior):
+    """The prior, and priors with zero, negative, unit and missing weights,
+    so that the fallback to the domain and the error on a missed domain
+    are reached."""
+    scenarios = sorted(sef.sdf.scenarios)
+    signs = {w: Fraction(1 - 2 * (k % 2), k + 1)
+             for k, w in enumerate(scenarios)}
+    return [prior, dict.fromkeys(scenarios, 0), dict.fromkeys(scenarios, 1),
+            signs,
+            {w: -x for w, x in signs.items()},
+            {w: Fraction(k % 3, 7) for k, w in enumerate(scenarios)},
+            {scenarios[0]: 1}, {scenarios[-1]: Fraction(-1, 3)}, {},
+            # a reached scenario of mass one beside an unreached one
+            *({w: 1, w2: 1} for w, w2 in itertools.combinations(
+                scenarios[:8], 2))]
+
+
+def mp_prior(p):
+    return {w: (p if w[1] == "1" else 1 - p) / 8 for w in MP_SCENARIOS}
+
+
+@st.composite
+def drawn_priors(draw):
+    """A bundled form or a 3-atom exit race with a drawn profile, and a
+    prior of mixed denominators and signs on a drawn set of scenarios."""
+    name = draw(st.sampled_from(EXAMPLES + ["exit-race"]))
+    if name == "exit-race":
+        sef, _, s, _ = exit_race(draw(st.sampled_from(BIASES)))
+    else:
+        sef, _, s, _ = bundled(name)
+    for i in sef.agents:
+        if draw(st.booleans()):
+            s = swap(sef, s, i, draw(st.sampled_from(strategies(sef, i))))
+    weight = st.builds(Fraction, st.integers(-3, 6), st.integers(1, 6))
+    support = draw(st.lists(st.sampled_from(sorted(sef.sdf.scenarios)),
+                            unique=True))
+    return sef, {w: draw(weight) for w in support}, s
+
+
+class TestBayesBeliefsAsFractions:
+    @pytest.mark.parametrize("name", EXAMPLES)
+    def test_bundled_examples(self, name):
+        sef, _, s, expected = bundled(name)
+        for prior in prior_variants(sef, expected["prior"]):
+            assert_beliefs_as_oracle(sef, prior, s)
+
+    @pytest.mark.parametrize("check", range(19))
+    def test_coin_matching_checks(self, check):
+        case, first, picks, p = coin_matching_checks()[check]
+        sef, eu, s = _mp_profile(case, first, picks, p)
+        got = assert_beliefs_as_oracle(sef, mp_prior(p), s)
+        assert got == eu.beliefs
+
+    @pytest.mark.parametrize("atoms, p", [
+        *((3, Fraction(k, 3)) for k in range(4)),
+        *((6, Fraction(k, 6)) for k in (0, 2, 3, 4, 5, 6))])
+    def test_exit_race(self, atoms, p):
+        sef, eu, s, prior = exit_race(p, atoms)
+        assert assert_beliefs_as_oracle(sef, prior, s) == eu.beliefs
+        for variant in prior_variants(sef, prior)[1:]:
+            assert_beliefs_as_oracle(sef, variant, s)
+
+    @settings(max_examples=80, deadline=None)
+    @given(drawn_priors())
+    def test_drawn_priors(self, drawn):
+        assert_beliefs_as_oracle(*drawn)
+
+    def test_values_are_built_once_each(self):
+        # the masses are integer sums: the one Fraction built per reported
+        # value, and no true division
+        source = (SRC / "equil.py").read_text(encoding="utf-8")
+        assert [use for use in fraction_uses(source, "bayes_beliefs")
+                if use != "Fraction"] == []
+
+
+def assert_member_map_as_psi(sef, eu):
+    """Each unit's member map answers every outcome as ``_psi`` does."""
+    outcomes = sorted(sef.sdf.forest.outcomes)
+    for unit in units(sef):
+        member = equil._assessed(unit, eu.beliefs[unit].assessment, min).member
+        assert set(member) <= set(outcomes)
+        for o in outcomes:
+            assert member.get(o) == _psi(unit[1], sef.sdf, o)
+
+
+class TestMemberMap:
+    @pytest.mark.parametrize("name", EXAMPLES)
+    def test_bundled_examples(self, name):
+        assert_member_map_as_psi(*bundled(name)[:2])
+
+    @pytest.mark.parametrize("check", range(19))
+    def test_coin_matching_checks(self, check):
+        assert_member_map_as_psi(*_mp_profile(
+            *coin_matching_checks()[check])[:2])
+
+    @pytest.mark.parametrize("atoms, p", [(3, THIRD), (3, 2 * THIRD),
+                                          (6, Fraction(1, 2))])
+    def test_exit_race(self, atoms, p):
+        assert_member_map_as_psi(*exit_race(p, atoms)[:2])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(drawn_layers(), dealt_layers()))
+    def test_drawn_layers(self, layer):
+        assert_member_map_as_psi(*layer[:2])
+
+    def test_two_members_holding_an_outcome_give_none(self):
+        # nested members: the outer move's image holds the inner one's
+        sef, eu, _, _ = bundled("simple")
+        outer = max(sef.sdf.random_moves,
+                    key=lambda m: sum(map(len, m.image)))
+        inner = next(m for m in sef.sdf.random_moves if m != outer
+                     and all(m(w) < outer(w) for w in m.domain))
+        infoset = InfoSet("i", frozenset({outer, inner}))
+        unit = ("i", infoset)
+        member = equil._assessed(unit, dict.fromkeys(outer.domain, outer),
+                                 min).member
+        held = {o for w in inner.domain for o in inner(w)}
+        assert held and all(member[o] is None for o in held)
+        assert all(member[o] == outer for w in outer.domain
+                   for o in outer(w) - held)
+        for o in sorted(sef.sdf.forest.outcomes):
+            assert member.get(o) == _psi(infoset, sef.sdf, o)
+
+
+# events keys and witnesses of the consistency check, and the assessments
+# of bayes_beliefs, fingerprinted with each info set as its agent and the
+# canonical keys of its members
+CONSISTENCY_DIGEST = """
+import hashlib
+from exform._util import canonical
+from exform.equil import bayes_beliefs, verify_equilibrium
+from exform.sef import InfoSet
+from test_acceptance import _mp_profile
+from test_equil import EXAMPLES, bundled, coin_matching_checks
+
+def plain(v):
+    if isinstance(v, InfoSet):
+        return v.agent, v.random_moves
+    if isinstance(v, (tuple, list)):
+        return tuple(map(plain, v))
+    if isinstance(v, frozenset):
+        return frozenset(map(plain, v))
+    return v
+
+def digest(*values):
+    return hashlib.sha256(repr(canonical(plain(values))).encode()).hexdigest()
+
+cases = [(name, bundled(name)) for name in EXAMPLES]
+cases += [(f"cm{k}", _mp_profile(*coin_matching_checks()[k]) + (None,))
+          for k in (1, 15)]
+for name, (sef, eu, s, expected) in cases:
+    c = verify_equilibrium(sef, eu, s).consistency
+    print(name, digest(list(c.events)), digest(list(c.witnesses.items())))
+    if expected:
+        beliefs = bayes_beliefs(sef, expected["prior"], s)
+        print(name, digest([(u, list(b.assessment.items()))
+                            for u, b in beliefs.items()]))
+"""
+
+
+def test_consistency_order_and_witnesses_across_hash_seeds():
+    # the directions of a pair run in units order: under hash seeds 2 and
+    # 3 the pair's repr order ran them the other way, listing cm1's and
+    # cm15's prior obstructions swapped
+    output = stdout_across_hash_seeds(["-c", CONSISTENCY_DIGEST])
+    assert len(output.splitlines()) == 2 * len(EXAMPLES) + 2
+
+
+def shared_move_form():
+    """One scenario where agents a and b share the move at x1 = {1..4}: a
+    picks x1 or x2 = {5, 6} at the root, then {1, 2} or {3, 4} at x1; b
+    holds x1 and x2 in one information set and picks {1, 3, 5} or
+    {2, 4, 6} there.  So b's set has two members on the scenario, one of
+    them at the node of a's second set."""
+    def o(*ks):
+        return frozenset(f"w:{k}" for k in ks)
+
+    x0, x1, x2 = o(1, 2, 3, 4, 5, 6), o(1, 2, 3, 4), o(5, 6)
+    nodes = [x0, x1, x2, *(o(k) for k in range(1, 7))]
+    top, middle, side = (RandomMove({"w": x}) for x in (x0, x1, x2))
+    sdf = StochasticDecisionForest(DecisionForest(x0, nodes), ("w",),
+                                   dict.fromkeys(nodes, "w"),
+                                   [top, middle, side])
+    point = frozenset({frozenset({"w"})})
+    refs = {"a": {top: [x1, x2], middle: [o(1, 2), o(3, 4)]},
+            "b": dict.fromkeys((middle, side), [o(1, 3, 5), o(2, 4, 6)])}
+    form = StochasticExtensiveForm(
+        sdf, ("a", "b"), {i: set(refs[i]) for i in refs},
+        {i: dict.fromkeys(refs[i], point) for i in refs}, refs,
+        {i: {c for cs in refs[i].values() for c in cs} for i in refs})
+    return form, (top, middle, side), o
+
+
+def test_assessment_at_a_shared_node_is_checked():
+    # a's second set sits at the node of b's member `middle`, which holds
+    # play's outcome there; b assessing `side` at the scenario breaks the
+    # pair, at a node equal to (not above) the member's
+    form, (top, middle, side), o = shared_move_form()
+    picks = {"a": {o(1, 2, 3, 4), o(1, 2)}, "b": {o(1, 3, 5)}}
+    profile = StrategyProfile({i: next(
+        t for t in strategies(form, i) if set(t.assignment.values())
+        == picks[i]) for i in form.agents})
+    beliefs, tastes = {}, {}
+    for unit in units(form):
+        least = min(unit[1].random_moves, key=lambda m: len(m("w")))
+        beliefs[unit] = Belief({"w": Fraction(1)}, {"w": least})
+        tastes[unit] = dict.fromkeys(form.sdf.forest.outcomes, Fraction(0))
+    eu = EUStructure(beliefs, tastes)
+    second = next(u for u in units(form)
+                  if u[0] == "a" and u[1].random_moves == {middle})
+    (shared,) = [u for u in units(form) if u[0] == "b"]
+    assert eu.beliefs[shared].assessment["w"] == side
+    report = assert_same_as_two_pass(form, eu, profile).consistency
+    assert report.witnesses[frozenset({second, shared})] \
+        == ("assessment", shared, "w", middle)

@@ -7,6 +7,7 @@ accessors they replaced.
 """
 
 import itertools
+from fractions import Fraction
 from types import MappingProxyType
 
 import pytest
@@ -31,6 +32,7 @@ from exform.forest import (
 )
 from exform.instances import (
     MP_SCENARIOS,
+    amd_instance,
     amd_sdf,
     amd_sef,
     load_example,
@@ -45,6 +47,7 @@ from exform.instances import (
 from exform.order import Poset
 from exform.equil import (
     bayes_beliefs,
+    check_dynamic_consistency,
     check_dynamic_rationality,
     expected_payoff,
     units,
@@ -67,6 +70,7 @@ from exform.sef import (
     InfoSet,
     StochasticExtensiveForm,
     _axiom1_violations,
+    _meet,
     info_sets,
     strategies,
 )
@@ -557,7 +561,14 @@ def assert_menu_index_matches(form):
             assert form.available_at_move(i, x) \
                 == oracle.available_at_move(i, x)
         for m in moves:
-            assert form.available_at(i, m) == oracle.available_at(i, m)
+            assert form.available_at(i, m) == oracle.available_at(i, m) \
+                == _meet(form._index.offered, i, m)
+        for m in form.agent_moves[i]:
+            assert form._index.menu_of[i, m] == _meet(form._index.offered, i, m)
+        # the distinct slices the index keeps are a fresh table's
+        table = _SliceTable(form.sdf, {}, {}, {}, form.choices[i])
+        for w in form.sdf.scenarios:
+            assert form._index.distinct[i][w] == table.distinct(w)
         sets, preds = info_sets(form, i)
         expected_sets, expected_preds = cached_info_sets(oracle, i)
         assert sets == expected_sets
@@ -661,6 +672,19 @@ class TestIndexesAgainstCaches:
         assert_order_index_matches(form.sdf.forest, form.sdf.forest.nodes)
         assert_menu_index_matches(form)
 
+    def test_exit_race_menus_as_met(self):
+        # every agent move of the 6-atom race, each one-scenario part and
+        # each half, against the meet of its values' menus
+        form = amd_sef(6)[0]
+        for i in form.agents:
+            for m in sorted(form.agent_moves[i], key=canonical):
+                domain = sorted(m.domain)
+                parts = [m, m.restricted(domain[::2]), *(
+                    m.restricted({w}) for w in domain)]
+                for part in parts:
+                    assert form.available_at(i, part) \
+                        == _meet(form._index.offered, i, part)
+
     @pytest.mark.parametrize("form", pseudo_forms(), ids=repr)
     def test_pseudo_forms(self, form):
         assert_menu_index_matches(form)
@@ -730,6 +754,19 @@ class TestQueriesKeepNothing:
         scenario_outcomes(form, profile)
         for unit in units(form):
             expected_payoff(form, eu, profile, *unit)
+        assert [held(part) for part in parts] == before
+
+    def test_exit_race_beliefs_and_consistency_leave_the_form_as_it_was(self):
+        # the member maps and assessed nodes live for one check only
+        form, eu, profile, prior = amd_instance(Fraction(2, 3), 6)
+        parts = form, form.sdf, form.sdf.forest
+        before = [held(part) for part in parts]
+        for p in (Fraction(1, 2), Fraction(5, 6)):
+            other = amd_instance(p, 6)[2]
+            bayes_beliefs(form, prior, other)
+            check_dynamic_consistency(form, eu, other)
+        assert check_dynamic_consistency(form, eu, profile)
+        assert bayes_beliefs(form, prior, profile) == eu.beliefs
         assert [held(part) for part in parts] == before
 
 

@@ -2,8 +2,8 @@ import re
 
 import pytest
 
-from conftest import stdout_across_hash_seeds
-from exform._util import canonical
+from conftest import make_rng, random_strict_sef, stdout_across_hash_seeds
+from exform._util import canonical, canonical_text
 from exform.errors import (
     APAxiomViolation,
     BudgetExceeded,
@@ -11,10 +11,17 @@ from exform.errors import (
     NotOrderConsistent,
     StructureError,
 )
-from exform.forest import DecisionForest, immediate_predecessors
+from exform.forest import (
+    DecisionForest,
+    immediate_predecessors,
+    is_union_of_nodes,
+)
 from exform.instances import (
+    EXAMPLES,
     SIMPLE_SCENARIOS,
     amd_sdf,
+    amd_sef,
+    load_example,
     scenario_maps,
     simple_choice_first,
     simple_choice_second,
@@ -40,12 +47,15 @@ from exform.sdf import (
     is_available_at,
     is_complete,
     is_non_redundant,
+    merge_random_moves,
+    preimage,
     timing_map,
     validate_reference_choices,
     validate_sdf,
     xgeq,
 )
 
+EXAMPLE_NAMES = sorted(EXAMPLES)
 TRIV = frozenset({frozenset({"o1", "o2"})})
 DISC = frozenset({frozenset({"o1"}), frozenset({"o2"})})
 
@@ -522,3 +532,129 @@ class TestExogenousInformationRecipes:
             sdf, timing, {root: {"o1": "L", "o2": "R"}}, {0: TRIV, 1: TRIV})
         for m in sdf.random_moves:
             assert info[m] == DISC
+
+
+# --- reference choices counted off the nodes' moves ---------------------------
+
+def complete_oracle(p, agent_moves):
+    """``is_complete`` of a choice whose immediate predecessors are p, one
+    preimage per agent move: the check before the preimages were counted
+    off the nodes' moves, kept as its oracle."""
+    for m in agent_moves:
+        hit = preimage(m, p)
+        if hit and hit != m.domain:
+            return False
+    return True
+
+
+def reference_oracle(sdf, refchoices, agent_moves):
+    """``validate_reference_choices`` on ``complete_oracle``, verbatim
+    apart from the oracle's name; the message it raises, or None."""
+    failed = []
+    for m in agent_moves:
+        for c in refchoices.get(m, ()):
+            if not is_union_of_nodes(sdf.forest, c):
+                why = ("reference choice not a union of nodes: "
+                       + canonical_text(frozenset(c)))
+            elif not is_non_redundant(sdf, c):
+                why = f"redundant reference choice at {m!r}"
+            elif not complete_oracle(
+                    p := immediate_predecessors(sdf.forest, c), agent_moves):
+                why = f"incomplete reference choice at {m!r}"
+            elif preimage(m, p) != m.domain:
+                why = f"reference choice unavailable at {m!r}"
+            else:
+                continue
+            failed.append((m, c, why))
+    return min(failed, key=canonical)[2] if failed else None
+
+
+def reference_message(sdf, refchoices, agent_moves):
+    try:
+        validate_reference_choices(sdf, refchoices, agent_moves)
+    except ChoiceError as err:
+        return str(err)
+    return None
+
+
+def reference_forms():
+    forms = [load_example(name)[0] for name in EXAMPLE_NAMES]
+    forms.append(amd_sef(3)[0])
+    forms += [random_strict_sef(make_rng(seed)) for seed in range(12)]
+    return forms
+
+
+def drawn_references(form, i, rng):
+    """The agent's reference choices with some replaced by another move's,
+    by a union of nodes or by a random set of outcomes, at times with one
+    off the forest, so that every failure is reached."""
+    sdf = form.sdf
+    nodes = sorted(sdf.forest.nodes, key=sorted)
+    outcomes = sorted(sdf.forest.outcomes)
+    moves = sorted(form.agent_moves[i], key=canonical)
+    refs = dict(form.refchoices[i])
+    for m in moves:
+        if rng.random() < 0.5:
+            continue
+        kind = rng.randrange(3)
+        if kind == 0:
+            refs[m] = form.refchoices[i][rng.choice(moves)]
+        elif kind == 1:
+            refs[m] = [frozenset().union(*rng.sample(
+                nodes, rng.randint(1, 3))) for _ in range(2)]
+        else:
+            refs[m] = [frozenset(rng.sample(outcomes, rng.randint(
+                1, len(outcomes)))) | ({"alien"} if rng.random() < 0.3
+                                       else set())]
+    return refs
+
+
+class TestReferenceChoicesCounted:
+    @pytest.mark.parametrize("k", range(len(EXAMPLE_NAMES) + 13))
+    def test_as_the_preimage_scan(self, k):
+        form = reference_forms()[k]
+        rng = make_rng(k)
+        for i in form.agents:
+            moves = form.agent_moves[i]
+            tries = [form.refchoices[i]]
+            tries += [drawn_references(form, i, rng) for _ in range(30)]
+            for refs in tries:
+                assert reference_message(form.sdf, refs, moves) \
+                    == reference_oracle(form.sdf, refs, moves)
+            # completeness on every other agent's moves as well
+            everything = form.sdf.random_moves
+            for c in [c for cs in form.choices.values() for c in cs][:60]:
+                assert is_complete(form.sdf, c, moves) == complete_oracle(
+                    immediate_predecessors(form.sdf.forest, c), moves)
+                assert is_complete(form.sdf, c, everything) == complete_oracle(
+                    immediate_predecessors(form.sdf.forest, c), everything)
+
+    def test_each_failure_reached(self):
+        kinds = set()
+        for k, form in enumerate(reference_forms()):
+            rng = make_rng(k)
+            for i in form.agents:
+                for _ in range(30):
+                    message = reference_message(
+                        form.sdf, drawn_references(form, i, rng),
+                        form.agent_moves[i])
+                    kinds.add(message and message.split(" at ")[0]
+                              .split(":")[0])
+        assert kinds >= {None, "reference choice not a union of nodes",
+                         "redundant reference choice",
+                         "incomplete reference choice",
+                         "reference choice unavailable"}
+
+
+class TestHashOnce:
+    def test_hash_is_the_graphs(self):
+        moves = set()
+        for name in EXAMPLE_NAMES:
+            moves |= load_example(name)[0].sdf.random_moves
+        for m in sorted(moves, key=canonical):
+            parts = [m.restricted({w}) for w in m.domain]
+            parts.append(m.restricted(sorted(m.domain)[::2]))
+            merged = merge_random_moves(parts)
+            for move in [m, *parts, merged, RandomMove(dict(m.graph))]:
+                assert hash(move) == hash(move.graph)
+            assert merged == m and hash(merged) == hash(m)
