@@ -247,8 +247,7 @@ def validate(ref, as_json):
         "perfect_information": perfect,
         "agents": [str(i) for i in form.agents],
         "flags": {str(i): f for i, f in zip(form.agents, flags)},
-        "checked": {axiom: "undecided" if ok is None else ok
-                    for axiom, ok in form.report.checked.items()},
+        "checked": form.report.checked,
     })
 
 

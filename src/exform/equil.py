@@ -103,15 +103,15 @@ def _scaled_taste(sef, unit, taste):
 
 def validate_eu(sef, eu):
     """Check coverage and the local probability/assessment invariants;
-    returns each unit's belief and taste, scaled.  A taste equal to its
-    agent's last one shares that scaling, so each is scaled once."""
-    beliefs, tastes, last = {}, {}, {}
+    returns each unit's belief and taste, scaled.  A taste equal to the
+    last unit's shares that scaling; units run agent by agent, so each
+    agent's taste, and a taste agents share, is scaled once."""
+    beliefs, tastes, last = {}, {}, (None, None)
     for unit in units(sef):
         beliefs[unit] = _validate_unit(sef, eu, unit)
-        taste = eu.tastes[unit]
-        if taste != last.get(unit[0], (None,))[0]:
-            last[unit[0]] = taste, _scaled_taste(sef, unit, taste)
-        tastes[unit] = last[unit[0]][1]
+        if eu.tastes[unit] != last[0]:
+            last = eu.tastes[unit], _scaled_taste(sef, unit, eu.tastes[unit])
+        tastes[unit] = last[1]
     return beliefs, tastes
 
 

@@ -632,15 +632,13 @@ class _SliceTable:
         return tuple(tuple(r.members) for r in self._at(w, x))
 
     def options(self, w, x, void):
-        """(slice, mask, entry) of each distinct slice offered at x, sorted,
-        and first the empty slice when ``void``; a whole root's entry is
-        False."""
+        """(mask, entry) of each distinct slice offered at x, and of the
+        empty slice when ``void``; a whole root's entry is False."""
         k = self.position[w]
-        records = sorted(self._at(w, x), key=lambda r: sorted(r.outcomes))
+        records = self._at(w, x)
         if void:
-            records.insert(0, self._record(k, 0, frozenset()))
-        return [(r.outcomes, r.mask, r.entry or self._entry(k, r))
-                for r in records]
+            records.append(self._record(k, 0, frozenset()))
+        return [(r.mask, r.entry or self._entry(k, r)) for r in records]
 
     def overlapping(self):
         """(k, members, members2) for each pair of distinct slices of tree
@@ -712,19 +710,15 @@ class _SliceTable:
         is offered at no move there, so each availability bit is 0."""
         return sum({bit for w in scenarios for bit, _, _ in self.at[w]}), 0
 
-    def within(self, scenarios):
-        """The cut choices with no slice off the scenarios."""
-        inside = 0
-        for w in scenarios:
-            inside |= self.root_masks[self.position[w]]
-        return [c for whole, c in self.choice_of.items()
-                if not whole & ~inside]
-
-    def union(self, whole, s, chosen):
-        """The cut choice whose mask is ``whole``, else the union of the
-        slice s and the chosen slices, read out."""
-        c = self.choice_of.get(whole)
-        return frozenset().union(s, *chosen) if c is None else c
+    def missing(self, whole):
+        """None where ``whole``, a union of slices the table holds, is a
+        cut choice's mask; else that union's outcomes, read off its slices'
+        records."""
+        if whole in self.choice_of:
+            return None
+        return frozenset().union(*[
+            tree[whole & root].outcomes
+            for tree, root in zip(self.trees, self.root_masks) if whole & root])
 
 
 # --- action paths -----------------------------------------------------------

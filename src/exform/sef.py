@@ -37,8 +37,9 @@ from .sdf import (
 
 # default caps of the module's searches; EXFORM_BUDGET overrides each:
 # validate_sef's Axiom 2 search, the adapted-choice search of Axiom 6 and
-# of the choice completion (search nodes per information set), the
-# strategy enumeration and the joint action profiles of action-path forms
+# of the choice completion (slices tried and unions joined per information
+# set), the strategy enumeration and the joint action profiles of
+# action-path forms
 AXIOM2_CAP = 10 ** 6
 ADAPTED_CAP = 10 ** 5
 STRATEGIES_CAP = 10 ** 6
@@ -61,6 +62,9 @@ class InfoSet:
 
 @dataclass
 class SEFReport:
+    """The verdict of ``validate_sef``: the violations by kind, and per
+    axiom checked whether it holds.  An axiom is checked once every choice
+    is a union of nodes and adapted, and then reads True or False."""
     valid: bool
     violations: tuple = ()
     checked: dict = field(default_factory=dict)
@@ -82,8 +86,8 @@ class Strategy:
 def validate_sef(sdf, agents, agent_moves, info, refchoices, choices):
     """
     Check the extensive-form axioms exhaustively.  The report records one
-    entry per axiom: True, False, or None when the adapted-choice search
-    of Axiom 6 would exceed its budget.
+    entry per axiom, True or False; a search over its budget, of Axiom 2
+    or of Axiom 6, raises BudgetExceeded, having decided nothing.
     """
     form = StochasticExtensiveForm.__new__(StochasticExtensiveForm)
     form._store(sdf, agents, agent_moves, info, refchoices, choices)
@@ -96,11 +100,11 @@ def _validate(form):
     agent's choices that is a union of nodes by every root into the
     agent's slice table, joining its slices' entries there into its
     adaptedness as it cuts.  The menu index and every axiom below read
-    those tables, which live for this call only.  Axiom 6 is decided per
-    information set by counting adapted unions component by component of
-    its scenarios, and searched whole only to list the missing ones
-    (``_missing_choices``).  An axiom reads False exactly when it has
-    violations, and the violations are listed by ``sorted_violations``.
+    those tables, which live for this call only.  Axiom 6 lists per
+    information set the adapted unions that are not choices, joined
+    component by component of its scenarios (``_missing_choices``).  An
+    axiom reads False exactly when it has violations, and the violations
+    are listed by ``sorted_violations``.
     """
     axiom2_cap = budget(AXIOM2_CAP)
     sdf, agents, agent_moves = form.sdf, form.agents, form.agent_moves
@@ -200,23 +204,16 @@ def _validate(form):
                     violations.append(("axiom5", (i, m, m2)))
 
     # Axiom 6: completeness, every adapted union of slices of an
-    # information set's menu is a choice; where the search runs over its
-    # budget and finds none, the axiom reads None
-    undecided = False
+    # information set's menu is a choice
     for i in agents:
         for p in info_sets(form, i)[0]:
-            try:
-                violations.extend(("axiom6", (i, c)) for c in _missing_choices(
-                    form, i, p, tables[i]))
-            except BudgetExceeded:
-                undecided = True
+            violations.extend(("axiom6", (i, c)) for c in _missing_choices(
+                form, i, p, tables[i]))
 
     failed = {kind for kind, _ in violations}
-    checked = {f"axiom{k}": f"axiom{k}" not in failed for k in range(1, 7)}
-    if undecided and checked["axiom6"]:
-        checked["axiom6"] = None
     return SEFReport(not violations, sorted_violations(violations, SEF_KINDS),
-                     checked)
+                     {f"axiom{k}": f"axiom{k}" not in failed
+                      for k in range(1, 7)})
 
 
 def _axiom1_violations(table, i):
@@ -245,7 +242,7 @@ def _search_plan(form, i, members, table, void):
     The scenarios of the information set in visiting order, each one's
     options and the start bits of the search over one slice per scenario.
     A scenario's options are the slices the agent's slice table holds at
-    the set's move there, the empty slice first when ``void``: when every
+    the set's move there, and the empty slice when ``void``: when every
     choice is adapted, hence complete, a choice offered at that move is
     offered at every move of the set, so it is on the menu, and
     validation reaches Axiom 6 only then.  The scenarios are visited
@@ -264,8 +261,8 @@ def _search_plan(form, i, members, table, void):
 
 
 def _nodes():
-    """One draw per search node; past ``ADAPTED_CAP`` it raises
-    BudgetExceeded."""
+    """One draw per node of an Axiom 6 search, each slice tried and each
+    union the join makes; past ``ADAPTED_CAP`` it raises BudgetExceeded."""
     cap = budget(ADAPTED_CAP)
     yield from range(cap)
     raise BudgetExceeded(f"more than {cap} adapted-choice search nodes")
@@ -273,55 +270,32 @@ def _nodes():
 
 def _leaves(options, start, nodes):
     """
-    Each leaf of the search as (known, value, mask, slice, the slices
-    chosen before it): the search backtracks over the positions of
-    ``options`` with a stack of (known, value) bits and the mask of the
-    slices taken, and takes a slice only if its entry in the table agrees
-    with the bits already fixed, so every leaf is adapted.  Each slice
-    tried is drawn from ``nodes`` (``_nodes``).
+    The (known, value, mask) of each leaf of the search: it backtracks
+    over the positions of ``options`` with a stack of the bits fixed and
+    the mask of the slices taken, and takes a slice only if its entry in
+    the table agrees with the bits already fixed, so every leaf is
+    adapted.  Each slice tried is drawn from ``nodes`` (``_nodes``).
     """
     # one iterator per position taken so far, and the bits and mask fixed
     # before it; no recursive closure, whose reference cycle would keep
     # the tables alive until the cycle collector
-    levels, fixed, chosen = [iter(options[0])], [(*start, 0)], []
+    levels, fixed = [iter(options[0])], [(*start, 0)]
     depth = len(options)
     while levels:
         known, value, whole = fixed[-1]
-        for s, mask, entry in levels[-1]:
+        for mask, entry in levels[-1]:
             next(nodes)
             if not entry or (value ^ entry[1]) & known & entry[0]:
                 continue
+            step = known | entry[0], value | entry[1], whole | mask
             if len(levels) < depth:
-                chosen.append(s)
-                fixed.append((known | entry[0], value | entry[1],
-                              whole | mask))
+                fixed.append(step)
                 levels.append(iter(options[len(levels)]))
                 break
-            yield known | entry[0], value | entry[1], whole | mask, s, chosen
+            yield step
         else:
             levels.pop()
             fixed.pop()
-            if chosen:
-                chosen.pop()
-
-
-def _adapted_unions(form, i, members, table, void=False):
-    """
-    Every adapted union of one slice of the menu per active scenario of
-    the information set (``_search_plan``), the empty slice included when
-    ``void``, searched over all the scenarios at once.  A leaf whose mask
-    is a choice in the table is that choice; any other is read out as the
-    union of its slices.  Each slice tried is a search node, at most
-    ``ADAPTED_CAP``.
-    """
-    _, options, start = _search_plan(form, i, members, table, void)
-    return _unions(table, options, start)
-
-
-def _unions(table, options, start):
-    """The leaves of the search over the options, read out as unions."""
-    for _, _, whole, s, chosen in _leaves(options, start, _nodes()):
-        yield table.union(whole, s, chosen)
 
 
 def _components(options, free):
@@ -335,7 +309,7 @@ def _components(options, free):
     parts = []   # (the component's bits, its positions)
     for k, opts in enumerate(options):
         bits = 0
-        for _, _, entry in opts:
+        for _, entry in opts:
             if entry:
                 bits |= entry[0]
         bits &= ~free
@@ -348,66 +322,52 @@ def _components(options, free):
     return [sorted(positions) for _, positions in parts]
 
 
-def _count_unions(options, start, parts, free):
+def _join(options, start, parts, free):
     """
-    The number of leaves of the whole search (``_adapted_unions``),
-    counted per component: once the availability bits ``free`` are fixed,
-    the components share no bit, so the leaves are the tuples of one leaf
-    per component that agree on those bits (cutset conditioning; Dechter,
-    *Constraint Processing*, 2003).  Each component is searched alone
-    from the start bits, its leaves grouped by the availability bits
-    they fix, and the groups joined across components on equal bits.
-    Each slice tried and each pair of groups the join compares is a node
-    (``_nodes``).
+    The masks of the adapted unions of one option per position, joined
+    component by component: once the availability bits ``free`` are
+    fixed, the components share no bit, so the unions are those of one
+    leaf per component that agree on those bits (cutset conditioning;
+    Dechter, *Constraint Processing*, 2003, ch. 10).  Each component is
+    searched alone from the start bits, its leaves' masks grouped by the
+    availability bits they fix, and the groups joined across components
+    on equal bits; a set with one component is the whole search.  Each
+    slice tried and each union made is a node (``_nodes``).
     """
     nodes = _nodes()
-    joined, fixed = {0: 1}, 0   # leaf tuples per value of the bits fixed
+    joined, fixed = {0: [0]}, 0   # union masks per value of the bits fixed
     for positions in parts:
         groups, bits = {}, 0
-        for known, value, _, _, _ in _leaves(
-                [options[k] for k in positions], start, nodes):
+        for known, value, mask in _leaves([options[k] for k in positions],
+                                          start, nodes):
             bits |= known & free
-            groups[value & free] = groups.get(value & free, 0) + 1
+            groups.setdefault(value & free, []).append(mask)
         pairs = {}
-        for value, count in joined.items():
-            for value2, count2 in groups.items():
-                next(nodes)
+        for value, masks in joined.items():
+            for value2, masks2 in groups.items():
                 if not (value ^ value2) & fixed & bits:
-                    key = value | value2
-                    pairs[key] = pairs.get(key, 0) + count * count2
+                    made = pairs.setdefault(value | value2, [])
+                    for mask in masks:
+                        for mask2 in masks2:
+                            next(nodes)
+                            made.append(mask | mask2)
         joined, fixed = pairs, fixed | bits
-    return sum(joined.values())
+    return [mask for masks in joined.values() for mask in masks]
 
 
-def _missing_choices(form, i, p, table):
+def _missing_choices(form, i, p, table, void=False):
     """
-    The adapted unions of the information set's menu that are not
-    choices: Axiom 6's violations there.  Every menu choice with no slice
-    off the set's scenarios is a leaf of the search, every leaf that is a
-    choice is one of them, and leaves are distinct unions.  So where the
-    scenarios split into components, Axiom 6 holds at the set iff the
-    leaves counted per component (``_count_unions``) are as many as those
-    menu choices.  Otherwise, or where the count runs over its budget,
-    the whole search lists the missing unions, each as it is found, so
-    that those found before it runs over its budget are kept.
+    The adapted unions of one slice of the information set's menu per
+    active scenario (``_search_plan``), the empty slice included when
+    ``void``, that are not choices: Axiom 6's violations there, and what
+    the choice completion adds.  The join lists every union as a mask,
+    and only those that are no choice are read out as sets.
     """
     visit, options, start = _search_plan(form, i, p.random_moves, table,
-                                         False)
-    parts = ()
-    if len(visit) > 1:
-        free = table.start(visit)[0]
-        parts = _components(options, free)
-    if len(parts) > 1:
-        menu = len(set(table.within(visit)).intersection(form._index.menus[p]))
-        try:
-            if _count_unions(options, start, parts, free) == menu:
-                return
-        except BudgetExceeded:
-            pass
-    choices = form.choices[i]
-    for c in _unions(table, options, start):
-        if c not in choices:
-            yield c
+                                         void)
+    free = table.start(visit)[0]
+    return [c for c in map(table.missing, _join(
+        options, start, _components(options, free), free)) if c is not None]
 
 
 _MenuIndex = namedtuple("_MenuIndex",
@@ -618,8 +578,8 @@ def complete_choices(sef):
         table = tables[i] = _slice_table(sef, i, sef.choices[i])
         closure = set(sef.choices[i])
         for p in info_sets(sef, i)[0]:
-            closure.update(c for c in _adapted_unions(
-                sef, i, p.random_moves, table, void=True) if c)
+            closure.update(c for c in _missing_choices(sef, i, p, table,
+                                                       void=True) if c)
         new_choices[i] = frozenset(closure)
     completed = StochasticExtensiveForm(
         sef.sdf, sef.agents, sef.agent_moves, sef.info, sef.refchoices,

@@ -218,8 +218,9 @@ def constant_choice_parts(n):
     The pieces of a valid single-agent form on n >= 2 scenarios, each a
     tree with outcomes a and b under one root, and one random move over
     all roots under trivial information: only the two constant choices are
-    adapted.  Axiom 2 counts 2n profiles and the Axiom 6 search 4n - 2
-    nodes, so a budget between them leaves Axiom 6 undecided.
+    adapted.  Axiom 2 counts 2n profiles and the Axiom 6 search 4n nodes
+    (4n - 2 slices tried, 2 unions made), so a budget between them stops
+    validation at Axiom 6 with BudgetExceeded.
     Returns (sdf, agents, agent_moves, info, refchoices, choices).
     """
     from exform.forest import DecisionForest

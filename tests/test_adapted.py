@@ -3,12 +3,16 @@ The adapted-choice table against the code it replaced: the whole-choice
 body of check_adapted, and the two product searches over one slice per
 active scenario, Axiom 6 of validate_sef and the choice completion.  The
 oracles below are the earlier code, kept verbatim apart from their names.
-Also: Axiom 6 decided by counting the search's leaves per component,
-against the whole search, ``_adapted_unions``, which lists them.
+Also: the adapted unions joined per component, ``_join``, against the
+whole search over all of an information set's scenarios at once, which
+``exform.sef`` ran before the join listed them and which is kept below
+as the join's oracle.
 """
 
+import functools
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -38,11 +42,12 @@ from exform.sdf import (
 from exform.forest import DecisionForest
 from exform.sdf import RandomMove, StochasticDecisionForest
 from exform.sef import (
+    InfoSet,
     StochasticExtensiveForm,
-    _adapted_unions,
     _components,
-    _count_unions,
+    _join,
     _missing_choices,
+    _nodes,
     _search_plan,
     _slice_table,
     complete_choices,
@@ -147,6 +152,76 @@ def completion_oracle(sef):
     return new_choices
 
 
+# --- the whole search, the oracle of the join --------------------------------------
+# ``_adapted_unions`` and its ``_leaves`` as ``exform.sef`` had them, kept
+# verbatim apart from their names, the options' slices, which the search
+# no longer carries, and the table's ``union`` reader: a leaf is read out
+# from its mask.
+
+def leaves_oracle(options, start, nodes):
+    """
+    The mask of each leaf of the search: the search backtracks over the
+    positions of ``options`` with a stack of (known, value) bits and the
+    mask of the slices taken, and takes a slice only if its entry in the
+    table agrees with the bits already fixed, so every leaf is adapted.
+    Each slice tried is drawn from ``nodes`` (``_nodes``).
+    """
+    levels, fixed = [iter(options[0])], [(*start, 0)]
+    depth = len(options)
+    while levels:
+        known, value, whole = fixed[-1]
+        for mask, entry in levels[-1]:
+            next(nodes)
+            if not entry or (value ^ entry[1]) & known & entry[0]:
+                continue
+            if len(levels) < depth:
+                fixed.append((known | entry[0], value | entry[1],
+                              whole | mask))
+                levels.append(iter(options[len(levels)]))
+                break
+            yield whole | mask
+        else:
+            levels.pop()
+            fixed.pop()
+
+
+def read_out(table, whole):
+    """The union of slices with the mask, a choice or not, as a set."""
+    return table.choice_of.get(whole) or table.missing(whole)
+
+
+def whole_search(form, i, members, table, void=False):
+    """
+    Every adapted union of one slice of the menu per active scenario of
+    the information set (``_search_plan``), the empty slice included when
+    ``void``, searched over all the scenarios at once.  Each slice tried
+    is a search node, at most ``ADAPTED_CAP``.
+    """
+    _, options, start = _search_plan(form, i, members, table, void)
+    for whole in leaves_oracle(options, start, _nodes()):
+        yield read_out(table, whole)
+
+
+def joined(form, i, members, table, void=False):
+    """The join's unions of the information set, choices included, each
+    read out as a set."""
+    visit, options, start = _search_plan(form, i, members, table, void)
+    free = table.start(visit)[0]
+    return [read_out(table, mask) for mask in _join(
+        options, start, _components(options, free), free)]
+
+
+def assert_joined_as_searched(form, i, members, table, void=False):
+    """The join's unions equal the whole search's as multisets, and the
+    missing choices are the whole search's unions that are no choice."""
+    whole = list(whole_search(form, i, members, table, void))
+    assert Counter(joined(form, i, members, table, void)) == Counter(whole)
+    missing = _missing_choices(form, i, InfoSet(i, members), table, void)
+    assert Counter(missing) \
+        == Counter(c for c in whole if c not in form.choices[i])
+    return whole
+
+
 # --- comparison -------------------------------------------------------------------
 
 def product(form, members, menu, void):
@@ -161,9 +236,9 @@ def product(form, members, menu, void):
 
 
 def search(form, i, members, menu, void):
-    """The search's leaves, through a slice table of the agent's choices."""
+    """The join's unions, through a slice table of the agent's choices."""
     table = _slice_table(form, i, form.choices[i])
-    return _adapted_unions(form, i, members, table, void)
+    return joined(form, i, members, table, void)
 
 
 def agrees(form, i, c):
@@ -343,20 +418,24 @@ class TestAdaptedSearch:
                 == completion_oracle(partial)
 
     def test_over_the_cap(self, monkeypatch):
-        # 4 scenarios: Axiom 2 counts 8 profiles, the search takes 14 nodes;
-        # the amd completion searches take 282 nodes each
+        # 4 scenarios: Axiom 2 counts 8 profiles, the search tries 14
+        # slices and makes 2 unions; the amd completion searches take 161
+        # nodes each.  A search over its budget decides nothing: it raises
         form = load_example("amd")[0]
-        monkeypatch.setenv("EXFORM_BUDGET", "10")
-        report = validate_sef(*constant_choice_parts(4))
-        assert report.valid and report.checked["axiom6"] is None
-        monkeypatch.setenv("EXFORM_BUDGET", "14")
+        for cap in (10, 15):
+            monkeypatch.setenv("EXFORM_BUDGET", str(cap))
+            with pytest.raises(BudgetExceeded):
+                validate_sef(*constant_choice_parts(4))
+        monkeypatch.setenv("EXFORM_BUDGET", "16")
         assert validate_sef(*constant_choice_parts(4)).checked["axiom6"] is True
-        monkeypatch.setenv("EXFORM_BUDGET", "281")
+        monkeypatch.setenv("EXFORM_BUDGET", "160")
         with pytest.raises(BudgetExceeded):
             complete_choices(form)
+        monkeypatch.setenv("EXFORM_BUDGET", "161")
+        assert complete_choices(form).choices == form.choices
 
 
-# --- Axiom 6 counted per component -----------------------------------------------
+# --- Axiom 6 joined per component ------------------------------------------------
 
 def two_level_parts(diagonal=False):
     """
@@ -488,28 +567,30 @@ def chained_parts():
 
 def count_as_listed(form):
     """
-    On every information set: the leaves counted per component equal the
-    whole search's leaves, and the missing choices equal the whole
-    search's leaves that are not choices, in order.  Returns the number
-    of (components, leaves) per set where the scenarios split.
+    On every information set: the join's unions equal the whole search's
+    leaves as multisets, and the missing choices the whole search's leaves
+    that are not choices (``assert_joined_as_searched``).  Returns the
+    number of (components, unions) per set where the scenarios split.
     """
     split = []
     for i in form.agents:
         table = _slice_table(form, i, form.choices[i])
         for p in info_sets(form, i)[0]:
-            leaves = list(_adapted_unions(form, i, p.random_moves, table))
-            visit, options, start = _search_plan(form, i, p.random_moves,
-                                                 table, False)
-            free = table.start(visit)[0]
-            parts = _components(options, free)
+            leaves = assert_joined_as_searched(form, i, p.random_moves, table)
+            visit, options, _ = _search_plan(form, i, p.random_moves, table,
+                                             False)
+            parts = _components(options, table.start(visit)[0])
             assert sorted(k for part in parts for k in part) \
                 == list(range(len(visit)))
-            assert _count_unions(options, start, parts, free) == len(leaves)
-            assert list(_missing_choices(form, i, p, table)) \
-                == [c for c in leaves if c not in form.choices[i]]
             if len(parts) > 1:
                 split.append((len(parts), len(leaves)))
     return split
+
+
+@functools.cache
+def twelve_atoms():
+    """The 12-atom exit race, built once."""
+    return amd_sef(12)[0]
 
 
 def stored(parts):
@@ -557,9 +638,9 @@ class TestCountPerComponent:
         # X's set: 4 x 4 pairs, 8 agree on Y's bit; Y's set: 2 x 2
         assert count_as_listed(stored(two_level_parts())) == [(2, 8), (2, 4)]
         assert validate_sef(*two_level_parts()).checked["axiom6"] is True
-        # with the diagonal choices only, the counts differ and the whole
-        # search lists the 4 missing unions at X's set, and at Y's set
-        # the 2 of them that take {a, b} or {a, c} in both trees
+        # with the diagonal choices only, the join lists the 4 missing
+        # unions at X's set, and at Y's set the 2 of them that take
+        # {a, b} or {a, c} in both trees
         parts = two_level_parts(diagonal=True)
         assert count_as_listed(stored(parts)) == [(2, 8), (2, 4)]
         report = check_axiom6_against_oracle(parts)
@@ -567,12 +648,13 @@ class TestCountPerComponent:
         assert len([v for v in report.violations if v[0] == "axiom6"]) == 6
 
     def test_two_components_are_counted_within_the_cap(self, monkeypatch):
-        # X's set: 4 + 4 nodes and 2 + 4 join pairs, where the whole
-        # search takes 4 + 16 nodes; Y's set takes 2 + 2 and 1 + 1
-        monkeypatch.setenv("EXFORM_BUDGET", "14")
+        # X's set: 4 + 4 slices tried and 4 + 8 unions made, where the
+        # whole search tries 4 + 16 slices; Y's set takes 2 + 2 and 2 + 4
+        monkeypatch.setenv("EXFORM_BUDGET", "20")
         assert validate_sef(*two_level_parts()).checked["axiom6"] is True
-        monkeypatch.setenv("EXFORM_BUDGET", "13")
-        assert validate_sef(*two_level_parts()).checked["axiom6"] is None
+        monkeypatch.setenv("EXFORM_BUDGET", "19")
+        with pytest.raises(BudgetExceeded):
+            validate_sef(*two_level_parts())
 
     def test_components_that_fix_different_availability_bits(self):
         # B's set: 2 x 2, with X's and Z's bits fixed off its scenarios;
@@ -590,8 +672,8 @@ class TestCountPerComponent:
         assert count_as_listed(form) == [(2, 4), (2, 18)]
 
     def test_menu_choices_with_slices_off_the_set_are_not_counted(self):
-        # 4 leaves against the 3 menu choices inside u and v: the whole
-        # search lists the missing one
+        # 4 unions against the 3 menu choices inside u and v: the join
+        # lists the missing one
         parts = outside_parts()
         assert count_as_listed(stored(parts)) == [(2, 4)]
         report = check_axiom6_against_oracle(parts)
@@ -615,37 +697,65 @@ class TestCountPerComponent:
         # two availability bits: the first component's one slice fixes
         # bit 1 alone, the second's two slices fix bits 0 and 1, agreeing
         # on bit 1 and differing on bit 0, so both pairs agree
-        options = [[(frozenset("a"), 1, (0b10, 0b10))],
-                   [(frozenset("b"), 2, (0b11, 0b11)),
-                    (frozenset("c"), 4, (0b11, 0b10))]]
-        assert _count_unions(options, (0, 0), [[0], [1]], 0b11) == 2
+        options = [[(1, (0b10, 0b10))],
+                   [(2, (0b11, 0b11)), (4, (0b11, 0b10))]]
+        assert sorted(_join(options, (0, 0), [[0], [1]], 0b11)) == [3, 5]
         # with the first slice fixing bit 0 as well, at 0, one pair agrees
-        options[0] = [(frozenset("a"), 1, (0b11, 0b10))]
-        assert _count_unions(options, (0, 0), [[0], [1]], 0b11) == 1
+        options[0] = [(1, (0b11, 0b10))]
+        assert _join(options, (0, 0), [[0], [1]], 0b11) == [5]
+        # as one component, the whole search meets the same unions
+        assert _join(options, (0, 0), [[0, 1]], 0b11) == [5]
 
     def test_twelve_atom_exit_race_decided(self):
         # the whole search takes 384,930 nodes, over the default cap; the
-        # count takes 12 components of 94 nodes and 12 join pairs, and
-        # reads 2^12 unions, the menu's 4,096 choices
-        assert amd_sef(12)[0].report.checked["axiom6"] is True
+        # join tries 12 x 94 slices and makes 2 + 4 + ... + 4,096 unions,
+        # 9,318 nodes, and meets the menu's 4,096 choices
+        assert twelve_atoms().report.checked["axiom6"] is True
+
+    def test_twelve_atom_exit_race_minus_seeded_choices(self):
+        # 8 seeded choices dropped per agent: the join lists each of them,
+        # once, and nothing else, where a whole search runs past the cap
+        # before it meets them
+        form = twelve_atoms()
+        rng = random.Random(37)
+        gone = {i: rng.sample(sorted(form.choices[i], key=sorted), 8)
+                for i in form.agents}
+        report = validate_sef(*parts_of(form, {
+            i: form.choices[i] - set(gone[i]) for i in form.agents}))
+        assert report.checked == {**{f"axiom{k}": True for k in range(1, 6)},
+                                  "axiom6": False}
+        assert report.violations == tuple(sorted(
+            (("axiom6", (i, c)) for i in form.agents for c in gone[i]),
+            key=lambda v: canonical(v[1])))
+
+    def test_below_the_join_nodes_validation_raises(self, monkeypatch):
+        # mp-case3's second mover: the join takes 48 slices and 510
+        # unions; a search over its budget decides nothing
+        parts = parts_of(BUNDLED["mp-case3"]())
+        monkeypatch.setenv("EXFORM_BUDGET", "557")
+        with pytest.raises(BudgetExceeded, match="more than 557"):
+            validate_sef(*parts)
+        monkeypatch.setenv("EXFORM_BUDGET", "558")
+        assert validate_sef(*parts).valid
 
     def test_cap_counts_per_component_nodes(self, monkeypatch):
-        # amd_sef(4) needs a budget of 128 for its other searches; each
-        # agent's count takes 4 components of 30 nodes and 4 join pairs,
-        # where the whole search takes 450 nodes
+        # each agent's join tries 4 components of 30 slices and makes
+        # 2 + 4 + 8 + 16 unions, 150 nodes, where the whole search takes
+        # 450; amd_sef(4)'s other searches fit in 128
         form = amd_sef(4)[0]
-        monkeypatch.setenv("EXFORM_BUDGET", "128")
+        monkeypatch.setenv("EXFORM_BUDGET", "150")
         assert validate_sef(*parts_of(form)).checked["axiom6"] is True
         table = _slice_table(form, 1, form.choices[1])
         (p,), _ = info_sets(form, 1)
         with pytest.raises(BudgetExceeded):
-            list(_adapted_unions(form, 1, p.random_moves, table))
+            list(whole_search(form, 1, p.random_moves, table))
         visit, options, start = _search_plan(form, 1, p.random_moves, table,
                                              False)
         free = table.start(visit)[0]
         parts = _components(options, free)
-        monkeypatch.setenv("EXFORM_BUDGET", "124")
-        assert _count_unions(options, start, parts, free) == 16
-        monkeypatch.setenv("EXFORM_BUDGET", "123")
+        assert len(_join(options, start, parts, free)) == 16
+        monkeypatch.setenv("EXFORM_BUDGET", "149")
         with pytest.raises(BudgetExceeded):
-            _count_unions(options, start, parts, free)
+            _join(options, start, parts, free)
+        with pytest.raises(BudgetExceeded):
+            validate_sef(*parts_of(form))

@@ -23,9 +23,10 @@ from exform.cli import (
     parse_sef,
     serialize_sef,
 )
-from exform.instances import load_example
+from exform.instances import amd_sef, load_example
 from exform.errors import ExformError, InputError
 from exform.sef import StochasticExtensiveForm
+from test_adapted import twelve_atoms
 from test_slices import unvalidated
 from test_validate import twinned
 
@@ -58,14 +59,15 @@ class TestValidate:
                                      "--json").output)["checked"]
             assert checked == {f"axiom{k}": True for k in range(1, 7)}
         # a budget past Axiom 2's 8 profiles but short of the Axiom 6
-        # search's 14 nodes leaves Axiom 6 undecided, yet the form is valid
+        # search's 16 nodes decides nothing: exit 3, no verdict printed
         path = tmp_path / "constant.json"
         path.write_text(json.dumps(serialize_sef(
             StochasticExtensiveForm(*constant_choice_parts(4)))))
         monkeypatch.setenv("EXFORM_BUDGET", "10")
-        data = json.loads(run("validate", "--sef", str(path), "--json").output)
-        assert data["valid"] and data["checked"]["axiom6"] == "undecided"
-        assert all(data["checked"][f"axiom{k}"] is True for k in range(1, 6))
+        result = CliRunner().invoke(cli, ["validate", "--sef", str(path),
+                                          "--json"])
+        assert (result.exit_code, result.output) \
+            == (3, "undecided: more than 10 adapted-choice search nodes\n")
 
     def test_unknown_example_is_input_error(self):
         assert run("validate", "--sef", "examples:nope").exit_code == 2
@@ -101,6 +103,32 @@ class TestValidate:
         path.write_text(json.dumps(doc))
         result = run("validate", "--sef", str(path))
         assert result.exit_code == 1 and "invalid SEF" in result.output
+
+    def test_exit_race_missing_a_choice_fails_axiom6(self, tmp_path):
+        # amd_sef(12) without agent 1's choice 1,365 in canonical order:
+        # the search whose budget ran out let this form read valid; the
+        # join lists the one missing choice
+        doc = serialize_sef(twelve_atoms())
+        gone = doc["choices"]["1"].pop(1365)
+        path = tmp_path / "exit-race-12.json"
+        path.write_text(json.dumps(doc))
+        result = run("validate", "--sef", str(path))
+        assert (result.exit_code, result.output) \
+            == (1, "invalid SEF: invalid extensive form: (('axiom6', "
+                f"('1', {gone!r})),)\n")
+
+    def test_axiom6_witness_does_not_depend_on_the_hash_seed(self, tmp_path):
+        # amd_sef(10) without agent 1's choice 341 in canonical order
+        doc = serialize_sef(amd_sef(10)[0])
+        gone = doc["choices"]["1"].pop(341)
+        path = tmp_path / "exit-race-10.json"
+        path.write_text(json.dumps(doc))
+        output = stdout_across_hash_seeds(
+            ["-m", "exform", "validate", "--sef", str(path), "--json"],
+            returncode=1)
+        assert json.loads(output) == {
+            "valid": False,
+            "witness": f"invalid extensive form: (('axiom6', ('1', {gone!r})),)"}
 
     def test_witness_does_not_depend_on_the_hash_seed(self, tmp_path):
         # the twinned simple form fails Axiom 2 at each of its six moves;
@@ -649,17 +677,28 @@ class TestUndecided:
         assert "undecided:" in result.output
         assert "check failed" not in result.output
 
+    def test_validate_below_the_join_nodes_exits_3(self):
+        # mp-case3's second mover: its Axiom 6 join takes 558 nodes
+        args = ["validate", "--sef", "examples:mp-case3"]
+        result = CliRunner().invoke(cli, args, env={"EXFORM_BUDGET": "557"})
+        assert (result.exit_code, result.output) \
+            == (3, "undecided: more than 557 adapted-choice search nodes\n")
+        result = CliRunner().invoke(cli, args, env={"EXFORM_BUDGET": "558"})
+        assert (result.exit_code, result.output) \
+            == (0, "valid SEF, perfect recall, imperfect information\n")
+
     def test_wellposed_budget_counts_tree_keys(self):
         # mp-case3's 48 histories x 1,024 profiles exceed 49,151, but the
         # direct check decides its 16 trees' histories once per tree key:
-        # 192 pairs, under its agents' 256 strategies
+        # 192 pairs, under its agents' 256 strategies.  Below 558, building
+        # the form stops first, at the second mover's Axiom 6 search
         args = ["wellposed", "--sef", "examples:mp-case3", "--method",
                 "direct"]
         result = CliRunner().invoke(cli, args, env={"EXFORM_BUDGET": "49151"})
         assert (result.exit_code, result.output) == (0, "well-posed\n")
         result = CliRunner().invoke(cli, args, env={"EXFORM_BUDGET": "255"})
         assert (result.exit_code, result.output) \
-            == (3, "undecided: 256 strategies exceed the budget\n")
+            == (3, "undecided: more than 255 adapted-choice search nodes\n")
 
 
 def error_classes(cls=ExformError):

@@ -2246,6 +2246,26 @@ class TestOnePass:
         validate_eu(sef, eu)
         assert sorted(calls) == sorted(sef.agents)
 
+    def test_a_taste_the_agents_share_is_scaled_once(self, monkeypatch):
+        # the exit race's two agents hold equal tastes in their own dicts:
+        # one scaling serves both, and both units read it
+        calls = []
+        scaled_taste = equil._scaled_taste
+
+        def counted(sef, unit, taste):
+            calls.append(unit[0])
+            return scaled_taste(sef, unit, taste)
+
+        monkeypatch.setattr(equil, "_scaled_taste", counted)
+        sef, eu, s, _ = exit_race(2 * THIRD, 6)
+        first, second = units(sef)
+        assert first[0] != second[0]
+        assert eu.tastes[first] == eu.tastes[second]
+        assert eu.tastes[first] is not eu.tastes[second]
+        _, tastes = validate_eu(sef, eu)
+        assert calls == [first[0]]
+        assert tastes[first] is tastes[second]
+
     @pytest.mark.parametrize("value", MALFORMED, ids=repr)
     def test_malformed_taste_value_rejected(self, value):
         sef, eu, s, _ = load_example("amd")

@@ -658,3 +658,15 @@ class TestHashOnce:
             for move in [m, *parts, merged, RandomMove(dict(m.graph))]:
                 assert hash(move) == hash(move.graph)
             assert merged == m and hash(merged) == hash(m)
+
+    def test_graph_of_mixed_labels_in_repr_order(self):
+        # int and str scenario labels do not compare: the graph is sorted
+        # by repr, and the canonical key follows the graph, so "'a'" comes
+        # before "(10" and "(10" before "(2"
+        x = {w: frozenset({f"{w}:{k}" for k in "ab"}) for w in (2, "a", 10)}
+        for order in ([2, "a", 10], [10, 2, "a"], ["a", 10, 2]):
+            m = RandomMove({w: x[w] for w in order})
+            assert m.graph == (("a", x["a"]), (10, x[10]), (2, x[2]))
+            assert m.canonical_key == (2, [
+                (2, [(0, repr(w)), (1, sorted(map(canonical, x[w])))])
+                for w in ("a", 10, 2)])

@@ -299,9 +299,10 @@ def test_non_redundancy_on_every_union_of_nodes(f):
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "exform"
 # the slice table, the one place that cuts the choices of a form: ``cut``
-# cuts each choice's mask, and ``_record`` its outcomes once per distinct
-# slice
-INDEXER = {("sdf.py", "cut"), ("sdf.py", "_record")}
+# cuts each choice's mask, ``_record`` its outcomes once per distinct
+# slice, and ``missing`` the mask of a union of its slices, to read their
+# records
+INDEXER = {("sdf.py", "cut"), ("sdf.py", "_record"), ("sdf.py", "missing")}
 # the attributes that hold slice records, outcome bits or masks
 MASKED = {"trees", "bit", "root_masks", "choice_of", "_bit", "_root_masks"}
 # every other cut by a root in the guarded modules, with its reason
