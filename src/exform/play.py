@@ -4,8 +4,10 @@ Outcome induction and well-posedness.
 A strategy profile together with a history determines which outcomes
 survive every on-path choice.  In a finite forest every history is the
 up-set of a move, its core, so the outcomes a profile induces from a
-history are those ``_compatible_below`` fills bottom-up from the core.
-``outcome_from`` answers one query with a fresh walk below the core.
+history are the core's entry in ``_tree_fill``: one pass, bottom-up,
+over the walk of the core's tree that the form indexed at construction.
+``outcome_report`` and ``outcome_from`` answer one query each from a
+fresh fill.
 
 A move lies in one scenario's tree, and everything below it lies inside
 that tree's root r, so a query from the move reads each choice c the
@@ -100,7 +102,7 @@ def reduction_set(sef, w, profile, h):
 def outcome_report(sef, profile, h):
     hbar, core = _core(sef, h)
     tables = profile_tables(sef, profile)
-    compatible = sorted(_compatible_below(sef, tables, core, {}))
+    compatible = sorted(_tree_fill(sef, tables, sef._index.root[core])[core])
     reduction = {w: _reduction(sef, tables, w, core) for w in sorted(core)}
     if not compatible:
         induced, failure = None, "no-outcome"
@@ -136,31 +138,6 @@ def profile_tables(sef, profile):
             for i in sef.agents}
 
 
-def _compatible_below(sef, tables, x, memo):
-    """The outcomes compatible with the tables from the move x on, filled
-    into the memo bottom-up: each move keeps the union over its children,
-    cut down to every active agent's choice there; a terminal child
-    contributes its one outcome."""
-    children = sef.sdf.forest.children
-    stack = [x]
-    while stack:
-        y = stack[-1]
-        if y in memo:
-            stack.pop()
-            continue
-        pending = [z for z in children(y) if len(z) > 1 and z not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        found = frozenset().union(
-            *[z if len(z) == 1 else memo[z] for z in children(y)])
-        for i in sef.active_agents(y):
-            found &= tables[i][y]
-        memo[y] = found
-    return memo[x]
-
-
 def _one_outcome(found, node):
     """The one outcome found from the node, else the error naming it."""
     if len(found) == 1:
@@ -173,15 +150,16 @@ def _one_outcome(found, node):
 
 def outcome_from(sef, tables, node):
     """
-    The unique outcome the precomputed tables induce from a node on, from
-    a fresh walk below the core of the history ``up(node)`` (the node
-    itself when it is a move); a terminal node is no history and raises
-    ``NotAHistory``.
+    The unique outcome the precomputed tables induce from a node on, read
+    off a fresh fill of the tree of the core of the history ``up(node)``
+    (the node itself when it is a move); a terminal node is no history
+    and raises ``NotAHistory``.
     """
     core = node
     if node not in sef.sdf.forest.moves():
         _, core = _core(sef, sef.sdf.forest.up(node))
-    return _one_outcome(_compatible_below(sef, tables, core, {}), node)
+    return _one_outcome(_tree_fill(sef, tables, sef._index.root[core])[core],
+                        node)
 
 
 def _tree_fill(sef, tables, root):

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from ._util import (budget, canonical, canonical_text, partitions_of,
                     sorted_violations)
 from .errors import (
-    APAxiomViolation,
     BudgetExceeded,
     ChoiceError,
     InputError,
@@ -248,7 +247,7 @@ def is_order_consistent(random_moves):
 class SDFFlags:
     order_consistent: bool
     surely_nontrivial: bool
-    maximal: bool | None   # None when not order consistent or out of budget
+    maximal: bool | None   # None when not order consistent
     witnesses: dict = field(default_factory=dict)
 
 
@@ -257,7 +256,8 @@ def check_flags(sdf):
     Order consistency, sure non-triviality, and maximality of the random
     move cover.  Maximality is decided by exhaustive search over mergings
     of compatible random moves into coarser order-consistent covers, and
-    over proper sub-covers; beyond the budget it is reported as None.
+    over proper sub-covers, when the cover is order consistent; else it
+    is None.  A search over the budget raises ``BudgetExceeded``.
     """
     merge_cap = budget(MERGE_CAP)
     consistent, witness = is_order_consistent(sdf.random_moves)
@@ -273,13 +273,9 @@ def check_flags(sdf):
 
     maximal = None
     if consistent:
-        try:
-            maximal, merge_witness = _check_maximal(sdf, merge_cap)
-            if merge_witness is not None:
-                witnesses["maximal"] = merge_witness
-        except BudgetExceeded:
-            maximal = None
-            witnesses["maximal"] = "budget exceeded"
+        maximal, merge_witness = _check_maximal(sdf, merge_cap)
+        if merge_witness is not None:
+            witnesses["maximal"] = merge_witness
     return SDFFlags(consistent, nontrivial, maximal, witnesses)
 
 
@@ -719,181 +715,3 @@ class _SliceTable:
         return frozenset().union(*[
             tree[whole & root].outcomes
             for tree, root in zip(self.trees, self.root_masks) if whole & root])
-
-
-# --- action paths -----------------------------------------------------------
-
-@dataclass(frozen=True)
-class ActionPathData:
-    """
-    Explicit finite action-path data: agents, per-agent action sets, a
-    totally ordered time grid with minimum 0, and the outcome set given as
-    pairs (scenario, path).  A path is a tuple of action profiles, one per
-    grid time, each profile a tuple aligned with the agent order.
-    """
-    agents: tuple
-    actions: dict
-    times: tuple
-    scenarios: tuple
-    paths: frozenset
-
-    def __post_init__(self):
-        if not self.agents:
-            raise InputError("no agents")
-        if not self.times or self.times[0] != 0 or list(self.times) != sorted(self.times):
-            raise InputError("times must be sorted with minimum 0")
-        for (w, f) in self.paths:
-            if w not in self.scenarios or len(f) != len(self.times):
-                raise InputError(f"malformed outcome {(w, f)!r}")
-            for profile in f:
-                if len(profile) != len(self.agents):
-                    raise InputError(f"malformed action profile in {f!r}")
-                for agent, action in zip(self.agents, profile):
-                    if action not in self.actions[agent]:
-                        raise InputError(f"unknown action {action!r} of {agent!r}")
-        for w in self.scenarios:
-            if not any(v == w for (v, _) in self.paths):
-                raise InputError(f"scenario {w!r} admits no path")
-
-    def prefix(self, f, t):
-        """The strict prefix of a path: actions at times before t."""
-        k = self.times.index(t)
-        return f[:k]
-
-    def prefixes(self, t):
-        """The strict prefixes before t of all outcome paths."""
-        return {self.prefix(f, t) for (_, f) in self.paths}
-
-    def node(self, w, prefix):
-        """The outcomes of scenario w whose paths start with the prefix."""
-        k = len(prefix)
-        return frozenset((v, g) for (v, g) in self.paths
-                         if v == w and g[:k] == prefix)
-
-
-def _check_ap_axioms(data, require_maximal):
-    for (w, f) in data.paths:
-        for t in data.times:
-            node = data.node(w, data.prefix(f, t))
-            for u in data.times:
-                if t < u and node == data.node(w, data.prefix(f, u)):
-                    if len(node) != 1:
-                        raise APAxiomViolation(1, (w, f, t, u))
-
-    # axiom 2 (boundedness) needs no check: on a finite grid the last
-    # time with a nonempty node bounds every set of such times
-
-    if require_maximal:
-        for t in data.times:
-            prefixes = data.prefixes(t)
-            for pf in prefixes:
-                for pg in prefixes:
-                    if pf == pg:
-                        continue
-                    df = _ap_domain_of_prefix(data, pf, t)
-                    dg = _ap_domain_of_prefix(data, pg, t)
-                    if not df or not dg or df & dg:
-                        continue
-                    ok = False
-                    for u in data.times:
-                        if u > t:
-                            continue
-                        ku = data.times.index(u)
-                        if pf[:ku] != pg[:ku] and \
-                           _ap_domain_of_prefix(data, pf[:ku], u) & \
-                           _ap_domain_of_prefix(data, pg[:ku], u):
-                            ok = True
-                            break
-                    if not ok:
-                        raise APAxiomViolation(3, (t, pf, pg))
-
-
-def _ap_domain_of_prefix(data, prefix, t):
-    domain = set()
-    for (w, f) in data.paths:
-        if data.prefix(f, t) == prefix and len(data.node(w, prefix)) >= 2:
-            domain.add(w)
-    return domain
-
-
-def build_action_path_sdf(data, require_maximal=True):
-    """
-    Build the induced stochastic decision forest from action-path data,
-    verifying its axioms first.  Returns the SDF and the timing map from
-    random moves to grid times.
-    """
-    _check_ap_axioms(data, require_maximal)
-
-    nodes = set()
-    for (w, f) in data.paths:
-        nodes.add(frozenset({(w, f)}))
-        for t in data.times:
-            nodes.add(data.node(w, data.prefix(f, t)))
-    outcomes = frozenset(data.paths)
-    forest = DecisionForest(outcomes, nodes)
-    projection = {x: next(iter(x))[0] for x in nodes}
-
-    random_moves = {}
-    timing = {}
-    moves = forest.moves()
-    for t in data.times:
-        seen = {}
-        for (w, f) in data.paths:
-            prefix = data.prefix(f, t)
-            node = data.node(w, prefix)
-            if node not in moves:
-                continue
-            seen.setdefault(prefix, {})[w] = node
-        for assignment in seen.values():
-            m = RandomMove(assignment)
-            random_moves[m] = t
-            timing[m] = t
-    sdf = StochasticDecisionForest(forest, data.scenarios, projection,
-                                  random_moves)
-    return sdf, timing
-
-
-def timing_map(sdf, timing):
-    """Node-level timing: the unique grid time of each move."""
-    result = {}
-    for m, t in timing.items():
-        for w in m.domain:
-            x = m(w)
-            if x in result and result[x] != t:
-                raise StructureError(f"ambiguous time at {x!r}")
-            result[x] = t
-    return result
-
-
-def eis_from_filtration(sdf, timing, observations, filtration):
-    """
-    Exogenous information from observation variables plus a filtration:
-    at each random move, the agent measures every observation made at
-    earlier-or-equal random moves together with the filtration at the
-    move's time, restricted to the current domain.  Recall of the result
-    is asserted.
-    """
-    info = {}
-    for m in sdf.random_moves:
-        parts = [filtration[timing[m]]]
-        for m2 in sdf.random_moves:
-            if xgeq(m2, m) and m2 in observations:
-                values = observations[m2]
-                blocks = {}
-                for w in sdf.scenarios:
-                    blocks.setdefault(values.get(w, "__undefined__"), set()).add(w)
-                parts.append([frozenset(b) for b in blocks.values()])
-        info[m] = _meet_partitions(parts, m.domain)
-    if not check_recall(sdf, info, sdf.random_moves):
-        raise StructureError("constructed structure unexpectedly lacks recall")
-    return info
-
-
-def _meet_partitions(partitions, domain):
-    result = {}
-    for w in domain:
-        key = tuple(frozenset(b) & domain
-                    for part in partitions for b in sorted(map(frozenset, part), key=repr)
-                    if w in b)
-        result.setdefault(key, set()).add(w)
-    return frozenset(frozenset(b) for b in result.values())

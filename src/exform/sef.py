@@ -4,8 +4,6 @@ Stochastic extensive forms.
 An extensive form places agents on top of a stochastic decision forest:
 each agent owns a set of random moves, an information structure, reference
 choices, and a set of adapted choices subject to six consistency axioms.
-The second half of the module builds extensive forms from explicit
-action-path data and history structures.
 """
 
 import functools
@@ -15,10 +13,8 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from ._util import (budget, canonical, canonical_text, powerset,
-                    sorted_violations)
+from ._util import budget, canonical, canonical_text, sorted_violations
 from .errors import (
-    APSEFAxiomViolation,
     BudgetExceeded,
     ChoiceError,
     EnumerationBudgetExceeded,
@@ -28,8 +24,6 @@ from .errors import (
 from .forest import is_union_of_nodes
 from .sdf import (
     _SliceTable,
-    build_action_path_sdf,
-    check_adapted,
     check_recall,
     validate_reference_choices,
     xgeq,
@@ -38,12 +32,10 @@ from .sdf import (
 # default caps of the module's searches; EXFORM_BUDGET overrides each:
 # validate_sef's Axiom 2 search, the adapted-choice search of Axiom 6 and
 # of the choice completion (slices tried and unions joined per information
-# set), the strategy enumeration and the joint action profiles of
-# action-path forms
+# set), and the strategy enumeration
 AXIOM2_CAP = 10 ** 6
 ADAPTED_CAP = 10 ** 5
 STRATEGIES_CAP = 10 ** 6
-AP_PROFILES_CAP = 10 ** 6
 
 # the kinds of extensive-form violation, in the order their checks run
 SEF_KINDS = ("agent_moves", "evaluation", "reference", "choice", "adapted",
@@ -671,279 +663,3 @@ def split_selves(sef, eu=None):
     split = StochasticExtensiveForm(sef.sdf, agents, agent_moves, info,
                                     refchoices, choices)
     return (split, eu2) if eu is not None else (split, None)
-
-
-# --- action-path extensive forms --------------------------------------------
-
-def agent_choice_domain(data, agent, prefix, t):
-    """
-    Scenarios in which the agent has a real decision at the given time
-    after the given strict prefix: two continuations must differ in the
-    agent's action component.
-    """
-    idx = data.agents.index(agent)
-    k = data.times.index(t)
-    domain = set()
-    for w in data.scenarios:
-        seen = {f[k][idx] for (v, f) in data.paths
-                if v == w and f[:k] == prefix}
-        if len(seen) >= 2:
-            domain.add(w)
-    return frozenset(domain)
-
-
-def _in_ct(data, c, t):
-    """Membership in the time-t choice family: nonempty, a real
-    alternative everywhere, and all-or-nothing on undecided scenarios."""
-    if not c:
-        return False
-    k = data.times.index(t)
-    for (w, f) in c:
-        if data.node(w, f[:k]) <= c:
-            return False
-    prefixes = {f[:k] for (_, f) in c}
-    for prefix in prefixes:
-        hit = set()
-        miss = set()
-        for (w, f) in data.paths:
-            if f[:k] != prefix:
-                continue
-            node = data.node(w, prefix)
-            if len(node) < 2:
-                continue
-            (hit if node & c else miss).add(w)
-        if hit and miss:
-            return False
-    return True
-
-
-def _ap_choice(data, blocks, t, agent, g):
-    """The set c(A_{<t}, i, g) for a block of prefixes and a partial map g."""
-    k = data.times.index(t)
-    idx = data.agents.index(agent)
-    return frozenset(
-        (w, f) for (w, f) in data.paths
-        if f[:k] in blocks and w in g and f[k][idx] == g[w])
-
-
-def _rich_enough(data, c, blocks, t, domain):
-    """Every (scenario, prefix) pair from the data must be realized in c."""
-    k = data.times.index(t)
-    for w in domain:
-        for prefix in blocks:
-            if not any(v == w and f[:k] == prefix for (v, f) in c):
-                return False
-    return True
-
-
-def check_history_structures(data, info, hist):
-    """The blocks must partition the decidable prefixes per agent and
-    time, and blockmates must reveal identical exogenous information."""
-    for i in data.agents:
-        for t in data.times:
-            decidable = {p for p in data.prefixes(t)
-                         if agent_choice_domain(data, i, p, t)}
-            blocks = [frozenset(b) for b in hist[i].get(t, ())]
-            union = frozenset().union(*blocks) if blocks else frozenset()
-            if union != decidable or \
-                    sum(len(b) for b in blocks) != len(union):
-                raise APSEFAxiomViolation("history", (i, t))
-            for block in blocks:
-                keys = {frozenset(info[i][(t, p)]) for p in block}
-                if len(keys) > 1:
-                    raise APSEFAxiomViolation("history-info", (i, t, block))
-
-
-def _check_ap_sef_axioms(data, info, hist):
-    cap = budget(AP_PROFILES_CAP)
-    check_history_structures(data, info, hist)
-
-    # joint realizability of simultaneous action profiles
-    count = 0
-    for t in data.times:
-        k = data.times.index(t)
-        for w in data.scenarios:
-            for prefix in data.prefixes(t):
-                node = data.node(w, prefix)
-                if not node:
-                    continue
-                per_agent = [sorted({f[k][j] for (_, f) in node})
-                             for j in range(len(data.agents))]
-                for combo in itertools.product(*per_agent):
-                    count += 1
-                    if count > cap:
-                        raise BudgetExceeded("joint profile search too large")
-                    if not any(f[k] == combo for (_, f) in node):
-                        raise APSEFAxiomViolation(0, (t, w, prefix, combo))
-
-    # single-action reference choices must be admissible
-    for i in data.agents:
-        for t in data.times:
-            for block in hist[i].get(t, ()):
-                block = frozenset(block)
-                for prefix in block:
-                    domain = agent_choice_domain(data, i, prefix, t)
-                    for action in data.actions[i]:
-                        c = _ap_choice(data, {prefix}, t, i,
-                                       {w: action for w in domain})
-                        if c and not _in_ct(data, c, t):
-                            raise APSEFAxiomViolation(1, (i, t, prefix, action))
-
-    # every realized action must extend to an admissible adapted choice
-    for i in data.agents:
-        idx = data.agents.index(i)
-        for (w, f) in data.paths:
-            for t in data.times:
-                k = data.times.index(t)
-                prefix = f[:k]
-                domain = agent_choice_domain(data, i, prefix, t)
-                if w not in domain:
-                    continue
-                block = next(frozenset(b) for b in hist[i][t] if prefix in b)
-                found = False
-                for g_vals in itertools.product(data.actions[i],
-                                                repeat=len(domain)):
-                    g = dict(zip(sorted(domain, key=repr), g_vals))
-                    if g[w] != f[k][idx]:
-                        continue
-                    c = _ap_choice(data, block, t, i, g)
-                    if _in_ct(data, c, t) and \
-                            _rich_enough(data, c, block, t, domain):
-                        found = True
-                        break
-                if not found:
-                    raise APSEFAxiomViolation(2, (i, w, t))
-
-    # separation: a first within-window disagreement decidable by an agent
-    for (w, f) in data.paths:
-        for (v, f2) in data.paths:
-            if v != w or f == f2:
-                continue
-            for k0, t0 in enumerate(data.times):
-                if f[k0] == f2[k0]:
-                    continue
-                ok = False
-                for k in range(k0 + 1):
-                    t = data.times[k]
-                    for i in data.agents:
-                        idx = data.agents.index(i)
-                        if f[k][idx] == f2[k][idx]:
-                            continue
-                        if w in agent_choice_domain(data, i, f[:k], t) and \
-                                w in agent_choice_domain(data, i, f2[:k], t):
-                            ok = True
-                if not ok:
-                    raise APSEFAxiomViolation(3, (w, f, f2, t0))
-
-
-def build_action_path_sef(data, info, hist):
-    """
-    The extensive form induced by action-path data, exogenous information
-    keyed by (time, prefix), and history structures.  Returns the form,
-    the timing map, and the index (time, prefix) -> random move.
-    """
-    _check_ap_sef_axioms(data, info, hist)
-    sdf, timing = build_action_path_sdf(data, require_maximal=False)
-
-    index = {}
-    for m, t in timing.items():
-        w = next(iter(m.domain))
-        (_, f) = next(iter(m(w)))
-        index[(t, f[:data.times.index(t)])] = m
-
-    agents = tuple(data.agents)
-    agent_moves = {}
-    move_info = {}
-    refchoices = {}
-    choices = {}
-    for i in agents:
-        mine = set()
-        my_info = {}
-        my_refs = {}
-        for (t, prefix), m in index.items():
-            domain = agent_choice_domain(data, i, prefix, t)
-            if not domain:
-                continue
-            mine.add(m)
-            my_info[m] = frozenset(frozenset(b) for b in info[i][(t, prefix)])
-            # reference choices range over the whole history block, so
-            # blockmate moves end up with identical reference menus
-            block = next(frozenset(b) for b in hist[i][t] if prefix in b)
-            refs = []
-            for subset in powerset(sorted(data.actions[i])):
-                if not subset:
-                    continue
-                c = frozenset(
-                    (w, f) for (w, f) in data.paths
-                    if f[:data.times.index(t)] in block
-                    and f[data.times.index(t)][data.agents.index(i)] in subset)
-                if not _in_ct(data, c, t):
-                    continue
-                if any(not (m(w) & c) for w in m.domain):
-                    continue
-                refs.append(c)
-            my_refs[m] = tuple(refs)
-        agent_moves[i] = frozenset(mine)
-        move_info[i] = my_info
-        refchoices[i] = my_refs
-
-        mine_choices = set()
-        for t in data.times:
-            for block in hist[i].get(t, ()):
-                block = frozenset(block)
-                options = sorted(data.actions[i]) + [None]
-                for combo in itertools.product(options,
-                                               repeat=len(sdf.scenarios)):
-                    g = {w: a for w, a in zip(sdf.scenarios, combo)
-                         if a is not None}
-                    if not g:
-                        continue
-                    c = _ap_choice(data, block, t, i, g)
-                    if not _in_ct(data, c, t):
-                        continue
-                    if not _rich_enough(data, c, block, t, g):
-                        continue
-                    if not check_adapted(sdf, c, my_info, my_refs, mine):
-                        continue
-                    mine_choices.add(c)
-        choices[i] = frozenset(mine_choices)
-
-    sef = StochasticExtensiveForm(sdf, agents, agent_moves, move_info,
-                                  refchoices, choices)
-    return sef, timing, index
-
-
-def classify_endogenous(data, hist, i):
-    """Perfection flags of a history structure, by the refinement and
-    disjointness criteria on truncated paths."""
-    recall = True
-    for t in data.times:
-        kt = data.times.index(t)
-        idx = data.agents.index(i)
-        for u in data.times:
-            if not t < u:
-                continue
-            for block_u in hist[i].get(u, ()):
-                cut = {f[:kt] for f in block_u}
-                for block_t in hist[i].get(t, ()):
-                    block_t = frozenset(block_t)
-                    if not cut & block_t:
-                        continue
-                    if not cut <= block_t:
-                        recall = False
-                    actions = {f[kt][idx] for f in block_u}
-                    if len(actions) > 1:
-                        recall = False
-    perfect = True
-    for t in data.times:
-        for block in hist[i].get(t, ()):
-            if len(frozenset(block)) != 1:
-                perfect = False
-            for j in data.agents:
-                if j == i:
-                    continue
-                for other in hist[j].get(t, ()):
-                    if frozenset(block) & frozenset(other):
-                        perfect = False
-    return {"perfect_endogenous_recall": recall,
-            "perfect_endogenous_info": perfect}

@@ -1145,6 +1145,76 @@ class TestModuleEntry:
         assert result.stdout.startswith("Usage: exform ")
 
 
+# after running ``cli.main``, the exform modules a fresh interpreter holds
+LOADED = ("import sys\n"
+          "from exform import cli\n"
+          "sys.argv[0] = 'exform'\n"
+          "try:\n"
+          "    cli.main()\n"
+          "except SystemExit:\n"
+          "    pass\n"
+          "print(' '.join(sorted(n[len('exform.'):] for n in sys.modules\n"
+          "                      if n.startswith('exform.'))))\n")
+
+
+def loaded_layers(*args):
+    """The exform modules loaded by ``exform *args`` in a fresh interpreter:
+    its last line of stdout."""
+    result = subprocess.run(
+        [sys.executable, "-c", LOADED, *args], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": SRC + os.pathsep
+             + os.environ.get("PYTHONPATH", "")})
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.splitlines()[-1].split())
+
+
+class TestImportGraph:
+    """Each subcommand loads the layers it runs and no other."""
+
+    FORM_LAYERS = {"forest", "sdf", "sef"}
+    # command (with "{form}" for a serialized form) -> (loaded, not loaded)
+    CASES = {
+        "tilt --family dyadic --kappa 3":
+            ({"tilt", "vtime"},
+             {"sdf", "sef", "play", "equil", "order", "timing"}),
+        "timing-sim --trials 10":
+            ({"timing"}, FORM_LAYERS | {"play", "equil", "order"}),
+        "dm --poset {poset}":
+            ({"order"}, FORM_LAYERS | {"play", "equil", "tilt", "timing"}),
+        "validate --sef {form}":
+            (FORM_LAYERS, {"instances", "equil", "tilt", "timing"}),
+        "infosets --sef {form}":
+            (FORM_LAYERS, {"instances", "equil", "tilt", "timing"}),
+        "wellposed --sef {form}":
+            (FORM_LAYERS | {"play"}, {"instances", "equil", "tilt", "timing"}),
+        "validate --sef examples:amd":
+            (FORM_LAYERS | {"instances"}, {"tilt", "timing"}),
+        "equilibrium verify --sef {form}":
+            (FORM_LAYERS, {"instances", "equil", "tilt", "timing"}),
+        "--help":
+            (set(), FORM_LAYERS | {"play", "equil", "instances", "order",
+                                   "tilt", "timing"}),
+    }
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_command_loads_its_layers(self, command, tmp_path):
+        form, poset = tmp_path / "form.json", tmp_path / "poset.json"
+        form.write_text(json.dumps(serialize_sef(load_example("simple")[0])))
+        poset.write_text(json.dumps({"elements": [1, 2], "leq": [[1, 2]]}))
+        loaded = loaded_layers(
+            *command.format(form=form, poset=poset).split())
+        wanted, unwanted = self.CASES[command]
+        assert wanted <= loaded
+        assert not loaded & unwanted
+        # action paths are a library construction no command runs
+        assert "actionpath" not in loaded
+
+    def test_family_choices_are_the_registry(self):
+        (family,) = [p for p in cli.commands["tilt"].params
+                     if p.name == "family"]
+        assert list(family.type.choices) == sorted(tilt.REGISTERED)
+
+
 class TestRegistry:
     def test_contains_all_examples(self):
         registry = examples_list()

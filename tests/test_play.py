@@ -38,7 +38,6 @@ from exform.instances import (
 from exform.play import (
     StrategyProfile,
     WellPosedReport,
-    _compatible_below,
     _reduction,
     check_wellposed_direct,
     check_wellposed_order,
@@ -378,6 +377,32 @@ class TestWellPosednessOracle:
         for form in (sef, coarsened(sef, rng), dealt_to_two(sef, rng)):
             assert_sweep_matches_oracle(form)
             assert_same_report(form)
+
+
+def _compatible_below(sef, tables, x, memo):
+    """The outcomes compatible with the tables from the move x on, filled
+    into the memo bottom-up by a stack walk below x, kept as the oracle
+    of the tree fills: each move keeps the union over its children, cut
+    down to every active agent's choice there; a terminal child
+    contributes its one outcome."""
+    children = sef.sdf.forest.children
+    stack = [x]
+    while stack:
+        y = stack[-1]
+        if y in memo:
+            stack.pop()
+            continue
+        pending = [z for z in children(y) if len(z) > 1 and z not in memo]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        found = frozenset().union(
+            *[z if len(z) == 1 else memo[z] for z in children(y)])
+        for i in sef.active_agents(y):
+            found &= tables[i][y]
+        memo[y] = found
+    return memo[x]
 
 
 def wellposed_by_profile_tables(sef):
@@ -790,6 +815,60 @@ class TestClosedHistoryMinimum:
             closed_history_minimum(sef, {x1("o1")})  # root missing
 
 
+def assert_queries_match_walk(sef, profiles):
+    """``outcome_report`` and ``outcome_from`` read, on every history and
+    profile, the outcomes the stack walk below the core finds."""
+    hs = sorted(histories(sef.sdf.forest), key=lambda h: sorted(map(sorted, h)))
+    pairs = 0
+    for profile in profiles:
+        tables, memo = profile_tables(sef, profile), {}
+        for h in hs:
+            core = frozenset.intersection(*h)
+            found = sorted(_compatible_below(sef, tables, core, memo))
+            report = outcome_report(sef, profile, h)
+            if len(found) == 1:
+                expected, failure = found[0], None
+            else:
+                expected = MultipleOutcomes if found else NoOutcome
+                failure = "multiple" if found else "no-outcome"
+            assert (report.induced, report.failure) == (
+                None if failure else expected, failure)
+            try:
+                got = outcome_from(sef, tables, core)
+            except (NoOutcome, MultipleOutcomes) as err:
+                got = type(err)
+            assert got == expected
+            pairs += 1
+    return pairs
+
+
+class TestOneQueryFill:
+    """A single outcome query reads the core's tree fill; the stack walk it
+    replaced is the oracle."""
+
+    @pytest.mark.parametrize("name", sorted(EXAMPLES))
+    def test_bundled_forms(self, name):
+        # every profile, not just the bundled one
+        sef = load_example(name)[0]
+        assert assert_queries_match_walk(sef, list(_all_profiles(sef)))
+
+    @pytest.mark.parametrize("build", [underseparated_pseudo,
+                                       disjoint_joint_pseudo,
+                                       unique_first_pseudo])
+    def test_pseudo_forms(self, build):
+        pseudo = build()
+        assert assert_queries_match_walk(pseudo, list(_all_profiles(pseudo)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=0, max_value=10 ** 9))
+    def test_random_strict_forms(self, seed):
+        rng = make_rng(seed)
+        sef = random_strict_sef(rng)
+        for form in (sef, coarsened(sef, rng), dealt_to_two(sef, rng)):
+            profiles = list(itertools.islice(_all_profiles(form), 8))
+            assert_queries_match_walk(form, profiles)
+
+
 class TestOutcomeReport:
     def test_report_round_trip(self):
         sef, moves, profile = row1_profile()
@@ -833,7 +912,7 @@ class TestOneOutcomeEngine:
 
     def test_fills_only_in_play(self):
         naming = [path.name for path in sorted(SRC.glob("*.py"))
-                  if "_compatible_below" in named(path.read_text())]
+                  if "_tree_fill" in named(path.read_text())]
         assert naming == ["play.py"]
 
     @pytest.mark.parametrize("module", ["equil.py", "cli.py"])

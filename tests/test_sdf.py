@@ -4,6 +4,12 @@ import pytest
 
 from conftest import make_rng, random_strict_sef, stdout_across_hash_seeds
 from exform._util import canonical, canonical_text
+from exform.actionpath import (
+    ActionPathData,
+    build_action_path_sdf,
+    eis_from_filtration,
+    timing_map,
+)
 from exform.errors import (
     APAxiomViolation,
     BudgetExceeded,
@@ -33,15 +39,12 @@ from exform.instances import (
 )
 from exform.order import is_forest, roots_and_components
 from exform.sdf import (
-    ActionPathData,
     RandomMove,
     SDFReport,
     StochasticDecisionForest,
-    build_action_path_sdf,
     check_adapted,
     check_flags,
     check_recall,
-    eis_from_filtration,
     enumerate_recall_structures,
     induced_tree,
     is_available_at,
@@ -49,7 +52,6 @@ from exform.sdf import (
     is_non_redundant,
     merge_random_moves,
     preimage,
-    timing_map,
     validate_reference_choices,
     validate_sdf,
     xgeq,
@@ -254,12 +256,13 @@ class TestFlags:
         assert flags.order_consistent
         assert not flags.surely_nontrivial
 
-    def test_merge_budget_reports_unknown(self, monkeypatch):
+    def test_merge_budget_raises(self, monkeypatch):
+        # a merge search over its budget has decided nothing, so it raises
+        # as every other search does, rather than report a value
         sdf = simple_split_sdf()
         monkeypatch.setenv("EXFORM_BUDGET", "3")
-        flags = check_flags(sdf)
-        assert flags.maximal is None
-        assert flags.witnesses["maximal"] == "budget exceeded"
+        with pytest.raises(BudgetExceeded, match="more than 3 candidate mergings"):
+            check_flags(sdf)
 
 
 class TestInducedTree:

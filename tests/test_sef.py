@@ -2,6 +2,11 @@ import pytest
 
 from conftest import comb_parts
 from exform._util import powerset
+from exform.actionpath import (
+    ActionPathData,
+    build_action_path_sef,
+    classify_endogenous,
+)
 from exform.errors import APSEFAxiomViolation, StructureError
 from exform.forest import DecisionForest, immediate_predecessors
 from exform.instances import (
@@ -25,13 +30,11 @@ from exform.instances import (
     simple_sef,
     variant_sef,
 )
-from exform.sdf import ActionPathData, RandomMove, StochasticDecisionForest
+from exform.sdf import RandomMove, StochasticDecisionForest
 from exform.sef import (
     StochasticExtensiveForm,
-    build_action_path_sef,
     check_heraclitus,
     check_recall_and_info,
-    classify_endogenous,
     complete_choices,
     convert_strategy,
     info_sets,
@@ -490,8 +493,7 @@ class TestActionPathForms:
     def test_decision_domains_are_shared(self):
         # wherever some agent has a real decision after a prefix, the
         # undecided scenarios of that prefix coincide with that agent's
-        from exform.sdf import _ap_domain_of_prefix
-        from exform.sef import agent_choice_domain
+        from exform.actionpath import _ap_domain_of_prefix, agent_choice_domain
         data, _, _ = simple_ap_inputs(False)
         for t in data.times:
             k = data.times.index(t)

@@ -305,7 +305,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "exform"
 INDEXER = {("sdf.py", "cut"), ("sdf.py", "_record"), ("sdf.py", "missing")}
 # the attributes that hold slice records, outcome bits or masks
 MASKED = {"trees", "bit", "root_masks", "choice_of", "_bit", "_root_masks"}
-# every other cut by a root in the guarded modules, with its reason
+# every other cut by a root in the package's modules, with its reason
 ALLOWED = {
     ("play.py", "key", "tables[i][x] & root"):
         "a profile's table may hold a set that is not a choice of the form, "
@@ -348,10 +348,10 @@ class TestSliceGuard:
                                      ("f", "c &= roots[w]")]
 
     def test_only_the_index_slices_the_choices(self):
-        found = {(name, function, cut)
-                 for name in ("sdf.py", "sef.py", "play.py", "equil.py")
+        found = {(path.name, function, cut)
+                 for path in sorted(SRC.glob("*.py"))
                  for function, cut in root_cuts(
-                     (SRC / name).read_text(encoding="utf-8"))}
+                     path.read_text(encoding="utf-8"))}
         assert {site[:2] for site in found} >= INDEXER
         assert {site for site in found if site[:2] not in INDEXER} \
             == set(ALLOWED)

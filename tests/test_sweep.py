@@ -48,7 +48,6 @@ from exform.instances import (
 )
 from exform.play import (
     StrategyProfile,
-    _compatible_below,
     check_wellposed_direct,
     scenario_outcomes,
 )
@@ -65,6 +64,7 @@ from test_equil import (
     skipped_failure,
     two_failures,
 )
+from test_play import _compatible_below
 
 
 def term_parts(self, taste, pairs):
