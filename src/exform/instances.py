@@ -11,10 +11,8 @@ import itertools
 from fractions import Fraction
 
 from ._util import powerset
-from .equil import EUStructure, bayes_beliefs, uniform_tastes
 from .errors import InputError, UnknownExample
 from .forest import DecisionForest
-from .play import StrategyProfile
 from .sdf import RandomMove, StochasticDecisionForest
 from .sef import Strategy, StochasticExtensiveForm, info_sets
 
@@ -539,6 +537,24 @@ def _assign(sef, agent, picks):
     return Strategy(agent, assignment)
 
 
+def _instance(sef, prior, picks, tastes):
+    """
+    A bundled instance: the form, its expected-utility layer, the
+    candidate profile and the prior.  Each agent's strategy selects its
+    picks (``_assign``), and the layer holds the Bayes beliefs of the
+    prior under that profile and the agents' uniform tastes.  The play
+    and equilibrium layers are imported here, so that listing the
+    examples loads neither.
+    """
+    from .equil import EUStructure, bayes_beliefs, uniform_tastes
+    from .play import StrategyProfile
+    s = StrategyProfile({agent: _assign(sef, agent, chosen)
+                         for agent, chosen in picks.items()})
+    eu = EUStructure(bayes_beliefs(sef, prior, s),
+                     uniform_tastes(sef, tastes))
+    return sef, eu, s, prior
+
+
 def amd_instance(p=Fraction(2, 3), atoms=3):
     """
     The exit/continue form with a symmetric threshold profile: each agent
@@ -557,21 +573,17 @@ def amd_instance(p=Fraction(2, 3), atoms=3):
     scenarios = sorted(sef.sdf.scenarios)
     prior = {w: Fraction(1, 2 * atoms * atoms) for w in scenarios}
     exit_sigs = {str(k) for k in range(int(exit_count))}
-    profile = {}
+    picks = {}
     for agent in (1, 2):
         event = frozenset(w for w in scenarios
                           if amd_signal(w, agent) in exit_sigs)
-        choice = amd_event_choice(atoms, agent, event)
-        profile[agent] = _assign(sef, agent, [choice])
-    s = StrategyProfile(profile)
+        picks[agent] = [amd_event_choice(atoms, agent, event)]
     taste = {}
     for w in scenarios:
         taste[f"{w}:D"] = Fraction(0)
         taste[f"{w}:H"] = Fraction(4)
         taste[f"{w}:M"] = Fraction(1)
-    eu = EUStructure(bayes_beliefs(sef, prior, s),
-                     uniform_tastes(sef, {1: taste, 2: taste}))
-    return sef, eu, s, prior
+    return _instance(sef, prior, picks, {1: taste, 2: taste})
 
 
 def mp_instance(case=1, p=Fraction(2, 3)):
@@ -601,10 +613,6 @@ def mp_instance(case=1, p=Fraction(2, 3)):
             mp_choice_second("2", {w: "1" for w in everywhere})]
     else:
         raise InputError(f"unknown case: {case!r}")
-    s = StrategyProfile({
-        "i": _assign(sef, "i", [mp_choice_first(first)]),
-        "j": _assign(sef, "j", picks_j),
-    })
     taste_j = {}
     for w in everywhere:
         for a in "12":
@@ -612,9 +620,8 @@ def mp_instance(case=1, p=Fraction(2, 3)):
                 taste_j[f"{w}:{a}{b}"] = Fraction(
                     (-1) ** (int(w[1]) + int(a) + int(b)))
     taste_i = {k: -v for k, v in taste_j.items()}
-    eu = EUStructure(bayes_beliefs(sef, prior, s),
-                     uniform_tastes(sef, {"i": taste_i, "j": taste_j}))
-    return sef, eu, s, prior
+    picks = {"i": [mp_choice_first(first)], "j": picks_j}
+    return _instance(sef, prior, picks, {"i": taste_i, "j": taste_j})
 
 
 def _simple_instance():
@@ -630,10 +637,7 @@ def _simple_instance():
     picks = [simple_choice_first(const),
              simple_choice_second("1", const),
              simple_choice_second("2", const)]
-    s = StrategyProfile({"i": _assign(sef, "i", picks)})
-    eu = EUStructure(bayes_beliefs(sef, prior, s),
-                     uniform_tastes(sef, {"i": taste}))
-    return sef, eu, s, prior
+    return _instance(sef, prior, {"i": picks}, {"i": taste})
 
 
 def _variant_instance():
@@ -646,10 +650,7 @@ def _variant_instance():
     picks = [variant_choice_first(const),
              variant_choice_second("1", const),
              variant_choice_second("2", const)]
-    s = StrategyProfile({"i": _assign(sef, "i", picks)})
-    eu = EUStructure(bayes_beliefs(sef, prior, s),
-                     uniform_tastes(sef, {"i": taste}))
-    return sef, eu, s, prior
+    return _instance(sef, prior, {"i": picks}, {"i": taste})
 
 
 def _ultimatum_instance():
@@ -660,13 +661,10 @@ def _ultimatum_instance():
     taste_r = {"u:ga": Fraction(1), "u:gr": Fraction(0),
                "u:fa": Fraction(2), "u:fr": Fraction(0)}
     greedy = frozenset({"u:ga", "u:gr"})
-    s = StrategyProfile({
-        "p": _assign(sef, "p", [greedy]),
-        "r": _assign(sef, "r", [frozenset({"u:ga"}), frozenset({"u:fa"})]),
-    })
-    eu = EUStructure(bayes_beliefs(sef, prior, s),
-                     uniform_tastes(sef, {"p": taste_p, "r": taste_r}))
-    return sef, eu, s, prior
+    return _instance(sef, prior, {
+        "p": [greedy],
+        "r": [frozenset({"u:ga"}), frozenset({"u:fa"})],
+    }, {"p": taste_p, "r": taste_r})
 
 
 # name -> (description, builder, expected verdict, expected payoffs)

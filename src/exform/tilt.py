@@ -309,32 +309,18 @@ def check_refines(coarse, fine, probes=()):
     return True
 
 
-# finite indices grid_size samples on an unregistered infinite grid
-GAP_SAMPLES = 64
-
-
 def grid_size(grid):
     """
-    The supremum of consecutive horizontal gaps; infinite when the grid
-    never reaches past a finite horizon.  Exact for registered families,
-    a sampled lower estimate otherwise.
+    The supremum of consecutive horizontal gaps: the grid's exact gap,
+    or infinite when the bound is finite, since the image below a finite
+    bound stops at a finite horizon.  An infinite grid with no gap is an
+    InputError.
     """
     if grid.gap is not None:
-        return grid.gap, True
+        return grid.gap
     if not grid.bound.cnf or grid.bound.cnf[0][0] == 0:
-        # finite bound: every strictly smaller index has a finite time,
-        # so the image below the bound is bounded
-        return INFINITY, True
-    # infinite bound: continuity at the bound forces an unbounded image,
-    # so the size is the supremum of the sampled consecutive gaps
-    indices = _sample_indices(grid.bound,
-                              [ordinal(k) for k in range(GAP_SAMPLES)])
-    best = Fraction(0)
-    for s in indices:
-        here, after = grid(s), grid(ord_succ(s))
-        if not here.is_infinity and not after.is_infinity:
-            best = max(best, after.t - here.t)
-    return best, False
+        return INFINITY
+    raise InputError("the size of an infinite grid is read off its gap")
 
 
 def psi_delta(grid, t):
@@ -351,26 +337,18 @@ def psi_delta(grid, t):
 def gamma(family, t):
     """
     The vertical extent that the grids fill in at a real time: the first
-    offset whose grid times stay strictly above t in the limit.
-    Symbolic for the registered families, sampled otherwise.  On a
+    offset whose grid times stay strictly above t in the limit.  On a
     registered family it is the member grid's bound at every time: below
     infinity the grids fill in a whole block of that order type, and at
     infinity no offset's time exceeds t, so the extent reaches the bound.
+    Any other family is an InputError.
     """
-    if not isinstance(t, VTime):
-        t = vt(t)
     if family.name == "dyadic":
-        return OMEGA, True
+        return OMEGA
     if family.name == "nested":
-        return OMEGA_SQ, True
-    # empirical: offsets whose times exceed t at the deepest sampled grid
-    deep = family.member(16)
-    base = _locate(deep, t)
-    for k in range(2 ** 10):
-        offset = ordinal(k)
-        if deep(ord_add(base, offset)) > t:
-            return offset, False
-    return deep.bound, False
+        return OMEGA_SQ
+    raise InputError("the vertical extent is decided on a registered "
+                     "grid family")
 
 
 def _indicators(process, family):
@@ -491,13 +469,13 @@ def tilting_limit(process, family, probes=None):
     if probes is None:
         probes = default_probes(process)
     value = _indicators(process, family)
+    extent = gamma(family, INFINITY)
     table = {}
     for probe in sorted(set(probes)):
         if probe.is_infinity:
             t, beta = INFINITY, ZERO
         else:
             t, beta = vt(probe.t), probe.v
-        extent, _ = gamma(family, t)
         if not isinstance(beta, Ordinal) or ord_cmp(beta, extent) >= 0:
             beta = first_stage_at_least(
                 extent, max((k for k in _stops(process) if k < extent),
@@ -506,13 +484,14 @@ def tilting_limit(process, family, probes=None):
         if len(set(cycle)) > 1:
             return TiltingResult(False, None, table, (probe, n0, cycle))
         table[probe] = cycle[0]
-    return TiltingResult(True, _stop_descriptor(process, family, table),
+    return TiltingResult(True, _stop_descriptor(process, extent, table),
                          table, None)
 
 
-def _stop_descriptor(process, family, table):
+def _stop_descriptor(process, extent, table):
     """The limit stop time, when the family stops at a stable index,
-    cross-checked against every probe's limit."""
+    cross-checked against every probe's limit; a stop index at or above
+    the vertical extent stops at infinity."""
     if process.anchor is not None:
         stop = process.anchor
     else:
@@ -520,8 +499,7 @@ def _stop_descriptor(process, family, table):
         if len(tops) != 1:
             return None
         top = tops.pop()
-        stop = INFINITY if ord_cmp(top, gamma(family, INFINITY)[0]) >= 0 \
-            else vt(0, top)
+        stop = INFINITY if ord_cmp(top, extent) >= 0 else vt(0, top)
     for probe, value in table.items():
         if value != (1 if probe < stop else 0):
             raise TailWindowInconclusive(

@@ -349,8 +349,10 @@ def deviation_payoff(config, deviation, player=1):
             raise InputError(f"level must be an integer: {deviation.level!r}")
         if deviation.level < 0:
             raise InputError(f"negative level: {deviation.level}")
-        survive = (1 - q_opp) ** deviation.level
-        return survive * (-q_opp + (1 - q_opp) * own_value)
+        # the calibration zeroes the per-level gain (equilibrium_identity),
+        # so the survival power is taken only when it is not
+        gain = -q_opp + (1 - q_opp) * own_value
+        return gain and (1 - q_opp) ** deviation.level * gain
     raise InputError(f"unknown deviation: {deviation!r}")
 
 
@@ -362,7 +364,9 @@ class GridApproximant:
 
 
 def race_grid(config, n):
-    """The dyadic grid of mesh 2^-n anchored at the whistle."""
+    """The dyadic grid of mesh 2^-n anchored at the whistle.  Its first
+    step is the whistle and each step after it one mesh, so its size is
+    the larger of the two."""
     if isinstance(config.whistle, dict):
         raise InputError("grid approximants need a deterministic whistle")
     mesh = Fraction(2) ** -n
@@ -387,7 +391,8 @@ def race_grid(config, n):
             return ordinal(1)
         return ordinal(1 + int(-((-(t.t - whistle)) // mesh)))
 
-    return tilt.Grid(OMEGA, evaluate, name=None, locate=locate, gap=None)
+    return tilt.Grid(OMEGA, evaluate, name=None, locate=locate,
+                     gap=max(whistle, mesh))
 
 
 def grid_approximant(config, n):

@@ -1191,6 +1191,8 @@ class TestImportGraph:
             (FORM_LAYERS | {"instances"}, {"tilt", "timing"}),
         "equilibrium verify --sef {form}":
             (FORM_LAYERS, {"instances", "equil", "tilt", "timing"}),
+        "examples":
+            ({"instances"}, {"play", "equil", "tilt", "timing"}),
         "--help":
             (set(), FORM_LAYERS | {"play", "equil", "instances", "order",
                                    "tilt", "timing"}),

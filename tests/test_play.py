@@ -22,6 +22,7 @@ from exform.errors import (
     WNotInHistoryCore,
 )
 from exform.forest import histories, immediate_predecessors
+from exform.order import Poset, order_predicates
 from exform.instances import (
     EXAMPLES,
     SIMPLE_SEF_ROWS,
@@ -159,6 +160,24 @@ class TestWellPosedness:
     @pytest.mark.parametrize("sef", ALL_INSTANCES)
     def test_order_check_agrees(self, sef):
         assert check_wellposed_order(sef)
+
+    def test_order_check_is_the_predicates_with_no_poset(self, monkeypatch):
+        # the forest was validated when the form was built, so the order
+        # verdict reads off finiteness: it agrees with the predicates of
+        # the forest's poset, and builds none
+        forms = [load_example(name)[0] for name in sorted(EXAMPLES)]
+        forms += [random_strict_sef(make_rng(seed)) for seed in range(20)]
+        expected = []
+        for form in forms:
+            predicates = order_predicates(form.sdf.forest.as_poset())
+            expected.append(predicates["up_discrete"]
+                            and predicates["regular"])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a poset was built")
+
+        monkeypatch.setattr(Poset, "__init__", refuse)
+        assert [check_wellposed_order(form) for form in forms] == expected
 
     @pytest.mark.parametrize("sef", ALL_INSTANCES)
     def test_truncation_conjunction(self, sef):

@@ -1,5 +1,5 @@
 import itertools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 import pytest
@@ -133,24 +133,45 @@ class TestRefinement:
             assert fam.member(2)(index) == fam.member(3)(image)
 
 
+def brute_force_size(grid):
+    """The largest gap between consecutive grid times over the first 64
+    finite indices."""
+    times = [grid(ordinal(k)) for k in range(65)]
+    return max(b.t - a.t for a, b in zip(times, times[1:]))
+
+
 class TestGridSize:
     def test_dyadic(self):
         for n in range(5):
-            assert grid_size(dyadic_grid(n)) == (Fraction(1, 2 ** n), True)
+            assert grid_size(dyadic_grid(n)) == Fraction(1, 2 ** n)
 
     def test_nested_half_mesh(self):
         for n in range(5):
-            assert grid_size(nested_grid(n)) == (Fraction(1, 2 ** (n + 1)), True)
+            assert grid_size(nested_grid(n)) == Fraction(1, 2 ** (n + 1))
 
     def test_bounded_image_is_infinite(self):
-        value, exact = grid_size(table_grid([0, 1, 2, None]))
-        assert value is INFINITY and exact
+        assert grid_size(table_grid([0, 1, 2, None])) is INFINITY
 
     def test_sizes_vanish_along_both_families(self):
         for family in (dyadic_family(), nested_family()):
-            sizes = [grid_size(family.member(n))[0] for n in range(8)]
+            sizes = [grid_size(family.member(n)) for n in range(8)]
             assert sizes == sorted(sizes, reverse=True)
             assert sizes[-1] <= Fraction(1, 128)
+
+    @pytest.mark.parametrize("n", range(-2, 11))
+    def test_exact_size_is_the_largest_gap(self, n):
+        # every grid that exform builds carries its exact size; on the
+        # finite indices it is the largest gap between consecutive times
+        grids = [dyadic_grid(n), nested_grid(n)] + [
+            race_grid(TimingConfig(whistle=w), n)
+            for w in (0, Fraction(1, 3), Fraction(5, 8), 3)]
+        for grid in grids:
+            assert grid_size(grid) == brute_force_size(grid)
+
+    def test_infinite_grid_without_a_gap_is_refused(self):
+        unnamed = replace(dyadic_grid(3), name=None, gap=None)
+        with pytest.raises(InputError, match="gap"):
+            grid_size(unnamed)
 
 
 class TestReindexing:
@@ -210,24 +231,24 @@ def _predecessor_times(grid, base):
 
 class TestVerticalExtent:
     def test_symbolic_values(self):
-        assert gamma(dyadic_family(), vt(0)) == (OMEGA, True)
-        assert gamma(nested_family(), vt(0)) == (OMEGA_SQ, True)
-        assert gamma(dyadic_family(), vt(Fraction(7, 3)))[0] == OMEGA
+        assert gamma(dyadic_family(), vt(0)) == OMEGA
+        assert gamma(nested_family(), vt(0)) == OMEGA_SQ
+        assert gamma(dyadic_family(), vt(Fraction(7, 3))) == OMEGA
 
     def test_registered_extent_at_infinity(self):
-        # the member grid's bound, decided; the sampled read of the same
-        # grids, unregistered, reads 1,024 offsets to the same extent
+        # the member grid's bound, decided; the same grids in an unnamed
+        # family are refused
         for family, bound in ((dyadic_family(), OMEGA),
                               (nested_family(), OMEGA_SQ)):
-            assert gamma(family, INFINITY) == (bound, True)
-            assert gamma(GridFamily(family.member, family.embed),
-                         INFINITY) == (bound, False)
+            assert gamma(family, INFINITY) == bound == family.member(0).bound
+            with pytest.raises(InputError, match="registered"):
+                gamma(GridFamily(family.member, family.embed), INFINITY)
 
     def test_extent_is_a_limit_ordinal(self):
         from exform.vtime import is_limit
         for family in (dyadic_family(), nested_family()):
             for t in [vt(0), vt(1), vt(Fraction(5, 16))]:
-                assert is_limit(gamma(family, t)[0])
+                assert is_limit(gamma(family, t))
 
 
 class TestTiltingLimits:
@@ -409,6 +430,28 @@ def oracle_probe_values(process, family, t, beta, window):
     return values
 
 
+def empirical_gamma(family, t):
+    """
+    The vertical extent as the window reader reads it, (extent, exact):
+    symbolic for the registered families, and otherwise the first offset
+    whose time at depth 16 exceeds t, up to 1,024 offsets.
+    """
+    if not isinstance(t, VTime):
+        t = vt(t)
+    if family.name == "dyadic":
+        return OMEGA, True
+    if family.name == "nested":
+        return OMEGA_SQ, True
+    # empirical: offsets whose times exceed t at the deepest sampled grid
+    deep = family.member(16)
+    base = tilt._locate(deep, t)
+    for k in range(2 ** 10):
+        offset = ordinal(k)
+        if deep(ord_add(base, offset)) > t:
+            return offset, False
+    return deep.bound, False
+
+
 def closed_form_input(process, family):
     return isinstance(process, StopIndexFamily) \
         and family.name in tilt.REGISTERED
@@ -435,7 +478,7 @@ def probe_stages(process, family, probe):
         t, beta = INFINITY, ZERO
     else:
         t, beta = vt(probe.t), probe.v
-    extent, _ = gamma(family, t)
+    extent, _ = empirical_gamma(family, t)
     if isinstance(beta, Ordinal) and ord_cmp(beta, extent) < 0:
         return t, [beta]
     if closed_form_input(process, family):
@@ -465,7 +508,8 @@ def window_tilting_limit(process, family, probes=None, window=Window()):
                 f"window shows no eventual constancy below the vertical "
                 f"extent at {format_vtime(probe)}")
         table[probe] = tail[0]
-    stop = tilt._stop_descriptor(process, family, table) \
+    stop = tilt._stop_descriptor(
+        process, empirical_gamma(family, INFINITY)[0], table) \
         if isinstance(process, StopIndexFamily) else None
     return TiltingResult(True, stop, table, None)
 
@@ -497,7 +541,8 @@ def oracle_tilting_limit(process, family, probes=None, deep=40):
         if limit is None:
             return TiltingResult(False, None, table, (probe, n0, cycle))
         table[probe] = limit
-    stop = tilt._stop_descriptor(process, family, table)
+    stop = tilt._stop_descriptor(
+        process, empirical_gamma(family, INFINITY)[0], table)
     return TiltingResult(True, stop, table, None)
 
 
@@ -637,9 +682,9 @@ class TestAgainstPerProbeReads:
         # a registered family keeps its name when its member calls are
         # counted, and reads no grid time; the same member function in an
         # unnamed family is unregistered and refused, and the window reader
-        # compares its grid times at every depth (gamma samples only depth
-        # 16's grid, and puts the vertical extent at time 0 at 1, above the
-        # probe (0, 0))
+        # compares its grid times at every depth (empirical_gamma samples
+        # only depth 16's grid, and puts the vertical extent at time 0 at 1,
+        # above the probe (0, 0))
         registered, _ = counted(dyadic_family())
         fast = run_tilt(tilting_limit, BOB, registered, probes=[vt(0)])
         assert grid_reads == []
@@ -790,7 +835,7 @@ class TestClosedForm:
         # a probe at the extent reads one stage; the stages after it agree
         family = tilt.REGISTERED[name]()
         process = StopIndexFamily(kappa=cli._parse_kappa(text))
-        extent = gamma(family, vt(0))[0]
+        extent = gamma(family, vt(0))
         first = left_stage(process, extent)
         stages = itertools.islice(fundamental_sequence(extent), 40)
         later = [s for s in stages if s >= first][:4]

@@ -3,6 +3,7 @@ import math
 import re
 import struct
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -263,6 +264,17 @@ class TestDeviations:
             assert deviation_payoff(config, PureLevel(m), player) == 0
         assert deviation_payoff(config, NeverBelowOmega(), player) == 0
         assert deviation_payoff(config, PreWhistleStop(), player) == Fraction(-1)
+
+    @pytest.mark.parametrize("eta", [1, 2])
+    @pytest.mark.parametrize("player", [1, 2])
+    def test_a_deep_level_is_worth_zero_at_once(self, eta, player):
+        # the calibrated per-level gain is 0, so no survival power of a
+        # billion factors is taken
+        start = time.perf_counter()
+        value = deviation_payoff(TimingConfig(eta=eta), PureLevel(10 ** 9),
+                                 player)
+        assert time.perf_counter() - start < 0.5
+        assert value == 0
 
     def test_unknown_deviation(self):
         with pytest.raises(InputError):
