@@ -3,9 +3,12 @@ Forests and extensive forms built from explicit action-path data: outcomes
 are (scenario, path) pairs over a finite time grid, the forest's nodes
 the outcomes that share a scenario and a strict prefix, and history
 structures place agents on that forest with the choices the action-path
-axioms admit.
+axioms admit.  An agent's choices at each history block are the adapted
+unions of one single-action slice per scenario, listed by the engine that
+Axiom 6 and the choice completion run (``sef._adapted_unions``).
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -13,12 +16,12 @@ from ._util import budget, powerset
 from .errors import (APAxiomViolation, APSEFAxiomViolation, BudgetExceeded,
                      InputError, StructureError)
 from .forest import DecisionForest
-from .sdf import (RandomMove, StochasticDecisionForest, check_adapted,
+from .sdf import (RandomMove, StochasticDecisionForest, _SliceTable,
                   check_recall, xgeq)
-from .sef import StochasticExtensiveForm
+from .sef import StochasticExtensiveForm, _adapted_unions
 
-# default cap of the joint action profiles of action-path forms;
-# EXFORM_BUDGET overrides it
+# default cap of the joint action profiles and of the reference-choice
+# action sets of action-path forms; EXFORM_BUDGET overrides it
 AP_PROFILES_CAP = 10 ** 6
 
 
@@ -41,8 +44,11 @@ class ActionPathData:
     def __post_init__(self):
         if not self.agents:
             raise InputError("no agents")
-        if not self.times or self.times[0] != 0 or list(self.times) != sorted(self.times):
-            raise InputError("times must be sorted with minimum 0")
+        for agent in self.agents:
+            if agent not in self.actions:
+                raise InputError(f"agent {agent!r} has no action set")
+        if not self.times or self.times[0] != 0 or list(self.times) != sorted(set(self.times)):
+            raise InputError("times must be strictly increasing from 0")
         for (w, f) in self.paths:
             if w not in self.scenarios or len(f) != len(self.times):
                 raise InputError(f"malformed outcome {(w, f)!r}")
@@ -63,13 +69,21 @@ class ActionPathData:
 
     def prefixes(self, t):
         """The strict prefixes before t of all outcome paths."""
-        return {self.prefix(f, t) for (_, f) in self.paths}
+        k = self.times.index(t)
+        return {prefix for (_, prefix) in self._nodes if len(prefix) == k}
 
     def node(self, w, prefix):
         """The outcomes of scenario w whose paths start with the prefix."""
-        k = len(prefix)
-        return frozenset((v, g) for (v, g) in self.paths
-                         if v == w and g[:k] == prefix)
+        return self._nodes.get((w, prefix), frozenset())
+
+    @functools.cached_property
+    def _nodes(self):
+        """(scenario, prefix) -> ``node``, for each prefix of each path."""
+        nodes = {}
+        for (w, f) in self.paths:
+            for k in range(len(f) + 1):
+                nodes.setdefault((w, f[:k]), set()).add((w, f))
+        return {key: frozenset(outcomes) for key, outcomes in nodes.items()}
 
 
 def _check_ap_axioms(data, require_maximal):
@@ -86,14 +100,11 @@ def _check_ap_axioms(data, require_maximal):
 
     if require_maximal:
         for t in data.times:
-            prefixes = data.prefixes(t)
-            for pf in prefixes:
-                for pg in prefixes:
-                    if pf == pg:
-                        continue
-                    df = _ap_domain_of_prefix(data, pf, t)
-                    dg = _ap_domain_of_prefix(data, pg, t)
-                    if not df or not dg or df & dg:
+            domains = {p: _ap_domain_of_prefix(data, p)
+                       for p in data.prefixes(t)}
+            for pf, df in domains.items():
+                for pg, dg in domains.items():
+                    if pf == pg or not df or not dg or df & dg:
                         continue
                     ok = False
                     for u in data.times:
@@ -101,20 +112,17 @@ def _check_ap_axioms(data, require_maximal):
                             continue
                         ku = data.times.index(u)
                         if pf[:ku] != pg[:ku] and \
-                           _ap_domain_of_prefix(data, pf[:ku], u) & \
-                           _ap_domain_of_prefix(data, pg[:ku], u):
+                           _ap_domain_of_prefix(data, pf[:ku]) & \
+                           _ap_domain_of_prefix(data, pg[:ku]):
                             ok = True
                             break
                     if not ok:
                         raise APAxiomViolation(3, (t, pf, pg))
 
 
-def _ap_domain_of_prefix(data, prefix, t):
-    domain = set()
-    for (w, f) in data.paths:
-        if data.prefix(f, t) == prefix and len(data.node(w, prefix)) >= 2:
-            domain.add(w)
-    return domain
+def _ap_domain_of_prefix(data, prefix):
+    """The scenarios in which the prefix leads to a move: two outcomes."""
+    return {w for w in data.scenarios if len(data.node(w, prefix)) >= 2}
 
 
 def build_action_path_sdf(data, require_maximal=True):
@@ -125,27 +133,18 @@ def build_action_path_sdf(data, require_maximal=True):
     """
     _check_ap_axioms(data, require_maximal)
 
-    nodes = set()
-    for (w, f) in data.paths:
-        nodes.add(frozenset({(w, f)}))
-        for t in data.times:
-            nodes.add(data.node(w, data.prefix(f, t)))
-    outcomes = frozenset(data.paths)
-    forest = DecisionForest(outcomes, nodes)
+    # the nodes are the index's outcome sets, a whole path's the singletons
+    nodes = set(data._nodes.values())
+    forest = DecisionForest(frozenset(data.paths), nodes)
     projection = {x: next(iter(x))[0] for x in nodes}
 
-    timing = {}
-    moves = forest.moves()
-    for t in data.times:
-        seen = {}
-        for (w, f) in data.paths:
-            prefix = data.prefix(f, t)
-            node = data.node(w, prefix)
-            if node not in moves:
-                continue
+    # the moves after one prefix, one per scenario, make a random move
+    seen = {}
+    for (w, prefix), node in data._nodes.items():
+        if len(node) > 1:
             seen.setdefault(prefix, {})[w] = node
-        for assignment in seen.values():
-            timing[RandomMove(assignment)] = t
+    timing = {RandomMove(assignment): data.times[len(prefix)]
+              for prefix, assignment in seen.items()}
     sdf = StochasticDecisionForest(forest, data.scenarios, projection, timing)
     return sdf, timing
 
@@ -206,13 +205,8 @@ def agent_choice_domain(data, agent, prefix, t):
     """
     idx = data.agents.index(agent)
     k = data.times.index(t)
-    domain = set()
-    for w in data.scenarios:
-        seen = {f[k][idx] for (v, f) in data.paths
-                if v == w and f[:k] == prefix}
-        if len(seen) >= 2:
-            domain.add(w)
-    return frozenset(domain)
+    return frozenset(w for w in data.scenarios if len(
+        {f[k][idx] for (_, f) in data.node(w, prefix)}) >= 2)
 
 
 def _in_ct(data, c, t):
@@ -224,18 +218,10 @@ def _in_ct(data, c, t):
     for (w, f) in c:
         if data.node(w, f[:k]) <= c:
             return False
-    prefixes = {f[:k] for (_, f) in c}
-    for prefix in prefixes:
-        hit = set()
-        miss = set()
-        for (w, f) in data.paths:
-            if f[:k] != prefix:
-                continue
-            node = data.node(w, prefix)
-            if len(node) < 2:
-                continue
-            (hit if node & c else miss).add(w)
-        if hit and miss:
+    for prefix in {f[:k] for (_, f) in c}:
+        domain = _ap_domain_of_prefix(data, prefix)
+        hit = {w for w in domain if data.node(w, prefix) & c}
+        if hit and hit != domain:
             return False
     return True
 
@@ -245,33 +231,38 @@ def _ap_choice(data, blocks, t, agent, g):
     k = data.times.index(t)
     idx = data.agents.index(agent)
     return frozenset(
-        (w, f) for (w, f) in data.paths
-        if f[:k] in blocks and w in g and f[k][idx] == g[w])
+        (w, f) for w in g for prefix in blocks
+        for (_, f) in data.node(w, prefix) if f[k][idx] == g[w])
 
 
-def _rich_enough(data, c, blocks, t, domain):
-    """Every (scenario, prefix) pair from the data must be realized in c."""
-    k = data.times.index(t)
-    for w in domain:
-        for prefix in blocks:
-            if not any(v == w and f[:k] == prefix for (v, f) in c):
-                return False
-    return True
+def _valid_actions(data, idx, w, block, k):
+    """The agent's actions that a choice at the block can take on w: each
+    realized in w at every prefix of the block, where the agent has at
+    least two actions."""
+    realized = [{f[k][idx] for (_, f) in data.node(w, p)} for p in block]
+    if any(len(actions) < 2 for actions in realized):
+        return set()
+    return set.intersection(*realized)
 
 
 def check_history_structures(data, info, hist):
     """The blocks must partition the decidable prefixes per agent and
-    time, and blockmates must reveal identical exogenous information."""
+    time, and blockmates must reveal identical exogenous information;
+    the information must name each prefix of a block."""
     for i in data.agents:
         for t in data.times:
             decidable = {p for p in data.prefixes(t)
                          if agent_choice_domain(data, i, p, t)}
-            blocks = [frozenset(b) for b in hist[i].get(t, ())]
+            blocks = [frozenset(b) for b in hist.get(i, {}).get(t, ())]
             union = frozenset().union(*blocks) if blocks else frozenset()
-            if union != decidable or \
+            if i not in hist or union != decidable or \
                     sum(len(b) for b in blocks) != len(union):
                 raise APSEFAxiomViolation("history", (i, t))
             for block in blocks:
+                missing = {(t, p) for p in block} - set(info.get(i, ()))
+                if missing:
+                    raise InputError(f"no exogenous information of agent {i!r}"
+                                     f" at {min(missing, key=repr)!r}")
                 keys = {frozenset(info[i][(t, p)]) for p in block}
                 if len(keys) > 1:
                     raise APSEFAxiomViolation("history-info", (i, t, block))
@@ -312,7 +303,10 @@ def _check_ap_sef_axioms(data, info, hist):
                         if c and not _in_ct(data, c, t):
                             raise APSEFAxiomViolation(1, (i, t, prefix, action))
 
-    # every realized action must extend to an admissible adapted choice
+    # every realized action must extend to an admissible adapted choice:
+    # one valid action per scenario of the domain (``_valid_actions``), the
+    # realized one at w, where the domain holds every scenario that is
+    # nontrivial at a prefix of the block
     for i in data.agents:
         idx = data.agents.index(i)
         for (w, f) in data.paths:
@@ -323,40 +317,16 @@ def _check_ap_sef_axioms(data, info, hist):
                 if w not in domain:
                     continue
                 block = next(frozenset(b) for b in hist[i][t] if prefix in b)
-                found = False
-                for g_vals in itertools.product(data.actions[i],
-                                                repeat=len(domain)):
-                    g = dict(zip(sorted(domain, key=repr), g_vals))
-                    if g[w] != f[k][idx]:
-                        continue
-                    c = _ap_choice(data, block, t, i, g)
-                    if _in_ct(data, c, t) and \
-                            _rich_enough(data, c, block, t, domain):
-                        found = True
-                        break
-                if not found:
+                valid = {v: _valid_actions(data, idx, v, block, k)
+                         for v in domain}
+                if not (all(_ap_domain_of_prefix(data, p) <= domain
+                            for p in block)
+                        and f[k][idx] in valid[w] and all(valid.values())):
                     raise APSEFAxiomViolation(2, (i, w, t))
 
-    # separation: a first within-window disagreement decidable by an agent
-    for (w, f) in data.paths:
-        for (v, f2) in data.paths:
-            if v != w or f == f2:
-                continue
-            for k0, t0 in enumerate(data.times):
-                if f[k0] == f2[k0]:
-                    continue
-                ok = False
-                for k in range(k0 + 1):
-                    t = data.times[k]
-                    for i in data.agents:
-                        idx = data.agents.index(i)
-                        if f[k][idx] == f2[k][idx]:
-                            continue
-                        if w in agent_choice_domain(data, i, f[:k], t) and \
-                                w in agent_choice_domain(data, i, f2[:k], t):
-                            ok = True
-                if not ok:
-                    raise APSEFAxiomViolation(3, (w, f, f2, t0))
+    # separation (axiom 3) needs no check: where two paths of a scenario
+    # first disagree, some agent's actions differ after their common
+    # prefix, so it has two actions there and the scenario is in its domain
 
 
 def build_action_path_sef(data, info, hist):
@@ -374,6 +344,8 @@ def build_action_path_sef(data, info, hist):
         (_, f) = next(iter(m(w)))
         index[(t, f[:data.times.index(t)])] = m
 
+    cap = budget(AP_PROFILES_CAP)
+    count = 0
     agents = tuple(data.agents)
     agent_moves = {}
     move_info = {}
@@ -394,6 +366,10 @@ def build_action_path_sef(data, info, hist):
             block = next(frozenset(b) for b in hist[i][t] if prefix in b)
             refs = []
             for subset in powerset(sorted(data.actions[i])):
+                count += 1
+                if count > cap:
+                    raise BudgetExceeded(
+                        f"more than {cap} reference-choice action sets")
                 if not subset:
                     continue
                 c = frozenset(
@@ -410,25 +386,26 @@ def build_action_path_sef(data, info, hist):
         move_info[i] = my_info
         refchoices[i] = my_refs
 
+        # per history block, the adapted unions over the scenarios of its
+        # moves of one single-action slice each, offered at every move of
+        # the block there
+        table = _SliceTable(sdf, mine, my_info, my_refs)
         mine_choices = set()
         for t in data.times:
             for block in hist[i].get(t, ()):
                 block = frozenset(block)
-                options = sorted(data.actions[i]) + [None]
-                for combo in itertools.product(options,
-                                               repeat=len(sdf.scenarios)):
-                    g = {w: a for w, a in zip(sdf.scenarios, combo)
-                         if a is not None}
-                    if not g:
-                        continue
-                    c = _ap_choice(data, block, t, i, g)
-                    if not _in_ct(data, c, t):
-                        continue
-                    if not _rich_enough(data, c, block, t, g):
-                        continue
-                    if not check_adapted(sdf, c, my_info, my_refs, mine):
-                        continue
-                    mine_choices.add(c)
+                visit = sorted({w for p in block
+                                for w in index[(t, p)].domain}, key=repr)
+                options = []
+                for w in visit:
+                    nodes = frozenset(data.node(w, p) for p in block)
+                    offered = [table.offered_option(
+                        w, _ap_choice(data, block, t, i, {w: a}), nodes)
+                        for a in sorted(data.actions[i])]
+                    options.append([option for option in offered if option])
+                start = table.start(set(sdf.scenarios) - set(visit))
+                mine_choices.update(c for c in _adapted_unions(
+                    table, visit, options, start) if c)
         choices[i] = frozenset(mine_choices)
 
     sef = StochasticExtensiveForm(sdf, agents, agent_moves, move_info,

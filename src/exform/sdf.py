@@ -636,6 +636,14 @@ class _SliceTable:
             records.append(self._record(k, 0, frozenset()))
         return [(r.mask, r.entry or self._entry(k, r)) for r in records]
 
+    def offered_option(self, w, outcomes, nodes):
+        """(mask, entry) of the given slice of w's tree, recorded once, if
+        it is offered at each of the nodes; else None."""
+        k = self.position[w]
+        record = self._record(k, self.mask(outcomes), outcomes)
+        if nodes <= record.preds:
+            return record.mask, record.entry or self._entry(k, record)
+
     def overlapping(self):
         """(k, members, members2) for each pair of distinct slices of tree
         k that overlap and share a nonempty predecessor set; two choices

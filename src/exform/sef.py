@@ -30,9 +30,10 @@ from .sdf import (
 )
 
 # default caps of the module's searches; EXFORM_BUDGET overrides each:
-# validate_sef's Axiom 2 search, the adapted-choice search of Axiom 6 and
-# of the choice completion (slices tried and unions joined per information
-# set), and the strategy enumeration
+# validate_sef's Axiom 2 search, the adapted-choice search of Axiom 6, of
+# the choice completion (slices tried and unions joined per information
+# set) and of an action-path form's choices (per agent, time and history
+# block), and the strategy enumeration
 AXIOM2_CAP = 10 ** 6
 ADAPTED_CAP = 10 ** 5
 STRATEGIES_CAP = 10 ** 6
@@ -253,8 +254,8 @@ def _search_plan(form, i, members, table, void):
 
 
 def _nodes():
-    """One draw per node of an Axiom 6 search, each slice tried and each
-    union the join makes; past ``ADAPTED_CAP`` it raises BudgetExceeded."""
+    """One draw per node of an adapted-choice search, each slice tried and
+    each union joined; past ``ADAPTED_CAP`` it raises BudgetExceeded."""
     cap = budget(ADAPTED_CAP)
     yield from range(cap)
     raise BudgetExceeded(f"more than {cap} adapted-choice search nodes")
@@ -347,19 +348,27 @@ def _join(options, start, parts, free):
     return [mask for masks in joined.values() for mask in masks]
 
 
+def _adapted_unions(table, visit, options, start):
+    """The adapted unions of one option per visited scenario from the start
+    bits, joined over the components (``_join``), each read out by
+    ``table.missing``: Axiom 6's and action-path forms' one engine."""
+    free = table.start(visit)[0]
+    return map(table.missing, _join(options, start,
+                                    _components(options, free), free))
+
+
 def _missing_choices(form, i, p, table, void=False):
     """
     The adapted unions of one slice of the information set's menu per
     active scenario (``_search_plan``), the empty slice included when
     ``void``, that are not choices: Axiom 6's violations there, and what
-    the choice completion adds.  The join lists every union as a mask,
-    and only those that are no choice are read out as sets.
+    the choice completion adds, listed by the engine that also lists an
+    action-path form's choices (``_adapted_unions``).
     """
     visit, options, start = _search_plan(form, i, p.random_moves, table,
                                          void)
-    free = table.start(visit)[0]
-    return [c for c in map(table.missing, _join(
-        options, start, _components(options, free), free)) if c is not None]
+    return [c for c in _adapted_unions(table, visit, options, start)
+            if c is not None]
 
 
 _MenuIndex = namedtuple("_MenuIndex",

@@ -1,6 +1,7 @@
 """Shared generators for property tests, and a run under several hash
 seeds."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
+from exform.actionpath import ActionPathData
 from exform.forest import DecisionForest
 from exform.order import Poset
 
@@ -105,6 +107,85 @@ def forests(draw, max_outcomes=8):
     for block in top.values():
         grow(block)
     return DecisionForest(outcomes, nodes)
+
+
+def _drawn_partition(draw, domain):
+    """The trivial, the discrete or a random partition of the scenarios."""
+    members = sorted(domain)
+    kind = draw(st.sampled_from(("trivial", "discrete", "random")))
+    if kind == "trivial":
+        labels = [0] * len(members)
+    elif kind == "discrete":
+        labels = range(len(members))
+    else:
+        labels = draw(st.lists(st.integers(0, 2), min_size=len(members),
+                               max_size=len(members)))
+    blocks = {}
+    for label, w in zip(labels, members):
+        blocks.setdefault(label, set()).add(w)
+    return frozenset(frozenset(b) for b in blocks.values())
+
+
+@st.composite
+def action_path_inputs(draw):
+    """
+    Small action-path inputs (data, info, hist): 1-2 agents with 2-3
+    actions each, 1-2 times and 1-5 scenarios.  At each (scenario, prefix)
+    every agent realizes a drawn nonempty set of its actions and the paths
+    go on with their product, so the drawn subset of the paths realizes
+    every joint profile (axiom 0); the action sets are drawn once per
+    (prefix, agent) for all scenarios or once per scenario.  An agent's
+    decidable prefixes at a time fall into singleton blocks or a random
+    partition into at most two blocks, and each block reveals trivial,
+    discrete or random information on the scenarios where its prefixes
+    lead to a move.
+    """
+    agents = ("a", "b")[:draw(st.integers(1, 2))]
+    actions = {i: tuple("123"[:draw(st.integers(2, 3))]) for i in agents}
+    times = tuple(range(draw(st.integers(1, 2))))
+    scenarios = tuple(f"w{k}" for k in range(draw(st.integers(1, 5))))
+    shared = draw(st.booleans())
+    menus, paths = {}, set()
+
+    def grow(w, prefix):
+        if len(prefix) == len(times):
+            paths.add((w, prefix))
+            return
+        for i in agents:
+            key = (None if shared else w, prefix, i)
+            if key not in menus:
+                menus[key] = sorted(draw(st.sets(st.sampled_from(actions[i]),
+                                                 min_size=1)))
+        for profile in itertools.product(*[
+                menus[None if shared else w, prefix, i] for i in agents]):
+            grow(w, prefix + (profile,))
+
+    for w in scenarios:
+        grow(w, ())
+    data = ActionPathData(agents, actions, times, scenarios, frozenset(paths))
+    hist, info = {i: {} for i in agents}, {i: {} for i in agents}
+    for idx, i in enumerate(agents):
+        for k, t in enumerate(times):
+            domains = {}   # decidable prefix -> scenarios where it is a move
+            for p in sorted({f[:k] for _, f in paths}):
+                at = {w: [f for v, f in paths if v == w and f[:k] == p]
+                      for w in scenarios}
+                if any(len({f[k][idx] for f in fs}) >= 2 for fs in at.values()):
+                    domains[p] = {w for w, fs in at.items() if len(fs) >= 2}
+            labels = range(len(domains))
+            if draw(st.booleans()):
+                labels = draw(st.lists(st.integers(0, 1),
+                                       min_size=len(domains),
+                                       max_size=len(domains)))
+            blocks = {}
+            for label, p in zip(labels, domains):
+                blocks.setdefault(label, set()).add(p)
+            hist[i][t] = list(blocks.values())
+            for block in hist[i][t]:
+                partition = _drawn_partition(draw, set().union(
+                    *[domains[p] for p in block]))
+                info[i].update(((t, p), partition) for p in block)
+    return data, info, hist
 
 
 def random_poset(rng, n):

@@ -1,13 +1,27 @@
-import pytest
+import itertools
+import time
+from collections import Counter
+from unittest import mock
 
-from conftest import comb_parts
+import pytest
+from hypothesis import given, settings
+
+from conftest import action_path_inputs, comb_parts
+from exform import actionpath
 from exform._util import powerset
 from exform.actionpath import (
     ActionPathData,
     build_action_path_sef,
     classify_endogenous,
 )
-from exform.errors import APSEFAxiomViolation, StructureError
+from exform.errors import (
+    APAxiomViolation,
+    APSEFAxiomViolation,
+    BudgetExceeded,
+    ExformError,
+    InputError,
+    StructureError,
+)
 from exform.forest import DecisionForest, immediate_predecessors
 from exform.instances import (
     DISCRETE,
@@ -30,7 +44,7 @@ from exform.instances import (
     simple_sef,
     variant_sef,
 )
-from exform.sdf import RandomMove, StochasticDecisionForest
+from exform.sdf import RandomMove, StochasticDecisionForest, check_adapted
 from exform.sef import (
     StochasticExtensiveForm,
     check_heraclitus,
@@ -429,6 +443,312 @@ def simple_ap_inputs(merge_stage_two):
     return data, info, hist
 
 
+def three_period_inputs():
+    """One agent deciding at each of three periods, singleton histories."""
+    paths = frozenset(
+        ("w", ((a,), (b,), (c,))) for a in "12" for b in "12" for c in "12")
+    data = ActionPathData(agents=("i",), actions={"i": ("1", "2")},
+                          times=(0, 1, 2), scenarios=("w",), paths=paths)
+    prefixes = {t: sorted({f[:t] for (_, f) in paths}) for t in (0, 1, 2)}
+    hist = {"i": {t: [{p} for p in prefixes[t]] for t in (0, 1, 2)}}
+    point = frozenset({frozenset({"w"})})
+    info = {"i": {(t, p): point for t in (0, 1, 2) for p in prefixes[t]}}
+    return data, info, hist
+
+
+def one_shot_inputs():
+    """Two agents moving once, simultaneously, in one scenario."""
+    paths = frozenset(("w", ((a, b),)) for a in "12" for b in "12")
+    data = ActionPathData(agents=("a", "b"),
+                          actions={"a": ("1", "2"), "b": ("1", "2")},
+                          times=(0,), scenarios=("w",), paths=paths)
+    point = frozenset({frozenset({"w"})})
+    hist = {i: {0: [{()}]} for i in "ab"}
+    info = {i: {(0, ()): point} for i in "ab"}
+    return data, info, hist
+
+
+def one_period_inputs(n, discrete, actions=("1", "2")):
+    """One agent, one time, n scenarios each admitting every action, and
+    one history block with trivial or discrete information."""
+    scenarios = tuple(f"w{k}" for k in range(n))
+    data = ActionPathData(
+        agents=("i",), actions={"i": actions}, times=(0,),
+        scenarios=scenarios,
+        paths=frozenset((w, ((a,),)) for w in scenarios for a in actions))
+    info = frozenset(frozenset({w}) for w in scenarios) if discrete \
+        else frozenset({frozenset(scenarios)})
+    return data, {"i": {(0, ()): info}}, {"i": {0: [{()}]}}
+
+
+def two_agent_inputs(periods=3, n=4):
+    """Two agents with actions {1, 2} moving simultaneously at each period
+    in n scenarios that admit every path, singleton histories and trivial
+    information."""
+    scenarios = tuple(f"w{k}" for k in range(n))
+    profiles = list(itertools.product("12", repeat=2))
+    paths = frozenset((w, f) for w in scenarios
+                      for f in itertools.product(profiles, repeat=periods))
+    data = ActionPathData(agents=("a", "b"),
+                          actions={"a": ("1", "2"), "b": ("1", "2")},
+                          times=tuple(range(periods)), scenarios=scenarios,
+                          paths=paths)
+    prefixes = {t: sorted({f[:t] for (_, f) in paths}) for t in data.times}
+    trivial = frozenset({frozenset(scenarios)})
+    hist = {i: {t: [{p} for p in prefixes[t]] for t in data.times}
+            for i in "ab"}
+    info = {i: {(t, p): trivial for t in data.times for p in prefixes[t]}
+            for i in "ab"}
+    return data, info, hist
+
+
+# --- the path scans and brute-force searches of the action-path construction
+# before its (scenario, prefix) index and the adapted-union engine, kept
+# verbatim as oracles ---------------------------------------------------------
+
+def oracle_node(data, w, prefix):
+    """The outcomes of scenario w whose paths start with the prefix."""
+    k = len(prefix)
+    return frozenset((v, g) for (v, g) in data.paths
+                     if v == w and g[:k] == prefix)
+
+
+def oracle_forest(data):
+    """The nodes and the timing map of the induced forest."""
+    nodes = set()
+    for (w, f) in data.paths:
+        nodes.add(frozenset({(w, f)}))
+        for t in data.times:
+            nodes.add(data.node(w, data.prefix(f, t)))
+    timing = {}
+    moves = {x for x in nodes if len(x) > 1}
+    for t in data.times:
+        seen = {}
+        for (w, f) in data.paths:
+            prefix = data.prefix(f, t)
+            node = data.node(w, prefix)
+            if node not in moves:
+                continue
+            seen.setdefault(prefix, {})[w] = node
+        for assignment in seen.values():
+            timing[RandomMove(assignment)] = t
+    return nodes, timing
+
+
+def oracle_agent_choice_domain(data, agent, prefix, t):
+    """
+    Scenarios in which the agent has a real decision at the given time
+    after the given strict prefix: two continuations must differ in the
+    agent's action component.
+    """
+    idx = data.agents.index(agent)
+    k = data.times.index(t)
+    domain = set()
+    for w in data.scenarios:
+        seen = {f[k][idx] for (v, f) in data.paths
+                if v == w and f[:k] == prefix}
+        if len(seen) >= 2:
+            domain.add(w)
+    return frozenset(domain)
+
+
+def oracle_in_ct(data, c, t):
+    """Membership in the time-t choice family: nonempty, a real
+    alternative everywhere, and all-or-nothing on undecided scenarios."""
+    if not c:
+        return False
+    k = data.times.index(t)
+    for (w, f) in c:
+        if data.node(w, f[:k]) <= c:
+            return False
+    prefixes = {f[:k] for (_, f) in c}
+    for prefix in prefixes:
+        hit = set()
+        miss = set()
+        for (w, f) in data.paths:
+            if f[:k] != prefix:
+                continue
+            node = data.node(w, prefix)
+            if len(node) < 2:
+                continue
+            (hit if node & c else miss).add(w)
+        if hit and miss:
+            return False
+    return True
+
+
+def oracle_ap_choice(data, blocks, t, agent, g):
+    """The set c(A_{<t}, i, g) for a block of prefixes and a partial map g."""
+    k = data.times.index(t)
+    idx = data.agents.index(agent)
+    return frozenset(
+        (w, f) for (w, f) in data.paths
+        if f[:k] in blocks and w in g and f[k][idx] == g[w])
+
+
+def oracle_rich_enough(data, c, blocks, t, domain):
+    """Every (scenario, prefix) pair from the data must be realized in c."""
+    k = data.times.index(t)
+    for w in domain:
+        for prefix in blocks:
+            if not any(v == w and f[:k] == prefix for (v, f) in c):
+                return False
+    return True
+
+
+def oracle_check_2(data, hist):
+    """Every realized action must extend to an admissible adapted choice:
+    a search over every map from the decision domain to the actions."""
+    for i in data.agents:
+        idx = data.agents.index(i)
+        for (w, f) in data.paths:
+            for t in data.times:
+                k = data.times.index(t)
+                prefix = f[:k]
+                domain = oracle_agent_choice_domain(data, i, prefix, t)
+                if w not in domain:
+                    continue
+                block = next(frozenset(b) for b in hist[i][t] if prefix in b)
+                found = False
+                for g_vals in itertools.product(data.actions[i],
+                                                repeat=len(domain)):
+                    g = dict(zip(sorted(domain, key=repr), g_vals))
+                    if g[w] != f[k][idx]:
+                        continue
+                    c = oracle_ap_choice(data, block, t, i, g)
+                    if oracle_in_ct(data, c, t) and \
+                            oracle_rich_enough(data, c, block, t, domain):
+                        found = True
+                        break
+                if not found:
+                    raise APSEFAxiomViolation(2, (i, w, t))
+
+
+def oracle_separation(data):
+    """The separation check the construction ran after check 2: a first
+    within-window disagreement decidable by an agent.  It never fails, so
+    the construction no longer runs it."""
+    for (w, f) in data.paths:
+        for (v, f2) in data.paths:
+            if v != w or f == f2:
+                continue
+            for k0, t0 in enumerate(data.times):
+                if f[k0] == f2[k0]:
+                    continue
+                ok = False
+                for k in range(k0 + 1):
+                    t = data.times[k]
+                    for i in data.agents:
+                        idx = data.agents.index(i)
+                        if f[k][idx] == f2[k][idx]:
+                            continue
+                        if w in oracle_agent_choice_domain(
+                                data, i, f[:k], t) and \
+                                w in oracle_agent_choice_domain(
+                                    data, i, f2[:k], t):
+                            ok = True
+                if not ok:
+                    raise APSEFAxiomViolation(3, (w, f, f2, t0))
+
+
+def oracle_choices(data, hist, i, sdf, my_info, my_refs, mine):
+    """The agent's choices: a search over every partial map from the
+    scenarios to the actions, per history block."""
+    mine_choices = set()
+    for t in data.times:
+        for block in hist[i].get(t, ()):
+            block = frozenset(block)
+            options = sorted(data.actions[i]) + [None]
+            for combo in itertools.product(options,
+                                           repeat=len(sdf.scenarios)):
+                g = {w: a for w, a in zip(sdf.scenarios, combo)
+                     if a is not None}
+                if not g:
+                    continue
+                c = oracle_ap_choice(data, block, t, i, g)
+                if not oracle_in_ct(data, c, t):
+                    continue
+                if not oracle_rich_enough(data, c, block, t, g):
+                    continue
+                if not check_adapted(sdf, c, my_info, my_refs, mine):
+                    continue
+                mine_choices.add(c)
+    return frozenset(mine_choices)
+
+
+def assert_indexed_as_scanned(data, hist):
+    """
+    The readers of the (scenario, prefix) index, and the choice-family
+    test and slices of check 1 and the reference choices, as their
+    scanning oracles read them: every node, every decision domain, the
+    induced forest and timing, and each single-action candidate of every
+    block and of each prefix.
+    """
+    for t in data.times:
+        k = data.times.index(t)
+        assert data.prefixes(t) == {f[:k] for (_, f) in data.paths}
+        for prefix in data.prefixes(t):
+            for w in data.scenarios:
+                assert data.node(w, prefix) == oracle_node(data, w, prefix)
+            for i in data.agents:
+                assert actionpath.agent_choice_domain(data, i, prefix, t) \
+                    == oracle_agent_choice_domain(data, i, prefix, t)
+    for i in data.agents:
+        for t in data.times:
+            for block in hist.get(i, {}).get(t, ()):
+                for prefixes in [block] + [{p} for p in block]:
+                    for g in ({w: a for w in data.scenarios}
+                              for a in data.actions[i]):
+                        c = oracle_ap_choice(data, prefixes, t, i, g)
+                        assert actionpath._ap_choice(
+                            data, prefixes, t, i, g) == c
+                        assert actionpath._in_ct(data, c, t) \
+                            == oracle_in_ct(data, c, t)
+    try:
+        sdf, timing = actionpath.build_action_path_sdf(data, False)
+    except APAxiomViolation:
+        return
+    assert (sdf.forest.nodes, timing) == oracle_forest(data)
+
+
+def assert_as_oracle(data, info, hist):
+    """
+    Build the form, holding check 2's verdict, axiom and witness, and each
+    agent's choices, to the oracles; past check 2 the separation oracle
+    passes, and the choices are compared, the form valid or not.  Returns
+    the last stage compared: "before check 2", "check 2" or "choices".
+    """
+    built = []
+
+    def form(*args):
+        built.append(args)
+        return StochasticExtensiveForm(*args)
+
+    error = None
+    with mock.patch.object(actionpath, "StochasticExtensiveForm", form):
+        try:
+            build_action_path_sef(data, info, hist)
+        except ExformError as err:
+            error = err
+    axiom = getattr(error, "axiom", None)
+    if isinstance(error, InputError) or axiom in ("history", "history-info",
+                                                  0, 1):
+        return "before check 2"
+    if axiom == 2:
+        with pytest.raises(APSEFAxiomViolation) as exc:
+            oracle_check_2(data, hist)
+        assert (exc.value.axiom, exc.value.witness) == (2, error.witness)
+        return "check 2"
+    oracle_check_2(data, hist)
+    oracle_separation(data)
+    assert built, error
+    sdf, agents, agent_moves, move_info, refchoices, choices = built[0]
+    for i in agents:
+        assert choices[i] == oracle_choices(data, hist, i, sdf, move_info[i],
+                                            refchoices[i], agent_moves[i])
+    return "choices"
+
+
 class TestActionPathForms:
     @pytest.mark.parametrize("merge,row", [(False, 1), (True, 2)])
     def test_matches_direct_construction(self, merge, row):
@@ -454,14 +774,7 @@ class TestActionPathForms:
         assert all(timing[m] == t for (t, _), m in index.items())
 
     def test_three_period_singleton_histories(self):
-        paths = frozenset(
-            ("w", ((a,), (b,), (c,))) for a in "12" for b in "12" for c in "12")
-        data = ActionPathData(agents=("i",), actions={"i": ("1", "2")},
-                              times=(0, 1, 2), scenarios=("w",), paths=paths)
-        prefixes = {t: sorted({f[:t] for (_, f) in paths}) for t in (0, 1, 2)}
-        hist = {"i": {t: [{p} for p in prefixes[t]] for t in (0, 1, 2)}}
-        point = frozenset({frozenset({"w"})})
-        info = {"i": {(t, p): point for t in (0, 1, 2) for p in prefixes[t]}}
+        data, info, hist = three_period_inputs()
         sef, timing, index = build_action_path_sef(data, info, hist)
         assert sef.report.valid
         assert len(sef.sdf.random_moves) == 7
@@ -473,13 +786,7 @@ class TestActionPathForms:
                          "perfect_endogenous_info": True}
 
     def test_simultaneous_one_shot_game(self):
-        paths = frozenset(("w", ((a, b),)) for a in "12" for b in "12")
-        data = ActionPathData(agents=("a", "b"),
-                              actions={"a": ("1", "2"), "b": ("1", "2")},
-                              times=(0,), scenarios=("w",), paths=paths)
-        point = frozenset({frozenset({"w"})})
-        hist = {i: {0: [{()}]} for i in "ab"}
-        info = {i: {(0, ()): point} for i in "ab"}
+        data, info, hist = one_shot_inputs()
         sef, _, _ = build_action_path_sef(data, info, hist)
         assert sef.report.valid
         assert len(sef.choices["a"]) == len(sef.choices["b"]) == 2
@@ -498,7 +805,7 @@ class TestActionPathForms:
         for t in data.times:
             k = data.times.index(t)
             for prefix in {f[:k] for (_, f) in data.paths}:
-                whole = _ap_domain_of_prefix(data, prefix, t)
+                whole = _ap_domain_of_prefix(data, prefix)
                 for i in data.agents:
                     mine = agent_choice_domain(data, i, prefix, t)
                     if mine:
@@ -527,3 +834,160 @@ class TestActionPathForms:
                 direct["endogenous_recall"]
             assert cls["perfect_endogenous_info"] == \
                 direct["perfect_endogenous_info"]
+
+
+def incomplete_history_inputs():
+    data, info, _ = simple_ap_inputs(False)
+    return data, info, {"i": {0: [{()}], 1: [{P1}]}}
+
+
+def unshared_information_inputs():
+    data, _, hist = simple_ap_inputs(True)
+    return data, {"i": {(0, ()): TRIVIAL, (1, P1): TRIVIAL,
+                        (1, P2): DISCRETE}}, hist
+
+
+def unmatched_block_inputs():
+    """One agent whose block at time 1 merges a prefix where it can take
+    1 or 2 with one where it can take 2 or 3: only 2 extends to a choice,
+    so the realized 1 fails check 2."""
+    paths = frozenset(("w", ((a,), (b,))) for a, bs in (("1", "12"),
+                                                       ("2", "23"))
+                      for b in bs)
+    data = ActionPathData(agents=("i",), actions={"i": ("1", "2", "3")},
+                          times=(0, 1), scenarios=("w",), paths=paths)
+    point = frozenset({frozenset({"w"})})
+    hist = {"i": {0: [{()}], 1: [{P1, P2}]}}
+    info = {"i": {(0, ()): point, (1, P1): point, (1, P2): point}}
+    return data, info, hist
+
+
+def unequal_domains_inputs():
+    """One agent whose block at time 1 merges a prefix it decides in one
+    scenario with one it decides in both: no choice at the first prefix
+    is all-or-nothing on the second's scenarios, so check 2 fails."""
+    paths = frozenset({("w0", (("1",), ("1",))), ("w0", (("1",), ("2",))),
+                       ("w1", (("1",), ("1",)))}
+                      | {(w, (("2",), (b,))) for w in ("w0", "w1")
+                         for b in "12"})
+    data = ActionPathData(agents=("i",), actions={"i": ("1", "2")},
+                          times=(0, 1), scenarios=("w0", "w1"), paths=paths)
+    trivial = frozenset({frozenset({"w0", "w1"})})
+    hist = {"i": {0: [{()}], 1: [{P1, P2}]}}
+    info = {"i": {(0, ()): trivial, (1, P1): trivial, (1, P2): trivial}}
+    return data, info, hist
+
+
+class TestActionPathOracle:
+    """The choices and check 2 of the construction against the searches
+    it retired (``oracle_choices``, ``oracle_check_2``)."""
+
+    @pytest.mark.parametrize("inputs,stage", [
+        (lambda: simple_ap_inputs(False), "choices"),
+        (lambda: simple_ap_inputs(True), "choices"),
+        (three_period_inputs, "choices"),
+        (one_shot_inputs, "choices"),
+        (lambda: one_period_inputs(3, True, ("1", "2", "3")), "choices"),
+        (unmatched_block_inputs, "check 2"),
+        (unequal_domains_inputs, "check 2"),
+        (incomplete_history_inputs, "before check 2"),
+        (unshared_information_inputs, "before check 2"),
+    ], ids=["simple", "simple-merged", "three-periods", "one-shot",
+            "three-actions", "unmatched-block", "unequal-domains",
+            "incomplete-history", "unshared-information"])
+    def test_existing_inputs(self, inputs, stage):
+        assert assert_as_oracle(*inputs()) == stage
+
+    def test_drawn_inputs(self):
+        stages = Counter()
+
+        @settings(max_examples=300, deadline=None, derandomize=True,
+                  database=None)
+        @given(action_path_inputs())
+        def run(inputs):
+            assert_indexed_as_scanned(inputs[0], inputs[2])
+            stages[assert_as_oracle(*inputs)] += 1
+
+        run()
+        # enough draws reach check 2 and the choices; the few that fail
+        # check 2 (1 to 21 of 300 in random runs) vary with the draw, and
+        # the inputs above fail it on purpose
+        assert stages["choices"] >= 100, stages
+        assert stages["choices"] + stages["check 2"] >= 150, stages
+
+
+class TestActionPathBudget:
+    def test_twenty_scenarios_decide_at_once(self):
+        start = time.perf_counter()
+        sef, _, _ = build_action_path_sef(*one_period_inputs(20, False))
+        assert time.perf_counter() - start < 2
+        assert len(sef.choices["i"]) == 2
+
+    def test_eleven_scenarios_decide_at_a_budget_of_100(self, monkeypatch):
+        monkeypatch.setenv("EXFORM_BUDGET", "100")
+        sef, _, _ = build_action_path_sef(*one_period_inputs(11, False))
+        assert len(sef.choices["i"]) == 2
+
+    def test_seventeen_discrete_scenarios_exceed_the_budget(self):
+        # 2^17 adapted unions, more than the default cap of the join
+        with pytest.raises(BudgetExceeded, match="adapted-choice"):
+            build_action_path_sef(*one_period_inputs(17, True))
+
+    def test_twelve_discrete_scenarios_decide(self):
+        sef, _, _ = build_action_path_sef(*one_period_inputs(12, True))
+        assert len(sef.choices["i"]) == 2 ** 12
+
+    def test_two_agents_over_three_periods(self):
+        # 21 moves per agent, each with one choice per action
+        sef, _, _ = build_action_path_sef(*two_agent_inputs())
+        assert len(sef.choices["a"]) == len(sef.choices["b"]) == 42
+
+    def test_reference_action_sets_are_counted(self, monkeypatch):
+        # 2^12 action sets at the one move, 12 joint profiles before them
+        inputs = one_period_inputs(1, False, tuple(f"a{k}" for k in range(12)))
+        monkeypatch.setenv("EXFORM_BUDGET", "1000")
+        with pytest.raises(BudgetExceeded, match="reference-choice"):
+            build_action_path_sef(*inputs)
+        monkeypatch.delenv("EXFORM_BUDGET")
+        sef, _, _ = build_action_path_sef(*inputs)
+        assert len(sef.choices["i"]) == 12
+
+
+def without_info_key():
+    data, info, hist = simple_ap_inputs(False)
+    del info["i"][(0, ())]
+    return data, info, hist
+
+
+def without_info_agent():
+    data, _, hist = simple_ap_inputs(False)
+    return data, {}, hist
+
+
+def without_hist_agent():
+    data, info, _ = simple_ap_inputs(False)
+    return data, info, {}
+
+
+class TestMalformedActionPathInput:
+    @pytest.mark.parametrize("agents,times,match", [
+        (("i", "j"), (0,), "'j'"),
+        (("i",), (0, 0), "strictly increasing"),
+    ], ids=["agent-without-actions", "repeated-time"])
+    def test_malformed_data(self, agents, times, match):
+        profile = ("1",) * len(agents)
+        with pytest.raises(InputError, match=match):
+            ActionPathData(agents=agents, actions={"i": ("1", "2")},
+                           times=times, scenarios=("w",),
+                           paths=frozenset({("w", (profile,) * len(times))}))
+
+    @pytest.mark.parametrize("inputs,error,match", [
+        (without_info_key, InputError, r"\(0, \(\)\)"),
+        (without_info_agent, InputError, "'i'"),
+        (without_hist_agent, APSEFAxiomViolation, "history"),
+    ], ids=["info-key", "info-agent", "hist-agent"])
+    def test_missing_entries(self, inputs, error, match):
+        with pytest.raises(error, match=match) as exc:
+            build_action_path_sef(*inputs())
+        if error is APSEFAxiomViolation:
+            assert exc.value.axiom == "history"
