@@ -5,7 +5,7 @@ the outcomes that share a scenario and a strict prefix, and history
 structures place agents on that forest with the choices the action-path
 axioms admit.  An agent's choices at each history block are the adapted
 unions of one single-action slice per scenario, listed by the engine that
-Axiom 6 and the choice completion run (``sef._adapted_unions``).
+Axiom 6 and the choice completion run (``adapted.adapted_unions``).
 """
 
 import functools
@@ -13,12 +13,12 @@ import itertools
 from dataclasses import dataclass
 
 from ._util import budget, powerset
+from .adapted import SliceTable, adapted_unions
 from .errors import (APAxiomViolation, APSEFAxiomViolation, BudgetExceeded,
                      InputError, StructureError)
 from .forest import DecisionForest
-from .sdf import (RandomMove, StochasticDecisionForest, _SliceTable,
-                  check_recall, xgeq)
-from .sef import StochasticExtensiveForm, _adapted_unions
+from .sdf import RandomMove, StochasticDecisionForest, check_recall, xgeq
+from .sef import StochasticExtensiveForm
 
 # default cap of the joint action profiles and of the reference-choice
 # action sets of action-path forms; EXFORM_BUDGET overrides it
@@ -389,7 +389,7 @@ def build_action_path_sef(data, info, hist):
         # per history block, the adapted unions over the scenarios of its
         # moves of one single-action slice each, offered at every move of
         # the block there
-        table = _SliceTable(sdf, mine, my_info, my_refs)
+        table = SliceTable(sdf, mine, my_info, my_refs)
         mine_choices = set()
         for t in data.times:
             for block in hist[i].get(t, ()):
@@ -403,9 +403,8 @@ def build_action_path_sef(data, info, hist):
                         w, _ap_choice(data, block, t, i, {w: a}), nodes)
                         for a in sorted(data.actions[i])]
                     options.append([option for option in offered if option])
-                start = table.start(set(sdf.scenarios) - set(visit))
-                mine_choices.update(c for c in _adapted_unions(
-                    table, visit, options, start) if c)
+                mine_choices.update(c for c in adapted_unions(
+                    table, visit, options) if c)
         choices[i] = frozenset(mine_choices)
 
     sef = StochasticExtensiveForm(sdf, agents, agent_moves, move_info,

@@ -316,21 +316,13 @@ def amd_continue_region(assignments, agent):
     return frozenset(region)
 
 
-def _exiting_on(ex, ct):
-    """The choice exiting exactly on an event, as a function of the event:
-    the exit region's outcomes on it and the continue region's off it.
-    Each outcome's scenario is read once."""
-    ex, ct = ([(w.split(":")[0], w) for w in region] for region in (ex, ct))
-    return lambda event: frozenset(w for s, w in ex if s in event) | \
-        frozenset(w for s, w in ct if s not in event)
-
-
 def amd_event_choice(atoms, agent, event):
-    """The agent's choice exiting exactly on the given set of scenarios."""
-    scenarios = amd_scenarios(atoms)
-    assignments = {w: int(w[1]) for w in scenarios}
-    return _exiting_on(amd_exit_region(assignments, agent),
-                       amd_continue_region(assignments, agent))(event)
+    """The agent's choice exiting exactly on the given set of scenarios:
+    the exit region on the event and the continue region off it."""
+    on, off = {}, {}
+    for w in amd_scenarios(atoms):
+        (on if w in event else off)[w] = int(w[1])
+    return amd_exit_region(on, agent) | amd_continue_region(off, agent)
 
 
 def amd_sef(atoms=1):
@@ -353,12 +345,15 @@ def amd_sef(atoms=1):
             blocks.setdefault(amd_signal(w, agent), set()).add(w)
         partition = frozenset(frozenset(b) for b in blocks.values())
         info[agent] = {m: partition}
-        ex = amd_exit_region(assignments, agent)
-        ct = amd_continue_region(assignments, agent)
-        refchoices[agent] = {m: (ex, ct)}
-        choose = _exiting_on(ex, ct)
+        refchoices[agent] = {m: (amd_exit_region(assignments, agent),
+                                 amd_continue_region(assignments, agent))}
+        # a choice takes one of its two pieces per signal block
+        pieces = {sig: [region({w: assignments[w] for w in block}, agent)
+                        for region in (amd_exit_region, amd_continue_region)]
+                  for sig, block in blocks.items()}
         choices[agent] = frozenset({
-            choose(frozenset().union(*map(blocks.get, combo)))
+            frozenset().union(*[ex if sig in combo else ct
+                                for sig, (ex, ct) in pieces.items()])
             for combo in powerset(sorted(blocks))})
     sef = StochasticExtensiveForm(sdf, agents, agent_moves, info,
                                   refchoices, choices)

@@ -138,13 +138,6 @@ class StochasticDecisionForest:
         self._root = {w: roots[w] for w in self.scenarios}
         self._scenario_of = {o: w for w, root in self._root.items()
                              for o in root}
-        # one bit per outcome, root by root in scenario order: a set of
-        # outcomes is cut by a root as its mask & the root's mask
-        self._bit, self._root_masks = {}, []
-        for root in self._root.values():
-            first = 1 << len(self._bit)
-            self._bit.update((o, first << n) for n, o in enumerate(root))
-            self._root_masks.append(first * ((1 << len(root)) - 1))
 
     def tree_of(self, scenario):
         """All nodes of the component indexed by the scenario."""
@@ -498,228 +491,3 @@ def validate_reference_choices(sdf, refchoices, agent_moves):
             failed.append((m, c, why))
     if failed:
         raise ChoiceError(min(failed, key=canonical)[2])
-
-
-def check_adapted(sdf, c, info, refchoices, agent_moves):
-    """
-    Adaptedness of a choice: non-redundant, complete on the agent's moves,
-    and the joint availability with every reference choice is measurable
-    at every move the choice is available at.
-    """
-    if not is_union_of_nodes(sdf.forest, c):
-        raise ChoiceError(f"not a nonempty union of nodes: {c!r}")
-    table = _SliceTable(sdf, agent_moves, info, refchoices)
-    return table.cut(frozenset(c), join=True)
-
-
-class _Slice:
-    """A distinct slice of one tree: its outcomes, its mask of outcome
-    bits, its predecessor set, the choices cut to it when it is nonempty,
-    and its entry once read (False for a whole root)."""
-
-    __slots__ = ("outcomes", "mask", "preds", "members", "entry")
-
-    def __init__(self, outcomes, mask, preds):
-        self.outcomes, self.mask, self.preds = outcomes, mask, preds
-        self.members, self.entry = [], None
-
-
-class _SliceTable:
-    """
-    An agent's choices, each cut once by the root of every scenario's
-    tree.  Every node of a tree lies inside its root, so x <= c iff
-    x <= c & root: a choice's predecessor set is the union of its slices'
-    sets, and each distinct (scenario, slice) is walked up the forest once.
-    A choice is cut as its mask of outcome bits & each root's mask, and
-    ``trees`` maps each slice mask cut or read in a tree to its ``_Slice``,
-    whose outcomes are cut as a set once, when the record is made.
-    ``preds`` maps each cut choice to its predecessor set, equal sets kept
-    once, and ``choice_of`` maps its mask to it.  Records and masks are
-    read by this class alone.
-
-    Adaptedness is read one slice at a time: a move m defined at w offers
-    slice s iff m(w) is an immediate predecessor of s, and jointly with a
-    reference choice r iff m(w) precedes s & r.  A slice's entry reads
-    these as two ints over the agent's variables: one availability
-    variable per move, and where the move offers s, one measurability
-    variable per (move, reference choice, block of the move's partition);
-    ``mask`` holds the variables the slice sets and ``value`` their bits.
-    A choice is adapted iff no slice is a whole root and, joined scenario
-    by scenario, each entry agrees with the bits known so far: then
-    availability is constant on each move's domain, and joint availability
-    on each block.  ``cut`` joins the entries in the loop that cuts the
-    choice.  The variables are laid out on the first entry read, so a
-    malformed partition is reported by the check that first reads one.
-    The table refers to no form, so it is freed when the call that built
-    it returns.
-    """
-
-    def __init__(self, sdf, agent_moves, info, refchoices, choices=()):
-        self.forest = sdf.forest
-        self.scenarios = sdf.scenarios
-        self.position = {w: k for k, w in enumerate(sdf.scenarios)}
-        self.roots = [sdf.root_of(w) for w in sdf.scenarios]
-        self.bit, self.root_masks = sdf._bit, sdf._root_masks
-        self.trees = [{} for _ in self.roots]
-        self.layout = list(zip(itertools.count(), self.trees, self.root_masks))
-        self.preds, self.choice_of = {}, {}
-        self.shared = {}   # equal predecessor sets are kept once
-        self.agent = agent_moves, info, refchoices
-        for c in choices:
-            self.cut(c)
-
-    def mask(self, outcomes):
-        """The outcomes' mask; an outcome off the forest has no bit."""
-        return sum(map(self.bit.get, outcomes, itertools.repeat(0)))
-
-    def _record(self, k, s, outcomes):
-        """The record of slice mask s of tree k, cut from the outcomes."""
-        got = self.trees[k].get(s)
-        if got is None:
-            cut = outcomes & self.roots[k]
-            p = immediate_predecessors(self.forest, cut) \
-                if s and s != self.root_masks[k] else frozenset()
-            got = self.trees[k][s] = _Slice(cut, s,
-                                            self.shared.setdefault(p, p))
-        return got
-
-    def cut(self, c, join=False):
-        """Record the choice's slices, predecessor set and memberships;
-        with ``join``, return whether it is adapted."""
-        whole = self.mask(c)
-        self.choice_of[whole] = c
-        preds, adapted = [], join
-        known = value = 0
-        for k, tree, root in self.layout:
-            s = whole & root   # most slices repeat: look them up inline
-            record = tree.get(s) or self._record(k, s, c)
-            if s:
-                record.members.append(c)
-                if record.preds:
-                    preds.append(record.preds)
-            if adapted:
-                entry = record.entry or self._entry(k, record)
-                if not entry or (value ^ entry[1]) & known & entry[0]:
-                    adapted = False
-                else:
-                    known, value = known | entry[0], value | entry[1]
-        p = frozenset().union(*preds)
-        self.preds[c] = self.shared.setdefault(p, p)
-        return adapted
-
-    def distinct(self, w):
-        """The cut choices' distinct nonempty slices on w, sorted."""
-        tree = self.trees[self.position[w]]
-        return sorted((r.outcomes for r in tree.values() if r.members),
-                      key=sorted)
-
-    def _at(self, w, x):
-        """The records of w's tree offered at x, a move of the tree: x
-        precedes c iff it precedes c's slice there."""
-        return [r for r in self.trees[self.position[w]].values()
-                if x in r.preds]
-
-    def slices_at(self, w, x):
-        """The distinct slices on the scenario of the choices offered at x."""
-        return [r.outcomes for r in self._at(w, x)]
-
-    def groups_at(self, w, x):
-        """The choices offered at x, grouped by slice as in ``slices_at``."""
-        return tuple(tuple(r.members) for r in self._at(w, x))
-
-    def options(self, w, x, void):
-        """(mask, entry) of each distinct slice offered at x, and of the
-        empty slice when ``void``; a whole root's entry is False."""
-        k = self.position[w]
-        records = self._at(w, x)
-        if void:
-            records.append(self._record(k, 0, frozenset()))
-        return [(r.mask, r.entry or self._entry(k, r)) for r in records]
-
-    def offered_option(self, w, outcomes, nodes):
-        """(mask, entry) of the given slice of w's tree, recorded once, if
-        it is offered at each of the nodes; else None."""
-        k = self.position[w]
-        record = self._record(k, self.mask(outcomes), outcomes)
-        if nodes <= record.preds:
-            return record.mask, record.entry or self._entry(k, record)
-
-    def overlapping(self):
-        """(k, members, members2) for each pair of distinct slices of tree
-        k that overlap and share a nonempty predecessor set; two choices
-        with one predecessor set have slices with one in every tree."""
-        for k, tree in enumerate(self.trees):
-            for r, r2 in itertools.combinations(tree.values(), 2):
-                if r.preds and r.preds == r2.preds and r.mask & r2.mask:
-                    yield k, r.members, r2.members
-
-    def offered(self):
-        """Each move's choices offered there: the members of the slices the
-        move precedes.  Moves that precede the same slices share the set."""
-        at = {}
-        for tree in self.trees:
-            for r in tree.values():
-                if r.members:
-                    for x in r.preds:
-                        at.setdefault(x, []).append(r)
-        shared = {}
-        for x, records in at.items():
-            key = tuple(map(id, records))
-            if key not in shared:
-                shared[key] = frozenset(itertools.chain(*[
-                    r.members for r in records]))
-            at[x] = shared[key]
-        return at
-
-    @functools.cached_property
-    def at(self):
-        """Per scenario, each agent move defined there as (its availability
-        bit, its node, [(measurability bit, reference choice)])."""
-        agent_moves, info, refchoices = self.agent
-        at = {w: [] for w in self.scenarios}
-        count = itertools.count()
-        for m in agent_moves:
-            _require_partition(info.get(m), m)
-            available = 1 << next(count)
-            refs = [frozenset(r) for r in refchoices.get(m, ())]
-            for block in info[m]:
-                joint = [(1 << next(count), r) for r in refs]
-                for w in block:
-                    at[w].append((available, m(w), joint))
-        return at
-
-    def _entry(self, k, record):
-        """(mask, value) of a slice record of tree k, False for a whole
-        root; read once, off the walk of the slice's predecessors."""
-        if record.entry is None:
-            at = self.at[self.scenarios[k]]   # laid out, partitions checked
-            s, offered = record.outcomes, record.preds
-            mask = value = 0
-            for available, x, joint in at:
-                mask |= available
-                if x in offered:
-                    value |= available
-                    for var, r in joint:
-                        mask |= var
-                        both = s & r
-                        if both and x in (offered if both == s else
-                                          immediate_predecessors(
-                                              self.forest, both)):
-                            value |= var
-            record.entry = record.mask != self.root_masks[k] and (mask, value)
-        return record.entry
-
-    def start(self, scenarios):
-        """The (known, value) bits of the empty slice on the scenarios: it
-        is offered at no move there, so each availability bit is 0."""
-        return sum({bit for w in scenarios for bit, _, _ in self.at[w]}), 0
-
-    def missing(self, whole):
-        """None where ``whole``, a union of slices the table holds, is a
-        cut choice's mask; else that union's outcomes, read off its slices'
-        records."""
-        if whole in self.choice_of:
-            return None
-        return frozenset().union(*[
-            tree[whole & root].outcomes
-            for tree, root in zip(self.trees, self.root_masks) if whole & root])

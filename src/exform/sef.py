@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from ._util import budget, canonical, canonical_text, sorted_violations
+from .adapted import missing_choices, slice_table
 from .errors import (
     BudgetExceeded,
     ChoiceError,
@@ -22,20 +23,11 @@ from .errors import (
     StructureError,
 )
 from .forest import is_union_of_nodes
-from .sdf import (
-    _SliceTable,
-    check_recall,
-    validate_reference_choices,
-    xgeq,
-)
+from .sdf import check_recall, validate_reference_choices, xgeq
 
 # default caps of the module's searches; EXFORM_BUDGET overrides each:
-# validate_sef's Axiom 2 search, the adapted-choice search of Axiom 6, of
-# the choice completion (slices tried and unions joined per information
-# set) and of an action-path form's choices (per agent, time and history
-# block), and the strategy enumeration
+# validate_sef's Axiom 2 search and the strategy enumeration
 AXIOM2_CAP = 10 ** 6
-ADAPTED_CAP = 10 ** 5
 STRATEGIES_CAP = 10 ** 6
 
 # the kinds of extensive-form violation, in the order their checks run
@@ -89,15 +81,13 @@ def validate_sef(sdf, agents, agent_moves, info, refchoices, choices):
 
 def _validate(form):
     """
-    ``validate_sef`` on stored data.  The first pass cuts each of an
-    agent's choices that is a union of nodes by every root into the
-    agent's slice table, joining its slices' entries there into its
+    ``validate_sef`` on stored data.  The first pass cuts each choice that
+    is a union of nodes into its agent's slice table, which reads its
     adaptedness as it cuts.  The menu index and every axiom below read
-    those tables, which live for this call only.  Axiom 6 lists per
-    information set the adapted unions that are not choices, joined
-    component by component of its scenarios (``_missing_choices``).  An
-    axiom reads False exactly when it has violations, and the violations
-    are listed by ``sorted_violations``.
+    those tables, which live for this call only; Axiom 6 lists per
+    information set the adapted unions that are not choices
+    (``missing_choices``).  An axiom reads False exactly when it has
+    violations, listed by ``sorted_violations``.
     """
     axiom2_cap = budget(AXIOM2_CAP)
     sdf, agents, agent_moves = form.sdf, form.agents, form.agent_moves
@@ -116,7 +106,7 @@ def _validate(form):
             validate_reference_choices(sdf, refchoices[i], agent_moves[i])
         except ChoiceError as err:
             violations.append(("reference", (i, str(err))))
-        table = tables[i] = _slice_table(form, i, ())
+        table = tables[i] = slice_table(form, i, ())
         for c in choices[i]:
             if not is_union_of_nodes(sdf.forest, c):
                 violations.append(("choice", (
@@ -200,7 +190,7 @@ def _validate(form):
     # information set's menu is a choice
     for i in agents:
         for p in info_sets(form, i)[0]:
-            violations.extend(("axiom6", (i, c)) for c in _missing_choices(
+            violations.extend(("axiom6", (i, c)) for c in missing_choices(
                 form, i, p, tables[i]))
 
     failed = {kind for kind, _ in violations}
@@ -228,147 +218,6 @@ def _axiom1_violations(table, i):
               for c in cs for c2 in cs2 if table.preds[c] == table.preds[c2]]
     return [("axiom1", (i, *sorted((c, c2), key=canonical), where))
             for c, c2, where in pairs]
-
-
-def _search_plan(form, i, members, table, void):
-    """
-    The scenarios of the information set in visiting order, each one's
-    options and the start bits of the search over one slice per scenario.
-    A scenario's options are the slices the agent's slice table holds at
-    the set's move there, and the empty slice when ``void``: when every
-    choice is adapted, hence complete, a choice offered at that move is
-    offered at every move of the set, so it is on the menu, and
-    validation reaches Axiom 6 only then.  The scenarios are visited
-    block by block of the set's first move, which tests each
-    measurability bit soon after it is fixed, and the inactive scenarios
-    hold the empty slice.
-    """
-    first = min(members, key=canonical)
-    blocks = sorted((sorted(b, key=repr) for b in form.info[i][first]),
-                    key=repr)
-    move = {w: m(w) for m in members for w in m.domain}
-    visit = [w for block in blocks for w in block] + sorted(
-        set(move) - first.domain, key=repr)
-    options = [table.options(w, move[w], void) for w in visit]
-    return visit, options, table.start(set(form.sdf.scenarios) - set(visit))
-
-
-def _nodes():
-    """One draw per node of an adapted-choice search, each slice tried and
-    each union joined; past ``ADAPTED_CAP`` it raises BudgetExceeded."""
-    cap = budget(ADAPTED_CAP)
-    yield from range(cap)
-    raise BudgetExceeded(f"more than {cap} adapted-choice search nodes")
-
-
-def _leaves(options, start, nodes):
-    """
-    The (known, value, mask) of each leaf of the search: it backtracks
-    over the positions of ``options`` with a stack of the bits fixed and
-    the mask of the slices taken, and takes a slice only if its entry in
-    the table agrees with the bits already fixed, so every leaf is
-    adapted.  Each slice tried is drawn from ``nodes`` (``_nodes``).
-    """
-    # one iterator per position taken so far, and the bits and mask fixed
-    # before it; no recursive closure, whose reference cycle would keep
-    # the tables alive until the cycle collector
-    levels, fixed = [iter(options[0])], [(*start, 0)]
-    depth = len(options)
-    while levels:
-        known, value, whole = fixed[-1]
-        for mask, entry in levels[-1]:
-            next(nodes)
-            if not entry or (value ^ entry[1]) & known & entry[0]:
-                continue
-            step = known | entry[0], value | entry[1], whole | mask
-            if len(levels) < depth:
-                fixed.append(step)
-                levels.append(iter(options[len(levels)]))
-                break
-            yield step
-        else:
-            levels.pop()
-            fixed.pop()
-
-
-def _components(options, free):
-    """
-    The positions of the options split into components that share no
-    bit outside ``free`` (the availability bits), each in visiting order:
-    the measurability bits a scenario's options can set are those of its
-    blocks, so on a form that passes Axiom 5 these are the blocks of the
-    information set's partition.
-    """
-    parts = []   # (the component's bits, its positions)
-    for k, opts in enumerate(options):
-        bits = 0
-        for _, entry in opts:
-            if entry:
-                bits |= entry[0]
-        bits &= ~free
-        positions = [k]
-        for part in [part for part in parts if part[0] & bits]:
-            parts.remove(part)
-            bits |= part[0]
-            positions += part[1]
-        parts.append((bits, positions))
-    return [sorted(positions) for _, positions in parts]
-
-
-def _join(options, start, parts, free):
-    """
-    The masks of the adapted unions of one option per position, joined
-    component by component: once the availability bits ``free`` are
-    fixed, the components share no bit, so the unions are those of one
-    leaf per component that agree on those bits (cutset conditioning;
-    Dechter, *Constraint Processing*, 2003, ch. 10).  Each component is
-    searched alone from the start bits, its leaves' masks grouped by the
-    availability bits they fix, and the groups joined across components
-    on equal bits; a set with one component is the whole search.  Each
-    slice tried and each union made is a node (``_nodes``).
-    """
-    nodes = _nodes()
-    joined, fixed = {0: [0]}, 0   # union masks per value of the bits fixed
-    for positions in parts:
-        groups, bits = {}, 0
-        for known, value, mask in _leaves([options[k] for k in positions],
-                                          start, nodes):
-            bits |= known & free
-            groups.setdefault(value & free, []).append(mask)
-        pairs = {}
-        for value, masks in joined.items():
-            for value2, masks2 in groups.items():
-                if not (value ^ value2) & fixed & bits:
-                    made = pairs.setdefault(value | value2, [])
-                    for mask in masks:
-                        for mask2 in masks2:
-                            next(nodes)
-                            made.append(mask | mask2)
-        joined, fixed = pairs, fixed | bits
-    return [mask for masks in joined.values() for mask in masks]
-
-
-def _adapted_unions(table, visit, options, start):
-    """The adapted unions of one option per visited scenario from the start
-    bits, joined over the components (``_join``), each read out by
-    ``table.missing``: Axiom 6's and action-path forms' one engine."""
-    free = table.start(visit)[0]
-    return map(table.missing, _join(options, start,
-                                    _components(options, free), free))
-
-
-def _missing_choices(form, i, p, table, void=False):
-    """
-    The adapted unions of one slice of the information set's menu per
-    active scenario (``_search_plan``), the empty slice included when
-    ``void``, that are not choices: Axiom 6's violations there, and what
-    the choice completion adds, listed by the engine that also lists an
-    action-path form's choices (``_adapted_unions``).
-    """
-    visit, options, start = _search_plan(form, i, p.random_moves, table,
-                                         void)
-    return [c for c in _adapted_unions(table, visit, options, start)
-            if c is not None]
 
 
 _MenuIndex = namedtuple("_MenuIndex",
@@ -481,7 +330,7 @@ class StochasticExtensiveForm:
     @functools.cached_property
     def _index(self):
         """The menu index of a form assembled without validation."""
-        return _menu_index(self, {i: _slice_table(self, i, self.choices[i])
+        return _menu_index(self, {i: slice_table(self, i, self.choices[i])
                                   for i in self.agents})
 
     def moves_of(self, i):
@@ -503,12 +352,6 @@ class StochasticExtensiveForm:
     def __repr__(self):
         return (f"StochasticExtensiveForm({len(self.agents)} agents, "
                 f"{len(self.sdf.scenarios)} scenarios)")
-
-
-def _slice_table(form, i, choices):
-    """The agent's slice table, holding the given choices."""
-    return _SliceTable(form.sdf, form.agent_moves[i], form.info[i],
-                       form.refchoices[i], choices)
 
 
 def info_sets(sef, i):
@@ -576,17 +419,17 @@ def complete_choices(sef):
     """
     tables, new_choices = {}, {}
     for i in sef.agents:
-        table = tables[i] = _slice_table(sef, i, sef.choices[i])
+        table = tables[i] = slice_table(sef, i, sef.choices[i])
         closure = set(sef.choices[i])
         for p in info_sets(sef, i)[0]:
-            closure.update(c for c in _missing_choices(sef, i, p, table,
-                                                       void=True) if c)
+            closure.update(c for c in missing_choices(sef, i, p, table,
+                                                      void=True) if c)
         new_choices[i] = frozenset(closure)
     completed = StochasticExtensiveForm(
         sef.sdf, sef.agents, sef.agent_moves, sef.info, sef.refchoices,
         new_choices)
     for i in sef.agents:
-        new = _slice_table(sef, i, new_choices[i])
+        new = slice_table(sef, i, new_choices[i])
         for w in sef.sdf.scenarios:
             assert tables[i].distinct(w) == new.distinct(w)
         assert set(tables[i].preds.values()) == set(new.preds.values())

@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import constant_choice_parts, make_rng, random_strict_sef
+from conftest import (constant_choice_parts, make_rng, random_strict_sef,
+                      stdout_across_hash_seeds)
 from exform._util import canonical
 from exform.errors import BudgetExceeded, ChoiceError, StructureError
 from exform.forest import immediate_predecessors, is_union_of_nodes
@@ -31,9 +32,17 @@ from exform.instances import (
     mp_partition,
     mp_sef,
 )
+from exform.adapted import (
+    _components,
+    _join,
+    _nodes,
+    _search_plan,
+    check_adapted,
+    missing_choices,
+    slice_table,
+)
 from exform.sdf import (
     _is_block_union,
-    check_adapted,
     is_available_at,
     is_complete,
     is_non_redundant,
@@ -44,12 +53,6 @@ from exform.sdf import RandomMove, StochasticDecisionForest
 from exform.sef import (
     InfoSet,
     StochasticExtensiveForm,
-    _components,
-    _join,
-    _missing_choices,
-    _nodes,
-    _search_plan,
-    _slice_table,
     complete_choices,
     info_sets,
     validate_sef,
@@ -185,6 +188,12 @@ def leaves_oracle(options, start, nodes):
             fixed.pop()
 
 
+def start_of(form, table, visit):
+    """The start bits of a search over the visited scenarios: the empty
+    slice on every other scenario fixes its moves' availability bits."""
+    return table.start(set(form.sdf.scenarios) - set(visit))
+
+
 def read_out(table, whole):
     """The union of slices with the mask, a choice or not, as a set."""
     return table.choice_of.get(whole) or table.missing(whole)
@@ -197,18 +206,20 @@ def whole_search(form, i, members, table, void=False):
     ``void``, searched over all the scenarios at once.  Each slice tried
     is a search node, at most ``ADAPTED_CAP``.
     """
-    _, options, start = _search_plan(form, i, members, table, void)
-    for whole in leaves_oracle(options, start, _nodes()):
+    visit, options = _search_plan(form, i, members, table, void)
+    for whole in leaves_oracle(options, (start_of(form, table, visit), 0),
+                               _nodes()):
         yield read_out(table, whole)
 
 
 def joined(form, i, members, table, void=False):
     """The join's unions of the information set, choices included, each
     read out as a set."""
-    visit, options, start = _search_plan(form, i, members, table, void)
-    free = table.start(visit)[0]
+    visit, options = _search_plan(form, i, members, table, void)
+    free = table.start(visit)
     return [read_out(table, mask) for mask in _join(
-        options, start, _components(options, free), free)]
+        options, start_of(form, table, visit), _components(options, free),
+        free)]
 
 
 def assert_joined_as_searched(form, i, members, table, void=False):
@@ -216,7 +227,7 @@ def assert_joined_as_searched(form, i, members, table, void=False):
     missing choices are the whole search's unions that are no choice."""
     whole = list(whole_search(form, i, members, table, void))
     assert Counter(joined(form, i, members, table, void)) == Counter(whole)
-    missing = _missing_choices(form, i, InfoSet(i, members), table, void)
+    missing = missing_choices(form, i, InfoSet(i, members), table, void)
     assert Counter(missing) \
         == Counter(c for c in whole if c not in form.choices[i])
     return whole
@@ -237,7 +248,7 @@ def product(form, members, menu, void):
 
 def search(form, i, members, menu, void):
     """The join's unions, through a slice table of the agent's choices."""
-    table = _slice_table(form, i, form.choices[i])
+    table = slice_table(form, i, form.choices[i])
     return joined(form, i, members, table, void)
 
 
@@ -282,7 +293,7 @@ def check_leaves_against_product(form, limit=2 * 10 ** 5):
     """
     compared = 0
     for i in form.agents:
-        table = _slice_table(form, i, ())
+        table = slice_table(form, i, ())
 
         def adapted(c):
             return table.cut(c, join=True)
@@ -347,6 +358,23 @@ class TestCheckAdapted:
     def test_strict_forms(self, seed):
         check_table_against_oracle(random_strict_sef(make_rng(seed)),
                                    random.Random(seed))
+
+    def test_non_union_message_is_canonical(self):
+        # the set prints its members in canonical order, so the message
+        # is one under any hash seed
+        script = (
+            "from exform.adapted import check_adapted\n"
+            "from exform.errors import ChoiceError\n"
+            "from exform.instances import load_example\n"
+            "form = load_example('simple')[0]\n"
+            "try:\n"
+            "    check_adapted(form.sdf, {'zz', 'nowhere', 'o1:11', 'q'},\n"
+            "                  form.info['i'], form.refchoices['i'],\n"
+            "                  form.agent_moves['i'])\n"
+            "except ChoiceError as err:\n"
+            "    print(err)\n")
+        assert stdout_across_hash_seeds(["-c", script]) == (
+            "not a nonempty union of nodes: ['nowhere', 'o1:11', 'q', 'zz']\n")
 
     def test_non_union_raises_before_reading_agent_data(self):
         form = BUNDLED["simple"]()
@@ -509,9 +537,9 @@ def uneven_parts(linked=False):
             at_b: frozenset(frozenset(w) for w in "st")}
     refs = {at_x: (), at_z: (ref,) if linked else (), at_b: ()}
     # the choices are the unions the slice table reads adapted
-    table = _slice_table(stored((sdf, ("i",), {"i": {at_x, at_z, at_b}},
-                                 {"i": info}, {"i": refs}, {"i": ()})),
-                         "i", ())
+    table = slice_table(stored((sdf, ("i",), {"i": {at_x, at_z, at_b}},
+                                {"i": info}, {"i": refs}, {"i": ()})),
+                        "i", ())
     unions = [s | t | r | q for s in plain["u"] for t in slices["v"]
               for r in slices["w"] for q in slices["x"]]
     unions += [s | t for s in plain["s"] for t in plain["t"]]
@@ -574,12 +602,12 @@ def count_as_listed(form):
     """
     split = []
     for i in form.agents:
-        table = _slice_table(form, i, form.choices[i])
+        table = slice_table(form, i, form.choices[i])
         for p in info_sets(form, i)[0]:
             leaves = assert_joined_as_searched(form, i, p.random_moves, table)
-            visit, options, _ = _search_plan(form, i, p.random_moves, table,
-                                             False)
-            parts = _components(options, table.start(visit)[0])
+            visit, options = _search_plan(form, i, p.random_moves, table,
+                                          False)
+            parts = _components(options, table.start(visit))
             assert sorted(k for part in parts for k in part) \
                 == list(range(len(visit)))
             if len(parts) > 1:
@@ -682,10 +710,10 @@ class TestCountPerComponent:
 
     def test_chained_blocks_are_one_component(self):
         form = stored(chained_parts())
-        table = _slice_table(form, "j", form.choices["j"])
+        table = slice_table(form, "j", form.choices["j"])
         (p,), _ = info_sets(form, "j")
-        _, options, _ = _search_plan(form, "j", p.random_moves, table, False)
-        assert _components(options, table.start(form.sdf.scenarios)[0]) \
+        _, options = _search_plan(form, "j", p.random_moves, table, False)
+        assert _components(options, table.start(form.sdf.scenarios)) \
             == [list(range(16))]
         # only the first mover's set splits, by z0
         assert count_as_listed(form) == [(2, 4)]
@@ -699,12 +727,12 @@ class TestCountPerComponent:
         # on bit 1 and differing on bit 0, so both pairs agree
         options = [[(1, (0b10, 0b10))],
                    [(2, (0b11, 0b11)), (4, (0b11, 0b10))]]
-        assert sorted(_join(options, (0, 0), [[0], [1]], 0b11)) == [3, 5]
+        assert sorted(_join(options, 0, [[0], [1]], 0b11)) == [3, 5]
         # with the first slice fixing bit 0 as well, at 0, one pair agrees
         options[0] = [(1, (0b11, 0b10))]
-        assert _join(options, (0, 0), [[0], [1]], 0b11) == [5]
+        assert _join(options, 0, [[0], [1]], 0b11) == [5]
         # as one component, the whole search meets the same unions
-        assert _join(options, (0, 0), [[0, 1]], 0b11) == [5]
+        assert _join(options, 0, [[0, 1]], 0b11) == [5]
 
     def test_twelve_atom_exit_race_decided(self):
         # the whole search takes 384,930 nodes, over the default cap; the
@@ -745,13 +773,12 @@ class TestCountPerComponent:
         form = amd_sef(4)[0]
         monkeypatch.setenv("EXFORM_BUDGET", "150")
         assert validate_sef(*parts_of(form)).checked["axiom6"] is True
-        table = _slice_table(form, 1, form.choices[1])
+        table = slice_table(form, 1, form.choices[1])
         (p,), _ = info_sets(form, 1)
         with pytest.raises(BudgetExceeded):
             list(whole_search(form, 1, p.random_moves, table))
-        visit, options, start = _search_plan(form, 1, p.random_moves, table,
-                                             False)
-        free = table.start(visit)[0]
+        visit, options = _search_plan(form, 1, p.random_moves, table, False)
+        start, free = start_of(form, table, visit), table.start(visit)
         parts = _components(options, free)
         assert len(_join(options, start, parts, free)) == 16
         monkeypatch.setenv("EXFORM_BUDGET", "149")

@@ -1171,12 +1171,12 @@ def loaded_layers(*args):
 class TestImportGraph:
     """Each subcommand loads the layers it runs and no other."""
 
-    FORM_LAYERS = {"forest", "sdf", "sef"}
+    FORM_LAYERS = {"forest", "sdf", "adapted", "sef"}
     # command (with "{form}" for a serialized form) -> (loaded, not loaded)
     CASES = {
         "tilt --family dyadic --kappa 3":
             ({"tilt", "vtime"},
-             {"sdf", "sef", "play", "equil", "order", "timing"}),
+             FORM_LAYERS | {"play", "equil", "order", "timing"}),
         "timing-sim --trials 10":
             ({"timing"}, FORM_LAYERS | {"play", "equil", "order"}),
         "dm --poset {poset}":

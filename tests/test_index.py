@@ -44,6 +44,7 @@ from exform.instances import (
     simple_variant_sdf,
     ultimatum_sef,
 )
+from exform.adapted import SliceTable
 from exform.order import Poset
 from exform.equil import (
     bayes_beliefs,
@@ -63,7 +64,6 @@ from exform.play import (
 from exform.sdf import (
     RandomMove,
     StochasticDecisionForest,
-    _SliceTable,
     preimage,
 )
 from exform.sef import (
@@ -295,7 +295,7 @@ def pairwise_axiom1(sdf, agents, choices):
 def grouped_axiom1(sdf, agents, choices):
     # Axiom 1 reads slices only, so the table needs no agent data
     return [v for i in agents for v in _axiom1_violations(
-        _SliceTable(sdf, {}, {}, {}, choices[i]), i)]
+        SliceTable(sdf, {}, {}, {}, choices[i]), i)]
 
 
 def one_shot(outcomes):
@@ -566,7 +566,7 @@ def assert_menu_index_matches(form):
         for m in form.agent_moves[i]:
             assert form._index.menu_of[i, m] == _meet(form._index.offered, i, m)
         # the distinct slices the index keeps are a fresh table's
-        table = _SliceTable(form.sdf, {}, {}, {}, form.choices[i])
+        table = SliceTable(form.sdf, {}, {}, {}, form.choices[i])
         for w in form.sdf.scenarios:
             assert form._index.distinct[i][w] == table.distinct(w)
         sets, preds = info_sets(form, i)
@@ -600,7 +600,7 @@ def assert_groups_cover(form, exact):
     a new group of one slice, or, when ``exact``, the same groups."""
     sdf = form.sdf
     for i in form.agents:
-        table = _SliceTable(sdf, {}, {}, {}, form.choices[i])
+        table = SliceTable(sdf, {}, {}, {}, form.choices[i])
         sets, _ = info_sets(form, i)
         for p in sets:
             expected = grouped_oracle(form, table, p, form._index.menus[p])

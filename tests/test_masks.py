@@ -21,13 +21,9 @@ from conftest import forests, make_rng, random_strict_sef
 from exform._util import canonical
 from exform.forest import immediate_predecessors
 from exform.instances import amd_sef, mp_sef
+from exform.adapted import slice_table
 from exform.sdf import StochasticDecisionForest, _require_partition
-from exform.sef import (
-    _slice_table,
-    complete_choices,
-    info_sets,
-    validate_sef,
-)
+from exform.sef import complete_choices, info_sets, validate_sef
 from test_slices import (
     BUNDLED,
     _menus,
@@ -255,7 +251,7 @@ def assert_table_as_frozen(form):
     sdf = form.sdf
     for i in form.agents:
         frozen = frozen_table(form, i, form.choices[i])
-        table = _slice_table(form, i, ())
+        table = slice_table(form, i, ())
         for c in form.choices[i]:
             assert table.cut(c, join=True) == frozen.adapted(c)
         for c in form.choices[i]:

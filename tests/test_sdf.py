@@ -37,12 +37,12 @@ from exform.instances import (
     simple_split_sdf,
     simple_variant_sdf,
 )
+from exform.adapted import check_adapted
 from exform.order import is_forest, roots_and_components
 from exform.sdf import (
     RandomMove,
     SDFReport,
     StochasticDecisionForest,
-    check_adapted,
     check_flags,
     check_recall,
     enumerate_recall_structures,

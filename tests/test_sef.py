@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import action_path_inputs, comb_parts
+from test_adapted import twelve_atoms
 from exform import actionpath
 from exform._util import powerset
 from exform.actionpath import (
@@ -22,6 +23,7 @@ from exform.errors import (
     InputError,
     StructureError,
 )
+from exform.adapted import check_adapted
 from exform.forest import DecisionForest, immediate_predecessors
 from exform.instances import (
     DISCRETE,
@@ -44,7 +46,7 @@ from exform.instances import (
     simple_sef,
     variant_sef,
 )
-from exform.sdf import RandomMove, StochasticDecisionForest, check_adapted
+from exform.sdf import RandomMove, StochasticDecisionForest
 from exform.sef import (
     StochasticExtensiveForm,
     check_heraclitus,
@@ -110,10 +112,20 @@ def amd_choices_oracle(atoms, agent):
     return choices
 
 
+def _exiting_on(ex, ct):
+    """The choice exiting exactly on an event, as a function of the event:
+    the exit region's outcomes on it and the continue region's off it.
+    Each outcome's scenario is read once.  (``exform.instances`` built
+    the exit race's choices with it before it joined them from pieces.)"""
+    ex, ct = ([(w.split(":")[0], w) for w in region] for region in (ex, ct))
+    return lambda event: frozenset(w for s, w in ex if s in event) | \
+        frozenset(w for s, w in ct if s not in event)
+
+
 class TestAmdChoices:
-    @pytest.mark.parametrize("atoms", range(3, 9))
+    @pytest.mark.parametrize("atoms", [*range(1, 9), 12])
     def test_choice_sets_as_before(self, atoms):
-        sef, _ = amd_sef(atoms)
+        sef = twelve_atoms() if atoms == 12 else amd_sef(atoms)[0]
         for agent in sef.agents:
             oracle = amd_choices_oracle(atoms, agent)
             assert sef.choices[agent] == frozenset(oracle.values())
@@ -123,6 +135,16 @@ class TestAmdChoices:
     def test_event_choice_as_before(self, agent):
         for event, choice in amd_choices_oracle(3, agent).items():
             assert amd_event_choice(3, agent, event) == choice
+
+    @pytest.mark.parametrize("agent", [1, 2])
+    def test_event_choice_on_any_event(self, agent):
+        # every event of the two-atom race, the signal-measurable ones
+        # and those that split a signal block
+        assignments = {w: int(w[1]) for w in amd_scenarios(2)}
+        choose = _exiting_on(amd_exit_region(assignments, agent),
+                             amd_continue_region(assignments, agent))
+        for event in map(frozenset, powerset(amd_scenarios(2))):
+            assert amd_event_choice(2, agent, event) == choose(event)
 
 
 class TestAxiomViolations:

@@ -33,10 +33,10 @@ from exform.sdf import (
     StochasticDecisionForest,
     is_non_redundant,
 )
+from exform.adapted import slice_table
 from exform.sef import (
     SEFReport,
     StochasticExtensiveForm,
-    _slice_table,
     check_recall_and_info,
     info_sets,
     validate_sef,
@@ -206,7 +206,7 @@ def check_against_oracles(parts):
     for i in form.agents:
         assert check_recall_and_info(form, i)["endogenous_recall"] \
             == endogenous_recall_oracle(form, i)
-        table = _slice_table(form, i, form.choices[i])
+        table = slice_table(form, i, form.choices[i])
         for members, menu in _menus(form, i):
             for m in members:
                 for w in m.domain:
@@ -302,8 +302,10 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "exform"
 # cuts each choice's mask, ``_record`` its outcomes once per distinct
 # slice, and ``missing`` the mask of a union of its slices, to read their
 # records
-INDEXER = {("sdf.py", "cut"), ("sdf.py", "_record"), ("sdf.py", "missing")}
-# the attributes that hold slice records, outcome bits or masks
+INDEXER = {("adapted.py", "cut"), ("adapted.py", "_record"),
+           ("adapted.py", "missing")}
+# the attributes that hold slice records, outcome bits or masks, and the
+# names the forest's outcome-bit index had before the table built its own
 MASKED = {"trees", "bit", "root_masks", "choice_of", "_bit", "_root_masks"}
 # every other cut by a root in the package's modules, with its reason
 ALLOWED = {
@@ -356,19 +358,22 @@ class TestSliceGuard:
         assert {site for site in found if site[:2] not in INDEXER} \
             == set(ALLOWED)
 
-    def test_only_sdf_reads_a_slice_record(self):
+    def test_only_adapted_reads_a_slice_record(self):
         # a record's layout, the masks and the outcome-bit index are
-        # sdf.py's own: other modules ask the table
+        # adapted.py's own: other modules ask the table, and the forest
+        # keeps no bits
         def reads(name):
             tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
             return [ast.unparse(node) for node in ast.walk(tree)
                     if isinstance(node, ast.Attribute)
                     and node.attr in MASKED]
 
-        assert {"self.trees", "self.bit", "self.root_masks", "self.choice_of",
-                "sdf._bit", "sdf._root_masks"} <= set(reads("sdf.py"))
+        assert {"self.trees", "self.bit", "self.root_masks",
+                "self.choice_of"} <= set(reads("adapted.py"))
         assert {path.name: reads(path.name) for path in SRC.glob("*.py")
-                if path.name != "sdf.py" and reads(path.name)} == {}
+                if path.name != "adapted.py" and reads(path.name)} == {}
+        sdf = load_example("simple")[0].sdf
+        assert not {"_bit", "_root_masks"} & set(vars(sdf))
 
     @pytest.mark.parametrize("k", range(3, 7))
     def test_exit_race_reports_as_pinned(self, k):

@@ -22,9 +22,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exform.adapted
 import exform.forest
 import exform.sdf
-import exform.sef
 from conftest import make_rng, random_strict_sef, stdout_across_hash_seeds
 from exform._util import budget, canonical, canonical_text, sorted_violations
 from exform.errors import BudgetExceeded, ChoiceError, ExformError
@@ -41,19 +41,17 @@ from exform.instances import (
     mp_maps,
     mp_sef,
 )
+from exform.adapted import ADAPTED_CAP, SliceTable, slice_table
 from exform.sdf import (
     RandomMove,
     _require_partition,
-    _SliceTable,
     validate_reference_choices,
 )
 from exform.sef import (
-    ADAPTED_CAP,
     AXIOM2_CAP,
     SEF_KINDS,
     SEFReport,
     _axiom1_violations,
-    _slice_table,
     validate_sef,
 )
 from test_adapted import assert_joined_as_searched
@@ -436,7 +434,7 @@ def assert_tables_agree(form):
     sdf = form.sdf
     for i in form.agents:
         bits = bits_table(form, i)
-        table = _slice_table(form, i, form.choices[i])
+        table = slice_table(form, i, form.choices[i])
         for c in form.choices[i]:
             assert slices_of(table, c) == tuple(c & sdf.root_of(w)
                                                 for w in sdf.scenarios)
@@ -475,7 +473,7 @@ def assert_readers_as_before(form):
     if not report.checked:
         return False
     for i in form.agents:
-        table = _slice_table(form, i, form.choices[i])
+        table = slice_table(form, i, form.choices[i])
         assert sorted(_axiom1_violations(table, i), key=canonical) \
             == axiom1_oracle(form.sdf, i, form.choices[i])
         for w in form.sdf.scenarios:
@@ -608,7 +606,7 @@ def walks(monkeypatch, build):
         calls.append(frozenset(c))
         return real(forest, c)
 
-    for module in (exform.forest, exform.sdf):
+    for module in (exform.forest, exform.sdf, exform.adapted):
         monkeypatch.setattr(module, "immediate_predecessors", counted)
     return build(), calls
 
@@ -645,12 +643,12 @@ class TestLifetime:
             self, monkeypatch):
         made = []
 
-        class Recorded(_SliceTable):
+        class Recorded(SliceTable):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
                 made.append(weakref.ref(self))
 
-        monkeypatch.setattr(exform.sef, "_SliceTable", Recorded)
+        monkeypatch.setattr(exform.adapted, "SliceTable", Recorded)
         enabled = gc.isenabled()
         gc.disable()
         try:
