@@ -40,7 +40,7 @@ def check_adapted(sdf, c, info, refchoices, agent_moves):
         raise ChoiceError("not a nonempty union of nodes: "
                           + canonical_text(frozenset(c)))
     table = SliceTable(sdf, agent_moves, info, refchoices)
-    return table.cut(frozenset(c), join=True)
+    return not table.cut([frozenset(c)], join=True)
 
 
 class _Slice:
@@ -64,10 +64,11 @@ class SliceTable:
     The table gives each outcome one bit, root by root in scenario order,
     and a choice is cut as its mask of outcome bits & each root's mask;
     ``trees`` maps each slice mask cut or read in a tree to its ``_Slice``,
-    whose outcomes are cut as a set once, when the record is made.
-    ``preds`` maps each cut choice to its predecessor set, equal sets kept
-    once, and ``choice_of`` maps its mask to it.  Records, bits and masks
-    are read by this module alone.
+    whose outcomes are cut as a set once, when the record is made;
+    ``offering`` maps each move to the records it precedes.  ``preds``
+    maps each cut choice to its predecessor set, equal sets kept once, and
+    ``choice_of`` maps its mask to it.  Records, bits and masks are read
+    by this module alone.
 
     Adaptedness is read one slice at a time: a move m defined at w offers
     slice s iff m(w) is an immediate predecessor of s, and jointly with a
@@ -79,9 +80,11 @@ class SliceTable:
     A choice is adapted iff no slice is a whole root and, joined scenario
     by scenario, its entries agree (``_fold``): then availability is
     constant on each move's domain, and joint availability on each block.
-    The variables are laid out on the first entry read, so a malformed
-    partition is reported by the check that first reads one.  The table
-    refers to no form, so it is freed when the call that built it returns.
+    ``cut`` reads a batch of choices per information component, so its
+    cost follows their distinct slices.  The variables are laid out on the
+    first entry read, so a malformed partition is reported by the check
+    that first reads one.  The table refers to no form, so it is freed
+    when the call that built it returns.
     """
 
     def __init__(self, sdf, agent_moves, info, refchoices, choices=()):
@@ -95,12 +98,11 @@ class SliceTable:
         self.root_masks = [((1 << len(root)) - 1) << end
                            for root, end in zip(self.roots, ends)]
         self.trees = [{} for _ in self.roots]
-        self.layout = list(zip(itertools.count(), self.trees, self.root_masks))
+        self.offering = {}
         self.preds, self.choice_of = {}, {}
         self.shared = {}   # equal predecessor sets are kept once
         self.agent = agent_moves, info, refchoices
-        for c in choices:
-            self.cut(c)
+        self.cut(choices)
 
     def mask(self, outcomes):
         """The outcomes' mask; an outcome off the forest has no bit."""
@@ -115,26 +117,69 @@ class SliceTable:
                 if s and s != self.root_masks[k] else frozenset()
             got = self.trees[k][s] = _Slice(cut, s,
                                             self.shared.setdefault(p, p))
+            for x in got.preds:
+                self.offering.setdefault(x, []).append(got)
         return got
 
-    def cut(self, c, join=False):
-        """Record the choice's slices, predecessor set and memberships;
-        with ``join``, return whether it is adapted."""
-        whole = self.mask(c)
-        self.choice_of[whole] = c
-        preds, entries = [], [False] * len(self.trees)
-        for k, tree, root in self.layout:
-            s = whole & root   # most slices repeat: look them up inline
-            record = tree.get(s) or self._record(k, s, c)
-            if s:
-                record.members.append(c)
-                if record.preds:
-                    preds.append(record.preds)
-            if join:
-                entries[k] = record.entry or self._entry(k, record)
-        p = frozenset().union(*preds)
-        self.preds[c] = self.shared.setdefault(p, p)
-        return join and _fold(0, 0, entries) is not None
+    @functools.cached_property
+    def components(self):
+        """(mask, [(k, tree, root mask)]) per set of trees that share a
+        measurability variable, as ``_components`` splits a search whose
+        every scenario has one option setting all of the tree's variables."""
+        found = _components([[(0, (sum({var for _, _, joint in self.at[w]
+                                        for var, _ in joint}), 0))]
+                             for w in self.scenarios], 0)
+        return [(sum(self.root_masks[k] for k in ks), [
+            (k, self.trees[k], self.root_masks[k]) for k in ks]) for ks in found]
+
+    def cut(self, choices, join=False):
+        """Record each choice's slices, predecessor set and memberships, in
+        order; with ``join``, return the choices not adapted.  Each mask of
+        the choices on a component (on a tree without ``join``) is cut once
+        into a piece: its slices' predecessor sets and folded entries, cut
+        to the availability bits that components share."""
+        choices = list(choices)
+        if not choices:   # lay out no variables
+            return []
+        wholes = list(map(self.mask, choices))
+        self.choice_of.update(zip(wholes, choices))
+        free = join and self.start(self.scenarios)
+        pieces, kept = [[] for _ in choices], {}   # equal pieces kept once
+        for group, ks in self.components if join else [
+                (root, [(k, tree, root)]) for k, tree, root in zip(
+                    itertools.count(), self.trees, self.root_masks)]:
+            seen = {}   # a mask on the group -> (its piece, its positions)
+            into = {}   # a nonempty slice's record -> its masks' positions
+            for n, whole in enumerate(wholes):
+                key = whole & group
+                got = seen.get(key)
+                if got is None:
+                    records = [(k, tree.get(key & root) or self._record(
+                        k, key & root, choices[n])) for k, tree, root in ks]
+                    bits = join and _fold(0, 0, [r.entry or self._entry(k, r)
+                                                 for k, r in records])
+                    piece = (frozenset().union(*[r.preds for _, r in records]),
+                             bits and (bits[0] & free, bits[1] & free))
+                    got = seen[key] = kept.setdefault(piece, piece), []
+                    for _, r in records:
+                        if r.mask:
+                            into.setdefault(r, []).append(got[1])
+                got[1].append(n)
+                pieces[n].append(got[0])
+            for r, lists in into.items():
+                r.members.extend(map(choices.__getitem__,
+                                     sorted(itertools.chain(*lists))))
+        failed, joined = [], {}
+        for c, mine in zip(choices, pieces):
+            key = tuple(map(id, mine))
+            if key not in joined:
+                p = frozenset().union(*[preds for preds, _ in mine])
+                joined[key] = (self.shared.setdefault(p, p),
+                               not join or _fold(0, 0, [b for _, b in mine]))
+            self.preds[c], adapted = joined[key]
+            if not adapted:
+                failed.append(c)
+        return failed
 
     def distinct(self, w):
         """The cut choices' distinct nonempty slices on w, sorted."""
@@ -142,25 +187,20 @@ class SliceTable:
         return sorted((r.outcomes for r in tree.values() if r.members),
                       key=sorted)
 
-    def _at(self, w, x):
-        """The records of w's tree offered at x, a move of the tree: x
+    def slices_at(self, x):
+        """The distinct slices on x's tree of the choices offered at x: x
         precedes c iff it precedes c's slice there."""
-        return [r for r in self.trees[self.position[w]].values()
-                if x in r.preds]
+        return [r.outcomes for r in self.offering.get(x, ())]
 
-    def slices_at(self, w, x):
-        """The distinct slices on the scenario of the choices offered at x."""
-        return [r.outcomes for r in self._at(w, x)]
-
-    def groups_at(self, w, x):
+    def groups_at(self, x):
         """The choices offered at x, grouped by slice as in ``slices_at``."""
-        return tuple(tuple(r.members) for r in self._at(w, x))
+        return tuple(tuple(r.members) for r in self.offering.get(x, ()))
 
     def options(self, w, x, void):
         """(mask, entry) of each distinct slice offered at x, and of the
         empty slice when ``void``; a whole root's entry is False."""
         k = self.position[w]
-        records = self._at(w, x)
+        records = [*self.offering.get(x, ())]
         if void:
             records.append(self._record(k, 0, frozenset()))
         return [(r.mask, r.entry or self._entry(k, r)) for r in records]
@@ -185,19 +225,14 @@ class SliceTable:
     def offered(self):
         """Each move's choices offered there: the members of the slices the
         move precedes.  Moves that precede the same slices share the set."""
-        at = {}
-        for tree in self.trees:
-            for r in tree.values():
-                if r.members:
-                    for x in r.preds:
-                        at.setdefault(x, []).append(r)
-        shared = {}
-        for x, records in at.items():
-            key = tuple(map(id, records))
-            if key not in shared:
-                shared[key] = frozenset(itertools.chain(*[
-                    r.members for r in records]))
-            at[x] = shared[key]
+        at, shared = {}, {}
+        for x, records in self.offering.items():
+            key = tuple(id(r) for r in records if r.members)
+            if key:
+                if key not in shared:
+                    shared[key] = frozenset(itertools.chain(*[
+                        r.members for r in records]))
+                at[x] = shared[key]
         return at
 
     @functools.cached_property

@@ -14,19 +14,21 @@ payoff is linear in what it plays at each information set, as in the
 sequence form (Koller, Megiddo & von Stengel, GEB 1996), so the
 rationality sweep sums each block from per-information-set partials
 instead of replaying every deviation: each term goes into the sum of its
-slice tuple under its tree's grouping of the menus, and each distinct
-grouping is expanded into choice tuples once, so the partials cost terms
-x slice tuples + groupings x choice tuples.  The sum of each part's
-largest partial bounds every deviation's total of a block, so an agent
-whose blocks are all bounded by the profile's totals is rational with
-no deviation enumerated; only the others are swept.  The consistency
-half reads each unit's assessed nodes and the member move holding each
-outcome from maps built once per check, and runs each pair's two
-directions in ``units`` order.  ``bayes_beliefs`` conditions a prior
+slice tuple under its tree's grouping of the menus, expanded into
+choice tuples once, for a swept agent or where it has several
+groupings, so the partials cost terms x slice tuples + expanded
+groupings x choice tuples.  The sum of each part's largest partial
+bounds every deviation's total of a block, so an agent whose blocks are
+all bounded by the profile's totals is rational with no deviation
+enumerated; only the others are swept.  The consistency half reads each
+unit's assessed nodes and the member move holding each outcome from
+maps built once per check, and runs each pair's two directions in
+``units`` order.  ``bayes_beliefs`` conditions a prior
 scaled to integers once.  All arithmetic is exact; ``Fraction``s are
 built only for reported values.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -40,7 +42,7 @@ from .errors import (
     ZeroProbabilityBlockRequested,
 )
 from .play import TreeFills, profile_tables, scenario_outcomes
-from .sef import _strategy_menus, info_sets, ordered_info_sets, strategies
+from .sef import _strategy_sets, info_sets, ordered_info_sets, strategies
 
 
 @dataclass
@@ -222,12 +224,12 @@ class _Deviations:
     there.  So the term is read once per slice tuple of S, from the form's
     menus grouped by slice, and added into that slice tuple's sum under
     the tree's grouping of S, which the form's index shares among the
-    trees that group alike.  Each distinct grouping is then expanded once
-    into the partial sum per choice tuple of S, the sum of its slice
-    tuples' sums over the groupings; a block's total under a deviation is
-    the sum of its partials at the deviation's choices.  A read that fails
-    is kept with its term's position and raised only when a deviation
-    reaches the block, the first failing term first.
+    trees that group alike.  Each part (``_Part``) keeps those sums, and
+    expands them into choice tuples only when it must; a block's total
+    under a deviation is the sum of its partials at the deviation's
+    choices.  A read that fails is kept with its term's position and
+    raised only when a deviation reaches the block, the first failing
+    term first.
     """
 
     def __init__(self, sef, fills, tables, i):
@@ -240,8 +242,7 @@ class _Deviations:
                 self.active[root] = self.active.get(root, ()) + (j,)
 
     def parts(self, taste, pairs):
-        """The block's partial sums: (S, the sum per choice tuple of S,
-        {choice tuple: (term, the error of its failed read)})."""
+        """The block's partial sums, one ``_Part`` per S."""
         by_set = {}
         for n, (start, weight) in enumerate(pairs):
             root = self.fills.root[start]
@@ -265,17 +266,7 @@ class _Deviations:
                             {**self.tables, self.agent: table})(start)]
                     except (NoOutcome, MultipleOutcomes) as err:
                         slot[1] = slot[1] or (n, err)
-            partial, failed = {}, {}
-            for grouping, slots in sums.items():
-                for groups, (value, error) in zip(
-                        itertools.product(*grouping), slots):
-                    for choices in itertools.product(*groups):
-                        partial[choices] = partial.get(choices, 0) + value
-                        # terms were summed in order, so each grouping's
-                        # error is its first; keep the first over groupings
-                        if error and error[0] <= failed.get(choices, error)[0]:
-                            failed[choices] = error
-            parts.append((sets, partial, failed))
+            parts.append(_Part(sets, sums))
         return parts
 
     def choices(self, t):
@@ -285,13 +276,50 @@ class _Deviations:
                 for sets in set(self.active.values())}
 
 
+class _Part:
+    """A block's [sum, first failed read] per slice tuple of each grouping
+    of S; ``expanded`` sums them per choice tuple of S, with {choice tuple:
+    (term, the error of its failed read)}, once, on first need."""
+
+    def __init__(self, sets, sums):
+        self.sets, self.sums = sets, sums
+
+    @functools.cached_property
+    def expanded(self):
+        partial, failed = {}, {}
+        for grouping, slots in self.sums.items():
+            for groups, (value, error) in zip(
+                    itertools.product(*grouping), slots):
+                for choices in itertools.product(*groups):
+                    partial[choices] = partial.get(choices, 0) + value
+                    # terms were summed in order, so each grouping's error
+                    # is its first; keep the first over groupings
+                    if error and error[0] <= failed.get(choices, error)[0]:
+                        failed[choices] = error
+        return partial, failed
+
+    def largest(self):
+        """The largest partial sum, None on a failed read or no choice
+        tuple; with one grouping, read off its slots with no empty group."""
+        if len(self.sums) > 1:
+            partial, failed = self.expanded
+            return None if failed or not partial else max(partial.values())
+        (grouping, slots), = self.sums.items()
+        slots = [slot for groups, slot in zip(itertools.product(*grouping),
+                                              slots) if all(groups)]
+        if not slots or any(error for _, error in slots):
+            return None
+        return max(value for value, _ in slots)
+
+
 def _deviation_total(parts, at):
     """A block's total under the deviation at these choice tuples."""
     total, failures = 0, []
-    for sets, partial, failed in parts:
-        total += partial[at[sets]]
-        if at[sets] in failed:
-            failures.append(failed[at[sets]])
+    for part in parts:
+        partial, failed = part.expanded
+        total += partial[at[part.sets]]
+        if at[part.sets] in failed:
+            failures.append(failed[at[part.sets]])
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
     return total
@@ -302,9 +330,8 @@ def _bounded(parts, base):
     base: no part holds a failed read, and the parts' largest partial
     sums add up to at most base.  A deviation's total is the sum of one
     partial per part, so their largest bound it."""
-    if any(failed or not partial for _, partial, failed in parts):
-        return False
-    return sum(max(partial.values()) for _, partial, _ in parts) <= base
+    largest = [part.largest() for part in parts]
+    return None not in largest and sum(largest) <= base
 
 
 def _pass(sef, eu, profile):
@@ -328,12 +355,12 @@ def check_dynamic_rationality(sef, eu, profile):
     is the sum of the block's partials at its choices (``_Deviations``),
     each term read through the same ``TreeFills`` memo once per distinct
     slice tuple of the deviating agent's information sets in the term's
-    tree, and each distinct grouping of those sets' menus expanded into
-    choice tuples once.  An agent whose every block is bounded
-    (``_bounded``) is rational with no witness and its strategies are not
-    built, once their count is checked against the cap; any other agent
-    is swept.  The cost follows terms times slice tuples plus groupings
-    times choice tuples plus, for a swept agent, deviations times the
+    tree.  An agent whose every block is bounded (``_bounded``) is
+    rational with no witness, and its strategies are not built nor its
+    menus sorted, once their count is checked against the cap; any other
+    agent is swept, each part expanded into choice tuples once.  The cost
+    follows terms times slice tuples, plus groupings times choice tuples
+    for the parts expanded, plus, for a swept agent, deviations times the
     blocks' information-set groups; each fill is one pass over its tree's
     walk, indexed when the form was built.
     """
@@ -356,7 +383,7 @@ def _rationality(sef, eu, beliefs, tastes, tables, fills, outcome):
         own = [(unit, plan, totals, [deviations.parts(plan.taste, pairs)
                                      for _, pairs, _ in plan.blocks])
                for unit, plan, totals in swept if unit[0] == i]
-        _strategy_menus(sef, i)   # the sweep's cap, checked as it would be
+        _strategy_sets(sef, i)   # the sweep's cap, checked as it would be
         if all(_bounded(parts, base) for _, _, totals, split in own
                for base, parts in zip(totals, split)):
             continue

@@ -44,7 +44,8 @@ from .sdf import StochasticDecisionForest
 from .sef import (
     Strategy,
     StochasticExtensiveForm,
-    _strategy_menus,
+    _menu,
+    _strategy_sets,
     convert_strategy,
 )
 
@@ -266,8 +267,8 @@ def check_wellposed_direct(sef):
     cap = budget(WELLPOSED_CAP)
     hs = sorted(histories(sef.sdf.forest),
                 key=lambda h: sorted(map(sorted, h)))
-    coords = [(i, p, menu) for i in sef.agents
-              for p, menu in zip(*_strategy_menus(sef, i))]
+    coords = [(i, p, _menu(sef, p)) for i in sef.agents
+              for p in _strategy_sets(sef, i)]
     profiles = math.prod(len(menu) for *_, menu in coords)
     cores = {h: frozenset.intersection(*h) for h in hs}
     fills = TreeFills(sef)

@@ -106,13 +106,16 @@ def _validate(form):
             validate_reference_choices(sdf, refchoices[i], agent_moves[i])
         except ChoiceError as err:
             violations.append(("reference", (i, str(err))))
-        table = tables[i] = slice_table(form, i, ())
+        nodes = []
         for c in choices[i]:
-            if not is_union_of_nodes(sdf.forest, c):
+            if is_union_of_nodes(sdf.forest, c):
+                nodes.append(c)
+            else:
                 violations.append(("choice", (
                     i, f"not a nonempty union of nodes: {canonical_text(c)}")))
-            elif not table.cut(c, join=True):
-                violations.append(("adapted", (i, c)))
+        tables[i] = slice_table(form, i, ())
+        violations.extend(("adapted", (i, c))
+                          for c in tables[i].cut(nodes, join=True))
     if violations:
         return SEFReport(False, sorted_violations(violations, SEF_KINDS))
     form._index = _menu_index(form, tables)
@@ -128,9 +131,8 @@ def _validate(form):
     # fails, the whole-choice product lists the witnesses
     count = 0
     for x in sdf.forest.moves():
-        w = sdf.projection[x]
         for profile in itertools.product(
-                *[tables[i].slices_at(w, x) for i in form.active_agents(x)]):
+                *[tables[i].slices_at(x) for i in form.active_agents(x)]):
             count += 1
             if count > axiom2_cap:
                 raise BudgetExceeded("too many available-choice profiles")
@@ -148,26 +150,28 @@ def _validate(form):
 
     # Axiom 3: disjoint nodes of a shared scenario are separated by
     # disjoint choices of one agent; inside one tree a choice acts through
-    # its slice there.  In a finite forest this implies strong separation
-    # (Axiom 3'): the choices that separate the children of the meet of
-    # two disjoint nodes are both on offer at that meet
+    # its slice there.  Disjoint nodes lie in two children of their meet,
+    # and choices that separate two nodes separate their descendants, so
+    # only a failing pair of children has its descendants tried.  In a
+    # finite forest this implies strong separation (Axiom 3'): the choices
+    # that separate the children of the meet are both on offer there
+    down = sdf.forest.down_sets()
     for w in sdf.scenarios:
-        tree = sdf.tree_of(w)
         sliced = [form._index.distinct[i][w] for i in agents]
-        for y, y2 in itertools.combinations(tree, 2):
-            if not y & y2 and not any(
-                    y <= s and y2 <= s2 and not s & s2
-                    for slices in sliced for s in slices for s2 in slices):
-                violations.append(("axiom3", (
-                    w, *sorted((y, y2), key=canonical))))
+        for x in sdf.tree_of(w) & down.keys():
+            for a, b in itertools.combinations(sdf.forest.children(x), 2):
+                if not _separated(sliced, a, b):
+                    violations.extend(
+                        ("axiom3", (w, *sorted((y, y2), key=canonical)))
+                        for y in down.get(a, (a,)) for y2 in down.get(b, (b,))
+                        if not _separated(sliced, y, y2))
 
     # Axiom 4: active agents can preserve any strictly future node; a node
     # below x lies inside a choice iff it lies inside its slice
-    down = sdf.forest.down_sets()
     for x in sdf.forest.moves():
         below = down[x] - {x}
         for i in form.active_agents(x):
-            slices = tables[i].slices_at(sdf.projection[x], x)
+            slices = tables[i].slices_at(x)
             for y in below:
                 if not any(y <= s for s in slices):
                     violations.append(("axiom4", (i, x, y)))
@@ -197,6 +201,12 @@ def _validate(form):
     return SEFReport(not violations, sorted_violations(violations, SEF_KINDS),
                      {f"axiom{k}": f"axiom{k}" not in failed
                       for k in range(1, 7)})
+
+
+def _separated(sliced, y, y2):
+    """Whether disjoint slices of one agent in ``sliced`` hold y and y2."""
+    return any(y <= s and y2 <= s2 and not s & s2
+               for slices in sliced for s in slices for s2 in slices)
 
 
 def _axiom1_violations(table, i):
@@ -239,15 +249,15 @@ def _menu_index(form, tables):
     active agents in agent order.  ``menu_of`` maps each (agent, agent
     move) to its menu, the meet (``_meet``) that groups the agent's moves
     into information sets, and ``distinct`` maps each agent and scenario
-    to the table's distinct slices there.  Per information set, ``menus``
-    holds its menu sorted, and ``grouped`` maps the root of each tree
-    where the set has moves to its moves there and its menu grouped by
-    slice, the choices with one slice c & root in one group, as the table
-    groups the choices offered at the set's first move there.  On a
-    validated form these are the menu's choices.  A form assembled without validation may add choices offered
-    at that move but off the menu: ``_Deviations`` never looks up their
-    partial sums, and a group's first member reads the outcome every
-    member with its slice reads.
+    to the table's distinct slices there.  ``menus`` keeps the menus that
+    ``_menu`` has sorted, and ``grouped`` maps the root of each tree where
+    an information set has moves to its moves there and its menu grouped
+    by slice, the choices with one slice c & root in one group, as the
+    table groups the choices offered at the set's first move there.  On a
+    validated form these are the menu's choices.  A form assembled without
+    validation may add choices offered at that move but off the menu:
+    ``_Deviations`` never looks up their partial sums, and a group's first
+    member reads the outcome every member with its slice reads.
 
     ``root`` maps each move to the root of its tree, and ``walks`` maps
     each root to its (agent, move) pairs and its walk: the tree's moves
@@ -273,14 +283,13 @@ def _menu_index(form, tables):
         sets = tuple(InfoSet(i, frozenset(ms)) for ms in by_menu.values())
         index.info_sets[i] = (sets, MappingProxyType(
             {p: p.moves() for p in sets}))
-        for p, menu in zip(sets, by_menu):
-            index.menus[p] = tuple(sorted(menu, key=sorted))
+        for p in sets:
             moves = {}
             for x in index.info_sets[i][1][p]:
                 moves.setdefault(sdf.projection[x], []).append(x)
             index.grouped[p] = grouped = {}
             for w, xs in moves.items():
-                groups = table.groups_at(w, xs[0])
+                groups = table.groups_at(xs[0])
                 grouped[sdf.root_of(w)] = (tuple(xs),
                                            shared.setdefault(groups, groups))
     forest = sdf.forest
@@ -436,24 +445,33 @@ def complete_choices(sef):
     return completed
 
 
-def _strategy_menus(sef, i):
-    """The agent's information sets in ``ordered_info_sets`` order and their
-    menus, once the product of the menu sizes, the agent's strategy count,
-    is checked against the cap."""
+def _menu(sef, p):
+    """The information set's menu in canonical order, sorted once."""
+    menus = sef._index.menus
+    if p not in menus:
+        menus[p] = tuple(sorted(
+            sef.available_at(p.agent, next(iter(p.random_moves))), key=sorted))
+    return menus[p]
+
+
+def _strategy_sets(sef, i):
+    """The agent's information sets in ``ordered_info_sets`` order, once
+    the product of their menu sizes, the agent's strategy count, is checked
+    against the cap."""
     cap = budget(STRATEGIES_CAP)
     sets = ordered_info_sets(sef, i)
-    menus = [sef._index.menus[p] for p in sets]
-    total = math.prod(map(len, menus))
+    total = math.prod(len(sef.available_at(i, next(iter(p.random_moves))))
+                      for p in sets)
     if total > cap:
         raise EnumerationBudgetExceeded(f"{total} strategies exceed the budget")
-    return sets, menus
+    return sets
 
 
 def strategies(sef, i):
     """All strategies of the agent, as assignments of available choices."""
-    sets, menus = _strategy_menus(sef, i)
-    return [Strategy(i, dict(zip(sets, combo)))
-            for combo in itertools.product(*menus)]
+    sets = _strategy_sets(sef, i)
+    return [Strategy(i, dict(zip(sets, combo))) for combo in
+            itertools.product(*[_menu(sef, p) for p in sets])]
 
 
 def convert_strategy(sef, strategy, form):

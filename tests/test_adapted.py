@@ -6,12 +6,15 @@ oracles below are the earlier code, kept verbatim apart from their names.
 Also: the adapted unions joined per component, ``_join``, against the
 whole search over all of an information set's scenarios at once, which
 ``exform.sef`` ran before the join listed them and which is kept below
-as the join's oracle.
+as the join's oracle; and the slice table's batch cut, one read per
+distinct mask of the choices on each information component, against the
+cut over every (choice, tree) pair it replaced.
 """
 
 import functools
 import itertools
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -21,7 +24,7 @@ from hypothesis import strategies as st
 from conftest import (constant_choice_parts, make_rng, random_strict_sef,
                       stdout_across_hash_seeds)
 from exform._util import canonical
-from exform.errors import BudgetExceeded, ChoiceError, StructureError
+from exform.errors import BudgetExceeded, ChoiceError, InputError, StructureError
 from exform.forest import immediate_predecessors, is_union_of_nodes
 from exform.instances import (
     EXAMPLES,
@@ -32,8 +35,10 @@ from exform.instances import (
     mp_partition,
     mp_sef,
 )
+from exform import adapted
 from exform.adapted import (
     _components,
+    _fold,
     _join,
     _nodes,
     _search_plan,
@@ -57,7 +62,14 @@ from exform.sef import (
     info_sets,
     validate_sef,
 )
-from test_slices import BUNDLED, _menus, dropped, parts_of, slices_oracle
+from test_slices import (
+    BUNDLED,
+    _menus,
+    dropped,
+    parts_of,
+    slices_oracle,
+    unvalidated,
+)
 
 # the caps of the two product searches
 AXIOM6_CAP = 10 ** 4
@@ -294,19 +306,15 @@ def check_leaves_against_product(form, limit=2 * 10 ** 5):
     compared = 0
     for i in form.agents:
         table = slice_table(form, i, ())
-
-        def adapted(c):
-            return table.cut(c, join=True)
-
         for members, menu in _menus(form, i):
             for void in (False, True):
                 options, total = product(form, members, menu, void)
                 if total > limit:
                     continue
                 compared += 1
-                unions = (frozenset().union(*combo)
-                          for combo in itertools.product(*options))
-                expected = {c for c in unions if c and adapted(c)}
+                unions = [c for c in (frozenset().union(*combo) for combo
+                                      in itertools.product(*options)) if c]
+                expected = set(unions) - set(table.cut(unions, join=True))
                 leaves = [c for c in search(form, i, members, menu, void)
                           if c]
                 assert len(leaves) == len(set(leaves))
@@ -544,7 +552,7 @@ def uneven_parts(linked=False):
               for r in slices["w"] for q in slices["x"]]
     unions += [s | t for s in plain["s"] for t in plain["t"]]
     return (sdf, ("i",), {"i": {at_x, at_z, at_b}}, {"i": info},
-            {"i": refs}, {"i": {c for c in unions if table.cut(c, join=True)}})
+            {"i": refs}, {"i": {c for c in unions if not table.cut([c], join=True)}})
 
 
 def outside_parts():
@@ -786,3 +794,180 @@ class TestCountPerComponent:
             _join(options, start, parts, free)
         with pytest.raises(BudgetExceeded):
             validate_sef(*parts_of(form))
+
+
+# --- the batch cut against the per-(choice, tree) cut it replaced --------------
+
+def cut_oracle(table, c, join=False):
+    """
+    ``SliceTable.cut`` as it was before it cut a batch per information
+    component, one choice at a time over every tree, kept verbatim apart
+    from its name and its reads of the table: record the choice's slices,
+    predecessor set and memberships; with ``join``, return whether it is
+    adapted.
+    """
+    whole = table.mask(c)
+    table.choice_of[whole] = c
+    preds, entries = [], [False] * len(table.trees)
+    for k, tree, root in zip(itertools.count(), table.trees, table.root_masks):
+        s = whole & root
+        record = tree.get(s) or table._record(k, s, c)
+        if s:
+            record.members.append(c)
+            if record.preds:
+                preds.append(record.preds)
+        if join:
+            entries[k] = record.entry or table._entry(k, record)
+    p = frozenset().union(*preds)
+    table.preds[c] = table.shared.setdefault(p, p)
+    return join and _fold(0, 0, entries) is not None
+
+
+def record_rows(table):
+    """Each tree's records in the order made: outcomes, mask, predecessor
+    set in iteration order, members in order, and entry once read."""
+    return [[(r.outcomes, r.mask, list(r.preds), r.members, r.entry)
+             for r in tree.values()] for tree in table.trees]
+
+
+def assert_offering_current(table):
+    """The move index holds, per move x, every record whose predecessor
+    set holds x, with members or without, in the order made: the records
+    the per-tree scan ``_at`` found in x's tree."""
+    for x in table.forest.nodes:
+        assert list(map(id, table.offering.get(x, ()))) == [
+            id(r) for tree in table.trees for r in tree.values()
+            if x in r.preds]
+
+
+def assert_cut_as_oracle(form, choices=None, joins=(False, True)):
+    """
+    Each agent's choices cut in one batch against the oracle cutting them
+    one by one, on two fresh tables: the verdicts, predecessor sets,
+    masks, records (members in order) and entries, and the move index.
+    A join raises what the oracle raises on a malformed partition, and a
+    cut without join reads no partition.
+    """
+    for i in form.agents:
+        cs = list(form.choices[i] if choices is None else choices[i])
+        for join in joins:
+            table, oracle = (slice_table(form, i, ()) for _ in range(2))
+            try:
+                expected = [c for c in cs if not cut_oracle(oracle, c, join)]
+            except InputError as err:
+                with pytest.raises(InputError, match=re.escape(str(err))):
+                    table.cut(cs, join)
+                continue
+            assert table.cut(cs, join) == (expected if join else [])
+            assert ("at" in vars(table)) == ("at" in vars(oracle)) \
+                == (join and bool(cs))
+            assert table.preds == oracle.preds
+            assert table.choice_of == oracle.choice_of
+            assert record_rows(table) == record_rows(oracle)
+            assert_offering_current(table)
+
+
+def mixed(form, rng, extra=12):
+    """Per agent, its choices and unions of two of them, adapted or not,
+    in a seeded order."""
+    found = {}
+    for i in form.agents:
+        cs = sorted(form.choices[i], key=sorted)
+        found[i] = cs + [c | d for c, d in (rng.sample(cs, 2) for _ in range(
+            extra if len(cs) > 1 else 0))]
+        rng.shuffle(found[i])
+    return found
+
+
+def broken(parts, rng, how):
+    """The parts with one agent move's partition made malformed."""
+    sdf, agents, agent_moves, info, refchoices, choices = parts
+    i = rng.choice(agents)
+    m = rng.choice(sorted(agent_moves[i], key=lambda m: repr(m.graph)))
+    blocks = sorted(map(sorted, info[i][m]))
+    bad = {"missing": None,
+           "empty block": [*blocks, []],
+           "short": blocks[1:],
+           "overlap": [*blocks, blocks[0]]}[how]
+    mine = {n: b for n, b in info[i].items() if n != m or bad is not None}
+    if bad is not None:
+        mine[m] = bad
+    return (sdf, agents, agent_moves, {**info, i: mine}, refchoices, choices)
+
+
+class TestBatchCut:
+    @pytest.mark.parametrize("name", sorted(BUNDLED))
+    def test_bundled(self, name):
+        form = BUNDLED[name]()
+        assert_cut_as_oracle(form)
+        assert_cut_as_oracle(form, mixed(form, random.Random(name)))
+
+    def test_dropped_choices(self):
+        rng = random.Random(43)
+        for name in SMALL + ["amd", "mp-case3"]:
+            form = BUNDLED[name]()
+            assert_cut_as_oracle(
+                unvalidated(parts_of(form, dropped(form, rng))))
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_exit_race(self, k):
+        form = amd_sef(k)[0]
+        assert_cut_as_oracle(form)
+        assert_cut_as_oracle(form, mixed(form, random.Random(k)))
+
+    def test_twelve_atom_exit_race(self):
+        assert_cut_as_oracle(twelve_atoms(), joins=(True,))
+
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+           st.sampled_from([None, "missing", "empty block", "short",
+                            "overlap"]))
+    @settings(deadline=None, max_examples=60)
+    def test_strict_forms(self, seed, how):
+        rng = random.Random(seed)
+        form = random_strict_sef(make_rng(seed))
+        parts = parts_of(form, mixed(form, rng))
+        if how is not None:
+            parts = broken(parts, rng, how)
+        assert_cut_as_oracle(unvalidated(parts))
+
+    def test_a_batch_of_no_choice_reads_no_partition(self):
+        # validation cuts an agent's choices that are unions of nodes,
+        # which may be none; a malformed partition is then reported by the
+        # check that first reads one, not by an empty cut
+        form = BUNDLED["mp-case3"]()
+        assert_cut_as_oracle(form, {i: [] for i in form.agents})
+        sdf, agents, moves, info, refs, choices = parts_of(form)
+        pseudo = unvalidated((sdf, agents, moves,
+                              {i: dict.fromkeys(info[i]) for i in agents},
+                              refs, choices))
+        for i in agents:
+            table = slice_table(pseudo, i, ())
+            assert table.cut([], join=True) == [] and "at" not in vars(table)
+            with pytest.raises(InputError, match="no partition supplied"):
+                table.cut(sorted(choices[i], key=sorted)[:1], join=True)
+
+    def test_index_follows_records_made_later(self):
+        # options(void=True) and offered_option make records after the cut
+        form = BUNDLED["mp-case3"]()
+        for i in form.agents:
+            table = slice_table(form, i, form.choices[i])
+            for m in sorted(form.agent_moves[i], key=lambda m: repr(m.graph)):
+                for w in sorted(m.domain):
+                    table.options(w, m(w), void=True)
+                    for c in sorted(form.choices[i], key=sorted)[:3]:
+                        table.offered_option(w, c - {min(c)}, {m(w)})
+            assert_offering_current(table)
+
+    def test_one_read_per_distinct_mask_on_a_component(self, monkeypatch):
+        # mp-case3's second mover: 256 choices on 8 components of two
+        # trees, and two masks on each, so 8 x 2 pieces are folded, not
+        # 256 x 16 (choice, tree) entries; the choices' pieces are alike
+        # once cut to the availability bits, so one join serves all 256
+        form = BUNDLED["mp-case3"]()
+        table = slice_table(form, "j", ())
+        folds = []
+        monkeypatch.setattr(adapted, "_fold", lambda known, value, entries: (
+            folds.append(len(entries)), _fold(known, value, entries))[1])
+        assert table.cut(form.choices["j"], join=True) == []
+        assert [len(ks) for _, ks in table.components] == [2] * 8
+        assert folds == [2] * 16 + [8]

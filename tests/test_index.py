@@ -71,6 +71,7 @@ from exform.sef import (
     StochasticExtensiveForm,
     _axiom1_violations,
     _meet,
+    _menu,
     info_sets,
     strategies,
 )
@@ -603,7 +604,7 @@ def assert_groups_cover(form, exact):
         table = SliceTable(sdf, {}, {}, {}, form.choices[i])
         sets, _ = info_sets(form, i)
         for p in sets:
-            expected = grouped_oracle(form, table, p, form._index.menus[p])
+            expected = grouped_oracle(form, table, p, _menu(form, p))
             got = form._index.grouped[p]
             assert got.keys() == expected.keys()
             for root, (xs, groups) in expected.items():
@@ -710,6 +711,20 @@ def held(obj, seen=None):
     return 0
 
 
+class TestMenusSortedOnce:
+    def test_validation_sorts_no_menu_and_a_read_sorts_it_once(self):
+        # the strategies and well-posedness read each menu in canonical
+        # order; a form that never needs the order never sorts it
+        form = load_example("mp-case3")[0]
+        assert form._index.menus == {}
+        for i in form.agents:
+            for p in info_sets(form, i)[0]:
+                menu = _menu(form, p)
+                assert menu == tuple(sorted(form.available_at(
+                    i, next(iter(p.random_moves))), key=sorted))
+                assert _menu(form, p) is menu
+
+
 class TestQueriesKeepNothing:
     def test_predecessor_and_menu_queries_leave_the_form_as_it_was(self):
         form = load_example("amd")[0]
@@ -735,8 +750,11 @@ class TestQueriesKeepNothing:
     @pytest.mark.parametrize("name", ["amd", "mp-case1"])
     def test_sweeps_leave_the_form_as_it_was(self, name):
         form, eu, profile, _ = load_example(name)
-        # the menu index is built by the first menu query
-        info_sets(form, form.agents[0])
+        # the menu index is built by the first menu query, and it keeps
+        # each menu in canonical order from the first read of that order
+        for i in form.agents:
+            for p in info_sets(form, i)[0]:
+                _menu(form, p)
         parts = form, form.sdf, form.sdf.forest
         before = [held(part) for part in parts]
         assert check_dynamic_rationality(form, eu, profile)

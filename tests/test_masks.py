@@ -23,7 +23,7 @@ from exform.forest import immediate_predecessors
 from exform.instances import amd_sef, mp_sef
 from exform.adapted import slice_table
 from exform.sdf import StochasticDecisionForest, _require_partition
-from exform.sef import complete_choices, info_sets, validate_sef
+from exform.sef import _menu, complete_choices, info_sets, validate_sef
 from test_slices import (
     BUNDLED,
     _menus,
@@ -244,20 +244,21 @@ def complete_oracle(form):
 # --- comparison --------------------------------------------------------------
 
 def assert_table_as_frozen(form):
-    """Each agent's table, its choices cut and joined in one pass, against
-    the frozenset table: records, entries, verdicts, predecessor sets and
-    every reader, each frozenset in the same iteration order but the
-    offered sets, which are compared as sets."""
+    """Each agent's table, its choices cut and joined in one batch,
+    against the frozenset table: records, entries, verdicts, predecessor
+    sets and every reader, each frozenset in the same iteration order but
+    the offered sets and the choices' predecessor sets, which a batch
+    unions per component and which are compared as sets."""
     sdf = form.sdf
     for i in form.agents:
         frozen = frozen_table(form, i, form.choices[i])
         table = slice_table(form, i, ())
-        for c in form.choices[i]:
-            assert table.cut(c, join=True) == frozen.adapted(c)
+        assert table.cut(form.choices[i], join=True) \
+            == [c for c in form.choices[i] if not frozen.adapted(c)]
         for c in form.choices[i]:
             assert list(map(list, slices_of(table, c))) \
                 == list(map(list, frozen.slices[c]))
-            assert list(table.preds[c]) == list(frozen.preds[c])
+            assert table.preds[c] == frozen.preds[c]
         for k, w in enumerate(sdf.scenarios):
             made = records(table, w)
             assert [(list(s), list(p), cs) for s, p, cs in made] \
@@ -267,8 +268,8 @@ def assert_table_as_frozen(form):
                 assert entry_of(table, w, s) == frozen.entry(w, s)
             assert table.distinct(w) == frozen.distinct(w)
             for x in sdf.tree_of(w):
-                assert table.slices_at(w, x) == frozen.slices_at(w, x)
-                assert table.groups_at(w, x) == frozen.groups_at(w, x)
+                assert table.slices_at(x) == frozen.slices_at(w, x)
+                assert table.groups_at(x) == frozen.groups_at(w, x)
         assert list(table.overlapping()) == list(frozen.overlapping())
         offered = frozen_offered(form, i, frozen)
         assert table.offered() \
@@ -276,7 +277,7 @@ def assert_table_as_frozen(form):
                 if j == i} \
             == {x: frozenset(cs) for x, cs in offered.items()}
         sets, _ = info_sets(form, i)
-        assert [(p.random_moves, form._index.menus[p]) for p in sets] \
+        assert [(p.random_moves, _menu(form, p)) for p in sets] \
             == frozen_menus(form, i, offered)
 
 

@@ -714,19 +714,23 @@ class TestWorkCounts:
     """The sweep reads each term once under the profile and once per
     distinct slice of the deviating agent's menu in the term's tree; the
     term-by-term sweep it replaced read every term under every
-    deviation.  The fills are the same.  Each grouping of a block's terms
-    is expanded into choice tuples once; adding each term into every
-    choice tuple of its groups took 7,680 updates on the 6-atom race and
-    240 on the 3-atom one."""
+    deviation.  The fills are the same.  A part is expanded into choice
+    tuples only for a swept agent, or where it has several groupings, and
+    then once: adding each term into every choice tuple of its groups took
+    7,680 updates on the 6-atom race and 240 on the 3-atom one, and
+    expanding every grouping, swept or not, 768 and 48.  At p = 2/3 every
+    part has one grouping and both agents are bounded, so none is
+    expanded; at p = 1/2 both agents are swept."""
 
-    @pytest.mark.parametrize("atoms, updates, reads", [(6, 768, 240),
-                                                       (3, 48, 60)])
-    def test_partial_sum_updates(self, update_count, read_count, atoms,
-                                 updates, reads):
+    @pytest.mark.parametrize("atoms, p, updates, reads, rational", [
+        (6, "2/3", 0, 240, True), (3, "2/3", 0, 60, True),
+        (6, "1/2", 768, 216, False)])
+    def test_partial_sum_updates(self, update_count, read_count, atoms, p,
+                                 updates, reads, rational):
         _, by_agent = read_count
-        sef, eu, s, _ = amd_instance(Fraction(2, 3), atoms)
+        sef, eu, s, _ = amd_instance(Fraction(p), atoms)
         update_count.clear()
-        assert check_dynamic_rationality(sef, eu, s)
+        assert bool(check_dynamic_rationality(sef, eu, s)) is rational
         assert len(update_count) == updates
         assert sum(by_agent.values()) == reads
 

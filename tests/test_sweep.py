@@ -3,12 +3,13 @@ The rationality sweep and the tree fills against the code they replaced.
 
 ``term_parts`` is ``_Deviations.parts`` as it was before terms were summed
 per slice grouping: each term is added into the partial sum of every
-choice tuple of its groups.  ``walked_fill`` is ``TreeFills``' fill as it
-was before each tree's walk was indexed at construction:
+choice tuple of its groups, eagerly.  ``walked_fill`` is ``TreeFills``'
+fill as it was before each tree's walk was indexed at construction:
 ``_compatible_below`` from the root, which finds its bottom-up order with
 a stack.  ``swept_rationality`` is ``_rationality`` as it was before the
 blocks' bounds could decide an agent: it sweeps every strategy of every
-agent.  All three are kept verbatim as oracles.
+agent, each deviation's total summed by ``eager_total``, which reads the
+eager parts.  All are kept verbatim as oracles.
 """
 
 import itertools
@@ -23,8 +24,8 @@ from exform.equil import (
     Belief,
     EUStructure,
     RationalityReport,
-    _deviation_total,
     _Deviations,
+    _Part,
     _unit_plan,
     bayes_beliefs,
     check_dynamic_rationality,
@@ -96,6 +97,18 @@ def term_parts(self, taste, pairs):
     return parts
 
 
+def eager_total(parts, at):
+    """A block's total under the deviation at these choice tuples."""
+    total, failures = 0, []
+    for sets, partial, failed in parts:
+        total += partial[at[sets]]
+        if at[sets] in failed:
+            failures.append(failed[at[sets]])
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return total
+
+
 def swept_rationality(sef, eu, beliefs, tastes, tables, fills, outcome):
     report = RationalityReport(True, {})
     swept = []   # (unit, plan, the profile's total per block)
@@ -116,7 +129,7 @@ def swept_rationality(sef, eu, beliefs, tastes, tables, fills, outcome):
             at = deviations.choices(t)
             for unit, plan, totals, split in own:
                 for (b, _, mass), base, parts in zip(plan.blocks, totals, split):
-                    total = _deviation_total(parts, at)
+                    total = eager_total(parts, at)
                     if total > base:
                         report.rational = False
                         report.witnesses.append(
@@ -154,10 +167,14 @@ def checked(monkeypatch):
     def checked_parts(self, taste, pairs):
         found = parts(self, taste, pairs)
         want = term_parts(self, taste, pairs)
-        assert [sets for sets, _, _ in found] == [sets for sets, _, _ in want]
-        for (_, partial, failed), (_, partial2, failed2) in zip(found, want):
+        assert [part.sets for part in found] == [sets for sets, _, _ in want]
+        for part, (_, partial2, failed2) in zip(found, want):
+            # a copy expands, so the sweep's own parts stay as it left them
+            partial, failed = _Part(part.sets, part.sums).expanded
             assert list(partial.items()) == list(partial2.items())
             assert failures(failed) == failures(failed2)
+            assert part.largest() == (None if failed2 or not partial2
+                                      else max(partial2.values()))
         seen["parts"] += 1
         return found
 
@@ -323,6 +340,16 @@ class TestAgainstOracles:
         assert error[0] is MultipleOutcomes and "v:2" in error[1]
 
 
+def one_grouping(sets, sums, errors=None):
+    """A part of one set with one grouping: one choice per slice, each
+    slice tuple's sum as given, and a failed read where ``errors`` has
+    one."""
+    errors = errors or {}
+    grouping = (tuple((f"c{k}",) for k in range(len(sums))),)
+    return _Part(sets, {grouping: [[value, errors.get(k)]
+                                   for k, value in enumerate(sums)]})
+
+
 class TestBlockBounds:
     """An agent whose blocks' bounds are at most their bases is rational
     with no strategy enumerated; any other agent is swept as before."""
@@ -366,11 +393,31 @@ class TestBlockBounds:
         # different deviations: the bound is 2, though no deviation's
         # total exceeds 1; a part with a failed read, or with no
         # partial sum, leaves the block to the sweep
-        parts = [((0,), {("a",): 1, ("b",): 0}, {}),
-                 ((1,), {("a",): 0, ("b",): 1}, {})]
+        parts = [one_grouping((0,), [1, 0]), one_grouping((1,), [0, 1])]
         assert not equil._bounded(parts, 1)
         assert equil._bounded(parts, 2)
-        failed = ((2,), {("a",): 0}, {("a",): (0, None)})
+        failed = one_grouping((2,), [0], {0: (0, None)})
         assert not equil._bounded([failed], 5)
         assert not equil._bounded([*parts, failed], 5)
-        assert not equil._bounded([*parts, ((2,), {}, {})], 5)
+        assert not equil._bounded([*parts, _Part((2,), {((),): [[0, None]]})],
+                                  5)
+        assert not any("expanded" in vars(part) for part in parts)
+
+    def test_a_slot_with_an_empty_group_is_skipped(self):
+        # no choice tuple has the empty group's slice, so neither its sum
+        # nor its failed read reaches a deviation or the bound
+        part = _Part((0,), {((("a",), ()),): [[1, None], [9, (0, None)]]})
+        assert part.largest() == 1
+        assert part.expanded == ({("a",): 1}, {})
+        assert _Part((0,), {(((),),): [[9, None]]}).largest() is None
+
+    def test_several_groupings_are_expanded_once(self):
+        # a choice tuple's partial sums its slice tuples' sums over the
+        # groupings, so its largest is read after one expansion
+        part = _Part((0,), {
+            ((("a",), ("b",)),): [[1, None], [0, None]],
+            ((("a", "b"),),): [[2, None]]})
+        assert part.largest() == 3
+        expanded = part.expanded
+        assert expanded == ({("a",): 3, ("b",): 2}, {})
+        assert part.largest() == 3 and part.expanded is expanded

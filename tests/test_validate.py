@@ -481,7 +481,7 @@ def assert_readers_as_before(form):
         for members, menu in _menus(form, i):
             for m in members:
                 for w in m.domain:
-                    assert sorted(table.slices_at(w, m(w)), key=sorted) \
+                    assert sorted(table.slices_at(m(w)), key=sorted) \
                         == _slices(table, menu, w)
     assert_groups_cover(form, exact=True)
     return True
