@@ -5,8 +5,8 @@ tilting limits, the timing race, lattice completions, and the registry
 of bundled instances.
 
 Exit codes: 0 on success, 1 on a failed check (with witnesses), 2 on
-malformed input, 3 when a search ran over its budget or a tilting limit's
-probes disagreed with its stop descriptor, leaving the check undecided.
+malformed input, 3 when a search ran over its budget, leaving the check
+undecided.
 All rationals print as "num/den"; floats appear only in human-readable
 simulation summaries.
 
@@ -25,7 +25,6 @@ from .errors import (
     ExformError,
     InputError,
     StructureError,
-    TailWindowInconclusive,
 )
 
 # --- instance serialization ---------------------------------------------------
@@ -188,8 +187,7 @@ def json_flag(command):
 
 def guarded(command):
     """Map malformed input to exit code 2 instead of a traceback, and a
-    search over budget or a tilting limit whose probes disagree with its
-    stop descriptor to exit code 3."""
+    search over budget to exit code 3."""
 
     def wrapper(*args, **kwargs):
         try:
@@ -197,7 +195,7 @@ def guarded(command):
         except InputError as err:
             click.echo(f"input error: {err}", err=True)
             raise SystemExit(2)
-        except (BudgetExceeded, TailWindowInconclusive) as err:
+        except BudgetExceeded as err:
             click.echo(f"undecided: {err}", err=True)
             raise SystemExit(3)
         except ExformError as err:
@@ -420,7 +418,7 @@ def tilt_command(family, kappa, probe, as_json):
     from . import tilt
     from .vtime import format_vtime, parse_vtime
     grids = tilt.REGISTERED[family]()
-    process = tilt.StopIndexFamily(kappa=_parse_kappa(kappa), label=kappa)
+    process = tilt.StopIndexFamily(kappa=_parse_kappa(kappa))
     probes = ([parse_vtime(p) for p in probe.split(";")] if probe else None)
     result = tilt.tilting_limit(process, grids, probes=probes)
     if result.converged:

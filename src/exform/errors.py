@@ -87,11 +87,6 @@ class GridAxiomViolation(StructureError):
     pass
 
 
-class TailWindowInconclusive(ExformError):
-    """A tilting limit's probe disagrees with its stop descriptor, so the
-    limit is left undecided."""
-
-
 class TargetOutOfRange(InputError):
     pass
 

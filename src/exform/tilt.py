@@ -17,7 +17,6 @@ from .errors import (
     BudgetExceeded,
     GridAxiomViolation,
     InputError,
-    TailWindowInconclusive,
     TargetOutOfRange,
 )
 from .vtime import (
@@ -60,9 +59,8 @@ class Grid:
 
     bound: Ordinal
     eval: object                       # Ordinal -> VTime (horizontal)
-    name: str | None = None
     locate: object = None              # t -> least index with value >= t
-    gap: Fraction | None = None        # exact mesh, registered families only
+    gap: Fraction | None = None        # exact size, on every grid exform builds
     vet: object = None                 # index -> raises where eval would
 
     def __call__(self, beta):
@@ -76,10 +74,9 @@ class Grid:
 
 @dataclass(frozen=True)
 class GridFamily:
-    """A refining, convergent sequence of grids with its embeddings."""
+    """A refining, convergent sequence of grids, registered by its name."""
 
     member: object                     # n -> Grid
-    embed: object                      # (n, index of member(n)) -> index of member(n+1)
     name: str | None = None
 
 
@@ -93,20 +90,27 @@ class StopIndexFamily:
 
     An anchored family stops at a fixed vertically extended target
     instead: kappa(n) is the first index at or after the target's real
-    time, shifted up by the target's vertical part.
+    time, shifted up by the target's vertical part.  A family takes
+    exactly one of kappa and anchor.
     """
 
     kappa: tuple | None = None
     anchor: VTime | None = None
-    label: str | None = None
 
     def __post_init__(self):
-        kappa = self.kappa
-        if self.anchor is None and not (
-                isinstance(kappa, tuple) and kappa
-                and all(isinstance(k, Ordinal) for k in kappa)):
-            raise InputError(
-                f"kappa must be a nonempty tuple of ordinals: {kappa!r}")
+        kappa, anchor = self.kappa, self.anchor
+        if anchor is None:
+            if not (isinstance(kappa, tuple) and kappa
+                    and all(isinstance(k, Ordinal) for k in kappa)):
+                raise InputError(
+                    f"kappa must be a nonempty tuple of ordinals: {kappa!r}")
+        elif kappa is not None:
+            raise InputError("a stop-index family takes a kappa or an "
+                             "anchor, not both")
+        elif not (isinstance(anchor, VTime) and not anchor.is_infinity
+                  and isinstance(anchor.v, Ordinal)):
+            raise InputError("an anchor must be a finite time with an "
+                             f"ordinal vertical part: {anchor!r}")
 
     def index(self, n, grid):
         if self.anchor is not None:
@@ -132,13 +136,6 @@ class TiltingResult:
         return f"TiltingResult(diverged at {format_vtime(self.witness[0])})"
 
 
-@dataclass(frozen=True)
-class GridReport:
-    valid: bool
-    exact: bool
-    checked: tuple
-
-
 def dyadic_grid(n):
     """Uniform mesh 2^-n with one opportunity block of order type omega."""
     g = Fraction(2) ** -n
@@ -154,7 +151,7 @@ def dyadic_grid(n):
         k = -((-t.t) // g)             # least k with k*g >= t
         return ordinal(int(k))
 
-    return Grid(OMEGA, evaluate, name="dyadic", locate=locate, gap=g)
+    return Grid(OMEGA, evaluate, locate=locate, gap=g)
 
 
 def nested_grid(n):
@@ -196,34 +193,15 @@ def nested_grid(n):
         m = (-(-gap.denominator // gap.numerator) - 1).bit_length()
         return ord_add(Ordinal(((1, k),)) if k else ZERO, ordinal(m))
 
-    return Grid(OMEGA_SQ, evaluate, name="nested", locate=locate,
-                gap=g / 2, vet=split)
-
-
-def _dyadic_embed(n, beta):
-    if beta == OMEGA:
-        return OMEGA
-    k = beta.cnf[0][1] if beta.cnf else 0
-    return ordinal(2 * k)
-
-
-def _nested_embed(n, beta):
-    if beta == OMEGA_SQ:
-        return OMEGA_SQ
-    k = m = 0
-    for e, c in beta.cnf:
-        k, m = (c, m) if e == 1 else (k, c)
-    if m >= 1:
-        return ord_add(Ordinal(((1, 2 * k + 1),)), ordinal(m - 1))
-    return Ordinal(((1, 2 * k),)) if k else ZERO
+    return Grid(OMEGA_SQ, evaluate, locate=locate, gap=g / 2, vet=split)
 
 
 def dyadic_family():
-    return GridFamily(dyadic_grid, _dyadic_embed, name="dyadic")
+    return GridFamily(dyadic_grid, "dyadic")
 
 
 def nested_family():
-    return GridFamily(nested_grid, _nested_embed, name="nested")
+    return GridFamily(nested_grid, "nested")
 
 
 REGISTERED = {"dyadic": dyadic_family, "nested": nested_family}
@@ -236,7 +214,7 @@ def _locate(grid, t):
     return grid.locate(t)
 
 
-def _sample_indices(bound, extra=()):
+def _sample_indices(bound):
     samples = {ZERO, bound}
     for k in range(6):
         samples.add(ordinal(k))
@@ -245,7 +223,6 @@ def _sample_indices(bound, extra=()):
         samples.add(prefix)
         if is_limit(prefix):
             samples.update(itertools.islice(fundamental_sequence(prefix), 1, 5))
-    samples.update(extra)
     return sorted((s for s in samples if ord_cmp(s, bound) <= 0),
                   key=lambda s: (len(s.cnf), s.cnf))
 
@@ -256,9 +233,11 @@ LIMIT_STAGES = 8
 
 def validate_grid(grid):
     """
-    Check the grid axioms: starts at zero, ends at infinity, strictly
-    increasing where finite, continuous at limit indices.  Sampled for
-    unregistered grids, exact by construction for registered families.
+    Check the grid axioms of a grid from outside exform at sampled
+    indices: starts at zero, ends at infinity, strictly increasing where
+    finite, continuous at limit indices.  A violation raises
+    GridAxiomViolation.  exform's own grids meet the axioms by
+    construction, and none is checked at run time.
     """
     if grid(ZERO) != vt(0):
         raise GridAxiomViolation(f"grid starts at {format_vtime(grid(ZERO))}, not 0")
@@ -293,20 +272,6 @@ def validate_grid(grid):
             if len(steps) >= 4 and steps[-1] * 4 < steps[-4]:
                 raise GridAxiomViolation(
                     f"stages stay bounded below {format_ordinal(sample)}")
-    exact = grid.name in REGISTERED
-    return GridReport(True, exact, tuple(samples))
-
-
-def check_refines(coarse, fine, probes=()):
-    """True iff every sampled opportunity of the coarse grid reappears in
-    the fine one at the same time."""
-    for index in _sample_indices(coarse.bound, probes):
-        t = coarse(index)
-        if t.is_infinity:
-            continue
-        if fine(_locate(fine, t)) != t:
-            return False
-    return True
 
 
 def grid_size(grid):
@@ -484,28 +449,23 @@ def tilting_limit(process, family, probes=None):
         if len(set(cycle)) > 1:
             return TiltingResult(False, None, table, (probe, n0, cycle))
         table[probe] = cycle[0]
-    return TiltingResult(True, _stop_descriptor(process, extent, table),
-                         table, None)
+    return TiltingResult(True, _stop_descriptor(process, extent), table, None)
 
 
-def _stop_descriptor(process, extent, table):
-    """The limit stop time, when the family stops at a stable index,
-    cross-checked against every probe's limit; a stop index at or above
-    the vertical extent stops at infinity."""
+def _stop_descriptor(process, extent):
+    """The limit stop time, when the family stops at a stable index: the
+    anchor, or the one stop index's time; an anchor or a stop index whose
+    vertical part is at or above the vertical extent stops at infinity,
+    since its index reads infinity at every depth."""
     if process.anchor is not None:
-        stop = process.anchor
+        top, stop = process.anchor.v, process.anchor
     else:
         tops = set(process.kappa)
         if len(tops) != 1:
             return None
         top = tops.pop()
-        stop = INFINITY if ord_cmp(top, extent) >= 0 else vt(0, top)
-    for probe, value in table.items():
-        if value != (1 if probe < stop else 0):
-            raise TailWindowInconclusive(
-                f"probe {format_vtime(probe)} disagrees with the stop "
-                f"descriptor {format_vtime(stop)}")
-    return stop
+        stop = vt(0, top)
+    return INFINITY if ord_cmp(top, extent) >= 0 else stop
 
 
 def approximate_stop_indicator(target):
@@ -522,5 +482,5 @@ def approximate_stop_indicator(target):
         raise TargetOutOfRange(
             f"vertical part {format_ordinal(target.v)} not below w^2")
     family = dyadic_family() if ord_cmp(target.v, OMEGA) < 0 else nested_family()
-    process = StopIndexFamily(anchor=target, label=format_vtime(target))
+    process = StopIndexFamily(anchor=target)
     return family, process

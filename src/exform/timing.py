@@ -156,18 +156,15 @@ def outcome_distribution(eta):
     return {cls: w / total for cls, w in weights.items()}
 
 
-def payoff(outcome, eta, whistle_relation="post"):
-    """The four-case payoff table, in each player's local currency."""
+def payoff(outcome, eta):
+    """The four-case payoff table, in each player's local currency; the
+    outcome's class says whether it stopped before the whistle."""
     return _payoff(outcome.stopper_class, outcome.stop_level_1,
-                   outcome.stop_level_2, eta, whistle_relation)
+                   outcome.stop_level_2, eta)
 
 
-def _payoff(cls, a, b, eta, whistle_relation="post"):
+def _payoff(cls, a, b, eta):
     eta = Fraction(eta)
-    if whistle_relation not in ("pre", "post"):
-        raise InputError(f"unknown whistle relation: {whistle_relation}")
-    if (whistle_relation == "pre") != (cls is StopperClass.PRE_WHISTLE):
-        raise InconsistentOutcome(f"{cls} under a {whistle_relation}-whistle stop")
     if cls is StopperClass.PRE_WHISTLE:
         return (Fraction(-1), Fraction(-1))
     if cls is StopperClass.NEVER:
@@ -366,7 +363,10 @@ class GridApproximant:
 def race_grid(config, n):
     """The dyadic grid of mesh 2^-n anchored at the whistle.  Its first
     step is the whistle and each step after it one mesh, so its size is
-    the larger of the two."""
+    the larger of the two.  It meets the grid axioms by construction: it
+    starts at 0, its steps are the whistle (at least 0, by
+    ``TimingConfig``) and then the mesh (positive), and it reads
+    infinity at w."""
     if isinstance(config.whistle, dict):
         raise InputError("grid approximants need a deterministic whistle")
     mesh = Fraction(2) ** -n
@@ -391,8 +391,7 @@ def race_grid(config, n):
             return ordinal(1)
         return ordinal(1 + int(-((-(t.t - whistle)) // mesh)))
 
-    return tilt.Grid(OMEGA, evaluate, name=None, locate=locate,
-                     gap=max(whistle, mesh))
+    return tilt.Grid(OMEGA, evaluate, locate=locate, gap=max(whistle, mesh))
 
 
 def grid_approximant(config, n):
@@ -403,7 +402,6 @@ def grid_approximant(config, n):
     therefore estimate the same closed-form distribution.
     """
     grid = race_grid(config, n)
-    tilt.validate_grid(grid)
     stats = monte_carlo(config)
     return GridApproximant(grid, Fraction(2) ** -n, stats)
 

@@ -259,13 +259,12 @@ class TestWellPosednessOracles:
 class TestTiltingLimits:
     def test_stop_time_limits_and_divergence(self):
         start = time.perf_counter()
-        fine = StopIndexFamily(kappa=(ordinal(1),), label="fine")
-        double = StopIndexFamily(kappa=(ordinal(2),), label="double")
+        fine = StopIndexFamily(kappa=(ordinal(1),))
+        double = StopIndexFamily(kappa=(ordinal(2),))
         # 4 at even depths, 1 at odd ones
-        swing = StopIndexFamily(kappa=(ordinal(4), ordinal(1)), label="swing")
-        omega = StopIndexFamily(kappa=(Ordinal(((1, 1),)),), label="omega")
-        omega2 = StopIndexFamily(kappa=(Ordinal(((1, 2),)),),
-                                 label="omega-two")
+        swing = StopIndexFamily(kappa=(ordinal(4), ordinal(1)))
+        omega = StopIndexFamily(kappa=(Ordinal(((1, 1),)),))
+        omega2 = StopIndexFamily(kappa=(Ordinal(((1, 2),)),))
 
         assert tilting_limit(fine, dyadic_family()).stop == vt(0, ordinal(1))
         assert tilting_limit(double, dyadic_family()).stop == vt(0, ordinal(2))

@@ -12,7 +12,6 @@ from exform.errors import (
     BudgetExceeded,
     GridAxiomViolation,
     InputError,
-    TailWindowInconclusive,
     TargetOutOfRange,
 )
 from exform.tilt import (
@@ -22,7 +21,6 @@ from exform.tilt import (
     StopIndexFamily,
     TiltingResult,
     approximate_stop_indicator,
-    check_refines,
     default_probes,
     dyadic_family,
     dyadic_grid,
@@ -68,9 +66,9 @@ def nested_locate_oracle(n, t):
     return ord_add(Ordinal(((1, k),)) if k else ZERO, ordinal(m))
 
 
-ALICE = StopIndexFamily(kappa=(ordinal(1),), label="alice")
-BOB = StopIndexFamily(kappa=(ordinal(2),), label="bob")
-CAROL = StopIndexFamily(kappa=(ordinal(4), ordinal(1)), label="carol")
+ALICE = StopIndexFamily(kappa=(ordinal(1),))
+BOB = StopIndexFamily(kappa=(ordinal(2),))
+CAROL = StopIndexFamily(kappa=(ordinal(4), ordinal(1)))
 
 
 def table_grid(times):
@@ -87,8 +85,8 @@ def table_grid(times):
 class TestGridAxioms:
     def test_registered_families_valid(self):
         for n in range(5):
-            assert validate_grid(dyadic_grid(n)).exact
-            assert validate_grid(nested_grid(n)).exact
+            validate_grid(dyadic_grid(n))
+            validate_grid(nested_grid(n))
 
     def test_nonzero_start_rejected(self):
         with pytest.raises(GridAxiomViolation):
@@ -102,15 +100,52 @@ class TestGridAxioms:
         with pytest.raises(GridAxiomViolation):
             validate_grid(table_grid([0, 2, 1, None]))
 
-    def test_table_grid_valid_but_inexact(self):
-        report = validate_grid(table_grid([0, 1, 2, None]))
-        assert report.valid and not report.exact
+    def test_table_grid_valid(self):
+        assert validate_grid(table_grid([0, 1, 2, None])) is None
 
     def test_discontinuous_limit_rejected(self):
         bounded = Grid(OMEGA, lambda b: INFINITY if b == OMEGA
                        else vt(1 - Fraction(1, 2 ** (b.cnf[0][1] if b.cnf else 0))))
         with pytest.raises(GridAxiomViolation):
             validate_grid(bounded)
+
+
+# --- refinement and the embeddings as oracles ----------------------------------
+# The sampled refinement check and each registered family's embedding of
+# member(n)'s indices into member(n + 1)'s, verbatim; no path of the
+# package reads them, and every grid exform builds refines by construction.
+
+def check_refines(coarse, fine):
+    """True iff every sampled opportunity of the coarse grid reappears in
+    the fine one at the same time."""
+    for index in tilt._sample_indices(coarse.bound):
+        t = coarse(index)
+        if t.is_infinity:
+            continue
+        if fine(tilt._locate(fine, t)) != t:
+            return False
+    return True
+
+
+def dyadic_embed(n, beta):
+    if beta == OMEGA:
+        return OMEGA
+    k = beta.cnf[0][1] if beta.cnf else 0
+    return ordinal(2 * k)
+
+
+def nested_embed(n, beta):
+    if beta == OMEGA_SQ:
+        return OMEGA_SQ
+    k = m = 0
+    for e, c in beta.cnf:
+        k, m = (c, m) if e == 1 else (k, c)
+    if m >= 1:
+        return ord_add(Ordinal(((1, 2 * k + 1),)), ordinal(m - 1))
+    return Ordinal(((1, 2 * k),)) if k else ZERO
+
+
+EMBEDDINGS = {"dyadic": dyadic_embed, "nested": nested_embed}
 
 
 class TestRefinement:
@@ -126,11 +161,14 @@ class TestRefinement:
         assert not check_refines(dyadic_grid(3), dyadic_grid(2))
 
     def test_embedding_witnesses(self):
-        fam = nested_family()
-        for index in [ZERO, ordinal(3), parse_ordinal("w*2 + 1"),
-                      parse_ordinal("w"), OMEGA_SQ]:
-            image = fam.embed(2, index)
-            assert fam.member(2)(index) == fam.member(3)(image)
+        for name, indices in [
+                ("dyadic", [ZERO, ordinal(1), ordinal(3), ordinal(17), OMEGA]),
+                ("nested", [ZERO, ordinal(3), parse_ordinal("w*2 + 1"),
+                            parse_ordinal("w"), OMEGA_SQ])]:
+            fam, embed = tilt.REGISTERED[name](), EMBEDDINGS[name]
+            for index in indices:
+                image = embed(2, index)
+                assert fam.member(2)(index) == fam.member(3)(image)
 
 
 def brute_force_size(grid):
@@ -169,7 +207,7 @@ class TestGridSize:
             assert grid_size(grid) == brute_force_size(grid)
 
     def test_infinite_grid_without_a_gap_is_refused(self):
-        unnamed = replace(dyadic_grid(3), name=None, gap=None)
+        unnamed = replace(dyadic_grid(3), gap=None)
         with pytest.raises(InputError, match="gap"):
             grid_size(unnamed)
 
@@ -242,7 +280,7 @@ class TestVerticalExtent:
                               (nested_family(), OMEGA_SQ)):
             assert gamma(family, INFINITY) == bound == family.member(0).bound
             with pytest.raises(InputError, match="registered"):
-                gamma(GridFamily(family.member, family.embed), INFINITY)
+                gamma(GridFamily(family.member), INFINITY)
 
     def test_extent_is_a_limit_ordinal(self):
         from exform.vtime import is_limit
@@ -312,7 +350,7 @@ class TestTiltingLimits:
         # the window's tail; such a kappa declares no period, and is refused
         with pytest.raises(InputError, match="nonempty tuple of ordinals"):
             StopIndexFamily(kappa=lambda n: ordinal(1) if n < 23 else ordinal(2))
-        with pytest.raises(TailWindowInconclusive):
+        with pytest.raises(WindowInconclusive):
             settle([0] * 19 + [1, 1], Window(), vt(0, ordinal(1)))
 
     def test_a_tail_with_two_switches_oscillates(self):
@@ -324,9 +362,9 @@ class TestTiltingLimits:
 
     def test_a_tail_with_one_switch_is_inconclusive(self):
         window = Window(0, 7, 3)
-        with pytest.raises(TailWindowInconclusive):
+        with pytest.raises(WindowInconclusive):
             settle([1, 1, 1, 1, 1, 0, 0, 1], window, vt(0))
-        with pytest.raises(TailWindowInconclusive):
+        with pytest.raises(WindowInconclusive):
             settle([1, 0, 1, 0, 1, 1, 0, 0], window, vt(0))
 
     def test_excessive_stop_index_rejected(self):
@@ -339,6 +377,18 @@ class TestTiltingLimits:
     def test_a_kappa_that_is_no_tuple_of_ordinals_is_rejected(self, kappa):
         with pytest.raises(InputError, match="nonempty tuple of ordinals"):
             StopIndexFamily(kappa=kappa)
+
+    @pytest.mark.parametrize("options, match", [
+        ({"anchor": "x"}, "anchor must be"),
+        ({"anchor": INFINITY}, "anchor must be"),
+        ({"anchor": VTime(0, OMEGA1)}, "anchor must be"),
+        ({"kappa": (ordinal(1),), "anchor": vt(0, ordinal(2))}, "not both"),
+    ], ids=["not-a-time", "infinity", "omega1", "kappa-and-anchor"])
+    def test_an_anchor_is_checked_when_built(self, options, match):
+        # each raised an AttributeError or a TypeError in tilting_limit,
+        # or tilted to the anchor with its kappa ignored
+        with pytest.raises(InputError, match=match):
+            StopIndexFamily(**options)
 
     def test_no_kappa_is_rejected_unless_anchored(self):
         with pytest.raises(InputError, match="nonempty tuple of ordinals"):
@@ -387,6 +437,11 @@ class TestStopIndicatorSynthesis:
 # closed form's first depth, put in closed-form terms, is the closed form's
 # oracle.
 
+class WindowInconclusive(Exception):
+    """A window's tail is neither constant nor oscillating: the window
+    reader leaves the limit undecided."""
+
+
 @dataclass(frozen=True)
 class Window:
     """Grid depths a windowed verdict reads per probe, and the constant
@@ -409,7 +464,7 @@ def settle(values, window, probe):
     switches = sum(1 for a, b in zip(tail, tail[1:]) if a != b)
     if switches >= 2:
         return None                    # oscillation over the window
-    raise TailWindowInconclusive(
+    raise WindowInconclusive(
         f"window tail neither constant nor oscillating at "
         f"{format_vtime(probe)}")
 
@@ -504,12 +559,12 @@ def window_tilting_limit(process, family, probes=None, window=Window()):
             settled.append(limit)
         tail = settled[-4:]
         if any(x != tail[0] for x in tail):
-            raise TailWindowInconclusive(
+            raise WindowInconclusive(
                 f"window shows no eventual constancy below the vertical "
                 f"extent at {format_vtime(probe)}")
         table[probe] = tail[0]
     stop = tilt._stop_descriptor(
-        process, empirical_gamma(family, INFINITY)[0], table) \
+        process, empirical_gamma(family, INFINITY)[0]) \
         if isinstance(process, StopIndexFamily) else None
     return TiltingResult(True, stop, table, None)
 
@@ -541,9 +596,17 @@ def oracle_tilting_limit(process, family, probes=None, deep=40):
         if limit is None:
             return TiltingResult(False, None, table, (probe, n0, cycle))
         table[probe] = limit
-    stop = tilt._stop_descriptor(
-        process, empirical_gamma(family, INFINITY)[0], table)
+    stop = tilt._stop_descriptor(process, empirical_gamma(family, INFINITY)[0])
     return TiltingResult(True, stop, table, None)
+
+
+def assert_stop_agrees(result):
+    """The stop descriptor's cross-check, which compares two exact results:
+    every probe of a converged result with a stop descriptor reads 1
+    exactly when it lies below the stop."""
+    if result.converged and result.stop is not None:
+        for probe, value in result.table.items():
+            assert value == (1 if probe < result.stop else 0), (probe, result)
 
 
 def run_tilt(limit, process, family, **options):
@@ -553,6 +616,7 @@ def run_tilt(limit, process, family, **options):
         result = limit(process, family, **options)
     except Exception as err:
         return type(err), str(err)
+    assert_stop_agrees(result)
     return ([getattr(result, f.name) for f in fields(result)],
             list(result.table.items()))
 
@@ -565,7 +629,7 @@ def counted(family):
         calls.append(n)
         return family.member(n)
 
-    return GridFamily(member, family.embed, family.name), calls
+    return GridFamily(member, family.name), calls
 
 
 @pytest.fixture
@@ -606,7 +670,7 @@ def oracle_cases():
         yield process, family, {"probes": []}
     for name, factory in sorted(tilt.REGISTERED.items()):
         for text in CLI_KAPPAS:
-            process = StopIndexFamily(kappa=cli._parse_kappa(text), label=text)
+            process = StopIndexFamily(kappa=cli._parse_kappa(text))
             for options in CLI_OPTIONS:
                 yield process, factory(), options
     for options in ({}, {"probes": PROBES}, {"probes": []}):
@@ -615,9 +679,15 @@ def oracle_cases():
     # nested grid's bound, is read
     yield (StopIndexFamily(kappa=(ord_succ(OMEGA_SQ),)), nested_family(),
            {"probes": [vt(0, ordinal(tilt.DEPTH_CAP + 1))]})
-    # a stop index past the bound reads infinity, as the bound itself does
+    # a stop index past the bound reads infinity, as the bound itself does,
+    # so an anchor at or past the vertical extent stops at infinity: a probe
+    # at a later real time still reads 1
     yield (StopIndexFamily(anchor=VTime(0, ord_add(OMEGA, OMEGA))),
            dyadic_family(), {"probes": [vt(0, ordinal(1)), INFINITY]})
+    yield (StopIndexFamily(anchor=VTime(Fraction(1, 4), OMEGA)),
+           dyadic_family(), {"probes": [vt(Fraction(1, 2))]})
+    yield (StopIndexFamily(anchor=VTime(Fraction(1, 4), OMEGA_SQ)),
+           nested_family(), {"probes": [vt(Fraction(1, 2)), INFINITY]})
 
 
 class TestAgainstPerProbeReads:
@@ -649,7 +719,7 @@ class TestAgainstPerProbeReads:
         # time 0 the closed form reads one period from its first depth,
         # where the window read its 21 depths
         family, calls = counted(tilt.REGISTERED[name]())
-        process = StopIndexFamily(kappa=cli._parse_kappa(text), label=text)
+        process = StopIndexFamily(kappa=cli._parse_kappa(text))
         result = tilting_limit(process, family)
         assert result.converged != text.startswith("alt:")
         start = tilt.START_DEPTH
@@ -690,7 +760,7 @@ class TestAgainstPerProbeReads:
         assert grid_reads == []
         assert fast[0][0] and fast == run_tilt(
             oracle_tilting_limit, BOB, registered, probes=[vt(0)])
-        unregistered = GridFamily(dyadic_grid, dyadic_family().embed)
+        unregistered = GridFamily(dyadic_grid)
         with pytest.raises(InputError):
             tilting_limit(BOB, unregistered, probes=[vt(0)])
         grid_reads.clear()
@@ -743,6 +813,7 @@ def verdict(limit, process, family, **options):
         result = limit(process, family, **options)
     except Exception as err:
         return type(err), str(err)
+    assert_stop_agrees(result)
     return (result.converged, result.stop, list(result.table.items()),
             result.witness and result.witness[0])
 
@@ -794,7 +865,7 @@ class TestClosedForm:
            st.sampled_from(SWEEP_KAPPAS + ["alt:w,w*2", "alt:w*2+1,w+3"]))
     @settings(max_examples=60, deadline=None)
     def test_nested_probes_of_odd_denominators(self, p, d, k, v, text):
-        process = StopIndexFamily(kappa=cli._parse_kappa(text), label=text)
+        process = StopIndexFamily(kappa=cli._parse_kappa(text))
         options = {"probes": [VTime(Fraction(p, d * 2 ** k), v)]}
         assert run_tilt(tilting_limit, process, nested_family(), **options) \
             == run_tilt(oracle_tilting_limit, process, nested_family(),
@@ -929,7 +1000,7 @@ class TestClosedForm:
     def test_windowed_inputs_are_rejected(self):
         # a plain callable, or any process on an unregistered family, has
         # no closed form; the window reader still reads them
-        unregistered = GridFamily(dyadic_grid, dyadic_family().embed)
+        unregistered = GridFamily(dyadic_grid)
         plain = lambda n, time: 1 if time < vt(3 * Fraction(1, 2 ** n)) else 0
         for process, family in ((plain, dyadic_family()), (BOB, unregistered)):
             with pytest.raises(InputError, match="stop-index family on a "

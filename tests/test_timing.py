@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from exform import timing
+from exform import tilt, timing
 from exform.errors import InconsistentOutcome, InputError
 from exform.timing import (
     NEVER,
@@ -35,6 +35,7 @@ from exform.timing import (
 )
 from exform.tilt import validate_grid
 from exform.vtime import VTime, ordinal, vt
+from test_tilt import check_refines
 
 ETAS = [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5)]
 
@@ -98,7 +99,7 @@ class TestClosedForms:
 class TestPayoffTable:
     def test_pre_whistle_fine(self):
         outcome = RaceOutcome(0, NEVER, StopperClass.PRE_WHISTLE, ())
-        assert payoff(outcome, 1, "pre") == (Fraction(-1), Fraction(-1))
+        assert payoff(outcome, 1) == (Fraction(-1), Fraction(-1))
 
     def test_sole_second_player_in_local_currency(self):
         outcome = RaceOutcome(NEVER, 3, StopperClass.SOLE_2, ())
@@ -122,17 +123,14 @@ class TestPayoffTable:
 
     def test_inconsistencies_rejected(self):
         bad = [
-            (RaceOutcome(2, 1, StopperClass.SOLE_1, ()), "post"),
-            (RaceOutcome(NEVER, 1, StopperClass.SOLE_1, ()), "post"),
-            (RaceOutcome(1, 2, StopperClass.SIMULTANEOUS, ()), "post"),
-            (RaceOutcome(1, NEVER, StopperClass.NEVER, ()), "post"),
-            (RaceOutcome(1, 1, StopperClass.SIMULTANEOUS, ()), "pre"),
+            RaceOutcome(2, 1, StopperClass.SOLE_1, ()),
+            RaceOutcome(NEVER, 1, StopperClass.SOLE_1, ()),
+            RaceOutcome(1, 2, StopperClass.SIMULTANEOUS, ()),
+            RaceOutcome(1, NEVER, StopperClass.NEVER, ()),
         ]
-        for outcome, relation in bad:
+        for outcome in bad:
             with pytest.raises(InconsistentOutcome):
-                payoff(outcome, 1, relation)
-        with pytest.raises(InputError):
-            payoff(RaceOutcome(1, 1, StopperClass.SIMULTANEOUS, ()), 1, "during")
+                payoff(outcome, 1)
 
 
 class TestConfig:
@@ -292,14 +290,32 @@ class TestDeviations:
 
 class TestGridApproximant:
     def test_degenerate_grid_is_valid(self):
-        assert validate_grid(race_grid(TimingConfig(), 0)).valid
+        validate_grid(race_grid(TimingConfig(), 0))
 
     def test_anchored_grid_is_valid(self):
         grid = race_grid(TimingConfig(whistle=Fraction(1, 3)), 4)
-        assert validate_grid(grid).valid
+        validate_grid(grid)
         assert grid(ordinal(0)) == vt(0)
         assert grid(ordinal(1)) == vt(Fraction(1, 3))
         assert grid(ordinal(2)) == vt(Fraction(1, 3) + Fraction(1, 16))
+
+    @pytest.mark.parametrize("n", range(-2, 11))
+    def test_race_grids_meet_the_axioms_and_refine(self, n):
+        # the race grid meets the axioms by construction and nothing checks
+        # it at run time: the sampled check accepts it, and it refines into
+        # the next grid
+        for whistle in (0, Fraction(1, 3), Fraction(5, 8), 3):
+            config = TimingConfig(whistle=whistle)
+            validate_grid(race_grid(config, n))
+            assert check_refines(race_grid(config, n), race_grid(config, n + 1))
+
+    def test_the_approximant_checks_no_grid(self, monkeypatch):
+        def refuse(grid):
+            raise AssertionError("validate_grid called")
+
+        monkeypatch.setattr(tilt, "validate_grid", refuse)
+        approx = grid_approximant(TimingConfig(whistle=Fraction(1, 3)), 4)
+        assert approx.grid(ordinal(1)) == vt(Fraction(1, 3))
 
     def test_frequencies_match_closed_form(self):
         config = TimingConfig(eta=1, trials=10 ** 4, seed=42)
