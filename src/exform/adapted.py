@@ -40,7 +40,7 @@ def check_adapted(sdf, c, info, refchoices, agent_moves):
         raise ChoiceError("not a nonempty union of nodes: "
                           + canonical_text(frozenset(c)))
     table = SliceTable(sdf, agent_moves, info, refchoices)
-    return not table.cut([frozenset(c)], join=True)
+    return not table.cut([frozenset(c)])
 
 
 class _Slice:
@@ -80,11 +80,12 @@ class SliceTable:
     A choice is adapted iff no slice is a whole root and, joined scenario
     by scenario, its entries agree (``_fold``): then availability is
     constant on each move's domain, and joint availability on each block.
-    ``cut`` reads a batch of choices per information component, so its
-    cost follows their distinct slices.  The variables are laid out on the
-    first entry read, so a malformed partition is reported by the check
-    that first reads one.  The table refers to no form, so it is freed
-    when the call that built it returns.
+    Every table cuts one way: ``cut`` reads a batch of choices per
+    information component, so its cost follows their distinct slices, and
+    returns those not adapted.  The variables are laid out by the first
+    nonempty cut or entry read, so a malformed partition is reported by
+    the check that first reads one.  The table refers to no form, so it is
+    freed when the call that built it returns.
     """
 
     def __init__(self, sdf, agent_moves, info, refchoices, choices=()):
@@ -132,22 +133,20 @@ class SliceTable:
         return [(sum(self.root_masks[k] for k in ks), [
             (k, self.trees[k], self.root_masks[k]) for k in ks]) for ks in found]
 
-    def cut(self, choices, join=False):
+    def cut(self, choices):
         """Record each choice's slices, predecessor set and memberships, in
-        order; with ``join``, return the choices not adapted.  Each mask of
-        the choices on a component (on a tree without ``join``) is cut once
-        into a piece: its slices' predecessor sets and folded entries, cut
-        to the availability bits that components share."""
+        order, and return the choices not adapted.  Each mask of the choices
+        on an information component is cut once into a piece: its slices'
+        predecessor sets and folded entries, cut to the availability bits
+        that components share."""
         choices = list(choices)
         if not choices:   # lay out no variables
             return []
         wholes = list(map(self.mask, choices))
         self.choice_of.update(zip(wholes, choices))
-        free = join and self.start(self.scenarios)
+        free = self.start(self.scenarios)
         pieces, kept = [[] for _ in choices], {}   # equal pieces kept once
-        for group, ks in self.components if join else [
-                (root, [(k, tree, root)]) for k, tree, root in zip(
-                    itertools.count(), self.trees, self.root_masks)]:
+        for group, ks in self.components:
             seen = {}   # a mask on the group -> (its piece, its positions)
             into = {}   # a nonempty slice's record -> its masks' positions
             for n, whole in enumerate(wholes):
@@ -156,8 +155,8 @@ class SliceTable:
                 if got is None:
                     records = [(k, tree.get(key & root) or self._record(
                         k, key & root, choices[n])) for k, tree, root in ks]
-                    bits = join and _fold(0, 0, [r.entry or self._entry(k, r)
-                                                 for k, r in records])
+                    bits = _fold(0, 0, [r.entry or self._entry(k, r)
+                                        for k, r in records])
                     piece = (frozenset().union(*[r.preds for _, r in records]),
                              bits and (bits[0] & free, bits[1] & free))
                     got = seen[key] = kept.setdefault(piece, piece), []
@@ -175,7 +174,7 @@ class SliceTable:
             if key not in joined:
                 p = frozenset().union(*[preds for preds, _ in mine])
                 joined[key] = (self.shared.setdefault(p, p),
-                               not join or _fold(0, 0, [b for _, b in mine]))
+                               _fold(0, 0, [b for _, b in mine]))
             self.preds[c], adapted = joined[key]
             if not adapted:
                 failed.append(c)

@@ -231,9 +231,13 @@ class TreeFills:
 
 def scenario_outcomes(sef, profile):
     """The outcome the profile's play reaches in each scenario, from the
-    root of its tree, scenarios in sorted order."""
+    root of its tree, scenarios in sorted order; a root that is no move is
+    its own one outcome."""
     outcome = TreeFills(sef).reader(profile_tables(sef, profile))
-    return {w: outcome(sef.sdf.root_of(w)) for w in sorted(sef.sdf.scenarios)}
+    moves = sef.sdf.forest.moves()
+    roots = {w: sef.sdf.root_of(w) for w in sorted(sef.sdf.scenarios)}
+    return {w: outcome(x) if x in moves else next(iter(x))
+            for w, x in roots.items()}
 
 
 @dataclass

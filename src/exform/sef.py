@@ -6,7 +6,6 @@ each agent owns a set of random moves, an information structure, reference
 choices, and a set of adapted choices subject to six consistency axioms.
 """
 
-import functools
 import itertools
 import math
 from collections import namedtuple
@@ -114,8 +113,7 @@ def _validate(form):
                 violations.append(("choice", (
                     i, f"not a nonempty union of nodes: {canonical_text(c)}")))
         tables[i] = slice_table(form, i, ())
-        violations.extend(("adapted", (i, c))
-                          for c in tables[i].cut(nodes, join=True))
+        violations.extend(("adapted", (i, c)) for c in tables[i].cut(nodes))
     if violations:
         return SEFReport(False, sorted_violations(violations, SEF_KINDS))
     form._index = _menu_index(form, tables)
@@ -254,10 +252,11 @@ def _menu_index(form, tables):
     an information set has moves to its moves there and its menu grouped
     by slice, the choices with one slice c & root in one group, as the
     table groups the choices offered at the set's first move there.  On a
-    validated form these are the menu's choices.  A form assembled without
-    validation may add choices offered at that move but off the menu:
-    ``_Deviations`` never looks up their partial sums, and a group's first
-    member reads the outcome every member with its slice reads.
+    validated form these are the menu's choices.  A form the tests
+    assemble without validation may add choices offered at that move but
+    off the menu: ``_Deviations`` never looks up their partial sums, and a
+    group's first member reads the outcome every member with its slice
+    reads.
 
     ``root`` maps each move to the root of its tree, and ``walks`` maps
     each root to its (agent, move) pairs and its walk: the tree's moves
@@ -309,9 +308,8 @@ class StochasticExtensiveForm:
     A validated extensive form.  Construction stores the data once and
     validates the stored form.  Validation builds the menu index, with the
     menus grouped by slice in each tree and each tree's walk for outcome
-    fills, from the slice tables of its first pass; a form assembled
-    without validation builds it on first use from slice tables of its
-    own.  The form keeps no table: each check that needs one builds the
+    fills, from the slice tables of its first pass; no other code builds
+    one.  The form keeps no table: each check that needs one builds the
     agent's slice table and drops it when it returns.
     """
 
@@ -326,7 +324,7 @@ class StochasticExtensiveForm:
                 self.report.violations[:1]))
 
     def _store(self, sdf, agents, agent_moves, info, refchoices, choices):
-        """The normalised fields, before or without validation."""
+        """The normalised fields, before validation indexes them."""
         self.sdf = sdf
         self.agents = tuple(agents)
         self.agent_moves = {i: frozenset(agent_moves[i]) for i in self.agents}
@@ -335,12 +333,6 @@ class StochasticExtensiveForm:
                            for i in self.agents}
         self.choices = {i: frozenset(frozenset(c) for c in choices[i])
                         for i in self.agents}
-
-    @functools.cached_property
-    def _index(self):
-        """The menu index of a form assembled without validation."""
-        return _menu_index(self, {i: slice_table(self, i, self.choices[i])
-                                  for i in self.agents})
 
     def moves_of(self, i):
         return self._index.moves[i]

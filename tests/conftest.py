@@ -11,8 +11,10 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 from exform.actionpath import ActionPathData
+from exform.adapted import _fold, slice_table
 from exform.forest import DecisionForest
 from exform.order import Poset
+from exform.sef import StochasticExtensiveForm, _menu_index
 
 LABELS = "abcdefghijkl"
 TESTS = Path(__file__).resolve().parent
@@ -319,3 +321,48 @@ def constant_choice_parts(n):
     return (sdf, ("i",), {"i": frozenset({move})},
             {"i": {move: frozenset({frozenset(scenarios)})}},
             {"i": {move: constant}}, {"i": frozenset(constant)})
+
+
+def cut_oracle(table, c, join=False):
+    """
+    ``SliceTable.cut`` as it was before it cut a batch per information
+    component, one choice at a time over every tree, kept verbatim apart
+    from its name and its reads of the table: record the choice's slices,
+    predecessor set and memberships; with ``join``, return whether it is
+    adapted.  Without ``join`` it reads no partition.
+    """
+    whole = table.mask(c)
+    table.choice_of[whole] = c
+    preds, entries = [], [False] * len(table.trees)
+    for k, tree, root in zip(itertools.count(), table.trees, table.root_masks):
+        s = whole & root
+        record = tree.get(s) or table._record(k, s, c)
+        if s:
+            record.members.append(c)
+            if record.preds:
+                preds.append(record.preds)
+        if join:
+            entries[k] = record.entry or table._entry(k, record)
+    p = frozenset().union(*preds)
+    table.preds[c] = table.shared.setdefault(p, p)
+    return join and _fold(0, 0, entries) is not None
+
+
+def unvalidated(parts):
+    """
+    A form assembled from (sdf, agents, agent_moves, info, refchoices,
+    choices) without validation, on purpose: the parts stored as the
+    constructor stores them, and the menu index read off slice tables
+    that ``cut_oracle`` fills one choice at a time without join, so that
+    no partition is read and a form with empty information maps indexes
+    all the same.
+    """
+    form = object.__new__(StochasticExtensiveForm)
+    form._store(*parts)
+    tables = {}
+    for i in form.agents:
+        tables[i] = slice_table(form, i, ())
+        for c in form.choices[i]:
+            cut_oracle(tables[i], c)
+    form._index = _menu_index(form, tables)
+    return form

@@ -8,7 +8,7 @@ whole search over all of an information set's scenarios at once, which
 ``exform.sef`` ran before the join listed them and which is kept below
 as the join's oracle; and the slice table's batch cut, one read per
 distinct mask of the choices on each information component, against the
-cut over every (choice, tree) pair it replaced.
+cut over every (choice, tree) pair it replaced, ``cut_oracle`` of conftest.
 """
 
 import functools
@@ -21,8 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (constant_choice_parts, make_rng, random_strict_sef,
-                      stdout_across_hash_seeds)
+from conftest import (constant_choice_parts, cut_oracle, make_rng,
+                      random_strict_sef, stdout_across_hash_seeds, unvalidated)
 from exform._util import canonical
 from exform.errors import BudgetExceeded, ChoiceError, InputError, StructureError
 from exform.forest import immediate_predecessors, is_union_of_nodes
@@ -68,7 +68,6 @@ from test_slices import (
     dropped,
     parts_of,
     slices_oracle,
-    unvalidated,
 )
 
 # the caps of the two product searches
@@ -314,7 +313,7 @@ def check_leaves_against_product(form, limit=2 * 10 ** 5):
                 compared += 1
                 unions = [c for c in (frozenset().union(*combo) for combo
                                       in itertools.product(*options)) if c]
-                expected = set(unions) - set(table.cut(unions, join=True))
+                expected = set(unions) - set(table.cut(unions))
                 leaves = [c for c in search(form, i, members, menu, void)
                           if c]
                 assert len(leaves) == len(set(leaves))
@@ -328,9 +327,7 @@ def check_axiom6_against_oracle(parts):
     report = validate_sef(*parts)
     if "axiom6" not in report.checked:
         return report
-    form = StochasticExtensiveForm.__new__(StochasticExtensiveForm)
-    form._store(*parts)
-    witnesses, flag = axiom6_oracle(form)
+    witnesses, flag = axiom6_oracle(unvalidated(parts))
     if flag is not None:
         assert report.checked["axiom6"] is flag
         assert [v for v in report.violations if v[0] == "axiom6"] == witnesses
@@ -355,10 +352,7 @@ class TestCheckAdapted:
         for name in SMALL + ["amd", "mp-case3"]:
             form = BUNDLED[name]()
             for _ in range(2):
-                parts = parts_of(form, dropped(form, rng))
-                variant = StochasticExtensiveForm.__new__(
-                    StochasticExtensiveForm)
-                variant._store(*parts)
+                variant = unvalidated(parts_of(form, dropped(form, rng)))
                 check_table_against_oracle(variant, rng, sample=30)
 
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
@@ -407,10 +401,8 @@ class TestAdaptedSearch:
         for name in SMALL:
             form = BUNDLED[name]()
             for _ in range(3):
-                variant = StochasticExtensiveForm.__new__(
-                    StochasticExtensiveForm)
-                variant._store(*parts_of(form, dropped(form, rng)))
-                check_leaves_against_product(variant)
+                check_leaves_against_product(
+                    unvalidated(parts_of(form, dropped(form, rng))))
         for seed in range(30):
             check_leaves_against_product(random_strict_sef(random.Random(seed)))
 
@@ -545,14 +537,14 @@ def uneven_parts(linked=False):
             at_b: frozenset(frozenset(w) for w in "st")}
     refs = {at_x: (), at_z: (ref,) if linked else (), at_b: ()}
     # the choices are the unions the slice table reads adapted
-    table = slice_table(stored((sdf, ("i",), {"i": {at_x, at_z, at_b}},
-                                {"i": info}, {"i": refs}, {"i": ()})),
+    table = slice_table(unvalidated((sdf, ("i",), {"i": {at_x, at_z, at_b}},
+                                     {"i": info}, {"i": refs}, {"i": ()})),
                         "i", ())
     unions = [s | t | r | q for s in plain["u"] for t in slices["v"]
               for r in slices["w"] for q in slices["x"]]
     unions += [s | t for s in plain["s"] for t in plain["t"]]
     return (sdf, ("i",), {"i": {at_x, at_z, at_b}}, {"i": info},
-            {"i": refs}, {"i": {c for c in unions if not table.cut([c], join=True)}})
+            {"i": refs}, {"i": {c for c in unions if not table.cut([c])}})
 
 
 def outside_parts():
@@ -629,13 +621,6 @@ def twelve_atoms():
     return amd_sef(12)[0]
 
 
-def stored(parts):
-    form = StochasticExtensiveForm.__new__(StochasticExtensiveForm)
-    form._store(*parts)
-    form._index   # the menu index, as validation builds it
-    return form
-
-
 class TestCountPerComponent:
     @pytest.mark.parametrize("name", sorted(BUNDLED))
     def test_bundled(self, name):
@@ -655,8 +640,8 @@ class TestCountPerComponent:
     def test_strict_forms(self, seed):
         form = random_strict_sef(make_rng(seed))
         count_as_listed(form)
-        count_as_listed(stored(parts_of(form, dropped(form,
-                                                      random.Random(seed)))))
+        count_as_listed(unvalidated(parts_of(form, dropped(
+            form, random.Random(seed)))))
 
     def test_dropped_variants_fail_axiom6_with_the_same_list(self):
         rng = random.Random(33)
@@ -665,20 +650,21 @@ class TestCountPerComponent:
             form = BUNDLED[name]()
             for _ in range(2):
                 parts = parts_of(form, dropped(form, rng))
-                counted += bool(count_as_listed(stored(parts)))
+                counted += bool(count_as_listed(unvalidated(parts)))
                 report = check_axiom6_against_oracle(parts)
                 failed += report.checked.get("axiom6") is False
         assert counted and failed
 
     def test_components_that_disagree_on_availability(self):
         # X's set: 4 x 4 pairs, 8 agree on Y's bit; Y's set: 2 x 2
-        assert count_as_listed(stored(two_level_parts())) == [(2, 8), (2, 4)]
+        assert count_as_listed(unvalidated(two_level_parts())) \
+            == [(2, 8), (2, 4)]
         assert validate_sef(*two_level_parts()).checked["axiom6"] is True
         # with the diagonal choices only, the join lists the 4 missing
         # unions at X's set, and at Y's set the 2 of them that take
         # {a, b} or {a, c} in both trees
         parts = two_level_parts(diagonal=True)
-        assert count_as_listed(stored(parts)) == [(2, 8), (2, 4)]
+        assert count_as_listed(unvalidated(parts)) == [(2, 8), (2, 4)]
         report = check_axiom6_against_oracle(parts)
         assert report.checked["axiom6"] is False
         assert len([v for v in report.violations if v[0] == "axiom6"]) == 6
@@ -696,7 +682,7 @@ class TestCountPerComponent:
         # B's set: 2 x 2, with X's and Z's bits fixed off its scenarios;
         # X's set: u's 2 leaves, times the 4^3 of v, w and x that agree
         # on Z's bit, 2 x (8 + 8); Z's set: X's bit is 0 at u, no leaf
-        form = stored(uneven_parts())
+        form = unvalidated(uneven_parts())
         assert count_as_listed(form) == [(2, 4), (4, 32), (3, 0)]
         assert validate_sef(*uneven_parts()).checked["axiom6"] is True
 
@@ -704,20 +690,20 @@ class TestCountPerComponent:
         # Z's measurability bit is in the masks of v's slice {a, b} and
         # set by the slices {a, c} of w and x: v, w and x are one
         # component, with u 2 x (8 + 1) = 18 leaves
-        form = stored(uneven_parts(linked=True))
+        form = unvalidated(uneven_parts(linked=True))
         assert count_as_listed(form) == [(2, 4), (2, 18)]
 
     def test_menu_choices_with_slices_off_the_set_are_not_counted(self):
         # 4 unions against the 3 menu choices inside u and v: the join
         # lists the missing one
         parts = outside_parts()
-        assert count_as_listed(stored(parts)) == [(2, 4)]
+        assert count_as_listed(unvalidated(parts)) == [(2, 4)]
         report = check_axiom6_against_oracle(parts)
         assert [v for v in report.violations if v[0] == "axiom6"] \
             == [("axiom6", ("i", frozenset({"u:a", "v:a"})))]
 
     def test_chained_blocks_are_one_component(self):
-        form = stored(chained_parts())
+        form = unvalidated(chained_parts())
         table = slice_table(form, "j", form.choices["j"])
         (p,), _ = info_sets(form, "j")
         _, options = _search_plan(form, "j", p.random_moves, table, False)
@@ -798,31 +784,6 @@ class TestCountPerComponent:
 
 # --- the batch cut against the per-(choice, tree) cut it replaced --------------
 
-def cut_oracle(table, c, join=False):
-    """
-    ``SliceTable.cut`` as it was before it cut a batch per information
-    component, one choice at a time over every tree, kept verbatim apart
-    from its name and its reads of the table: record the choice's slices,
-    predecessor set and memberships; with ``join``, return whether it is
-    adapted.
-    """
-    whole = table.mask(c)
-    table.choice_of[whole] = c
-    preds, entries = [], [False] * len(table.trees)
-    for k, tree, root in zip(itertools.count(), table.trees, table.root_masks):
-        s = whole & root
-        record = tree.get(s) or table._record(k, s, c)
-        if s:
-            record.members.append(c)
-            if record.preds:
-                preds.append(record.preds)
-        if join:
-            entries[k] = record.entry or table._entry(k, record)
-    p = frozenset().union(*preds)
-    table.preds[c] = table.shared.setdefault(p, p)
-    return join and _fold(0, 0, entries) is not None
-
-
 def record_rows(table):
     """Each tree's records in the order made: outcomes, mask, predecessor
     set in iteration order, members in order, and entry once read."""
@@ -840,31 +801,29 @@ def assert_offering_current(table):
             if x in r.preds]
 
 
-def assert_cut_as_oracle(form, choices=None, joins=(False, True)):
+def assert_cut_as_oracle(form, choices=None):
     """
-    Each agent's choices cut in one batch against the oracle cutting them
-    one by one, on two fresh tables: the verdicts, predecessor sets,
-    masks, records (members in order) and entries, and the move index.
-    A join raises what the oracle raises on a malformed partition, and a
-    cut without join reads no partition.
+    Each agent's choices cut in one batch against the oracle cutting and
+    joining them one by one, on two fresh tables: the verdicts,
+    predecessor sets, masks, records (members in order) and entries, and
+    the move index.  The cut raises what the oracle raises on a malformed
+    partition, and lays out the variables once it cuts a choice.
     """
     for i in form.agents:
         cs = list(form.choices[i] if choices is None else choices[i])
-        for join in joins:
-            table, oracle = (slice_table(form, i, ()) for _ in range(2))
-            try:
-                expected = [c for c in cs if not cut_oracle(oracle, c, join)]
-            except InputError as err:
-                with pytest.raises(InputError, match=re.escape(str(err))):
-                    table.cut(cs, join)
-                continue
-            assert table.cut(cs, join) == (expected if join else [])
-            assert ("at" in vars(table)) == ("at" in vars(oracle)) \
-                == (join and bool(cs))
-            assert table.preds == oracle.preds
-            assert table.choice_of == oracle.choice_of
-            assert record_rows(table) == record_rows(oracle)
-            assert_offering_current(table)
+        table, oracle = (slice_table(form, i, ()) for _ in range(2))
+        try:
+            expected = [c for c in cs if not cut_oracle(oracle, c, join=True)]
+        except InputError as err:
+            with pytest.raises(InputError, match=re.escape(str(err))):
+                table.cut(cs)
+            continue
+        assert table.cut(cs) == expected
+        assert ("at" in vars(table)) == ("at" in vars(oracle)) == bool(cs)
+        assert table.preds == oracle.preds
+        assert table.choice_of == oracle.choice_of
+        assert record_rows(table) == record_rows(oracle)
+        assert_offering_current(table)
 
 
 def mixed(form, rng, extra=12):
@@ -916,7 +875,7 @@ class TestBatchCut:
         assert_cut_as_oracle(form, mixed(form, random.Random(k)))
 
     def test_twelve_atom_exit_race(self):
-        assert_cut_as_oracle(twelve_atoms(), joins=(True,))
+        assert_cut_as_oracle(twelve_atoms())
 
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
            st.sampled_from([None, "missing", "empty block", "short",
@@ -942,9 +901,9 @@ class TestBatchCut:
                               refs, choices))
         for i in agents:
             table = slice_table(pseudo, i, ())
-            assert table.cut([], join=True) == [] and "at" not in vars(table)
+            assert table.cut([]) == [] and "at" not in vars(table)
             with pytest.raises(InputError, match="no partition supplied"):
-                table.cut(sorted(choices[i], key=sorted)[:1], join=True)
+                table.cut(sorted(choices[i], key=sorted)[:1])
 
     def test_index_follows_records_made_later(self):
         # options(void=True) and offered_option make records after the cut
@@ -968,6 +927,6 @@ class TestBatchCut:
         folds = []
         monkeypatch.setattr(adapted, "_fold", lambda known, value, entries: (
             folds.append(len(entries)), _fold(known, value, entries))[1])
-        assert table.cut(form.choices["j"], join=True) == []
+        assert table.cut(form.choices["j"]) == []
         assert [len(ks) for _, ks in table.components] == [2] * 8
         assert folds == [2] * 16 + [8]

@@ -13,7 +13,8 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import comb_sef, constant_choice_parts, stdout_across_hash_seeds
+from conftest import (comb_sef, constant_choice_parts, stdout_across_hash_seeds,
+                      unvalidated)
 from exform import order, tilt, timing
 from exform.cli import (
     _closure,
@@ -27,7 +28,6 @@ from exform.instances import amd_sef, load_example
 from exform.errors import ExformError, InputError
 from exform.sef import StochasticExtensiveForm
 from test_adapted import twelve_atoms
-from test_slices import unvalidated
 from test_validate import twinned
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")

@@ -40,6 +40,7 @@ from exform.errors import (
     InputError,
     MultipleOutcomes,
     NoOutcome,
+    NotAHistory,
     UnknownExample,
     ZeroProbabilityBlockRequested,
 )
@@ -63,7 +64,7 @@ from exform.play import (
     profile_tables,
     scenario_outcomes,
 )
-from exform.sdf import RandomMove, StochasticDecisionForest
+from exform.sdf import RandomMove, StochasticDecisionForest, check_flags
 from exform.sef import (
     InfoSet,
     StochasticExtensiveForm,
@@ -82,7 +83,8 @@ from test_acceptance import (
     _mp_profile,
     _reaction_map,
 )
-from conftest import make_rng, random_strict_sef, stdout_across_hash_seeds
+from conftest import (make_rng, random_strict_sef, stdout_across_hash_seeds,
+                      unvalidated)
 from test_play import dealt_to_two, one_move_pseudo
 
 EXAMPLES = ["simple", "simple-variant", "amd",
@@ -1867,11 +1869,11 @@ def skipped_failure(gain):
     sdf = StochasticDecisionForest(
         DecisionForest(outcomes, nodes), ("u", "v"),
         {x: min(x)[0] for x in nodes}, [move])
-    sef = object.__new__(StochasticExtensiveForm)
-    sef._store(sdf, ("i",), {"i": {move}},
-               {"i": {move: frozenset({frozenset("u"), frozenset("v")})}},
-               {"i": {move: ()}},
-               {"i": [{"u:1", "v:1"}, {"u:2", "v:2"}, {"u:3", "v:2", "v:3"}]})
+    sef = unvalidated((
+        sdf, ("i",), {"i": {move}},
+        {"i": {move: frozenset({frozenset("u"), frozenset("v")})}},
+        {"i": {move: ()}},
+        {"i": [{"u:1", "v:1"}, {"u:2", "v:2"}, {"u:3", "v:2", "v:3"}]}))
     (unit,) = units(sef)
     (t0, _, bad) = strategies(sef, "i")
     taste = {o: Fraction(int(o[2]) if o[0] == "u" else 0) for o in outcomes}
@@ -1902,14 +1904,13 @@ def two_failures():
     sdf = StochasticDecisionForest(
         DecisionForest(outcomes, nodes), ("u", "v", "x"),
         {x: min(x)[0] for x in nodes}, [at_a, at_b])
-    sef = object.__new__(StochasticExtensiveForm)
-    sef._store(sdf, ("i",), {"i": {at_a, at_b}},
-               {"i": {at_a: frozenset({frozenset("uvx")}),
-                      at_b: frozenset({frozenset("v")})}},
-               {"i": {at_a: (), at_b: ()}},
-               {"i": [{"u:1", "v:1", "x:1"},
-                      {"u:1", "v:1", "v:2", "v:3", "x:2", "x:3"},
-                      {"v:2"}, {"v:3"}]})
+    sef = unvalidated((sdf, ("i",), {"i": {at_a, at_b}},
+                       {"i": {at_a: frozenset({frozenset("uvx")}),
+                              at_b: frozenset({frozenset("v")})}},
+                       {"i": {at_a: (), at_b: ()}},
+                       {"i": [{"u:1", "v:1", "x:1"},
+                              {"u:1", "v:1", "v:2", "v:3", "x:2", "x:3"},
+                              {"v:2"}, {"v:3"}]}))
     plays = {"u:1", "v:1", "v:2", "x:1"}
     profile = StrategyProfile({"i": next(
         t for t in strategies(sef, "i")
@@ -2547,3 +2548,83 @@ def test_assessment_at_a_shared_node_is_checked():
     report = assert_same_as_two_pass(form, eu, profile).consistency
     assert report.witnesses[frozenset({second, shared})] \
         == ("assessment", shared, "w", middle)
+
+
+# --- a scenario whose tree is one outcome -------------------------------------
+
+def lone_outcome_form():
+    """
+    Outcomes a:1, a:2 and b:0, with nodes {a:1, a:2} and the singletons:
+    scenario b's tree is its one outcome.  Agent i owns the move on
+    {a:1, a:2} (scenario a) under trivial information, and its choices
+    and reference choices are {a:1} and {a:2}.  Returns the form and i's
+    strategy that plays {a:1}.
+    """
+    outcomes = ["a:1", "a:2", "b:0"]
+    top = frozenset({"a:1", "a:2"})
+    nodes = [top, *(frozenset({o}) for o in outcomes)]
+    move = RandomMove({"a": top})
+    sdf = StochasticDecisionForest(DecisionForest(outcomes, nodes), ("a", "b"),
+                                   {x: min(x)[0] for x in nodes}, [move])
+    picks = (frozenset({"a:1"}), frozenset({"a:2"}))
+    form = StochasticExtensiveForm(
+        sdf, ("i",), {"i": {move}}, {"i": {move: frozenset({frozenset("a")})}},
+        {"i": {move: picks}}, {"i": picks})
+    (plays,) = [t for t in strategies(form, "i")
+                if set(t.assignment.values()) == {picks[0]}]
+    return form, plays
+
+
+def with_lone_scenario(sef):
+    """The form with one more scenario, z, whose tree is its one outcome
+    z:0; every move, information partition and choice is the form's."""
+    sdf, lone = sef.sdf, frozenset({"z:0"})
+    forest = DecisionForest([*sdf.forest.outcomes, "z:0"],
+                            [*sdf.forest.nodes, lone])
+    grown = StochasticDecisionForest(forest, (*sdf.scenarios, "z"),
+                                     {**sdf.projection, lone: "z"},
+                                     list(sdf.random_moves))
+    return StochasticExtensiveForm(grown, sef.agents, sef.agent_moves,
+                                   sef.info, sef.refchoices, sef.choices)
+
+
+class TestOneOutcomeScenario:
+    def test_play_reaches_the_lone_outcome(self):
+        form, plays = lone_outcome_form()
+        assert form.report.valid
+        assert check_flags(form.sdf).surely_nontrivial is False
+        profile = StrategyProfile({"i": plays})
+        assert scenario_outcomes(form, profile) == {"a": "a:1", "b": "b:0"}
+        # a terminal node is still no history
+        with pytest.raises(NotAHistory):
+            outcome_from(form, profile_tables(form, profile),
+                         frozenset({"b:0"}))
+
+    def test_beliefs_and_equilibrium(self):
+        form, plays = lone_outcome_form()
+        profile = StrategyProfile({"i": plays})
+        beliefs = bayes_beliefs(form, {"a": HALF, "b": HALF}, profile)
+        (unit,) = units(form)
+        assert beliefs[unit].prob == {"a": Fraction(1)}
+        taste = {"a:1": Fraction(1), "a:2": Fraction(0), "b:0": Fraction(3)}
+        assert verify_equilibrium(form, EUStructure(beliefs, {unit: taste}),
+                                  profile).in_equilibrium is True
+        taste = {**taste, "a:2": Fraction(2)}
+        assert verify_equilibrium(form, EUStructure(beliefs, {unit: taste}),
+                                  profile).in_equilibrium is False
+
+    def test_simple_form_with_a_lone_scenario(self):
+        sef, eu, profile, expected = load_example("simple")
+        form = with_lone_scenario(sef)
+        assert form.report.valid
+        assert check_flags(form.sdf).surely_nontrivial is False
+        assert scenario_outcomes(form, profile) \
+            == {**scenario_outcomes(sef, profile), "z": "z:0"}
+        prior = {w: q * Fraction(2, 3) for w, q in expected["prior"].items()}
+        beliefs = bayes_beliefs(form, {**prior, "z": Fraction(1, 3)}, profile)
+        assert beliefs == eu.beliefs
+        tastes = {u: {**t, "z:0": Fraction(5)} for u, t in eu.tastes.items()}
+        report = verify_equilibrium(form, EUStructure(beliefs, tastes), profile)
+        assert report.in_equilibrium is True
+        assert report.rationality.payoffs \
+            == verify_equilibrium(sef, eu, profile).rationality.payoffs

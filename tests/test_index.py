@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import comb_parts, forests, make_rng, random_strict_sef
+from conftest import (comb_parts, forests, make_rng, random_strict_sef,
+                      unvalidated)
 from exform._util import canonical
 from exform.errors import (
     ChoiceError,
@@ -236,9 +237,8 @@ class TestOutcomeMap:
         # validation on purpose: the root has several outcomes
         sdf = one_shot(["w:1", "w:2", "w:3"])
         (x0,) = sdf.random_moves
-        pseudo = object.__new__(StochasticExtensiveForm)
-        pseudo._store(sdf, ("i",), {"i": {x0}}, {"i": {}}, {"i": {}},
-                      {"i": [{"w:1", "w:2"}]})
+        pseudo = unvalidated((sdf, ("i",), {"i": {x0}}, {"i": {}}, {"i": {}},
+                              {"i": [{"w:1", "w:2"}]}))
         assert_outcome_map_matches(pseudo, all_profiles(pseudo))
         tables = profile_tables(pseudo, next(all_profiles(pseudo)))
         with pytest.raises(MultipleOutcomes):
@@ -624,22 +624,19 @@ def pseudo_forms():
     bottom move lost its choices, a choice offered at two levels, and one
     move shared by two agents whose choices are disjoint."""
     sdf, agents, agent_moves, info, refchoices, choices = comb_parts(4)
-    comb = object.__new__(StochasticExtensiveForm)
-    comb._store(sdf, agents, agent_moves, info, refchoices, {"i": {
-        c for c in choices["i"] if not c < frozenset({"w:2", "w:3"})}})
+    comb = unvalidated((sdf, agents, agent_moves, info, refchoices, {"i": {
+        c for c in choices["i"] if not c < frozenset({"w:2", "w:3"})}}))
     forest = DecisionForest("abc", [{"a", "b", "c"}, {"a", "b"},
                                     {"a"}, {"b"}, {"c"}])
     top = RandomMove({"w": frozenset("abc")})
     mid = RandomMove({"w": frozenset("ab")})
-    two_levels = object.__new__(StochasticExtensiveForm)
-    two_levels._store(StochasticDecisionForest(
+    two_levels = unvalidated((StochasticDecisionForest(
         forest, ("w",), {x: "w" for x in forest.nodes}, [top, mid]),
-        ("i",), {"i": {top, mid}}, {"i": {}}, {"i": {}}, {"i": [{"a", "c"}]})
-    shared = object.__new__(StochasticExtensiveForm)
+        ("i",), {"i": {top, mid}}, {"i": {}}, {"i": {}}, {"i": [{"a", "c"}]}))
     one = one_shot(["w:1", "w:2"])
     none = {"a": {}, "b": {}}
-    shared._store(one, ("a", "b"), {i: one.random_moves for i in "ab"},
-                  none, none, {"a": [{"w:1"}], "b": [{"w:2"}]})
+    shared = unvalidated((one, ("a", "b"), {i: one.random_moves for i in "ab"},
+                          none, none, {"a": [{"w:1"}], "b": [{"w:2"}]}))
     return [comb, two_levels, shared]
 
 

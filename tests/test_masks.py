@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import forests, make_rng, random_strict_sef
+from conftest import forests, make_rng, random_strict_sef, unvalidated
 from exform._util import canonical
 from exform.forest import immediate_predecessors
 from exform.instances import amd_sef, mp_sef
@@ -32,7 +32,6 @@ from test_slices import (
     parts_of,
     records,
     slices_of,
-    unvalidated,
 )
 from test_validate import (
     adapted_unions_oracle,
@@ -253,7 +252,7 @@ def assert_table_as_frozen(form):
     for i in form.agents:
         frozen = frozen_table(form, i, form.choices[i])
         table = slice_table(form, i, ())
-        assert table.cut(form.choices[i], join=True) \
+        assert table.cut(form.choices[i]) \
             == [c for c in form.choices[i] if not frozen.adapted(c)]
         for c in form.choices[i]:
             assert list(map(list, slices_of(table, c))) \

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import comb_parts, make_rng, random_strict_sef
+from conftest import comb_parts, make_rng, random_strict_sef, unvalidated
 import exform.sef
 from exform import equil, play
 from exform._util import budget
@@ -249,11 +249,9 @@ def one_move_pseudo(outcomes, menus):
     without validation on purpose."""
     sdf = one_shot(outcomes)
     (x0,) = sdf.random_moves
-    pseudo = object.__new__(StochasticExtensiveForm)
     none = {i: {} for i in menus}
-    pseudo._store(sdf, tuple(menus), {i: {x0} for i in menus}, none, none,
-                  menus)
-    return pseudo
+    return unvalidated((sdf, tuple(menus), {i: {x0} for i in menus}, none,
+                        none, menus))
 
 
 def underseparated_pseudo():
@@ -267,9 +265,8 @@ def empty_menu_pseudo():
     sdf, agents, agent_moves, info, refchoices, choices = comb_parts(4)
     bottom = frozenset({"w:2", "w:3"})
     kept = {c for c in choices["i"] if not c < bottom}
-    pseudo = object.__new__(StochasticExtensiveForm)
-    pseudo._store(sdf, agents, agent_moves, info, refchoices, {"i": kept})
-    return pseudo
+    return unvalidated((sdf, agents, agent_moves, info, refchoices,
+                        {"i": kept}))
 
 
 def disjoint_joint_pseudo():
@@ -302,11 +299,9 @@ def coarsened(sef, rng):
         if immediate_predecessors(sef.sdf.forest, c)
         == immediate_predecessors(sef.sdf.forest, d)]
     i, c, d = rng.choice(pairs)
-    pseudo = object.__new__(StochasticExtensiveForm)
-    pseudo._store(sef.sdf, sef.agents, sef.agent_moves, sef.info,
-                  sef.refchoices,
-                  {**sef.choices, i: sef.choices[i] - {c, d} | {c | d}})
-    return pseudo
+    return unvalidated((sef.sdf, sef.agents, sef.agent_moves, sef.info,
+                        sef.refchoices,
+                        {**sef.choices, i: sef.choices[i] - {c, d} | {c | d}}))
 
 
 def unique_first_pseudo():

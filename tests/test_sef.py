@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 
-from conftest import action_path_inputs, comb_parts
+from conftest import action_path_inputs, comb_parts, unvalidated
 from test_adapted import twelve_atoms
 from exform import actionpath
 from exform._util import powerset
@@ -332,9 +332,8 @@ class TestHeraclitus:
         top = RandomMove({"w": frozenset("abc")})
         mid = RandomMove({"w": frozenset("ab")})
         sdf = StochasticDecisionForest(forest, ("w",), projection, [top, mid])
-        pseudo = object.__new__(StochasticExtensiveForm)
-        pseudo._store(sdf, ("i",), {"i": {top, mid}}, {"i": {}}, {"i": {}},
-                      {"i": [{"a", "c"}]})
+        pseudo = unvalidated((sdf, ("i",), {"i": {top, mid}}, {"i": {}},
+                              {"i": {}}, {"i": [{"a", "c"}]}))
         ok, witnesses = check_heraclitus(pseudo)
         assert not ok
         assert any(w[1] == frozenset("abc") and w[2] == frozenset("ab")
@@ -379,8 +378,8 @@ class TestStrategies:
         sdf, agents, agent_moves, info, refchoices, choices = comb_parts(4)
         bottom = frozenset({"w:2", "w:3"})
         kept = {c for c in choices["i"] if not c < bottom}
-        pseudo = object.__new__(StochasticExtensiveForm)
-        pseudo._store(sdf, agents, agent_moves, info, refchoices, {"i": kept})
+        pseudo = unvalidated((sdf, agents, agent_moves, info, refchoices,
+                              {"i": kept}))
         sets, _ = info_sets(pseudo, "i")
         assert sorted(len(pseudo.available_at("i", next(iter(p.random_moves))))
                       for p in sets) == [0, 2, 2]

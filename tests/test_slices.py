@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import forests, make_rng, random_strict_sef
+from conftest import forests, make_rng, random_strict_sef, unvalidated
 from exform._util import canonical
 from exform.forest import immediate_predecessors
 from exform.instances import (
@@ -36,7 +36,6 @@ from exform.sdf import (
 from exform.adapted import slice_table
 from exform.sef import (
     SEFReport,
-    StochasticExtensiveForm,
     _menu,
     check_recall_and_info,
     info_sets,
@@ -175,12 +174,6 @@ def _menus(form, i):
 def parts_of(form, choices=None):
     return (form.sdf, form.agents, form.agent_moves, form.info,
             form.refchoices, form.choices if choices is None else choices)
-
-
-def unvalidated(parts):
-    form = StochasticExtensiveForm.__new__(StochasticExtensiveForm)
-    form._store(*parts)
-    return form
 
 
 def check_against_oracles(parts):

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import unvalidated
 from exform import equil, play
 from exform.equil import (
     Belief,
@@ -53,7 +54,7 @@ from exform.play import (
     scenario_outcomes,
 )
 from exform.sdf import RandomMove, StochasticDecisionForest
-from exform.sef import StochasticExtensiveForm, info_sets, strategies
+from exform.sef import info_sets, strategies
 from test_acceptance import _mp_profile
 from test_equil import (
     EXAMPLES,
@@ -228,14 +229,14 @@ def no_outcome_after_multiple():
     sdf = StochasticDecisionForest(
         DecisionForest(outcomes, nodes), ("u", "v", "x"),
         {x: min(x)[0] for x in nodes}, [at_i, at_b])
-    sef = object.__new__(StochasticExtensiveForm)
-    sef._store(sdf, ("i", "b"), {"i": {at_i}, "b": {at_b}},
-               {"i": {at_i: frozenset({frozenset("uvx")})},
-                "b": {at_b: frozenset({frozenset("x")})}},
-               {"i": {at_i: ()}, "b": {at_b: ()}},
-               {"i": [{"u:1", "v:1", "x:1"}, {"u:2", "v:2", "v:3", "x:2"},
-                      {"u:3", "v:1", "x:3"}],
-                "b": [{"x:1", "x:3"}]})
+    sef = unvalidated((sdf, ("i", "b"), {"i": {at_i}, "b": {at_b}},
+                       {"i": {at_i: frozenset({frozenset("uvx")})},
+                        "b": {at_b: frozenset({frozenset("x")})}},
+                       {"i": {at_i: ()}, "b": {at_b: ()}},
+                       {"i": [{"u:1", "v:1", "x:1"},
+                              {"u:2", "v:2", "v:3", "x:2"},
+                              {"u:3", "v:1", "x:3"}],
+                        "b": [{"x:1", "x:3"}]}))
     profile = StrategyProfile({i: strategies(sef, i)[0] for i in sef.agents})
     beliefs = {(i, p): Belief({w: Fraction(1, len(m.domain)) for w in m.domain},
                               {w: m for w in m.domain})

@@ -25,7 +25,8 @@ from hypothesis import strategies as st
 import exform.adapted
 import exform.forest
 import exform.sdf
-from conftest import make_rng, random_strict_sef, stdout_across_hash_seeds
+from conftest import (make_rng, random_strict_sef, stdout_across_hash_seeds,
+                      unvalidated)
 from exform._util import budget, canonical, canonical_text, sorted_violations
 from exform.errors import BudgetExceeded, ChoiceError, ExformError
 from exform.forest import immediate_predecessors, is_union_of_nodes
@@ -67,7 +68,6 @@ from test_slices import (
     records,
     slices_of,
     slices_oracle,
-    unvalidated,
 )
 
 # --- the code the slice tables replaced ------------------------------------------
