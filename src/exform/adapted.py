@@ -66,9 +66,9 @@ class SliceTable:
     ``trees`` maps each slice mask cut or read in a tree to its ``_Slice``,
     whose outcomes are cut as a set once, when the record is made;
     ``offering`` maps each move to the records it precedes.  ``preds``
-    maps each cut choice to its predecessor set, equal sets kept once, and
-    ``choice_of`` maps its mask to it.  Records, bits and masks are read
-    by this module alone.
+    maps each cut choice to its predecessor set, equal sets kept once: the
+    menu index groups the choices by it.  ``choice_of`` maps its mask to
+    it.  Records, bits and masks are read by this module alone.
 
     Adaptedness is read one slice at a time: a move m defined at w offers
     slice s iff m(w) is an immediate predecessor of s, and jointly with a
@@ -220,19 +220,6 @@ class SliceTable:
             for r, r2 in itertools.combinations(tree.values(), 2):
                 if r.preds and r.preds == r2.preds and r.mask & r2.mask:
                     yield k, r.members, r2.members
-
-    def offered(self):
-        """Each move's choices offered there: the members of the slices the
-        move precedes.  Moves that precede the same slices share the set."""
-        at, shared = {}, {}
-        for x, records in self.offering.items():
-            key = tuple(id(r) for r in records if r.members)
-            if key:
-                if key not in shared:
-                    shared[key] = frozenset(itertools.chain(*[
-                        r.members for r in records]))
-                at[x] = shared[key]
-        return at
 
     @functools.cached_property
     def at(self):

@@ -30,7 +30,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from ._util import budget
+from ._util import budget, canonical_text
 from .errors import (
     EnumerationBudgetExceeded,
     InputError,
@@ -134,8 +134,12 @@ def profile_tables(sef, profile):
         profile = StrategyProfile(profile)
     if set(profile.strategies) != set(sef.agents):
         raise InputError("the profile must name every agent exactly once")
-    return {i: convert_strategy(sef, profile.strategies[i], "move")
-            for i in sef.agents}
+    tables = {i: convert_strategy(sef, profile.strategies[i], "move")
+              for i in sef.agents}
+    for i, table in tables.items():
+        if missing := sef.moves_of(i) - table.keys():
+            raise InputError(f"no choice of {i!r} at {canonical_text(missing)}")
+    return tables
 
 
 def _one_outcome(found, node):

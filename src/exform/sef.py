@@ -120,8 +120,8 @@ def _validate(form):
 
     # Axiom 1: predecessor sets of an agent's choices must not properly
     # overlap, and overlapping choices agree or are disjoint per scenario
-    violations.extend(v for i in agents
-                      for v in _axiom1_violations(tables[i], i))
+    violations.extend(v for i in agents for v in _axiom1_violations(
+        form._index.groups[i], tables[i], i))
 
     # Axiom 2: profiles of available choices of active agents are jointly
     # compatible with the move.  x meets choices as it meets their slices,
@@ -207,18 +207,14 @@ def _separated(sliced, y, y2):
                for slices in sliced for s in slices for s2 in slices)
 
 
-def _axiom1_violations(table, i):
+def _axiom1_violations(groups, table, i):
     """
-    Axiom 1 for the choices of one agent's slice table: every pair of
-    choices whose predecessor sets differ and overlap, and every pair with
-    one predecessor set whose slices on a scenario differ and overlap,
-    paired across the table's overlapping slices of each tree.  Each pair
-    is listed in canonical order.
+    Axiom 1 for one agent's choices, in the menu index's groups by
+    predecessor set: every pair of choices whose predecessor sets differ
+    and overlap, and every pair with one predecessor set whose slices on
+    a scenario differ and overlap, paired across the table's overlapping
+    slices of each tree.  Each pair is listed in canonical order.
     """
-    groups = {}
-    for c, p in table.preds.items():
-        if p:
-            groups.setdefault(p, []).append(c)
     pairs = [(c, c2, "predecessors differ") for (p, cs), (p2, cs2)
              in itertools.combinations(groups.items(), 2) if p & p2
              for c in cs for c2 in cs2]
@@ -229,24 +225,23 @@ def _axiom1_violations(table, i):
 
 
 _MenuIndex = namedtuple("_MenuIndex",
-                        "moves info_sets offered active menu_of menus grouped "
+                        "moves info_sets groups active menu_of menus grouped "
                         "distinct root walks")
 
 
-def _meet(offered, i, m):
-    """The agent's choices offered at every value of the random move."""
-    return frozenset.intersection(*[
-        offered.get((i, m(w)), frozenset()) for w in m.domain])
+def _holding(groups, nodes):
+    """The predecessor sets of the agent's groups that hold the nodes."""
+    return tuple(p for p in groups if nodes <= p)
 
 
 def _menu_index(form, tables):
     """
-    The menus, read off each agent's slice table: per agent its moves and
-    information sets, per (agent, move) the choices offered there, from
-    the members of the table's slices each move precedes, and per move its
-    active agents in agent order.  ``menu_of`` maps each (agent, agent
-    move) to its menu, the meet (``_meet``) that groups the agent's moves
-    into information sets, and ``distinct`` maps each agent and scenario
+    The menus, read off each agent's slice table: per agent its moves, its
+    ``groups``, each nonempty predecessor set -> the choices that have
+    it, and its information sets, the moves whose image the same groups'
+    sets hold (``_holding``); per move its active agents in agent order.
+    ``menu_of`` maps each (agent, agent move) to its set's menu, the
+    union of those groups, and ``distinct`` maps each agent and scenario
     to the table's distinct slices there.  ``menus`` keeps the menus that
     ``_menu`` has sorted, and ``grouped`` maps the root of each tree where
     an information set has moves to its moves there and its menu grouped
@@ -272,13 +267,17 @@ def _menu_index(form, tables):
                                    for w in m.domain)
         for x in index.moves[i]:
             index.active[x] = index.active.get(x, ()) + (i,)
-        index.offered.update(((i, x), cs) for x, cs in table.offered().items())
+        groups = index.groups[i] = {}   # equal sets are one object
+        for c, p in table.preds.items():
+            if p:
+                groups.setdefault(p, []).append(c)
         index.distinct[i] = {w: table.distinct(w) for w in sdf.scenarios}
         by_menu = {}
         for m in sorted(form.agent_moves[i], key=canonical):
-            by_menu.setdefault(_meet(index.offered, i, m), []).append(m)
-        index.menu_of.update(((i, m), menu) for menu, ms in by_menu.items()
-                             for m in ms)
+            by_menu.setdefault(_holding(groups, m.image), []).append(m)
+        for holding, ms in by_menu.items():
+            menu = frozenset().union(*map(groups.get, holding))
+            index.menu_of.update(((i, m), menu) for m in ms)
         sets = tuple(InfoSet(i, frozenset(ms)) for ms in by_menu.values())
         index.info_sets[i] = (sets, MappingProxyType(
             {p: p.moves() for p in sets}))
@@ -288,9 +287,9 @@ def _menu_index(form, tables):
                 moves.setdefault(sdf.projection[x], []).append(x)
             index.grouped[p] = grouped = {}
             for w, xs in moves.items():
-                groups = table.groups_at(xs[0])
-                grouped[sdf.root_of(w)] = (tuple(xs),
-                                           shared.setdefault(groups, groups))
+                by_slice = table.groups_at(xs[0])
+                grouped[sdf.root_of(w)] = (
+                    tuple(xs), shared.setdefault(by_slice, by_slice))
     forest = sdf.forest
     for x in sorted(forest.moves(), key=len):
         root = index.root[x] = sdf.root_of(sdf.projection[x])
@@ -343,12 +342,17 @@ class StochasticExtensiveForm:
     def available_at(self, i, m):
         """The agent's choices offered at every value of the random move:
         an agent move's menu as the index keeps it, any other move's (a
-        ``restricted`` part, say) met from the moves' menus."""
+        ``restricted`` part, say) read off the agent's groups."""
         menu = self._index.menu_of.get((i, m))
-        return _meet(self._index.offered, i, m) if menu is None else menu
+        return self._offered(i, m.image) if menu is None else menu
 
     def available_at_move(self, i, x):
-        return self._index.offered.get((i, x), frozenset())
+        return self._offered(i, {x})
+
+    def _offered(self, i, nodes):
+        """The agent's choices offered at each of the nodes."""
+        groups = self._index.groups[i]
+        return frozenset().union(*map(groups.get, _holding(groups, nodes)))
 
     def __repr__(self):
         return (f"StochasticExtensiveForm({len(self.agents)} agents, "
@@ -485,6 +489,8 @@ def convert_strategy(sef, strategy, form):
 
 def strategy_from_moves(sef, i, move_map):
     """Rebuild the info-set representation, checking constancy per set."""
+    if missing := sef.moves_of(i) - move_map.keys():
+        raise InputError(f"no choice at the moves {canonical_text(missing)}")
     sets, _ = info_sets(sef, i)
     assignment = {}
     for p in sets:

@@ -11,7 +11,7 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 from exform.actionpath import ActionPathData
-from exform.adapted import _fold, slice_table
+from exform.adapted import SliceTable, _fold, slice_table
 from exform.forest import DecisionForest
 from exform.order import Poset
 from exform.sef import StochasticExtensiveForm, _menu_index
@@ -366,3 +366,50 @@ def unvalidated(parts):
             cut_oracle(tables[i], c)
     form._index = _menu_index(form, tables)
     return form
+
+
+def offered_oracle(table):
+    """
+    ``SliceTable.offered`` as it was before the menu index grouped the
+    choices by predecessor set, kept verbatim apart from its name and its
+    table argument: each move's choices offered there, the members of the
+    slices the move precedes.  Moves that precede the same slices share
+    the set.
+    """
+    at, shared = {}, {}
+    for x, records in table.offering.items():
+        key = tuple(id(r) for r in records if r.members)
+        if key:
+            if key not in shared:
+                shared[key] = frozenset(itertools.chain(*[
+                    r.members for r in records]))
+            at[x] = shared[key]
+    return at
+
+
+def meet_oracle(offered, i, m):
+    """``sef._meet`` as it was before the menu index grouped the choices
+    by predecessor set, kept verbatim apart from its name: the agent's
+    choices offered at every value of the random move."""
+    return frozenset.intersection(*[
+        offered.get((i, m(w)), frozenset()) for w in m.domain])
+
+
+def offered_index(form):
+    """The menu index's old ``offered`` map, (agent, move) -> the choices
+    offered there, read off a fresh table of each agent's choices as
+    ``_menu_index`` read it off the tables of validation."""
+    return {(i, x): cs for i in form.agents for x, cs in offered_oracle(
+        SliceTable(form.sdf, {}, {}, {}, form.choices[i])).items()}
+
+
+def predecessor_groups(table):
+    """The table's cut choices grouped by predecessor set as Axiom 1
+    grouped them before the menu index kept the grouping, kept verbatim:
+    each distinct nonempty set -> its choices in the order they were
+    cut."""
+    groups = {}
+    for c, p in table.preds.items():
+        if p:
+            groups.setdefault(p, []).append(c)
+    return groups

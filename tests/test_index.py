@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (comb_parts, forests, make_rng, random_strict_sef,
+from conftest import (comb_parts, forests, make_rng, meet_oracle,
+                      offered_index, predecessor_groups, random_strict_sef,
                       unvalidated)
 from exform._util import canonical
 from exform.errors import (
@@ -71,7 +72,6 @@ from exform.sef import (
     InfoSet,
     StochasticExtensiveForm,
     _axiom1_violations,
-    _meet,
     _menu,
     info_sets,
     strategies,
@@ -295,8 +295,9 @@ def pairwise_axiom1(sdf, agents, choices):
 
 def grouped_axiom1(sdf, agents, choices):
     # Axiom 1 reads slices only, so the table needs no agent data
+    tables = {i: SliceTable(sdf, {}, {}, {}, choices[i]) for i in agents}
     return [v for i in agents for v in _axiom1_violations(
-        SliceTable(sdf, {}, {}, {}, choices[i]), i)]
+        predecessor_groups(tables[i]), tables[i], i)]
 
 
 def one_shot(outcomes):
@@ -554,20 +555,28 @@ def assert_menu_index_matches(form):
     moves = sorted(set(randoms) | mixed | {
         m.restricted({w}) for m in randoms for w in m.domain},
         key=lambda m: repr(m.graph))
+    offered = offered_index(form)
     for x in nodes:
         assert form.active_agents(x) == oracle.active_agents(x)
     for i in form.agents:
         assert form.moves_of(i) == oracle.moves_of(i)
         for x in nodes:
             assert form.available_at_move(i, x) \
-                == oracle.available_at_move(i, x)
+                == oracle.available_at_move(i, x) \
+                == offered.get((i, x), frozenset())
         for m in moves:
             assert form.available_at(i, m) == oracle.available_at(i, m) \
-                == _meet(form._index.offered, i, m)
+                == meet_oracle(offered, i, m)
         for m in form.agent_moves[i]:
-            assert form._index.menu_of[i, m] == _meet(form._index.offered, i, m)
-        # the distinct slices the index keeps are a fresh table's
+            assert form._index.menu_of[i, m] == meet_oracle(offered, i, m)
+        # the groups are a fresh table's choices by predecessor set, and
+        # the distinct slices the index keeps are that table's
         table = SliceTable(form.sdf, {}, {}, {}, form.choices[i])
+        groups = form._index.groups[i]
+        assert groups == predecessor_groups(table)
+        assert all(groups.values())
+        assert sum(map(len, groups.values())) \
+            == len(frozenset().union(*groups.values()))
         for w in form.sdf.scenarios:
             assert form._index.distinct[i][w] == table.distinct(w)
         sets, preds = info_sets(form, i)
@@ -621,8 +630,9 @@ def assert_groups_cover(form, exact):
 
 def pseudo_forms():
     """The forms the tests assemble without validation: the 4-comb whose
-    bottom move lost its choices, a choice offered at two levels, and one
-    move shared by two agents whose choices are disjoint."""
+    bottom move lost its choices, a choice offered at two levels, one
+    move shared by two agents whose choices are disjoint, and a whole
+    root, a choice offered nowhere, beside a choice offered at the root."""
     sdf, agents, agent_moves, info, refchoices, choices = comb_parts(4)
     comb = unvalidated((sdf, agents, agent_moves, info, refchoices, {"i": {
         c for c in choices["i"] if not c < frozenset({"w:2", "w:3"})}}))
@@ -637,7 +647,9 @@ def pseudo_forms():
     none = {"a": {}, "b": {}}
     shared = unvalidated((one, ("a", "b"), {i: one.random_moves for i in "ab"},
                           none, none, {"a": [{"w:1"}], "b": [{"w:2"}]}))
-    return [comb, two_levels, shared]
+    nowhere = unvalidated((one, ("i",), {"i": one.random_moves}, {"i": {}},
+                           {"i": {}}, {"i": [{"w:1"}, {"w:1", "w:2"}]}))
+    return [comb, two_levels, shared, nowhere]
 
 
 class TestIndexesAgainstCaches:
@@ -674,6 +686,7 @@ class TestIndexesAgainstCaches:
         # every agent move of the 6-atom race, each one-scenario part and
         # each half, against the meet of its values' menus
         form = amd_sef(6)[0]
+        offered = offered_index(form)
         for i in form.agents:
             for m in sorted(form.agent_moves[i], key=canonical):
                 domain = sorted(m.domain)
@@ -681,7 +694,10 @@ class TestIndexesAgainstCaches:
                     m.restricted({w}) for w in domain)]
                 for part in parts:
                     assert form.available_at(i, part) \
-                        == _meet(form._index.offered, i, part)
+                        == meet_oracle(offered, i, part)
+                for x in m.image:
+                    assert form.available_at_move(i, x) \
+                        == offered.get((i, x), frozenset())
 
     @pytest.mark.parametrize("form", pseudo_forms(), ids=repr)
     def test_pseudo_forms(self, form):
@@ -720,6 +736,29 @@ class TestMenusSortedOnce:
                 assert menu == tuple(sorted(form.available_at(
                     i, next(iter(p.random_moves))), key=sorted))
                 assert _menu(form, p) is menu
+
+
+class TestMenusHeldPerGroup:
+    def test_each_choice_is_held_once_per_group_and_per_menu(self):
+        # the 6-atom race: per agent one move over 72 scenarios and 64
+        # choices of one predecessor set.  Kept per move, the offered
+        # sets would hold each choice 72 times
+        form = amd_sef(6)[0]
+        index = form._index
+        seen = set()
+        held([getattr(index, name) for name in (
+            "moves", "info_sets", "active", "menus", "grouped", "distinct",
+            "root", "walks")], seen)
+        menus = {id(menu): menu for menu in index.menu_of.values()}
+        groups = {i: predecessor_groups(SliceTable(
+            form.sdf, {}, {}, {}, form.choices[i])) for i in form.agents}
+        grouped = sum(len(cs) for gs in groups.values() for cs in gs.values())
+        assert grouped + sum(map(len, menus.values())) == 2 * 2 * 64
+        # beside the choices: the index's fields and the keys of its menus,
+        # of its agents' groups and of each agent's groups
+        assert held(index, seen) == grouped + sum(map(len, menus.values())) \
+            + len(index) + len(index.menu_of) + len(groups) + sum(
+                map(len, groups.values()))
 
 
 class TestQueriesKeepNothing:

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import forests, make_rng, random_strict_sef, unvalidated
+from conftest import (forests, make_rng, meet_oracle, offered_oracle,
+                      random_strict_sef, unvalidated)
 from exform._util import canonical
 from exform.forest import immediate_predecessors
 from exform.instances import amd_sef, mp_sef
@@ -271,10 +272,13 @@ def assert_table_as_frozen(form):
                 assert table.groups_at(x) == frozen.groups_at(w, x)
         assert list(table.overlapping()) == list(frozen.overlapping())
         offered = frozen_offered(form, i, frozen)
-        assert table.offered() \
-            == {x: cs for (j, x), cs in form._index.offered.items()
-                if j == i} \
+        got = {x: form.available_at_move(i, x) for x in sdf.forest.moves()}
+        assert offered_oracle(table) \
+            == {x: cs for x, cs in got.items() if cs} \
             == {x: frozenset(cs) for x, cs in offered.items()}
+        for m in sdf.random_moves:
+            assert form.available_at(i, m) == meet_oracle(
+                {(i, x): cs for x, cs in got.items()}, i, m)
         sets, _ = info_sets(form, i)
         assert [(p.random_moves, _menu(form, p)) for p in sets] \
             == frozen_menus(form, i, offered)

@@ -16,6 +16,7 @@ from exform._util import budget
 from exform.equil import check_dynamic_rationality, units, verify_equilibrium
 from exform.errors import (
     EnumerationBudgetExceeded,
+    InputError,
     MultipleOutcomes,
     NoOutcome,
     NotClosed,
@@ -49,11 +50,13 @@ from exform.play import (
     profile_tables,
     random_history_minimum,
     reduction_set,
+    scenario_outcomes,
     scenario_truncation,
 )
 from exform.sdf import RandomMove
 from exform.sef import (
     StochasticExtensiveForm,
+    Strategy,
     convert_strategy,
     info_sets,
     strategies,
@@ -147,6 +150,42 @@ class TestInducedOutcome:
                 fixed = [v for v in core
                          if v in reduction_set(sef, v, profile, h)]
                 assert fixed == [w]
+
+
+def short_profiles(name):
+    """The example's form, tastes and its profile with the agent's
+    strategy emptied or short of its first information set."""
+    sef, eu, profile, _ = load_example(name)
+    (i,) = sef.agents
+    first = info_sets(sef, i)[0][0]
+    short = {p: c for p, c in profile[i].assignment.items() if p != first}
+    return sef, eu, [StrategyProfile({i: Strategy(i, {})}),
+                     StrategyProfile({i: Strategy(i, short)})]
+
+
+class TestStrategiesAssignEverySet:
+    """A profile whose strategy leaves an information set of its agent
+    unassigned is refused where its tables are built: an InputError naming
+    the moves left out, not a KeyError from a tree fill."""
+
+    def test_scenario_outcomes(self):
+        sef, _, profiles = short_profiles("simple")
+        for profile in profiles:
+            with pytest.raises(InputError, match=r"no choice of 'i' at \[\["):
+                scenario_outcomes(sef, profile)
+
+    def test_induced_outcome(self):
+        sef, _, profiles = short_profiles("simple")
+        root = {sef.sdf.root_of(sef.sdf.scenarios[0])}
+        for profile in profiles:
+            with pytest.raises(InputError, match=r"no choice of 'i' at \[\["):
+                induced_outcome(sef, profile, root)
+
+    def test_verify_equilibrium(self):
+        sef, eu, profiles = short_profiles("simple")
+        for profile in profiles:
+            with pytest.raises(InputError, match=r"no choice of 'i' at \[\["):
+                verify_equilibrium(sef, eu, profile)
 
 
 class TestWellPosedness:

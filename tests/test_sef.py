@@ -1,4 +1,5 @@
 import itertools
+import re
 import time
 from collections import Counter
 from unittest import mock
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from conftest import action_path_inputs, comb_parts, unvalidated
 from test_adapted import twelve_atoms
 from exform import actionpath
-from exform._util import powerset
+from exform._util import canonical_text, powerset
 from exform.actionpath import (
     ActionPathData,
     build_action_path_sef,
@@ -419,6 +420,20 @@ class TestStrategies:
         table[x] = other
         with pytest.raises(InputError):
             strategy_from_moves(sef, "i", table)
+
+
+    def test_a_move_without_a_choice_is_named(self):
+        # the empty map, and the map of a strategy short of one move
+        sef = load_example("simple")[0]
+        table = convert_strategy(sef, strategies(sef, "i")[0], "move")
+        with pytest.raises(InputError, match=re.escape(
+                f"no choice at the moves {canonical_text(set(table))}")):
+            strategy_from_moves(sef, "i", {})
+        for x in table:
+            rest = {x2: c for x2, c in table.items() if x2 != x}
+            with pytest.raises(InputError, match=re.escape(
+                    f"no choice at the moves {canonical_text({x})}")):
+                strategy_from_moves(sef, "i", rest)
 
 
 class TestSplitSelves:

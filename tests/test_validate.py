@@ -450,7 +450,8 @@ def assert_tables_agree(form):
                 assert p == (immediate_predecessors(sdf.forest, s)
                              if s and s != sdf.root_of(w) else frozenset())
                 assert entry_of(table, w, s) == expected
-        assert sorted(_axiom1_violations(table, i), key=canonical) \
+        assert sorted(_axiom1_violations(form._index.groups[i], table, i),
+                      key=canonical) \
             == axiom1_oracle(sdf, i, form.choices[i])
         for members, menu in _menus(form, i):
             for void in (False, True):
@@ -474,7 +475,8 @@ def assert_readers_as_before(form):
         return False
     for i in form.agents:
         table = slice_table(form, i, form.choices[i])
-        assert sorted(_axiom1_violations(table, i), key=canonical) \
+        assert sorted(_axiom1_violations(form._index.groups[i], table, i),
+                      key=canonical) \
             == axiom1_oracle(form.sdf, i, form.choices[i])
         for w in form.sdf.scenarios:
             assert table.distinct(w) == _slices(table, form.choices[i], w)
